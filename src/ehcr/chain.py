@@ -79,6 +79,8 @@ class Policy:
             raise ValueError("beta1 and beta2 must have matching lengths")
         for name in ("alpha", "beta1", "beta2"):
             arr = getattr(self, name)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} entries must be finite")
             if arr.size and (np.any(arr < 0) or np.any(arr > 1)):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         if self.beta1.size and np.any(self.beta1 + self.beta2 > 1.0 + 1e-12):

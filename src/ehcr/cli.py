@@ -83,6 +83,14 @@ def _write_csv(path: str | None, header: Sequence[str],
             emit(stream)
 
 
+def _checked(params: SystemParams) -> SystemParams:
+    """``params`` if admissible; loaded files and overrides both pass here."""
+    problems = validate(params)
+    if problems:
+        raise CliError("invalid parameters: " + "; ".join(problems))
+    return params
+
+
 @dataclass(frozen=True)
 class LoadedConfig:
     params: SystemParams
@@ -109,15 +117,17 @@ def _load_config(source: str) -> LoadedConfig:
         params = params_from_dict(doc)
     except ConfigurationError as exc:
         raise CliError(str(exc)) from exc
-    problems = validate(params)
-    if problems:
-        raise CliError("invalid parameters: " + "; ".join(problems))
+    _checked(params)
     grid_doc = doc.get("grid", {})
-    grid = GridSpec(
-        tau_min=float(grid_doc.get("tau_min", 1.0 / params.W)),
-        lambda_values=tuple(grid_doc["lambdas"]) if "lambdas" in grid_doc else None,
-        lambda_count=int(grid_doc.get("lambda_count", 40)),
-    )
+    try:
+        grid = GridSpec(
+            tau_min=float(grid_doc.get("tau_min", 1.0 / params.W)),
+            lambda_values=tuple(grid_doc["lambdas"]) if "lambdas" in grid_doc else None,
+            lambda_count=int(grid_doc.get("lambda_count", 40)),
+        )
+        grid.tau_values(params)  # T and W fix the sensing times; no override changes them
+    except ValueError as exc:
+        raise CliError(f"invalid grid: {exc}") from exc
     return LoadedConfig(params=params, grid=grid,
                         sim_defaults=dict(doc.get("sim", {})))
 
@@ -163,7 +173,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     params = config.params
     if args.rho is not None:
-        params = with_overrides(params, rho=args.rho)
+        params = _checked(with_overrides(params, rho=args.rho))
     try:
         solution, _ = optimize(params, config.grid, args.scheme)
     except InfeasibleGridError as exc:
@@ -183,27 +193,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise CliError("sweep requires at least 2 steps")
     schemes = args.scheme or list(SCHEMES)
-    values = np.linspace(args.sweep_from, args.sweep_to, args.steps)
+    values = [float(v) for v in np.linspace(args.sweep_from, args.sweep_to, args.steps)]
+    swept = [(value, _checked(with_overrides(config.params, rho=value)))
+             for value in values]
     rows = []
     any_ok = False
-    for value in values:
+    for value, rho_params in swept:
         for scheme in schemes:
             for mode in HARVEST_MODES:
-                params = _harvest_params(
-                    with_overrides(config.params, rho=float(value)), mode)
+                params = _harvest_params(rho_params, mode)
                 try:
                     solution, _ = optimize(params, config.grid, scheme)
                 except InfeasibleGridError:
-                    rows.append((float(value), scheme, mode, "infeasible")
+                    rows.append((value, scheme, mode, "infeasible")
                                 + ("",) * 7)
                     continue
                 except (ConfigurationError, ValueError) as exc:
                     print(f"rho={value} {scheme}/{mode}: {exc}", file=sys.stderr)
-                    rows.append((float(value), scheme, mode, "error")
+                    rows.append((value, scheme, mode, "error")
                                 + ("",) * 7)
                     continue
                 any_ok = True
-                rows.append((float(value), scheme, mode, "ok")
+                rows.append((value, scheme, mode, "ok")
                             + _solution_cells(solution))
     _write_csv(args.out, SWEEP_COLUMNS, rows)
     return EXIT_OK if any_ok else EXIT_INFEASIBLE
@@ -211,20 +222,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _sim_config(args: argparse.Namespace, defaults: dict[str, Any]) -> simulator.SimConfig:
     bias = getattr(args, "corrupt_pd", None)
-    return simulator.SimConfig(
-        slots=args.slots if args.slots is not None else int(defaults.get("slots", 100_000)),
-        seed=args.seed if args.seed is not None else int(defaults.get("seed", 0)),
-        initial_battery=args.initial_battery,
-        correlation_mode=args.mode,
-        detection_bias=1.0 if bias is None else bias,
-    )
+    slots = args.slots if args.slots is not None else int(defaults.get("slots", 100_000))
+    seed = args.seed if args.seed is not None else int(defaults.get("seed", 0))
+    try:
+        return simulator.SimConfig(
+            slots=slots,
+            seed=seed,
+            initial_battery=args.initial_battery,
+            correlation_mode=args.mode,
+            detection_bias=1.0 if bias is None else bias,
+        )
+    except ValueError as exc:
+        raise CliError(f"invalid simulation settings: {exc}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     params = config.params
     if args.rho is not None:
-        params = with_overrides(params, rho=args.rho)
+        params = _checked(with_overrides(params, rho=args.rho))
     policy = _load_policy(args.policy, params)
     report = simulator.run(params, policy, _sim_config(args, config.sim_defaults))
     rows = [
@@ -246,7 +262,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     params = config.params
     if args.rho is not None:
-        params = with_overrides(params, rho=args.rho)
+        params = _checked(with_overrides(params, rho=args.rho))
     policy = _load_policy(args.policy, params)
     comparison = simulator.compare(
         params, policy, _sim_config(args, config.sim_defaults),

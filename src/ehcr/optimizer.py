@@ -5,9 +5,18 @@ equations become linear once the per-level action probabilities are replaced
 by their products with the stationary masses.  The secondary success rate and
 the licensed-user floor are linear in the same products, so each grid point
 reduces to a small dense LP; an exhaustive search over the admissible sensing
-times and a threshold grid then picks the best feasible point.  The search is
-deterministic: ties are broken toward the smaller sensing time, then the
-smaller threshold, regardless of evaluation order.
+times and a threshold grid then picks the best feasible point.
+
+The search runs in two passes.  A screen solves each sensing time's
+threshold LPs in order, each warm-started from the previous optimal basis
+(see :class:`~ehcr.numerics.WarmStart`); its objectives can differ from a
+cold solve in the last bits.  Every screened point within
+``LP_FEASIBILITY_TOL`` of the best is then re-solved cold, and only these
+certified candidates compete: the maximum objective wins, ties broken toward
+the smaller sensing time, then the smaller threshold, regardless of
+evaluation order.  Points equal in value to within solver noise are common
+(whole grids can tie), so the winner is reproducible bit for bit only
+because the near-ties are decided on cold solves.
 """
 from __future__ import annotations
 
@@ -20,7 +29,13 @@ from scipy.special import gammainccinv
 from . import harvesting, sensing
 from .chain import Policy, TransitionComponents, harvest_blocks, transition_components
 from .harvesting import HarvestPmf
-from .numerics import LinearProgram, solve_lp
+from .numerics import (
+    LP_FEASIBILITY_TOL,
+    LinearProgram,
+    WarmStart,
+    solve_lp,
+    warm_start_available,
+)
 from .outage import OutageBundle, bundle
 from .performance import PerformanceReport, evaluate
 from .system_model import ConfigurationError, SystemParams, derive, snap_to_int
@@ -129,7 +144,10 @@ class GridPointStatus:
 
     tau: float
     threshold: float
-    status: str  # "optimal" | "infeasible" | "unsupported_m" | "sensing_unreachable"
+    #: "optimal" | "infeasible" | "unsupported_m" | "sensing_unreachable"
+    #: | "solver_failure" (every rung of the LP ladder failed)
+    status: str
+    #: LP optimum; the warm screen's value unless the point was re-solved cold
     objective: float | None = None
 
 
@@ -247,12 +265,18 @@ class _PointSolution:
     scheme: str
     lp_objective: float
     lp_mu_p: float
+    warm: bool = False  # solved from a carried basis, not yet certified cold
 
 
 def _solve_point(params: SystemParams, tau: float, threshold: float, scheme: str,
                  idle_harvest: HarvestPmf, active_harvest: HarvestPmf,
-                 blocks=None) -> _PointSolution | None:
-    """Solve the LP at one grid point and recover the policy (no evaluation)."""
+                 blocks=None, warm: WarmStart | None = None
+                 ) -> _PointSolution | None:
+    """Solve the LP at one grid point and recover the policy (no evaluation).
+
+    With ``warm`` the LP is warm-started (see :func:`~ehcr.numerics.solve_lp`)
+    and the result says whether the warm answer was kept.
+    """
     quantities = derive(params, tau, require_sensing_capacity=False)
     if quantities.m < 2:
         raise ConfigurationError(
@@ -272,7 +296,7 @@ def _solve_point(params: SystemParams, tau: float, threshold: float, scheme: str
         params, tau, idle_harvest, active_harvest, p_d, p_f, blocks=blocks)
     outages = bundle(params, tau)
     lp = _build_lp(params, components, outages, p_d, p_f, scheme)
-    solution = solve_lp(lp)
+    solution = solve_lp(lp, warm)
     if solution.status != "optimal":
         return None
 
@@ -308,6 +332,7 @@ def _solve_point(params: SystemParams, tau: float, threshold: float, scheme: str
         scheme=scheme,
         lp_objective=float(solution.objective_value),
         lp_mu_p=lp_mu_p,
+        warm=solution.warm,
     )
 
 
@@ -356,39 +381,76 @@ def _select_winner(
     return best
 
 
+def _grid_point(params: SystemParams, tau: float, threshold: float, scheme: str,
+                idle_harvest: HarvestPmf, active_harvest: HarvestPmf, blocks,
+                warm: WarmStart | None = None
+                ) -> tuple[GridPointStatus, _PointSolution | None]:
+    """Status record and solution (None unless optimal) of one grid point."""
+    try:
+        point = _solve_point(params, tau, threshold, scheme, idle_harvest,
+                             active_harvest, blocks=blocks, warm=warm)
+    except ConfigurationError:
+        return GridPointStatus(tau, threshold, "sensing_unreachable"), None
+    except RuntimeError:
+        return GridPointStatus(tau, threshold, "solver_failure"), None
+    if point is None:
+        return GridPointStatus(tau, threshold, "infeasible"), None
+    return GridPointStatus(tau, threshold, "optimal", point.lp_objective), point
+
+
 def optimize(params: SystemParams, grid: GridSpec, scheme: str
              ) -> tuple[OptimalSolution, tuple[GridPointStatus, ...]]:
     """Exhaustive search over the grid; returns the winner and per-point log.
 
-    Raises :class:`InfeasibleGridError` carrying the per-point statuses when
-    no point is feasible.
+    Screens every point (warm-started when scipy's HiGHS core is usable),
+    then re-solves cold the screened points within ``LP_FEASIBILITY_TOL`` of
+    the best and picks the winner among those; see the module docstring.  A
+    point whose LP ladder fails is logged as ``solver_failure`` and the
+    search goes on.  Raises :class:`InfeasibleGridError` carrying the
+    per-point statuses when no point is feasible.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     idle_harvest = harvesting.nature_distribution(params)
     active_harvest = harvesting.combined_distribution(params, include_rf=True)
     records: list[GridPointStatus] = []
-    candidates: list[tuple[float, float, float, _PointSolution]] = []
+    # (record index, tau, threshold, objective, solution) of every optimal
+    # point; a warm answer keeps its objective only, its solution is redone
+    screened: list[tuple[int, float, float, float, _PointSolution | None]] = []
     for tau in grid.tau_values(params):
         quantities = derive(params, tau, require_sensing_capacity=False)
         if quantities.m < 2:
             records.append(GridPointStatus(tau, math.nan, "unsupported_m"))
             continue
         blocks = harvest_blocks(params, tau, idle_harvest, active_harvest)
+        warm = WarmStart() if warm_start_available() else None
         for threshold in grid.lambda_grid(quantities.m):
-            try:
-                point = _solve_point(params, tau, threshold, scheme,
-                                     idle_harvest, active_harvest, blocks=blocks)
-            except ConfigurationError:
-                records.append(
-                    GridPointStatus(tau, threshold, "sensing_unreachable"))
-                continue
+            record, point = _grid_point(params, tau, threshold, scheme,
+                                        idle_harvest, active_harvest, blocks, warm)
+            if point is not None:
+                screened.append((len(records), tau, threshold, point.lp_objective,
+                                 None if point.warm else point))
+            records.append(record)
+
+    # Certify: re-solve the near-best warm answers cold (their records follow
+    # the cold solve).  Should all of them fail cold, the next tier competes.
+    candidates: list[tuple[float, float, float, _PointSolution]] = []
+    blocks_tau = None
+    while screened and not candidates:
+        cutoff = max(entry[3] for entry in screened) - LP_FEASIBILITY_TOL
+        near = [entry for entry in screened if entry[3] >= cutoff]
+        screened = [entry for entry in screened if entry[3] < cutoff]
+        for index, tau, threshold, _, point in near:
             if point is None:
-                records.append(GridPointStatus(tau, threshold, "infeasible"))
-                continue
-            records.append(
-                GridPointStatus(tau, threshold, "optimal", point.lp_objective))
-            candidates.append((point.lp_objective, tau, threshold, point))
+                if tau != blocks_tau:  # near points come in tau order
+                    blocks_tau = tau
+                    blocks = harvest_blocks(params, tau, idle_harvest,
+                                            active_harvest)
+                records[index], point = _grid_point(
+                    params, tau, threshold, scheme, idle_harvest, active_harvest,
+                    blocks)
+            if point is not None:
+                candidates.append((point.lp_objective, tau, threshold, point))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,14 @@ class TestBuildTransitionMatrix:
             Policy(alpha=[1.5], beta1=[], beta2=[], tau=5e-4, threshold=2.0)
         with pytest.raises(ValueError):
             Policy(alpha=[], beta1=[0.7], beta2=[0.7], tau=5e-4, threshold=2.0)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta1", "beta2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_policy_rejects_non_finite_entries(self, name, value):
+        entries = {"alpha": [0.5], "beta1": [0.1], "beta2": [0.2]}
+        entries[name] = [value]
+        with pytest.raises(ValueError, match="finite"):
+            Policy(**entries, tau=5e-4, threshold=2.0)
 
     def test_components_compose_to_full_matrix(self, testbench_params):
         params = testbench_params

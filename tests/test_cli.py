@@ -91,6 +91,46 @@ class TestOptimizeCommand:
         assert out.exists() or code == 2
 
 
+class TestBadInputsExitOne:
+    """Invalid overrides and settings exit 1 with one line, no traceback."""
+
+    @staticmethod
+    def one_line_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "Traceback" not in err
+        return err
+
+    def test_rho_override_revalidated(self, fast_config, capsys):
+        assert main(["optimize", "--config", str(fast_config),
+                     "--rho", "1.5"]) == 1
+        assert "rho out of [0,1]" in self.one_line_error(capsys)
+
+    def test_rho_override_revalidated_for_sweep(self, fast_config, capsys):
+        assert main(["sweep", "--config", str(fast_config),
+                     "--from", "0.5", "--to", "1.5", "--steps", "2"]) == 1
+        assert "rho out of [0,1]" in self.one_line_error(capsys)
+
+    def test_rho_override_revalidated_for_simulation(self, fast_config,
+                                                     policy_file, capsys):
+        for command in ("simulate", "validate"):
+            assert main([command, "--config", str(fast_config),
+                         "--policy", str(policy_file), "--rho", "-0.2"]) == 1
+            assert "rho out of [0,1]" in self.one_line_error(capsys)
+
+    def test_zero_slots(self, fast_config, policy_file, capsys):
+        assert main(["simulate", "--config", str(fast_config),
+                     "--policy", str(policy_file), "--slots", "0"]) == 1
+        assert "slots must be >= 1" in self.one_line_error(capsys)
+
+    def test_grid_with_non_integral_samples(self, fast_config, capsys):
+        doc = json.loads(fast_config.read_text())
+        doc["grid"]["tau_min"] = 0.00033
+        fast_config.write_text(json.dumps(doc))
+        assert main(["optimize", "--config", str(fast_config)]) == 1
+        assert "tau*W = 6.6" in self.one_line_error(capsys)
+
+
 class TestSweepCommand:
     def test_row_grid(self, fast_config, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -4,20 +4,28 @@ import random
 import numpy as np
 import pytest
 
-from ehcr.chain import action_ranges
+from ehcr import harvesting, numerics, optimizer
+from ehcr.chain import action_ranges, transition_components
+from ehcr.numerics import LP_FEASIBILITY_TOL, solve_lp
 from ehcr.optimizer import (
     GridSpec,
     InfeasibleGridError,
+    _build_lp,
     _select_winner,
     optimize,
     solve_fixed,
 )
+from ehcr.outage import bundle
 from ehcr.performance import evaluate
-from ehcr.sensing import SensingConfig, false_alarm
-from ehcr.system_model import ConfigurationError, with_overrides
+from ehcr.sensing import SensingConfig, detection_avg, false_alarm
+from ehcr.system_model import ConfigurationError, derive, with_overrides
+from test_numerics import linprog_reference, needs_highs
 from test_performance import random_policy
 
 FAST_GRID = GridSpec(tau_min=2e-3, lambda_count=6)
+#: preset-like thresholds at the preset's tau_min: at rho 0.5 one point wins
+#: outright, at rho 0.1 all 57 points tie to within solver noise
+TIE_GRID = GridSpec(tau_min=5e-4, lambda_values=(30.0, 33.0, 36.0))
 
 
 class TestGridSpec:
@@ -202,3 +210,77 @@ class TestOptimize:
             (0.5, 1e-3, 5.0, c),
         ])
         assert winner is c
+
+
+def _near_best(records) -> int:
+    objectives = [r.objective for r in records if r.status == "optimal"]
+    return sum(o >= max(objectives) - LP_FEASIBILITY_TOL for o in objectives)
+
+
+class TestWarmScreen:
+    @needs_highs
+    def test_first_rung_matches_linprog_on_policy_lps(self, testbench_params):
+        params = testbench_params
+        idle = harvesting.nature_distribution(params)
+        active = harvesting.combined_distribution(params, include_rf=True)
+        for tau, threshold, scheme in ((5e-4, 33.0, "probabilistic"),
+                                       (2e-3, 60.0, "probabilistic"),
+                                       (1e-3, 20.0, "sensing_only"),
+                                       (6e-3, 30.0, "probabilistic")):
+            cfg = SensingConfig.from_params(params, tau, threshold)
+            quantities = derive(params, tau, require_sensing_capacity=False)
+            p_d = detection_avg(cfg, quantities.gamma_bar)
+            p_f = false_alarm(cfg)
+            components = transition_components(params, tau, idle, active, p_d, p_f)
+            lp = _build_lp(params, components, bundle(params, tau), p_d, p_f,
+                           scheme)
+            assert np.array_equal(solve_lp(lp).x, linprog_reference(lp).x)
+
+    @pytest.mark.parametrize("grid, rho, ties", [
+        (FAST_GRID, 0.1, "all"), (FAST_GRID, 0.5, "all"),
+        (TIE_GRID, 0.1, "all"), (TIE_GRID, 0.5, 1)])
+    def test_winner_matches_all_cold_search(self, testbench_params, monkeypatch,
+                                            grid, rho, ties):
+        params = with_overrides(testbench_params, rho=rho)
+        screened, records = optimize(params, grid, "probabilistic")
+        monkeypatch.setattr(optimizer, "warm_start_available", lambda: False)
+        cold, cold_records = optimize(params, grid, "probabilistic")
+        optimal = sum(r.status == "optimal" for r in cold_records)
+        assert _near_best(cold_records) == (optimal if ties == "all" else ties)
+        assert screened.tau == cold.tau
+        assert screened.threshold == cold.threshold
+        assert screened.lp_objective == cold.lp_objective
+        for name in ("alpha", "beta1", "beta2"):
+            assert np.array_equal(getattr(screened.policy, name),
+                                  getattr(cold.policy, name))
+        assert [r.status for r in records] == [r.status for r in cold_records]
+
+    def test_same_winner_without_highs_core(self, testbench_params, monkeypatch):
+        params = with_overrides(testbench_params, rho=0.5)
+        direct, _ = optimize(params, TIE_GRID, "probabilistic")
+        monkeypatch.setattr(numerics, "_HIGHS", None)
+        fallback, records = optimize(params, TIE_GRID, "probabilistic")
+        assert (fallback.tau, fallback.threshold) == (direct.tau, direct.threshold)
+        assert fallback.lp_objective == pytest.approx(direct.lp_objective,
+                                                      abs=1e-12)
+        assert all(r.status == "optimal" for r in records)
+
+    def test_solver_failure_is_logged_and_search_continues(
+            self, testbench_params, monkeypatch):
+        calls = []
+
+        def failing_second_call(lp, warm=None):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("every LP solve violated constraints")
+            return solve_lp(lp, warm)
+
+        monkeypatch.setattr(optimizer, "solve_lp", failing_second_call)
+        solution, records = optimize(testbench_params, FAST_GRID, "probabilistic")
+        statuses = [r.status for r in records]
+        assert statuses[1] == "solver_failure"
+        assert statuses.count("solver_failure") == 1
+        assert statuses.count("optimal") == len(records) - 1
+        assert (solution.tau, solution.threshold) != (records[1].tau,
+                                                      records[1].threshold)
+        assert solution.report.mu_p >= testbench_params.mu_th - 1e-6
