@@ -220,10 +220,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if any_ok else EXIT_INFEASIBLE
 
 
-def _sim_config(args: argparse.Namespace, defaults: dict[str, Any]) -> simulator.SimConfig:
+def _sim_config(args: argparse.Namespace, defaults: dict[str, Any],
+                params: SystemParams) -> simulator.SimConfig:
     bias = getattr(args, "corrupt_pd", None)
     slots = args.slots if args.slots is not None else int(defaults.get("slots", 100_000))
     seed = args.seed if args.seed is not None else int(defaults.get("seed", 0))
+    if args.initial_battery > params.N_max:
+        raise CliError(f"invalid simulation settings: initial battery "
+                       f"{args.initial_battery} exceeds N_max={params.N_max}")
     try:
         return simulator.SimConfig(
             slots=slots,
@@ -242,7 +246,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.rho is not None:
         params = _checked(with_overrides(params, rho=args.rho))
     policy = _load_policy(args.policy, params)
-    report = simulator.run(params, policy, _sim_config(args, config.sim_defaults))
+    report = simulator.run(params, policy,
+                           _sim_config(args, config.sim_defaults, params))
     rows = [
         ("mu_p", report.mu_p, report.mu_p_se),
         ("mu_s", report.mu_s, report.mu_s_se),
@@ -265,7 +270,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         params = _checked(with_overrides(params, rho=args.rho))
     policy = _load_policy(args.policy, params)
     comparison = simulator.compare(
-        params, policy, _sim_config(args, config.sim_defaults),
+        params, policy, _sim_config(args, config.sim_defaults, params),
         min_samples=args.min_samples,
     )
     rows = [(r.metric, r.analytic, r.empirical, r.stderr, r.zscore,

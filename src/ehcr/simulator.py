@@ -2,14 +2,28 @@
 
 The simulator shares nothing with the analytical chain beyond the primitive
 sensing statistics: batteries, actions, sensing verdicts, fading draws and
-SINR comparisons are all realized event by event, which makes it the ground
+SINR comparisons are all realized slot by slot, which makes it the ground
 truth the closed forms are validated against.
+
+The battery is the only sequential quantity, so :func:`run` has three parts.
+Before the loop, every draw is made and turned into per-slot arrays: the
+harvest, the sensing verdict (a sensed slot is declared busy when its sensing
+draw falls below the detection or false-alarm probability), and hence the
+energy a sensing slot would cost.  The loop then carries only the battery:
+it compares each slot's action draw with cumulative per-level thresholds,
+debits the chosen action, adds the harvest and caps at the battery size,
+recording each start-of-slot level.  After it, the actions are recovered from
+the recorded levels, and transmissions, SINR outcomes, counters and
+batch-means standard errors are computed as array expressions.
 
 Two correlation modes are provided.  ``faithful`` uses one licensed-link gain
 per slot for both the sensing SNR and the RF harvest, which is physically
 consistent; ``decorrelated`` draws them independently, matching the
 independence assumptions of the analytical model exactly, and is the default
-for cross-validation.
+for cross-validation.  Faithful-mode detection probabilities come from one
+vectorized noncentral chi-square tail (``1 - scipy.special.chndtr``), which
+is accurate to about 1e-12 in absolute terms: enough for a verdict, though
+not for :func:`sensing.detection_instant`, which keeps Marcum Q.
 
 Randomness comes from one seed expanded into named substreams (one per slot
 quantity), so instrumenting one quantity never shifts the draws of another.
@@ -17,9 +31,11 @@ quantity), so instrumenting one quantity never shifts the draws of another.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chndtr
 
 from . import sensing
 from .chain import Policy, action_ranges
@@ -55,8 +71,17 @@ class SimConfig:
     detection_bias: float = 1.0
 
     def __post_init__(self):
+        for name in ("slots", "seed", "initial_battery"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.detection_bias) and self.detection_bias >= 0):
+            raise ValueError(
+                f"detection_bias must be finite and >= 0, got {self.detection_bias!r}")
         if self.initial_battery < 0:
             raise ValueError(
                 f"initial_battery must be >= 0, got {self.initial_battery}")
@@ -87,19 +112,88 @@ class SimReport:
     su_tx_slots: int = 0
 
 
-def _batch_se(series: np.ndarray) -> float:
-    """Standard error of the mean via batch means, floored by a smoothed
-    binomial estimate so that short or degenerate series never report zero."""
+def _batch_bounds(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start offset and length of each of ``np.array_split``'s
+    ``_N_BATCHES`` consecutive batches of ``n`` items."""
+    sizes = np.full(_N_BATCHES, n // _N_BATCHES, dtype=np.int64)
+    sizes[:n % _N_BATCHES] += 1
+    return np.cumsum(sizes) - sizes, sizes
+
+
+def _batch_se(hits: int | np.ndarray, n: int,
+              batch_hits: np.ndarray | None) -> np.ndarray:
+    """Standard error of the mean of 0/1 series via batch means, floored by a
+    smoothed binomial estimate so that short or degenerate series never
+    report zero.
+
+    ``hits`` counts the ones of each series over all ``n`` items and
+    ``batch_hits`` (last axis: the ``_N_BATCHES`` batches of
+    :func:`_batch_bounds`) within each batch; it is ignored, and may be None,
+    below two items per batch, where only the floor applies.
+    """
+    smoothed = (np.asarray(hits) + 1.0) / (n + 2.0)
+    floor = np.sqrt(smoothed * (1.0 - smoothed) / n)
+    if n < 2 * _N_BATCHES:
+        return np.maximum(floor, 1e-300)
+    means = batch_hits / _batch_bounds(n)[1]
+    return np.maximum(means.std(axis=-1, ddof=1) / math.sqrt(_N_BATCHES), floor)
+
+
+def _series_se(series: np.ndarray) -> float:
+    """:func:`_batch_se` of one 0/1 series."""
     n = series.size
-    if n == 0:
-        return math.inf
-    smoothed = (series.sum() + 1.0) / (n + 2.0)
-    floor = math.sqrt(smoothed * (1.0 - smoothed) / n)
-    if n >= 2 * _N_BATCHES:
-        batches = np.array_split(series, _N_BATCHES)
-        means = np.array([b.mean() for b in batches])
-        return max(float(means.std(ddof=1) / math.sqrt(len(means))), floor)
-    return max(floor, 1e-300)
+    batch_hits = (np.add.reduceat(series, _batch_bounds(n)[0], dtype=np.int64)
+                  if n >= 2 * _N_BATCHES else None)
+    return float(_batch_se(np.count_nonzero(series), n, batch_hits))
+
+
+def _occupancy_se(levels: np.ndarray, histogram: np.ndarray) -> np.ndarray:
+    """:func:`_batch_se` of every level's indicator series at once."""
+    n, n_states = levels.size, histogram.size
+    if n < 2 * _N_BATCHES:
+        return _batch_se(histogram, n, None)
+    batch = np.repeat(np.arange(_N_BATCHES), _batch_bounds(n)[1])
+    counts = np.bincount(batch * n_states + levels,
+                         minlength=_N_BATCHES * n_states)
+    # one contiguous row per level, so each row's std reduces exactly like
+    # the standalone per-level array it replaces
+    per_level = np.ascontiguousarray(counts.reshape(_N_BATCHES, n_states).T)
+    return _batch_se(histogram, n, per_level)
+
+
+def _faithful_detection(cfg: sensing.SensingConfig, snr: np.ndarray) -> np.ndarray:
+    """:func:`sensing.detection_instant` at each realized sensing SNR, as the
+    upper tail of a noncentral chi-square with ``2m`` degrees of freedom.
+
+    Accurate to about 1e-12 in absolute terms only (it returns 0.0 where
+    Marcum Q is 1e-36): ample for a ``u < p`` verdict, which is why only the
+    simulator uses it and the public scalar function keeps Marcum Q.
+    """
+    return 1.0 - chndtr(cfg.threshold, 2.0 * cfg.m, 2.0 * snr)
+
+
+def _harvest(params: SystemParams, streams: dict, pu_active: np.ndarray,
+             rf_gain: np.ndarray) -> np.ndarray:
+    """Energy units harvested in each slot: ambient arrivals always, RF energy
+    from the licensed-link gain ``rf_gain`` while the licensed user is on."""
+    rf_q = np.floor(
+        params.eta * params.P_p * rf_gain * params.T / params.E_u
+    ).astype(np.int64)
+    return (streams["nature"].poisson(params.lambda_e * params.T, rf_gain.size)
+            + np.where(pu_active, rf_q, 0))
+
+
+def _level_thresholds(params: SystemParams, policy: Policy
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative per-level thresholds on the action draw ``u``: blind access
+    when ``u < blind[b]``, else sensing when ``u < sense[b]``, else idle."""
+    alpha_range, beta_range = action_ranges(params, policy.tau)
+    blind = np.zeros(params.n_states)
+    blind[alpha_range.start:alpha_range.stop] = policy.alpha
+    blind[beta_range.start:] = policy.beta1
+    sense = blind.copy()
+    sense[beta_range.start:] = policy.beta1 + policy.beta2
+    return blind, sense
 
 
 def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
@@ -115,133 +209,80 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
         raise ValueError(
             f"initial battery {sim.initial_battery} exceeds N_max={params.N_max}")
     quantities = derive(params, policy.tau, require_sensing_capacity=False)
-    alpha_range, beta_range = action_ranges(params, policy.tau)
-    cfg = sensing.SensingConfig.from_params(params, policy.tau, policy.threshold)
-    p_f = sensing.false_alarm(cfg)
-    uses_sensing = len(beta_range) > 0 and np.any(policy.beta2 > 0)
+    n_t, n_s = quantities.n_t, quantities.n_s
+    blind_at, sense_at = _level_thresholds(params, policy)
+    uses_sensing = bool(np.any(policy.beta2 > 0))
     decorrelated = sim.correlation_mode == "decorrelated"
-    if uses_sensing and decorrelated:
-        p_d_avg = sensing.detection_avg(cfg, quantities.gamma_bar)
-        p_d_avg = min(max(p_d_avg * sim.detection_bias, 0.0), 1.0)
-    else:
-        p_d_avg = math.nan
+    cfg = sensing.SensingConfig.from_params(params, policy.tau, policy.threshold)
 
     n_slots = sim.slots
     streams = {
         name: np.random.default_rng(child)
         for name, child in zip(_STREAMS, np.random.SeedSequence(sim.seed).spawn(len(_STREAMS)))
     }
+
+    def gains(link: str) -> np.ndarray:
+        return streams["h_" + link].exponential(getattr(params, "sigma_" + link), n_slots)
+
     pu_active = streams["pu"].random(n_slots) < params.rho
-    gain_p = streams["h_p"].exponential(params.sigma_p, n_slots)
-    gain_pst = streams["h_pst"].exponential(params.sigma_pst, n_slots)
-    gain_ps = streams["h_ps"].exponential(params.sigma_ps, n_slots)
-    gain_s = streams["h_s"].exponential(params.sigma_s, n_slots)
-    gain_sp = streams["h_sp"].exponential(params.sigma_sp, n_slots)
+    gain_pst = gains("pst")
     action_u = streams["action"].random(n_slots)
-    sensing_u = streams["sensing"].random(n_slots)
-    nature_q = streams["nature"].poisson(params.lambda_e * params.T, n_slots)
-    rf_energy_gain = gain_pst if not decorrelated else \
-        streams["rf"].exponential(params.sigma_pst, n_slots)
-    rf_q = np.floor(
-        params.eta * params.P_p * rf_energy_gain * params.T / params.E_u
-    ).astype(np.int64)
+    harvest = _harvest(params, streams, pu_active,
+                       streams["rf"].exponential(params.sigma_pst, n_slots)
+                       if decorrelated else gain_pst)
 
-    power_blind = params.E_t / params.T
-    power_sense = params.E_t / (params.T - policy.tau)
-    demand_pu = 2.0**quantities.r_p - 1.0
-    demand_blind = 2.0**quantities.r_s_blind - 1.0
-    demand_sense = 2.0**quantities.r_s_sense - 1.0
-
-    n_t, n_s = quantities.n_t, quantities.n_s
-    alpha_lo = alpha_range.start
-    beta_lo = beta_range.start
-    has_beta = len(beta_range) > 0
-    alpha = policy.alpha
-    beta1 = policy.beta1
-    beta2 = policy.beta2
-
-    level_series = np.empty(n_slots, dtype=np.int64)
-    su_success = np.zeros(n_slots, dtype=np.int8)
-    blind_series = np.zeros(n_slots, dtype=np.int8)
-    sense_series = np.zeros(n_slots, dtype=np.int8)
-    pu_success = np.zeros(n_slots, dtype=np.int8)
-
-    battery = int(sim.initial_battery)
-    idle_count = blind_count = sense_count = su_tx_count = 0
-    for t in range(n_slots):
-        level_series[t] = battery
-        u = action_u[t]
-        action = "idle"
-        if has_beta and battery >= beta_lo:
-            k = battery - beta_lo
-            if u < beta1[k]:
-                action = "blind"
-            elif u < beta1[k] + beta2[k]:
-                action = "sense"
-        elif battery >= alpha_lo and battery - alpha_lo < alpha.size:
-            if u < alpha[battery - alpha_lo]:
-                action = "blind"
-
-        consumed = 0
-        su_tx = False
-        su_power = 0.0
-        su_demand = 0.0
-        if action == "blind":
-            blind_count += 1
-            blind_series[t] = 1
-            consumed = n_t
-            su_tx = True
-            su_power = power_blind
-            su_demand = demand_blind
-        elif action == "sense":
-            sense_count += 1
-            sense_series[t] = 1
-            consumed = n_s
-            if pu_active[t]:
-                if decorrelated:
-                    p_detect = p_d_avg
-                else:
-                    snr = params.P_p * gain_pst[t] / params.sigma_n2
-                    p_detect = sensing.detection_instant(cfg, snr)
-                    p_detect = min(max(p_detect * sim.detection_bias, 0.0), 1.0)
-                declared_busy = sensing_u[t] < p_detect
-            else:
-                declared_busy = sensing_u[t] < p_f
-            if not declared_busy:
-                consumed += n_t
-                su_tx = True
-                su_power = power_sense
-                su_demand = demand_sense
+    # sensing verdicts, drawn for every slot whether or not it senses
+    p_detect = np.full(n_slots, sensing.false_alarm(cfg))
+    if uses_sensing:
+        if decorrelated:
+            p_pu = sensing.detection_avg(cfg, quantities.gamma_bar)
         else:
-            idle_count += 1
+            p_pu = _faithful_detection(
+                cfg, params.P_p * gain_pst[pu_active] / params.sigma_n2)
+        p_detect[pu_active] = np.clip(p_pu * sim.detection_bias, 0.0, 1.0)
+    declared_busy = streams["sensing"].random(n_slots) < p_detect
+    sense_cost = np.where(declared_busy, n_s, n_s + n_t)
 
-        if su_tx:
-            su_tx_count += 1
-            interference = params.P_p * gain_ps[t] if pu_active[t] else 0.0
-            sinr = su_power * gain_s[t] / (params.sigma_n2 + interference)
-            if sinr > su_demand:
-                su_success[t] = 1
-        if pu_active[t]:
-            interference = su_power * gain_sp[t] if su_tx else 0.0
-            sinr = params.P_p * gain_p[t] / (params.sigma_n2 + interference)
-            if sinr > demand_pu:
-                pu_success[t] = 1
+    # the battery is the only sequential quantity
+    levels: list[int] = []
+    record = levels.append
+    battery, n_max = int(sim.initial_battery), params.N_max
+    blind_list, sense_list = blind_at.tolist(), sense_at.tolist()
+    for u, cost, gain in zip(action_u.tolist(), sense_cost.tolist(),
+                             harvest.tolist()):
+        record(battery)
+        if u < blind_list[battery]:
+            battery -= n_t
+        elif u < sense_list[battery]:
+            battery -= cost
+        battery += gain
+        if battery > n_max:
+            battery = n_max
+    level_series = np.array(levels, dtype=np.int64)
 
-        battery = min(
-            battery - consumed + int(nature_q[t]) + (int(rf_q[t]) if pu_active[t] else 0),
-            params.N_max,
-        )
+    blind = action_u < blind_at[level_series]
+    sense = ~blind & (action_u < sense_at[level_series])
+    sense_tx = sense & ~declared_busy
+    su_tx = blind | sense_tx
+    su_power = np.where(blind, params.E_t / params.T,
+                        np.where(sense_tx, params.E_t / (params.T - policy.tau), 0.0))
+    su_demand = np.where(blind, 2.0**quantities.r_s_blind - 1.0,
+                         2.0**quantities.r_s_sense - 1.0)
+    # outcome gains are drawn only now, one at a time, to keep them out of
+    # memory during the loop; named substreams make the draw order irrelevant
+    su_interference = np.where(pu_active, params.P_p * gains("ps"), 0.0)
+    su_success = su_tx & (
+        su_power * gains("s") / (params.sigma_n2 + su_interference) > su_demand)
+    pu_interference = su_power * gains("sp")  # zero while the secondary is silent
+    pu_success = (params.P_p * gains("p") / (params.sigma_n2 + pu_interference)
+                  > 2.0**quantities.r_p - 1.0)[pu_active]
 
     histogram = np.bincount(level_series, minlength=params.n_states)
-    occupancy = histogram / n_slots
-    occupancy_se = np.array([
-        _batch_se((level_series == level).astype(np.int8))
-        for level in range(params.n_states)
-    ])
-    active = np.nonzero(pu_active)[0]
-    if active.size:
-        mu_p = float(pu_success[active].mean())
-        mu_p_se = _batch_se(pu_success[active])
+    blind_count = int(np.count_nonzero(blind))
+    sense_count = int(np.count_nonzero(sense))
+    if pu_success.size:
+        mu_p = float(pu_success.mean())
+        mu_p_se = _series_se(pu_success)
     else:
         mu_p, mu_p_se = math.nan, math.inf
     return SimReport(
@@ -249,18 +290,18 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
         mu_p=mu_p,
         mu_p_se=mu_p_se,
         mu_s=float(su_success.mean()),
-        mu_s_se=_batch_se(su_success),
-        p_sense=float(sense_series.mean()),
-        p_sense_se=_batch_se(sense_series),
-        p_access=float(blind_series.mean()),
-        p_access_se=_batch_se(blind_series),
-        occupancy=occupancy,
-        occupancy_se=occupancy_se,
+        mu_s_se=_series_se(su_success),
+        p_sense=sense_count / n_slots,
+        p_sense_se=_series_se(sense),
+        p_access=blind_count / n_slots,
+        p_access_se=_series_se(blind),
+        occupancy=histogram / n_slots,
+        occupancy_se=_occupancy_se(level_series, histogram),
         battery_histogram=histogram,
-        action_counts={"idle": idle_count, "blind": blind_count,
-                       "sense": sense_count},
-        pu_active_slots=int(active.size),
-        su_tx_slots=su_tx_count,
+        action_counts={"idle": n_slots - blind_count - sense_count,
+                       "blind": blind_count, "sense": sense_count},
+        pu_active_slots=int(pu_success.size),
+        su_tx_slots=int(np.count_nonzero(su_tx)),
     )
 
 

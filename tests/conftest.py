@@ -1,9 +1,17 @@
 import copy
 
 import pytest
+from hypothesis import settings
 
 from ehcr.presets import load_preset
 from ehcr.system_model import SystemParams, params_from_dict
+
+# Property tests run inside the ordinary test command: fixed examples, no
+# wall-clock deadline (the first call pays for imports), a bounded count, and
+# no example database left behind.
+settings.register_profile("ehcr", derandomize=True, deadline=None,
+                          max_examples=25, database=None)
+settings.load_profile("ehcr")
 
 
 @pytest.fixture(scope="session")

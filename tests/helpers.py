@@ -1,6 +1,9 @@
 """Shared oracle utilities for the test suite."""
+import math
+
 import numpy as np
 
+from ehcr import sensing
 from ehcr.chain import (
     Policy,
     TransitionMatrix,
@@ -9,6 +12,8 @@ from ehcr.chain import (
     stationary_distribution,
 )
 from ehcr.performance import primary_success_rate, secondary_success_rate
+from ehcr.simulator import _N_BATCHES, _STREAMS, SimConfig, SimReport
+from ehcr.system_model import SystemParams, derive
 
 
 def random_policy(rng, params, tau, threshold) -> Policy:
@@ -30,3 +35,183 @@ def fast_policy_value(params, components, outages, p_d, p_f, policy):
     mu_p = primary_success_rate(params, pi, policy, outages, p_d)
     mu_s = secondary_success_rate(params, pi, policy, outages, p_d, p_f)
     return mu_p, mu_s
+
+
+# The slot-by-slot simulator the vectorized ``ehcr.simulator.run`` replaced,
+# kept as its oracle: every report field must come out equal.
+
+def reference_batch_se(series: np.ndarray) -> float:
+    """Standard error of the mean via batch means, floored by a smoothed
+    binomial estimate so that short or degenerate series never report zero."""
+    n = series.size
+    if n == 0:
+        return math.inf
+    smoothed = (series.sum() + 1.0) / (n + 2.0)
+    floor = math.sqrt(smoothed * (1.0 - smoothed) / n)
+    if n >= 2 * _N_BATCHES:
+        batches = np.array_split(series, _N_BATCHES)
+        means = np.array([b.mean() for b in batches])
+        return max(float(means.std(ddof=1) / math.sqrt(len(means))), floor)
+    return max(floor, 1e-300)
+
+
+def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
+    """Simulate ``sim.slots`` slots and tally empirical statistics.
+
+    Deterministic for a fixed seed.  The battery starts at
+    ``sim.initial_battery``, is never driven negative (actions respect the
+    level rules) and is capped at the battery size after each slot's
+    harvest.
+    """
+    policy.validate_against(params)
+    if sim.initial_battery > params.N_max:
+        raise ValueError(
+            f"initial battery {sim.initial_battery} exceeds N_max={params.N_max}")
+    quantities = derive(params, policy.tau, require_sensing_capacity=False)
+    alpha_range, beta_range = action_ranges(params, policy.tau)
+    cfg = sensing.SensingConfig.from_params(params, policy.tau, policy.threshold)
+    p_f = sensing.false_alarm(cfg)
+    uses_sensing = len(beta_range) > 0 and np.any(policy.beta2 > 0)
+    decorrelated = sim.correlation_mode == "decorrelated"
+    if uses_sensing and decorrelated:
+        p_d_avg = sensing.detection_avg(cfg, quantities.gamma_bar)
+        p_d_avg = min(max(p_d_avg * sim.detection_bias, 0.0), 1.0)
+    else:
+        p_d_avg = math.nan
+
+    n_slots = sim.slots
+    streams = {
+        name: np.random.default_rng(child)
+        for name, child in zip(_STREAMS, np.random.SeedSequence(sim.seed).spawn(len(_STREAMS)))
+    }
+    pu_active = streams["pu"].random(n_slots) < params.rho
+    gain_p = streams["h_p"].exponential(params.sigma_p, n_slots)
+    gain_pst = streams["h_pst"].exponential(params.sigma_pst, n_slots)
+    gain_ps = streams["h_ps"].exponential(params.sigma_ps, n_slots)
+    gain_s = streams["h_s"].exponential(params.sigma_s, n_slots)
+    gain_sp = streams["h_sp"].exponential(params.sigma_sp, n_slots)
+    action_u = streams["action"].random(n_slots)
+    sensing_u = streams["sensing"].random(n_slots)
+    nature_q = streams["nature"].poisson(params.lambda_e * params.T, n_slots)
+    rf_energy_gain = gain_pst if not decorrelated else \
+        streams["rf"].exponential(params.sigma_pst, n_slots)
+    rf_q = np.floor(
+        params.eta * params.P_p * rf_energy_gain * params.T / params.E_u
+    ).astype(np.int64)
+
+    power_blind = params.E_t / params.T
+    power_sense = params.E_t / (params.T - policy.tau)
+    demand_pu = 2.0**quantities.r_p - 1.0
+    demand_blind = 2.0**quantities.r_s_blind - 1.0
+    demand_sense = 2.0**quantities.r_s_sense - 1.0
+
+    n_t, n_s = quantities.n_t, quantities.n_s
+    alpha_lo = alpha_range.start
+    beta_lo = beta_range.start
+    has_beta = len(beta_range) > 0
+    alpha = policy.alpha
+    beta1 = policy.beta1
+    beta2 = policy.beta2
+
+    level_series = np.empty(n_slots, dtype=np.int64)
+    su_success = np.zeros(n_slots, dtype=np.int8)
+    blind_series = np.zeros(n_slots, dtype=np.int8)
+    sense_series = np.zeros(n_slots, dtype=np.int8)
+    pu_success = np.zeros(n_slots, dtype=np.int8)
+
+    battery = int(sim.initial_battery)
+    idle_count = blind_count = sense_count = su_tx_count = 0
+    for t in range(n_slots):
+        level_series[t] = battery
+        u = action_u[t]
+        action = "idle"
+        if has_beta and battery >= beta_lo:
+            k = battery - beta_lo
+            if u < beta1[k]:
+                action = "blind"
+            elif u < beta1[k] + beta2[k]:
+                action = "sense"
+        elif battery >= alpha_lo and battery - alpha_lo < alpha.size:
+            if u < alpha[battery - alpha_lo]:
+                action = "blind"
+
+        consumed = 0
+        su_tx = False
+        su_power = 0.0
+        su_demand = 0.0
+        if action == "blind":
+            blind_count += 1
+            blind_series[t] = 1
+            consumed = n_t
+            su_tx = True
+            su_power = power_blind
+            su_demand = demand_blind
+        elif action == "sense":
+            sense_count += 1
+            sense_series[t] = 1
+            consumed = n_s
+            if pu_active[t]:
+                if decorrelated:
+                    p_detect = p_d_avg
+                else:
+                    snr = params.P_p * gain_pst[t] / params.sigma_n2
+                    p_detect = sensing.detection_instant(cfg, snr)
+                    p_detect = min(max(p_detect * sim.detection_bias, 0.0), 1.0)
+                declared_busy = sensing_u[t] < p_detect
+            else:
+                declared_busy = sensing_u[t] < p_f
+            if not declared_busy:
+                consumed += n_t
+                su_tx = True
+                su_power = power_sense
+                su_demand = demand_sense
+        else:
+            idle_count += 1
+
+        if su_tx:
+            su_tx_count += 1
+            interference = params.P_p * gain_ps[t] if pu_active[t] else 0.0
+            sinr = su_power * gain_s[t] / (params.sigma_n2 + interference)
+            if sinr > su_demand:
+                su_success[t] = 1
+        if pu_active[t]:
+            interference = su_power * gain_sp[t] if su_tx else 0.0
+            sinr = params.P_p * gain_p[t] / (params.sigma_n2 + interference)
+            if sinr > demand_pu:
+                pu_success[t] = 1
+
+        battery = min(
+            battery - consumed + int(nature_q[t]) + (int(rf_q[t]) if pu_active[t] else 0),
+            params.N_max,
+        )
+
+    histogram = np.bincount(level_series, minlength=params.n_states)
+    occupancy = histogram / n_slots
+    occupancy_se = np.array([
+        reference_batch_se((level_series == level).astype(np.int8))
+        for level in range(params.n_states)
+    ])
+    active = np.nonzero(pu_active)[0]
+    if active.size:
+        mu_p = float(pu_success[active].mean())
+        mu_p_se = reference_batch_se(pu_success[active])
+    else:
+        mu_p, mu_p_se = math.nan, math.inf
+    return SimReport(
+        slots=n_slots,
+        mu_p=mu_p,
+        mu_p_se=mu_p_se,
+        mu_s=float(su_success.mean()),
+        mu_s_se=reference_batch_se(su_success),
+        p_sense=float(sense_series.mean()),
+        p_sense_se=reference_batch_se(sense_series),
+        p_access=float(blind_series.mean()),
+        p_access_se=reference_batch_se(blind_series),
+        occupancy=occupancy,
+        occupancy_se=occupancy_se,
+        battery_histogram=histogram,
+        action_counts={"idle": idle_count, "blind": blind_count,
+                       "sense": sense_count},
+        pu_active_slots=int(active.size),
+        su_tx_slots=su_tx_count,
+    )

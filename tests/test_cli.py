@@ -123,6 +123,26 @@ class TestBadInputsExitOne:
                      "--policy", str(policy_file), "--slots", "0"]) == 1
         assert "slots must be >= 1" in self.one_line_error(capsys)
 
+    def test_negative_seed(self, fast_config, policy_file, capsys):
+        for command in ("simulate", "validate"):
+            assert main([command, "--config", str(fast_config),
+                         "--policy", str(policy_file), "--seed", "-1"]) == 1
+            assert "seed must be >= 0" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("bias", ["nan", "-1", "inf"])
+    def test_bad_detection_bias(self, fast_config, policy_file, capsys, bias):
+        assert main(["validate", "--config", str(fast_config),
+                     "--policy", str(policy_file), "--slots", "100",
+                     "--corrupt-pd", bias]) == 1
+        assert "detection_bias must be finite" in self.one_line_error(capsys)
+
+    def test_initial_battery_above_capacity(self, policy_file, capsys):
+        for command in ("simulate", "validate"):
+            assert main([command, "--config", "testbench",
+                         "--policy", str(policy_file), "--slots", "100",
+                         "--initial-battery", "99"]) == 1
+            assert "exceeds N_max=20" in self.one_line_error(capsys)
+
     def test_grid_with_non_integral_samples(self, fast_config, capsys):
         doc = json.loads(fast_config.read_text())
         doc["grid"]["tau_min"] = 0.00033

@@ -1,12 +1,28 @@
+import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from helpers import random_policy, reference_batch_se, reference_run
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ehcr import sensing
 from ehcr.chain import Policy, action_ranges
+from ehcr.optimizer import GridSpec
 from ehcr.outage import bundle
 from ehcr.performance import evaluate
-from ehcr.simulator import SimConfig, compare, run
+from ehcr.simulator import (
+    CORRELATION_MODES,
+    SimConfig,
+    _faithful_detection,
+    _occupancy_se,
+    _series_se,
+    compare,
+    run,
+)
 from ehcr.system_model import with_overrides
 
 TAU = 5e-4
@@ -127,3 +143,191 @@ class TestCompare:
             SimConfig(slots=500, seed=11, detection_bias=0.2))
         assert not comparison.flagged
         assert any("minimum sample" in w for w in comparison.warnings)
+
+
+def ramp_policy(params, tau=TAU, threshold=THRESHOLD) -> Policy:
+    alpha_range, beta_range = action_ranges(params, tau)
+    return Policy(alpha=np.linspace(0.0, 1.0, len(alpha_range)),
+                  beta1=np.linspace(0.6, 0.0, len(beta_range)),
+                  beta2=np.linspace(0.0, 0.4, len(beta_range)),
+                  tau=tau, threshold=threshold)
+
+
+POLICIES = {
+    "idle": lambda params: Policy.idle(params, TAU, THRESHOLD),
+    "blind": lambda params: Policy.constant(params, TAU, THRESHOLD, 1.0, 1.0, 0.0),
+    "sense": lambda params: Policy.constant(params, TAU, THRESHOLD, 0.0, 0.0, 1.0),
+    "mixed": mixed_policy,
+    "ramp": ramp_policy,
+}
+
+
+def assert_reports_equal(actual, expected):
+    for f in dataclasses.fields(expected):
+        a, b = getattr(actual, f.name), getattr(expected, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        elif isinstance(b, float) and math.isnan(b):
+            assert math.isnan(a), f.name
+        else:
+            assert type(a) is type(b) and a == b, (f.name, a, b)
+
+
+class TestSimConfigValidation:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            SimConfig(slots=10, seed=seed)
+
+    @pytest.mark.parametrize("field", ["slots", "initial_battery"])
+    def test_rejects_non_integral_counts(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**{"slots": 10, "seed": 0, field: 2.5})
+
+    def test_accepts_numpy_integer_seed(self):
+        assert SimConfig(slots=10, seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("bias", [math.nan, -1.0, math.inf, -math.inf])
+    def test_rejects_bad_detection_bias(self, bias):
+        with pytest.raises(ValueError, match="detection_bias must be finite"):
+            SimConfig(slots=10, seed=0, detection_bias=bias)
+
+    def test_zero_bias_is_a_valid_injection(self):
+        assert SimConfig(slots=10, seed=0, detection_bias=0.0).detection_bias == 0.0
+
+
+class TestMatchesSlotBySlotReference:
+    """The vectorized run equals the slot-by-slot loop on every field.
+
+    Faithful mode draws its verdicts from a noncentral chi-square tail that
+    agrees with Marcum Q to about 1e-12, so equality there could only fail if
+    a sensing draw landed that close to its detection probability; on these
+    seeds none does.
+    """
+
+    @pytest.mark.parametrize("mode", CORRELATION_MODES)
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_policies(self, testbench_params, name, mode):
+        policy = POLICIES[name](testbench_params)
+        sim = SimConfig(slots=20_001, seed=31, correlation_mode=mode)
+        assert_reports_equal(run(testbench_params, policy, sim),
+                             reference_run(testbench_params, policy, sim))
+
+    @pytest.mark.parametrize("mode", CORRELATION_MODES)
+    @pytest.mark.parametrize("slots", [1, 199, 200, 20_001])
+    def test_uneven_batches(self, testbench_params, slots, mode):
+        policy = ramp_policy(testbench_params)
+        sim = SimConfig(slots=slots, seed=32, correlation_mode=mode)
+        assert_reports_equal(run(testbench_params, policy, sim),
+                             reference_run(testbench_params, policy, sim))
+
+    @pytest.mark.parametrize("mode", CORRELATION_MODES)
+    @pytest.mark.parametrize("setting", [
+        {"initial_battery": 15}, {"N_max": 60}, {"rho": 0.0}, {"rho": 1.0}])
+    def test_settings(self, make_params, setting, mode):
+        setting = dict(setting)
+        initial = setting.pop("initial_battery", 0)
+        params = make_params(**setting)
+        sim = SimConfig(slots=5_000, seed=33, initial_battery=initial,
+                        correlation_mode=mode)
+        for policy in (ramp_policy(params), mixed_policy(params)):
+            assert_reports_equal(run(params, policy, sim),
+                                 reference_run(params, policy, sim))
+
+    def test_detection_fault_injection(self, testbench_params):
+        policy = mixed_policy(testbench_params)
+        for mode in CORRELATION_MODES:
+            for bias in (0.0, 0.5, 3.0):
+                sim = SimConfig(slots=3_000, seed=34, correlation_mode=mode,
+                                detection_bias=bias)
+                assert_reports_equal(run(testbench_params, policy, sim),
+                                     reference_run(testbench_params, policy, sim))
+
+    @given(policy_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**63 - 1),
+           slots=st.integers(1, 3_000),
+           rho=st.floats(0.0, 1.0),
+           threshold=st.floats(5.0, 100.0),
+           initial=st.integers(0, 20),
+           mode=st.sampled_from(CORRELATION_MODES))
+    def test_random_polytope_policies(self, testbench_params, policy_seed,
+                                      seed, slots, rho, threshold, initial,
+                                      mode):
+        params = with_overrides(testbench_params, rho=rho)
+        policy = random_policy(np.random.default_rng(policy_seed), params,
+                               TAU, threshold)
+        sim = SimConfig(slots=slots, seed=seed, initial_battery=initial,
+                        correlation_mode=mode)
+        assert_reports_equal(run(params, policy, sim),
+                             reference_run(params, policy, sim))
+
+
+class TestVectorizedPieces:
+    @pytest.mark.parametrize("n", [199, 200, 12_345, 20_000, 20_001])
+    def test_batch_se_equals_array_split_definition(self, n):
+        rng = np.random.default_rng(n)
+        sticky = np.cumsum(rng.random(n) < 0.01) % 2
+        for series in (rng.random(n) < 0.003, rng.random(n) < 0.4,
+                       np.zeros(n, dtype=bool), sticky.astype(bool)):
+            series = series.astype(np.int8)
+            assert _series_se(series) == reference_batch_se(series)
+        levels = np.minimum(rng.geometric(0.3, n) - 1, 6)
+        histogram = np.bincount(levels, minlength=9)
+        expected = [reference_batch_se((levels == k).astype(np.int8))
+                    for k in range(9)]
+        assert _occupancy_se(levels, histogram).tolist() == expected
+
+    @pytest.mark.parametrize("n", [150, 20_000])
+    def test_never_visited_level_gets_binomial_floor(self, n):
+        levels = np.random.default_rng(5).integers(0, 3, n)
+        se = _occupancy_se(levels, np.bincount(levels, minlength=5))
+        smoothed = 1.0 / (n + 2.0)
+        floor = math.sqrt(smoothed * (1.0 - smoothed) / n)
+        assert se[3] == floor and se[4] == floor
+
+    def test_faithful_detection_matches_marcum_q(self, testbench_params):
+        params = testbench_params
+        rng = np.random.default_rng(17)
+        grid = GridSpec(tau_min=1.0 / params.W)
+        worst = 0.0
+        for m in range(10, 61):
+            snr = rng.exponential(params.P_p * params.sigma_pst / params.sigma_n2, 4)
+            for threshold in grid.lambda_grid(m):
+                cfg = sensing.SensingConfig(tau=m / params.W,
+                                            threshold=threshold, m=m)
+                exact = [sensing.detection_instant(cfg, x) for x in snr]
+                worst = max(worst, float(np.max(np.abs(
+                    _faithful_detection(cfg, snr) - exact))))
+        assert worst <= 1e-11
+
+    def test_detection_instant_still_evaluates_marcum_q(self, monkeypatch):
+        calls = []
+        original = sensing.marcum_q
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sensing, "marcum_q", spy)
+        cfg = sensing.SensingConfig(tau=TAU, threshold=THRESHOLD, m=10)
+        assert sensing.detection_instant(cfg, 2.0) == original(*calls[0])
+        assert len(calls) == 1
+
+    def test_faithful_run_imports_nothing_from_scipy_stats(self):
+        code = (
+            "import sys\n"
+            "import ehcr\n"
+            "from ehcr.chain import Policy\n"
+            "from ehcr.presets import load_preset\n"
+            "from ehcr.simulator import SimConfig, run\n"
+            "from ehcr.system_model import params_from_dict\n"
+            "params = params_from_dict(load_preset('testbench'))\n"
+            "policy = Policy.constant(params, 5e-4, 30.0, 0.0, 0.0, 1.0)\n"
+            "run(params, policy, SimConfig(slots=500, seed=1,"
+            " correlation_mode='faithful'))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
