@@ -1,4 +1,4 @@
-"""Energy-queue Markov chain: transition kernel, stationary law, access stats.
+"""Energy-queue Markov chain: transition kernel and stationary law.
 
 The battery holds an integer number of energy packets, capped at ``N_max``.
 Each slot the node acts according to its level: below the transmission cost
@@ -13,7 +13,8 @@ uses tail probabilities in place of point masses.
 The kernel is affine in the policy: every row is the idle row plus the
 policy-weighted blind/sense increments.  ``TransitionComponents`` exposes
 that decomposition directly, which is what turns the stationary-point
-optimization into a linear program elsewhere.
+optimization into a linear program elsewhere.  The rates and access
+statistics of a solved chain live in :mod:`ehcr.performance`.
 """
 from __future__ import annotations
 
@@ -192,13 +193,13 @@ def _shifted_rows(dist: HarvestPmf, consumption: int, n_states: int) -> np.ndarr
     Negative requirements contribute zero.  Row i is meaningful only where
     the consumption is affordable (i >= consumption).
     """
-    masses = dist.masses
-    block = np.zeros((n_states, n_states))
-    for i in range(n_states):
-        need = np.arange(n_states - 1) - i + consumption
-        valid = (need >= 0) & (need < masses.size)
-        block[i, :-1][valid] = masses[need[valid]]
-        block[i, -1] = dist.tail_at_least(n_states - 1 - i + consumption)
+    levels = np.arange(n_states)
+    need = np.arange(n_states - 1) - levels[:, None] + consumption
+    # index -1 and index masses.size both land on the appended zero
+    padded = np.append(dist.masses, 0.0)
+    block = np.empty((n_states, n_states))
+    block[:, :-1] = padded[np.clip(need, -1, dist.masses.size)]
+    block[:, -1] = dist.tail_at_least(n_states - 1 - levels + consumption)
     return block
 
 
@@ -278,12 +279,12 @@ def transition_components(params: SystemParams, tau: float,
 def compose_transition(components: TransitionComponents, alpha: np.ndarray,
                        beta1: np.ndarray, beta2: np.ndarray) -> np.ndarray:
     """Assemble the kernel for given probability vectors (no wrapping checks)."""
+    blind = slice(components.alpha_range.start, components.alpha_range.stop)
+    full = slice(components.beta_range.start, components.beta_range.stop)
     p = components.idle.copy()
-    for k, i in enumerate(components.alpha_range):
-        p[i] += alpha[k] * components.blind_delta[i]
-    for k, i in enumerate(components.beta_range):
-        p[i] += (beta1[k] * components.blind_delta[i]
-                 + beta2[k] * components.sense_delta[i])
+    p[blind] += alpha[:, None] * components.blind_delta[blind]
+    p[full] += (beta1[:, None] * components.blind_delta[full]
+                + beta2[:, None] * components.sense_delta[full])
     return p
 
 
@@ -338,22 +339,3 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
         )
     return StationaryDistribution(pi)
 
-
-def access_stats(params: SystemParams, stationary: StationaryDistribution,
-                 policy: Policy) -> tuple[float, float, float]:
-    """(sensing probability, blind-access probability, expected sensing time).
-
-    Sensing probability weighs ``beta2`` by the stationary mass of its range;
-    blind access collects ``alpha`` and ``beta1`` likewise; the expected
-    per-slot sensing time is the sensing probability times ``tau``.
-    """
-    policy.validate_against(params)
-    pi = stationary.pi
-    alpha_range, beta_range = action_ranges(params, policy.tau)
-    alpha_mass = pi[alpha_range.start:alpha_range.stop]
-    beta_mass = pi[beta_range.start:beta_range.stop]
-    p_sense = float(beta_mass @ policy.beta2) if len(beta_range) else 0.0
-    p_access = float(alpha_mass @ policy.alpha) if len(alpha_range) else 0.0
-    if len(beta_range):
-        p_access += float(beta_mass @ policy.beta1)
-    return p_sense, p_access, p_sense * policy.tau

@@ -28,8 +28,6 @@ TRUNCATION_TAIL = 1e-12
 #: never extend the support beyond this multiple of the battery capacity
 SUPPORT_CAP_FACTOR = 4
 
-_KINDS = ("nature", "rf", "combined")
-
 
 @dataclass(frozen=True)
 class HarvestPmf:
@@ -55,10 +53,11 @@ class HarvestPmf:
 
     @cached_property
     def _ccdf(self) -> np.ndarray:
-        # _ccdf[n] = Pr{count >= n} for n in 0..len(masses); complementary to
-        # the partial sums of masses, clipped against float round-off
+        # _ccdf[n] = Pr{count >= n} for n in 0..len(masses), complementary to
+        # the partial sums of masses and clipped against float round-off,
+        # then a zero for every count beyond the support
         tail = 1.0 - np.concatenate(([0.0], np.cumsum(self.masses)))
-        return np.clip(tail, 0.0, 1.0)
+        return np.append(np.clip(tail, 0.0, 1.0), 0.0)
 
     @property
     def support_size(self) -> int:
@@ -70,17 +69,12 @@ class HarvestPmf:
             return float(self.masses[count])
         return 0.0
 
-    def tail_at_least(self, count: int) -> float:
-        """Pr{arrivals >= count}; equals 1 at count <= 0."""
-        if count <= 0:
-            return 1.0
-        if count >= self._ccdf.size:
-            return 0.0
-        return float(self._ccdf[count])
+    def tail_at_least(self, count: int | np.ndarray) -> float | np.ndarray:
+        """Pr{arrivals >= count}, elementwise over an integer array.
 
-    def mean(self) -> float:
-        """Mean of the truncated distribution."""
-        return float(np.arange(self.masses.size) @ self.masses)
+        Equals 1 at count <= 0 and 0 beyond the support.
+        """
+        return self._ccdf[np.clip(count, 0, self._ccdf.size - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,48 +108,6 @@ def rf_pmf(params: SystemParams, r: int) -> float:
     if scale == 0.0:
         return 1.0 if r == 0 else 0.0
     return math.exp(-r / scale) - math.exp(-(r + 1) / scale)
-
-
-def _rf_tail(params: SystemParams, r: int) -> float:
-    if r <= 0:
-        return 1.0
-    scale = _rf_packet_scale(params)
-    if scale == 0.0:
-        return 0.0
-    return math.exp(-r / scale)
-
-
-def combined_pmf(params: SystemParams, include_rf: bool, q: int) -> float:
-    """Mass of the summed arrivals at q packets.
-
-    With ``include_rf`` false this is the ambient law alone; otherwise the
-    finite convolution sum over all splits of q.
-    """
-    if q < 0:
-        return 0.0
-    if not include_rf:
-        return nature_pmf(params.lambda_e, params.T, q)
-    return sum(
-        nature_pmf(params.lambda_e, params.T, n) * rf_pmf(params, q - n)
-        for n in range(q + 1)
-    )
-
-
-def tail_at_least(kind: str, params: SystemParams, n: int) -> float:
-    """Complementary CDF Pr{arrivals >= n} of one of the three laws."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if n < 0:
-        raise ValueError(f"count must be nonnegative, got {n}")
-    if n == 0:
-        return 1.0
-    if kind == "rf":
-        return _rf_tail(params, n)
-    if kind == "nature":
-        below = sum(nature_pmf(params.lambda_e, params.T, k) for k in range(n))
-    else:
-        below = sum(combined_pmf(params, True, k) for k in range(n))
-    return max(0.0, 1.0 - below)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,10 @@ MARCUM_TAIL_RTOL = 1e-12
 # exp(-x) underflows below this; switch to log-space accumulation
 _EXP_UNDERFLOW = 700.0
 
+# an exponential whose logarithm is below this is taken as zero; nearer the
+# subnormal range it would lose precision
+_LOG_TINY = -700.0
+
 #: maximum constraint violation an "optimal" solution may carry
 LP_FEASIBILITY_TOL = 1e-8
 
@@ -136,26 +140,33 @@ def marcum_q(m: int, a: float, b: float) -> float:
         below_mass = 0.0
 
     gamma_tail = regularized_upper_gamma_int(m + n_start, x)
-    # increment taking U(m+n, x) to U(m+n+1, x)
+    # increment taking U(m+n, x) to U(m+n+1, x), i.e. the Poisson(x) mass at
+    # m+n; it underflows once x exceeds ~745 and is then recomputed from its
+    # logarithm each term until it is representable again
     log_inc = (m + n_start - 1) * math.log(x) - math.lgamma(m + n_start) - x
-    increment = math.exp(log_inc) if log_inc > -745.0 else 0.0
+    increment = math.exp(log_inc) if log_inc > _LOG_TINY else 0.0
 
     total = 0.0
     weight_sum = below_mass
     for n in range(n_start, n_start + MARCUM_MAX_TERMS):
         total += weight * gamma_tail
         weight_sum += weight
-        # remaining mass: complement of the spent Poisson mass, tightened by
-        # the geometric decay bound once past the mode (the complement alone
+        # remaining Poisson mass: the complement of the spent mass before the
+        # mode, the geometric decay bound past it (there the complement
         # bottoms out at float resolution and cannot witness tiny totals)
-        tail_bound = 1.0 - weight_sum
         ratio = s / (n + 1)
         if ratio < 1.0:
-            tail_bound = min(tail_bound, weight * ratio / (1.0 - ratio))
+            tail_bound = weight * ratio / (1.0 - ratio)
+        else:
+            tail_bound = 1.0 - weight_sum
         if tail_bound <= MARCUM_TAIL_RTOL * max(total, 1e-300):
             return min(total, 1.0)
         weight *= ratio
-        increment *= x / (m + n)
+        if increment > 0.0:
+            increment *= x / (m + n)
+        else:
+            log_inc = (m + n) * math.log(x) - math.lgamma(m + n + 1) - x
+            increment = math.exp(log_inc) if log_inc > _LOG_TINY else 0.0
         gamma_tail = min(gamma_tail + increment, 1.0)
     raise MarcumConvergenceError(
         f"Marcum Q_{m}({a}, {b}) did not converge in {MARCUM_MAX_TERMS} terms; "

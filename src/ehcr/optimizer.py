@@ -2,10 +2,12 @@
 
 For a fixed sensing time and detection threshold the stationary balance
 equations become linear once the per-level action probabilities are replaced
-by their products with the stationary masses.  The secondary success rate and
-the licensed-user floor are linear in the same products, so each grid point
-reduces to a small dense LP; an exhaustive search over the admissible sensing
-times and a threshold grid then picks the best feasible point.
+by their products with the stationary masses: the occupation vector of
+:func:`~ehcr.performance.occupation`.  The secondary success rate and the
+licensed-user floor are the rows of :func:`~ehcr.performance.rate_rows` over
+the same vector, so each grid point reduces to a small dense LP; an
+exhaustive search over the admissible sensing times and a threshold grid then
+picks the best feasible point.
 
 The search runs in two passes.  A screen solves each sensing time's
 threshold LPs in order, each warm-started from the previous optimal basis
@@ -36,8 +38,8 @@ from .numerics import (
     solve_lp,
     warm_start_available,
 )
-from .outage import OutageBundle, bundle
-from .performance import PerformanceReport, evaluate
+from .outage import bundle
+from .performance import PerformanceReport, evaluate, rate_rows
 from .system_model import ConfigurationError, SystemParams, derive, snap_to_int
 
 SCHEMES = ("probabilistic", "sensing_only")
@@ -163,74 +165,44 @@ class InfeasibleGridError(RuntimeError):
         super().__init__(f"no feasible grid point ({summary})")
 
 
-def _rate_coefficients(params: SystemParams, outages: OutageBundle,
-                       p_d: float, p_f: float) -> tuple[float, float, float, float]:
-    """Per-action values entering the two rate formulas."""
-    rho = params.rho
-    blind_su = (rho * outages.su_no_outage_wsp
-                + (1.0 - rho) * outages.su_no_outage_ws)
-    sense_su = (rho * (1.0 - p_d) * outages.su_no_outage_sp
-                + (1.0 - rho) * (1.0 - p_f) * outages.su_no_outage_s)
-    blind_pu = outages.pu_no_outage_ws
-    sense_pu = p_d * outages.pu_no_outage_silent + (1.0 - p_d) * outages.pu_no_outage_md
-    return blind_su, sense_su, blind_pu, sense_pu
-
-
 def _build_lp(params: SystemParams, components: TransitionComponents,
-              outages: OutageBundle, p_d: float, p_f: float,
+              mu_s_row: np.ndarray, mu_p_row: np.ndarray,
               scheme: str) -> LinearProgram:
     """Assemble the policy LP at one grid point.
 
-    Variables are the stationary masses followed by the product variables of
-    the blind-only range and the two product vectors of the full range.
-    Balance rows use the affine kernel decomposition; the licensed-user floor
-    enters as one inequality.  The sensing-only scheme pins the blind product
-    variables to zero through their bounds.
+    The variables are the occupation vector of
+    :func:`~ehcr.performance.occupation`, and ``mu_s_row``/``mu_p_row`` are
+    :func:`~ehcr.performance.rate_rows` over it: the objective and the
+    licensed-user floor, which enters as one inequality.  Balance rows use the
+    affine kernel decomposition, and each level's products may not exceed its
+    mass.  The sensing-only scheme pins the blind product variables to zero
+    through their bounds.
     """
     n = components.n_states
-    a_idx = list(components.alpha_range)
-    b_idx = list(components.beta_range)
-    ka, kb = len(a_idx), len(b_idx)
+    alpha_range, beta_range = components.alpha_range, components.beta_range
+    ka, kb = len(alpha_range), len(beta_range)
     nvars = n + ka + 2 * kb
+    alpha_rows = slice(alpha_range.start, alpha_range.stop)
+    beta_rows = slice(beta_range.start, beta_range.stop)
 
-    blind_a = components.blind_delta[a_idx, :].T if ka else np.zeros((n, 0))
-    blind_b = components.blind_delta[b_idx, :].T if kb else np.zeros((n, 0))
-    sense_b = components.sense_delta[b_idx, :].T if kb else np.zeros((n, 0))
-    balance = np.hstack([components.idle.T - np.eye(n), blind_a, blind_b, sense_b])
+    balance = np.hstack([components.idle.T - np.eye(n),
+                         components.blind_delta[alpha_rows].T,
+                         components.blind_delta[beta_rows].T,
+                         components.sense_delta[beta_rows].T])
     normalization = np.concatenate([np.ones(n), np.zeros(ka + 2 * kb)])
     eq_matrix = np.vstack([balance, normalization])
     eq_rhs = np.concatenate([np.zeros(n), [1.0]])
 
-    blind_su, sense_su, blind_pu, sense_pu = _rate_coefficients(
-        params, outages, p_d, p_f)
-    silent = outages.pu_no_outage_silent
-
-    objective = np.zeros(nvars)
-    objective[n:n + ka] = blind_su
-    objective[n + ka:n + ka + kb] = blind_su
-    objective[n + ka + kb:] = sense_su
-
-    qos_row = np.zeros(nvars)
-    qos_row[:n] = silent
-    qos_row[n:n + ka] = blind_pu - silent
-    qos_row[n + ka:n + ka + kb] = blind_pu - silent
-    qos_row[n + ka + kb:] = sense_pu - silent
-
-    ub_rows = [-qos_row]
-    ub_rhs = [-params.mu_th]
-    for k, i in enumerate(a_idx):
-        row = np.zeros(nvars)
-        row[i] = -1.0
-        row[n + k] = 1.0
-        ub_rows.append(row)
-        ub_rhs.append(0.0)
-    for k, i in enumerate(b_idx):
-        row = np.zeros(nvars)
-        row[i] = -1.0
-        row[n + ka + k] = 1.0
-        row[n + ka + kb + k] = 1.0
-        ub_rows.append(row)
-        ub_rhs.append(0.0)
+    # row 0 is the floor; row 1 + k caps the products of the k-th acting
+    # level (the beta levels follow the alpha levels) by that level's mass
+    ub_matrix = np.zeros((1 + ka + kb, nvars))
+    ub_matrix[0] = -mu_p_row
+    level_rows = np.arange(1, 1 + ka + kb)
+    ub_matrix[level_rows, alpha_range.start + np.arange(ka + kb)] = -1.0
+    ub_matrix[level_rows, n + np.arange(ka + kb)] = 1.0
+    ub_matrix[level_rows[ka:], n + ka + kb + np.arange(kb)] = 1.0
+    ub_rhs = np.zeros(1 + ka + kb)
+    ub_rhs[0] = -params.mu_th
 
     unit = (0.0, 1.0)
     pinned = (0.0, 0.0)
@@ -238,21 +210,21 @@ def _build_lp(params: SystemParams, components: TransitionComponents,
     bounds = ([unit] * n + [blind_bound] * ka + [blind_bound] * kb + [unit] * kb)
 
     return LinearProgram(
-        objective=objective,
+        objective=mu_s_row,
         eq_matrix=eq_matrix,
         eq_rhs=eq_rhs,
-        ub_matrix=np.array(ub_rows),
-        ub_rhs=np.array(ub_rhs),
+        ub_matrix=ub_matrix,
+        ub_rhs=ub_rhs,
         bounds=tuple(bounds),
     )
 
 
-def _recover(masses: np.ndarray, products: np.ndarray, idx: list[int]) -> np.ndarray:
+def _recover(masses: np.ndarray, products: np.ndarray, levels: range) -> np.ndarray:
     """Divide product variables by stationary mass, zeroing unreachable levels."""
-    out = np.zeros(len(idx))
-    for k, i in enumerate(idx):
-        if masses[i] > RECOVERY_MASS_FLOOR:
-            out[k] = min(max(products[k] / masses[i], 0.0), 1.0)
+    mass = masses[levels.start:levels.stop]
+    reachable = mass > RECOVERY_MASS_FLOOR
+    out = np.zeros(len(levels))
+    out[reachable] = np.clip(products[reachable] / mass[reachable], 0.0, 1.0)
     return out
 
 
@@ -294,44 +266,30 @@ def _solve_point(params: SystemParams, tau: float, threshold: float, scheme: str
     p_f = sensing.false_alarm(cfg)
     components = transition_components(
         params, tau, idle_harvest, active_harvest, p_d, p_f, blocks=blocks)
-    outages = bundle(params, tau)
-    lp = _build_lp(params, components, outages, p_d, p_f, scheme)
+    alpha_range, beta_range = components.alpha_range, components.beta_range
+    mu_s_row, mu_p_row = rate_rows(params, bundle(params, tau), p_d, p_f,
+                                   alpha_range, beta_range)
+    lp = _build_lp(params, components, mu_s_row, mu_p_row, scheme)
     solution = solve_lp(lp, warm)
     if solution.status != "optimal":
         return None
 
-    n = components.n_states
-    a_idx = list(components.alpha_range)
-    b_idx = list(components.beta_range)
-    ka, kb = len(a_idx), len(b_idx)
     x = solution.x
-    substituted = SubstitutedVariables(
-        pi=x[:n].copy(),
-        alpha_tilde=x[n:n + ka].copy(),
-        beta1_tilde=x[n + ka:n + ka + kb].copy(),
-        beta2_tilde=x[n + ka + kb:].copy(),
-    )
+    n, ka, kb = components.n_states, len(alpha_range), len(beta_range)
+    substituted = SubstitutedVariables(*np.split(x.copy(), [n, n + ka, n + ka + kb]))
     policy = Policy(
-        alpha=_recover(substituted.pi, substituted.alpha_tilde, a_idx),
-        beta1=_recover(substituted.pi, substituted.beta1_tilde, b_idx),
-        beta2=_recover(substituted.pi, substituted.beta2_tilde, b_idx),
+        alpha=_recover(substituted.pi, substituted.alpha_tilde, alpha_range),
+        beta1=_recover(substituted.pi, substituted.beta1_tilde, beta_range),
+        beta2=_recover(substituted.pi, substituted.beta2_tilde, beta_range),
         tau=tau,
         threshold=threshold,
-    )
-    _, _, blind_pu, sense_pu = _rate_coefficients(params, outages, p_d, p_f)
-    silent = outages.pu_no_outage_silent
-    lp_mu_p = (
-        silent * float(substituted.pi.sum())
-        + (blind_pu - silent) * float(substituted.alpha_tilde.sum()
-                                      + substituted.beta1_tilde.sum())
-        + (sense_pu - silent) * float(substituted.beta2_tilde.sum())
     )
     return _PointSolution(
         policy=policy,
         substituted=substituted,
         scheme=scheme,
         lp_objective=float(solution.objective_value),
-        lp_mu_p=lp_mu_p,
+        lp_mu_p=float(mu_p_row @ x),
         warm=solution.warm,
     )
 

@@ -1,10 +1,15 @@
-"""Success rates of both users for a given parameter set and policy.
+"""Success rates of both users, linear in the chain's occupation vector.
 
-The licensed user's rate averages its scenario success probabilities over
-the stationary battery law and the action mix at each level, with sensing
-splitting into detected (silent secondary) and mis-detected (interfered)
-branches.  The secondary rate counts a slot as successful only when the
-node transmits and the burst survives, so idling contributes zero.
+The occupation vector (pi, pi*alpha, pi*beta1, pi*beta2) is the stationary
+battery law followed by the stationary probabilities of each acting level
+taking each action.  Both rates are linear in it, and :func:`rate_rows`
+holds their per-action values once, as coefficient rows: :func:`evaluate`
+dots them with the vector of a solved chain, and the policy LP optimizes over
+the same vector with the same rows.  The licensed user keeps its silent
+success value unless the secondary transmits, sensing splitting into detected
+(silent secondary) and mis-detected (interfered) branches; the secondary
+scores only when it transmits and the burst survives, so idling contributes
+zero.
 """
 from __future__ import annotations
 
@@ -16,7 +21,6 @@ from . import harvesting, sensing
 from .chain import (
     Policy,
     StationaryDistribution,
-    access_stats,
     action_ranges,
     build_transition_matrix,
     stationary_distribution,
@@ -41,66 +45,61 @@ class PerformanceReport:
     feasible: bool
 
 
-def primary_success_rate(params: SystemParams, stationary: StationaryDistribution,
-                         policy: Policy, outages: OutageBundle, p_d: float) -> float:
-    """Licensed-user success rate under the secondary's access policy.
+def occupation(pi: np.ndarray, policy: Policy, alpha_range: range,
+               beta_range: range) -> np.ndarray:
+    """The occupation vector (pi, pi*alpha, pi*beta1, pi*beta2).
 
-    Every branch weighs the silent, full-slot-interfered, or post-sensing-
-    interfered success probability by the stationary probability of the
-    battery level and the action chosen there; a sensing secondary stays
-    silent on detection and interferes only on the mis-detected remainder.
+    Each product is taken over its action range, so the blocks have lengths
+    n_states, len(alpha_range), len(beta_range) and len(beta_range); this is
+    also the variable layout of the policy LP.
     """
-    pi = stationary.pi
-    alpha_range, beta_range = action_ranges(params, policy.tau)
-    silent = outages.pu_no_outage_silent
-    total = float(pi[: alpha_range.start].sum()) * silent
-    for k, i in enumerate(alpha_range):
-        a = policy.alpha[k]
-        total += pi[i] * (a * outages.pu_no_outage_ws + (1.0 - a) * silent)
-    p_m = 1.0 - p_d
-    for k, i in enumerate(beta_range):
-        b1 = policy.beta1[k]
-        b2 = policy.beta2[k]
-        total += pi[i] * (
-            b1 * outages.pu_no_outage_ws
-            + b2 * (p_d * silent + p_m * outages.pu_no_outage_md)
-            + (1.0 - b1 - b2) * silent
-        )
-    return total
+    alpha_mass = pi[alpha_range.start:alpha_range.stop]
+    beta_mass = pi[beta_range.start:beta_range.stop]
+    return np.concatenate([pi, alpha_mass * policy.alpha,
+                           beta_mass * policy.beta1, beta_mass * policy.beta2])
 
 
-def secondary_success_rate(params: SystemParams, stationary: StationaryDistribution,
-                           policy: Policy, outages: OutageBundle,
-                           p_d: float, p_f: float) -> float:
-    """Secondary success rate: probability a slot carries a surviving burst.
+def rate_rows(params: SystemParams, outages: OutageBundle, p_d: float, p_f: float,
+              alpha_range: range, beta_range: range) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows of (mu_s, mu_p) over the :func:`occupation` vector.
 
-    Blind access succeeds against the busy/idle mixture of the licensed
-    user; the sensing branch transmits only on an idle verdict, so its busy
-    side is discounted by the mis-detection probability and its idle side by
-    the no-false-alarm probability.
+    Blind access succeeds against the busy/idle mixture of the licensed user;
+    the sensing branch transmits only on an idle verdict, so its busy side is
+    discounted by the mis-detection probability and its idle side by the
+    no-false-alarm probability.  The licensed user's row holds its silent
+    value on the stationary masses and each action's change from silence on
+    the product blocks.
     """
-    pi = stationary.pi
-    alpha_range, beta_range = action_ranges(params, policy.tau)
     rho = params.rho
-    blind_value = (rho * outages.su_no_outage_wsp
-                   + (1.0 - rho) * outages.su_no_outage_ws)
-    sense_value = (rho * (1.0 - p_d) * outages.su_no_outage_sp
-                   + (1.0 - rho) * (1.0 - p_f) * outages.su_no_outage_s)
-    total = 0.0
-    for k, i in enumerate(alpha_range):
-        total += pi[i] * policy.alpha[k] * blind_value
-    for k, i in enumerate(beta_range):
-        total += pi[i] * (policy.beta1[k] * blind_value
-                          + policy.beta2[k] * sense_value)
-    return total
+    blind_su = (rho * outages.su_no_outage_wsp
+                + (1.0 - rho) * outages.su_no_outage_ws)
+    sense_su = (rho * (1.0 - p_d) * outages.su_no_outage_sp
+                + (1.0 - rho) * (1.0 - p_f) * outages.su_no_outage_s)
+    silent = outages.pu_no_outage_silent
+    blind_pu = outages.pu_no_outage_ws
+    sense_pu = p_d * silent + (1.0 - p_d) * outages.pu_no_outage_md
+    n_blind = len(alpha_range) + len(beta_range)
+    n_sense = len(beta_range)
+    mu_s_row = np.concatenate([np.zeros(params.n_states),
+                               np.full(n_blind, blind_su),
+                               np.full(n_sense, sense_su)])
+    mu_p_row = np.concatenate([np.full(params.n_states, silent),
+                               np.full(n_blind, blind_pu - silent),
+                               np.full(n_sense, sense_pu - silent)])
+    return mu_s_row, mu_p_row
 
 
 def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:
-    """Full analytical evaluation of a policy: chain, rates, access stats."""
+    """Full analytical evaluation of a policy: chain, rates, access stats.
+
+    The rates are :func:`rate_rows` dotted with the :func:`occupation` vector
+    of the stationary law; the blind-access and sensing probabilities are the
+    sums of its blind and sensing product blocks.
+    """
     policy.validate_against(params)
     quantities = derive(params, policy.tau, require_sensing_capacity=False)
     cfg = sensing.SensingConfig.from_params(params, policy.tau, policy.threshold)
-    _, beta_range = action_ranges(params, policy.tau)
+    alpha_range, beta_range = action_ranges(params, policy.tau)
     if cfg.m >= 2 or (len(beta_range) and np.any(policy.beta2 > 0)):
         # the second arm lets the averaged detector raise its own
         # unsupported-configuration error for a sensing policy at m = 1
@@ -113,16 +112,18 @@ def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:
     tm = build_transition_matrix(params, policy, idle_harvest, active_harvest,
                                  p_d, p_f)
     stationary = stationary_distribution(tm)
-    outages = bundle(params, policy.tau)
-    mu_p = primary_success_rate(params, stationary, policy, outages, p_d)
-    mu_s = secondary_success_rate(params, stationary, policy, outages, p_d, p_f)
-    p_sense, p_access, expected_tau = access_stats(params, stationary, policy)
+    occupied = occupation(stationary.pi, policy, alpha_range, beta_range)
+    mu_s_row, mu_p_row = rate_rows(params, bundle(params, policy.tau), p_d, p_f,
+                                   alpha_range, beta_range)
+    mu_p = float(mu_p_row @ occupied)
+    blind_stop = params.n_states + len(alpha_range) + len(beta_range)
+    p_sense = float(occupied[blind_stop:].sum())
     return PerformanceReport(
         mu_p=mu_p,
-        mu_s=mu_s,
+        mu_s=float(mu_s_row @ occupied),
         p_sense=p_sense,
-        p_access=p_access,
-        expected_sensing_time=expected_tau,
+        p_access=float(occupied[params.n_states:blind_stop].sum()),
+        expected_sensing_time=p_sense * policy.tau,
         stationary=stationary,
         feasible=mu_p >= params.mu_th - FEASIBILITY_TOL,
     )

@@ -6,12 +6,16 @@ import numpy as np
 from ehcr import sensing
 from ehcr.chain import (
     Policy,
+    StationaryDistribution,
+    TransitionComponents,
     TransitionMatrix,
     action_ranges,
     compose_transition,
     stationary_distribution,
 )
-from ehcr.performance import primary_success_rate, secondary_success_rate
+from ehcr.harvesting import HarvestPmf, _rf_packet_scale, nature_pmf, rf_pmf
+from ehcr.optimizer import RECOVERY_MASS_FLOOR
+from ehcr.outage import OutageBundle
 from ehcr.simulator import _N_BATCHES, _STREAMS, SimConfig, SimReport
 from ehcr.system_model import SystemParams, derive
 
@@ -28,13 +32,188 @@ def random_policy(rng, params, tau, threshold) -> Policy:
 
 
 def fast_policy_value(params, components, outages, p_d, p_f, policy):
-    """(mu_p, mu_s) of a policy from precomputed kernel components."""
+    """(mu_p, mu_s) of a policy from precomputed kernel components.
+
+    The rates come from the loop oracles below, not from the rate rows the
+    policy LP shares with ``evaluate``.
+    """
     kernel = compose_transition(components, policy.alpha, policy.beta1,
                                 policy.beta2)
     pi = stationary_distribution(TransitionMatrix(kernel))
     mu_p = primary_success_rate(params, pi, policy, outages, p_d)
     mu_s = secondary_success_rate(params, pi, policy, outages, p_d, p_f)
     return mu_p, mu_s
+
+
+# Per-level loops the array expressions of ``ehcr`` replaced, kept as their
+# oracles: the rates and access statistics of a solved chain, the kernel
+# composition, the policy recovery of the LP and the kernel blocks.
+
+def primary_success_rate(params: SystemParams, stationary: StationaryDistribution,
+                         policy: Policy, outages: OutageBundle, p_d: float) -> float:
+    """Licensed-user success rate under the secondary's access policy.
+
+    Every branch weighs the silent, full-slot-interfered, or post-sensing-
+    interfered success probability by the stationary probability of the
+    battery level and the action chosen there; a sensing secondary stays
+    silent on detection and interferes only on the mis-detected remainder.
+    """
+    pi = stationary.pi
+    alpha_range, beta_range = action_ranges(params, policy.tau)
+    silent = outages.pu_no_outage_silent
+    total = float(pi[: alpha_range.start].sum()) * silent
+    for k, i in enumerate(alpha_range):
+        a = policy.alpha[k]
+        total += pi[i] * (a * outages.pu_no_outage_ws + (1.0 - a) * silent)
+    p_m = 1.0 - p_d
+    for k, i in enumerate(beta_range):
+        b1 = policy.beta1[k]
+        b2 = policy.beta2[k]
+        total += pi[i] * (
+            b1 * outages.pu_no_outage_ws
+            + b2 * (p_d * silent + p_m * outages.pu_no_outage_md)
+            + (1.0 - b1 - b2) * silent
+        )
+    return total
+
+
+def secondary_success_rate(params: SystemParams, stationary: StationaryDistribution,
+                           policy: Policy, outages: OutageBundle,
+                           p_d: float, p_f: float) -> float:
+    """Secondary success rate: probability a slot carries a surviving burst.
+
+    Blind access succeeds against the busy/idle mixture of the licensed
+    user; the sensing branch transmits only on an idle verdict, so its busy
+    side is discounted by the mis-detection probability and its idle side by
+    the no-false-alarm probability.
+    """
+    pi = stationary.pi
+    alpha_range, beta_range = action_ranges(params, policy.tau)
+    rho = params.rho
+    blind_value = (rho * outages.su_no_outage_wsp
+                   + (1.0 - rho) * outages.su_no_outage_ws)
+    sense_value = (rho * (1.0 - p_d) * outages.su_no_outage_sp
+                   + (1.0 - rho) * (1.0 - p_f) * outages.su_no_outage_s)
+    total = 0.0
+    for k, i in enumerate(alpha_range):
+        total += pi[i] * policy.alpha[k] * blind_value
+    for k, i in enumerate(beta_range):
+        total += pi[i] * (policy.beta1[k] * blind_value
+                          + policy.beta2[k] * sense_value)
+    return total
+
+
+def access_stats(params: SystemParams, stationary: StationaryDistribution,
+                 policy: Policy) -> tuple[float, float, float]:
+    """(sensing probability, blind-access probability, expected sensing time).
+
+    Sensing probability weighs ``beta2`` by the stationary mass of its range;
+    blind access collects ``alpha`` and ``beta1`` likewise; the expected
+    per-slot sensing time is the sensing probability times ``tau``.
+    """
+    policy.validate_against(params)
+    pi = stationary.pi
+    alpha_range, beta_range = action_ranges(params, policy.tau)
+    alpha_mass = pi[alpha_range.start:alpha_range.stop]
+    beta_mass = pi[beta_range.start:beta_range.stop]
+    p_sense = float(beta_mass @ policy.beta2) if len(beta_range) else 0.0
+    p_access = float(alpha_mass @ policy.alpha) if len(alpha_range) else 0.0
+    if len(beta_range):
+        p_access += float(beta_mass @ policy.beta1)
+    return p_sense, p_access, p_sense * policy.tau
+
+
+def reference_compose_transition(components: TransitionComponents,
+                                 alpha: np.ndarray, beta1: np.ndarray,
+                                 beta2: np.ndarray) -> np.ndarray:
+    """Assemble the kernel for given probability vectors, level by level."""
+    p = components.idle.copy()
+    for k, i in enumerate(components.alpha_range):
+        p[i] += alpha[k] * components.blind_delta[i]
+    for k, i in enumerate(components.beta_range):
+        p[i] += (beta1[k] * components.blind_delta[i]
+                 + beta2[k] * components.sense_delta[i])
+    return p
+
+
+def reference_recover(masses: np.ndarray, products: np.ndarray,
+                      idx: range) -> np.ndarray:
+    """Divide product variables by stationary mass, zeroing unreachable levels."""
+    out = np.zeros(len(idx))
+    for k, i in enumerate(idx):
+        if masses[i] > RECOVERY_MASS_FLOOR:
+            out[k] = min(max(products[k] / masses[i], 0.0), 1.0)
+    return out
+
+
+def reference_shifted_rows(dist: HarvestPmf, consumption: int,
+                           n_states: int) -> np.ndarray:
+    """Kernel block for 'consume ``consumption`` packets, then harvest'.
+
+    The top column reads the clipped complement of the partial mass sums, as
+    the scalar tail of :class:`~ehcr.harvesting.HarvestPmf` did.
+    """
+    masses = dist.masses
+    ccdf = np.clip(1.0 - np.concatenate(([0.0], np.cumsum(masses))), 0.0, 1.0)
+    block = np.zeros((n_states, n_states))
+    for i in range(n_states):
+        need = np.arange(n_states - 1) - i + consumption
+        valid = (need >= 0) & (need < masses.size)
+        block[i, :-1][valid] = masses[need[valid]]
+        count = n_states - 1 - i + consumption
+        if count <= 0:
+            block[i, -1] = 1.0
+        elif count < ccdf.size:
+            block[i, -1] = float(ccdf[count])
+    return block
+
+
+# Scalar harvest laws only the tests read: the exact (untruncated) combined
+# law and the tails of all three laws.
+
+_KINDS = ("nature", "rf", "combined")
+
+
+def _rf_tail(params: SystemParams, r: int) -> float:
+    if r <= 0:
+        return 1.0
+    scale = _rf_packet_scale(params)
+    if scale == 0.0:
+        return 0.0
+    return math.exp(-r / scale)
+
+
+def combined_pmf(params: SystemParams, include_rf: bool, q: int) -> float:
+    """Mass of the summed arrivals at q packets.
+
+    With ``include_rf`` false this is the ambient law alone; otherwise the
+    finite convolution sum over all splits of q.
+    """
+    if q < 0:
+        return 0.0
+    if not include_rf:
+        return nature_pmf(params.lambda_e, params.T, q)
+    return sum(
+        nature_pmf(params.lambda_e, params.T, n) * rf_pmf(params, q - n)
+        for n in range(q + 1)
+    )
+
+
+def tail_at_least(kind: str, params: SystemParams, n: int) -> float:
+    """Complementary CDF Pr{arrivals >= n} of one of the three laws."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if n < 0:
+        raise ValueError(f"count must be nonnegative, got {n}")
+    if n == 0:
+        return 1.0
+    if kind == "rf":
+        return _rf_tail(params, n)
+    if kind == "nature":
+        below = sum(nature_pmf(params.lambda_e, params.T, k) for k in range(n))
+    else:
+        below = sum(combined_pmf(params, True, k) for k in range(n))
+    return max(0.0, 1.0 - below)
 
 
 # The slot-by-slot simulator the vectorized ``ehcr.simulator.run`` replaced,

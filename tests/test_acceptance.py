@@ -19,7 +19,6 @@ from ehcr.chain import (
     Policy,
     action_ranges,
     build_transition_matrix,
-    compose_transition,
     stationary_distribution,
     transition_components,
 )
@@ -27,15 +26,12 @@ from ehcr.cli import main
 from ehcr.numerics import regularized_upper_gamma_int
 from ehcr.optimizer import GridSpec, InfeasibleGridError, optimize
 from ehcr.outage import bundle
-from ehcr.performance import (
-    evaluate,
-    primary_success_rate,
-    secondary_success_rate,
-)
+from ehcr.performance import evaluate
 from ehcr.presets import load_preset
 from ehcr.simulator import SimConfig, compare, run
 from ehcr.system_model import derive, params_from_dict, with_overrides
 
+from helpers import fast_policy_value
 from test_chain import enumerate_kernel, toy_setup
 from test_sensing import detection_avg_quadrature
 
@@ -196,16 +192,6 @@ def test_criterion_4_analytics_vs_simulation(testbench_params):
         assert time.perf_counter() - started < 120.0
 
 
-def _fast_policy_value(params, components, outages, p_d, p_f, policy):
-    kernel = compose_transition(components, policy.alpha, policy.beta1,
-                                policy.beta2)
-    from ehcr.chain import TransitionMatrix
-    pi = stationary_distribution(TransitionMatrix(kernel))
-    mu_p = primary_success_rate(params, pi, policy, outages, p_d)
-    mu_s = secondary_success_rate(params, pi, policy, outages, p_d, p_f)
-    return mu_p, mu_s
-
-
 def test_criterion_5_optimizer_soundness(testbench_params, sweep):
     with criterion("criterion 5: optimizer soundness across the occupancy sweep"):
         cells, _ = sweep
@@ -242,7 +228,7 @@ def test_criterion_5_optimizer_soundness(testbench_params, sweep):
                 candidate = Policy(alpha=rng.random(len(alpha_range)),
                                    beta1=b1, beta2=b2, tau=tau,
                                    threshold=threshold)
-                mu_p, mu_s = _fast_policy_value(
+                mu_p, mu_s = fast_policy_value(
                     params, components, outages, p_d, p_f, candidate)
                 if mu_p >= params.mu_th - 1e-9:
                     feasible_seen += 1

@@ -2,20 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ehcr.chain import (
+    STATIONARY_RTOL,
     AmbiguousChainError,
     Policy,
     TransitionMatrix,
-    access_stats,
+    _shifted_rows,
     action_ranges,
     build_transition_matrix,
     compose_transition,
     stationary_distribution,
     transition_components,
 )
-from ehcr.harvesting import HarvestPmf, combined_distribution, nature_distribution
+from ehcr.harvesting import (
+    HarvestPmf,
+    combined_distribution,
+    nature_distribution,
+    rf_distribution,
+)
+from ehcr.performance import occupation
 from ehcr.system_model import with_overrides
+from helpers import random_policy, reference_compose_transition, reference_shifted_rows
 
 
 def enumerate_kernel(n_max, n_t, n_s, rho, idle_masses, active_masses,
@@ -51,6 +61,17 @@ def enumerate_kernel(n_max, n_t, n_s, rho, idle_masses, active_masses,
                         j = min(i - consumed + q, n_max)
                         kernel[i, j] += pu_prob * a_prob * branch_prob * mass
     return kernel
+
+
+def occupation_stats(params, stationary, policy):
+    """(sensing probability, blind-access probability, expected sensing time)
+    as sums of the occupation vector's blocks, as ``evaluate`` takes them."""
+    alpha_range, beta_range = action_ranges(params, policy.tau)
+    occupied = occupation(stationary.pi, policy, alpha_range, beta_range)
+    blind_stop = params.n_states + len(alpha_range) + len(beta_range)
+    p_sense = float(occupied[blind_stop:].sum())
+    return (p_sense, float(occupied[params.n_states:blind_stop].sum()),
+            p_sense * policy.tau)
 
 
 def toy_setup(make_params):
@@ -163,6 +184,42 @@ class TestBuildTransitionMatrix:
             composed = compose_transition(comp, a, b1, b2)
             assert np.allclose(direct.matrix, composed, atol=1e-15)
 
+    @given(policy_seed=st.integers(0, 2**32 - 1),
+           tau_steps=st.integers(1, 19),
+           rho=st.floats(0.0, 1.0),
+           p_d=st.floats(0.0, 1.0),
+           p_f=st.floats(0.0, 1.0))
+    def test_random_polytope_kernels(self, testbench_params, policy_seed,
+                                     tau_steps, rho, p_d, p_f):
+        # stochastic rows, a stationary law, and the level loop bit for bit
+        params = with_overrides(testbench_params, rho=rho)
+        tau = tau_steps * 5e-4  # the preset's sensing-time grid
+        policy = random_policy(np.random.default_rng(policy_seed), params, tau,
+                               2.0)
+        comp = transition_components(params, tau, nature_distribution(params),
+                                     combined_distribution(params), p_d, p_f)
+        kernel = compose_transition(comp, policy.alpha, policy.beta1,
+                                    policy.beta2)
+        assert np.array_equal(kernel, reference_compose_transition(
+            comp, policy.alpha, policy.beta1, policy.beta2))
+        assert np.all(kernel >= -1e-12)
+        assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-9
+        pi = stationary_distribution(TransitionMatrix(kernel)).pi
+        assert np.max(np.abs(pi @ kernel - pi)) <= STATIONARY_RTOL
+
+    @pytest.mark.parametrize("n_max", [20, 60])
+    @pytest.mark.parametrize("mode", ["mixed", "nature", "rf"])
+    def test_shifted_rows_equal_level_loop(self, make_params, n_max, mode):
+        overrides = {"nature": {"eta": 0.0}, "rf": {"lambda_e": 0.0}}
+        params = make_params(N_max=n_max, **overrides.get(mode, {}))
+        n = params.n_states
+        for dist in (nature_distribution(params), rf_distribution(params),
+                     combined_distribution(params)):
+            for consumption in range(n + 3):
+                assert np.array_equal(
+                    _shifted_rows(dist, consumption, n),
+                    reference_shifted_rows(dist, consumption, n))
+
 
 class TestStationary:
     def test_symmetric_two_state(self):
@@ -222,7 +279,7 @@ class TestAccessStats:
             params, policy, nature_distribution(params),
             combined_distribution(params), 0.98, 0.02)
         pi = stationary_distribution(tm)
-        assert access_stats(params, pi, policy) == (0.0, 0.0, 0.0)
+        assert occupation_stats(params, pi, policy) == (0.0, 0.0, 0.0)
 
     def test_sense_always_collapses_to_range_mass(self, testbench_params):
         params = testbench_params
@@ -232,7 +289,7 @@ class TestAccessStats:
             params, policy, nature_distribution(params),
             combined_distribution(params), 0.98, 0.02)
         pi = stationary_distribution(tm)
-        p_sense, p_access, expected_tau = access_stats(params, pi, policy)
+        p_sense, p_access, expected_tau = occupation_stats(params, pi, policy)
         _, beta_range = action_ranges(params, tau)
         assert p_sense == pytest.approx(
             float(pi.pi[beta_range.start:].sum()), abs=1e-12)
@@ -250,7 +307,7 @@ class TestAccessStats:
         pi = stationary_distribution(tm)
         pi_oracle = stationary_distribution(TransitionMatrix(oracle))
         assert np.allclose(pi.pi, pi_oracle.pi, atol=1e-12)
-        mine = access_stats(params, pi, policy)
+        mine = occupation_stats(params, pi, policy)
         theirs = (float(pi_oracle.pi[2] * 0.6),
                   float(pi_oracle.pi[1] * 0.3 + pi_oracle.pi[2] * 0.2),
                   float(pi_oracle.pi[2] * 0.6) * 0.5)

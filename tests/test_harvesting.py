@@ -6,13 +6,12 @@ import pytest
 from ehcr.harvesting import (
     HarvestPmf,
     combined_distribution,
-    combined_pmf,
     nature_distribution,
     nature_pmf,
     rf_distribution,
     rf_pmf,
-    tail_at_least,
 )
+from helpers import combined_pmf, tail_at_least
 
 
 class TestNaturePmf:

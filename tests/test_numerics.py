@@ -80,6 +80,25 @@ class TestUpperGamma:
                 assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def marcum_q_mpmath(mpmath, m: int, a: float, b: float):
+    """Independent oracle: the Poisson-mixture series at 60 digits, summed
+    past the Poisson mode until a term drops below 1e-40 of the total."""
+    with mpmath.workdps(60):
+        s = mpmath.mpf(a) ** 2 / 2
+        x = mpmath.mpf(b) ** 2 / 2
+        weight = mpmath.exp(-s)
+        total = mpmath.mpf(0)
+        n = 0
+        while True:
+            term = weight * mpmath.gammainc(m + n, x, mpmath.inf,
+                                            regularized=True)
+            total += term
+            if n > s + 50 and term < total * mpmath.mpf(10) ** -40:
+                return +total
+            n += 1
+            weight *= s / n
+
+
 class TestMarcumQ:
     def test_zero_a_reduces_to_gamma_tail(self):
         assert marcum_q(1, 0.0, math.sqrt(2.0)) == pytest.approx(
@@ -131,6 +150,16 @@ class TestMarcumQ:
         mid = marcum_q(1, 60.0, 61.0)
         assert mid == pytest.approx(stats.ncx2.sf(61.0**2, df=2, nc=3600.0),
                                     abs=1e-9)
+
+    @pytest.mark.parametrize("m, a, b", [
+        (5, 1.0, 30.0),      # Q ~ 1e-178: the spent Poisson mass rounds to 1
+        (1, 35.0, 50.0),     # b^2/2 = 1250: the gamma-tail increment underflows
+        (50, 10.04, 41.76),  # Q ~ 1e-191
+    ])
+    def test_deep_tail_matches_high_precision_series(self, m, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        assert marcum_q(m, a, b) == pytest.approx(
+            float(marcum_q_mpmath(mpmath, m, a, b)), rel=1e-10)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

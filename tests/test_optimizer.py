@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ehcr import harvesting, numerics, optimizer
 from ehcr.chain import action_ranges, transition_components
@@ -11,14 +13,16 @@ from ehcr.optimizer import (
     GridSpec,
     InfeasibleGridError,
     _build_lp,
+    _recover,
     _select_winner,
     optimize,
     solve_fixed,
 )
 from ehcr.outage import bundle
-from ehcr.performance import evaluate
+from ehcr.performance import evaluate, rate_rows
 from ehcr.sensing import SensingConfig, detection_avg, false_alarm
 from ehcr.system_model import ConfigurationError, derive, with_overrides
+from helpers import reference_recover
 from test_numerics import linprog_reference, needs_highs
 from test_performance import random_policy
 
@@ -68,6 +72,39 @@ class TestSolveFixed:
         assert abs(solution.lp_objective - solution.report.mu_s) <= 1e-6
         assert abs(solution.lp_mu_p - solution.report.mu_p) <= 1e-6
         assert solution.report.feasible
+
+    @given(rho=st.floats(0.05, 0.95),
+           tau_steps=st.integers(1, 19),
+           threshold_at=st.floats(0.0, 1.0),
+           scheme=st.sampled_from(optimizer.SCHEMES))
+    def test_lp_round_trip(self, testbench_params, rho, tau_steps,
+                           threshold_at, scheme):
+        # the LP's rates agree with the chain-and-rates evaluation of the
+        # policy recovered from it, wherever the point is feasible
+        params = with_overrides(testbench_params, rho=rho)
+        grid = GridSpec(tau_min=5e-4)  # the preset's grid
+        tau = grid.tau_values(params)[tau_steps - 1]
+        lambdas = grid.lambda_grid(derive(params, tau,
+                                          require_sensing_capacity=False).m)
+        threshold = lambdas[0] * (lambdas[-1] / lambdas[0]) ** threshold_at
+        try:
+            solution = solve_fixed(params, tau, threshold, scheme)
+        except ConfigurationError:
+            return  # sensing-only cannot fund sensing at this tau
+        if solution is None:
+            return
+        assert abs(solution.lp_objective - solution.report.mu_s) <= 1e-6
+        assert abs(solution.lp_mu_p - solution.report.mu_p) <= 1e-6
+
+    def test_recover_equals_level_loop(self):
+        rng = np.random.default_rng(61)
+        levels = range(5, 17)
+        for _ in range(50):
+            masses = rng.random(20) * (rng.random(20) < 0.7)
+            masses[rng.random(20) < 0.2] = 1e-13  # below the recovery floor
+            products = rng.uniform(-0.1, 1.2, len(levels)) * masses[5:17]
+            assert np.array_equal(_recover(masses, products, levels),
+                                  reference_recover(masses, products, levels))
 
     def test_recovered_probabilities_valid(self, testbench_params):
         solution = solve_fixed(testbench_params, 1e-3, 25.0, "probabilistic")
@@ -232,8 +269,10 @@ class TestWarmScreen:
             p_d = detection_avg(cfg, quantities.gamma_bar)
             p_f = false_alarm(cfg)
             components = transition_components(params, tau, idle, active, p_d, p_f)
-            lp = _build_lp(params, components, bundle(params, tau), p_d, p_f,
-                           scheme)
+            mu_s_row, mu_p_row = rate_rows(
+                params, bundle(params, tau), p_d, p_f, components.alpha_range,
+                components.beta_range)
+            lp = _build_lp(params, components, mu_s_row, mu_p_row, scheme)
             assert np.array_equal(solve_lp(lp).x, linprog_reference(lp).x)
 
     @pytest.mark.parametrize("grid, rho, ties", [

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ehcr.chain import Policy, StationaryDistribution, action_ranges
 from ehcr.outage import bundle
-from ehcr.performance import (
-    evaluate,
-    primary_success_rate,
-    secondary_success_rate,
-)
+from ehcr.performance import evaluate, occupation, rate_rows
 from ehcr.sensing import SensingConfig, detection_avg, false_alarm
 from ehcr.system_model import derive, with_overrides
+from helpers import access_stats, primary_success_rate, secondary_success_rate
 from helpers import random_policy as _random_policy
 
 TAU = 5e-4
@@ -28,6 +27,16 @@ def pinned_stationary(params, mass_on_beta_range, tau=TAU):
     return StationaryDistribution(pi)
 
 
+def row_rates(params, stationary, policy, outages, p_d, p_f=0.0):
+    """(mu_p, mu_s): the shared rate rows dotted with the occupation vector
+    of a frozen battery law (``p_f`` weighs the secondary rate only)."""
+    alpha_range, beta_range = action_ranges(params, policy.tau)
+    mu_s_row, mu_p_row = rate_rows(params, outages, p_d, p_f,
+                                   alpha_range, beta_range)
+    occupied = occupation(stationary.pi, policy, alpha_range, beta_range)
+    return float(mu_p_row @ occupied), float(mu_s_row @ occupied)
+
+
 class TestPrimaryRate:
     def test_idle_policy_gives_silent_value(self, testbench_params):
         report = evaluate(testbench_params,
@@ -41,7 +50,7 @@ class TestPrimaryRate:
         outages = bundle(params, TAU)
         pi = pinned_stationary(params, 1.0)
         policy = Policy.constant(params, TAU, THRESHOLD, 0.0, 1.0, 0.0)
-        value = primary_success_rate(params, pi, policy, outages, p_d=0.97)
+        value, _ = row_rates(params, pi, policy, outages, p_d=0.97)
         assert value == pytest.approx(outages.pu_no_outage_ws, abs=1e-12)
 
     def test_idle_dominates_every_policy(self, testbench_params):
@@ -54,7 +63,7 @@ class TestPrimaryRate:
             outages = bundle(params, TAU)
             pi = StationaryDistribution(np.full(params.n_states,
                                                 1.0 / params.n_states))
-            value = primary_success_rate(params, pi, policy, outages, p_d=0.9)
+            value, _ = row_rates(params, pi, policy, outages, p_d=0.9)
             assert value <= idle_value + 1e-12
 
     def test_full_model_idle_dominance(self, testbench_params):
@@ -98,7 +107,7 @@ class TestSecondaryRate:
         p_f = false_alarm(cfg)
         for _ in range(100):
             policy = random_policy(rng, params)
-            base = secondary_success_rate(params, pi, policy, outages, p_d, p_f)
+            _, base = row_rates(params, pi, policy, outages, p_d, p_f)
             bumped_vectors = []
             for name in ("alpha", "beta1", "beta2"):
                 arr = getattr(policy, name).copy()
@@ -120,8 +129,7 @@ class TestSecondaryRate:
                     bumped_vectors.append(Policy(policy.alpha, policy.beta1, arr,
                                                  TAU, THRESHOLD))
             for bumped in bumped_vectors:
-                value = secondary_success_rate(params, pi, bumped, outages,
-                                               p_d, p_f)
+                _, value = row_rates(params, pi, bumped, outages, p_d, p_f)
                 assert value >= base - 1e-12
 
 
@@ -143,3 +151,53 @@ class TestReport:
             assert 0.0 <= report.mu_s <= 1.0
             assert 0.0 <= report.p_sense <= 1.0
             assert 0.0 <= report.p_access <= 1.0
+
+
+class TestRateRows:
+    """The rate rows shared with the policy LP against the per-level loops."""
+
+    @given(policy_seed=st.integers(0, 2**32 - 1),
+           tau_steps=st.integers(1, 19),
+           rho=st.floats(0.0, 1.0),
+           p_d=st.floats(0.0, 1.0),
+           p_f=st.floats(0.0, 1.0))
+    def test_rows_match_loop_oracles_on_any_law(self, testbench_params,
+                                                policy_seed, tau_steps, rho,
+                                                p_d, p_f):
+        params = with_overrides(testbench_params, rho=rho)
+        tau = tau_steps * TAU  # the preset's sensing-time grid
+        rng = np.random.default_rng(policy_seed)
+        policy = random_policy(rng, params, tau)
+        pi = StationaryDistribution(rng.dirichlet(np.full(params.n_states, 0.3)))
+        outages = bundle(params, tau)
+        mu_p, mu_s = row_rates(params, pi, policy, outages, p_d, p_f)
+        assert mu_p == pytest.approx(
+            primary_success_rate(params, pi, policy, outages, p_d), abs=1e-12)
+        assert mu_s == pytest.approx(
+            secondary_success_rate(params, pi, policy, outages, p_d, p_f),
+            abs=1e-12)
+
+    @given(policy_seed=st.integers(0, 2**32 - 1),
+           tau_steps=st.integers(1, 19),
+           rho=st.floats(0.0, 1.0),
+           threshold=st.floats(5.0, 100.0))
+    def test_evaluate_matches_loop_oracles(self, testbench_params, policy_seed,
+                                           tau_steps, rho, threshold):
+        params = with_overrides(testbench_params, rho=rho)
+        tau = tau_steps * TAU
+        policy = random_policy(np.random.default_rng(policy_seed), params, tau,
+                               threshold)
+        report = evaluate(params, policy)
+        cfg = SensingConfig.from_params(params, tau, threshold)
+        q = derive(params, tau, require_sensing_capacity=False)
+        p_d = detection_avg(cfg, q.gamma_bar)
+        p_f = false_alarm(cfg)
+        outages = bundle(params, tau)
+        pi = report.stationary
+        assert report.mu_p == pytest.approx(
+            primary_success_rate(params, pi, policy, outages, p_d), abs=1e-12)
+        assert report.mu_s == pytest.approx(
+            secondary_success_rate(params, pi, policy, outages, p_d, p_f),
+            abs=1e-12)
+        assert (report.p_sense, report.p_access, report.expected_sensing_time
+                ) == pytest.approx(access_stats(params, pi, policy), abs=1e-12)
