@@ -7,7 +7,6 @@ from .chain import (
     StationaryDistribution,
     TransitionMatrix,
     action_ranges,
-    build_transition_matrix,
     stationary_distribution,
 )
 from .harvesting import HarvestPmf, combined_distribution, nature_distribution, rf_distribution
@@ -54,7 +53,6 @@ __all__ = [
     "SystemParams",
     "TransitionMatrix",
     "action_ranges",
-    "build_transition_matrix",
     "bundle",
     "combined_distribution",
     "compare",

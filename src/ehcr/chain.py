@@ -13,8 +13,11 @@ uses tail probabilities in place of point masses.
 The kernel is affine in the policy: every row is the idle row plus the
 policy-weighted blind/sense increments.  ``TransitionComponents`` exposes
 that decomposition directly, which is what turns the stationary-point
-optimization into a linear program elsewhere.  The rates and access
-statistics of a solved chain live in :mod:`ehcr.performance`.
+optimization into a linear program elsewhere.  What depends on the sensing
+time is read from the caller's :class:`~ehcr.system_model.DerivedQuantities`,
+and the consume-then-harvest :class:`HarvestBlocks` of one sensing time serve
+every detector setting.  The rates and access statistics of a solved chain
+live in :mod:`ehcr.performance`.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .harvesting import HarvestPmf
-from .system_model import SystemParams, derive
+from .system_model import DerivedQuantities, SystemParams, derive
 
 #: entries below this are treated as structural zeros when classifying states
 _EDGE_TOL = 1e-14
@@ -46,15 +49,10 @@ class AmbiguousChainError(RuntimeError):
 
 
 def action_ranges(params: SystemParams, tau: float) -> tuple[range, range]:
-    """Battery levels governed by the blind-only and the full action rules.
-
-    The first range may only choose between idling and blind access; the
-    second adds sensing.  When the battery cannot fund sense-and-transmit the
-    second range is empty and the first extends to the capacity.
-    """
+    """Battery levels governed by the blind-only and the full action rules:
+    the ``alpha_range`` and ``beta_range`` of :func:`derive` at ``tau``."""
     q = derive(params, tau, require_sensing_capacity=False)
-    split = min(q.n_t + q.n_s, params.N_max + 1)
-    return range(q.n_t, split), range(split, params.N_max + 1)
+    return q.alpha_range, q.beta_range
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,11 @@ class Policy:
         if self.beta1.size and np.any(self.beta1 + self.beta2 > 1.0 + 1e-12):
             raise ValueError("beta1 + beta2 must not exceed 1 at any level")
 
-    def validate_against(self, params: SystemParams) -> None:
-        """Check the vector lengths against the level ranges of ``params``."""
-        alpha_range, beta_range = action_ranges(params, self.tau)
+    def validate_against(self, params: SystemParams) -> DerivedQuantities:
+        """Check the vector lengths against the level ranges of ``params``;
+        returns the quantities :func:`derive` gives at the policy's tau."""
+        quantities = derive(params, self.tau, require_sensing_capacity=False)
+        alpha_range, beta_range = quantities.alpha_range, quantities.beta_range
         if self.alpha.size != len(alpha_range):
             raise ValueError(
                 f"alpha must cover levels {alpha_range.start}.."
@@ -102,6 +102,7 @@ class Policy:
                 f"{beta_range.stop - 1} ({len(beta_range)} entries), "
                 f"got {self.beta1.size}"
             )
+        return quantities
 
     @classmethod
     def idle(cls, params: SystemParams, tau: float, threshold: float) -> "Policy":
@@ -222,10 +223,10 @@ class HarvestBlocks:
     active_sense_tx: np.ndarray
 
 
-def harvest_blocks(params: SystemParams, tau: float, idle_harvest: HarvestPmf,
+def harvest_blocks(params: SystemParams, q: DerivedQuantities,
+                   idle_harvest: HarvestPmf,
                    active_harvest: HarvestPmf) -> HarvestBlocks:
     """Precompute the detector-independent kernel blocks at one sensing time."""
-    q = derive(params, tau, require_sensing_capacity=False)
     n = params.n_states
     return HarvestBlocks(
         idle_hold=_shifted_rows(idle_harvest, 0, n),
@@ -239,20 +240,15 @@ def harvest_blocks(params: SystemParams, tau: float, idle_harvest: HarvestPmf,
     )
 
 
-def transition_components(params: SystemParams, tau: float,
-                          idle_harvest: HarvestPmf, active_harvest: HarvestPmf,
-                          p_d: float, p_f: float,
-                          blocks: HarvestBlocks | None = None) -> TransitionComponents:
+def transition_components(params: SystemParams, quantities: DerivedQuantities,
+                          blocks: HarvestBlocks, p_d: float,
+                          p_f: float) -> TransitionComponents:
     """Build the policy-affine pieces of the kernel.
 
-    ``idle_harvest`` is the arrival law while the licensed user is silent,
-    ``active_harvest`` while it transmits (RF harvesting included there);
+    ``blocks`` are the :func:`harvest_blocks` of ``quantities``;
     ``p_d``/``p_f`` are the averaged detection and false-alarm probabilities
-    of the sensing configuration in force.  ``blocks``, when given, must be
-    :func:`harvest_blocks` of the same parameters and sensing time.
+    of the sensing configuration in force.
     """
-    if blocks is None:
-        blocks = harvest_blocks(params, tau, idle_harvest, active_harvest)
     rho = params.rho
     rho_bar = 1.0 - rho
     idle = rho_bar * blocks.idle_hold + rho * blocks.active_hold
@@ -266,13 +262,12 @@ def transition_components(params: SystemParams, tau: float,
         + rho * (p_d * blocks.active_sense
                  + (1.0 - p_d) * blocks.active_sense_tx)
     )
-    alpha_range, beta_range = action_ranges(params, tau)
     return TransitionComponents(
         idle=idle,
         blind_delta=blind - idle,
         sense_delta=sense - idle,
-        alpha_range=alpha_range,
-        beta_range=beta_range,
+        alpha_range=quantities.alpha_range,
+        beta_range=quantities.beta_range,
     )
 
 
@@ -286,17 +281,6 @@ def compose_transition(components: TransitionComponents, alpha: np.ndarray,
     p[full] += (beta1[:, None] * components.blind_delta[full]
                 + beta2[:, None] * components.sense_delta[full])
     return p
-
-
-def build_transition_matrix(params: SystemParams, policy: Policy,
-                            idle_harvest: HarvestPmf, active_harvest: HarvestPmf,
-                            p_d: float, p_f: float) -> TransitionMatrix:
-    """Kernel of the battery chain under ``policy``."""
-    policy.validate_against(params)
-    components = transition_components(
-        params, policy.tau, idle_harvest, active_harvest, p_d, p_f)
-    kernel = compose_transition(components, policy.alpha, policy.beta1, policy.beta2)
-    return TransitionMatrix(kernel)
 
 
 def _closed_classes(p: np.ndarray) -> list[list[int]]:

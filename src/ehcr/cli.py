@@ -115,7 +115,7 @@ def _load_config(source: str) -> LoadedConfig:
         )
     try:
         params = params_from_dict(doc)
-    except ConfigurationError as exc:
+    except (TypeError, ValueError) as exc:  # ConfigurationError included
         raise CliError(str(exc)) from exc
     _checked(params)
     grid_doc = doc.get("grid", {})
@@ -123,10 +123,10 @@ def _load_config(source: str) -> LoadedConfig:
         grid = GridSpec(
             tau_min=float(grid_doc.get("tau_min", 1.0 / params.W)),
             lambda_values=tuple(grid_doc["lambdas"]) if "lambdas" in grid_doc else None,
-            lambda_count=int(grid_doc.get("lambda_count", 40)),
+            lambda_count=grid_doc.get("lambda_count", 40),
         )
         grid.tau_values(params)  # T and W fix the sensing times; no override changes them
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"invalid grid: {exc}") from exc
     return LoadedConfig(params=params, grid=grid,
                         sim_defaults=dict(doc.get("sim", {})))
@@ -223,8 +223,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _sim_config(args: argparse.Namespace, defaults: dict[str, Any],
                 params: SystemParams) -> simulator.SimConfig:
     bias = getattr(args, "corrupt_pd", None)
-    slots = args.slots if args.slots is not None else int(defaults.get("slots", 100_000))
-    seed = args.seed if args.seed is not None else int(defaults.get("seed", 0))
+    # SimConfig checks that both are integers; a config file may hold anything
+    slots = args.slots if args.slots is not None else defaults.get("slots", 100_000)
+    seed = args.seed if args.seed is not None else defaults.get("seed", 0)
     if args.initial_battery > params.N_max:
         raise CliError(f"invalid simulation settings: initial battery "
                        f"{args.initial_battery} exceeds N_max={params.N_max}")

@@ -8,9 +8,11 @@ so the packet count of an exponentially faded link has the staircase law
     Pr{count = r} = exp(-r / mu) - exp(-(r + 1) / mu),
     mu = sigma_pst * eta * P_p * T / E_u.
 
-The mixed distribution is the discrete convolution of the two.  Truncated
-array forms carry their complementary CDF so that the battery-cap boundary
-of the energy chain can fold all overflow mass consistently.
+The mixed distribution is the discrete convolution of the two, and
+:func:`harvest_laws` builds the chain's (silent, active) pair of laws from
+one ambient law.  Truncated array forms carry their complementary CDF so
+that the battery-cap boundary of the energy chain can fold all overflow mass
+consistently.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ class HarvestPmf:
     """Distribution of per-slot packet arrivals on a finite support.
 
     ``masses[k]`` is Pr{count = k} for k below the top bin; the top bin
-    absorbs the folded tail so the masses always total one.  ``pmf`` and
+    absorbs the folded tail so the masses always total one.  ``masses`` and
     ``tail_at_least`` are complementary by construction: the chain's row
     sums stay exactly stochastic no matter where the fold landed.
     """
@@ -45,6 +47,8 @@ class HarvestPmf:
         masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("masses must be a nonempty 1-D array")
+        if not np.all(np.isfinite(masses)):
+            raise ValueError("masses must be finite")
         if np.any(masses < 0):
             raise ValueError("masses must be nonnegative")
         if abs(masses.sum() - 1.0) > 1e-9:
@@ -62,12 +66,6 @@ class HarvestPmf:
     @property
     def support_size(self) -> int:
         return int(self.masses.size)
-
-    def pmf(self, count: int) -> float:
-        """Mass at ``count``; zero outside the support (negatives included)."""
-        if 0 <= count < self.masses.size:
-            return float(self.masses[count])
-        return 0.0
 
     def tail_at_least(self, count: int | np.ndarray) -> float | np.ndarray:
         """Pr{arrivals >= count}, elementwise over an integer array.
@@ -139,12 +137,16 @@ def rf_distribution(params: SystemParams) -> HarvestPmf:
     return HarvestPmf(_truncate_and_fold(np.array(masses), cap))
 
 
-def combined_distribution(params: SystemParams, include_rf: bool = True) -> HarvestPmf:
-    """Truncated distribution of ambient plus (optionally) RF arrivals."""
-    if not include_rf:
-        return nature_distribution(params)
+def harvest_laws(params: SystemParams) -> tuple[HarvestPmf, HarvestPmf]:
+    """Truncated arrival laws while the licensed user is silent (ambient
+    alone) and while it is active (ambient plus RF), sharing one ambient law."""
     cap = SUPPORT_CAP_FACTOR * params.N_max
     nature = nature_distribution(params)
     rf = rf_distribution(params)
     convolved = np.convolve(nature.masses, rf.masses)
-    return HarvestPmf(_truncate_and_fold(convolved, cap))
+    return nature, HarvestPmf(_truncate_and_fold(convolved, cap))
+
+
+def combined_distribution(params: SystemParams) -> HarvestPmf:
+    """Truncated distribution of ambient plus RF arrivals."""
+    return harvest_laws(params)[1]

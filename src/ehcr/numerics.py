@@ -61,8 +61,8 @@ def regularized_upper_gamma_int(m: int, x: float) -> float:
     the value is in [0, 1], nonincreasing in x and nondecreasing in m.
     """
     m = _check_order(m)
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    if not 0 <= x < math.inf:  # NaN fails every comparison
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
     if x == 0.0:
         return 1.0
     if x <= _EXP_UNDERFLOW:
@@ -87,8 +87,8 @@ def regularized_lower_gamma_int(m: int, x: float) -> float:
     small values are produced without cancellation against 1.
     """
     m = _check_order(m)
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    if not 0 <= x < math.inf:  # NaN fails every comparison
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
     if x == 0.0:
         return 0.0
     if x > _EXP_UNDERFLOW:
@@ -119,8 +119,9 @@ def marcum_q(m: int, a: float, b: float) -> float:
     accumulated value.
     """
     m = _check_order(m)
-    if a < 0 or b < 0:
-        raise ValueError(f"arguments must be nonnegative, got a={a}, b={b}")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):  # NaN fails too
+        raise ValueError(
+            f"arguments must be finite and nonnegative, got a={a}, b={b}")
     if b == 0.0:
         return 1.0
     x = 0.5 * b * b
@@ -238,11 +239,6 @@ class LpSolution:
     x: np.ndarray | None
     objective_value: float | None
     warm: bool = False  # found from a carried basis (see WarmStart)
-
-
-def empty_constraints(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A zero-row constraint block over n variables."""
-    return np.zeros((0, n)), np.zeros(0)
 
 
 def feasibility_violation(lp: LinearProgram, x: np.ndarray) -> float:

@@ -7,7 +7,10 @@ by their products with the stationary masses: the occupation vector of
 licensed-user floor are the rows of :func:`~ehcr.performance.rate_rows` over
 the same vector, so each grid point reduces to a small dense LP; an
 exhaustive search over the admissible sensing times and a threshold grid then
-picks the best feasible point.
+picks the best feasible point.  Everything but the detector terms depends on
+the sensing time alone, so each sensing time is derived, checked against the
+scheme and turned into outage probabilities and kernel blocks once, as a
+column that every threshold LP there shares.
 
 The search runs in two passes.  A screen solves each sensing time's
 threshold LPs in order, each warm-started from the previous optimal basis
@@ -18,29 +21,44 @@ certified candidates compete: the maximum objective wins, ties broken toward
 the smaller sensing time, then the smaller threshold, regardless of
 evaluation order.  Points equal in value to within solver noise are common
 (whole grids can tie), so the winner is reproducible bit for bit only
-because the near-ties are decided on cold solves.
+because the near-ties are decided on cold solves.  Of a warm answer the
+screen keeps only the status and objective, and only the winner's policy is
+recovered from its LP solution.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from scipy.special import gammainccinv
 
 from . import harvesting, sensing
-from .chain import Policy, TransitionComponents, harvest_blocks, transition_components
-from .harvesting import HarvestPmf
+from .chain import (
+    HarvestBlocks,
+    Policy,
+    TransitionComponents,
+    harvest_blocks,
+    transition_components,
+)
 from .numerics import (
     LP_FEASIBILITY_TOL,
     LinearProgram,
+    LpSolution,
     WarmStart,
     solve_lp,
     warm_start_available,
 )
-from .outage import bundle
+from .outage import OutageBundle, bundle
 from .performance import PerformanceReport, evaluate, rate_rows
-from .system_model import ConfigurationError, SystemParams, derive, snap_to_int
+from .system_model import (
+    ConfigurationError,
+    DerivedQuantities,
+    SystemParams,
+    derive,
+    snap_to_int,
+)
 
 SCHEMES = ("probabilistic", "sensing_only")
 
@@ -66,15 +84,15 @@ class GridSpec:
     lambda_count: int = _DEFAULT_LAMBDA_COUNT
 
     def __post_init__(self):
-        if self.tau_min <= 0:
-            raise ValueError(f"tau_min must be positive, got {self.tau_min}")
+        if not 0 < self.tau_min < math.inf:
+            raise ValueError(f"tau_min must be positive and finite, got {self.tau_min}")
         if self.lambda_values is not None:
             values = tuple(float(v) for v in self.lambda_values)
-            if not values or any(v <= 0 for v in values):
-                raise ValueError("explicit lambda_values must be positive")
+            if not values or any(not 0 < v < math.inf for v in values):
+                raise ValueError("explicit lambda_values must be positive and finite")
             object.__setattr__(self, "lambda_values", values)
-        elif self.lambda_count < 1:
-            raise ValueError(f"lambda_count must be >= 1, got {self.lambda_count}")
+        elif not (isinstance(self.lambda_count, int) and self.lambda_count >= 1):
+            raise ValueError(f"lambda_count must be an integer >= 1, got {self.lambda_count!r}")
 
     def tau_values(self, params: SystemParams) -> tuple[float, ...]:
         """Multiples of tau_min up to T - tau_min, each with integral tau*W."""
@@ -229,80 +247,80 @@ def _recover(masses: np.ndarray, products: np.ndarray, levels: range) -> np.ndar
 
 
 @dataclass(frozen=True)
-class _PointSolution:
-    """LP-level result at one grid point, before the analytical round trip."""
+class _Column:
+    """What one sensing time fixes for every threshold LP it hosts."""
 
-    policy: Policy
-    substituted: SubstitutedVariables
-    scheme: str
-    lp_objective: float
-    lp_mu_p: float
-    warm: bool = False  # solved from a carried basis, not yet certified cold
+    quantities: DerivedQuantities
+    outages: OutageBundle
+    blocks: HarvestBlocks
 
 
-def _solve_point(params: SystemParams, tau: float, threshold: float, scheme: str,
-                 idle_harvest: HarvestPmf, active_harvest: HarvestPmf,
-                 blocks=None, warm: WarmStart | None = None
-                 ) -> _PointSolution | None:
-    """Solve the LP at one grid point and recover the policy (no evaluation).
-
-    With ``warm`` the LP is warm-started (see :func:`~ehcr.numerics.solve_lp`)
-    and the result says whether the warm answer was kept.
-    """
-    quantities = derive(params, tau, require_sensing_capacity=False)
+def _unsupported(params: SystemParams, quantities: DerivedQuantities,
+                 scheme: str) -> tuple[str, str] | None:
+    """(grid status, reason) when no threshold at this sensing time can host
+    the scheme: a time-bandwidth product below 2 leaves averaged detection
+    undefined, and the sensing-only scheme needs a battery that can fund
+    sensing.  None when the sensing time is usable."""
     if quantities.m < 2:
-        raise ConfigurationError(
+        return "unsupported_m", (
             f"time-bandwidth product m={quantities.m} is below the minimum "
-            f"of 2 required by the averaged detector"
-        )
-    sensing_reachable = quantities.n_t + quantities.n_s <= params.N_max
-    if scheme == "sensing_only" and not sensing_reachable:
-        raise ConfigurationError(
+            f"of 2 required by the averaged detector")
+    if scheme == "sensing_only" and not quantities.beta_range:
+        return "sensing_unreachable", (
             f"sensing-only scheme impossible: n_t + n_s = "
-            f"{quantities.n_t + quantities.n_s} exceeds N_max = {params.N_max}"
-        )
-    cfg = sensing.SensingConfig.from_params(params, tau, threshold)
-    p_d = sensing.detection_avg(cfg, quantities.gamma_bar)
-    p_f = sensing.false_alarm(cfg)
-    components = transition_components(
-        params, tau, idle_harvest, active_harvest, p_d, p_f, blocks=blocks)
-    alpha_range, beta_range = components.alpha_range, components.beta_range
-    mu_s_row, mu_p_row = rate_rows(params, bundle(params, tau), p_d, p_f,
-                                   alpha_range, beta_range)
-    lp = _build_lp(params, components, mu_s_row, mu_p_row, scheme)
-    solution = solve_lp(lp, warm)
-    if solution.status != "optimal":
-        return None
+            f"{quantities.n_t + quantities.n_s} exceeds N_max = {params.N_max}")
+    return None
 
+
+def _point_lp(params: SystemParams, column: _Column, threshold: float,
+              scheme: str) -> tuple[LinearProgram, np.ndarray]:
+    """The policy LP at one threshold of a column, and its mu_p row."""
+    q = column.quantities
+    cfg = sensing.SensingConfig(q.tau, threshold, q.m)
+    p_d = sensing.detection_avg(cfg, q.gamma_bar)
+    p_f = sensing.false_alarm(cfg)
+    components = transition_components(params, q, column.blocks, p_d, p_f)
+    mu_s_row, mu_p_row = rate_rows(params, column.outages, p_d, p_f,
+                                   q.alpha_range, q.beta_range)
+    return _build_lp(params, components, mu_s_row, mu_p_row, scheme), mu_p_row
+
+
+def _solve_point(lp: LinearProgram, tau: float, threshold: float,
+                 warm: WarmStart | None = None
+                 ) -> tuple[GridPointStatus, LpSolution | None]:
+    """Status record and solution (None unless optimal) of one grid point's
+    LP, warm-started with ``warm`` (see :func:`~ehcr.numerics.solve_lp`)."""
+    try:
+        solution = solve_lp(lp, warm)
+    except RuntimeError:
+        return GridPointStatus(tau, threshold, "solver_failure"), None
+    if solution.status != "optimal":
+        return GridPointStatus(tau, threshold, "infeasible"), None
+    return GridPointStatus(tau, threshold, "optimal", solution.objective_value), solution
+
+
+def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
+                      threshold: float, solution: LpSolution,
+                      mu_p_row: np.ndarray) -> OptimalSolution:
+    """Recover the policy of an optimal LP answer and evaluate it."""
+    q = column.quantities
     x = solution.x
-    n, ka, kb = components.n_states, len(alpha_range), len(beta_range)
+    n, ka, kb = params.n_states, len(q.alpha_range), len(q.beta_range)
     substituted = SubstitutedVariables(*np.split(x.copy(), [n, n + ka, n + ka + kb]))
     policy = Policy(
-        alpha=_recover(substituted.pi, substituted.alpha_tilde, alpha_range),
-        beta1=_recover(substituted.pi, substituted.beta1_tilde, beta_range),
-        beta2=_recover(substituted.pi, substituted.beta2_tilde, beta_range),
-        tau=tau,
+        alpha=_recover(substituted.pi, substituted.alpha_tilde, q.alpha_range),
+        beta1=_recover(substituted.pi, substituted.beta1_tilde, q.beta_range),
+        beta2=_recover(substituted.pi, substituted.beta2_tilde, q.beta_range),
+        tau=q.tau,
         threshold=threshold,
     )
-    return _PointSolution(
+    return OptimalSolution(
         policy=policy,
+        report=evaluate(params, policy),
         substituted=substituted,
         scheme=scheme,
         lp_objective=float(solution.objective_value),
         lp_mu_p=float(mu_p_row @ x),
-        warm=solution.warm,
-    )
-
-
-def _finalize(params: SystemParams, point: _PointSolution) -> OptimalSolution:
-    """Attach the chain-and-rates evaluation of the recovered policy."""
-    return OptimalSolution(
-        policy=point.policy,
-        report=evaluate(params, point.policy),
-        substituted=point.substituted,
-        scheme=point.scheme,
-        lp_objective=point.lp_objective,
-        lp_mu_p=point.lp_mu_p,
     )
 
 
@@ -316,18 +334,21 @@ def solve_fixed(params: SystemParams, tau: float, threshold: float, scheme: str
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    idle_harvest = harvesting.nature_distribution(params)
-    active_harvest = harvesting.combined_distribution(params, include_rf=True)
-    point = _solve_point(params, tau, threshold, scheme,
-                         idle_harvest, active_harvest)
-    if point is None:
+    quantities = derive(params, tau, require_sensing_capacity=False)
+    unsupported = _unsupported(params, quantities, scheme)
+    if unsupported is not None:
+        raise ConfigurationError(unsupported[1])
+    harvest = harvesting.harvest_laws(params)
+    column = _Column(quantities, bundle(params, quantities),
+                     harvest_blocks(params, quantities, *harvest))
+    lp, mu_p_row = _point_lp(params, column, threshold, scheme)
+    solution = solve_lp(lp)
+    if solution.status != "optimal":
         return None
-    return _finalize(params, point)
+    return _optimal_solution(params, scheme, column, threshold, solution, mu_p_row)
 
 
-def _select_winner(
-    candidates: list[tuple[float, float, float, _PointSolution]],
-) -> _PointSolution | None:
+def _select_winner(candidates: list[tuple[float, float, float, Any]]) -> Any:
     """Deterministic reduction: max objective, ties to smaller tau then lambda."""
     best = None
     best_key = None
@@ -337,23 +358,6 @@ def _select_winner(
             best = solution
             best_key = key
     return best
-
-
-def _grid_point(params: SystemParams, tau: float, threshold: float, scheme: str,
-                idle_harvest: HarvestPmf, active_harvest: HarvestPmf, blocks,
-                warm: WarmStart | None = None
-                ) -> tuple[GridPointStatus, _PointSolution | None]:
-    """Status record and solution (None unless optimal) of one grid point."""
-    try:
-        point = _solve_point(params, tau, threshold, scheme, idle_harvest,
-                             active_harvest, blocks=blocks, warm=warm)
-    except ConfigurationError:
-        return GridPointStatus(tau, threshold, "sensing_unreachable"), None
-    except RuntimeError:
-        return GridPointStatus(tau, threshold, "solver_failure"), None
-    if point is None:
-        return GridPointStatus(tau, threshold, "infeasible"), None
-    return GridPointStatus(tau, threshold, "optimal", point.lp_objective), point
 
 
 def optimize(params: SystemParams, grid: GridSpec, scheme: str
@@ -369,47 +373,50 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    idle_harvest = harvesting.nature_distribution(params)
-    active_harvest = harvesting.combined_distribution(params, include_rf=True)
+    harvest = harvesting.harvest_laws(params)
     records: list[GridPointStatus] = []
-    # (record index, tau, threshold, objective, solution) of every optimal
-    # point; a warm answer keeps its objective only, its solution is redone
-    screened: list[tuple[int, float, float, float, _PointSolution | None]] = []
+    # (record index, column, threshold, objective, solution) of every optimal
+    # point; a warm answer keeps its objective only and is solved again cold
+    screened: list[tuple[int, _Column, float, float, LpSolution | None]] = []
     for tau in grid.tau_values(params):
         quantities = derive(params, tau, require_sensing_capacity=False)
-        if quantities.m < 2:
+        unsupported = _unsupported(params, quantities, scheme)
+        if unsupported is not None and unsupported[0] == "unsupported_m":
             records.append(GridPointStatus(tau, math.nan, "unsupported_m"))
             continue
-        blocks = harvest_blocks(params, tau, idle_harvest, active_harvest)
+        thresholds = grid.lambda_grid(quantities.m)
+        if unsupported is not None:
+            records.extend(GridPointStatus(tau, threshold, unsupported[0])
+                           for threshold in thresholds)
+            continue
+        column = _Column(quantities, bundle(params, quantities),
+                         harvest_blocks(params, quantities, *harvest))
         warm = WarmStart() if warm_start_available() else None
-        for threshold in grid.lambda_grid(quantities.m):
-            record, point = _grid_point(params, tau, threshold, scheme,
-                                        idle_harvest, active_harvest, blocks, warm)
-            if point is not None:
-                screened.append((len(records), tau, threshold, point.lp_objective,
-                                 None if point.warm else point))
+        for threshold in thresholds:
+            lp, _ = _point_lp(params, column, threshold, scheme)
+            record, solution = _solve_point(lp, tau, threshold, warm)
+            if solution is not None:
+                screened.append((len(records), column, threshold,
+                                 solution.objective_value,
+                                 None if solution.warm else solution))
             records.append(record)
 
     # Certify: re-solve the near-best warm answers cold (their records follow
     # the cold solve).  Should all of them fail cold, the next tier competes.
-    candidates: list[tuple[float, float, float, _PointSolution]] = []
-    blocks_tau = None
+    candidates: list[tuple[float, float, float, tuple]] = []
     while screened and not candidates:
         cutoff = max(entry[3] for entry in screened) - LP_FEASIBILITY_TOL
         near = [entry for entry in screened if entry[3] >= cutoff]
         screened = [entry for entry in screened if entry[3] < cutoff]
-        for index, tau, threshold, _, point in near:
-            if point is None:
-                if tau != blocks_tau:  # near points come in tau order
-                    blocks_tau = tau
-                    blocks = harvest_blocks(params, tau, idle_harvest,
-                                            active_harvest)
-                records[index], point = _grid_point(
-                    params, tau, threshold, scheme, idle_harvest, active_harvest,
-                    blocks)
-            if point is not None:
-                candidates.append((point.lp_objective, tau, threshold, point))
+        for index, column, threshold, _, solution in near:
+            tau = column.quantities.tau
+            lp, mu_p_row = _point_lp(params, column, threshold, scheme)
+            if solution is None:
+                records[index], solution = _solve_point(lp, tau, threshold)
+            if solution is not None:
+                candidates.append((solution.objective_value, tau, threshold,
+                                   (column, threshold, solution, mu_p_row)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))
-    return _finalize(params, winner), tuple(records)
+    return _optimal_solution(params, scheme, *winner), tuple(records)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .system_model import SystemParams, derive
+from .system_model import DerivedQuantities, SystemParams
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,15 @@ def no_outage_interfered(rate: float, desired_power: float, desired_gain: float,
     return clear * desired / (desired + interference)
 
 
-def bundle(params: SystemParams, tau: float) -> OutageBundle:
-    """All seven scenario probabilities at sensing time ``tau``.
+def bundle(params: SystemParams, q: DerivedQuantities) -> OutageBundle:
+    """All seven scenario probabilities at the sensing time ``q.tau``.
 
     Full-slot secondary bursts transmit at ``E_t / T``; post-sensing bursts
     at ``E_t / (T - tau)`` with the correspondingly higher spectral
     efficiency.
     """
-    q = derive(params, tau, require_sensing_capacity=False)
     power_blind = params.E_t / params.T
-    power_sense = params.E_t / (params.T - tau)
+    power_sense = params.E_t / (params.T - q.tau)
     return OutageBundle(
         pu_no_outage_silent=no_outage_direct(
             q.r_p, params.P_p, params.sigma_p, params.sigma_n2),

@@ -21,12 +21,14 @@ from . import harvesting, sensing
 from .chain import (
     Policy,
     StationaryDistribution,
-    action_ranges,
-    build_transition_matrix,
+    TransitionMatrix,
+    compose_transition,
+    harvest_blocks,
     stationary_distribution,
+    transition_components,
 )
 from .outage import OutageBundle, bundle
-from .system_model import SystemParams, derive
+from .system_model import SystemParams
 
 #: slack applied when comparing the licensed-user rate to its floor
 FEASIBILITY_TOL = 1e-9
@@ -94,12 +96,12 @@ def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:
 
     The rates are :func:`rate_rows` dotted with the :func:`occupation` vector
     of the stationary law; the blind-access and sensing probabilities are the
-    sums of its blind and sensing product blocks.
+    sums of its blind and sensing product blocks.  The policy's validation
+    derives its sensing time once, for everything else to build on.
     """
-    policy.validate_against(params)
-    quantities = derive(params, policy.tau, require_sensing_capacity=False)
-    cfg = sensing.SensingConfig.from_params(params, policy.tau, policy.threshold)
-    alpha_range, beta_range = action_ranges(params, policy.tau)
+    quantities = policy.validate_against(params)
+    cfg = sensing.SensingConfig(policy.tau, policy.threshold, quantities.m)
+    alpha_range, beta_range = quantities.alpha_range, quantities.beta_range
     if cfg.m >= 2 or (len(beta_range) and np.any(policy.beta2 > 0)):
         # the second arm lets the averaged detector raise its own
         # unsupported-configuration error for a sensing policy at m = 1
@@ -107,13 +109,12 @@ def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:
     else:
         p_d = 1.0  # no branch weights it
     p_f = sensing.false_alarm(cfg)
-    idle_harvest = harvesting.nature_distribution(params)
-    active_harvest = harvesting.combined_distribution(params, include_rf=True)
-    tm = build_transition_matrix(params, policy, idle_harvest, active_harvest,
-                                 p_d, p_f)
-    stationary = stationary_distribution(tm)
+    blocks = harvest_blocks(params, quantities, *harvesting.harvest_laws(params))
+    components = transition_components(params, quantities, blocks, p_d, p_f)
+    stationary = stationary_distribution(TransitionMatrix(compose_transition(
+        components, policy.alpha, policy.beta1, policy.beta2)))
     occupied = occupation(stationary.pi, policy, alpha_range, beta_range)
-    mu_s_row, mu_p_row = rate_rows(params, bundle(params, policy.tau), p_d, p_f,
+    mu_s_row, mu_p_row = rate_rows(params, bundle(params, quantities), p_d, p_f,
                                    alpha_range, beta_range)
     mu_p = float(mu_p_row @ occupied)
     blind_stop = params.n_states + len(alpha_range) + len(beta_range)

@@ -17,7 +17,7 @@ from .numerics import (
     regularized_lower_gamma_int,
     regularized_upper_gamma_int,
 )
-from .system_model import ConfigurationError, SystemParams, snap_to_int
+from .system_model import ConfigurationError, SystemParams, derive
 
 
 @dataclass(frozen=True)
@@ -29,17 +29,15 @@ class SensingConfig:
     m: int
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
         if int(self.m) != self.m or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
 
     @classmethod
     def from_params(cls, params: SystemParams, tau: float, threshold: float) -> "SensingConfig":
-        m = snap_to_int(tau * params.W)
-        if m is None or m < 1:
-            raise ValueError(f"tau*W must be a positive integer, got {tau * params.W!r}")
+        m = derive(params, tau, require_sensing_capacity=False).m
         return cls(tau=tau, threshold=threshold, m=m)
 
 

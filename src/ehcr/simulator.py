@@ -5,7 +5,8 @@ sensing statistics: batteries, actions, sensing verdicts, fading draws and
 SINR comparisons are all realized slot by slot, which makes it the ground
 truth the closed forms are validated against.
 
-The battery is the only sequential quantity, so :func:`run` has three parts.
+The battery is the only sequential quantity, so :func:`run` has three parts,
+all reading the one set of quantities derived by the policy's validation.
 Before the loop, every draw is made and turned into per-slot arrays: the
 harvest, the sensing verdict (a sensed slot is declared busy when its sensing
 draw falls below the detection or false-alarm probability), and hence the
@@ -38,9 +39,9 @@ import numpy as np
 from scipy.special import chndtr
 
 from . import sensing
-from .chain import Policy, action_ranges
+from .chain import Policy
 from .performance import PerformanceReport, evaluate
-from .system_model import SystemParams, derive
+from .system_model import DerivedQuantities, SystemParams
 
 #: substream names, in spawn order; append only, never reorder
 _STREAMS = ("pu", "h_p", "h_pst", "h_ps", "h_s", "h_sp",
@@ -183,11 +184,11 @@ def _harvest(params: SystemParams, streams: dict, pu_active: np.ndarray,
             + np.where(pu_active, rf_q, 0))
 
 
-def _level_thresholds(params: SystemParams, policy: Policy
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _level_thresholds(params: SystemParams, policy: Policy,
+                      quantities: DerivedQuantities) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative per-level thresholds on the action draw ``u``: blind access
     when ``u < blind[b]``, else sensing when ``u < sense[b]``, else idle."""
-    alpha_range, beta_range = action_ranges(params, policy.tau)
+    alpha_range, beta_range = quantities.alpha_range, quantities.beta_range
     blind = np.zeros(params.n_states)
     blind[alpha_range.start:alpha_range.stop] = policy.alpha
     blind[beta_range.start:] = policy.beta1
@@ -204,16 +205,15 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
     level rules) and is capped at the battery size after each slot's
     harvest.
     """
-    policy.validate_against(params)
+    quantities = policy.validate_against(params)
     if sim.initial_battery > params.N_max:
         raise ValueError(
             f"initial battery {sim.initial_battery} exceeds N_max={params.N_max}")
-    quantities = derive(params, policy.tau, require_sensing_capacity=False)
     n_t, n_s = quantities.n_t, quantities.n_s
-    blind_at, sense_at = _level_thresholds(params, policy)
+    blind_at, sense_at = _level_thresholds(params, policy, quantities)
     uses_sensing = bool(np.any(policy.beta2 > 0))
     decorrelated = sim.correlation_mode == "decorrelated"
-    cfg = sensing.SensingConfig.from_params(params, policy.tau, policy.threshold)
+    cfg = sensing.SensingConfig(policy.tau, policy.threshold, quantities.m)
 
     n_slots = sim.slots
     streams = {

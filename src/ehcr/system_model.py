@@ -2,10 +2,12 @@
 
 A :class:`SystemParams` instance holds every dimensioned constant: powers,
 slot timing, packet sizes, harvesting rates, the energy-packet size, the
-battery capacity and the five fading links.  :func:`derive` turns a sensing
-time into the integer packet costs, spectral efficiencies and average sensing
-SNR that the analytical modules consume.  All value types are immutable and
-freely shareable across threads.
+battery capacity and the five fading links.  :func:`derive` is the one place
+that turns a sensing time into what depends on it: the integer packet costs,
+the time-bandwidth product, the spectral efficiencies, the average sensing
+SNR and the battery levels governed by each action rule.  Callers derive
+once per sensing time and hand the result down.  All value types are
+immutable and freely shareable across threads.
 """
 from __future__ import annotations
 
@@ -51,9 +53,9 @@ class LinkParams:
     distance: float
 
     def __post_init__(self):
-        if self.fading_mean <= 0 or self.distance <= 0:
+        if not (0 < self.fading_mean < math.inf and 0 < self.distance < math.inf):
             raise ValueError(
-                f"link parameters must be positive, got fading_mean="
+                f"link parameters must be positive and finite, got fading_mean="
                 f"{self.fading_mean}, distance={self.distance}"
             )
 
@@ -135,7 +137,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Integer costs and rates implied by a sensing time tau."""
+    """Integer costs, rates and action ranges implied by a sensing time tau."""
 
     tau: float
     n_t: int         # packets per transmission
@@ -145,6 +147,8 @@ class DerivedQuantities:
     r_s_blind: float  # SU spectral efficiency when skipping sensing
     r_s_sense: float  # SU spectral efficiency after a sensing phase
     gamma_bar: float  # average sensing SNR
+    alpha_range: range  # levels that may only idle or access blindly
+    beta_range: range   # levels that may also sense; empty if unaffordable
 
 
 def derive(params: SystemParams, tau: float, *, require_sensing_capacity: bool = True) -> DerivedQuantities:
@@ -176,6 +180,7 @@ def derive(params: SystemParams, tau: float, *, require_sensing_capacity: bool =
             f"battery capacity N_max = {params.N_max}"
         )
     transmit_time = params.T - tau
+    split = min(n_t + n_s, params.n_states)
     return DerivedQuantities(
         tau=tau,
         n_t=n_t,
@@ -185,6 +190,8 @@ def derive(params: SystemParams, tau: float, *, require_sensing_capacity: bool =
         r_s_blind=params.b_s / (params.T * params.W),
         r_s_sense=params.b_s / (transmit_time * params.W),
         gamma_bar=params.P_p * params.sigma_pst / params.sigma_n2,
+        alpha_range=range(n_t, split),
+        beta_range=range(split, params.n_states),
     )
 
 
@@ -194,7 +201,9 @@ def validate(params: SystemParams) -> list[str]:
     for name in ("P_p", "sigma_n2", "T", "W", "b_p", "b_s", "E_u", "E_t",
                  "e_proc", "f_s", "lambda_e"):
         value = getattr(params, name)
-        if name == "lambda_e":
+        if not math.isfinite(value):
+            violations.append(f"{name} must be finite, got {value}")
+        elif name == "lambda_e":
             if value < 0:
                 violations.append(f"{name} must be nonnegative, got {value}")
         elif value <= 0:
@@ -207,7 +216,8 @@ def validate(params: SystemParams) -> list[str]:
         violations.append(f"eta out of [0,1]: {params.eta}")
     if params.N_max < 1:
         violations.append(f"N_max must be at least 1, got {params.N_max}")
-    elif params.E_t > 0 and params.E_u > 0 and params.N_max < params.n_t:
+    elif (0 < params.E_t < math.inf and 0 < params.E_u < math.inf
+          and params.N_max < params.n_t):
         violations.append(
             f"battery smaller than one transmission: N_max={params.N_max} "
             f"< n_t={params.n_t}"
@@ -242,11 +252,12 @@ def params_from_dict(doc: dict[str, Any]) -> SystemParams:
             fading_mean=float(entry["fading_mean"]),
             distance=float(entry["distance"]),
         )
-    n_max = doc["N_max"]
-    if snap_to_int(float(n_max)) is None:
-        raise ConfigurationError(f"N_max must be an integer, got {n_max!r}")
+    n_max = float(doc["N_max"])
+    n_max = snap_to_int(n_max) if math.isfinite(n_max) else None
+    if n_max is None:
+        raise ConfigurationError(f"N_max must be an integer, got {doc['N_max']!r}")
     scalars = {k: float(doc[k]) for k in CONFIG_KEYS if k != "N_max"}
-    return SystemParams(N_max=int(n_max), links=LinkSet(**link_kwargs), **scalars)
+    return SystemParams(N_max=n_max, links=LinkSet(**link_kwargs), **scalars)
 
 
 def params_to_dict(params: SystemParams) -> dict[str, Any]:

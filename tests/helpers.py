@@ -1,5 +1,7 @@
 """Shared oracle utilities for the test suite."""
+import contextlib
 import math
+import signal
 
 import numpy as np
 
@@ -11,11 +13,13 @@ from ehcr.chain import (
     TransitionMatrix,
     action_ranges,
     compose_transition,
+    harvest_blocks,
     stationary_distribution,
+    transition_components,
 )
 from ehcr.harvesting import HarvestPmf, _rf_packet_scale, nature_pmf, rf_pmf
 from ehcr.optimizer import RECOVERY_MASS_FLOOR
-from ehcr.outage import OutageBundle
+from ehcr.outage import OutageBundle, bundle
 from ehcr.simulator import _N_BATCHES, _STREAMS, SimConfig, SimReport
 from ehcr.system_model import SystemParams, derive
 
@@ -29,6 +33,63 @@ def random_policy(rng, params, tau, threshold) -> Policy:
     b1[over], b2[over] = 1.0 - b1[over], 1.0 - b2[over]
     return Policy(alpha=rng.random(len(alpha_range)), beta1=b1, beta2=b2,
                   tau=tau, threshold=threshold)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once it has run ``seconds``, so a
+    call that never returns fails its test instead of hanging the suite
+    (SIGALRM: main thread, POSIX only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Per-sensing-time conveniences: ``ehcr`` derives a sensing time once and
+# hands the quantities down; the tests often start from a bare tau.
+
+def outages_at(params: SystemParams, tau: float) -> OutageBundle:
+    """:func:`~ehcr.outage.bundle` at sensing time ``tau``."""
+    return bundle(params, derive(params, tau, require_sensing_capacity=False))
+
+
+def components_at(params: SystemParams, tau: float, idle_harvest: HarvestPmf,
+                  active_harvest: HarvestPmf, p_d: float,
+                  p_f: float) -> TransitionComponents:
+    """:func:`~ehcr.chain.transition_components` at sensing time ``tau``."""
+    q = derive(params, tau, require_sensing_capacity=False)
+    blocks = harvest_blocks(params, q, idle_harvest, active_harvest)
+    return transition_components(params, q, blocks, p_d, p_f)
+
+
+def build_transition_matrix(params: SystemParams, policy: Policy,
+                            idle_harvest: HarvestPmf, active_harvest: HarvestPmf,
+                            p_d: float, p_f: float) -> TransitionMatrix:
+    """Kernel of the battery chain under ``policy``."""
+    policy.validate_against(params)
+    components = components_at(params, policy.tau, idle_harvest, active_harvest,
+                               p_d, p_f)
+    kernel = compose_transition(components, policy.alpha, policy.beta1, policy.beta2)
+    return TransitionMatrix(kernel)
+
+
+def pmf(dist: HarvestPmf, count: int) -> float:
+    """Mass at ``count``; zero outside the support (negatives included)."""
+    if 0 <= count < dist.masses.size:
+        return float(dist.masses[count])
+    return 0.0
+
+
+def empty_constraints(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero-row constraint block over n variables."""
+    return np.zeros((0, n)), np.zeros(0)
 
 
 def fast_policy_value(params, components, outages, p_d, p_f, policy):

@@ -15,23 +15,21 @@ import pytest
 from scipy import integrate, stats
 
 from ehcr import harvesting, sensing
-from ehcr.chain import (
-    Policy,
-    action_ranges,
-    build_transition_matrix,
-    stationary_distribution,
-    transition_components,
-)
+from ehcr.chain import Policy, action_ranges, stationary_distribution
 from ehcr.cli import main
 from ehcr.numerics import regularized_upper_gamma_int
 from ehcr.optimizer import GridSpec, InfeasibleGridError, optimize
-from ehcr.outage import bundle
 from ehcr.performance import evaluate
 from ehcr.presets import load_preset
 from ehcr.simulator import SimConfig, compare, run
 from ehcr.system_model import derive, params_from_dict, with_overrides
 
-from helpers import fast_policy_value
+from helpers import (
+    build_transition_matrix,
+    components_at,
+    fast_policy_value,
+    outages_at,
+)
 from test_chain import enumerate_kernel, toy_setup
 from test_sensing import detection_avg_quadrature
 
@@ -97,7 +95,7 @@ def test_criterion_2_outage_oracles(table1_params, testbench_params):
         rng = np.random.default_rng(2024)
         n = 1_000_000
         for params, tau in ((table1_params, 1e-4), (testbench_params, 2e-3)):
-            b = bundle(params, tau)
+            b = outages_at(params, tau)
             power_blind = params.E_t / params.T
             power_sense = params.E_t / (params.T - tau)
             q = derive(params, tau, require_sensing_capacity=False)
@@ -212,9 +210,8 @@ def test_criterion_5_optimizer_soundness(testbench_params, sweep):
             p_f = sensing.false_alarm(cfg)
             idle_h = harvesting.nature_distribution(params)
             active_h = harvesting.combined_distribution(params)
-            components = transition_components(params, tau, idle_h, active_h,
-                                               p_d, p_f)
-            outages = bundle(params, tau)
+            components = components_at(params, tau, idle_h, active_h, p_d, p_f)
+            outages = outages_at(params, tau)
             alpha_range, beta_range = action_ranges(params, tau)
             feasible_seen = 0
             best = -1.0
@@ -267,7 +264,7 @@ def test_criterion_7_degenerate_gates(testbench_params, make_params, tmp_path):
     with criterion("criterion 7: degenerate gates"):
         # a floor above the solitary success value is reported infeasible
         strict = with_overrides(testbench_params, mu_th=0.99)
-        silent = bundle(strict, 5e-4).pu_no_outage_silent
+        silent = outages_at(strict, 5e-4).pu_no_outage_silent
         assert strict.mu_th > silent
         with pytest.raises(InfeasibleGridError):
             optimize(strict, GridSpec(tau_min=2e-3, lambda_count=4),

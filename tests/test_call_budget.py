@@ -1,0 +1,79 @@
+"""Each sensing time is derived once and its per-tau model built once.
+
+Counts the calls of the per-tau builders made by ``optimize``, ``evaluate``,
+``run`` and ``compare`` and pins them: one ``derive``, one outage bundle and
+one set of kernel blocks per grid sensing time, plus those of the winner's
+evaluation, and one ambient harvest law per search or evaluation.
+"""
+import collections
+import sys
+
+import pytest
+
+from ehcr import chain, harvesting, outage, system_model
+from ehcr.chain import Policy
+from ehcr.optimizer import optimize
+from ehcr.performance import evaluate
+from ehcr.simulator import SimConfig, compare, run
+from ehcr.system_model import with_overrides
+from test_optimizer import FAST_GRID
+
+COUNTED = {
+    "derive": system_model.derive,
+    "bundle": outage.bundle,
+    "harvest_blocks": chain.harvest_blocks,
+    "nature_distribution": harvesting.nature_distribution,
+}
+
+
+@pytest.fixture
+def setting(testbench_params):
+    params = with_overrides(testbench_params, rho=0.5)
+    return params, Policy.constant(params, 5e-4, 30.0, 0.5, 0.3, 0.5)
+
+
+@pytest.fixture
+def calls(monkeypatch, setting):
+    """Call counts of the COUNTED functions, wherever ``ehcr`` binds them,
+    from after the setting is built."""
+    counts = collections.Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    modules = [module for key, module in list(sys.modules.items())
+               if key == "ehcr" or key.startswith("ehcr.")]
+    for name, original in COUNTED.items():
+        wrapper = counting(name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def test_optimize_builds_each_column_once(calls, setting):
+    params, _ = setting
+    optimize(params, FAST_GRID, "probabilistic")
+    n_tau = len(FAST_GRID.tau_values(params))  # 4 sensing times, all usable
+    assert calls == {"derive": n_tau + 1, "bundle": n_tau + 1,
+                     "harvest_blocks": n_tau + 1, "nature_distribution": 2}
+
+
+def test_evaluate_derives_once(calls, setting):
+    evaluate(*setting)
+    assert calls == {"derive": 1, "bundle": 1, "harvest_blocks": 1,
+                     "nature_distribution": 1}
+
+
+def test_run_derives_once(calls, setting):
+    run(*setting, SimConfig(slots=500, seed=3))
+    assert calls == {"derive": 1}
+
+
+def test_compare_derives_once_per_model(calls, setting):
+    compare(*setting, SimConfig(slots=500, seed=3))
+    assert calls == {"derive": 2, "bundle": 1, "harvest_blocks": 1,
+                     "nature_distribution": 1}

@@ -12,10 +12,8 @@ from ehcr.chain import (
     TransitionMatrix,
     _shifted_rows,
     action_ranges,
-    build_transition_matrix,
     compose_transition,
     stationary_distribution,
-    transition_components,
 )
 from ehcr.harvesting import (
     HarvestPmf,
@@ -25,7 +23,13 @@ from ehcr.harvesting import (
 )
 from ehcr.performance import occupation
 from ehcr.system_model import with_overrides
-from helpers import random_policy, reference_compose_transition, reference_shifted_rows
+from helpers import (
+    build_transition_matrix,
+    components_at,
+    random_policy,
+    reference_compose_transition,
+    reference_shifted_rows,
+)
 
 
 def enumerate_kernel(n_max, n_t, n_s, rho, idle_masses, active_masses,
@@ -172,7 +176,7 @@ class TestBuildTransitionMatrix:
         idle = nature_distribution(params)
         active = combined_distribution(params)
         rng = np.random.default_rng(13)
-        comp = transition_components(params, 1e-3, idle, active, 0.95, 0.08)
+        comp = components_at(params, 1e-3, idle, active, 0.95, 0.08)
         alpha_range, beta_range = action_ranges(params, 1e-3)
         for _ in range(10):
             a = rng.random(len(alpha_range))
@@ -196,8 +200,8 @@ class TestBuildTransitionMatrix:
         tau = tau_steps * 5e-4  # the preset's sensing-time grid
         policy = random_policy(np.random.default_rng(policy_seed), params, tau,
                                2.0)
-        comp = transition_components(params, tau, nature_distribution(params),
-                                     combined_distribution(params), p_d, p_f)
+        comp = components_at(params, tau, nature_distribution(params),
+                             combined_distribution(params), p_d, p_f)
         kernel = compose_transition(comp, policy.alpha, policy.beta1,
                                     policy.beta2)
         assert np.array_equal(kernel, reference_compose_transition(

@@ -1,13 +1,19 @@
+import contextlib
 import copy
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehcr.cli import main
 from ehcr.presets import load_preset
+from helpers import deadline
 
 
 @pytest.fixture
@@ -143,12 +149,105 @@ class TestBadInputsExitOne:
                          "--initial-battery", "99"]) == 1
             assert "exceeds N_max=20" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("key, value", [("slots", math.nan),
+                                            ("slots", 2.5), ("seed", math.inf)])
+    def test_bad_simulation_defaults(self, fast_config, policy_file, capsys,
+                                     key, value):
+        doc = json.loads(fast_config.read_text())
+        doc["sim"][key] = value
+        fast_config.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(fast_config),
+                     "--policy", str(policy_file)]) == 1
+        assert f"{key} must be an integer" in self.one_line_error(capsys)
+
     def test_grid_with_non_integral_samples(self, fast_config, capsys):
         doc = json.loads(fast_config.read_text())
         doc["grid"]["tau_min"] = 0.00033
         fast_config.write_text(json.dumps(doc))
         assert main(["optimize", "--config", str(fast_config)]) == 1
         assert "tau*W = 6.6" in self.one_line_error(capsys)
+
+
+#: keys of the configuration document that must be positive and finite
+_POSITIVE_KEYS = ("P_p", "sigma_n2", "T", "W", "b_p", "b_s", "E_u", "E_t",
+                  "e_proc", "f_s")
+_LINK_KEYS = tuple(f"links.{name}.{field}" for name in ("p", "pst", "ps", "s", "sp")
+                   for field in ("fading_mean", "distance"))
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_BELOW_ZERO = st.floats(max_value=-1e-300)
+
+
+def _invalid_values(key: str):
+    """NaN, +-inf or an out-of-range value for one configuration key."""
+    if key in _POSITIVE_KEYS or key in _LINK_KEYS or key == "grid.tau_min":
+        out_of_range = st.floats(max_value=0.0)
+    elif key == "lambda_e":
+        out_of_range = _BELOW_ZERO
+    elif key in ("rho", "eta", "mu_th"):
+        out_of_range = _BELOW_ZERO | st.floats(min_value=1.0, exclude_min=True)
+    elif key == "grid.lambdas":
+        out_of_range = st.floats(max_value=0.0).map(lambda v: [v])
+        return _NON_FINITE.map(lambda v: [v]) | out_of_range
+    else:  # N_max, grid.lambda_count
+        out_of_range = st.integers(-50, 0) | st.sampled_from([2.5, 19.5])
+    return _NON_FINITE | out_of_range
+
+
+_BAD_SETTINGS = st.sampled_from(
+    _POSITIVE_KEYS + _LINK_KEYS
+    + ("lambda_e", "rho", "eta", "mu_th", "N_max", "grid.tau_min",
+       "grid.lambdas", "grid.lambda_count")
+).flatmap(lambda key: st.tuples(st.just(key), _invalid_values(key)))
+
+
+def _run_in_process(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestInvalidConfigValues:
+    """Every config with one bad value exits 1 with one stderr line."""
+
+    @settings(max_examples=100)
+    @given(setting=_BAD_SETTINGS)
+    def test_one_bad_value_exits_one(self, tmp_path_factory, setting):
+        key, value = setting
+        doc = copy.deepcopy(load_preset("testbench"))
+        doc["grid"] = {"tau_min": 2e-3, "lambda_count": 6}
+        *parents, leaf = key.split(".")
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[leaf] = value
+        path = tmp_path_factory.getbasetemp() / "bad_config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with deadline(20.0):
+            code, out, err = _run_in_process(["optimize", "--config", str(path)])
+        assert code == 1, (key, value, out, err)
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("P_p", math.nan, "P_p must be finite"),
+        ("lambda_e", math.inf, "lambda_e must be finite"),
+        ("sigma_n2", math.inf, "sigma_n2 must be finite"),
+        ("E_u", math.inf, "E_u must be finite"),
+    ])
+    def test_reported_cases(self, fast_config, key, value, message):
+        # NaN power used to hang the search, the infinities to end in a
+        # traceback or a result computed from n_t = 0
+        doc = json.loads(fast_config.read_text())
+        doc[key] = value
+        fast_config.write_text(json.dumps(doc))
+        with deadline(20.0):
+            code, out, err = _run_in_process(["optimize", "--config",
+                                              str(fast_config)])
+        assert code == 1 and out == ""
+        assert message in err and len(err.strip().splitlines()) == 1, err
 
 
 class TestSweepCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ehcr.harvesting import (
     HarvestPmf,
@@ -11,7 +13,8 @@ from ehcr.harvesting import (
     rf_distribution,
     rf_pmf,
 )
-from helpers import combined_pmf, tail_at_least
+from ehcr.system_model import with_overrides
+from helpers import combined_pmf, pmf, tail_at_least
 
 
 class TestNaturePmf:
@@ -130,13 +133,13 @@ class TestDistributions:
     def test_convolution_matches_scalar_sum(self, testbench_params):
         dist = combined_distribution(testbench_params)
         for q in range(0, 2 * testbench_params.N_max):
-            assert dist.pmf(q) == pytest.approx(
+            assert pmf(dist, q) == pytest.approx(
                 combined_pmf(testbench_params, True, q), abs=1e-12), q
 
     def test_pmf_and_tail_are_complementary(self, testbench_params):
         dist = combined_distribution(testbench_params)
         for n in range(dist.support_size + 2):
-            below = sum(dist.pmf(k) for k in range(n))
+            below = sum(pmf(dist, k) for k in range(n))
             assert below + dist.tail_at_least(n) == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_additivity(self, make_params):
@@ -150,8 +153,8 @@ class TestDistributions:
 
     def test_negative_and_outside_support(self, testbench_params):
         dist = nature_distribution(testbench_params)
-        assert dist.pmf(-1) == 0.0
-        assert dist.pmf(dist.support_size + 5) == 0.0
+        assert pmf(dist, -1) == 0.0
+        assert pmf(dist, dist.support_size + 5) == 0.0
         assert dist.tail_at_least(-2) == 1.0
 
     def test_invalid_masses_rejected(self):
@@ -159,3 +162,22 @@ class TestDistributions:
             HarvestPmf(np.array([0.5, 0.4]))
         with pytest.raises(ValueError):
             HarvestPmf(np.array([1.2, -0.2]))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                HarvestPmf(np.array([bad, 1.0]))
+
+    @given(mode=st.sampled_from(["mixed", "nature", "rf"]),
+           lambda_e=st.floats(0.0, 5000.0), eta=st.floats(0.0, 1.0),
+           n_max=st.integers(1, 60))
+    def test_tail_nonincreasing_in_count(self, testbench_params, mode,
+                                         lambda_e, eta, n_max):
+        # the harvest modes of the CLI sweep: one source zeroed, or both on
+        changes = {"lambda_e": lambda_e, "eta": eta, "N_max": n_max}
+        changes.update({"nature": {"eta": 0.0}, "rf": {"lambda_e": 0.0}}
+                       .get(mode, {}))
+        params = with_overrides(testbench_params, **changes)
+        for dist in (nature_distribution(params), rf_distribution(params),
+                     combined_distribution(params)):
+            tail = dist.tail_at_least(np.arange(-2, dist.support_size + 3))
+            assert tail[0] == 1.0 and tail[-1] == 0.0
+            assert np.all(np.diff(tail) <= 0.0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.optimize import linprog
 
@@ -11,7 +13,6 @@ from ehcr.numerics import (
     LP_FEASIBILITY_TOL,
     LinearProgram,
     WarmStart,
-    empty_constraints,
     feasibility_violation,
     marcum_q,
     regularized_lower_gamma_int,
@@ -20,6 +21,7 @@ from ehcr.numerics import (
     warm_start_available,
 )
 
+from helpers import deadline, empty_constraints
 
 def upper_gamma_quadrature(m: int, x: float) -> float:
     """Independent oracle: adaptive quadrature of the gamma integrand."""
@@ -71,6 +73,25 @@ class TestUpperGamma:
             regularized_upper_gamma_int(0, 1.0)
         with pytest.raises(ValueError):
             regularized_upper_gamma_int(2, -0.5)
+
+    @given(m=st.integers(1, 60), x=st.floats(0.0, 800.0),
+           y=st.floats(0.0, 800.0))
+    def test_tail_monotone_property(self, m, x, y):
+        # nonincreasing in x up to rounding (a few ulps between close
+        # arguments), nondecreasing in m exactly: the m+1 sum adds a term
+        lo, hi = sorted((x, y))
+        upper = regularized_upper_gamma_int(m, lo)
+        assert 0.0 <= upper <= 1.0
+        assert regularized_upper_gamma_int(m, hi) <= upper * (1.0 + 1e-13)
+        assert regularized_upper_gamma_int(m + 1, lo) >= upper
+
+    @pytest.mark.parametrize("tail", [regularized_upper_gamma_int,
+                                      regularized_lower_gamma_int])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_argument_refused(self, tail, x):
+        # the lower tail's series never met its stop test on NaN
+        with deadline(5.0), pytest.raises(ValueError, match="finite"):
+            tail(3, x)
 
     def test_lower_complements_upper(self):
         for m in (1, 2, 5, 9):
@@ -166,6 +187,12 @@ class TestMarcumQ:
             marcum_q(0, 1.0, 1.0)
         with pytest.raises(ValueError):
             marcum_q(1, -1.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 2.0), (2.0, math.nan),
+                                      (math.inf, 2.0), (2.0, math.inf)])
+    def test_non_finite_argument_refused(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            marcum_q(3, a, b)
 
 
 def _box_lp(objective, ub_matrix, ub_rhs):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehcr import harvesting, numerics, optimizer
-from ehcr.chain import action_ranges, transition_components
+from ehcr.chain import action_ranges
 from ehcr.numerics import LP_FEASIBILITY_TOL, solve_lp
 from ehcr.optimizer import (
     GridSpec,
@@ -18,11 +18,10 @@ from ehcr.optimizer import (
     optimize,
     solve_fixed,
 )
-from ehcr.outage import bundle
 from ehcr.performance import evaluate, rate_rows
 from ehcr.sensing import SensingConfig, detection_avg, false_alarm
 from ehcr.system_model import ConfigurationError, derive, with_overrides
-from helpers import reference_recover
+from helpers import components_at, outages_at, reference_recover
 from test_numerics import linprog_reference, needs_highs
 from test_performance import random_policy
 
@@ -149,8 +148,6 @@ class TestSolveFixed:
     def test_unconstrained_idle_channel_dominates_random(self, testbench_params):
         # no floor, no licensed activity: nothing feasible may beat the LP
         from ehcr import harvesting
-        from ehcr.chain import transition_components
-        from ehcr.outage import bundle
         from ehcr.sensing import detection_avg
         from ehcr.system_model import derive
         from helpers import fast_policy_value
@@ -162,11 +159,11 @@ class TestSolveFixed:
         cfg = SensingConfig.from_params(params, tau, threshold)
         p_d = detection_avg(cfg, q.gamma_bar)
         p_f = false_alarm(cfg)
-        components = transition_components(
+        components = components_at(
             params, tau, *(harvesting.nature_distribution(params),
                            harvesting.combined_distribution(params)),
             p_d, p_f)
-        outages = bundle(params, tau)
+        outages = outages_at(params, tau)
         rng = np.random.default_rng(51)
         best = max(
             fast_policy_value(params, components, outages, p_d, p_f,
@@ -259,7 +256,7 @@ class TestWarmScreen:
     def test_first_rung_matches_linprog_on_policy_lps(self, testbench_params):
         params = testbench_params
         idle = harvesting.nature_distribution(params)
-        active = harvesting.combined_distribution(params, include_rf=True)
+        active = harvesting.combined_distribution(params)
         for tau, threshold, scheme in ((5e-4, 33.0, "probabilistic"),
                                        (2e-3, 60.0, "probabilistic"),
                                        (1e-3, 20.0, "sensing_only"),
@@ -268,9 +265,9 @@ class TestWarmScreen:
             quantities = derive(params, tau, require_sensing_capacity=False)
             p_d = detection_avg(cfg, quantities.gamma_bar)
             p_f = false_alarm(cfg)
-            components = transition_components(params, tau, idle, active, p_d, p_f)
+            components = components_at(params, tau, idle, active, p_d, p_f)
             mu_s_row, mu_p_row = rate_rows(
-                params, bundle(params, tau), p_d, p_f, components.alpha_range,
+                params, outages_at(params, tau), p_d, p_f, components.alpha_range,
                 components.beta_range)
             lp = _build_lp(params, components, mu_s_row, mu_p_row, scheme)
             assert np.array_equal(solve_lp(lp).x, linprog_reference(lp).x)

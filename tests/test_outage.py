@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ehcr.outage import bundle, no_outage_direct, no_outage_interfered
+from ehcr.outage import no_outage_direct, no_outage_interfered
 from ehcr.system_model import with_overrides
+from helpers import outages_at
 
 SIGMA_P = 0.8 / 25.0
 SIGMA_S = 0.8 / 9.0
@@ -88,7 +89,7 @@ class TestInterfered:
 
 class TestBundle:
     def test_table1_values(self, table1_params):
-        b = bundle(table1_params, 1e-4)
+        b = outages_at(table1_params, 1e-4)
         assert b.pu_no_outage_silent == pytest.approx(0.728031161797609, abs=1e-9)
         assert b.pu_no_outage_ws == pytest.approx(0.0028558177270338, abs=1e-9)
         assert b.su_no_outage_ws == pytest.approx(0.9996665600964787, abs=1e-9)
@@ -97,7 +98,7 @@ class TestBundle:
     def test_short_sensing_limit(self, table1_params):
         # sensing-branch values converge to the full-slot values as tau -> 0
         w = table1_params.W
-        small = bundle(table1_params, 1.0 / w)
+        small = outages_at(table1_params, 1.0 / w)
         assert small.su_no_outage_s == pytest.approx(
             small.su_no_outage_ws, abs=5e-4)
         assert small.pu_no_outage_md == pytest.approx(
@@ -105,11 +106,11 @@ class TestBundle:
 
     def test_vanishing_pu_power_removes_interference(self, make_params):
         params = make_params(P_p=1e-12)
-        b = bundle(params, 1e-3)
+        b = outages_at(params, 1e-3)
         assert b.su_no_outage_wsp == pytest.approx(b.su_no_outage_ws, rel=1e-9)
 
     def test_interference_ordering(self, testbench_params):
-        b = bundle(testbench_params, 2e-3)
+        b = outages_at(testbench_params, 2e-3)
         assert b.pu_no_outage_silent >= b.pu_no_outage_ws
         assert b.pu_no_outage_silent >= b.pu_no_outage_md
         assert b.su_no_outage_ws >= b.su_no_outage_wsp
@@ -122,7 +123,7 @@ class TestBundle:
         rng = np.random.default_rng(303)
         n = 1_000_000
         for params, tau in ((table1_params, 1e-4), (testbench_params, 2e-3)):
-            b = bundle(params, tau)
+            b = outages_at(params, tau)
             pb = params.E_t / params.T
             ps = params.E_t / (params.T - tau)
             rp = params.b_p / (params.T * params.W)
@@ -154,4 +155,4 @@ class TestBundle:
 
     def test_tau_out_of_range(self, table1_params):
         with pytest.raises(ValueError):
-            bundle(table1_params, table1_params.T)
+            outages_at(table1_params, table1_params.T)

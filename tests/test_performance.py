@@ -4,11 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehcr.chain import Policy, StationaryDistribution, action_ranges
-from ehcr.outage import bundle
 from ehcr.performance import evaluate, occupation, rate_rows
 from ehcr.sensing import SensingConfig, detection_avg, false_alarm
 from ehcr.system_model import derive, with_overrides
-from helpers import access_stats, primary_success_rate, secondary_success_rate
+from helpers import (
+    access_stats,
+    outages_at,
+    primary_success_rate,
+    secondary_success_rate,
+)
 from helpers import random_policy as _random_policy
 
 TAU = 5e-4
@@ -41,13 +45,13 @@ class TestPrimaryRate:
     def test_idle_policy_gives_silent_value(self, testbench_params):
         report = evaluate(testbench_params,
                           Policy.idle(testbench_params, TAU, THRESHOLD))
-        silent = bundle(testbench_params, TAU).pu_no_outage_silent
+        silent = outages_at(testbench_params, TAU).pu_no_outage_silent
         assert report.mu_p == pytest.approx(silent, abs=1e-12)
         assert report.mu_s == 0.0
 
     def test_pure_blind_on_pinned_mass_gives_interfered_value(self, testbench_params):
         params = testbench_params
-        outages = bundle(params, TAU)
+        outages = outages_at(params, TAU)
         pi = pinned_stationary(params, 1.0)
         policy = Policy.constant(params, TAU, THRESHOLD, 0.0, 1.0, 0.0)
         value, _ = row_rates(params, pi, policy, outages, p_d=0.97)
@@ -60,7 +64,7 @@ class TestPrimaryRate:
         rng = np.random.default_rng(31)
         for _ in range(500):
             policy = random_policy(rng, params)
-            outages = bundle(params, TAU)
+            outages = outages_at(params, TAU)
             pi = StationaryDistribution(np.full(params.n_states,
                                                 1.0 / params.n_states))
             value, _ = row_rates(params, pi, policy, outages, p_d=0.9)
@@ -90,7 +94,7 @@ class TestSecondaryRate:
         cfg = SensingConfig.from_params(params, TAU, THRESHOLD)
         p_f = false_alarm(cfg)
         report = evaluate(params, policy)
-        outages = bundle(params, TAU)
+        outages = outages_at(params, TAU)
         _, beta_range = action_ranges(params, TAU)
         mass = float(report.stationary.pi[beta_range.start:].sum())
         expected = (1.0 - p_f) * outages.su_no_outage_s * mass
@@ -98,7 +102,7 @@ class TestSecondaryRate:
 
     def test_monotone_in_access_probabilities_at_frozen_law(self, testbench_params):
         params = testbench_params
-        outages = bundle(params, TAU)
+        outages = outages_at(params, TAU)
         pi = pinned_stationary(params, 0.8)
         rng = np.random.default_rng(37)
         cfg = SensingConfig.from_params(params, TAU, THRESHOLD)
@@ -169,7 +173,7 @@ class TestRateRows:
         rng = np.random.default_rng(policy_seed)
         policy = random_policy(rng, params, tau)
         pi = StationaryDistribution(rng.dirichlet(np.full(params.n_states, 0.3)))
-        outages = bundle(params, tau)
+        outages = outages_at(params, tau)
         mu_p, mu_s = row_rates(params, pi, policy, outages, p_d, p_f)
         assert mu_p == pytest.approx(
             primary_success_rate(params, pi, policy, outages, p_d), abs=1e-12)
@@ -192,7 +196,7 @@ class TestRateRows:
         q = derive(params, tau, require_sensing_capacity=False)
         p_d = detection_avg(cfg, q.gamma_bar)
         p_f = false_alarm(cfg)
-        outages = bundle(params, tau)
+        outages = outages_at(params, tau)
         pi = report.stationary
         assert report.mu_p == pytest.approx(
             primary_success_rate(params, pi, policy, outages, p_d), abs=1e-12)

@@ -5,14 +5,13 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import random_policy, reference_batch_se, reference_run
+from helpers import outages_at, random_policy, reference_batch_se, reference_run
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ehcr import sensing
 from ehcr.chain import Policy, action_ranges
 from ehcr.optimizer import GridSpec
-from ehcr.outage import bundle
 from ehcr.performance import evaluate
 from ehcr.simulator import (
     CORRELATION_MODES,
@@ -60,7 +59,7 @@ class TestRun:
         assert report.action_counts["idle"] == 50_000
         assert report.battery_histogram[0] == 50_000
         # licensed user unaffected: empirical rate matches the solitary value
-        silent = bundle(params, TAU).pu_no_outage_silent
+        silent = outages_at(params, TAU).pu_no_outage_silent
         assert abs(report.mu_p - silent) <= 3.0 * report.mu_p_se
 
     def test_histogram_sums_to_slots_and_stays_in_range(self, testbench_params):
@@ -77,7 +76,7 @@ class TestRun:
         report = run(params, policy, SimConfig(slots=100_000, seed=5))
         assert report.pu_active_slots == 0
         assert math.isnan(report.mu_p)
-        ws = bundle(params, TAU).su_no_outage_ws
+        ws = outages_at(params, TAU).su_no_outage_ws
         access = (report.action_counts["blind"]) / report.slots
         assert abs(report.mu_s - ws * access) <= 3.0 * report.mu_s_se
 

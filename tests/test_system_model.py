@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,14 @@ class TestValidate:
         bad = make_params(N_max=5)  # n_t = 10
         assert any("battery" in v for v in validate(bad))
 
+    @pytest.mark.parametrize("name", ["P_p", "sigma_n2", "T", "W", "b_p", "b_s",
+                                      "E_u", "E_t", "e_proc", "f_s",
+                                      "lambda_e"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, testbench_params, name, value):
+        bad = with_overrides(testbench_params, **{name: value})
+        assert any(v.startswith(f"{name} must be finite") for v in validate(bad))
+
 
 class TestConfigIO:
     def test_round_trip_identity(self, table1_params, testbench_params):
@@ -113,3 +123,21 @@ class TestConfigIO:
         assert link.mean_gain == pytest.approx(0.8 / 9.0, rel=1e-12)
         with pytest.raises(ValueError):
             LinkParams(fading_mean=0.0, distance=1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                LinkParams(fading_mean=bad, distance=1.0)
+            with pytest.raises(ValueError, match="finite"):
+                LinkParams(fading_mean=0.8, distance=bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+    def test_non_integral_battery_rejected(self, testbench_params, value):
+        doc = params_to_dict(testbench_params)
+        doc["N_max"] = value
+        with pytest.raises(ConfigurationError, match="N_max must be an integer"):
+            params_from_dict(doc)
+
+    def test_battery_within_snap_is_rounded(self, testbench_params):
+        # int() used to truncate a value the snap accepted: 19.9999999999 -> 19
+        doc = params_to_dict(testbench_params)
+        doc["N_max"] = 19.9999999999
+        assert params_from_dict(doc).N_max == 20
