@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .harvesting import HarvestPmf
 from .system_model import DerivedQuantities, SystemParams, derive
@@ -284,17 +282,22 @@ def compose_transition(components: TransitionComponents, alpha: np.ndarray,
 
 
 def _closed_classes(p: np.ndarray) -> list[list[int]]:
-    """Strongly connected components with no outgoing edge."""
-    adjacency = csr_matrix(p > _EDGE_TOL)
-    n_comp, labels = connected_components(adjacency, connection="strong")
-    closed = []
-    for label in range(n_comp):
-        states = np.nonzero(labels == label)[0]
-        outside = np.ones(p.shape[0], dtype=bool)
-        outside[states] = False
-        if p[np.ix_(states, np.nonzero(outside)[0])].max(initial=0.0) <= _EDGE_TOL:
-            closed.append([int(s) for s in states])
-    return closed
+    """Strongly connected components with no outgoing edge, sorted.
+
+    The reachability closure comes from squaring the one-step relation (with
+    every state reaching itself) until it stops growing; a state is in a
+    closed class when every state it reaches reaches it back, and its class
+    is then the set it reaches.
+    """
+    reach = (p > _EDGE_TOL) | np.eye(p.shape[0], dtype=bool)
+    while True:
+        wider = (reach.astype(float) @ reach) > 0.0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    closed = np.all(reach <= reach.T, axis=1)
+    return [list(c) for c in sorted({tuple(np.nonzero(reach[i])[0].tolist())
+                                     for i in np.nonzero(closed)[0]})]
 
 
 def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:

@@ -7,8 +7,9 @@ the analytical model against a simulation).  All results are written as
 UTF-8 CSV with a header row and nine significant digits; identical inputs
 and seeds produce byte-identical output.
 
-Exit codes: 0 success, 1 configuration error, 2 infeasible optimization,
-3 validation flags raised.
+Exit codes: 0 success, 1 configuration error (a battery chain with no
+unique stationary law included), 2 infeasible optimization, 3 validation
+flags raised.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import simulator
-from .chain import Policy
+from .chain import AmbiguousChainError, Policy
 from .optimizer import (
     SCHEMES,
     GridSpec,
@@ -208,7 +209,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     rows.append((value, scheme, mode, "infeasible")
                                 + ("",) * 7)
                     continue
-                except (ConfigurationError, ValueError) as exc:
+                except (ConfigurationError, ValueError, AmbiguousChainError) as exc:
                     print(f"rho={value} {scheme}/{mode}: {exc}", file=sys.stderr)
                     rows.append((value, scheme, mode, "error")
                                 + ("",) * 7)
@@ -347,7 +348,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, AmbiguousChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigurationError as exc:

@@ -1,25 +1,17 @@
 """Special functions and a small dense linear-program front end.
 
-Everything here except :class:`WarmStart` is a pure function of its inputs
-and safe to call from any number of threads: integer-order gamma tail
-probabilities, the generalized Marcum Q function, and a maximization wrapper
-around scipy's HiGHS solver for the small dense programs built by the policy
-optimizer.  A :class:`WarmStart` owns one solver instance and belongs to one
-caller.
+Everything here is a pure function of its inputs and safe to call from any
+number of threads: integer-order gamma tail probabilities, the generalized
+Marcum Q function, and a maximization wrapper around scipy's HiGHS solver
+(``linprog``) for the small dense programs built by the policy optimizer.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
-
-try:  # scipy's bundled HiGHS core; private, so every name used is checked
-    from scipy.optimize._highspy import _core as _highs_core
-except ImportError:  # scipy builds before the pybind11 HiGHS bindings
-    _highs_core = None
 
 MARCUM_MAX_TERMS = 10_000
 MARCUM_TAIL_RTOL = 1e-12
@@ -34,12 +26,13 @@ _LOG_TINY = -700.0
 #: maximum constraint violation an "optimal" solution may carry
 LP_FEASIBILITY_TOL = 1e-8
 
-#: HiGHS tolerances of every rung; the warm start and the direct first rung
-#: pass the same two
+#: HiGHS tolerances of every rung
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
     "dual_feasibility_tolerance": 1e-9,
 }
+#: the solve ladder: (linprog method, options beyond the tolerances) per rung
+_RUNGS = (("highs", {}), ("highs-ipm", {}), ("highs", {"presolve": False}))
 
 
 class MarcumConvergenceError(ArithmeticError):
@@ -223,22 +216,12 @@ class LinearProgram:
     def n_variables(self) -> int:
         return self.objective.shape[0]
 
-    @cached_property
-    def bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds as arrays, None read as -inf and +inf."""
-        bounds = np.array([(-math.inf if lo is None else lo,
-                            math.inf if hi is None else hi)
-                           for lo, hi in self.bounds], dtype=float)
-        bounds = bounds.reshape(self.n_variables, 2)
-        return bounds[:, 0], bounds[:, 1]
-
 
 @dataclass(frozen=True)
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective_value: float | None
-    warm: bool = False  # found from a carried basis (see WarmStart)
 
 
 def feasibility_violation(lp: LinearProgram, x: np.ndarray) -> float:
@@ -254,202 +237,50 @@ def feasibility_violation(lp: LinearProgram, x: np.ndarray) -> float:
     if lp.ub_matrix.shape[0]:
         worst = max(worst, float(np.max(lp.ub_matrix @ x - lp.ub_rhs)))
     if x.size:
-        lower, upper = lp.bound_arrays
+        lower, upper = np.array([(-math.inf if lo is None else lo,
+                                  math.inf if hi is None else hi)
+                                 for lo, hi in lp.bounds], dtype=float).T
         worst = max(worst, float(np.max(lower - x)), float(np.max(x - upper)))
     return worst
 
 
-def _load_highs():
-    """The HiGHS core module if it offers every name used here, else None."""
-    if _highs_core is None:
-        return None
-    needed = ("_Highs", "HighsLp", "HighsOptions", "HighsStatus",
-              "HighsModelStatus", "MatrixFormat", "simplex_constants")
-    methods = ("passOptions", "passModel", "setBasis", "getBasis", "run",
-               "getModelStatus", "getSolution")
-    if not all(hasattr(_highs_core, name) for name in needed):
-        return None
-    if not all(hasattr(_highs_core._Highs, name) for name in methods):
-        return None
-    return _highs_core
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Maximize the LP, reporting infeasible/unbounded via status, not raise.
 
-
-#: HiGHS core for the direct calls; None selects the ``linprog`` ladder alone
-_HIGHS = _load_highs()
-
-
-def warm_start_available() -> bool:
-    """Whether :class:`WarmStart` can run (scipy ships a usable HiGHS core)."""
-    return _HIGHS is not None
-
-
-def _new_highs():
-    """A solver with the options ``linprog(method="highs")`` passes."""
-    highs = _HIGHS._Highs()
-    options = _HIGHS.HighsOptions()
-    options.presolve = "on"
-    strategies = _HIGHS.simplex_constants.SimplexStrategy
-    options.simplex_strategy = strategies.kSimplexStrategyDual
-    options.primal_feasibility_tolerance = _LP_OPTIONS["primal_feasibility_tolerance"]
-    options.dual_feasibility_tolerance = _LP_OPTIONS["dual_feasibility_tolerance"]
-    options.highs_debug_level = 0
-    options.output_flag = False
-    options.log_to_console = False
-    highs.passOptions(options)
-    return highs
-
-
-def _highs_model(lp: LinearProgram):
-    """The minimization model ``linprog`` hands HiGHS for ``lp``.
-
-    Inequality rows sit above equality rows, the matrix is column-wise with
-    explicit zeros dropped and row indices ascending (what ``csc_array``
-    makes of the dense stack), and inequality rows get -inf lower bounds.
+    Ill-conditioned instances can trip the simplex at tight tolerances or
+    come back from postsolve with out-of-tolerance residuals, so the solve
+    walks a ladder of ``linprog`` calls (simplex, interior point, simplex
+    without presolve) and accepts the first solution that passes the
+    feasibility audit.
     """
-    matrix = np.vstack([lp.ub_matrix, lp.eq_matrix])
-    n_rows, n_cols = matrix.shape
-    cols, rows = np.nonzero(matrix.T)
-    start = np.zeros(n_cols + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
-    model = _HIGHS.HighsLp()
-    model.num_col_ = n_cols
-    model.num_row_ = n_rows
-    model.col_cost_ = -lp.objective
-    model.col_lower_, model.col_upper_ = lp.bound_arrays
-    model.row_lower_ = np.concatenate([np.full(lp.ub_rhs.size, -math.inf), lp.eq_rhs])
-    model.row_upper_ = np.concatenate([lp.ub_rhs, lp.eq_rhs])
-    model.a_matrix_.format_ = _HIGHS.MatrixFormat.kColwise
-    model.a_matrix_.num_col_ = n_cols
-    model.a_matrix_.num_row_ = n_rows
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = rows.astype(np.int32)
-    model.a_matrix_.value_ = matrix[rows, cols]
-    return model
-
-
-def _highs_cold(lp: LinearProgram) -> tuple[int, np.ndarray | None, str]:
-    """Rung 1 without ``linprog``'s wrapper: same model, same status codes.
-
-    Returns ``linprog``'s status (0 optimal, 2 infeasible, 3 unbounded,
-    4 anything else), the solution when optimal and a message.
-    """
-    highs = _new_highs()
-    status_codes = _HIGHS.HighsModelStatus
-    if highs.passModel(_highs_model(lp)) == _HIGHS.HighsStatus.kError:
-        # linprog reports a model HiGHS rejects (kModelError) as infeasible
-        return 2, None, "HiGHS rejected the model"
-    run_status = highs.run()
-    model_status = highs.getModelStatus()
-    message = f"HiGHS model status {model_status.name}"
-    if run_status == _HIGHS.HighsStatus.kError:
-        return 4, None, message
-    if model_status == status_codes.kOptimal:
-        return 0, np.array(highs.getSolution().col_value), message
-    if model_status in (status_codes.kInfeasible, status_codes.kModelError):
-        return 2, None, message
-    if model_status == status_codes.kUnbounded:
-        return 3, None, message
-    return 4, None, message
-
-
-def _linprog_rung(lp: LinearProgram, method: str,
-                  options: dict) -> tuple[int, np.ndarray | None, str]:
-    result = linprog(
+    kwargs = dict(
         c=-lp.objective,
         A_ub=lp.ub_matrix if lp.ub_matrix.shape[0] else None,
         b_ub=lp.ub_rhs if lp.ub_rhs.shape[0] else None,
         A_eq=lp.eq_matrix if lp.eq_matrix.shape[0] else None,
         b_eq=lp.eq_rhs if lp.eq_rhs.shape[0] else None,
         bounds=list(lp.bounds),
-        method=method,
-        options=options,
     )
-    x = None if result.x is None else np.asarray(result.x, dtype=float)
-    return result.status, x, result.message
-
-
-def _rungs(lp: LinearProgram):
-    """The solve ladder, lazily: (name, (status, x, message)) per rung."""
-    if _HIGHS is not None:
-        yield "highs", _highs_cold(lp)
-    else:
-        yield "highs", _linprog_rung(lp, "highs", dict(_LP_OPTIONS))
-    yield "highs-ipm", _linprog_rung(lp, "highs-ipm", dict(_LP_OPTIONS))
-    yield "highs", _linprog_rung(lp, "highs", dict(_LP_OPTIONS, presolve=False))
-
-
-class WarmStart:
-    """Dual simplex carried from one LP to the next of the same shape.
-
-    Each :meth:`solve` starts from the optimal basis of the previous
-    successful one, which pays when consecutive programs differ in a few
-    coefficients only (one sensing-time column of the optimizer grid).  The
-    result may differ from a cold solve in the last bits, so callers that
-    need reproducible answers re-solve the points that matter cold.
-    """
-
-    def __init__(self):
-        self._highs = _new_highs()
-        self._basis = None
-
-    def solve(self, lp: LinearProgram) -> LpSolution | None:
-        """Audited optimum from the carried basis, or None.
-
-        None means the solve ended other than optimal or its solution failed
-        the feasibility audit; the basis is dropped and the caller falls back
-        to the cold ladder.
-        """
-        highs, error = self._highs, _HIGHS.HighsStatus.kError
-        x = None
-        if highs.passModel(_highs_model(lp)) != error:
-            if self._basis is not None:
-                highs.setBasis(self._basis)
-            if (highs.run() != error and highs.getModelStatus()
-                    == _HIGHS.HighsModelStatus.kOptimal):
-                x = np.array(highs.getSolution().col_value)
-        if x is None or feasibility_violation(lp, x) > LP_FEASIBILITY_TOL:
-            self._basis = None
-            return None
-        self._basis = highs.getBasis()
-        return LpSolution("optimal", x, float(lp.objective @ x), warm=True)
-
-
-def solve_lp(lp: LinearProgram, warm: WarmStart | None = None) -> LpSolution:
-    """Maximize the LP, reporting infeasible/unbounded via status, not raise.
-
-    Ill-conditioned instances can trip the simplex at tight tolerances or
-    come back from postsolve with out-of-tolerance residuals, so the solve
-    walks a ladder (simplex, interior point, simplex without presolve) and
-    accepts the first solution that passes the feasibility audit.  The first
-    rung calls scipy's HiGHS core directly with the model and options that
-    ``linprog(method="highs")`` would pass, so it returns the same bits at a
-    fraction of the wrapper cost; without a usable core it is ``linprog``.
-
-    With ``warm`` the solve first tries :meth:`WarmStart.solve` and returns
-    its audited answer, marked ``warm=True``; those answers can differ from
-    the ladder's in the last bits.  Only a failed warm solve reaches the
-    ladder, so infeasible and unbounded programs keep the ladder's status.
-    """
-    if warm is not None:
-        solution = warm.solve(lp)
-        if solution is not None:
-            return solution
     worst: tuple[float, str] | None = None
-    for method, (status, x, message) in _rungs(lp):
-        if status == 0:
+    for method, options in _RUNGS:
+        result = linprog(method=method, options=dict(_LP_OPTIONS, **options),
+                         **kwargs)
+        if result.status == 0:
+            x = np.asarray(result.x, dtype=float)
             violation = feasibility_violation(lp, x)
             if violation <= LP_FEASIBILITY_TOL:
                 return LpSolution("optimal", x, float(lp.objective @ x))
             if worst is None or violation < worst[0]:
                 worst = (violation, method)
             continue
-        if status == 2:
+        if result.status == 2:
             return LpSolution("infeasible", None, None)
-        if status == 3:
+        if result.status == 3:
             return LpSolution("unbounded", None, None)
     if worst is not None:
         raise RuntimeError(
             f"every LP solve violated constraints; best residual "
             f"{worst[0]:.3e} from {worst[1]}"
         )
-    raise RuntimeError(f"LP solver failure (status {status}): {message}")
+    raise RuntimeError(
+        f"LP solver failure (status {result.status}): {result.message}")

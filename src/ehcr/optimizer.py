@@ -1,29 +1,34 @@
-"""Grid search with an inner linear program for the best access policy.
+"""Grid search for the best access policy, screened without an LP.
 
 For a fixed sensing time and detection threshold the stationary balance
 equations become linear once the per-level action probabilities are replaced
 by their products with the stationary masses: the occupation vector of
 :func:`~ehcr.performance.occupation`.  The secondary success rate and the
 licensed-user floor are the rows of :func:`~ehcr.performance.rate_rows` over
-the same vector, so each grid point reduces to a small dense LP; an
-exhaustive search over the admissible sensing times and a threshold grid then
-picks the best feasible point.  Everything but the detector terms depends on
-the sensing time alone, so each sensing time is derived, checked against the
-scheme and turned into outage probabilities and kernel blocks once, as a
-column that every threshold LP there shares.
+the same vector, so each grid point is a small dense LP; an exhaustive search
+over the admissible sensing times and a threshold grid then picks the best
+feasible point.  Everything but the detector terms depends on the sensing
+time alone, so each sensing time is derived, checked against the scheme and
+turned into outage probabilities and kernel blocks once, as a column that
+every threshold there shares.
 
-The search runs in two passes.  A screen solves each sensing time's
-threshold LPs in order, each warm-started from the previous optimal basis
-(see :class:`~ehcr.numerics.WarmStart`); its objectives can differ from a
-cold solve in the last bits.  Every screened point within
-``LP_FEASIBILITY_TOL`` of the best is then re-solved cold, and only these
-certified candidates compete: the maximum objective wins, ties broken toward
-the smaller sensing time, then the smaller threshold, regardless of
-evaluation order.  Points equal in value to within solver noise are common
-(whole grids can tie), so the winner is reproducible bit for bit only
-because the near-ties are decided on cold solves.  Of a warm answer the
-screen keeps only the status and objective, and only the winner's policy is
-recovered from its LP solution.
+The search runs in two passes.  The screen values all thresholds of a
+column at once as constrained MDPs over the battery levels, with idling,
+blind access and sensing as the actions (Puterman 1994, ch. 8-9; Altman
+1999, ch. 3).  Batched average-reward policy iteration finds the
+unconstrained optimum, the point's value when it clears the floor; the
+highest licensed-user rate decides infeasibility; any other point gets the
+LP value, that of a mix of two deterministic policies, from a cutting-plane
+search on the Lagrangian dual of ``mu_s + nu * (mu_p - mu_th)``.  A column
+whose value determination is singular, as with no harvest at all, goes to
+the LP point by point.  Every point within ``LP_FEASIBILITY_TOL`` of the
+best is then solved cold by the LP, and only these certified candidates
+compete: the maximum objective wins, ties broken toward the smaller sensing
+time, then the smaller threshold, regardless of evaluation order.  Points
+equal in value to within solver noise are common (whole grids can tie), so
+the winner is reproducible bit for bit only because the near-ties are
+decided on cold solves, and only the winner's policy is recovered from its
+LP solution.
 """
 from __future__ import annotations
 
@@ -42,14 +47,7 @@ from .chain import (
     harvest_blocks,
     transition_components,
 )
-from .numerics import (
-    LP_FEASIBILITY_TOL,
-    LinearProgram,
-    LpSolution,
-    WarmStart,
-    solve_lp,
-    warm_start_available,
-)
+from .numerics import LP_FEASIBILITY_TOL, LinearProgram, LpSolution, solve_lp
 from .outage import OutageBundle, bundle
 from .performance import PerformanceReport, evaluate, rate_rows
 from .system_model import (
@@ -64,6 +62,12 @@ SCHEMES = ("probabilistic", "sensing_only")
 
 #: stationary mass below which a level counts as unreachable during recovery
 RECOVERY_MASS_FLOOR = 1e-12
+
+#: improvement, relative to the reward scale, a policy-iteration step must
+#: make to change an action; also the gap that ends the cutting-plane search
+_PI_TOL = 1e-12
+#: steps of either iteration after which a column is left to the LP
+_PI_MAX_STEPS = 100
 
 #: false-alarm extremes the default threshold grid spans at each m
 _PFA_SPAN = (0.999, 0.001)
@@ -167,7 +171,7 @@ class GridPointStatus:
     #: "optimal" | "infeasible" | "unsupported_m" | "sensing_unreachable"
     #: | "solver_failure" (every rung of the LP ladder failed)
     status: str
-    #: LP optimum; the warm screen's value unless the point was re-solved cold
+    #: optimum; the screen's value unless the point was solved by the LP
     objective: float | None = None
 
 
@@ -272,26 +276,147 @@ def _unsupported(params: SystemParams, quantities: DerivedQuantities,
     return None
 
 
-def _point_lp(params: SystemParams, column: _Column, threshold: float,
-              scheme: str) -> tuple[LinearProgram, np.ndarray]:
-    """The policy LP at one threshold of a column, and its mu_p row."""
+def _point_rows(params: SystemParams, column: _Column, threshold: float
+                ) -> tuple[TransitionComponents, np.ndarray, np.ndarray]:
+    """Kernel components and (mu_s, mu_p) rate rows at one threshold of a
+    column: the inputs of both the policy LP and the screen."""
     q = column.quantities
     cfg = sensing.SensingConfig(q.tau, threshold, q.m)
     p_d = sensing.detection_avg(cfg, q.gamma_bar)
     p_f = sensing.false_alarm(cfg)
     components = transition_components(params, q, column.blocks, p_d, p_f)
-    mu_s_row, mu_p_row = rate_rows(params, column.outages, p_d, p_f,
-                                   q.alpha_range, q.beta_range)
+    return components, *rate_rows(params, column.outages, p_d, p_f,
+                                  q.alpha_range, q.beta_range)
+
+
+def _point_lp(params: SystemParams, column: _Column, threshold: float,
+              scheme: str) -> tuple[LinearProgram, np.ndarray]:
+    """The policy LP at one threshold of a column, and its mu_p row."""
+    components, mu_s_row, mu_p_row = _point_rows(params, column, threshold)
     return _build_lp(params, components, mu_s_row, mu_p_row, scheme), mu_p_row
 
 
-def _solve_point(lp: LinearProgram, tau: float, threshold: float,
-                 warm: WarmStart | None = None
+def _column_mdp(params: SystemParams, column: _Column,
+                thresholds: tuple[float, ...], scheme: str
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A column's thresholds as a batch of MDPs over the battery levels.
+
+    Returns the (K, 3, n, n) kernels and (K, 3, n, 2) (mu_s, mu_p) rewards of
+    idling, blind access and sensing at each level, read off the point's
+    transition components and rate rows, and the (3, n) mask of the actions
+    each level admits; the sensing-only scheme admits no blind access.
+    """
+    q = column.quantities
+    n = params.n_states
+    acting, sensing_from = q.alpha_range.start, q.beta_range.start
+    kernels, rewards = [], []
+    for threshold in thresholds:
+        components, mu_s_row, mu_p_row = _point_rows(params, column, threshold)
+        idle = components.idle
+        kernels.append((idle, idle + components.blind_delta,
+                        idle + components.sense_delta))
+        rows = np.stack([mu_s_row, mu_p_row], axis=1)
+        reward = np.repeat(rows[None, :n], 3, axis=0)
+        reward[1, acting:] += rows[n:2 * n - acting]
+        reward[2, sensing_from:] += rows[2 * n - acting:]
+        rewards.append(reward)
+    # each action is admitted from its first affordable level up
+    blind_from = n if scheme == "sensing_only" else acting
+    allowed = np.arange(n) >= np.array([[0], [blind_from], [sensing_from]])
+    return np.array(kernels), np.array(rewards), allowed
+
+
+def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
+                      allowed: np.ndarray, weights) -> np.ndarray | None:
+    """Gains (K, 2) of (mu_s, mu_p) under a deterministic policy maximizing
+    the average of ``rewards @ weights`` in each MDP of the batch; ``weights``
+    is one (2,) pair or a (K, 2) stack.
+
+    Average-reward policy iteration from the all-idle policy.  Value
+    determination solves ``g + h = r + P h`` with ``h`` pinned to zero at
+    level 0, one ``np.linalg.solve`` for the whole batch; a level changes
+    action only for a gain above the tolerance.  None when a solve is
+    singular or not finite (a policy with several closed classes) or the
+    iteration does not settle.
+    """
+    count, _, n, _ = rewards.shape
+    weights = np.broadcast_to(weights, (count, 2))
+    batch, levels = np.arange(count)[:, None], np.arange(n)
+    weighted = (rewards @ weights[:, None, :, None])[..., 0]
+    tol = _PI_TOL * (1.0 + np.abs(weights).sum(axis=1))[:, None]
+    policy = np.zeros((count, n), dtype=int)
+    for _ in range(_PI_MAX_STEPS):
+        system = np.eye(n) - kernels[batch, policy, levels]
+        system[:, :, 0] = 1.0  # the gain takes the place of h at level 0
+        try:
+            solved = np.linalg.solve(system, rewards[batch, policy, levels])
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(solved)):
+            return None
+        bias = solved @ weights[:, :, None]
+        bias[:, 0] = 0.0
+        values = weighted + (kernels @ bias[:, None])[..., 0]
+        values[:, ~allowed] = -np.inf
+        better = values.max(axis=1) > values[batch, policy, levels] + tol
+        if not better.any():
+            return solved[:, 0]
+        policy = np.where(better, values.argmax(axis=1), policy)
+    return None
+
+
+def _screen(params: SystemParams, column: _Column,
+            thresholds: tuple[float, ...], scheme: str) -> np.ndarray | None:
+    """Optimal LP objective at each threshold of a column, NaN where the
+    floor is out of reach, found without an LP; see the module docstring.
+
+    A point whose unconstrained optimum misses the floor gets the minimum
+    over nu >= 0 of the dual ``max mu_s + nu * (mu_p - mu_th)`` by cutting
+    planes: the lines of a policy below and one on or above the floor meet
+    at the next nu, and the search stops once no policy rises above them
+    there.  The value is then that of the mix of the two policies meeting
+    the floor.  None when a policy iteration fails.
+    """
+    kernels, rewards, allowed = _column_mdp(params, column, thresholds, scheme)
+    mu_th = params.mu_th
+
+    def solve(points: np.ndarray, weights) -> np.ndarray | None:
+        return _policy_iteration(kernels[points], rewards[points], allowed, weights)
+
+    free = solve(np.arange(len(thresholds)), (1.0, 0.0))
+    if free is None:
+        return None
+    objective = free[:, 0].copy()
+    points = np.nonzero(free[:, 1] < mu_th)[0]
+    safe = solve(points, (0.0, 1.0))  # the highest licensed-user rate
+    if safe is None:
+        return None
+    reachable = safe[:, 1] >= mu_th
+    objective[points[~reachable]] = np.nan
+    points, low, high = points[reachable], free[points[reachable]], safe[reachable]
+    for _ in range(_PI_MAX_STEPS):
+        if not points.size:
+            return objective
+        # low's line falls and high's rises in nu; they meet at nu
+        nu = np.maximum((low[:, 0] - high[:, 0]) / (high[:, 1] - low[:, 1]), 0.0)
+        cut = solve(points, np.stack([np.ones_like(nu), nu], axis=1))
+        if cut is None:
+            return None
+        gap = (cut[:, 0] - low[:, 0]) + nu * (cut[:, 1] - low[:, 1])
+        done = gap <= _PI_TOL * (1.0 + nu)
+        share = (mu_th - low[done, 1]) / (high[done, 1] - low[done, 1])
+        objective[points[done]] = low[done, 0] + share * (high[done, 0] - low[done, 0])
+        below = (cut[:, 1] < mu_th)[:, None]
+        low, high = np.where(below, cut, low), np.where(below, high, cut)
+        points, low, high = points[~done], low[~done], high[~done]
+    return None
+
+
+def _solve_point(lp: LinearProgram, tau: float, threshold: float
                  ) -> tuple[GridPointStatus, LpSolution | None]:
-    """Status record and solution (None unless optimal) of one grid point's
-    LP, warm-started with ``warm`` (see :func:`~ehcr.numerics.solve_lp`)."""
+    """Status record and cold solution (None unless optimal) of a point's LP."""
     try:
-        solution = solve_lp(lp, warm)
+        solution = solve_lp(lp)
     except RuntimeError:
         return GridPointStatus(tau, threshold, "solver_failure"), None
     if solution.status != "optimal":
@@ -364,19 +489,19 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
              ) -> tuple[OptimalSolution, tuple[GridPointStatus, ...]]:
     """Exhaustive search over the grid; returns the winner and per-point log.
 
-    Screens every point (warm-started when scipy's HiGHS core is usable),
-    then re-solves cold the screened points within ``LP_FEASIBILITY_TOL`` of
-    the best and picks the winner among those; see the module docstring.  A
-    point whose LP ladder fails is logged as ``solver_failure`` and the
-    search goes on.  Raises :class:`InfeasibleGridError` carrying the
-    per-point statuses when no point is feasible.
+    Screens every column without an LP (by LP where the screen fails), then
+    solves cold the points within ``LP_FEASIBILITY_TOL`` of the best and
+    picks the winner among those; see the module docstring.  A point whose
+    LP ladder fails is logged as ``solver_failure`` and the search goes on.
+    Raises :class:`InfeasibleGridError` carrying the per-point statuses when
+    no point is feasible.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     harvest = harvesting.harvest_laws(params)
     records: list[GridPointStatus] = []
     # (record index, column, threshold, objective, solution) of every optimal
-    # point; a warm answer keeps its objective only and is solved again cold
+    # point; a screened point has no LP solution until the certify pass
     screened: list[tuple[int, _Column, float, float, LpSolution | None]] = []
     for tau in grid.tau_values(params):
         quantities = derive(params, tau, require_sensing_capacity=False)
@@ -391,17 +516,22 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             continue
         column = _Column(quantities, bundle(params, quantities),
                          harvest_blocks(params, quantities, *harvest))
-        warm = WarmStart() if warm_start_available() else None
-        for threshold in thresholds:
-            lp, _ = _point_lp(params, column, threshold, scheme)
-            record, solution = _solve_point(lp, tau, threshold, warm)
-            if solution is not None:
+        objectives = _screen(params, column, thresholds, scheme)
+        for k, threshold in enumerate(thresholds):
+            solution = None
+            if objectives is None:
+                lp, _ = _point_lp(params, column, threshold, scheme)
+                record, solution = _solve_point(lp, tau, threshold)
+            elif math.isnan(objectives[k]):
+                record = GridPointStatus(tau, threshold, "infeasible")
+            else:
+                record = GridPointStatus(tau, threshold, "optimal", float(objectives[k]))
+            if record.status == "optimal":
                 screened.append((len(records), column, threshold,
-                                 solution.objective_value,
-                                 None if solution.warm else solution))
+                                 record.objective, solution))
             records.append(record)
 
-    # Certify: re-solve the near-best warm answers cold (their records follow
+    # Certify: solve the near-best screened points cold (their records follow
     # the cold solve).  Should all of them fail cold, the next tier competes.
     candidates: list[tuple[float, float, float, tuple]] = []
     while screened and not candidates:

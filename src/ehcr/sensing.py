@@ -17,7 +17,7 @@ from .numerics import (
     regularized_lower_gamma_int,
     regularized_upper_gamma_int,
 )
-from .system_model import ConfigurationError, SystemParams, derive
+from .system_model import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,6 @@ class SensingConfig:
         if int(self.m) != self.m or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
-
-    @classmethod
-    def from_params(cls, params: SystemParams, tau: float, threshold: float) -> "SensingConfig":
-        m = derive(params, tau, require_sensing_capacity=False).m
-        return cls(tau=tau, threshold=threshold, m=m)
 
 
 def false_alarm(cfg: SensingConfig) -> float:

@@ -4,8 +4,10 @@ import math
 import signal
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from ehcr import sensing
+from ehcr import harvesting, optimizer, sensing
 from ehcr.chain import (
     Policy,
     StationaryDistribution,
@@ -18,7 +20,13 @@ from ehcr.chain import (
     transition_components,
 )
 from ehcr.harvesting import HarvestPmf, _rf_packet_scale, nature_pmf, rf_pmf
-from ehcr.optimizer import RECOVERY_MASS_FLOOR
+from ehcr.optimizer import (
+    RECOVERY_MASS_FLOOR,
+    GridPointStatus,
+    InfeasibleGridError,
+    OptimalSolution,
+    _select_winner,
+)
 from ehcr.outage import OutageBundle, bundle
 from ehcr.simulator import _N_BATCHES, _STREAMS, SimConfig, SimReport
 from ehcr.system_model import SystemParams, derive
@@ -54,6 +62,14 @@ def deadline(seconds: float):
 
 # Per-sensing-time conveniences: ``ehcr`` derives a sensing time once and
 # hands the quantities down; the tests often start from a bare tau.
+
+def sensing_config(params: SystemParams, tau: float,
+                   threshold: float) -> sensing.SensingConfig:
+    """The :class:`~ehcr.sensing.SensingConfig` of ``tau`` and ``threshold``,
+    its time-bandwidth product derived from ``params``."""
+    m = derive(params, tau, require_sensing_capacity=False).m
+    return sensing.SensingConfig(tau=tau, threshold=threshold, m=m)
+
 
 def outages_at(params: SystemParams, tau: float) -> OutageBundle:
     """:func:`~ehcr.outage.bundle` at sensing time ``tau``."""
@@ -309,7 +325,7 @@ def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimRe
             f"initial battery {sim.initial_battery} exceeds N_max={params.N_max}")
     quantities = derive(params, policy.tau, require_sensing_capacity=False)
     alpha_range, beta_range = action_ranges(params, policy.tau)
-    cfg = sensing.SensingConfig.from_params(params, policy.tau, policy.threshold)
+    cfg = sensing_config(params, policy.tau, policy.threshold)
     p_f = sensing.false_alarm(cfg)
     uses_sensing = len(beta_range) > 0 and np.any(policy.beta2 > 0)
     decorrelated = sim.correlation_mode == "decorrelated"
@@ -455,3 +471,53 @@ def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimRe
         pu_active_slots=int(active.size),
         su_tx_slots=su_tx_count,
     )
+
+
+def reference_closed_classes(p: np.ndarray, edge_tol: float = 1e-14) -> list[list[int]]:
+    """Closed classes of a kernel by scipy's strongly connected components."""
+    n_comp, labels = connected_components(csr_matrix(p > edge_tol),
+                                          connection="strong")
+    closed = []
+    for label in range(n_comp):
+        states = np.nonzero(labels == label)[0]
+        outside = np.ones(p.shape[0], dtype=bool)
+        outside[states] = False
+        if p[np.ix_(states, np.nonzero(outside)[0])].max(initial=0.0) <= edge_tol:
+            closed.append([int(s) for s in states])
+    return sorted(closed)
+
+
+def column_at(params: SystemParams, tau: float) -> optimizer._Column:
+    """The optimizer's per-tau column (quantities, outages, kernel blocks)."""
+    q = derive(params, tau, require_sensing_capacity=False)
+    return optimizer._Column(q, bundle(params, q), harvest_blocks(
+        params, q, *harvesting.harvest_laws(params)))
+
+
+def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
+                     ) -> tuple[OptimalSolution, tuple[GridPointStatus, ...]]:
+    """``optimize`` with no screen: a cold LP at every grid point, and the
+    best of them all by the optimizer's own tie-break."""
+    records, candidates = [], []
+    for tau in grid.tau_values(params):
+        column = column_at(params, tau)
+        unsupported = optimizer._unsupported(params, column.quantities, scheme)
+        if unsupported is not None and unsupported[0] == "unsupported_m":
+            records.append(GridPointStatus(tau, math.nan, "unsupported_m"))
+            continue
+        thresholds = grid.lambda_grid(column.quantities.m)
+        if unsupported is not None:
+            records.extend(GridPointStatus(tau, threshold, unsupported[0])
+                           for threshold in thresholds)
+            continue
+        for threshold in thresholds:
+            lp, mu_p_row = optimizer._point_lp(params, column, threshold, scheme)
+            record, solution = optimizer._solve_point(lp, tau, threshold)
+            records.append(record)
+            if solution is not None:
+                candidates.append((solution.objective_value, tau, threshold,
+                                   (column, threshold, solution, mu_p_row)))
+    winner = _select_winner(candidates)
+    if winner is None:
+        raise InfeasibleGridError(tuple(records))
+    return optimizer._optimal_solution(params, scheme, *winner), tuple(records)

@@ -29,6 +29,7 @@ from helpers import (
     components_at,
     fast_policy_value,
     outages_at,
+    sensing_config,
 )
 from test_chain import enumerate_kernel, toy_setup
 from test_sensing import detection_avg_quadrature
@@ -205,7 +206,7 @@ def test_criterion_5_optimizer_soundness(testbench_params, sweep):
             # (b) no batch of random feasible policies beats the optimum
             tau, threshold = solution.tau, solution.threshold
             q = derive(params, tau)
-            cfg = sensing.SensingConfig.from_params(params, tau, threshold)
+            cfg = sensing_config(params, tau, threshold)
             p_d = sensing.detection_avg(cfg, q.gamma_bar)
             p_f = sensing.false_alarm(cfg)
             idle_h = harvesting.nature_distribution(params)

@@ -3,26 +3,30 @@
 Counts the calls of the per-tau builders made by ``optimize``, ``evaluate``,
 ``run`` and ``compare`` and pins them: one ``derive``, one outage bundle and
 one set of kernel blocks per grid sensing time, plus those of the winner's
-evaluation, and one ambient harvest law per search or evaluation.
+evaluation, and one ambient harvest law per search or evaluation.  The LP
+solves of ``optimize`` are pinned too: its screen needs none, so only the
+points within ``LP_FEASIBILITY_TOL`` of the best are solved.
 """
 import collections
+import contextlib
 import sys
 
 import pytest
 
-from ehcr import chain, harvesting, outage, system_model
+from ehcr import chain, harvesting, numerics, outage, system_model
 from ehcr.chain import Policy
-from ehcr.optimizer import optimize
+from ehcr.optimizer import InfeasibleGridError, optimize
 from ehcr.performance import evaluate
 from ehcr.simulator import SimConfig, compare, run
 from ehcr.system_model import with_overrides
-from test_optimizer import FAST_GRID
+from test_optimizer import FAST_GRID, TIE_GRID
 
 COUNTED = {
     "derive": system_model.derive,
     "bundle": outage.bundle,
     "harvest_blocks": chain.harvest_blocks,
     "nature_distribution": harvesting.nature_distribution,
+    "solve_lp": numerics.solve_lp,
 }
 
 
@@ -58,8 +62,24 @@ def test_optimize_builds_each_column_once(calls, setting):
     params, _ = setting
     optimize(params, FAST_GRID, "probabilistic")
     n_tau = len(FAST_GRID.tau_values(params))  # 4 sensing times, all usable
+    # at rho 0.5 every FAST_GRID point ties, so each is solved cold
     assert calls == {"derive": n_tau + 1, "bundle": n_tau + 1,
-                     "harvest_blocks": n_tau + 1, "nature_distribution": 2}
+                     "harvest_blocks": n_tau + 1, "nature_distribution": 2,
+                     "solve_lp": n_tau * 6}
+
+
+@pytest.mark.parametrize("grid, rho, mu_th, solves", [
+    (TIE_GRID, 0.5, 0.65, 1),   # slack floor, one point wins outright
+    (TIE_GRID, 0.5, 0.72, 1),   # the floor binds at the winner
+    (TIE_GRID, 0.5, 0.99, 0),   # no point is feasible
+    (FAST_GRID, 0.1, 0.65, 24),  # all points tie: one cold solve each
+])
+def test_optimize_solves_only_near_best_points(calls, testbench_params, grid,
+                                               rho, mu_th, solves):
+    params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
+    with contextlib.suppress(InfeasibleGridError):
+        optimize(params, grid, "probabilistic")
+    assert calls["solve_lp"] == solves
 
 
 def test_evaluate_derives_once(calls, setting):

@@ -10,6 +10,7 @@ from ehcr.chain import (
     AmbiguousChainError,
     Policy,
     TransitionMatrix,
+    _closed_classes,
     _shifted_rows,
     action_ranges,
     compose_transition,
@@ -27,6 +28,7 @@ from helpers import (
     build_transition_matrix,
     components_at,
     random_policy,
+    reference_closed_classes,
     reference_compose_transition,
     reference_shifted_rows,
 )
@@ -253,6 +255,15 @@ class TestStationary:
         with pytest.raises(AmbiguousChainError) as err:
             stationary_distribution(tm)
         assert err.value.classes == [[0], [1]]
+
+    def test_closed_classes_match_strong_components(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            p = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.02, 0.3))
+            p[np.arange(n), rng.integers(0, n, n)] += 1.0  # no empty row
+            p /= p.sum(axis=1, keepdims=True)
+            assert _closed_classes(p) == reference_closed_classes(p)
 
     def test_unique_absorbing_state_is_found(self):
         # upward drift into the cap

@@ -160,6 +160,18 @@ class TestBadInputsExitOne:
                      "--policy", str(policy_file)]) == 1
         assert f"{key} must be an integer" in self.one_line_error(capsys)
 
+    def test_chain_without_harvest(self, fast_config, policy_file, capsys):
+        # no licensed activity and no ambient source: nothing is harvested,
+        # so every battery level is absorbing and no stationary law is unique
+        doc = json.loads(fast_config.read_text())
+        doc.update(rho=0.0, lambda_e=0.0)
+        fast_config.write_text(json.dumps(doc))
+        assert main(["optimize", "--config", str(fast_config)]) == 1
+        assert "21 closed classes" in self.one_line_error(capsys)
+        assert main(["validate", "--config", str(fast_config),
+                     "--policy", str(policy_file), "--slots", "100"]) == 1
+        assert "10 closed classes" in self.one_line_error(capsys)
+
     def test_grid_with_non_integral_samples(self, fast_config, capsys):
         doc = json.loads(fast_config.read_text())
         doc["grid"]["tau_min"] = 0.00033
@@ -276,6 +288,20 @@ class TestSweepCommand:
                 mixed = mu_s[(rho, scheme, "mixed")]
                 assert mixed >= mu_s[(rho, scheme, "nature")] - 1e-9
                 assert mixed >= mu_s[(rho, scheme, "rf")] - 1e-9
+
+    def test_zero_harvest_cell_is_an_error_row(self, fast_config, tmp_path,
+                                                capsys):
+        # at rho 0 the rf mode harvests nothing: that cell alone fails
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(fast_config), "--from", "0.0",
+                     "--to", "0.2", "--steps", "2", "--scheme", "probabilistic",
+                     "--out", str(out)]) == 0
+        statuses = {(row[0], row[2]): row[3] for row in read_rows(out)[1:]}
+        assert statuses.pop(("0", "rf")) == "error"
+        assert set(statuses.values()) == {"ok"} and len(statuses) == 5
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("rho=0.0 probabilistic/rf: chain is reducible")
 
     def test_single_scheme_selected(self, fast_config, tmp_path):
         out = tmp_path / "sweep.csv"

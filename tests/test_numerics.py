@@ -10,15 +10,12 @@ from scipy.optimize import linprog
 
 from ehcr import numerics
 from ehcr.numerics import (
-    LP_FEASIBILITY_TOL,
     LinearProgram,
-    WarmStart,
     feasibility_violation,
     marcum_q,
     regularized_lower_gamma_int,
     regularized_upper_gamma_int,
     solve_lp,
-    warm_start_available,
 )
 
 from helpers import deadline, empty_constraints
@@ -349,86 +346,18 @@ def linprog_reference(lp: LinearProgram):
         bounds=list(lp.bounds), method="highs", options=numerics._LP_OPTIONS)
 
 
-needs_highs = pytest.mark.skipif(not warm_start_available(),
-                                 reason="scipy ships no usable HiGHS core")
-
-
 class TestDirectHighs:
-    @needs_highs
+    """Rung 1 of the ladder is ``linprog(method="highs")`` itself."""
+
     def test_first_rung_is_bit_identical_to_linprog(self):
         statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
         for lp in _suite_lps():
             reference = linprog_reference(lp)
             sol = solve_lp(lp)
             assert sol.status == statuses[reference.status]
-            assert not sol.warm
             if sol.status == "optimal":
                 assert np.array_equal(sol.x, reference.x)
-
-    def test_ladder_without_highs_core(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_HIGHS", None)
-        assert not warm_start_available()
-        for lp in _suite_lps()[:5]:
-            sol = solve_lp(lp)
-            assert sol.status == "optimal"
-            assert np.array_equal(sol.x, linprog_reference(lp).x)
-
-    def test_incomplete_core_module_is_refused(self, monkeypatch):
-        import types
-
-        monkeypatch.setattr(numerics, "_highs_core", types.SimpleNamespace())
-        assert numerics._load_highs() is None
-        monkeypatch.setattr(numerics, "_highs_core", None)
-        assert numerics._load_highs() is None
 
     def test_non_finite_point_fails_the_audit(self):
         lp = _box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
         assert feasibility_violation(lp, np.array([math.nan, 0.0])) == math.inf
-
-
-@needs_highs
-class TestWarmStart:
-    @staticmethod
-    def _family():
-        # one shape, drifting coefficients: the case the warm start serves
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(6, 5))
-        b = rng.uniform(0.5, 2.0, size=6)
-        c = rng.normal(size=5)
-        return [_box_lp(c + 0.05 * k, a + 0.01 * k, b) for k in range(8)]
-
-    def test_warm_answers_match_cold_values(self):
-        warm = WarmStart()
-        for lp in self._family():
-            sol = solve_lp(lp, warm)
-            cold = solve_lp(lp)
-            assert sol.status == "optimal" and sol.warm
-            assert feasibility_violation(lp, sol.x) <= LP_FEASIBILITY_TOL
-            assert sol.objective_value == pytest.approx(cold.objective_value,
-                                                        abs=1e-12)
-
-    def test_failed_audit_falls_back_to_the_cold_answer(self, monkeypatch):
-        family = self._family()
-        warm = WarmStart()
-        solve_lp(family[0], warm)
-        audit = numerics.feasibility_violation
-        calls = []
-
-        def first_call_fails(lp, x):
-            calls.append(1)
-            return math.inf if len(calls) == 1 else audit(lp, x)
-
-        monkeypatch.setattr(numerics, "feasibility_violation", first_call_fails)
-        sol = solve_lp(family[1], warm)
-        monkeypatch.undo()
-        assert len(calls) == 2  # the warm audit, then rung 1's
-        assert sol.status == "optimal" and not sol.warm
-        assert np.array_equal(sol.x, solve_lp(family[1]).x)
-        # the basis was dropped: the next solve restarts without one and
-        # still returns an audited warm answer
-        assert solve_lp(family[2], warm).warm
-
-    def test_infeasible_program_keeps_the_ladder_status(self):
-        warm = WarmStart()
-        lp = _suite_lps()[-2]
-        assert solve_lp(lp, warm).status == "infeasible"

@@ -6,23 +6,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehcr import harvesting, numerics, optimizer
-from ehcr.chain import action_ranges
+from ehcr import harvesting, optimizer
+from ehcr.chain import AmbiguousChainError, action_ranges
 from ehcr.numerics import LP_FEASIBILITY_TOL, solve_lp
 from ehcr.optimizer import (
     GridSpec,
     InfeasibleGridError,
     _build_lp,
+    _point_lp,
     _recover,
+    _screen,
     _select_winner,
     optimize,
     solve_fixed,
 )
-from ehcr.performance import evaluate, rate_rows
+from ehcr.performance import FEASIBILITY_TOL, rate_rows
 from ehcr.sensing import SensingConfig, detection_avg, false_alarm
 from ehcr.system_model import ConfigurationError, derive, with_overrides
-from helpers import components_at, outages_at, reference_recover
-from test_numerics import linprog_reference, needs_highs
+from helpers import (
+    column_at,
+    components_at,
+    outages_at,
+    reference_recover,
+    reference_search,
+    sensing_config,
+)
+from test_numerics import linprog_reference
 from test_performance import random_policy
 
 FAST_GRID = GridSpec(tau_min=2e-3, lambda_count=6)
@@ -156,7 +165,7 @@ class TestSolveFixed:
         tau, threshold = 5e-4, 30.0
         solution = solve_fixed(params, tau, threshold, "probabilistic")
         q = derive(params, tau)
-        cfg = SensingConfig.from_params(params, tau, threshold)
+        cfg = sensing_config(params, tau, threshold)
         p_d = detection_avg(cfg, q.gamma_bar)
         p_f = false_alarm(cfg)
         components = components_at(
@@ -252,7 +261,8 @@ def _near_best(records) -> int:
 
 
 class TestWarmScreen:
-    @needs_highs
+    """The screen and the cold LP solves that certify its near-best points."""
+
     def test_first_rung_matches_linprog_on_policy_lps(self, testbench_params):
         params = testbench_params
         idle = harvesting.nature_distribution(params)
@@ -261,7 +271,7 @@ class TestWarmScreen:
                                        (2e-3, 60.0, "probabilistic"),
                                        (1e-3, 20.0, "sensing_only"),
                                        (6e-3, 30.0, "probabilistic")):
-            cfg = SensingConfig.from_params(params, tau, threshold)
+            cfg = sensing_config(params, tau, threshold)
             quantities = derive(params, tau, require_sensing_capacity=False)
             p_d = detection_avg(cfg, quantities.gamma_bar)
             p_f = false_alarm(cfg)
@@ -275,41 +285,24 @@ class TestWarmScreen:
     @pytest.mark.parametrize("grid, rho, ties", [
         (FAST_GRID, 0.1, "all"), (FAST_GRID, 0.5, "all"),
         (TIE_GRID, 0.1, "all"), (TIE_GRID, 0.5, 1)])
-    def test_winner_matches_all_cold_search(self, testbench_params, monkeypatch,
-                                            grid, rho, ties):
+    def test_winner_matches_all_cold_search(self, testbench_params, grid, rho,
+                                            ties):
         params = with_overrides(testbench_params, rho=rho)
         screened, records = optimize(params, grid, "probabilistic")
-        monkeypatch.setattr(optimizer, "warm_start_available", lambda: False)
-        cold, cold_records = optimize(params, grid, "probabilistic")
+        cold, cold_records = reference_search(params, grid, "probabilistic")
         optimal = sum(r.status == "optimal" for r in cold_records)
         assert _near_best(cold_records) == (optimal if ties == "all" else ties)
-        assert screened.tau == cold.tau
-        assert screened.threshold == cold.threshold
-        assert screened.lp_objective == cold.lp_objective
-        for name in ("alpha", "beta1", "beta2"):
-            assert np.array_equal(getattr(screened.policy, name),
-                                  getattr(cold.policy, name))
-        assert [r.status for r in records] == [r.status for r in cold_records]
-
-    def test_same_winner_without_highs_core(self, testbench_params, monkeypatch):
-        params = with_overrides(testbench_params, rho=0.5)
-        direct, _ = optimize(params, TIE_GRID, "probabilistic")
-        monkeypatch.setattr(numerics, "_HIGHS", None)
-        fallback, records = optimize(params, TIE_GRID, "probabilistic")
-        assert (fallback.tau, fallback.threshold) == (direct.tau, direct.threshold)
-        assert fallback.lp_objective == pytest.approx(direct.lp_objective,
-                                                      abs=1e-12)
-        assert all(r.status == "optimal" for r in records)
+        assert_same_search(screened, records, cold, cold_records)
 
     def test_solver_failure_is_logged_and_search_continues(
             self, testbench_params, monkeypatch):
         calls = []
 
-        def failing_second_call(lp, warm=None):
+        def failing_second_call(lp):
             calls.append(1)
             if len(calls) == 2:
                 raise RuntimeError("every LP solve violated constraints")
-            return solve_lp(lp, warm)
+            return solve_lp(lp)
 
         monkeypatch.setattr(optimizer, "solve_lp", failing_second_call)
         solution, records = optimize(testbench_params, FAST_GRID, "probabilistic")
@@ -320,3 +313,88 @@ class TestWarmScreen:
         assert (solution.tau, solution.threshold) != (records[1].tau,
                                                       records[1].threshold)
         assert solution.report.mu_p >= testbench_params.mu_th - 1e-6
+
+
+def assert_same_search(solution, records, reference, reference_records):
+    """``optimize`` reproduces an all-cold search: winner, policy, LP value
+    and every status; screened objectives agree with the cold ones."""
+    assert (solution.tau, solution.threshold) == (reference.tau, reference.threshold)
+    assert solution.lp_objective == reference.lp_objective
+    for name in ("alpha", "beta1", "beta2"):
+        assert np.array_equal(getattr(solution.policy, name),
+                              getattr(reference.policy, name))
+    assert [r.status for r in records] == [r.status for r in reference_records]
+    for record, cold in zip(records, reference_records):
+        if record.status == "optimal":
+            assert record.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+class TestConstrainedRegime:
+    """The licensed-user floor slack, binding and out of reach."""
+
+    @pytest.mark.parametrize("rho, mu_th", [(0.5, 0.65), (0.5, 0.72)])
+    def test_matches_all_cold_search(self, testbench_params, rho, mu_th):
+        params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
+        solution, records = optimize(params, TIE_GRID, "probabilistic")
+        reference, reference_records = reference_search(params, TIE_GRID,
+                                                        "probabilistic")
+        assert_same_search(solution, records, reference, reference_records)
+
+    def test_binding_winner_sits_on_the_floor(self, testbench_params):
+        params = with_overrides(testbench_params, rho=0.5, mu_th=0.72)
+        solution, _ = optimize(params, TIE_GRID, "probabilistic")
+        assert abs(solution.lp_mu_p - params.mu_th) <= FEASIBILITY_TOL
+        assert abs(solution.report.mu_p - params.mu_th) <= FEASIBILITY_TOL
+        # slack at mu_th 0.65: the unconstrained optimum clears the floor
+        slack, _ = optimize(with_overrides(params, mu_th=0.65), TIE_GRID,
+                            "probabilistic")
+        assert slack.lp_mu_p > 0.65 + 0.01
+        assert slack.lp_objective > solution.lp_objective
+
+    def test_infeasible_floor_matches_all_cold_search(self, testbench_params):
+        params = with_overrides(testbench_params, rho=0.5, mu_th=0.99)
+        with pytest.raises(InfeasibleGridError) as screened:
+            optimize(params, TIE_GRID, "probabilistic")
+        with pytest.raises(InfeasibleGridError) as cold:
+            reference_search(params, TIE_GRID, "probabilistic")
+        assert ([r.status for r in screened.value.records]
+                == [r.status for r in cold.value.records])
+
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           scheme=st.sampled_from(optimizer.SCHEMES))
+    def test_screen_equals_cold_lp(self, testbench_params, rho, mu_th, scheme):
+        params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
+        for tau in FAST_GRID.tau_values(params):
+            column = column_at(params, tau)
+            if optimizer._unsupported(params, column.quantities, scheme):
+                continue
+            thresholds = FAST_GRID.lambda_grid(column.quantities.m)
+            objectives = _screen(params, column, thresholds, scheme)
+            assert objectives is not None
+            for objective, threshold in zip(objectives, thresholds):
+                cold = solve_lp(_point_lp(params, column, threshold, scheme)[0])
+                if cold.status == "optimal":
+                    assert objective == pytest.approx(cold.objective_value,
+                                                      abs=1e-9)
+                else:
+                    assert cold.status == "infeasible" and math.isnan(objective)
+
+    def test_zero_harvest_column_takes_the_lp(self, testbench_params,
+                                              monkeypatch):
+        # no licensed activity and no ambient source: nothing is ever
+        # harvested, every level is absorbing and value determination is
+        # singular, so every point goes to the LP
+        params = with_overrides(testbench_params, rho=0.0, lambda_e=0.0)
+        column = column_at(params, 2e-3)
+        assert _screen(params, column, FAST_GRID.lambda_grid(
+            column.quantities.m), "probabilistic") is None
+        calls = []
+
+        def counted(lp):
+            calls.append(1)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(optimizer, "solve_lp", counted)
+        with pytest.raises(AmbiguousChainError):
+            optimize(params, FAST_GRID, "probabilistic")  # evaluating the winner
+        assert len(calls) == len(FAST_GRID.tau_values(params)) * 6

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from ehcr.chain import Policy, StationaryDistribution, action_ranges
 from ehcr.performance import evaluate, occupation, rate_rows
-from ehcr.sensing import SensingConfig, detection_avg, false_alarm
+from ehcr.sensing import detection_avg, false_alarm
 from ehcr.system_model import derive, with_overrides
 from helpers import (
     access_stats,
     outages_at,
     primary_success_rate,
     secondary_success_rate,
+    sensing_config,
 )
 from helpers import random_policy as _random_policy
 
@@ -91,7 +92,7 @@ class TestSecondaryRate:
         # no licensed activity, sense-always: only the no-false-alarm branch
         params = with_overrides(testbench_params, rho=0.0)
         policy = Policy.constant(params, TAU, THRESHOLD, 0.0, 0.0, 1.0)
-        cfg = SensingConfig.from_params(params, TAU, THRESHOLD)
+        cfg = sensing_config(params, TAU, THRESHOLD)
         p_f = false_alarm(cfg)
         report = evaluate(params, policy)
         outages = outages_at(params, TAU)
@@ -105,7 +106,7 @@ class TestSecondaryRate:
         outages = outages_at(params, TAU)
         pi = pinned_stationary(params, 0.8)
         rng = np.random.default_rng(37)
-        cfg = SensingConfig.from_params(params, TAU, THRESHOLD)
+        cfg = sensing_config(params, TAU, THRESHOLD)
         q = derive(params, TAU)
         p_d = detection_avg(cfg, q.gamma_bar)
         p_f = false_alarm(cfg)
@@ -192,7 +193,7 @@ class TestRateRows:
         policy = random_policy(np.random.default_rng(policy_seed), params, tau,
                                threshold)
         report = evaluate(params, policy)
-        cfg = SensingConfig.from_params(params, tau, threshold)
+        cfg = sensing_config(params, tau, threshold)
         q = derive(params, tau, require_sensing_capacity=False)
         p_d = detection_avg(cfg, q.gamma_bar)
         p_f = false_alarm(cfg)

@@ -12,6 +12,7 @@ from ehcr.sensing import (
     false_alarm,
 )
 from ehcr.system_model import ConfigurationError
+from helpers import sensing_config
 
 TABLE1_GAMMA_BAR = 4.0 * (0.8 / 9.0) / 0.02  # 17.7778
 
@@ -128,12 +129,12 @@ class TestDetectionAvg:
 
 class TestSensingConfig:
     def test_from_params(self, table1_params):
-        c = SensingConfig.from_params(table1_params, 1e-4, 2.0)
+        c = sensing_config(table1_params, 1e-4, 2.0)
         assert c.m == 2
 
     def test_non_integral_product_rejected(self, table1_params):
         with pytest.raises(ValueError):
-            SensingConfig.from_params(table1_params, 7.3e-5, 2.0)
+            sensing_config(table1_params, 7.3e-5, 2.0)
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
