@@ -239,16 +239,18 @@ def harvest_blocks(params: SystemParams, q: DerivedQuantities,
 
 
 def transition_components(params: SystemParams, quantities: DerivedQuantities,
-                          blocks: HarvestBlocks, p_d: float,
-                          p_f: float) -> TransitionComponents:
+                          blocks: HarvestBlocks, p_d, p_f) -> TransitionComponents:
     """Build the policy-affine pieces of the kernel.
 
     ``blocks`` are the :func:`harvest_blocks` of ``quantities``;
     ``p_d``/``p_f`` are the averaged detection and false-alarm probabilities
-    of the sensing configuration in force.
+    of the sensing configuration in force: floats, or (K,) arrays for K
+    thresholds, which stack ``sense_delta`` to (K, n, n).
     """
     rho = params.rho
     rho_bar = 1.0 - rho
+    if np.ndim(p_d):  # one sensing piece per threshold
+        p_d, p_f = p_d[:, None, None], p_f[:, None, None]
     idle = rho_bar * blocks.idle_hold + rho * blocks.active_hold
     blind = rho_bar * blocks.idle_tx + rho * blocks.active_tx
     # sensing consumes n_s always, plus n_t whenever the verdict is "idle":

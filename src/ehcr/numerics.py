@@ -1,9 +1,11 @@
 """Special functions and a small dense linear-program front end.
 
 Everything here is a pure function of its inputs and safe to call from any
-number of threads: integer-order gamma tail probabilities, the generalized
-Marcum Q function, and a maximization wrapper around scipy's HiGHS solver
-(``linprog``) for the small dense programs built by the policy optimizer.
+number of threads: integer-order gamma tail probabilities (checked wrappers
+over ``scipy.special.gammaincc``/``gammainc`` that take one argument or a 1-D
+array of them), the generalized Marcum Q function, and a maximization wrapper
+around scipy's HiGHS solver (``linprog``) for the small dense programs built
+by the policy optimizer.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import gammainc, gammaincc
 
 MARCUM_MAX_TERMS = 10_000
 MARCUM_TAIL_RTOL = 1e-12
@@ -45,60 +48,34 @@ def _check_order(m: int) -> int:
     return int(m)
 
 
-def regularized_upper_gamma_int(m: int, x: float) -> float:
-    """Regularized upper incomplete gamma ratio for integer order m >= 1.
-
-    For integer m the ratio collapses to the Erlang tail
-    ``exp(-x) * sum_{k<m} x^k / k!``, which is evaluated term by term.  This
-    equals the complementary CDF of a sum of m unit-rate exponentials, hence
-    the value is in [0, 1], nonincreasing in x and nondecreasing in m.
-    """
+def _gamma_tail(ratio, m: int, x):
+    """``ratio(m, x)`` after the order and argument checks of the tails; a
+    scalar argument gives a float, a 1-D array one value per entry."""
     m = _check_order(m)
-    if not 0 <= x < math.inf:  # NaN fails every comparison
+    values = np.asarray(x, dtype=float)
+    if not all(0.0 <= v < math.inf for v in values.ravel().tolist()):  # NaN fails too
         raise ValueError(f"x must be finite and nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x <= _EXP_UNDERFLOW:
-        term = math.exp(-x)
-        total = term
-        for k in range(1, m):
-            term *= x / k
-            total += term
-        return min(total, 1.0)
-    # x too large for exp(-x); accumulate in log space around the peak term
-    logs = [k * math.log(x) - math.lgamma(k + 1) - x for k in range(m)]
-    peak = max(logs)
-    if peak < -745.0:
-        return 0.0
-    return min(math.exp(peak) * sum(math.exp(v - peak) for v in logs), 1.0)
+    tail = ratio(m, values)
+    return tail if values.ndim else float(tail)
 
 
-def regularized_lower_gamma_int(m: int, x: float) -> float:
-    """Regularized lower incomplete gamma ratio for integer order m >= 1.
+def regularized_upper_gamma_int(m: int, x):
+    """Regularized upper incomplete gamma ratio U(m, x) for integer m >= 1.
 
-    Summed as the ascending tail ``exp(-x) * sum_{k>=m} x^k / k!`` so that
-    small values are produced without cancellation against 1.
+    For integer m this is the Erlang tail ``exp(-x) * sum_{k<m} x^k / k!``,
+    the complementary CDF of a sum of m unit-rate exponentials: in [0, 1],
+    nonincreasing in x and nondecreasing in m.  Evaluated by
+    ``scipy.special.gammaincc``; ``x`` is a scalar (float result) or a 1-D
+    array (one value per entry).
     """
-    m = _check_order(m)
-    if not 0 <= x < math.inf:  # NaN fails every comparison
-        raise ValueError(f"x must be finite and nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x > _EXP_UNDERFLOW:
-        # upper tail is negligible here for the orders in scope
-        return 1.0 - regularized_upper_gamma_int(m, x)
-    log_term = m * math.log(x) - math.lgamma(m + 1) - x
-    if log_term < -745.0:
-        return 0.0
-    term = math.exp(log_term)
-    total = term
-    k = m
-    while True:
-        k += 1
-        term *= x / k
-        total += term
-        if term <= 1e-17 * total and k > x:
-            return min(total, 1.0)
+    return _gamma_tail(gammaincc, m, x)
+
+
+def regularized_lower_gamma_int(m: int, x):
+    """Regularized lower incomplete gamma ratio L(m, x) = 1 - U(m, x) for
+    integer m >= 1, by ``scipy.special.gammainc``, which keeps small values
+    to full relative precision (no cancellation against 1)."""
+    return _gamma_tail(gammainc, m, x)
 
 
 def marcum_q(m: int, a: float, b: float) -> float:

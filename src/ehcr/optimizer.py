@@ -10,7 +10,9 @@ over the admissible sensing times and a threshold grid then picks the best
 feasible point.  Everything but the detector terms depends on the sensing
 time alone, so each sensing time is derived, checked against the scheme and
 turned into outage probabilities and kernel blocks once, as a column that
-every threshold there shares.
+every threshold there shares; the column also holds the detection and
+false-alarm probabilities of all its thresholds, from one detector call
+each, which the screen reads as arrays and every LP indexes.
 
 The search runs in two passes.  The screen values all thresholds of a
 column at once as constrained MDPs over the battery levels, with idling,
@@ -252,11 +254,26 @@ def _recover(masses: np.ndarray, products: np.ndarray, levels: range) -> np.ndar
 
 @dataclass(frozen=True)
 class _Column:
-    """What one sensing time fixes for every threshold LP it hosts."""
+    """What one sensing time fixes for its K threshold LPs, and their detector."""
 
     quantities: DerivedQuantities
     outages: OutageBundle
     blocks: HarvestBlocks
+    thresholds: tuple[float, ...]
+    p_d: np.ndarray  # (K,) averaged detection probabilities
+    p_f: np.ndarray  # (K,) false-alarm probabilities
+
+
+def _column(params: SystemParams, quantities: DerivedQuantities,
+            harvest: tuple, thresholds: tuple[float, ...]) -> _Column:
+    """The column of a sensing time: its outages and kernel blocks, and one
+    detector evaluation over all its thresholds."""
+    cfg = sensing.SensingConfig(quantities.tau, np.asarray(thresholds, dtype=float),
+                                quantities.m)
+    return _Column(quantities, bundle(params, quantities),
+                   harvest_blocks(params, quantities, *harvest), thresholds,
+                   sensing.detection_avg(cfg, quantities.gamma_bar),
+                   sensing.false_alarm(cfg))
 
 
 def _unsupported(params: SystemParams, quantities: DerivedQuantities,
@@ -276,54 +293,48 @@ def _unsupported(params: SystemParams, quantities: DerivedQuantities,
     return None
 
 
-def _point_rows(params: SystemParams, column: _Column, threshold: float
+def _point_rows(params: SystemParams, column: _Column, points: int | slice
                 ) -> tuple[TransitionComponents, np.ndarray, np.ndarray]:
-    """Kernel components and (mu_s, mu_p) rate rows at one threshold of a
-    column: the inputs of both the policy LP and the screen."""
+    """Kernel components and (mu_s, mu_p) rate rows at the thresholds
+    ``points`` of a column: an index for the policy LP, a slice for the screen."""
     q = column.quantities
-    cfg = sensing.SensingConfig(q.tau, threshold, q.m)
-    p_d = sensing.detection_avg(cfg, q.gamma_bar)
-    p_f = sensing.false_alarm(cfg)
+    p_d, p_f = column.p_d[points], column.p_f[points]
     components = transition_components(params, q, column.blocks, p_d, p_f)
     return components, *rate_rows(params, column.outages, p_d, p_f,
                                   q.alpha_range, q.beta_range)
 
 
-def _point_lp(params: SystemParams, column: _Column, threshold: float,
+def _point_lp(params: SystemParams, column: _Column, k: int,
               scheme: str) -> tuple[LinearProgram, np.ndarray]:
-    """The policy LP at one threshold of a column, and its mu_p row."""
-    components, mu_s_row, mu_p_row = _point_rows(params, column, threshold)
+    """The policy LP at the k-th threshold of a column, and its mu_p row."""
+    components, mu_s_row, mu_p_row = _point_rows(params, column, k)
     return _build_lp(params, components, mu_s_row, mu_p_row, scheme), mu_p_row
 
 
-def _column_mdp(params: SystemParams, column: _Column,
-                thresholds: tuple[float, ...], scheme: str
+def _column_mdp(params: SystemParams, column: _Column, scheme: str
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A column's thresholds as a batch of MDPs over the battery levels.
 
     Returns the (K, 3, n, n) kernels and (K, 3, n, 2) (mu_s, mu_p) rewards of
-    idling, blind access and sensing at each level, read off the point's
+    idling, blind access and sensing at each level, read off the column's
     transition components and rate rows, and the (3, n) mask of the actions
     each level admits; the sensing-only scheme admits no blind access.
     """
     q = column.quantities
     n = params.n_states
     acting, sensing_from = q.alpha_range.start, q.beta_range.start
-    kernels, rewards = [], []
-    for threshold in thresholds:
-        components, mu_s_row, mu_p_row = _point_rows(params, column, threshold)
-        idle = components.idle
-        kernels.append((idle, idle + components.blind_delta,
-                        idle + components.sense_delta))
-        rows = np.stack([mu_s_row, mu_p_row], axis=1)
-        reward = np.repeat(rows[None, :n], 3, axis=0)
-        reward[1, acting:] += rows[n:2 * n - acting]
-        reward[2, sensing_from:] += rows[2 * n - acting:]
-        rewards.append(reward)
+    components, mu_s_rows, mu_p_rows = _point_rows(params, column, slice(None))
+    idle = components.idle
+    kernels = np.stack(np.broadcast_arrays(
+        idle, idle + components.blind_delta, idle + components.sense_delta), axis=1)
+    rows = np.stack([mu_s_rows, mu_p_rows], axis=-1)
+    rewards = np.repeat(rows[:, None, :n], 3, axis=1)
+    rewards[:, 1, acting:] += rows[:, n:2 * n - acting]
+    rewards[:, 2, sensing_from:] += rows[:, 2 * n - acting:]
     # each action is admitted from its first affordable level up
     blind_from = n if scheme == "sensing_only" else acting
     allowed = np.arange(n) >= np.array([[0], [blind_from], [sensing_from]])
-    return np.array(kernels), np.array(rewards), allowed
+    return kernels, rewards, allowed
 
 
 def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
@@ -366,7 +377,7 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
 
 
 def _screen(params: SystemParams, column: _Column,
-            thresholds: tuple[float, ...], scheme: str) -> np.ndarray | None:
+            scheme: str) -> np.ndarray | None:
     """Optimal LP objective at each threshold of a column, NaN where the
     floor is out of reach, found without an LP; see the module docstring.
 
@@ -377,13 +388,13 @@ def _screen(params: SystemParams, column: _Column,
     there.  The value is then that of the mix of the two policies meeting
     the floor.  None when a policy iteration fails.
     """
-    kernels, rewards, allowed = _column_mdp(params, column, thresholds, scheme)
+    kernels, rewards, allowed = _column_mdp(params, column, scheme)
     mu_th = params.mu_th
 
     def solve(points: np.ndarray, weights) -> np.ndarray | None:
         return _policy_iteration(kernels[points], rewards[points], allowed, weights)
 
-    free = solve(np.arange(len(thresholds)), (1.0, 0.0))
+    free = solve(np.arange(len(column.thresholds)), (1.0, 0.0))
     if free is None:
         return None
     objective = free[:, 0].copy()
@@ -425,9 +436,10 @@ def _solve_point(lp: LinearProgram, tau: float, threshold: float
 
 
 def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
-                      threshold: float, solution: LpSolution,
+                      k: int, solution: LpSolution,
                       mu_p_row: np.ndarray) -> OptimalSolution:
-    """Recover the policy of an optimal LP answer and evaluate it."""
+    """Recover the policy of an optimal LP answer at the k-th threshold of a
+    column and evaluate it."""
     q = column.quantities
     x = solution.x
     n, ka, kb = params.n_states, len(q.alpha_range), len(q.beta_range)
@@ -437,7 +449,7 @@ def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
         beta1=_recover(substituted.pi, substituted.beta1_tilde, q.beta_range),
         beta2=_recover(substituted.pi, substituted.beta2_tilde, q.beta_range),
         tau=q.tau,
-        threshold=threshold,
+        threshold=column.thresholds[k],
     )
     return OptimalSolution(
         policy=policy,
@@ -463,14 +475,13 @@ def solve_fixed(params: SystemParams, tau: float, threshold: float, scheme: str
     unsupported = _unsupported(params, quantities, scheme)
     if unsupported is not None:
         raise ConfigurationError(unsupported[1])
-    harvest = harvesting.harvest_laws(params)
-    column = _Column(quantities, bundle(params, quantities),
-                     harvest_blocks(params, quantities, *harvest))
-    lp, mu_p_row = _point_lp(params, column, threshold, scheme)
+    column = _column(params, quantities, harvesting.harvest_laws(params),
+                     (threshold,))
+    lp, mu_p_row = _point_lp(params, column, 0, scheme)
     solution = solve_lp(lp)
     if solution.status != "optimal":
         return None
-    return _optimal_solution(params, scheme, column, threshold, solution, mu_p_row)
+    return _optimal_solution(params, scheme, column, 0, solution, mu_p_row)
 
 
 def _select_winner(candidates: list[tuple[float, float, float, Any]]) -> Any:
@@ -500,9 +511,9 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     harvest = harvesting.harvest_laws(params)
     records: list[GridPointStatus] = []
-    # (record index, column, threshold, objective, solution) of every optimal
-    # point; a screened point has no LP solution until the certify pass
-    screened: list[tuple[int, _Column, float, float, LpSolution | None]] = []
+    # (record index, column, threshold index, objective, solution) of every
+    # optimal point; a screened point has no LP solution until the certify pass
+    screened: list[tuple[int, _Column, int, float, LpSolution | None]] = []
     for tau in grid.tau_values(params):
         quantities = derive(params, tau, require_sensing_capacity=False)
         unsupported = _unsupported(params, quantities, scheme)
@@ -514,21 +525,20 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             records.extend(GridPointStatus(tau, threshold, unsupported[0])
                            for threshold in thresholds)
             continue
-        column = _Column(quantities, bundle(params, quantities),
-                         harvest_blocks(params, quantities, *harvest))
-        objectives = _screen(params, column, thresholds, scheme)
+        column = _column(params, quantities, harvest, thresholds)
+        objectives = _screen(params, column, scheme)
         for k, threshold in enumerate(thresholds):
             solution = None
             if objectives is None:
-                lp, _ = _point_lp(params, column, threshold, scheme)
+                lp, _ = _point_lp(params, column, k, scheme)
                 record, solution = _solve_point(lp, tau, threshold)
             elif math.isnan(objectives[k]):
                 record = GridPointStatus(tau, threshold, "infeasible")
             else:
                 record = GridPointStatus(tau, threshold, "optimal", float(objectives[k]))
             if record.status == "optimal":
-                screened.append((len(records), column, threshold,
-                                 record.objective, solution))
+                screened.append((len(records), column, k, record.objective,
+                                 solution))
             records.append(record)
 
     # Certify: solve the near-best screened points cold (their records follow
@@ -538,14 +548,14 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
         cutoff = max(entry[3] for entry in screened) - LP_FEASIBILITY_TOL
         near = [entry for entry in screened if entry[3] >= cutoff]
         screened = [entry for entry in screened if entry[3] < cutoff]
-        for index, column, threshold, _, solution in near:
-            tau = column.quantities.tau
-            lp, mu_p_row = _point_lp(params, column, threshold, scheme)
+        for index, column, k, _, solution in near:
+            tau, threshold = column.quantities.tau, column.thresholds[k]
+            lp, mu_p_row = _point_lp(params, column, k, scheme)
             if solution is None:
                 records[index], solution = _solve_point(lp, tau, threshold)
             if solution is not None:
                 candidates.append((solution.objective_value, tau, threshold,
-                                   (column, threshold, solution, mu_p_row)))
+                                   (column, k, solution, mu_p_row)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

@@ -61,7 +61,7 @@ def occupation(pi: np.ndarray, policy: Policy, alpha_range: range,
                            beta_mass * policy.beta1, beta_mass * policy.beta2])
 
 
-def rate_rows(params: SystemParams, outages: OutageBundle, p_d: float, p_f: float,
+def rate_rows(params: SystemParams, outages: OutageBundle, p_d, p_f,
               alpha_range: range, beta_range: range) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient rows of (mu_s, mu_p) over the :func:`occupation` vector.
 
@@ -70,7 +70,8 @@ def rate_rows(params: SystemParams, outages: OutageBundle, p_d: float, p_f: floa
     discounted by the mis-detection probability and its idle side by the
     no-false-alarm probability.  The licensed user's row holds its silent
     value on the stationary masses and each action's change from silence on
-    the product blocks.
+    the product blocks.  ``p_d``/``p_f`` are floats, or (K,) arrays for K
+    thresholds, which stack the rows to (K, length).
     """
     rho = params.rho
     blind_su = (rho * outages.su_no_outage_wsp
@@ -80,15 +81,18 @@ def rate_rows(params: SystemParams, outages: OutageBundle, p_d: float, p_f: floa
     silent = outages.pu_no_outage_silent
     blind_pu = outages.pu_no_outage_ws
     sense_pu = p_d * silent + (1.0 - p_d) * outages.pu_no_outage_md
-    n_blind = len(alpha_range) + len(beta_range)
-    n_sense = len(beta_range)
-    mu_s_row = np.concatenate([np.zeros(params.n_states),
-                               np.full(n_blind, blind_su),
-                               np.full(n_sense, sense_su)])
-    mu_p_row = np.concatenate([np.full(params.n_states, silent),
-                               np.full(n_blind, blind_pu - silent),
-                               np.full(n_sense, sense_pu - silent)])
-    return mu_s_row, mu_p_row
+    n, n_blind = params.n_states, len(alpha_range) + len(beta_range)
+
+    def row(mass, blind, sense):
+        # the masses, the blind products (both ranges), the sensing products
+        out = np.empty(np.shape(sense_su) + (n + n_blind + len(beta_range),))
+        out[..., :n] = mass
+        out[..., n:n + n_blind] = blind
+        out[..., n + n_blind:] = np.asarray(sense)[..., None]
+        return out
+
+    return (row(0.0, blind_su, sense_su),
+            row(silent, blind_pu - silent, sense_pu - silent))
 
 
 def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:

@@ -20,6 +20,7 @@ from ehcr.chain import (
     transition_components,
 )
 from ehcr.harvesting import HarvestPmf, _rf_packet_scale, nature_pmf, rf_pmf
+from ehcr.numerics import _EXP_UNDERFLOW, _check_order
 from ehcr.optimizer import (
     RECOVERY_MASS_FLOOR,
     GridPointStatus,
@@ -28,6 +29,7 @@ from ehcr.optimizer import (
     _select_winner,
 )
 from ehcr.outage import OutageBundle, bundle
+from ehcr.performance import rate_rows
 from ehcr.simulator import _N_BATCHES, _STREAMS, SimConfig, SimReport
 from ehcr.system_model import SystemParams, derive
 
@@ -487,11 +489,41 @@ def reference_closed_classes(p: np.ndarray, edge_tol: float = 1e-14) -> list[lis
     return sorted(closed)
 
 
-def column_at(params: SystemParams, tau: float) -> optimizer._Column:
-    """The optimizer's per-tau column (quantities, outages, kernel blocks)."""
+def column_at(params: SystemParams, tau: float,
+              grid: optimizer.GridSpec) -> optimizer._Column:
+    """The optimizer's column at ``tau`` over the thresholds of ``grid``
+    (quantities, outages, kernel blocks and the detector at each)."""
     q = derive(params, tau, require_sensing_capacity=False)
-    return optimizer._Column(q, bundle(params, q), harvest_blocks(
-        params, q, *harvesting.harvest_laws(params)))
+    return optimizer._column(params, q, harvesting.harvest_laws(params),
+                             grid.lambda_grid(q.m))
+
+
+def reference_column_mdp(params: SystemParams, column: optimizer._Column,
+                         scheme: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`~ehcr.optimizer._column_mdp` one threshold at a time, each from
+    scalar detector, kernel-component and rate-row calls."""
+    q = column.quantities
+    n = params.n_states
+    acting, sensing_from = q.alpha_range.start, q.beta_range.start
+    kernels, rewards = [], []
+    for threshold in column.thresholds:
+        cfg = sensing.SensingConfig(q.tau, threshold, q.m)
+        p_d = sensing.detection_avg(cfg, q.gamma_bar)
+        p_f = sensing.false_alarm(cfg)
+        components = transition_components(params, q, column.blocks, p_d, p_f)
+        mu_s_row, mu_p_row = rate_rows(params, column.outages, p_d, p_f,
+                                       q.alpha_range, q.beta_range)
+        idle = components.idle
+        kernels.append((idle, idle + components.blind_delta,
+                        idle + components.sense_delta))
+        rows = np.stack([mu_s_row, mu_p_row], axis=1)
+        reward = np.repeat(rows[None, :n], 3, axis=0)
+        reward[1, acting:] += rows[n:2 * n - acting]
+        reward[2, sensing_from:] += rows[2 * n - acting:]
+        rewards.append(reward)
+    blind_from = n if scheme == "sensing_only" else acting
+    allowed = np.arange(n) >= np.array([[0], [blind_from], [sensing_from]])
+    return np.array(kernels), np.array(rewards), allowed
 
 
 def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
@@ -499,25 +531,87 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
     """``optimize`` with no screen: a cold LP at every grid point, and the
     best of them all by the optimizer's own tie-break."""
     records, candidates = [], []
+    harvest = harvesting.harvest_laws(params)
     for tau in grid.tau_values(params):
-        column = column_at(params, tau)
-        unsupported = optimizer._unsupported(params, column.quantities, scheme)
+        q = derive(params, tau, require_sensing_capacity=False)
+        unsupported = optimizer._unsupported(params, q, scheme)
         if unsupported is not None and unsupported[0] == "unsupported_m":
             records.append(GridPointStatus(tau, math.nan, "unsupported_m"))
             continue
-        thresholds = grid.lambda_grid(column.quantities.m)
+        thresholds = grid.lambda_grid(q.m)
         if unsupported is not None:
             records.extend(GridPointStatus(tau, threshold, unsupported[0])
                            for threshold in thresholds)
             continue
-        for threshold in thresholds:
-            lp, mu_p_row = optimizer._point_lp(params, column, threshold, scheme)
+        column = optimizer._column(params, q, harvest, thresholds)
+        for k, threshold in enumerate(thresholds):
+            lp, mu_p_row = optimizer._point_lp(params, column, k, scheme)
             record, solution = optimizer._solve_point(lp, tau, threshold)
             records.append(record)
             if solution is not None:
                 candidates.append((solution.objective_value, tau, threshold,
-                                   (column, threshold, solution, mu_p_row)))
+                                   (column, k, solution, mu_p_row)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))
     return optimizer._optimal_solution(params, scheme, *winner), tuple(records)
+
+
+# The hand-written integer-order gamma tails that ``ehcr.numerics`` replaced
+# by scipy's, kept as their oracles below x = 700 (beyond it the lower tail's
+# complement cancels for m > x).
+
+def reference_upper_gamma_int(m: int, x: float) -> float:
+    """Regularized upper incomplete gamma ratio for integer order m >= 1.
+
+    For integer m the ratio collapses to the Erlang tail
+    ``exp(-x) * sum_{k<m} x^k / k!``, which is evaluated term by term.  This
+    equals the complementary CDF of a sum of m unit-rate exponentials, hence
+    the value is in [0, 1], nonincreasing in x and nondecreasing in m.
+    """
+    m = _check_order(m)
+    if not 0 <= x < math.inf:  # NaN fails every comparison
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
+    if x == 0.0:
+        return 1.0
+    if x <= _EXP_UNDERFLOW:
+        term = math.exp(-x)
+        total = term
+        for k in range(1, m):
+            term *= x / k
+            total += term
+        return min(total, 1.0)
+    # x too large for exp(-x); accumulate in log space around the peak term
+    logs = [k * math.log(x) - math.lgamma(k + 1) - x for k in range(m)]
+    peak = max(logs)
+    if peak < -745.0:
+        return 0.0
+    return min(math.exp(peak) * sum(math.exp(v - peak) for v in logs), 1.0)
+
+
+def reference_lower_gamma_int(m: int, x: float) -> float:
+    """Regularized lower incomplete gamma ratio for integer order m >= 1.
+
+    Summed as the ascending tail ``exp(-x) * sum_{k>=m} x^k / k!`` so that
+    small values are produced without cancellation against 1.
+    """
+    m = _check_order(m)
+    if not 0 <= x < math.inf:  # NaN fails every comparison
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
+    if x == 0.0:
+        return 0.0
+    if x > _EXP_UNDERFLOW:
+        # upper tail is negligible here for the orders in scope
+        return 1.0 - reference_upper_gamma_int(m, x)
+    log_term = m * math.log(x) - math.lgamma(m + 1) - x
+    if log_term < -745.0:
+        return 0.0
+    term = math.exp(log_term)
+    total = term
+    k = m
+    while True:
+        k += 1
+        term *= x / k
+        total += term
+        if term <= 1e-17 * total and k > x:
+            return min(total, 1.0)

@@ -4,11 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  The shared occupancy sweep over the behavioral
 preset is computed once and reused across the optimizer criteria.
 """
+import collections
 import contextlib
 import copy
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,9 @@ from test_sensing import detection_avg_quadrature
 RHO_GRID = tuple(np.round(np.linspace(0.1, 0.9, 9), 10))
 TESTBENCH_GRID = GridSpec(tau_min=5e-4, lambda_count=40)
 
+#: the benchmark's recorded outputs; its sweep workload runs the same cells
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
 
 @contextlib.contextmanager
 def criterion(label: str):
@@ -51,21 +56,20 @@ def criterion(label: str):
 
 @pytest.fixture(scope="module")
 def sweep(testbench_params):
-    """Optimizations for every (rho, scheme/harvest-mode) cell, timed."""
-    cells = {}
+    """Optimizations for every (rho, scheme/harvest-mode) cell, timed: the
+    winners, and the grid records of each cell."""
+    cells, records = {}, {}
     started = time.perf_counter()
     for rho in RHO_GRID:
         base = with_overrides(testbench_params, rho=float(rho))
-        cells[(rho, "probabilistic", "mixed")] = optimize(
-            base, TESTBENCH_GRID, "probabilistic")[0]
-        cells[(rho, "sensing_only", "mixed")] = optimize(
-            base, TESTBENCH_GRID, "sensing_only")[0]
-        cells[(rho, "probabilistic", "nature")] = optimize(
-            with_overrides(base, eta=0.0), TESTBENCH_GRID, "probabilistic")[0]
-        cells[(rho, "probabilistic", "rf")] = optimize(
-            with_overrides(base, lambda_e=0.0), TESTBENCH_GRID,
-            "probabilistic")[0]
-    return cells, time.perf_counter() - started
+        for scheme, mode, params in (
+                ("probabilistic", "mixed", base),
+                ("sensing_only", "mixed", base),
+                ("probabilistic", "nature", with_overrides(base, eta=0.0)),
+                ("probabilistic", "rf", with_overrides(base, lambda_e=0.0))):
+            cells[(rho, scheme, mode)], records[(rho, scheme, mode)] = optimize(
+                params, TESTBENCH_GRID, scheme)
+    return cells, records, time.perf_counter() - started
 
 
 def test_criterion_1_special_function_oracles():
@@ -193,7 +197,7 @@ def test_criterion_4_analytics_vs_simulation(testbench_params):
 
 def test_criterion_5_optimizer_soundness(testbench_params, sweep):
     with criterion("criterion 5: optimizer soundness across the occupancy sweep"):
-        cells, _ = sweep
+        cells, _, _ = sweep
         rng = np.random.default_rng(271828)
         for rho in RHO_GRID:
             params = with_overrides(testbench_params, rho=float(rho))
@@ -237,7 +241,7 @@ def test_criterion_5_optimizer_soundness(testbench_params, sweep):
 
 def test_criterion_6_trend_reproduction(sweep):
     with criterion("criterion 6: qualitative trends across the occupancy sweep"):
-        cells, elapsed = sweep
+        cells, _, elapsed = sweep
         p_sense_curve = []
         for rho in RHO_GRID:
             prob = cells[(rho, "probabilistic", "mixed")]
@@ -306,3 +310,22 @@ def test_criterion_7_degenerate_gates(testbench_params, make_params, tmp_path):
             assert main(command + ["--out", str(first)]) == 0
             assert main(command + ["--out", str(second)]) == 0
             assert first.read_bytes() == second.read_bytes()
+
+
+def test_sweep_matches_benchmark_reference(sweep):
+    # a winner decided by last-ulp noise (whole grids tie) flips on any
+    # change to the LP coefficients, so the acceptance cells are held to the
+    # winners and status counts recorded for the benchmark's sweep workload
+    reference = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["sweep"]
+    cells, records, _ = sweep
+    assert len(reference) == len(cells)
+    for (rho, scheme, mode), solution in cells.items():
+        want = reference[f"{float(rho)!r}/{scheme}/{mode}"]
+        cell = (rho, scheme, mode)
+        counts = collections.Counter(r.status for r in records[cell])
+        assert counts == want["points"], cell
+        assert math.isclose(solution.tau, want["tau_star"], rel_tol=1e-9), cell
+        assert math.isclose(solution.threshold, want["lambda_star"],
+                            rel_tol=1e-9), cell
+        assert abs(solution.report.mu_s - want["mu_s"]) <= 1e-6, cell
+        assert abs(solution.report.mu_p - want["mu_p"]) <= 1e-6, cell

@@ -3,9 +3,11 @@
 Counts the calls of the per-tau builders made by ``optimize``, ``evaluate``,
 ``run`` and ``compare`` and pins them: one ``derive``, one outage bundle and
 one set of kernel blocks per grid sensing time, plus those of the winner's
-evaluation, and one ambient harvest law per search or evaluation.  The LP
-solves of ``optimize`` are pinned too: its screen needs none, so only the
-points within ``LP_FEASIBILITY_TOL`` of the best are solved.
+evaluation, and one ambient harvest law per search or evaluation.  The
+detector is evaluated once per sensing time, over all its thresholds, and
+once more per evaluation or simulation.  The LP solves of ``optimize`` are
+pinned too: its screen needs none, so only the points within
+``LP_FEASIBILITY_TOL`` of the best are solved.
 """
 import collections
 import contextlib
@@ -13,7 +15,7 @@ import sys
 
 import pytest
 
-from ehcr import chain, harvesting, numerics, outage, system_model
+from ehcr import chain, harvesting, numerics, outage, sensing, system_model
 from ehcr.chain import Policy
 from ehcr.optimizer import InfeasibleGridError, optimize
 from ehcr.performance import evaluate
@@ -27,6 +29,8 @@ COUNTED = {
     "harvest_blocks": chain.harvest_blocks,
     "nature_distribution": harvesting.nature_distribution,
     "solve_lp": numerics.solve_lp,
+    "detection_avg": sensing.detection_avg,
+    "false_alarm": sensing.false_alarm,
 }
 
 
@@ -62,10 +66,12 @@ def test_optimize_builds_each_column_once(calls, setting):
     params, _ = setting
     optimize(params, FAST_GRID, "probabilistic")
     n_tau = len(FAST_GRID.tau_values(params))  # 4 sensing times, all usable
-    # at rho 0.5 every FAST_GRID point ties, so each is solved cold
+    # at rho 0.5 every FAST_GRID point ties, so each is solved cold; the
+    # cold solves read the detector off their column
     assert calls == {"derive": n_tau + 1, "bundle": n_tau + 1,
                      "harvest_blocks": n_tau + 1, "nature_distribution": 2,
-                     "solve_lp": n_tau * 6}
+                     "solve_lp": n_tau * 6, "detection_avg": n_tau + 1,
+                     "false_alarm": n_tau + 1}
 
 
 @pytest.mark.parametrize("grid, rho, mu_th, solves", [
@@ -85,15 +91,17 @@ def test_optimize_solves_only_near_best_points(calls, testbench_params, grid,
 def test_evaluate_derives_once(calls, setting):
     evaluate(*setting)
     assert calls == {"derive": 1, "bundle": 1, "harvest_blocks": 1,
-                     "nature_distribution": 1}
+                     "nature_distribution": 1, "detection_avg": 1,
+                     "false_alarm": 1}
 
 
 def test_run_derives_once(calls, setting):
     run(*setting, SimConfig(slots=500, seed=3))
-    assert calls == {"derive": 1}
+    assert calls == {"derive": 1, "detection_avg": 1, "false_alarm": 1}
 
 
 def test_compare_derives_once_per_model(calls, setting):
     compare(*setting, SimConfig(slots=500, seed=3))
     assert calls == {"derive": 2, "bundle": 1, "harvest_blocks": 1,
-                     "nature_distribution": 1}
+                     "nature_distribution": 1, "detection_avg": 2,
+                     "false_alarm": 2}

@@ -18,7 +18,12 @@ from ehcr.numerics import (
     solve_lp,
 )
 
-from helpers import deadline, empty_constraints
+from helpers import (
+    deadline,
+    empty_constraints,
+    reference_lower_gamma_int,
+    reference_upper_gamma_int,
+)
 
 def upper_gamma_quadrature(m: int, x: float) -> float:
     """Independent oracle: adaptive quadrature of the gamma integrand."""
@@ -96,6 +101,41 @@ class TestUpperGamma:
                 total = (regularized_lower_gamma_int(m, x)
                          + regularized_upper_gamma_int(m, x))
                 assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestGammaTailOracles:
+    """The scipy tails against the hand-written series they replaced and
+    against 60-digit closed forms past the series' reach."""
+
+    @given(m=st.integers(1, 200), x=st.floats(0.0, 700.0))
+    def test_match_series_oracles(self, m, x):
+        # the series hold ~1e-13 below x = 700; where the two differ the
+        # scipy value is the nearer to the 60-digit one
+        for tail, oracle in ((regularized_upper_gamma_int, reference_upper_gamma_int),
+                             (regularized_lower_gamma_int, reference_lower_gamma_int)):
+            expected = oracle(m, x)
+            if expected > 1e-280:
+                assert tail(m, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m, x", [(1000, 750.0), (2000, 1500.0), (900, 701.0)])
+    def test_large_order_lower_tail(self, m, x):
+        # above x = 700 the series took 1 - U(m, x), which cancels for m > x:
+        # L(1000, 750) came out 1.07e-13 against a true 2.15e-18
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            exact = float(mpmath.gammainc(m, 0, x, regularized=True))
+        assert regularized_lower_gamma_int(m, x) == pytest.approx(exact, rel=1e-10,
+                                                                  abs=0.0)
+
+    @pytest.mark.parametrize("tail", [regularized_upper_gamma_int,
+                                      regularized_lower_gamma_int])
+    def test_array_argument_equals_scalar_calls(self, tail):
+        x = np.array([0.0, 0.3, 7.5, 41.0, 699.0, 750.0])
+        values = tail(12, x)
+        assert isinstance(tail(12, 7.5), float)
+        assert np.array_equal(values, [tail(12, float(v)) for v in x])
+        with pytest.raises(ValueError, match="finite"):
+            tail(12, np.array([1.0, math.nan]))
 
 
 def marcum_q_mpmath(mpmath, m: int, a: float, b: float):

@@ -13,6 +13,7 @@ from ehcr.optimizer import (
     GridSpec,
     InfeasibleGridError,
     _build_lp,
+    _column_mdp,
     _point_lp,
     _recover,
     _screen,
@@ -27,6 +28,7 @@ from helpers import (
     column_at,
     components_at,
     outages_at,
+    reference_column_mdp,
     reference_recover,
     reference_search,
     sensing_config,
@@ -365,19 +367,53 @@ class TestConstrainedRegime:
     def test_screen_equals_cold_lp(self, testbench_params, rho, mu_th, scheme):
         params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
         for tau in FAST_GRID.tau_values(params):
-            column = column_at(params, tau)
+            column = column_at(params, tau, FAST_GRID)
             if optimizer._unsupported(params, column.quantities, scheme):
                 continue
-            thresholds = FAST_GRID.lambda_grid(column.quantities.m)
-            objectives = _screen(params, column, thresholds, scheme)
+            objectives = _screen(params, column, scheme)
             assert objectives is not None
-            for objective, threshold in zip(objectives, thresholds):
-                cold = solve_lp(_point_lp(params, column, threshold, scheme)[0])
+            for k, objective in enumerate(objectives):
+                cold = solve_lp(_point_lp(params, column, k, scheme)[0])
                 if cold.status == "optimal":
                     assert objective == pytest.approx(cold.objective_value,
                                                       abs=1e-9)
                 else:
                     assert cold.status == "infeasible" and math.isnan(objective)
+
+    @pytest.mark.parametrize("scheme", optimizer.SCHEMES)
+    @pytest.mark.parametrize("mode", [{}, {"eta": 0.0}, {"lambda_e": 0.0}],
+                             ids=["mixed", "nature", "rf"])
+    def test_column_mdp_equals_threshold_loop(self, testbench_params, scheme,
+                                              mode):
+        params = with_overrides(testbench_params, **mode)
+        for tau in FAST_GRID.tau_values(params):
+            column = column_at(params, tau, FAST_GRID)
+            if optimizer._unsupported(params, column.quantities, scheme):
+                continue
+            batch = _column_mdp(params, column, scheme)
+            for got, want in zip(batch, reference_column_mdp(params, column,
+                                                             scheme)):
+                assert np.array_equal(got, want)
+
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           scheme=st.sampled_from(optimizer.SCHEMES))
+    def test_winner_randomizes_only_on_the_floor(self, testbench_params, rho,
+                                                 mu_th, scheme):
+        # one constraint: an optimal stationary policy randomizes at no
+        # more than one state, and needs to only when the constraint binds
+        # (Beutler & Ross 1985)
+        params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
+        try:
+            solution, _ = optimize(params, TIE_GRID, scheme)
+        except InfeasibleGridError:
+            return
+        policy = solution.policy
+        actions = ([(a, 1.0 - a) for a in policy.alpha]
+                   + [(b1, b2, 1.0 - b1 - b2)
+                      for b1, b2 in zip(policy.beta1, policy.beta2)])
+        randomized = sum(max(level) < 1.0 - 1e-7 for level in actions)
+        binding = solution.lp_mu_p - mu_th < 1e-7
+        assert randomized == (1 if binding else 0)
 
     def test_zero_harvest_column_takes_the_lp(self, testbench_params,
                                               monkeypatch):
@@ -385,9 +421,8 @@ class TestConstrainedRegime:
         # harvested, every level is absorbing and value determination is
         # singular, so every point goes to the LP
         params = with_overrides(testbench_params, rho=0.0, lambda_e=0.0)
-        column = column_at(params, 2e-3)
-        assert _screen(params, column, FAST_GRID.lambda_grid(
-            column.quantities.m), "probabilistic") is None
+        column = column_at(params, 2e-3, FAST_GRID)
+        assert _screen(params, column, "probabilistic") is None
         calls = []
 
         def counted(lp):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import gammainccinv
 
 from ehcr.numerics import regularized_upper_gamma_int
 from ehcr.sensing import (
@@ -125,6 +126,55 @@ class TestDetectionAvg:
         se = float(sample.std(ddof=1) / math.sqrt(sample.size))
         assert detection_avg(c, avg_snr) == pytest.approx(
             float(sample.mean()), abs=3.0 * se)
+
+
+def detection_avg_mpmath(mpmath, m: int, threshold: float, avg_snr: float) -> float:
+    """Oracle: the closed form of :func:`detection_avg` at 60 digits."""
+    with mpmath.workdps(60):
+        t, g = mpmath.mpf(threshold), mpmath.mpf(avg_snr)
+        upper = mpmath.gammainc(m - 1, t / 2, mpmath.inf, regularized=True)
+        lower = mpmath.gammainc(m - 1, 0, t * g / (2 * (1 + g)), regularized=True)
+        return float(upper + ((1 + g) / g) ** (m - 1)
+                     * mpmath.exp(-t / (2 * (1 + g))) * lower)
+
+
+class TestLargeTimeBandwidth:
+    """Time-bandwidth products past the presets (m <= 190), where the old
+    series' lower tail cancelled against 1 and detection came out wrong."""
+
+    @pytest.mark.parametrize("m, avg_snr, p_f, expected", [
+        (1500, 1.0, 0.5, 0.5103),   # the old series gave 1.0
+        (2000, 4.0, 0.1, 0.1177),   # the old series gave 1.0
+        (1000, 3.0, 0.5, 0.5374),   # the old series gave 0.4874
+    ])
+    def test_detection_matches_high_precision(self, m, avg_snr, p_f, expected):
+        mpmath = pytest.importorskip("mpmath")
+        threshold = 2.0 * float(gammainccinv(m, p_f))
+        exact = detection_avg_mpmath(mpmath, m, threshold, avg_snr)
+        assert exact == pytest.approx(expected, abs=1e-4)
+        assert detection_avg(cfg(m, threshold), avg_snr) == pytest.approx(
+            exact, rel=1e-10)
+
+
+class TestThresholdArrays:
+    """A threshold array gives what one call per threshold gives, exactly."""
+
+    @pytest.mark.parametrize("m", [2, 5, 40, 190, 1500])
+    def test_array_equals_scalar_calls(self, m):
+        thresholds = 2.0 * gammainccinv(m, np.geomspace(0.999, 0.001, 40))
+        batch = cfg(m, thresholds)
+        for avg_snr in (0.3, 5.0, TABLE1_GAMMA_BAR):
+            assert np.array_equal(
+                detection_avg(batch, avg_snr),
+                [detection_avg(cfg(m, t), avg_snr) for t in thresholds])
+        assert np.array_equal(false_alarm(batch),
+                              [false_alarm(cfg(m, t)) for t in thresholds])
+        assert isinstance(detection_avg(cfg(m, thresholds[3]), 5.0), float)
+        assert isinstance(false_alarm(cfg(m, thresholds[3])), float)
+
+    def test_invalid_entry_rejected(self):
+        with pytest.raises(ValueError):
+            SensingConfig(tau=1e-4, threshold=np.array([2.0, 0.0]), m=2)
 
 
 class TestSensingConfig:
