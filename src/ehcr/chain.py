@@ -15,9 +15,9 @@ policy-weighted blind/sense increments.  ``TransitionComponents`` exposes
 that decomposition directly, which is what turns the stationary-point
 optimization into a linear program elsewhere.  What depends on the sensing
 time is read from the caller's :class:`~ehcr.system_model.DerivedQuantities`,
-and the consume-then-harvest :class:`HarvestBlocks` of one sensing time serve
-every detector setting.  The rates and access statistics of a solved chain
-live in :mod:`ehcr.performance`.
+and the consume-then-harvest blocks of one sensing time, one array from
+:func:`harvest_blocks`, serve every detector setting.  The rates and access
+statistics of a solved chain live in :mod:`ehcr.performance`.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ class AmbiguousChainError(RuntimeError):
 def action_ranges(params: SystemParams, tau: float) -> tuple[range, range]:
     """Battery levels governed by the blind-only and the full action rules:
     the ``alpha_range`` and ``beta_range`` of :func:`derive` at ``tau``."""
-    q = derive(params, tau, require_sensing_capacity=False)
+    q = derive(params, tau)
     return q.alpha_range, q.beta_range
 
 
@@ -86,7 +86,7 @@ class Policy:
     def validate_against(self, params: SystemParams) -> DerivedQuantities:
         """Check the vector lengths against the level ranges of ``params``;
         returns the quantities :func:`derive` gives at the policy's tau."""
-        quantities = derive(params, self.tau, require_sensing_capacity=False)
+        quantities = derive(params, self.tau)
         alpha_range, beta_range = quantities.alpha_range, quantities.beta_range
         if self.alpha.size != len(alpha_range):
             raise ValueError(
@@ -202,44 +202,24 @@ def _shifted_rows(dist: HarvestPmf, consumption: int, n_states: int) -> np.ndarr
     return block
 
 
-@dataclass(frozen=True)
-class HarvestBlocks:
-    """Consume-then-harvest blocks at each consumption level, per channel state.
-
-    Everything here depends only on (params, tau, harvest laws), not on the
-    detector settings; callers scanning a detection-threshold grid can build
-    these once per sensing time.
-    """
-
-    idle_hold: np.ndarray       # licensed user silent, no consumption
-    idle_tx: np.ndarray         # silent, transmitted
-    idle_sense: np.ndarray      # silent, sensed only
-    idle_sense_tx: np.ndarray   # silent, sensed then transmitted
-    active_hold: np.ndarray
-    active_tx: np.ndarray
-    active_sense: np.ndarray
-    active_sense_tx: np.ndarray
-
-
 def harvest_blocks(params: SystemParams, q: DerivedQuantities,
                    idle_harvest: HarvestPmf,
-                   active_harvest: HarvestPmf) -> HarvestBlocks:
-    """Precompute the detector-independent kernel blocks at one sensing time."""
-    n = params.n_states
-    return HarvestBlocks(
-        idle_hold=_shifted_rows(idle_harvest, 0, n),
-        idle_tx=_shifted_rows(idle_harvest, q.n_t, n),
-        idle_sense=_shifted_rows(idle_harvest, q.n_s, n),
-        idle_sense_tx=_shifted_rows(idle_harvest, q.n_s + q.n_t, n),
-        active_hold=_shifted_rows(active_harvest, 0, n),
-        active_tx=_shifted_rows(active_harvest, q.n_t, n),
-        active_sense=_shifted_rows(active_harvest, q.n_s, n),
-        active_sense_tx=_shifted_rows(active_harvest, q.n_s + q.n_t, n),
-    )
+                   active_harvest: HarvestPmf) -> np.ndarray:
+    """Consume-then-harvest blocks of one sensing time, shape (2, 4, n, n).
+
+    The first axis is the licensed user's state (silent, active), the second
+    the packets consumed: none (hold), a transmission, a sensing operation,
+    and sensing then transmission.  Nothing here depends on the detector
+    settings, so one array serves a whole detection-threshold grid.
+    """
+    costs = (0, q.n_t, q.n_s, q.n_s + q.n_t)
+    return np.array([[_shifted_rows(harvest, cost, params.n_states)
+                      for cost in costs]
+                     for harvest in (idle_harvest, active_harvest)])
 
 
 def transition_components(params: SystemParams, quantities: DerivedQuantities,
-                          blocks: HarvestBlocks, p_d, p_f) -> TransitionComponents:
+                          blocks: np.ndarray, p_d, p_f) -> TransitionComponents:
     """Build the policy-affine pieces of the kernel.
 
     ``blocks`` are the :func:`harvest_blocks` of ``quantities``;
@@ -251,16 +231,16 @@ def transition_components(params: SystemParams, quantities: DerivedQuantities,
     rho_bar = 1.0 - rho
     if np.ndim(p_d):  # one sensing piece per threshold
         p_d, p_f = p_d[:, None, None], p_f[:, None, None]
-    idle = rho_bar * blocks.idle_hold + rho * blocks.active_hold
-    blind = rho_bar * blocks.idle_tx + rho * blocks.active_tx
+    idle_hold, idle_tx, idle_sense, idle_sense_tx = blocks[0]
+    active_hold, active_tx, active_sense, active_sense_tx = blocks[1]
+    idle = rho_bar * idle_hold + rho * active_hold
+    blind = rho_bar * idle_tx + rho * active_tx
     # sensing consumes n_s always, plus n_t whenever the verdict is "idle":
     # false alarms block transmission off an idle channel, mis-detections
     # allow it on a busy one
     sense = (
-        rho_bar * (p_f * blocks.idle_sense
-                   + (1.0 - p_f) * blocks.idle_sense_tx)
-        + rho * (p_d * blocks.active_sense
-                 + (1.0 - p_d) * blocks.active_sense_tx)
+        rho_bar * (p_f * idle_sense + (1.0 - p_f) * idle_sense_tx)
+        + rho * (p_d * active_sense + (1.0 - p_d) * active_sense_tx)
     )
     return TransitionComponents(
         idle=idle,

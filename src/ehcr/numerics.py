@@ -3,9 +3,10 @@
 Everything here is a pure function of its inputs and safe to call from any
 number of threads: integer-order gamma tail probabilities (checked wrappers
 over ``scipy.special.gammaincc``/``gammainc`` that take one argument or a 1-D
-array of them), the generalized Marcum Q function, and a maximization wrapper
-around scipy's HiGHS solver (``linprog``) for the small dense programs built
-by the policy optimizer.
+array of them), the generalized Marcum Q function (one array sum of scipy's
+gamma tails against Poisson weights), and a maximization wrapper around
+scipy's HiGHS solver (``linprog``) for the small dense programs built by the
+policy optimizer.
 """
 from __future__ import annotations
 
@@ -14,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammaln
 
 MARCUM_MAX_TERMS = 10_000
-MARCUM_TAIL_RTOL = 1e-12
-
-# exp(-x) underflows below this; switch to log-space accumulation
-_EXP_UNDERFLOW = 700.0
-
-# an exponential whose logarithm is below this is taken as zero; nearer the
-# subnormal range it would lose precision
-_LOG_TINY = -700.0
+#: truncation tolerance of the Marcum series, leaving room for rounding
+MARCUM_TAIL_RTOL = 1e-13
 
 #: maximum constraint violation an "optimal" solution may carry
 LP_FEASIBILITY_TOL = 1e-8
@@ -83,10 +78,12 @@ def marcum_q(m: int, a: float, b: float) -> float:
 
     Evaluated by the canonical series: expanding the modified Bessel function
     term by term turns the noncentral tail into a Poisson(a^2/2) mixture of
-    integer-order gamma tails.  Every term is positive, so the partial sums
-    are monotone and the unspent Poisson mass bounds the truncation error;
-    iteration stops once that bound drops below ``MARCUM_TAIL_RTOL`` of the
-    accumulated value.
+    integer-order gamma tails, summed as one array over a window of terms.
+    The window starts 9 standard deviations below the Poisson mode, skipping
+    ~1e-19 of the mass, and doubles until the unspent mass beyond it (which
+    bounds the truncation error, every tail being at most 1) is within
+    ``MARCUM_TAIL_RTOL`` of the sum; a window of ``MARCUM_MAX_TERMS`` that
+    falls short raises :class:`MarcumConvergenceError`.
     """
     m = _check_order(m)
     if not (0 <= a < math.inf and 0 <= b < math.inf):  # NaN fails too
@@ -98,51 +95,20 @@ def marcum_q(m: int, a: float, b: float) -> float:
     if a == 0.0:
         return regularized_upper_gamma_int(m, x)
     s = 0.5 * a * a
-
-    if s <= _EXP_UNDERFLOW:
-        n_start = 0
-        weight = math.exp(-s)
-        below_mass = 0.0
-    else:
-        # start 9 sigma into the Poisson left tail: the skipped mass is
-        # ~1e-19 while the log-weight there is still representable
-        n_start = max(0, int(s - 9.0 * math.sqrt(s)))
-        weight = math.exp(n_start * math.log(s) - math.lgamma(n_start + 1) - s)
-        below_mass = 0.0
-
-    gamma_tail = regularized_upper_gamma_int(m + n_start, x)
-    # increment taking U(m+n, x) to U(m+n+1, x), i.e. the Poisson(x) mass at
-    # m+n; it underflows once x exceeds ~745 and is then recomputed from its
-    # logarithm each term until it is representable again
-    log_inc = (m + n_start - 1) * math.log(x) - math.lgamma(m + n_start) - x
-    increment = math.exp(log_inc) if log_inc > _LOG_TINY else 0.0
-
-    total = 0.0
-    weight_sum = below_mass
-    for n in range(n_start, n_start + MARCUM_MAX_TERMS):
-        total += weight * gamma_tail
-        weight_sum += weight
-        # remaining Poisson mass: the complement of the spent mass before the
-        # mode, the geometric decay bound past it (there the complement
-        # bottoms out at float resolution and cannot witness tiny totals)
-        ratio = s / (n + 1)
-        if ratio < 1.0:
-            tail_bound = weight * ratio / (1.0 - ratio)
-        else:
-            tail_bound = 1.0 - weight_sum
-        if tail_bound <= MARCUM_TAIL_RTOL * max(total, 1e-300):
+    start = max(0, int(s - 9.0 * math.sqrt(s)))
+    width = 64
+    while True:
+        n = np.arange(start, start + width)
+        weights = np.exp(n * math.log(s) - gammaln(n + 1) - s)
+        total = float(np.sum(weights * gammaincc(m + n, x)))
+        unspent = float(gammainc(start + width, s))
+        if unspent <= MARCUM_TAIL_RTOL * total:
             return min(total, 1.0)
-        weight *= ratio
-        if increment > 0.0:
-            increment *= x / (m + n)
-        else:
-            log_inc = (m + n) * math.log(x) - math.lgamma(m + n + 1) - x
-            increment = math.exp(log_inc) if log_inc > _LOG_TINY else 0.0
-        gamma_tail = min(gamma_tail + increment, 1.0)
-    raise MarcumConvergenceError(
-        f"Marcum Q_{m}({a}, {b}) did not converge in {MARCUM_MAX_TERMS} terms; "
-        f"remaining mass bound {1.0 - weight_sum:.3e}"
-    )
+        if width == MARCUM_MAX_TERMS:
+            raise MarcumConvergenceError(
+                f"Marcum Q_{m}({a}, {b}) did not converge in "
+                f"{MARCUM_MAX_TERMS} terms; unspent Poisson mass {unspent:.3e}")
+        width = min(2 * width, MARCUM_MAX_TERMS)
 
 
 # ---------------------------------------------------------------------------

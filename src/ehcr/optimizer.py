@@ -43,7 +43,6 @@ from scipy.special import gammainccinv
 
 from . import harvesting, sensing
 from .chain import (
-    HarvestBlocks,
     Policy,
     TransitionComponents,
     harvest_blocks,
@@ -258,7 +257,7 @@ class _Column:
 
     quantities: DerivedQuantities
     outages: OutageBundle
-    blocks: HarvestBlocks
+    blocks: np.ndarray  # (2, 4, n, n) harvest blocks
     thresholds: tuple[float, ...]
     p_d: np.ndarray  # (K,) averaged detection probabilities
     p_f: np.ndarray  # (K,) false-alarm probabilities
@@ -471,7 +470,7 @@ def solve_fixed(params: SystemParams, tau: float, threshold: float, scheme: str
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    quantities = derive(params, tau, require_sensing_capacity=False)
+    quantities = derive(params, tau)
     unsupported = _unsupported(params, quantities, scheme)
     if unsupported is not None:
         raise ConfigurationError(unsupported[1])
@@ -515,7 +514,7 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
     # optimal point; a screened point has no LP solution until the certify pass
     screened: list[tuple[int, _Column, int, float, LpSolution | None]] = []
     for tau in grid.tau_values(params):
-        quantities = derive(params, tau, require_sensing_capacity=False)
+        quantities = derive(params, tau)
         unsupported = _unsupported(params, quantities, scheme)
         if unsupported is not None and unsupported[0] == "unsupported_m":
             records.append(GridPointStatus(tau, math.nan, "unsupported_m"))

@@ -151,15 +151,14 @@ class DerivedQuantities:
     beta_range: range   # levels that may also sense; empty if unaffordable
 
 
-def derive(params: SystemParams, tau: float, *, require_sensing_capacity: bool = True) -> DerivedQuantities:
+def derive(params: SystemParams, tau: float) -> DerivedQuantities:
     """Derive the integer packet costs and rates for sensing time ``tau``.
 
     ``tau`` must lie strictly inside the slot and give an integral
     time-bandwidth product.  The sample count is rounded to the nearest
-    integer when ``f_s * tau`` is not integral.  With
-    ``require_sensing_capacity`` (the default) a battery too small to ever
-    fund sense-then-transmit raises :class:`ConfigurationError`; callers that
-    deliberately operate blind-only pass False.
+    integer when ``f_s * tau`` is not integral.  A battery too small to ever
+    fund sense-then-transmit is no error: ``beta_range`` is then empty and
+    every acting level is blind-only.
     """
     if not 0 < tau < params.T:
         raise ValueError(f"tau must lie in (0, T={params.T}), got {tau}")
@@ -174,11 +173,6 @@ def derive(params: SystemParams, tau: float, *, require_sensing_capacity: bool =
     sensing_energy = n_samples * params.e_proc
     n_s = fuzzy_ceil(sensing_energy / params.E_u) if sensing_energy > 0 else 0
     n_t = params.n_t
-    if require_sensing_capacity and n_t + n_s > params.N_max:
-        raise ConfigurationError(
-            f"sensing branch unreachable: n_t + n_s = {n_t + n_s} exceeds "
-            f"battery capacity N_max = {params.N_max}"
-        )
     transmit_time = params.T - tau
     split = min(n_t + n_s, params.n_states)
     return DerivedQuantities(

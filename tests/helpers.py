@@ -20,7 +20,12 @@ from ehcr.chain import (
     transition_components,
 )
 from ehcr.harvesting import HarvestPmf, _rf_packet_scale, nature_pmf, rf_pmf
-from ehcr.numerics import _EXP_UNDERFLOW, _check_order
+from ehcr.numerics import (
+    MARCUM_MAX_TERMS,
+    MarcumConvergenceError,
+    _check_order,
+    regularized_upper_gamma_int,
+)
 from ehcr.optimizer import (
     RECOVERY_MASS_FLOOR,
     GridPointStatus,
@@ -69,20 +74,20 @@ def sensing_config(params: SystemParams, tau: float,
                    threshold: float) -> sensing.SensingConfig:
     """The :class:`~ehcr.sensing.SensingConfig` of ``tau`` and ``threshold``,
     its time-bandwidth product derived from ``params``."""
-    m = derive(params, tau, require_sensing_capacity=False).m
+    m = derive(params, tau).m
     return sensing.SensingConfig(tau=tau, threshold=threshold, m=m)
 
 
 def outages_at(params: SystemParams, tau: float) -> OutageBundle:
     """:func:`~ehcr.outage.bundle` at sensing time ``tau``."""
-    return bundle(params, derive(params, tau, require_sensing_capacity=False))
+    return bundle(params, derive(params, tau))
 
 
 def components_at(params: SystemParams, tau: float, idle_harvest: HarvestPmf,
                   active_harvest: HarvestPmf, p_d: float,
                   p_f: float) -> TransitionComponents:
     """:func:`~ehcr.chain.transition_components` at sensing time ``tau``."""
-    q = derive(params, tau, require_sensing_capacity=False)
+    q = derive(params, tau)
     blocks = harvest_blocks(params, q, idle_harvest, active_harvest)
     return transition_components(params, q, blocks, p_d, p_f)
 
@@ -122,6 +127,32 @@ def fast_policy_value(params, components, outages, p_d, p_f, policy):
     mu_p = primary_success_rate(params, pi, policy, outages, p_d)
     mu_s = secondary_success_rate(params, pi, policy, outages, p_d, p_f)
     return mu_p, mu_s
+
+
+def best_random_feasible(params, tau, threshold, rng, count=1000,
+                         max_attempts=20_000) -> tuple[int, float]:
+    """(feasible draws, best mu_s among them) of uniform polytope policies at
+    (tau, threshold), drawn until ``count`` clear the licensed-user floor or
+    ``max_attempts`` are spent; the best is -1 when none clears it."""
+    q = derive(params, tau)
+    cfg = sensing_config(params, tau, threshold)
+    p_d = sensing.detection_avg(cfg, q.gamma_bar)
+    p_f = sensing.false_alarm(cfg)
+    components = components_at(params, tau,
+                               harvesting.nature_distribution(params),
+                               harvesting.combined_distribution(params),
+                               p_d, p_f)
+    outages = outages_at(params, tau)
+    feasible, best = 0, -1.0
+    for _ in range(max_attempts):
+        if feasible == count:
+            break
+        mu_p, mu_s = fast_policy_value(params, components, outages, p_d, p_f,
+                                       random_policy(rng, params, tau, threshold))
+        if mu_p >= params.mu_th - 1e-9:
+            feasible += 1
+            best = max(best, mu_s)
+    return feasible, best
 
 
 # Per-level loops the array expressions of ``ehcr`` replaced, kept as their
@@ -325,7 +356,7 @@ def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimRe
     if sim.initial_battery > params.N_max:
         raise ValueError(
             f"initial battery {sim.initial_battery} exceeds N_max={params.N_max}")
-    quantities = derive(params, policy.tau, require_sensing_capacity=False)
+    quantities = derive(params, policy.tau)
     alpha_range, beta_range = action_ranges(params, policy.tau)
     cfg = sensing_config(params, policy.tau, policy.threshold)
     p_f = sensing.false_alarm(cfg)
@@ -493,7 +524,7 @@ def column_at(params: SystemParams, tau: float,
               grid: optimizer.GridSpec) -> optimizer._Column:
     """The optimizer's column at ``tau`` over the thresholds of ``grid``
     (quantities, outages, kernel blocks and the detector at each)."""
-    q = derive(params, tau, require_sensing_capacity=False)
+    q = derive(params, tau)
     return optimizer._column(params, q, harvesting.harvest_laws(params),
                              grid.lambda_grid(q.m))
 
@@ -533,7 +564,7 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
     records, candidates = [], []
     harvest = harvesting.harvest_laws(params)
     for tau in grid.tau_values(params):
-        q = derive(params, tau, require_sensing_capacity=False)
+        q = derive(params, tau)
         unsupported = optimizer._unsupported(params, q, scheme)
         if unsupported is not None and unsupported[0] == "unsupported_m":
             records.append(GridPointStatus(tau, math.nan, "unsupported_m"))
@@ -557,9 +588,20 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
     return optimizer._optimal_solution(params, scheme, *winner), tuple(records)
 
 
-# The hand-written integer-order gamma tails that ``ehcr.numerics`` replaced
-# by scipy's, kept as their oracles below x = 700 (beyond it the lower tail's
-# complement cancels for m > x).
+# The hand-written special functions that ``ehcr.numerics`` replaced by
+# array expressions over scipy's gamma tails, kept as their oracles: the
+# integer-order gamma tails (below x = 700; beyond it the lower tail's
+# complement cancels for m > x) and the term recursion of Marcum Q.
+
+# exp(-x) underflows below this; switch to log-space accumulation
+_EXP_UNDERFLOW = 700.0
+
+# an exponential whose logarithm is below this is taken as zero; nearer the
+# subnormal range it would lose precision
+_LOG_TINY = -700.0
+
+# truncation tolerance of the Marcum term recursion
+_MARCUM_TAIL_RTOL = 1e-12
 
 def reference_upper_gamma_int(m: int, x: float) -> float:
     """Regularized upper incomplete gamma ratio for integer order m >= 1.
@@ -615,3 +657,65 @@ def reference_lower_gamma_int(m: int, x: float) -> float:
         total += term
         if term <= 1e-17 * total and k > x:
             return min(total, 1.0)
+
+
+def reference_marcum_q(m: int, a: float, b: float) -> float:
+    """Generalized Marcum Q function Q_m(a, b) by the term recursion.
+
+    The Poisson(a^2/2) mixture of gamma tails, one term at a time: each
+    weight follows from the last by the Poisson ratio and each gamma tail by
+    adding the Poisson(b^2/2) mass at its order.  The truncation bound is the
+    unspent Poisson mass before the mode and the geometric decay bound past
+    it; iteration stops once the bound drops below ``_MARCUM_TAIL_RTOL`` of
+    the accumulated value.
+    """
+    m = _check_order(m)
+    if not (0 <= a < math.inf and 0 <= b < math.inf):  # NaN fails too
+        raise ValueError(
+            f"arguments must be finite and nonnegative, got a={a}, b={b}")
+    if b == 0.0:
+        return 1.0
+    x = 0.5 * b * b
+    if a == 0.0:
+        return regularized_upper_gamma_int(m, x)
+    s = 0.5 * a * a
+
+    if s <= _EXP_UNDERFLOW:
+        n_start = 0
+        weight = math.exp(-s)
+    else:
+        # start 9 sigma into the Poisson left tail: the skipped mass is
+        # ~1e-19 while the log-weight there is still representable
+        n_start = max(0, int(s - 9.0 * math.sqrt(s)))
+        weight = math.exp(n_start * math.log(s) - math.lgamma(n_start + 1) - s)
+
+    gamma_tail = regularized_upper_gamma_int(m + n_start, x)
+    # increment taking U(m+n, x) to U(m+n+1, x), i.e. the Poisson(x) mass at
+    # m+n; it underflows once x exceeds ~745 and is then recomputed from its
+    # logarithm each term until it is representable again
+    log_inc = (m + n_start - 1) * math.log(x) - math.lgamma(m + n_start) - x
+    increment = math.exp(log_inc) if log_inc > _LOG_TINY else 0.0
+
+    total = 0.0
+    weight_sum = 0.0
+    for n in range(n_start, n_start + MARCUM_MAX_TERMS):
+        total += weight * gamma_tail
+        weight_sum += weight
+        ratio = s / (n + 1)
+        if ratio < 1.0:
+            tail_bound = weight * ratio / (1.0 - ratio)
+        else:
+            tail_bound = 1.0 - weight_sum
+        if tail_bound <= _MARCUM_TAIL_RTOL * max(total, 1e-300):
+            return min(total, 1.0)
+        weight *= ratio
+        if increment > 0.0:
+            increment *= x / (m + n)
+        else:
+            log_inc = (m + n) * math.log(x) - math.lgamma(m + n + 1) - x
+            increment = math.exp(log_inc) if log_inc > _LOG_TINY else 0.0
+        gamma_tail = min(gamma_tail + increment, 1.0)
+    raise MarcumConvergenceError(
+        f"Marcum Q_{m}({a}, {b}) did not converge in {MARCUM_MAX_TERMS} terms; "
+        f"remaining mass bound {1.0 - weight_sum:.3e}"
+    )

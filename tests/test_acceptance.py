@@ -26,13 +26,7 @@ from ehcr.presets import load_preset
 from ehcr.simulator import SimConfig, compare, run
 from ehcr.system_model import derive, params_from_dict, with_overrides
 
-from helpers import (
-    build_transition_matrix,
-    components_at,
-    fast_policy_value,
-    outages_at,
-    sensing_config,
-)
+from helpers import best_random_feasible, build_transition_matrix, outages_at
 from test_chain import enumerate_kernel, toy_setup
 from test_sensing import detection_avg_quadrature
 
@@ -103,7 +97,7 @@ def test_criterion_2_outage_oracles(table1_params, testbench_params):
             b = outages_at(params, tau)
             power_blind = params.E_t / params.T
             power_sense = params.E_t / (params.T - tau)
-            q = derive(params, tau, require_sensing_capacity=False)
+            q = derive(params, tau)
             scenarios = [
                 (b.pu_no_outage_silent, q.r_p, params.P_p, params.sigma_p,
                  0.0, 1.0),
@@ -208,33 +202,8 @@ def test_criterion_5_optimizer_soundness(testbench_params, sweep):
             assert abs(solution.lp_objective - solution.report.mu_s) <= 1e-6
             assert abs(solution.lp_mu_p - solution.report.mu_p) <= 1e-6
             # (b) no batch of random feasible policies beats the optimum
-            tau, threshold = solution.tau, solution.threshold
-            q = derive(params, tau)
-            cfg = sensing_config(params, tau, threshold)
-            p_d = sensing.detection_avg(cfg, q.gamma_bar)
-            p_f = sensing.false_alarm(cfg)
-            idle_h = harvesting.nature_distribution(params)
-            active_h = harvesting.combined_distribution(params)
-            components = components_at(params, tau, idle_h, active_h, p_d, p_f)
-            outages = outages_at(params, tau)
-            alpha_range, beta_range = action_ranges(params, tau)
-            feasible_seen = 0
-            best = -1.0
-            attempts = 0
-            while feasible_seen < 1000 and attempts < 20_000:
-                attempts += 1
-                b1 = rng.random(len(beta_range))
-                b2 = rng.random(len(beta_range))
-                over = b1 + b2 > 1.0
-                b1[over], b2[over] = 1.0 - b1[over], 1.0 - b2[over]
-                candidate = Policy(alpha=rng.random(len(alpha_range)),
-                                   beta1=b1, beta2=b2, tau=tau,
-                                   threshold=threshold)
-                mu_p, mu_s = fast_policy_value(
-                    params, components, outages, p_d, p_f, candidate)
-                if mu_p >= params.mu_th - 1e-9:
-                    feasible_seen += 1
-                    best = max(best, mu_s)
+            feasible_seen, best = best_random_feasible(
+                params, solution.tau, solution.threshold, rng)
             assert feasible_seen == 1000, feasible_seen
             assert solution.report.mu_s >= best - 1e-6, (rho, best)
 

@@ -7,7 +7,9 @@ evaluation, and one ambient harvest law per search or evaluation.  The
 detector is evaluated once per sensing time, over all its thresholds, and
 once more per evaluation or simulation.  The LP solves of ``optimize`` are
 pinned too: its screen needs none, so only the points within
-``LP_FEASIBILITY_TOL`` of the best are solved.
+``LP_FEASIBILITY_TOL`` of the best are solved.  The simulator draws its
+faithful detections from the noncentral chi-square law, so neither a run nor
+a comparison, in either correlation mode, evaluates Marcum Q.
 """
 import collections
 import contextlib
@@ -31,6 +33,8 @@ COUNTED = {
     "solve_lp": numerics.solve_lp,
     "detection_avg": sensing.detection_avg,
     "false_alarm": sensing.false_alarm,
+    "marcum_q": numerics.marcum_q,
+    "detection_instant": sensing.detection_instant,
 }
 
 
@@ -105,3 +109,11 @@ def test_compare_derives_once_per_model(calls, setting):
     assert calls == {"derive": 2, "bundle": 1, "harvest_blocks": 1,
                      "nature_distribution": 1, "detection_avg": 2,
                      "false_alarm": 2}
+
+
+@pytest.mark.parametrize("mode", ["decorrelated", "faithful"])
+def test_simulation_never_evaluates_marcum_q(calls, setting, mode):
+    sim = SimConfig(slots=500, seed=3, correlation_mode=mode)
+    run(*setting, sim)
+    compare(*setting, sim)
+    assert calls["marcum_q"] == calls["detection_instant"] == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.optimize import linprog
 from ehcr import numerics
 from ehcr.numerics import (
     LinearProgram,
+    MarcumConvergenceError,
     feasibility_violation,
     marcum_q,
     regularized_lower_gamma_int,
@@ -22,6 +24,7 @@ from helpers import (
     deadline,
     empty_constraints,
     reference_lower_gamma_int,
+    reference_marcum_q,
     reference_upper_gamma_int,
 )
 
@@ -140,19 +143,24 @@ class TestGammaTailOracles:
 
 def marcum_q_mpmath(mpmath, m: int, a: float, b: float):
     """Independent oracle: the Poisson-mixture series at 60 digits, summed
-    past the Poisson mode until a term drops below 1e-40 of the total."""
+    past the Poisson mode until a term drops below 1e-40 of the total.  Each
+    gamma tail is the last plus the Poisson(b^2/2) mass at its order, so the
+    series needs one incomplete gamma evaluation and positive steps only."""
     with mpmath.workdps(60):
         s = mpmath.mpf(a) ** 2 / 2
         x = mpmath.mpf(b) ** 2 / 2
         weight = mpmath.exp(-s)
+        tail = mpmath.gammainc(m, x, mpmath.inf, regularized=True)
+        mass = x ** (m - 1) * mpmath.exp(-x) / mpmath.factorial(m - 1)
         total = mpmath.mpf(0)
         n = 0
         while True:
-            term = weight * mpmath.gammainc(m + n, x, mpmath.inf,
-                                            regularized=True)
+            term = weight * tail
             total += term
             if n > s + 50 and term < total * mpmath.mpf(10) ** -40:
                 return +total
+            mass *= x / (m + n)  # the Poisson(x) mass at m + n
+            tail += mass         # U(m + n + 1, x)
             n += 1
             weight *= s / n
 
@@ -199,6 +207,9 @@ class TestMarcumQ:
             b = float(rng.uniform(0.0, 8.0))
             value = marcum_q(m, a, b)
             assert 0.0 <= value <= 1.0
+            # the term recursion it replaced; each truncates within 1e-12
+            assert value == pytest.approx(reference_marcum_q(m, a, b),
+                                          rel=2e-12), (m, a, b)
             assert marcum_q(m, a, b + 0.5) <= value + 1e-12
             assert marcum_q(m, a + 0.5, b) >= value - 1e-12
 
@@ -208,16 +219,38 @@ class TestMarcumQ:
         mid = marcum_q(1, 60.0, 61.0)
         assert mid == pytest.approx(stats.ncx2.sf(61.0**2, df=2, nc=3600.0),
                                     abs=1e-9)
+        # the 60-digit series value; the term recursion was 2.9e-12 off
+        assert mid == pytest.approx(0.160663412902282, rel=1e-12)
 
     @pytest.mark.parametrize("m, a, b", [
         (5, 1.0, 30.0),      # Q ~ 1e-178: the spent Poisson mass rounds to 1
-        (1, 35.0, 50.0),     # b^2/2 = 1250: the gamma-tail increment underflows
+        (1, 35.0, 50.0),     # b^2/2 = 1250: exp(-b^2/2) underflows
         (50, 10.04, 41.76),  # Q ~ 1e-191
+        (1, 60.0, 61.0),     # a^2/2 = 1800: exp(-a^2/2) underflows
     ])
     def test_deep_tail_matches_high_precision_series(self, m, a, b):
         mpmath = pytest.importorskip("mpmath")
         assert marcum_q(m, a, b) == pytest.approx(
-            float(marcum_q_mpmath(mpmath, m, a, b)), rel=1e-10)
+            float(marcum_q_mpmath(mpmath, m, a, b)), rel=1e-12)
+
+    def test_matches_high_precision_series_on_seeded_points(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(150)
+        orders = rng.integers(1, 61, size=150).tolist()
+        for m, a, b in zip(orders, rng.uniform(0.0, 40.0, 150).tolist(),
+                           rng.uniform(0.0, 50.0, 150).tolist()):
+            # below the normal range a float holds no relative precision
+            assert marcum_q(m, a, b) == pytest.approx(
+                float(marcum_q_mpmath(mpmath, m, a, b)), rel=1e-12,
+                abs=sys.float_info.min), (m, a, b)
+
+    def test_term_cap_raises(self):
+        # a^2/2 = b^2/2 = 5e5: the capped window leaves ~1.4e-7 of the
+        # Poisson mass unspent, and so did the term recursion
+        with pytest.raises(MarcumConvergenceError, match="10000 terms"):
+            marcum_q(1, 1000.0, 1000.0)
+        with pytest.raises(MarcumConvergenceError):
+            reference_marcum_q(1, 1000.0, 1000.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -23,8 +23,10 @@ from ehcr.optimizer import (
 )
 from ehcr.performance import FEASIBILITY_TOL, rate_rows
 from ehcr.sensing import SensingConfig, detection_avg, false_alarm
+from ehcr.simulator import SimConfig, compare
 from ehcr.system_model import ConfigurationError, derive, with_overrides
 from helpers import (
+    best_random_feasible,
     column_at,
     components_at,
     outages_at,
@@ -94,8 +96,7 @@ class TestSolveFixed:
         params = with_overrides(testbench_params, rho=rho)
         grid = GridSpec(tau_min=5e-4)  # the preset's grid
         tau = grid.tau_values(params)[tau_steps - 1]
-        lambdas = grid.lambda_grid(derive(params, tau,
-                                          require_sensing_capacity=False).m)
+        lambdas = grid.lambda_grid(derive(params, tau).m)
         threshold = lambdas[0] * (lambdas[-1] / lambdas[0]) ** threshold_at
         try:
             solution = solve_fixed(params, tau, threshold, scheme)
@@ -274,7 +275,7 @@ class TestWarmScreen:
                                        (1e-3, 20.0, "sensing_only"),
                                        (6e-3, 30.0, "probabilistic")):
             cfg = sensing_config(params, tau, threshold)
-            quantities = derive(params, tau, require_sensing_capacity=False)
+            quantities = derive(params, tau)
             p_d = detection_avg(cfg, quantities.gamma_bar)
             p_f = false_alarm(cfg)
             components = components_at(params, tau, idle, active, p_d, p_f)
@@ -352,6 +353,31 @@ class TestConstrainedRegime:
                             "probabilistic")
         assert slack.lp_mu_p > 0.65 + 0.01
         assert slack.lp_objective > solution.lp_objective
+
+    def test_binding_winner_dominates_random_feasible_policies(
+            self, testbench_params):
+        # criterion 5's check, where the floor binds
+        params = with_overrides(testbench_params, rho=0.5, mu_th=0.72)
+        solution, _ = optimize(params, TIE_GRID, "probabilistic")
+        feasible, best = best_random_feasible(
+            params, solution.tau, solution.threshold,
+            np.random.default_rng(271828))
+        assert feasible == 1000
+        assert solution.report.mu_s >= best - 1e-6
+
+    def test_randomized_binding_winner_matches_simulation(self, testbench_params):
+        # criterion 4's slot count and first seed, on the one-level mixture
+        params = with_overrides(testbench_params, rho=0.5, mu_th=0.72)
+        solution, _ = optimize(params, TIE_GRID, "probabilistic")
+        probabilities = np.concatenate([solution.policy.alpha,
+                                        solution.policy.beta1,
+                                        solution.policy.beta2])
+        assert np.any((probabilities > 1e-9) & (probabilities < 1.0 - 1e-9))
+        comparison = compare(params, solution.policy,
+                             SimConfig(slots=100_000, seed=100))
+        flagged = [(row.metric, row.zscore) for row in comparison.rows
+                   if row.flagged]
+        assert not flagged
 
     def test_infeasible_floor_matches_all_cold_search(self, testbench_params):
         params = with_overrides(testbench_params, rho=0.5, mu_th=0.99)

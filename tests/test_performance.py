@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ehcr.chain import Policy, StationaryDistribution, action_ranges
 from ehcr.performance import evaluate, occupation, rate_rows
 from ehcr.sensing import detection_avg, false_alarm
-from ehcr.system_model import derive, with_overrides
+from ehcr.system_model import ConfigurationError, derive, with_overrides
 from helpers import (
     access_stats,
     outages_at,
@@ -147,6 +147,20 @@ class TestReport:
         report = evaluate(strict, Policy.idle(strict, TAU, THRESHOLD))
         assert not report.feasible
 
+    def test_time_bandwidth_product_of_one(self, testbench_params):
+        # tau = 5e-5 gives m = 1, where averaged detection is undefined: a
+        # blind-only policy never weighs it, a sensing policy is refused
+        tau = 5e-5
+        assert derive(testbench_params, tau).m == 1
+        blind = Policy.constant(testbench_params, tau, 3.0, 0.5, 0.5, 0.0)
+        report = evaluate(testbench_params, blind)
+        assert report.mu_s == pytest.approx(0.0425, abs=1e-4)
+        assert report.mu_p == pytest.approx(0.7134, abs=1e-4)
+        assert report.p_sense == 0.0
+        sensed = Policy.constant(testbench_params, tau, 3.0, 0.5, 0.3, 0.5)
+        with pytest.raises(ConfigurationError, match="at least 2"):
+            evaluate(testbench_params, sensed)
+
     def test_rates_in_unit_interval(self, testbench_params):
         rng = np.random.default_rng(41)
         for _ in range(20):
@@ -194,7 +208,7 @@ class TestRateRows:
                                threshold)
         report = evaluate(params, policy)
         cfg = sensing_config(params, tau, threshold)
-        q = derive(params, tau, require_sensing_capacity=False)
+        q = derive(params, tau)
         p_d = detection_avg(cfg, q.gamma_bar)
         p_f = false_alarm(cfg)
         outages = outages_at(params, tau)

@@ -50,12 +50,13 @@ class TestDerive:
             derive(table1_params, 1.3e-4 / 2)
 
     def test_unreachable_sensing_branch(self, make_params):
-        # n_t = 10 and n_s large: sensing can never be funded
+        # n_t = 10 and n_s large: sensing can never be funded, so every
+        # acting level is blind-only and the sensing range is empty
         params = make_params(e_proc=0.001)
-        with pytest.raises(ConfigurationError):
-            derive(params, 5e-3)
-        q = derive(params, 5e-3, require_sensing_capacity=False)
+        q = derive(params, 5e-3)
         assert q.n_t + q.n_s > params.N_max
+        assert not q.beta_range
+        assert q.alpha_range == range(q.n_t, params.n_states)
 
     def test_scale_consistency(self, make_params):
         rng = np.random.default_rng(5)
@@ -69,7 +70,7 @@ class TestDerive:
     def test_time_bandwidth_product_exactly_integer(self, testbench_params):
         w = testbench_params.W
         for k in range(1, 40):
-            q = derive(testbench_params, k / w, require_sensing_capacity=False)
+            q = derive(testbench_params, k / w)
             assert q.m == k
 
 
