@@ -1,4 +1,4 @@
-"""Energy-queue Markov chain: transition kernel and stationary law.
+"""Energy-queue Markov chain: transition kernels and stationary law.
 
 The battery holds an integer number of energy packets, capped at ``N_max``.
 Each slot the node acts according to its level: below the transmission cost
@@ -10,14 +10,15 @@ slot's arrivals (ambient only when the licensed user is silent, ambient plus
 RF when it is active), and caps at the battery size; the top column therefore
 uses tail probabilities in place of point masses.
 
-The kernel is affine in the policy: every row is the idle row plus the
-policy-weighted blind/sense increments.  ``TransitionComponents`` exposes
-that decomposition directly, which is what turns the stationary-point
-optimization into a linear program elsewhere.  What depends on the sensing
-time is read from the caller's :class:`~ehcr.system_model.DerivedQuantities`,
-and the consume-then-harvest blocks of one sensing time, one array from
-:func:`harvest_blocks`, serve every detector setting.  The rates and access
-statistics of a solved chain live in :mod:`ehcr.performance`.
+The model is indexed by action: :func:`transition_components` gives one
+kernel per action (idle, blind access, sensing), and
+:meth:`Policy.level_actions` gives each level's probability of taking each
+action, so a policy's kernel is their level-wise mixture.  What depends on
+the sensing time is read from the caller's
+:class:`~ehcr.system_model.DerivedQuantities`, and the consume-then-harvest
+blocks of one sensing time, one array from :func:`harvest_blocks`, serve
+every detector setting.  The per-action rewards and the statistics of a
+solved chain live in :mod:`ehcr.performance`.
 """
 from __future__ import annotations
 
@@ -127,6 +128,17 @@ class Policy:
             threshold=threshold,
         )
 
+    def level_actions(self, quantities: DerivedQuantities) -> np.ndarray:
+        """Probabilities (3, n) of idling, blind access and sensing at each
+        battery level: ``alpha`` on the blind-only range, ``beta1``/``beta2``
+        on the full range of ``quantities``, idling everywhere else."""
+        actions = np.zeros((3, quantities.beta_range.stop))
+        blind, full = quantities.alpha_range, quantities.beta_range
+        actions[1, blind.start:blind.stop] = self.alpha
+        actions[1:, full.start:] = self.beta1, self.beta2
+        actions[0] = 1.0 - actions[1] - actions[2]
+        return actions
+
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -138,6 +150,8 @@ class TransitionMatrix:
         p = np.asarray(self.matrix, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"kernel must be square, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("kernel entries must be finite")
         if np.any(p < -1e-12):
             raise ValueError("kernel entries must be nonnegative")
         row_sums = p.sum(axis=1)
@@ -162,26 +176,6 @@ class StationaryDistribution:
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", pi)
-
-
-@dataclass(frozen=True)
-class TransitionComponents:
-    """Affine decomposition of the kernel in the policy probabilities.
-
-    ``row(i) = idle[i] + alpha_i * blind_delta[i]`` on the blind-only range,
-    ``row(i) = idle[i] + beta1_i * blind_delta[i] + beta2_i * sense_delta[i]``
-    on the full range, and ``idle[i]`` below the transmission cost.
-    """
-
-    idle: np.ndarray
-    blind_delta: np.ndarray
-    sense_delta: np.ndarray
-    alpha_range: range
-    beta_range: range
-
-    @property
-    def n_states(self) -> int:
-        return self.idle.shape[0]
 
 
 def _shifted_rows(dist: HarvestPmf, consumption: int, n_states: int) -> np.ndarray:
@@ -218,18 +212,18 @@ def harvest_blocks(params: SystemParams, q: DerivedQuantities,
                      for harvest in (idle_harvest, active_harvest)])
 
 
-def transition_components(params: SystemParams, quantities: DerivedQuantities,
-                          blocks: np.ndarray, p_d, p_f) -> TransitionComponents:
-    """Build the policy-affine pieces of the kernel.
+def transition_components(params: SystemParams, blocks: np.ndarray,
+                          p_d, p_f) -> np.ndarray:
+    """Kernels of idling, blind access and sensing, stacked to (3, n, n).
 
-    ``blocks`` are the :func:`harvest_blocks` of ``quantities``;
+    ``blocks`` are the :func:`harvest_blocks` of one sensing time;
     ``p_d``/``p_f`` are the averaged detection and false-alarm probabilities
     of the sensing configuration in force: floats, or (K,) arrays for K
-    thresholds, which stack ``sense_delta`` to (K, n, n).
+    thresholds, which stack the kernels to (K, 3, n, n).
     """
     rho = params.rho
     rho_bar = 1.0 - rho
-    if np.ndim(p_d):  # one sensing piece per threshold
+    if np.ndim(p_d):  # one sensing kernel per threshold
         p_d, p_f = p_d[:, None, None], p_f[:, None, None]
     idle_hold, idle_tx, idle_sense, idle_sense_tx = blocks[0]
     active_hold, active_tx, active_sense, active_sense_tx = blocks[1]
@@ -242,25 +236,7 @@ def transition_components(params: SystemParams, quantities: DerivedQuantities,
         rho_bar * (p_f * idle_sense + (1.0 - p_f) * idle_sense_tx)
         + rho * (p_d * active_sense + (1.0 - p_d) * active_sense_tx)
     )
-    return TransitionComponents(
-        idle=idle,
-        blind_delta=blind - idle,
-        sense_delta=sense - idle,
-        alpha_range=quantities.alpha_range,
-        beta_range=quantities.beta_range,
-    )
-
-
-def compose_transition(components: TransitionComponents, alpha: np.ndarray,
-                       beta1: np.ndarray, beta2: np.ndarray) -> np.ndarray:
-    """Assemble the kernel for given probability vectors (no wrapping checks)."""
-    blind = slice(components.alpha_range.start, components.alpha_range.stop)
-    full = slice(components.beta_range.start, components.beta_range.stop)
-    p = components.idle.copy()
-    p[blind] += alpha[:, None] * components.blind_delta[blind]
-    p[full] += (beta1[:, None] * components.blind_delta[full]
-                + beta2[:, None] * components.sense_delta[full])
-    return p
+    return np.stack(np.broadcast_arrays(idle, blind, sense), axis=-3)
 
 
 def _closed_classes(p: np.ndarray) -> list[list[int]]:

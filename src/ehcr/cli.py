@@ -119,7 +119,11 @@ def _load_config(source: str) -> LoadedConfig:
     except (TypeError, ValueError) as exc:  # ConfigurationError included
         raise CliError(str(exc)) from exc
     _checked(params)
-    grid_doc = doc.get("grid", {})
+    grid_doc, sim_doc = doc.get("grid", {}), doc.get("sim", {})
+    for name, section in (("grid", grid_doc), ("sim", sim_doc)):
+        if not isinstance(section, dict):
+            raise CliError(f"invalid {name}: the section must be an object, "
+                           f"got {section!r}")
     try:
         grid = GridSpec(
             tau_min=float(grid_doc.get("tau_min", 1.0 / params.W)),
@@ -130,7 +134,7 @@ def _load_config(source: str) -> LoadedConfig:
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"invalid grid: {exc}") from exc
     return LoadedConfig(params=params, grid=grid,
-                        sim_defaults=dict(doc.get("sim", {})))
+                        sim_defaults=dict(sim_doc))
 
 
 def _load_policy(path: str, params: SystemParams) -> Policy:

@@ -1,36 +1,37 @@
 """Grid search for the best access policy, screened without an LP.
 
-For a fixed sensing time and detection threshold the stationary balance
-equations become linear once the per-level action probabilities are replaced
-by their products with the stationary masses: the occupation vector of
-:func:`~ehcr.performance.occupation`.  The secondary success rate and the
-licensed-user floor are the rows of :func:`~ehcr.performance.rate_rows` over
-the same vector, so each grid point is a small dense LP; an exhaustive search
-over the admissible sensing times and a threshold grid then picks the best
-feasible point.  Everything but the detector terms depends on the sensing
-time alone, so each sensing time is derived, checked against the scheme and
-turned into outage probabilities and kernel blocks once, as a column that
-every threshold there shares; the column also holds the detection and
-false-alarm probabilities of all its thresholds, from one detector call
-each, which the screen reads as arrays and every LP indexes.
+For a fixed sensing time and detection threshold the secondary chooses, at
+each battery level, among idling, blind access and sensing; the model of
+that choice is the per-action kernels of
+:func:`~ehcr.chain.transition_components` and the per-action (mu_s, mu_p)
+rewards of :func:`~ehcr.performance.action_rewards`.  Everything but the
+detector terms depends on the sensing time alone, so each sensing time is
+derived, checked against the scheme and turned into outage probabilities and
+kernel blocks once, as a column that every threshold there shares; the
+column also holds the detection and false-alarm probabilities of all its
+thresholds, from one detector call each.  An exhaustive search over the
+admissible sensing times and a threshold grid then picks the best point
+whose policy meets the licensed-user floor.
 
 The search runs in two passes.  The screen values all thresholds of a
-column at once as constrained MDPs over the battery levels, with idling,
-blind access and sensing as the actions (Puterman 1994, ch. 8-9; Altman
-1999, ch. 3).  Batched average-reward policy iteration finds the
-unconstrained optimum, the point's value when it clears the floor; the
+column at once as constrained MDPs over the battery levels (Puterman 1994,
+ch. 8-9; Altman 1999, ch. 3).  Batched average-reward policy iteration finds
+the unconstrained optimum, the point's value when it clears the floor; the
 highest licensed-user rate decides infeasibility; any other point gets the
 LP value, that of a mix of two deterministic policies, from a cutting-plane
 search on the Lagrangian dual of ``mu_s + nu * (mu_p - mu_th)``.  A column
 whose value determination is singular, as with no harvest at all, goes to
-the LP point by point.  Every point within ``LP_FEASIBILITY_TOL`` of the
-best is then solved cold by the LP, and only these certified candidates
-compete: the maximum objective wins, ties broken toward the smaller sensing
-time, then the smaller threshold, regardless of evaluation order.  Points
-equal in value to within solver noise are common (whole grids can tie), so
-the winner is reproducible bit for bit only because the near-ties are
-decided on cold solves, and only the winner's policy is recovered from its
-LP solution.
+the LP point by point.  The LP of a point is the same model with the
+action probabilities replaced by their products with the stationary masses:
+its variables are the occupation vector (pi, pi*alpha, pi*beta1, pi*beta2),
+in which the balance equations, the floor and the objective are linear.
+Every point within ``LP_FEASIBILITY_TOL`` of the best is solved cold by the
+LP, and only these certified candidates compete: the maximum objective
+wins, ties broken toward the smaller sensing time, then the smaller
+threshold, regardless of evaluation order.  Points equal in value to within
+solver noise are common (whole grids can tie), so the winner is
+reproducible bit for bit only because the near-ties are decided on cold
+solves, and only the winner's policy is recovered from its LP solution.
 """
 from __future__ import annotations
 
@@ -42,15 +43,10 @@ import numpy as np
 from scipy.special import gammainccinv
 
 from . import harvesting, sensing
-from .chain import (
-    Policy,
-    TransitionComponents,
-    harvest_blocks,
-    transition_components,
-)
+from .chain import Policy, harvest_blocks, transition_components
 from .numerics import LP_FEASIBILITY_TOL, LinearProgram, LpSolution, solve_lp
 from .outage import OutageBundle, bundle
-from .performance import PerformanceReport, evaluate, rate_rows
+from .performance import PerformanceReport, action_rewards, evaluate
 from .system_model import (
     ConfigurationError,
     DerivedQuantities,
@@ -96,7 +92,8 @@ class GridSpec:
             if not values or any(not 0 < v < math.inf for v in values):
                 raise ValueError("explicit lambda_values must be positive and finite")
             object.__setattr__(self, "lambda_values", values)
-        elif not (isinstance(self.lambda_count, int) and self.lambda_count >= 1):
+        elif (isinstance(self.lambda_count, bool)
+              or not (isinstance(self.lambda_count, int) and self.lambda_count >= 1)):
             raise ValueError(f"lambda_count must be an integer >= 1, got {self.lambda_count!r}")
 
     def tau_values(self, params: SystemParams) -> tuple[float, ...]:
@@ -188,33 +185,45 @@ class InfeasibleGridError(RuntimeError):
         super().__init__(f"no feasible grid point ({summary})")
 
 
-def _build_lp(params: SystemParams, components: TransitionComponents,
-              mu_s_row: np.ndarray, mu_p_row: np.ndarray,
-              scheme: str) -> LinearProgram:
-    """Assemble the policy LP at one grid point.
+def _rate_rows(params: SystemParams, quantities: DerivedQuantities,
+               rewards: np.ndarray) -> np.ndarray:
+    """The (2, nvars) rows of (mu_s, mu_p) over the LP's occupation vector
+    (pi, pi*alpha, pi*beta1, pi*beta2), from the (3, 2) action rewards: the
+    idle reward on the masses, each action's change from idling on its
+    products."""
+    ka, kb = len(quantities.alpha_range), len(quantities.beta_range)
+    per_block = np.vstack([rewards[0], rewards[1:] - rewards[0]]).T
+    return np.repeat(per_block, [params.n_states, ka + kb, kb], axis=1)
 
-    The variables are the occupation vector of
-    :func:`~ehcr.performance.occupation`, and ``mu_s_row``/``mu_p_row`` are
-    :func:`~ehcr.performance.rate_rows` over it: the objective and the
-    licensed-user floor, which enters as one inequality.  Balance rows use the
-    affine kernel decomposition, and each level's products may not exceed its
-    mass.  The sensing-only scheme pins the blind product variables to zero
-    through their bounds.
+
+def _build_lp(params: SystemParams, quantities: DerivedQuantities,
+              kernels: np.ndarray, rewards: np.ndarray,
+              scheme: str) -> LinearProgram:
+    """Assemble the policy LP at one grid point from its (3, n, n) kernels
+    and (3, 2) rewards of idling, blind access and sensing.
+
+    The variables are the occupation vector (pi, pi*alpha, pi*beta1,
+    pi*beta2), in which the kernel and both rates are affine: each product
+    carries its action's change from idling.  The secondary rate is the
+    objective and the licensed-user floor enters as one inequality; each
+    level's products may not exceed its mass.  The sensing-only scheme pins
+    the blind product variables to zero through their bounds.
     """
-    n = components.n_states
-    alpha_range, beta_range = components.alpha_range, components.beta_range
+    n = params.n_states
+    alpha_range, beta_range = quantities.alpha_range, quantities.beta_range
     ka, kb = len(alpha_range), len(beta_range)
     nvars = n + ka + 2 * kb
     alpha_rows = slice(alpha_range.start, alpha_range.stop)
     beta_rows = slice(beta_range.start, beta_range.stop)
 
-    balance = np.hstack([components.idle.T - np.eye(n),
-                         components.blind_delta[alpha_rows].T,
-                         components.blind_delta[beta_rows].T,
-                         components.sense_delta[beta_rows].T])
+    idle, blind, sense = kernels
+    blind_delta, sense_delta = blind - idle, sense - idle
+    balance = np.hstack([idle.T - np.eye(n), blind_delta[alpha_rows].T,
+                         blind_delta[beta_rows].T, sense_delta[beta_rows].T])
     normalization = np.concatenate([np.ones(n), np.zeros(ka + 2 * kb)])
     eq_matrix = np.vstack([balance, normalization])
     eq_rhs = np.concatenate([np.zeros(n), [1.0]])
+    mu_s_row, mu_p_row = _rate_rows(params, quantities, rewards)
 
     # row 0 is the floor; row 1 + k caps the products of the k-th acting
     # level (the beta levels follow the alpha levels) by that level's mass
@@ -292,55 +301,32 @@ def _unsupported(params: SystemParams, quantities: DerivedQuantities,
     return None
 
 
-def _point_rows(params: SystemParams, column: _Column, points: int | slice
-                ) -> tuple[TransitionComponents, np.ndarray, np.ndarray]:
-    """Kernel components and (mu_s, mu_p) rate rows at the thresholds
-    ``points`` of a column: an index for the policy LP, a slice for the screen."""
-    q = column.quantities
-    p_d, p_f = column.p_d[points], column.p_f[points]
-    components = transition_components(params, q, column.blocks, p_d, p_f)
-    return components, *rate_rows(params, column.outages, p_d, p_f,
-                                  q.alpha_range, q.beta_range)
-
-
 def _point_lp(params: SystemParams, column: _Column, k: int,
-              scheme: str) -> tuple[LinearProgram, np.ndarray]:
-    """The policy LP at the k-th threshold of a column, and its mu_p row."""
-    components, mu_s_row, mu_p_row = _point_rows(params, column, k)
-    return _build_lp(params, components, mu_s_row, mu_p_row, scheme), mu_p_row
+              scheme: str) -> LinearProgram:
+    """The policy LP at the k-th threshold of a column."""
+    p_d, p_f = column.p_d[k], column.p_f[k]
+    return _build_lp(params, column.quantities,
+                     transition_components(params, column.blocks, p_d, p_f),
+                     action_rewards(params, column.outages, p_d, p_f), scheme)
 
 
-def _column_mdp(params: SystemParams, column: _Column, scheme: str
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A column's thresholds as a batch of MDPs over the battery levels.
-
-    Returns the (K, 3, n, n) kernels and (K, 3, n, 2) (mu_s, mu_p) rewards of
-    idling, blind access and sensing at each level, read off the column's
-    transition components and rate rows, and the (3, n) mask of the actions
-    each level admits; the sensing-only scheme admits no blind access.
-    """
-    q = column.quantities
+def _admitted(params: SystemParams, quantities: DerivedQuantities,
+              scheme: str) -> np.ndarray:
+    """(3, n) mask of the actions each level admits: each from its first
+    affordable level up, and no blind access under the sensing-only scheme."""
     n = params.n_states
-    acting, sensing_from = q.alpha_range.start, q.beta_range.start
-    components, mu_s_rows, mu_p_rows = _point_rows(params, column, slice(None))
-    idle = components.idle
-    kernels = np.stack(np.broadcast_arrays(
-        idle, idle + components.blind_delta, idle + components.sense_delta), axis=1)
-    rows = np.stack([mu_s_rows, mu_p_rows], axis=-1)
-    rewards = np.repeat(rows[:, None, :n], 3, axis=1)
-    rewards[:, 1, acting:] += rows[:, n:2 * n - acting]
-    rewards[:, 2, sensing_from:] += rows[:, 2 * n - acting:]
-    # each action is admitted from its first affordable level up
-    blind_from = n if scheme == "sensing_only" else acting
-    allowed = np.arange(n) >= np.array([[0], [blind_from], [sensing_from]])
-    return kernels, rewards, allowed
+    blind_from = n if scheme == "sensing_only" else quantities.alpha_range.start
+    firsts = [[0], [blind_from], [quantities.beta_range.start]]
+    return np.arange(n) >= np.array(firsts)
 
 
 def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
                       allowed: np.ndarray, weights) -> np.ndarray | None:
     """Gains (K, 2) of (mu_s, mu_p) under a deterministic policy maximizing
-    the average of ``rewards @ weights`` in each MDP of the batch; ``weights``
-    is one (2,) pair or a (K, 2) stack.
+    the average of ``rewards @ weights`` in each MDP of the batch: the
+    (K, 3, n, n) kernels and (K, 3, 2) rewards of the three actions, which
+    ``allowed`` admits per level.  ``weights`` is one (2,) pair or a (K, 2)
+    stack.
 
     Average-reward policy iteration from the all-idle policy.  Value
     determination solves ``g + h = r + P h`` with ``h`` pinned to zero at
@@ -349,17 +335,17 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
     singular or not finite (a policy with several closed classes) or the
     iteration does not settle.
     """
-    count, _, n, _ = rewards.shape
+    count, _, n, _ = kernels.shape
     weights = np.broadcast_to(weights, (count, 2))
     batch, levels = np.arange(count)[:, None], np.arange(n)
-    weighted = (rewards @ weights[:, None, :, None])[..., 0]
+    weighted = rewards @ weights[:, :, None]  # (K, 3, 1): the same at every level
     tol = _PI_TOL * (1.0 + np.abs(weights).sum(axis=1))[:, None]
     policy = np.zeros((count, n), dtype=int)
     for _ in range(_PI_MAX_STEPS):
         system = np.eye(n) - kernels[batch, policy, levels]
         system[:, :, 0] = 1.0  # the gain takes the place of h at level 0
         try:
-            solved = np.linalg.solve(system, rewards[batch, policy, levels])
+            solved = np.linalg.solve(system, rewards[batch, policy])
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(solved)):
@@ -387,7 +373,10 @@ def _screen(params: SystemParams, column: _Column,
     there.  The value is then that of the mix of the two policies meeting
     the floor.  None when a policy iteration fails.
     """
-    kernels, rewards, allowed = _column_mdp(params, column, scheme)
+    kernels = transition_components(params, column.blocks, column.p_d,
+                                    column.p_f)
+    rewards = action_rewards(params, column.outages, column.p_d, column.p_f)
+    allowed = _admitted(params, column.quantities, scheme)
     mu_th = params.mu_th
 
     def solve(points: np.ndarray, weights) -> np.ndarray | None:
@@ -435,8 +424,7 @@ def _solve_point(lp: LinearProgram, tau: float, threshold: float
 
 
 def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
-                      k: int, solution: LpSolution,
-                      mu_p_row: np.ndarray) -> OptimalSolution:
+                      k: int, solution: LpSolution) -> OptimalSolution:
     """Recover the policy of an optimal LP answer at the k-th threshold of a
     column and evaluate it."""
     q = column.quantities
@@ -456,7 +444,8 @@ def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
         substituted=substituted,
         scheme=scheme,
         lp_objective=float(solution.objective_value),
-        lp_mu_p=float(mu_p_row @ x),
+        lp_mu_p=float(_rate_rows(params, q, action_rewards(
+            params, column.outages, column.p_d[k], column.p_f[k]))[1] @ x),
     )
 
 
@@ -476,11 +465,10 @@ def solve_fixed(params: SystemParams, tau: float, threshold: float, scheme: str
         raise ConfigurationError(unsupported[1])
     column = _column(params, quantities, harvesting.harvest_laws(params),
                      (threshold,))
-    lp, mu_p_row = _point_lp(params, column, 0, scheme)
-    solution = solve_lp(lp)
+    solution = solve_lp(_point_lp(params, column, 0, scheme))
     if solution.status != "optimal":
         return None
-    return _optimal_solution(params, scheme, column, 0, solution, mu_p_row)
+    return _optimal_solution(params, scheme, column, 0, solution)
 
 
 def _select_winner(candidates: list[tuple[float, float, float, Any]]) -> Any:
@@ -529,8 +517,8 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
         for k, threshold in enumerate(thresholds):
             solution = None
             if objectives is None:
-                lp, _ = _point_lp(params, column, k, scheme)
-                record, solution = _solve_point(lp, tau, threshold)
+                record, solution = _solve_point(
+                    _point_lp(params, column, k, scheme), tau, threshold)
             elif math.isnan(objectives[k]):
                 record = GridPointStatus(tau, threshold, "infeasible")
             else:
@@ -549,12 +537,12 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
         screened = [entry for entry in screened if entry[3] < cutoff]
         for index, column, k, _, solution in near:
             tau, threshold = column.quantities.tau, column.thresholds[k]
-            lp, mu_p_row = _point_lp(params, column, k, scheme)
             if solution is None:
-                records[index], solution = _solve_point(lp, tau, threshold)
+                records[index], solution = _solve_point(
+                    _point_lp(params, column, k, scheme), tau, threshold)
             if solution is not None:
                 candidates.append((solution.objective_value, tau, threshold,
-                                   (column, k, solution, mu_p_row)))
+                                   (column, k, solution)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

@@ -41,7 +41,7 @@ from scipy.special import chndtr
 from . import sensing
 from .chain import Policy
 from .performance import PerformanceReport, evaluate
-from .system_model import DerivedQuantities, SystemParams
+from .system_model import SystemParams
 
 #: substream names, in spawn order; append only, never reorder
 _STREAMS = ("pu", "h_p", "h_pst", "h_ps", "h_s", "h_sp",
@@ -184,19 +184,6 @@ def _harvest(params: SystemParams, streams: dict, pu_active: np.ndarray,
             + np.where(pu_active, rf_q, 0))
 
 
-def _level_thresholds(params: SystemParams, policy: Policy,
-                      quantities: DerivedQuantities) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative per-level thresholds on the action draw ``u``: blind access
-    when ``u < blind[b]``, else sensing when ``u < sense[b]``, else idle."""
-    alpha_range, beta_range = quantities.alpha_range, quantities.beta_range
-    blind = np.zeros(params.n_states)
-    blind[alpha_range.start:alpha_range.stop] = policy.alpha
-    blind[beta_range.start:] = policy.beta1
-    sense = blind.copy()
-    sense[beta_range.start:] = policy.beta1 + policy.beta2
-    return blind, sense
-
-
 def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
     """Simulate ``sim.slots`` slots and tally empirical statistics.
 
@@ -210,7 +197,10 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
         raise ValueError(
             f"initial battery {sim.initial_battery} exceeds N_max={params.N_max}")
     n_t, n_s = quantities.n_t, quantities.n_s
-    blind_at, sense_at = _level_thresholds(params, policy, quantities)
+    # cumulative per-level thresholds on the action draw ``u``: blind access
+    # when ``u < blind_at[b]``, else sensing when ``u < sense_at[b]``, else idle
+    _, blind_at, sense_prob = policy.level_actions(quantities)
+    sense_at = blind_at + sense_prob
     uses_sensing = bool(np.any(policy.beta2 > 0))
     decorrelated = sim.correlation_mode == "decorrelated"
     cfg = sensing.SensingConfig(policy.tau, policy.threshold, quantities.m)

@@ -1,20 +1,21 @@
 """Shared oracle utilities for the test suite."""
 import contextlib
 import math
+import os
 import signal
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+import ehcr
 from ehcr import harvesting, optimizer, sensing
 from ehcr.chain import (
     Policy,
     StationaryDistribution,
-    TransitionComponents,
     TransitionMatrix,
     action_ranges,
-    compose_transition,
     harvest_blocks,
     stationary_distribution,
     transition_components,
@@ -34,7 +35,7 @@ from ehcr.optimizer import (
     _select_winner,
 )
 from ehcr.outage import OutageBundle, bundle
-from ehcr.performance import rate_rows
+from ehcr.performance import action_rewards
 from ehcr.simulator import _N_BATCHES, _STREAMS, SimConfig, SimReport
 from ehcr.system_model import SystemParams, derive
 
@@ -67,6 +68,14 @@ def deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def child_env() -> dict[str, str]:
+    """Environment for a child Python process that imports the ``ehcr`` this
+    suite imported, installed or taken from the source tree."""
+    source = str(Path(ehcr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 # Per-sensing-time conveniences: ``ehcr`` derives a sensing time once and
 # hands the quantities down; the tests often start from a bare tau.
 
@@ -85,11 +94,20 @@ def outages_at(params: SystemParams, tau: float) -> OutageBundle:
 
 def components_at(params: SystemParams, tau: float, idle_harvest: HarvestPmf,
                   active_harvest: HarvestPmf, p_d: float,
-                  p_f: float) -> TransitionComponents:
-    """:func:`~ehcr.chain.transition_components` at sensing time ``tau``."""
+                  p_f: float) -> np.ndarray:
+    """:func:`~ehcr.chain.transition_components` at sensing time ``tau``:
+    the (3, n, n) kernels of idling, blind access and sensing."""
     q = derive(params, tau)
     blocks = harvest_blocks(params, q, idle_harvest, active_harvest)
-    return transition_components(params, q, blocks, p_d, p_f)
+    return transition_components(params, blocks, p_d, p_f)
+
+
+def compose(params: SystemParams, kernels: np.ndarray,
+            policy: Policy) -> np.ndarray:
+    """The kernel of ``policy``: its level actions mixing the per-action
+    ``kernels``, as :func:`~ehcr.performance.evaluate` composes it."""
+    actions = policy.level_actions(derive(params, policy.tau))
+    return np.einsum("an,anm->nm", actions, kernels)
 
 
 def build_transition_matrix(params: SystemParams, policy: Policy,
@@ -97,10 +115,9 @@ def build_transition_matrix(params: SystemParams, policy: Policy,
                             p_d: float, p_f: float) -> TransitionMatrix:
     """Kernel of the battery chain under ``policy``."""
     policy.validate_against(params)
-    components = components_at(params, policy.tau, idle_harvest, active_harvest,
-                               p_d, p_f)
-    kernel = compose_transition(components, policy.alpha, policy.beta1, policy.beta2)
-    return TransitionMatrix(kernel)
+    kernels = components_at(params, policy.tau, idle_harvest, active_harvest,
+                            p_d, p_f)
+    return TransitionMatrix(compose(params, kernels, policy))
 
 
 def pmf(dist: HarvestPmf, count: int) -> float:
@@ -115,15 +132,14 @@ def empty_constraints(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((0, n)), np.zeros(0)
 
 
-def fast_policy_value(params, components, outages, p_d, p_f, policy):
-    """(mu_p, mu_s) of a policy from precomputed kernel components.
+def fast_policy_value(params, kernels, outages, p_d, p_f, policy):
+    """(mu_p, mu_s) of a policy from precomputed per-action kernels.
 
-    The rates come from the loop oracles below, not from the rate rows the
-    policy LP shares with ``evaluate``.
+    The rates come from the loop oracles below, not from the action rewards
+    the policy LP shares with ``evaluate``.
     """
-    kernel = compose_transition(components, policy.alpha, policy.beta1,
-                                policy.beta2)
-    pi = stationary_distribution(TransitionMatrix(kernel))
+    pi = stationary_distribution(TransitionMatrix(compose(params, kernels,
+                                                          policy)))
     mu_p = primary_success_rate(params, pi, policy, outages, p_d)
     mu_s = secondary_success_rate(params, pi, policy, outages, p_d, p_f)
     return mu_p, mu_s
@@ -138,16 +154,14 @@ def best_random_feasible(params, tau, threshold, rng, count=1000,
     cfg = sensing_config(params, tau, threshold)
     p_d = sensing.detection_avg(cfg, q.gamma_bar)
     p_f = sensing.false_alarm(cfg)
-    components = components_at(params, tau,
-                               harvesting.nature_distribution(params),
-                               harvesting.combined_distribution(params),
-                               p_d, p_f)
+    kernels = components_at(params, tau, harvesting.nature_distribution(params),
+                            harvesting.combined_distribution(params), p_d, p_f)
     outages = outages_at(params, tau)
     feasible, best = 0, -1.0
     for _ in range(max_attempts):
         if feasible == count:
             break
-        mu_p, mu_s = fast_policy_value(params, components, outages, p_d, p_f,
+        mu_p, mu_s = fast_policy_value(params, kernels, outages, p_d, p_f,
                                        random_policy(rng, params, tau, threshold))
         if mu_p >= params.mu_th - 1e-9:
             feasible += 1
@@ -233,16 +247,18 @@ def access_stats(params: SystemParams, stationary: StationaryDistribution,
     return p_sense, p_access, p_sense * policy.tau
 
 
-def reference_compose_transition(components: TransitionComponents,
-                                 alpha: np.ndarray, beta1: np.ndarray,
+def reference_compose_transition(kernels: np.ndarray, alpha_range: range,
+                                 beta_range: range, alpha: np.ndarray,
+                                 beta1: np.ndarray,
                                  beta2: np.ndarray) -> np.ndarray:
-    """Assemble the kernel for given probability vectors, level by level."""
-    p = components.idle.copy()
-    for k, i in enumerate(components.alpha_range):
-        p[i] += alpha[k] * components.blind_delta[i]
-    for k, i in enumerate(components.beta_range):
-        p[i] += (beta1[k] * components.blind_delta[i]
-                 + beta2[k] * components.sense_delta[i])
+    """Assemble the kernel for given probability vectors, level by level:
+    the idle row plus each action's probability times its change from it."""
+    idle, blind, sense = kernels
+    p = idle.copy()
+    for k, i in enumerate(alpha_range):
+        p[i] += alpha[k] * (blind[i] - idle[i])
+    for k, i in enumerate(beta_range):
+        p[i] += beta1[k] * (blind[i] - idle[i]) + beta2[k] * (sense[i] - idle[i])
     return p
 
 
@@ -531,29 +547,23 @@ def column_at(params: SystemParams, tau: float,
 
 def reference_column_mdp(params: SystemParams, column: optimizer._Column,
                          scheme: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`~ehcr.optimizer._column_mdp` one threshold at a time, each from
-    scalar detector, kernel-component and rate-row calls."""
+    """The (K, 3, n, n) kernels, (K, 3, 2) rewards and (3, n) admitted
+    actions the screen reads off a column, one threshold at a time, each from
+    scalar detector, kernel and reward calls."""
     q = column.quantities
     n = params.n_states
-    acting, sensing_from = q.alpha_range.start, q.beta_range.start
     kernels, rewards = [], []
     for threshold in column.thresholds:
         cfg = sensing.SensingConfig(q.tau, threshold, q.m)
         p_d = sensing.detection_avg(cfg, q.gamma_bar)
         p_f = sensing.false_alarm(cfg)
-        components = transition_components(params, q, column.blocks, p_d, p_f)
-        mu_s_row, mu_p_row = rate_rows(params, column.outages, p_d, p_f,
-                                       q.alpha_range, q.beta_range)
-        idle = components.idle
-        kernels.append((idle, idle + components.blind_delta,
-                        idle + components.sense_delta))
-        rows = np.stack([mu_s_row, mu_p_row], axis=1)
-        reward = np.repeat(rows[None, :n], 3, axis=0)
-        reward[1, acting:] += rows[n:2 * n - acting]
-        reward[2, sensing_from:] += rows[2 * n - acting:]
-        rewards.append(reward)
-    blind_from = n if scheme == "sensing_only" else acting
-    allowed = np.arange(n) >= np.array([[0], [blind_from], [sensing_from]])
+        kernels.append(transition_components(params, column.blocks, p_d, p_f))
+        rewards.append(action_rewards(params, column.outages, p_d, p_f))
+    allowed = np.zeros((3, n), dtype=bool)
+    allowed[0] = True
+    if scheme != "sensing_only":
+        allowed[1, q.alpha_range.start:] = True
+    allowed[2, q.beta_range.start:] = True
     return np.array(kernels), np.array(rewards), allowed
 
 
@@ -576,12 +586,12 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
             continue
         column = optimizer._column(params, q, harvest, thresholds)
         for k, threshold in enumerate(thresholds):
-            lp, mu_p_row = optimizer._point_lp(params, column, k, scheme)
+            lp = optimizer._point_lp(params, column, k, scheme)
             record, solution = optimizer._solve_point(lp, tau, threshold)
             records.append(record)
             if solution is not None:
                 candidates.append((solution.objective_value, tau, threshold,
-                                   (column, k, solution, mu_p_row)))
+                                   (column, k, solution)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

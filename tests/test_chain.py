@@ -13,7 +13,6 @@ from ehcr.chain import (
     _closed_classes,
     _shifted_rows,
     action_ranges,
-    compose_transition,
     stationary_distribution,
 )
 from ehcr.harvesting import (
@@ -22,11 +21,11 @@ from ehcr.harvesting import (
     nature_distribution,
     rf_distribution,
 )
-from ehcr.performance import occupation
-from ehcr.system_model import with_overrides
+from ehcr.system_model import derive, with_overrides
 from helpers import (
     build_transition_matrix,
     components_at,
+    compose,
     random_policy,
     reference_closed_classes,
     reference_compose_transition,
@@ -71,13 +70,11 @@ def enumerate_kernel(n_max, n_t, n_s, rho, idle_masses, active_masses,
 
 def occupation_stats(params, stationary, policy):
     """(sensing probability, blind-access probability, expected sensing time)
-    as sums of the occupation vector's blocks, as ``evaluate`` takes them."""
-    alpha_range, beta_range = action_ranges(params, policy.tau)
-    occupied = occupation(stationary.pi, policy, alpha_range, beta_range)
-    blind_stop = params.n_states + len(alpha_range) + len(beta_range)
-    p_sense = float(occupied[blind_stop:].sum())
-    return (p_sense, float(occupied[params.n_states:blind_stop].sum()),
-            p_sense * policy.tau)
+    as the stationary shares of the level actions, as ``evaluate`` takes
+    them."""
+    actions = policy.level_actions(derive(params, policy.tau))
+    _, p_access, p_sense = (stationary.pi * actions).sum(axis=1).tolist()
+    return p_sense, p_access, p_sense * policy.tau
 
 
 def toy_setup(make_params):
@@ -178,7 +175,7 @@ class TestBuildTransitionMatrix:
         idle = nature_distribution(params)
         active = combined_distribution(params)
         rng = np.random.default_rng(13)
-        comp = components_at(params, 1e-3, idle, active, 0.95, 0.08)
+        kernels = components_at(params, 1e-3, idle, active, 0.95, 0.08)
         alpha_range, beta_range = action_ranges(params, 1e-3)
         for _ in range(10):
             a = rng.random(len(alpha_range))
@@ -187,8 +184,30 @@ class TestBuildTransitionMatrix:
             policy = Policy(alpha=a, beta1=b1, beta2=b2, tau=1e-3, threshold=2.0)
             direct = build_transition_matrix(params, policy, idle, active,
                                              0.95, 0.08)
-            composed = compose_transition(comp, a, b1, b2)
+            composed = reference_compose_transition(kernels, alpha_range,
+                                                    beta_range, a, b1, b2)
             assert np.allclose(direct.matrix, composed, atol=1e-15)
+
+    def test_level_actions_cover_each_range(self, testbench_params):
+        params = testbench_params
+        q = derive(params, 1e-3)
+        policy = random_policy(np.random.default_rng(5), params, 1e-3, 2.0)
+        idle, blind, sense = policy.level_actions(q)
+        acting, sensing_from = q.alpha_range.start, q.beta_range.start
+        assert np.array_equal(blind, np.concatenate(
+            [np.zeros(acting), policy.alpha, policy.beta1]))
+        assert np.array_equal(sense, np.concatenate(
+            [np.zeros(sensing_from), policy.beta2]))
+        assert np.array_equal(idle[:acting], np.ones(acting))
+        assert np.allclose(idle + blind + sense, 1.0, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_kernel_rejects_non_finite_entries(self, entry):
+        # a NaN row sum passed the sum check and surfaced as a false
+        # diagnosis of two closed classes
+        for kernel in (np.full((2, 2), entry), np.array([[1.0, 0.0], [entry, 0.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                TransitionMatrix(kernel)
 
     @given(policy_seed=st.integers(0, 2**32 - 1),
            tau_steps=st.integers(1, 19),
@@ -197,17 +216,19 @@ class TestBuildTransitionMatrix:
            p_f=st.floats(0.0, 1.0))
     def test_random_polytope_kernels(self, testbench_params, policy_seed,
                                      tau_steps, rho, p_d, p_f):
-        # stochastic rows, a stationary law, and the level loop bit for bit
+        # stochastic rows, a stationary law, and the level loop to 1e-15
         params = with_overrides(testbench_params, rho=rho)
         tau = tau_steps * 5e-4  # the preset's sensing-time grid
         policy = random_policy(np.random.default_rng(policy_seed), params, tau,
                                2.0)
-        comp = components_at(params, tau, nature_distribution(params),
-                             combined_distribution(params), p_d, p_f)
-        kernel = compose_transition(comp, policy.alpha, policy.beta1,
-                                    policy.beta2)
-        assert np.array_equal(kernel, reference_compose_transition(
-            comp, policy.alpha, policy.beta1, policy.beta2))
+        kernels = components_at(params, tau, nature_distribution(params),
+                                combined_distribution(params), p_d, p_f)
+        kernel = compose(params, kernels, policy)
+        alpha_range, beta_range = action_ranges(params, tau)
+        # einsum mixes the action kernels where the loop adds increments
+        assert np.allclose(kernel, reference_compose_transition(
+            kernels, alpha_range, beta_range, policy.alpha, policy.beta1,
+            policy.beta2), rtol=0.0, atol=1e-15)
         assert np.all(kernel >= -1e-12)
         assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-9
         pi = stationary_distribution(TransitionMatrix(kernel)).pi

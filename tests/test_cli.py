@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ehcr.cli import main
 from ehcr.presets import load_preset
-from helpers import deadline
+from helpers import child_env, deadline
 
 
 @pytest.fixture
@@ -171,6 +171,23 @@ class TestBadInputsExitOne:
         assert main(["validate", "--config", str(fast_config),
                      "--policy", str(policy_file), "--slots", "100"]) == 1
         assert "10 closed classes" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("grid", 5, "invalid grid: the section must be an object"),
+        ("grid", [], "invalid grid: the section must be an object"),
+        ("sim", 5, "invalid sim: the section must be an object"),
+        ("grid", {"tau_min": 2e-3, "lambda_count": True},
+         "lambda_count must be an integer"),
+    ])
+    def test_malformed_config_section(self, fast_config, capsys, section,
+                                      value, message):
+        # a non-object section used to end in a traceback, and a boolean
+        # lambda_count passed as 1 and searched a single threshold
+        doc = json.loads(fast_config.read_text())
+        doc[section] = value
+        fast_config.write_text(json.dumps(doc))
+        assert main(["optimize", "--config", str(fast_config)]) == 1
+        assert message in self.one_line_error(capsys)
 
     def test_grid_with_non_integral_samples(self, fast_config, capsys):
         doc = json.loads(fast_config.read_text())
@@ -402,6 +419,6 @@ def test_module_entry_point(fast_config, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ehcr.cli", "optimize",
          "--config", str(fast_config), "--rho", "0.5", "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert out.read_text(encoding="utf-8").startswith("rho,scheme,tau_star")

@@ -7,21 +7,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehcr import harvesting, optimizer
-from ehcr.chain import AmbiguousChainError, action_ranges
+from ehcr.chain import AmbiguousChainError, action_ranges, transition_components
 from ehcr.numerics import LP_FEASIBILITY_TOL, solve_lp
 from ehcr.optimizer import (
     GridSpec,
     InfeasibleGridError,
+    _admitted,
     _build_lp,
-    _column_mdp,
     _point_lp,
+    _policy_iteration,
     _recover,
     _screen,
     _select_winner,
     optimize,
     solve_fixed,
 )
-from ehcr.performance import FEASIBILITY_TOL, rate_rows
+from ehcr.performance import FEASIBILITY_TOL, action_rewards
 from ehcr.sensing import SensingConfig, detection_avg, false_alarm
 from ehcr.simulator import SimConfig, compare
 from ehcr.system_model import ConfigurationError, derive, with_overrides
@@ -75,6 +76,8 @@ class TestGridSpec:
             GridSpec(tau_min=0.0)
         with pytest.raises(ValueError):
             GridSpec(tau_min=1e-3, lambda_values=(0.0,))
+        with pytest.raises(ValueError, match="lambda_count"):
+            GridSpec(tau_min=1e-3, lambda_count=True)
 
 
 class TestSolveFixed:
@@ -171,14 +174,14 @@ class TestSolveFixed:
         cfg = sensing_config(params, tau, threshold)
         p_d = detection_avg(cfg, q.gamma_bar)
         p_f = false_alarm(cfg)
-        components = components_at(
+        kernels = components_at(
             params, tau, *(harvesting.nature_distribution(params),
                            harvesting.combined_distribution(params)),
             p_d, p_f)
         outages = outages_at(params, tau)
         rng = np.random.default_rng(51)
         best = max(
-            fast_policy_value(params, components, outages, p_d, p_f,
+            fast_policy_value(params, kernels, outages, p_d, p_f,
                               random_policy(rng, params))[1]
             for _ in range(1000))
         assert solution.lp_objective >= best - 1e-6
@@ -278,11 +281,10 @@ class TestWarmScreen:
             quantities = derive(params, tau)
             p_d = detection_avg(cfg, quantities.gamma_bar)
             p_f = false_alarm(cfg)
-            components = components_at(params, tau, idle, active, p_d, p_f)
-            mu_s_row, mu_p_row = rate_rows(
-                params, outages_at(params, tau), p_d, p_f, components.alpha_range,
-                components.beta_range)
-            lp = _build_lp(params, components, mu_s_row, mu_p_row, scheme)
+            lp = _build_lp(params, quantities,
+                           components_at(params, tau, idle, active, p_d, p_f),
+                           action_rewards(params, outages_at(params, tau), p_d, p_f),
+                           scheme)
             assert np.array_equal(solve_lp(lp).x, linprog_reference(lp).x)
 
     @pytest.mark.parametrize("grid, rho, ties", [
@@ -399,7 +401,7 @@ class TestConstrainedRegime:
             objectives = _screen(params, column, scheme)
             assert objectives is not None
             for k, objective in enumerate(objectives):
-                cold = solve_lp(_point_lp(params, column, k, scheme)[0])
+                cold = solve_lp(_point_lp(params, column, k, scheme))
                 if cold.status == "optimal":
                     assert objective == pytest.approx(cold.objective_value,
                                                       abs=1e-9)
@@ -416,23 +418,30 @@ class TestConstrainedRegime:
             column = column_at(params, tau, FAST_GRID)
             if optimizer._unsupported(params, column.quantities, scheme):
                 continue
-            batch = _column_mdp(params, column, scheme)
+            batch = (transition_components(params, column.blocks, column.p_d,
+                                           column.p_f),
+                     action_rewards(params, column.outages, column.p_d,
+                                    column.p_f),
+                     _admitted(params, column.quantities, scheme))
             for got, want in zip(batch, reference_column_mdp(params, column,
                                                              scheme)):
                 assert np.array_equal(got, want)
 
-    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+    @given(rho=st.floats(0.05, 0.95), share=st.floats(0.05, 0.95),
            scheme=st.sampled_from(optimizer.SCHEMES))
     def test_winner_randomizes_only_on_the_floor(self, testbench_params, rho,
-                                                 mu_th, scheme):
+                                                 share, scheme):
         # one constraint: an optimal stationary policy randomizes at no
         # more than one state, and needs to only when the constraint binds
-        # (Beutler & Ross 1985)
+        # (Beutler & Ross 1985).  The floor is drawn between the
+        # unconstrained winner's licensed-user rate and the highest one
+        # reachable, the silent value of idling, where it mostly binds.
+        free, _ = optimize(with_overrides(testbench_params, rho=rho, mu_th=0.0),
+                           TIE_GRID, scheme)
+        silent = outages_at(testbench_params, 5e-4).pu_no_outage_silent
+        mu_th = free.lp_mu_p + share * (silent - free.lp_mu_p)
         params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
-        try:
-            solution, _ = optimize(params, TIE_GRID, scheme)
-        except InfeasibleGridError:
-            return
+        solution, _ = optimize(params, TIE_GRID, scheme)
         policy = solution.policy
         actions = ([(a, 1.0 - a) for a in policy.alpha]
                    + [(b1, b2, 1.0 - b1 - b2)
@@ -440,6 +449,40 @@ class TestConstrainedRegime:
         randomized = sum(max(level) < 1.0 - 1e-7 for level in actions)
         binding = solution.lp_mu_p - mu_th < 1e-7
         assert randomized == (1 if binding else 0)
+
+    @pytest.mark.parametrize("scheme, rho, mu_th", [
+        ("probabilistic", 0.5, 0.72), ("probabilistic", 0.3, 0.72),
+        ("probabilistic", 0.7, 0.715), ("sensing_only", 0.5, 0.724)])
+    def test_lagrangian_mix_matches_cold_lp(self, testbench_params, scheme,
+                                            rho, mu_th):
+        # strong duality of the one-constraint MDP (Altman 1999, ch. 3):
+        # bisect on the multiplier nu of mu_s + nu * mu_p until the
+        # deterministic optima on either side of the floor bracket it, then
+        # mix the two onto the floor
+        params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
+        solution, _ = optimize(params, TIE_GRID, scheme)
+        assert abs(solution.lp_mu_p - mu_th) <= FEASIBILITY_TOL  # binding
+        column = column_at(params, solution.tau, TIE_GRID)
+        k = column.thresholds.index(solution.threshold)
+        p_d, p_f = column.p_d[k], column.p_f[k]
+        kernels = transition_components(params, column.blocks, p_d, p_f)[None]
+        rewards = action_rewards(params, column.outages, p_d, p_f)[None]
+        allowed = _admitted(params, column.quantities, scheme)
+
+        def gains(nu):
+            return _policy_iteration(kernels, rewards, allowed, (1.0, nu))[0]
+
+        low, high = 0.0, 1.0
+        while gains(high)[1] < mu_th:
+            high *= 2.0
+        for _ in range(60):
+            nu = 0.5 * (low + high)
+            low, high = (nu, high) if gains(nu)[1] < mu_th else (low, nu)
+        (low_s, low_p), (high_s, high_p) = gains(low), gains(high)
+        assert low_p < mu_th <= high_p
+        share = (mu_th - low_p) / (high_p - low_p)
+        assert low_s + share * (high_s - low_s) == pytest.approx(
+            solution.lp_objective, abs=1e-9)
 
     def test_zero_harvest_column_takes_the_lp(self, testbench_params,
                                               monkeypatch):

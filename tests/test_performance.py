@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehcr.chain import Policy, StationaryDistribution, action_ranges
-from ehcr.performance import evaluate, occupation, rate_rows
+from ehcr.performance import action_rewards, evaluate
 from ehcr.sensing import detection_avg, false_alarm
 from ehcr.system_model import ConfigurationError, derive, with_overrides
 from helpers import (
@@ -33,13 +33,13 @@ def pinned_stationary(params, mass_on_beta_range, tau=TAU):
 
 
 def row_rates(params, stationary, policy, outages, p_d, p_f=0.0):
-    """(mu_p, mu_s): the shared rate rows dotted with the occupation vector
-    of a frozen battery law (``p_f`` weighs the secondary rate only)."""
-    alpha_range, beta_range = action_ranges(params, policy.tau)
-    mu_s_row, mu_p_row = rate_rows(params, outages, p_d, p_f,
-                                   alpha_range, beta_range)
-    occupied = occupation(stationary.pi, policy, alpha_range, beta_range)
-    return float(mu_p_row @ occupied), float(mu_s_row @ occupied)
+    """(mu_p, mu_s): the shared action rewards weighed by the shares of the
+    level actions under a frozen battery law (``p_f`` weighs the secondary
+    rate only)."""
+    actions = policy.level_actions(derive(params, policy.tau))
+    shares = (stationary.pi * actions).sum(axis=1)
+    mu_s, mu_p = (shares @ action_rewards(params, outages, p_d, p_f)).tolist()
+    return mu_p, mu_s
 
 
 class TestPrimaryRate:
@@ -173,7 +173,8 @@ class TestReport:
 
 
 class TestRateRows:
-    """The rate rows shared with the policy LP against the per-level loops."""
+    """The action rewards shared with the policy LP against the per-level
+    loops."""
 
     @given(policy_seed=st.integers(0, 2**32 - 1),
            tau_steps=st.integers(1, 19),

@@ -5,7 +5,13 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import outages_at, random_policy, reference_batch_se, reference_run
+from helpers import (
+    child_env,
+    outages_at,
+    random_policy,
+    reference_batch_se,
+    reference_run,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -327,6 +333,6 @@ class TestVectorizedPieces:
             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120)
+                              text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
