@@ -24,7 +24,6 @@ from .system_model import (
     SystemParams,
     derive,
     params_from_dict,
-    params_to_dict,
     validate,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "no_outage_interfered",
     "optimize",
     "params_from_dict",
-    "params_to_dict",
     "regularized_upper_gamma_int",
     "rf_distribution",
     "run",

@@ -114,6 +114,9 @@ def _load_config(source: str) -> LoadedConfig:
             f"configuration {source!r} is neither a readable file nor one of "
             f"the presets {PRESET_NAMES}"
         )
+    if not isinstance(doc, dict):
+        raise CliError(f"configuration must be a JSON object, "
+                       f"got {type(doc).__name__}")
     try:
         params = params_from_dict(doc)
     except (TypeError, ValueError) as exc:  # ConfigurationError included
@@ -124,10 +127,17 @@ def _load_config(source: str) -> LoadedConfig:
         if not isinstance(section, dict):
             raise CliError(f"invalid {name}: the section must be an object, "
                            f"got {section!r}")
+    lambdas = grid_doc.get("lambdas")
+    if "lambdas" in grid_doc and not (
+            isinstance(lambdas, list)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in lambdas)):
+        raise CliError(f"invalid grid: 'lambdas' must be a list of numbers, "
+                       f"got {lambdas!r}")
     try:
         grid = GridSpec(
             tau_min=float(grid_doc.get("tau_min", 1.0 / params.W)),
-            lambda_values=tuple(grid_doc["lambdas"]) if "lambdas" in grid_doc else None,
+            lambda_values=tuple(lambdas) if "lambdas" in grid_doc else None,
             lambda_count=grid_doc.get("lambda_count", 40),
         )
         grid.tau_values(params)  # T and W fix the sensing times; no override changes them

@@ -11,7 +11,7 @@ policy optimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -123,6 +123,9 @@ class LinearProgram:
         eq_matrix  @ x == eq_rhs
         ub_matrix  @ x <= ub_rhs
         bounds[i][0] <= x_i <= bounds[i][1]   (None = unbounded on that side)
+
+    ``bound_array`` holds the same bounds as an (n, 2) float array, with
+    infinities for the open sides, built once for the solver and the audit.
     """
 
     objective: np.ndarray
@@ -131,6 +134,7 @@ class LinearProgram:
     ub_matrix: np.ndarray
     ub_rhs: np.ndarray
     bounds: tuple[tuple[float | None, float | None], ...]
+    bound_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -154,6 +158,9 @@ class LinearProgram:
         object.__setattr__(self, "ub_matrix", a_ub)
         object.__setattr__(self, "ub_rhs", b_ub)
         object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
+        object.__setattr__(self, "bound_array", np.array(
+            [(-math.inf if lo is None else lo, math.inf if hi is None else hi)
+             for lo, hi in self.bounds], dtype=float).reshape(n, 2))
 
     @property
     def n_variables(self) -> int:
@@ -180,9 +187,7 @@ def feasibility_violation(lp: LinearProgram, x: np.ndarray) -> float:
     if lp.ub_matrix.shape[0]:
         worst = max(worst, float(np.max(lp.ub_matrix @ x - lp.ub_rhs)))
     if x.size:
-        lower, upper = np.array([(-math.inf if lo is None else lo,
-                                  math.inf if hi is None else hi)
-                                 for lo, hi in lp.bounds], dtype=float).T
+        lower, upper = lp.bound_array.T
         worst = max(worst, float(np.max(lower - x)), float(np.max(x - upper)))
     return worst
 
@@ -202,7 +207,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         b_ub=lp.ub_rhs if lp.ub_rhs.shape[0] else None,
         A_eq=lp.eq_matrix if lp.eq_matrix.shape[0] else None,
         b_eq=lp.eq_rhs if lp.eq_rhs.shape[0] else None,
-        bounds=list(lp.bounds),
+        bounds=lp.bound_array,
     )
     worst: tuple[float, str] | None = None
     for method, options in _RUNGS:

@@ -32,10 +32,22 @@ threshold, regardless of evaluation order.  Points equal in value to within
 solver noise are common (whole grids can tie), so the winner is
 reproducible bit for bit only because the near-ties are decided on cold
 solves, and only the winner's policy is recovered from its LP solution.
+
+The cold LPs of a column are built once, from one batched kernel and reward
+call over its thresholds.  When there is more than one to solve, they run on
+a pool with one thread per CPU in the process's affinity mask (HiGHS
+releases the GIL while it solves); each is solved on its own, so records and
+winner do not depend on the thread count.  A single LP, as in every cell
+with one best point, is solved inline and starts no thread.
 """
 from __future__ import annotations
 
+import collections
+import itertools
 import math
+import os
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -69,6 +81,10 @@ _PI_MAX_STEPS = 100
 #: false-alarm extremes the default threshold grid spans at each m
 _PFA_SPAN = (0.999, 0.001)
 _DEFAULT_LAMBDA_COUNT = 40
+
+#: threads that solve cold LPs: one per CPU the process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -301,15 +317,6 @@ def _unsupported(params: SystemParams, quantities: DerivedQuantities,
     return None
 
 
-def _point_lp(params: SystemParams, column: _Column, k: int,
-              scheme: str) -> LinearProgram:
-    """The policy LP at the k-th threshold of a column."""
-    p_d, p_f = column.p_d[k], column.p_f[k]
-    return _build_lp(params, column.quantities,
-                     transition_components(params, column.blocks, p_d, p_f),
-                     action_rewards(params, column.outages, p_d, p_f), scheme)
-
-
 def _admitted(params: SystemParams, quantities: DerivedQuantities,
               scheme: str) -> np.ndarray:
     """(3, n) mask of the actions each level admits: each from its first
@@ -423,6 +430,50 @@ def _solve_point(lp: LinearProgram, tau: float, threshold: float
     return GridPointStatus(tau, threshold, "optimal", solution.objective_value), solution
 
 
+def _built_lps(params: SystemParams, scheme: str,
+               entries: list[tuple[_Column, int]]
+               ) -> Iterator[tuple[LinearProgram, float, float]]:
+    """(LP, tau, threshold) of each (column, threshold index) entry, in
+    order; each run of entries on one column shares one batched kernel and
+    reward build."""
+    for _, run in itertools.groupby(entries, key=lambda entry: id(entry[0])):
+        run = list(run)
+        column, ks = run[0][0], [k for _, k in run]
+        p_d, p_f = column.p_d[ks], column.p_f[ks]
+        kernels = transition_components(params, column.blocks, p_d, p_f)
+        rewards = action_rewards(params, column.outages, p_d, p_f)
+        for j, k in enumerate(ks):
+            yield (_build_lp(params, column.quantities, kernels[j], rewards[j],
+                             scheme),
+                   column.quantities.tau, column.thresholds[k])
+
+
+def _cold_solve(params: SystemParams, scheme: str,
+                entries: list[tuple[_Column, int]]
+                ) -> list[tuple[GridPointStatus, LpSolution | None]]:
+    """:func:`_solve_point` at each (column, threshold index) entry, in
+    input order.
+
+    A single LP is solved inline.  More are solved on ``_WORKERS`` threads,
+    as HiGHS releases the GIL while it solves; the LPs are built while the
+    threads solve, at most ``4 * _WORKERS`` ahead, so few are held at once.
+    Each LP is solved alone and exactly as in a serial loop, so the results
+    do not depend on the thread count.
+    """
+    lps = _built_lps(params, scheme, entries)
+    if len(entries) <= 1 or _WORKERS == 1:
+        return [_solve_point(*lp) for lp in lps]
+    results = []
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        pending: collections.deque = collections.deque()
+        for lp in lps:
+            pending.append(pool.submit(_solve_point, *lp))
+            if len(pending) > 4 * _WORKERS:
+                results.append(pending.popleft().result())
+        results.extend(future.result() for future in pending)
+    return results
+
+
 def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
                       k: int, solution: LpSolution) -> OptimalSolution:
     """Recover the policy of an optimal LP answer at the k-th threshold of a
@@ -465,8 +516,11 @@ def solve_fixed(params: SystemParams, tau: float, threshold: float, scheme: str
         raise ConfigurationError(unsupported[1])
     column = _column(params, quantities, harvesting.harvest_laws(params),
                      (threshold,))
-    solution = solve_lp(_point_lp(params, column, 0, scheme))
-    if solution.status != "optimal":
+    [(record, solution)] = _cold_solve(params, scheme, [(column, 0)])
+    if record.status == "solver_failure":
+        raise RuntimeError(f"every LP solve failed at tau={tau}, "
+                           f"threshold={threshold}")
+    if solution is None:
         return None
     return _optimal_solution(params, scheme, column, 0, solution)
 
@@ -514,15 +568,16 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             continue
         column = _column(params, quantities, harvest, thresholds)
         objectives = _screen(params, column, scheme)
-        for k, threshold in enumerate(thresholds):
-            solution = None
-            if objectives is None:
-                record, solution = _solve_point(
-                    _point_lp(params, column, k, scheme), tau, threshold)
-            elif math.isnan(objectives[k]):
-                record = GridPointStatus(tau, threshold, "infeasible")
-            else:
-                record = GridPointStatus(tau, threshold, "optimal", float(objectives[k]))
+        if objectives is None:
+            solved = _cold_solve(params, scheme,
+                                 [(column, k) for k in range(len(thresholds))])
+        else:
+            solved = [(GridPointStatus(tau, threshold, "infeasible")
+                       if math.isnan(objective) else
+                       GridPointStatus(tau, threshold, "optimal", float(objective)),
+                       None)
+                      for threshold, objective in zip(thresholds, objectives)]
+        for k, (record, solution) in enumerate(solved):
             if record.status == "optimal":
                 screened.append((len(records), column, k, record.objective,
                                  solution))
@@ -535,14 +590,14 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
         cutoff = max(entry[3] for entry in screened) - LP_FEASIBILITY_TOL
         near = [entry for entry in screened if entry[3] >= cutoff]
         screened = [entry for entry in screened if entry[3] < cutoff]
+        solved = iter(_cold_solve(params, scheme, [
+            (column, k) for _, column, k, _, solution in near if solution is None]))
         for index, column, k, _, solution in near:
-            tau, threshold = column.quantities.tau, column.thresholds[k]
             if solution is None:
-                records[index], solution = _solve_point(
-                    _point_lp(params, column, k, scheme), tau, threshold)
+                records[index], solution = next(solved)
             if solution is not None:
-                candidates.append((solution.objective_value, tau, threshold,
-                                   (column, k, solution)))
+                candidates.append((solution.objective_value, column.quantities.tau,
+                                   column.thresholds[k], (column, k, solution)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

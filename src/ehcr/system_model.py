@@ -254,19 +254,6 @@ def params_from_dict(doc: dict[str, Any]) -> SystemParams:
     return SystemParams(N_max=n_max, links=LinkSet(**link_kwargs), **scalars)
 
 
-def params_to_dict(params: SystemParams) -> dict[str, Any]:
-    """Emit the configuration document; round-trips through params_from_dict."""
-    doc: dict[str, Any] = {k: getattr(params, k) for k in CONFIG_KEYS}
-    doc["links"] = {
-        name: {
-            "fading_mean": getattr(params.links, name).fading_mean,
-            "distance": getattr(params.links, name).distance,
-        }
-        for name in LINK_NAMES
-    }
-    return doc
-
-
 def with_overrides(params: SystemParams, **changes: Any) -> SystemParams:
     """Copy with selected scalar fields replaced (harvest toggles, rho sweeps)."""
     return dataclasses.replace(params, **changes)

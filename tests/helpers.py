@@ -23,6 +23,7 @@ from ehcr.chain import (
 from ehcr.harvesting import HarvestPmf, _rf_packet_scale, nature_pmf, rf_pmf
 from ehcr.numerics import (
     MARCUM_MAX_TERMS,
+    LinearProgram,
     MarcumConvergenceError,
     _check_order,
     regularized_upper_gamma_int,
@@ -37,7 +38,21 @@ from ehcr.optimizer import (
 from ehcr.outage import OutageBundle, bundle
 from ehcr.performance import action_rewards
 from ehcr.simulator import _N_BATCHES, _STREAMS, SimConfig, SimReport
-from ehcr.system_model import SystemParams, derive
+from ehcr.system_model import CONFIG_KEYS, LINK_NAMES, SystemParams, derive
+
+
+def params_to_dict(params: SystemParams) -> dict:
+    """The configuration document of ``params``; round-trips through
+    :func:`~ehcr.system_model.params_from_dict`."""
+    doc = {k: getattr(params, k) for k in CONFIG_KEYS}
+    doc["links"] = {
+        name: {
+            "fading_mean": getattr(params.links, name).fading_mean,
+            "distance": getattr(params.links, name).distance,
+        }
+        for name in LINK_NAMES
+    }
+    return doc
 
 
 def random_policy(rng, params, tau, threshold) -> Policy:
@@ -567,6 +582,17 @@ def reference_column_mdp(params: SystemParams, column: optimizer._Column,
     return np.array(kernels), np.array(rewards), allowed
 
 
+def point_lp(params: SystemParams, column: optimizer._Column, k: int,
+             scheme: str) -> LinearProgram:
+    """The policy LP at the k-th threshold of a column, from scalar kernel
+    and reward calls at that threshold alone."""
+    p_d, p_f = column.p_d[k], column.p_f[k]
+    return optimizer._build_lp(
+        params, column.quantities,
+        transition_components(params, column.blocks, p_d, p_f),
+        action_rewards(params, column.outages, p_d, p_f), scheme)
+
+
 def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
                      ) -> tuple[OptimalSolution, tuple[GridPointStatus, ...]]:
     """``optimize`` with no screen: a cold LP at every grid point, and the
@@ -586,8 +612,8 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
             continue
         column = optimizer._column(params, q, harvest, thresholds)
         for k, threshold in enumerate(thresholds):
-            lp = optimizer._point_lp(params, column, k, scheme)
-            record, solution = optimizer._solve_point(lp, tau, threshold)
+            record, solution = optimizer._solve_point(
+                point_lp(params, column, k, scheme), tau, threshold)
             records.append(record)
             if solution is not None:
                 candidates.append((solution.objective_value, tau, threshold,

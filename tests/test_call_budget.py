@@ -9,16 +9,19 @@ once more per evaluation or simulation.  The LP solves of ``optimize`` are
 pinned too: its screen needs none, so only the points within
 ``LP_FEASIBILITY_TOL`` of the best are solved.  The simulator draws its
 faithful detections from the noncentral chi-square law, so neither a run nor
-a comparison, in either correlation mode, evaluates Marcum Q.
+a comparison, in either correlation mode, evaluates Marcum Q.  Cold solves
+run on worker threads, so the counts are kept under a lock; a cell that
+solves one LP starts no thread.
 """
 import collections
 import contextlib
 import sys
+import threading
 
 import pytest
 
-from ehcr import chain, harvesting, numerics, outage, sensing, system_model
-from ehcr.chain import Policy
+from ehcr import chain, harvesting, numerics, optimizer, outage, sensing, system_model
+from ehcr.chain import AmbiguousChainError, Policy
 from ehcr.optimizer import InfeasibleGridError, optimize
 from ehcr.performance import evaluate
 from ehcr.simulator import SimConfig, compare, run
@@ -49,10 +52,12 @@ def calls(monkeypatch, setting):
     """Call counts of the COUNTED functions, wherever ``ehcr`` binds them,
     from after the setting is built."""
     counts = collections.Counter()
+    lock = threading.Lock()
 
     def counting(name, original):
         def counted(*args, **kwargs):
-            counts[name] += 1
+            with lock:
+                counts[name] += 1
             return original(*args, **kwargs)
         return counted
 
@@ -90,6 +95,50 @@ def test_optimize_solves_only_near_best_points(calls, testbench_params, grid,
     with contextlib.suppress(InfeasibleGridError):
         optimize(params, grid, "probabilistic")
     assert calls["solve_lp"] == solves
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Thread pools the optimizer constructs, with two cold-solve workers
+    whatever the CPU count."""
+    made = []
+
+    class CountedPool(optimizer.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_WORKERS", 2)
+    monkeypatch.setattr(optimizer, "ThreadPoolExecutor", CountedPool)
+    return made
+
+
+def test_untied_cell_starts_no_thread(calls, pools, testbench_params):
+    params = with_overrides(testbench_params, rho=0.5)
+    optimize(params, TIE_GRID, "probabilistic")
+    assert calls["solve_lp"] == 1
+    assert pools == []
+
+
+def test_tied_cell_solves_each_point_once_on_threads(calls, pools,
+                                                     testbench_params):
+    params = with_overrides(testbench_params, rho=0.1)
+    _, records = optimize(params, FAST_GRID, "probabilistic")
+    assert len(records) == 24
+    assert calls["solve_lp"] == 24
+    assert pools == [(2,)]
+
+
+def test_unscreened_columns_each_solve_on_threads(calls, pools,
+                                                   testbench_params):
+    # nothing is ever harvested, so the screen fails on every column and
+    # each column's points go to the LP; the certify pass then has nothing
+    # left to solve and starts no pool of its own
+    params = with_overrides(testbench_params, rho=0.0, lambda_e=0.0)
+    with pytest.raises(AmbiguousChainError):
+        optimize(params, FAST_GRID, "probabilistic")  # evaluating the winner
+    assert calls["solve_lp"] == 24
+    assert pools == [(2,)] * 4
 
 
 def test_evaluate_derives_once(calls, setting):

@@ -178,13 +178,20 @@ class TestBadInputsExitOne:
         ("sim", 5, "invalid sim: the section must be an object"),
         ("grid", {"tau_min": 2e-3, "lambda_count": True},
          "lambda_count must be an integer"),
+        ("grid", {"tau_min": 2e-3, "lambdas": 5},
+         "invalid grid: 'lambdas' must be a list of numbers, got 5"),
+        (None, 5, "error: configuration must be a JSON object, got int"),
     ])
     def test_malformed_config_section(self, fast_config, capsys, section,
                                       value, message):
         # a non-object section used to end in a traceback, and a boolean
-        # lambda_count passed as 1 and searched a single threshold
+        # lambda_count passed as 1 and searched a single threshold; a section
+        # of None replaces the whole document
         doc = json.loads(fast_config.read_text())
-        doc[section] = value
+        if section is None:
+            doc = value
+        else:
+            doc[section] = value
         fast_config.write_text(json.dumps(doc))
         assert main(["optimize", "--config", str(fast_config)]) == 1
         assert message in self.one_line_error(capsys)

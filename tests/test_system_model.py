@@ -8,10 +8,10 @@ from ehcr.system_model import (
     LinkParams,
     derive,
     params_from_dict,
-    params_to_dict,
     validate,
     with_overrides,
 )
+from helpers import params_to_dict
 
 
 class TestDerive:
