@@ -10,8 +10,8 @@ from .chain import (
     stationary_distribution,
 )
 from .harvesting import HarvestPmf, combined_distribution, nature_distribution, rf_distribution
-from .numerics import LinearProgram, LpSolution, marcum_q, regularized_upper_gamma_int, solve_lp
-from .optimizer import GridSpec, InfeasibleGridError, OptimalSolution, optimize, solve_fixed
+from .numerics import marcum_q, regularized_upper_gamma_int
+from .optimizer import GridSpec, InfeasibleGridError, OptimalSolution, optimize
 from .outage import OutageBundle, bundle, no_outage_direct, no_outage_interfered
 from .performance import PerformanceReport, evaluate
 from .sensing import SensingConfig, detection_avg, detection_instant, false_alarm
@@ -37,10 +37,8 @@ __all__ = [
     "GridSpec",
     "HarvestPmf",
     "InfeasibleGridError",
-    "LinearProgram",
     "LinkParams",
     "LinkSet",
-    "LpSolution",
     "OptimalSolution",
     "OutageBundle",
     "PerformanceReport",
@@ -69,8 +67,6 @@ __all__ = [
     "regularized_upper_gamma_int",
     "rf_distribution",
     "run",
-    "solve_fixed",
-    "solve_lp",
     "stationary_distribution",
     "validate",
 ]

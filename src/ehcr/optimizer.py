@@ -16,22 +16,26 @@ whose policy meets the licensed-user floor.
 The search runs in two passes.  The screen values all thresholds of a
 column at once as constrained MDPs over the battery levels (Puterman 1994,
 ch. 8-9; Altman 1999, ch. 3).  Batched average-reward policy iteration finds
-the unconstrained optimum, the point's value when it clears the floor; the
-highest licensed-user rate decides infeasibility; any other point gets the
-LP value, that of a mix of two deterministic policies, from a cutting-plane
-search on the Lagrangian dual of ``mu_s + nu * (mu_p - mu_th)``.  A column
-whose value determination is singular, as with no harvest at all, goes to
-the LP point by point.  The LP of a point is the same model with the
-action probabilities replaced by their products with the stationary masses:
-its variables are the occupation vector (pi, pi*alpha, pi*beta1, pi*beta2),
-in which the balance equations, the floor and the objective are linear.
-Every point within ``LP_FEASIBILITY_TOL`` of the best is solved cold by the
-LP, and only these certified candidates compete: the maximum objective
-wins, ties broken toward the smaller sensing time, then the smaller
-threshold, regardless of evaluation order.  Points equal in value to within
-solver noise are common (whole grids can tie), so the winner is
-reproducible bit for bit only because the near-ties are decided on cold
-solves, and only the winner's policy is recovered from its LP solution.
+the unconstrained optimum, the point's value and policy when it clears the
+floor; the highest licensed-user rate decides infeasibility; any other point
+gets the LP value from a cutting-plane search on the Lagrangian dual of
+``mu_s + nu * (mu_p - mu_th)``, and as policy the mix of the occupation
+measures of the two deterministic policies bracketing the floor, which
+randomizes at most one reachable level (Beutler & Ross 1985).  A column the
+screen cannot value is an error when the all-idle chain, the same at every
+sensing time, has several closed classes (no harvest at all), and is logged
+as failed otherwise.  The LP of a point is the same model with the action
+probabilities replaced by their products with the stationary masses: its
+variables are the occupation vector (pi, pi*alpha, pi*beta1, pi*beta2), in
+which the balance equations, the floor and the objective are linear.  The
+LP only certifies: every point within ``LP_FEASIBILITY_TOL`` of the best is
+solved cold, and only these candidates compete: the maximum objective wins,
+ties broken toward the smaller sensing time, then the smaller threshold,
+regardless of evaluation order.  Points equal in value to within solver
+noise are common (whole grids can tie), so the winner is reproducible bit
+for bit only because the near-ties are decided on cold solves.  The
+winner's LP rates are reported beside the evaluation of its screened
+policy, which they cross-check.
 
 The cold LPs of a column are built once, from one batched kernel and reward
 call over its thresholds.  When there is more than one to solve, they run on
@@ -55,12 +59,19 @@ import numpy as np
 from scipy.special import gammainccinv
 
 from . import harvesting, sensing
-from .chain import Policy, harvest_blocks, transition_components
+from .chain import (
+    AmbiguousChainError,
+    Policy,
+    TransitionMatrix,
+    _closed_classes,
+    harvest_blocks,
+    stationary_distribution,
+    transition_components,
+)
 from .numerics import LP_FEASIBILITY_TOL, LinearProgram, LpSolution, solve_lp
 from .outage import OutageBundle, bundle
 from .performance import PerformanceReport, action_rewards, evaluate
 from .system_model import (
-    ConfigurationError,
     DerivedQuantities,
     SystemParams,
     derive,
@@ -68,9 +79,6 @@ from .system_model import (
 )
 
 SCHEMES = ("probabilistic", "sensing_only")
-
-#: stationary mass below which a level counts as unreachable during recovery
-RECOVERY_MASS_FLOOR = 1e-12
 
 #: improvement, relative to the reward scale, a policy-iteration step must
 #: make to change an action; also the gap that ends the cutting-plane search
@@ -147,22 +155,17 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class SubstitutedVariables:
-    """LP solution in the product variables, alongside its stationary vector."""
-
-    pi: np.ndarray
-    alpha_tilde: np.ndarray
-    beta1_tilde: np.ndarray
-    beta2_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class OptimalSolution:
-    """Best feasible policy found, with its analytical evaluation."""
+    """Best feasible policy found, with its analytical evaluation.
+
+    ``policy`` is the screen's and ``report`` its evaluation;
+    ``lp_objective`` and ``lp_mu_p`` are the secondary and licensed-user
+    rates of the point's cold LP solution, which certified the winner, so
+    they cross-check ``report.mu_s`` and ``report.mu_p``.
+    """
 
     policy: Policy
     report: PerformanceReport
-    substituted: SubstitutedVariables
     scheme: str
     lp_objective: float
     lp_mu_p: float
@@ -183,7 +186,8 @@ class GridPointStatus:
     tau: float
     threshold: float
     #: "optimal" | "infeasible" | "unsupported_m" | "sensing_unreachable"
-    #: | "solver_failure" (every rung of the LP ladder failed)
+    #: | "solver_failure" (the screen could not value the point's column, or
+    #: every rung of the LP ladder failed on it)
     status: str
     #: optimum; the screen's value unless the point was solved by the LP
     objective: float | None = None
@@ -267,15 +271,6 @@ def _build_lp(params: SystemParams, quantities: DerivedQuantities,
     )
 
 
-def _recover(masses: np.ndarray, products: np.ndarray, levels: range) -> np.ndarray:
-    """Divide product variables by stationary mass, zeroing unreachable levels."""
-    mass = masses[levels.start:levels.stop]
-    reachable = mass > RECOVERY_MASS_FLOOR
-    out = np.zeros(len(levels))
-    out[reachable] = np.clip(products[reachable] / mass[reachable], 0.0, 1.0)
-    return out
-
-
 @dataclass(frozen=True)
 class _Column:
     """What one sensing time fixes for its K threshold LPs, and their detector."""
@@ -328,12 +323,13 @@ def _admitted(params: SystemParams, quantities: DerivedQuantities,
 
 
 def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
-                      allowed: np.ndarray, weights) -> np.ndarray | None:
-    """Gains (K, 2) of (mu_s, mu_p) under a deterministic policy maximizing
-    the average of ``rewards @ weights`` in each MDP of the batch: the
-    (K, 3, n, n) kernels and (K, 3, 2) rewards of the three actions, which
-    ``allowed`` admits per level.  ``weights`` is one (2,) pair or a (K, 2)
-    stack.
+                      allowed: np.ndarray, weights
+                      ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Gains (K, 2) of (mu_s, mu_p) and action indices (K, n) of a
+    deterministic policy maximizing the average of ``rewards @ weights`` in
+    each MDP of the batch: the (K, 3, n, n) kernels and (K, 3, 2) rewards of
+    the three actions, which ``allowed`` admits per level.  ``weights`` is
+    one (2,) pair or a (K, 2) stack.
 
     Average-reward policy iteration from the all-idle policy.  Value
     determination solves ``g + h = r + P h`` with ``h`` pinned to zero at
@@ -363,22 +359,26 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
         values[:, ~allowed] = -np.inf
         better = values.max(axis=1) > values[batch, policy, levels] + tol
         if not better.any():
-            return solved[:, 0]
+            return solved[:, 0], policy
         policy = np.where(better, values.argmax(axis=1), policy)
     return None
 
 
-def _screen(params: SystemParams, column: _Column,
-            scheme: str) -> np.ndarray | None:
+def _screen(params: SystemParams, column: _Column, scheme: str
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """Optimal LP objective at each threshold of a column, NaN where the
-    floor is out of reach, found without an LP; see the module docstring.
+    floor is out of reach, found without an LP, and the policies that attain
+    it; see the module docstring.
 
     A point whose unconstrained optimum misses the floor gets the minimum
     over nu >= 0 of the dual ``max mu_s + nu * (mu_p - mu_th)`` by cutting
     planes: the lines of a policy below and one on or above the floor meet
     at the next nu, and the search stops once no policy rises above them
     there.  The value is then that of the mix of the two policies meeting
-    the floor.  None when a policy iteration fails.
+    the floor.  Returns the objectives, the (K, n) actions of the low and
+    high policy at each point and the (K,) share ``s`` of the high one in
+    their mix: 0, with both the unconstrained optimum, where the floor is
+    slack.  None when a policy iteration fails.
     """
     kernels = transition_components(params, column.blocks, column.p_d,
                                     column.p_f)
@@ -386,35 +386,45 @@ def _screen(params: SystemParams, column: _Column,
     allowed = _admitted(params, column.quantities, scheme)
     mu_th = params.mu_th
 
-    def solve(points: np.ndarray, weights) -> np.ndarray | None:
+    def solve(points: np.ndarray, weights):
         return _policy_iteration(kernels[points], rewards[points], allowed, weights)
 
-    free = solve(np.arange(len(column.thresholds)), (1.0, 0.0))
-    if free is None:
+    count = len(column.thresholds)
+    solved = solve(np.arange(count), (1.0, 0.0))
+    if solved is None:
         return None
-    objective = free[:, 0].copy()
-    points = np.nonzero(free[:, 1] < mu_th)[0]
-    safe = solve(points, (0.0, 1.0))  # the highest licensed-user rate
-    if safe is None:
+    low, low_policy = solved
+    high, high_policy = low.copy(), low_policy.copy()
+    objective, share = low[:, 0].copy(), np.zeros(count)
+    points = np.nonzero(low[:, 1] < mu_th)[0]
+    solved = solve(points, (0.0, 1.0))  # the highest licensed-user rate
+    if solved is None:
         return None
-    reachable = safe[:, 1] >= mu_th
+    high[points], high_policy[points] = solved
+    reachable = high[points, 1] >= mu_th
     objective[points[~reachable]] = np.nan
-    points, low, high = points[reachable], free[points[reachable]], safe[reachable]
+    points = points[reachable]
     for _ in range(_PI_MAX_STEPS):
         if not points.size:
-            return objective
+            return objective, low_policy, high_policy, share
+        lo, hi = low[points], high[points]
         # low's line falls and high's rises in nu; they meet at nu
-        nu = np.maximum((low[:, 0] - high[:, 0]) / (high[:, 1] - low[:, 1]), 0.0)
-        cut = solve(points, np.stack([np.ones_like(nu), nu], axis=1))
-        if cut is None:
+        nu = np.maximum((lo[:, 0] - hi[:, 0]) / (hi[:, 1] - lo[:, 1]), 0.0)
+        solved = solve(points, np.stack([np.ones_like(nu), nu], axis=1))
+        if solved is None:
             return None
-        gap = (cut[:, 0] - low[:, 0]) + nu * (cut[:, 1] - low[:, 1])
+        cut, cut_policy = solved
+        gap = (cut[:, 0] - lo[:, 0]) + nu * (cut[:, 1] - lo[:, 1])
         done = gap <= _PI_TOL * (1.0 + nu)
-        share = (mu_th - low[done, 1]) / (high[done, 1] - low[done, 1])
-        objective[points[done]] = low[done, 0] + share * (high[done, 0] - low[done, 0])
-        below = (cut[:, 1] < mu_th)[:, None]
-        low, high = np.where(below, cut, low), np.where(below, high, cut)
-        points, low, high = points[~done], low[~done], high[~done]
+        at = points[done]
+        share[at] = (mu_th - lo[done, 1]) / (hi[done, 1] - lo[done, 1])
+        objective[at] = lo[done, 0] + share[at] * (hi[done, 0] - lo[done, 0])
+        # the cut replaces the end of the bracket on its side of the floor
+        below = cut[:, 1] < mu_th
+        for gains, policies, moved in ((low, low_policy, ~done & below),
+                                       (high, high_policy, ~done & ~below)):
+            gains[points[moved]], policies[points[moved]] = cut[moved], cut_policy[moved]
+        points = points[~done]
     return None
 
 
@@ -475,54 +485,40 @@ def _cold_solve(params: SystemParams, scheme: str,
 
 
 def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
-                      k: int, solution: LpSolution) -> OptimalSolution:
-    """Recover the policy of an optimal LP answer at the k-th threshold of a
-    column and evaluate it."""
+                      k: int, solution: LpSolution, low: np.ndarray,
+                      high: np.ndarray, share: float) -> OptimalSolution:
+    """The winner at the k-th threshold of a column: the screen's policy,
+    its evaluation and the rates of its cold LP solution.
+
+    The policy is the high one where the floor is slack (``share`` 0), else
+    the mix of the occupation measures of the low and high policies,
+    normalized per level; a level neither reaches takes the high action.
+    """
     q = column.quantities
-    x = solution.x
-    n, ka, kb = params.n_states, len(q.alpha_range), len(q.beta_range)
-    substituted = SubstitutedVariables(*np.split(x.copy(), [n, n + ka, n + ka + kb]))
-    policy = Policy(
-        alpha=_recover(substituted.pi, substituted.alpha_tilde, q.alpha_range),
-        beta1=_recover(substituted.pi, substituted.beta1_tilde, q.beta_range),
-        beta2=_recover(substituted.pi, substituted.beta2_tilde, q.beta_range),
-        tau=q.tau,
-        threshold=column.thresholds[k],
-    )
+    levels = np.arange(params.n_states)
+    actions = np.zeros((2, 3, params.n_states))
+    actions[0, low, levels] = actions[1, high, levels] = 1.0
+    mixed = actions[1]
+    if share > 0.0:  # the floor binds
+        kernels = transition_components(params, column.blocks, column.p_d[k],
+                                        column.p_f[k])
+        masses = np.array([weight * stationary_distribution(
+            TransitionMatrix(kernels[chosen, levels])).pi
+            for weight, chosen in ((1.0 - share, low), (share, high))])
+        mass = masses.sum(axis=0)
+        mixed = np.divide((masses[:, None] * actions).sum(axis=0), mass,
+                          out=actions[1], where=mass > 0.0)
+    policy = Policy(alpha=mixed[1, q.alpha_range], beta1=mixed[1, q.beta_range],
+                    beta2=mixed[2, q.beta_range], tau=q.tau,
+                    threshold=column.thresholds[k])
     return OptimalSolution(
         policy=policy,
         report=evaluate(params, policy),
-        substituted=substituted,
         scheme=scheme,
         lp_objective=float(solution.objective_value),
         lp_mu_p=float(_rate_rows(params, q, action_rewards(
-            params, column.outages, column.p_d[k], column.p_f[k]))[1] @ x),
+            params, column.outages, column.p_d[k], column.p_f[k]))[1] @ solution.x),
     )
-
-
-def solve_fixed(params: SystemParams, tau: float, threshold: float, scheme: str
-                ) -> OptimalSolution | None:
-    """Best policy at one (tau, threshold) point, or None when infeasible.
-
-    Raises :class:`ConfigurationError` when the point cannot host the scheme:
-    a time-bandwidth product of 1 (averaged detection undefined) or, for the
-    sensing-only scheme, a battery too small to ever fund sensing.
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    quantities = derive(params, tau)
-    unsupported = _unsupported(params, quantities, scheme)
-    if unsupported is not None:
-        raise ConfigurationError(unsupported[1])
-    column = _column(params, quantities, harvesting.harvest_laws(params),
-                     (threshold,))
-    [(record, solution)] = _cold_solve(params, scheme, [(column, 0)])
-    if record.status == "solver_failure":
-        raise RuntimeError(f"every LP solve failed at tau={tau}, "
-                           f"threshold={threshold}")
-    if solution is None:
-        return None
-    return _optimal_solution(params, scheme, column, 0, solution)
 
 
 def _select_winner(candidates: list[tuple[float, float, float, Any]]) -> Any:
@@ -541,20 +537,22 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
              ) -> tuple[OptimalSolution, tuple[GridPointStatus, ...]]:
     """Exhaustive search over the grid; returns the winner and per-point log.
 
-    Screens every column without an LP (by LP where the screen fails), then
-    solves cold the points within ``LP_FEASIBILITY_TOL`` of the best and
-    picks the winner among those; see the module docstring.  A point whose
-    LP ladder fails is logged as ``solver_failure`` and the search goes on.
-    Raises :class:`InfeasibleGridError` carrying the per-point statuses when
-    no point is feasible.
+    Screens every column without an LP, then solves cold the points within
+    ``LP_FEASIBILITY_TOL`` of the best and picks the winner among those; the
+    winner's policy is the screen's.  See the module docstring.  A point
+    that the screen cannot value or whose LP ladder fails is logged as
+    ``solver_failure`` and the search goes on.  Raises
+    :class:`InfeasibleGridError` carrying the per-point statuses when no
+    point is feasible, and :class:`~ehcr.chain.AmbiguousChainError` when
+    the all-idle chain has several closed classes.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     harvest = harvesting.harvest_laws(params)
     records: list[GridPointStatus] = []
-    # (record index, column, threshold index, objective, solution) of every
-    # optimal point; a screened point has no LP solution until the certify pass
-    screened: list[tuple[int, _Column, int, float, LpSolution | None]] = []
+    # (record index, column, threshold index, objective, screened policies)
+    # of every point the screen found optimal
+    screened: list[tuple[int, _Column, int, float, tuple]] = []
     for tau in grid.tau_values(params):
         quantities = derive(params, tau)
         unsupported = _unsupported(params, quantities, scheme)
@@ -567,21 +565,25 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
                            for threshold in thresholds)
             continue
         column = _column(params, quantities, harvest, thresholds)
-        objectives = _screen(params, column, scheme)
-        if objectives is None:
-            solved = _cold_solve(params, scheme,
-                                 [(column, k) for k in range(len(thresholds))])
-        else:
-            solved = [(GridPointStatus(tau, threshold, "infeasible")
-                       if math.isnan(objective) else
-                       GridPointStatus(tau, threshold, "optimal", float(objective)),
-                       None)
-                      for threshold, objective in zip(thresholds, objectives)]
-        for k, (record, solution) in enumerate(solved):
-            if record.status == "optimal":
-                screened.append((len(records), column, k, record.objective,
-                                 solution))
-            records.append(record)
+        screen = _screen(params, column, scheme)
+        if screen is None:
+            idle = transition_components(params, column.blocks, column.p_d[0],
+                                         column.p_f[0])[0]
+            classes = _closed_classes(idle)
+            if len(classes) > 1:
+                raise AmbiguousChainError(classes)
+            records.extend(GridPointStatus(tau, threshold, "solver_failure")
+                           for threshold in thresholds)
+            continue
+        objectives, low, high, share = screen
+        for k, (threshold, objective) in enumerate(zip(thresholds, objectives)):
+            if math.isnan(objective):
+                records.append(GridPointStatus(tau, threshold, "infeasible"))
+                continue
+            screened.append((len(records), column, k, float(objective),
+                             (low[k], high[k], share[k])))
+            records.append(GridPointStatus(tau, threshold, "optimal",
+                                           float(objective)))
 
     # Certify: solve the near-best screened points cold (their records follow
     # the cold solve).  Should all of them fail cold, the next tier competes.
@@ -590,14 +592,14 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
         cutoff = max(entry[3] for entry in screened) - LP_FEASIBILITY_TOL
         near = [entry for entry in screened if entry[3] >= cutoff]
         screened = [entry for entry in screened if entry[3] < cutoff]
-        solved = iter(_cold_solve(params, scheme, [
-            (column, k) for _, column, k, _, solution in near if solution is None]))
-        for index, column, k, _, solution in near:
-            if solution is None:
-                records[index], solution = next(solved)
+        solved = _cold_solve(params, scheme,
+                             [(column, k) for _, column, k, _, _ in near])
+        for (index, column, k, _, policies), (record, solution) in zip(near, solved):
+            records[index] = record
             if solution is not None:
                 candidates.append((solution.objective_value, column.quantities.tau,
-                                   column.thresholds[k], (column, k, solution)))
+                                   column.thresholds[k],
+                                   (column, k, solution, *policies)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

@@ -3,6 +3,7 @@ import contextlib
 import math
 import os
 import signal
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,19 +25,19 @@ from ehcr.harvesting import HarvestPmf, _rf_packet_scale, nature_pmf, rf_pmf
 from ehcr.numerics import (
     MARCUM_MAX_TERMS,
     LinearProgram,
+    LpSolution,
     MarcumConvergenceError,
     _check_order,
     regularized_upper_gamma_int,
 )
 from ehcr.optimizer import (
-    RECOVERY_MASS_FLOOR,
     GridPointStatus,
     InfeasibleGridError,
     OptimalSolution,
     _select_winner,
 )
 from ehcr.outage import OutageBundle, bundle
-from ehcr.performance import action_rewards
+from ehcr.performance import action_rewards, evaluate
 from ehcr.simulator import _N_BATCHES, _STREAMS, SimConfig, SimReport
 from ehcr.system_model import CONFIG_KEYS, LINK_NAMES, SystemParams, derive
 
@@ -277,12 +278,16 @@ def reference_compose_transition(kernels: np.ndarray, alpha_range: range,
     return p
 
 
+#: stationary mass at or below which the reference recovery idles a level
+REFERENCE_MASS_FLOOR = 1e-12
+
+
 def reference_recover(masses: np.ndarray, products: np.ndarray,
                       idx: range) -> np.ndarray:
     """Divide product variables by stationary mass, zeroing unreachable levels."""
     out = np.zeros(len(idx))
     for k, i in enumerate(idx):
-        if masses[i] > RECOVERY_MASS_FLOOR:
+        if masses[i] > REFERENCE_MASS_FLOOR:
             out[k] = min(max(products[k] / masses[i], 0.0), 1.0)
     return out
 
@@ -593,10 +598,46 @@ def point_lp(params: SystemParams, column: optimizer._Column, k: int,
         action_rewards(params, column.outages, p_d, p_f), scheme)
 
 
+@dataclass(frozen=True)
+class PointGrid:
+    """The search grid of the one point (tau, threshold), read by
+    :func:`~ehcr.optimizer.optimize` as it reads a GridSpec."""
+
+    tau: float
+    threshold: float
+
+    def tau_values(self, params: SystemParams) -> tuple[float, ...]:
+        return (self.tau,)
+
+    def lambda_grid(self, m: int) -> tuple[float, ...]:
+        return (self.threshold,)
+
+
+def reference_lp_solution(params: SystemParams, scheme: str, lp: LinearProgram,
+                          column: optimizer._Column, k: int,
+                          solution: LpSolution) -> OptimalSolution:
+    """An optimal answer of the LP at the k-th threshold of a column, as the
+    optimizer reports a winner: the policy recovered from the occupation
+    vector level by level, its evaluation, and the LP's secondary and
+    licensed-user rates (the floor row is minus the latter)."""
+    q = column.quantities
+    n, ka, kb = params.n_states, len(q.alpha_range), len(q.beta_range)
+    pi, alpha, beta1, beta2 = np.split(solution.x, [n, n + ka, n + ka + kb])
+    policy = Policy(alpha=reference_recover(pi, alpha, q.alpha_range),
+                    beta1=reference_recover(pi, beta1, q.beta_range),
+                    beta2=reference_recover(pi, beta2, q.beta_range),
+                    tau=q.tau, threshold=column.thresholds[k])
+    return OptimalSolution(policy=policy, report=evaluate(params, policy),
+                           scheme=scheme,
+                           lp_objective=float(solution.objective_value),
+                           lp_mu_p=float(-lp.ub_matrix[0] @ solution.x))
+
+
 def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
                      ) -> tuple[OptimalSolution, tuple[GridPointStatus, ...]]:
-    """``optimize`` with no screen: a cold LP at every grid point, and the
-    best of them all by the optimizer's own tie-break."""
+    """``optimize`` with no screen: a cold LP at every grid point, the best
+    of them all by the optimizer's own tie-break, and its policy recovered
+    from the LP alone."""
     records, candidates = [], []
     harvest = harvesting.harvest_laws(params)
     for tau in grid.tau_values(params):
@@ -612,16 +653,16 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
             continue
         column = optimizer._column(params, q, harvest, thresholds)
         for k, threshold in enumerate(thresholds):
-            record, solution = optimizer._solve_point(
-                point_lp(params, column, k, scheme), tau, threshold)
+            lp = point_lp(params, column, k, scheme)
+            record, solution = optimizer._solve_point(lp, tau, threshold)
             records.append(record)
             if solution is not None:
                 candidates.append((solution.objective_value, tau, threshold,
-                                   (column, k, solution)))
+                                   (lp, column, k, solution)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))
-    return optimizer._optimal_solution(params, scheme, *winner), tuple(records)
+    return reference_lp_solution(params, scheme, *winner), tuple(records)
 
 
 # The hand-written special functions that ``ehcr.numerics`` replaced by

@@ -129,16 +129,14 @@ def test_tied_cell_solves_each_point_once_on_threads(calls, pools,
     assert pools == [(2,)]
 
 
-def test_unscreened_columns_each_solve_on_threads(calls, pools,
-                                                   testbench_params):
-    # nothing is ever harvested, so the screen fails on every column and
-    # each column's points go to the LP; the certify pass then has nothing
-    # left to solve and starts no pool of its own
+def test_zero_harvest_grid_solves_no_lp(calls, pools, testbench_params):
+    # nothing is ever harvested, so the screen fails on the first column and
+    # the all-idle chain's closed classes end the search before any LP
     params = with_overrides(testbench_params, rho=0.0, lambda_e=0.0)
-    with pytest.raises(AmbiguousChainError):
-        optimize(params, FAST_GRID, "probabilistic")  # evaluating the winner
-    assert calls["solve_lp"] == 24
-    assert pools == [(2,)] * 4
+    with pytest.raises(AmbiguousChainError, match="21 closed classes"):
+        optimize(params, FAST_GRID, "probabilistic")
+    assert calls["solve_lp"] == 0
+    assert pools == []
 
 
 def test_evaluate_derives_once(calls, setting):

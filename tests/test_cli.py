@@ -77,6 +77,18 @@ class TestOptimizeCommand:
         strict.write_text(json.dumps(doc))
         assert main(["optimize", "--config", str(strict)]) == 2
 
+    def test_low_ambient_harvest_only(self, fast_config, tmp_path):
+        # the top battery level is reached only through a Poisson tail; a
+        # winner that idles there has two closed classes, or succeeds never
+        doc = json.loads(fast_config.read_text())
+        doc.update(eta=0.0, lambda_e=1.0)
+        doc["grid"] = {"tau_min": 2e-3, "lambda_count": 4}
+        fast_config.write_text(json.dumps(doc))
+        out = tmp_path / "result.csv"
+        assert main(["optimize", "--config", str(fast_config),
+                     "--out", str(out)]) == 0
+        assert float(read_rows(out)[1][4]) > 0.0
+
     def test_missing_config_file(self):
         assert main(["optimize", "--config", "/nonexistent/nope.json"]) == 1
 
