@@ -7,9 +7,9 @@ the analytical model against a simulation).  All results are written as
 UTF-8 CSV with a header row and nine significant digits; identical inputs
 and seeds produce byte-identical output.
 
-Exit codes: 0 success, 1 configuration error (a battery chain with no
-unique stationary law included), 2 infeasible optimization, 3 validation
-flags raised.
+Exit codes: 0 success, 1 usage or configuration error (a battery chain
+with no unique stationary law included), 2 infeasible optimization, 3
+validation flags raised.
 """
 from __future__ import annotations
 
@@ -58,7 +58,15 @@ VALIDATE_COLUMNS = ("metric", "analytic", "empirical", "stderr", "zscore",
 
 
 class CliError(Exception):
-    """Configuration-level failure; maps to exit code 1."""
+    """Usage or configuration failure; maps to exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`CliError`, not as argparse's
+    usage dump and exit code 2 (the code of an infeasible optimization)."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _fmt(value: Any) -> str:
@@ -285,10 +293,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.rho is not None:
         params = _checked(with_overrides(params, rho=args.rho))
     policy = _load_policy(args.policy, params)
-    comparison = simulator.compare(
-        params, policy, _sim_config(args, config.sim_defaults, params),
-        min_samples=args.min_samples,
-    )
+    sim = _sim_config(args, config.sim_defaults, params)
+    try:
+        comparison = simulator.compare(params, policy, sim,
+                                       min_samples=args.min_samples)
+    except ValueError as exc:  # a negative min_samples
+        raise CliError(f"invalid validation settings: {exc}") from exc
     rows = [(r.metric, r.analytic, r.empirical, r.stderr, r.zscore,
              int(r.flagged), "") for r in comparison.rows]
     for warning in comparison.warnings:
@@ -298,19 +308,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ehcr",
         description="Energy-harvesting cognitive-radio MAC: analysis, "
                     "optimization and Monte Carlo validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, rho: bool = True) -> None:
         p.add_argument("--config", required=True,
                        help="configuration JSON path or preset name "
                             f"{PRESET_NAMES}")
-        p.add_argument("--rho", type=float, default=None,
-                       help="override the configured occupancy prior")
+        if rho:
+            p.add_argument("--rho", type=float, default=None,
+                           help="override the configured occupancy prior")
         p.add_argument("--out", default=None,
                        help="output CSV path (default: stdout)")
 
@@ -320,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", help="optimize across an occupancy grid")
-    common(p_sweep)
+    common(p_sweep, rho=False)
     p_sweep.add_argument("--param", default="rho",
                          help="swept parameter (rho)")
     p_sweep.add_argument("--from", dest="sweep_from", type=float, required=True)
@@ -358,9 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, AmbiguousChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,16 @@
-"""Special functions and a small dense linear-program front end.
+"""Special functions and the linear-program solve of the policy optimizer.
 
 Everything here is a pure function of its inputs and safe to call from any
 number of threads: integer-order gamma tail probabilities (checked wrappers
 over ``scipy.special.gammaincc``/``gammainc`` that take one argument or a 1-D
 array of them), the generalized Marcum Q function (one array sum of scipy's
-gamma tails against Poisson weights), and a maximization wrapper around
-scipy's HiGHS solver (``linprog``) for the small dense programs built by the
-policy optimizer.
+gamma tails against Poisson weights), and ``solve_lp``, which maximizes a
+small dense program given as plain arrays with a ladder of scipy HiGHS
+``linprog`` calls behind a feasibility audit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -115,120 +114,37 @@ def marcum_q(m: int, a: float, b: float) -> float:
 # linear programming
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """Dense LP in maximization form.
-
-    maximize objective . x  subject to
-        eq_matrix  @ x == eq_rhs
-        ub_matrix  @ x <= ub_rhs
-        bounds[i][0] <= x_i <= bounds[i][1]   (None = unbounded on that side)
-
-    ``bound_array`` holds the same bounds as an (n, 2) float array, with
-    infinities for the open sides, built once for the solver and the audit.
-    """
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    ub_matrix: np.ndarray
-    ub_rhs: np.ndarray
-    bounds: tuple[tuple[float | None, float | None], ...]
-    bound_array: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        n = c.shape[0]
-        a_eq = np.asarray(self.eq_matrix, dtype=float).reshape(-1, n)
-        b_eq = np.atleast_1d(np.asarray(self.eq_rhs, dtype=float))
-        a_ub = np.asarray(self.ub_matrix, dtype=float).reshape(-1, n)
-        b_ub = np.atleast_1d(np.asarray(self.ub_rhs, dtype=float))
-        if a_eq.shape[0] != b_eq.shape[0]:
-            raise ValueError("eq_matrix rows and eq_rhs length differ")
-        if a_ub.shape[0] != b_ub.shape[0]:
-            raise ValueError("ub_matrix rows and ub_rhs length differ")
-        if len(self.bounds) != n:
-            raise ValueError("one (lo, hi) pair per variable required")
-        for lo, hi in self.bounds:
-            if lo is not None and hi is not None and lo > hi:
-                raise ValueError(f"bound lo={lo} exceeds hi={hi}")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "eq_matrix", a_eq)
-        object.__setattr__(self, "eq_rhs", b_eq)
-        object.__setattr__(self, "ub_matrix", a_ub)
-        object.__setattr__(self, "ub_rhs", b_ub)
-        object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
-        object.__setattr__(self, "bound_array", np.array(
-            [(-math.inf if lo is None else lo, math.inf if hi is None else hi)
-             for lo, hi in self.bounds], dtype=float).reshape(n, 2))
-
-    @property
-    def n_variables(self) -> int:
-        return self.objective.shape[0]
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    objective_value: float | None
-
-
-def feasibility_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest constraint violation of x: equalities, inequalities, bounds.
-
-    A point with a non-finite entry violates by infinity.
-    """
-    if not np.all(np.isfinite(x)):
-        return math.inf
-    worst = 0.0
-    if lp.eq_matrix.shape[0]:
-        worst = float(np.max(np.abs(lp.eq_matrix @ x - lp.eq_rhs)))
-    if lp.ub_matrix.shape[0]:
-        worst = max(worst, float(np.max(lp.ub_matrix @ x - lp.ub_rhs)))
-    if x.size:
-        lower, upper = lp.bound_array.T
-        worst = max(worst, float(np.max(lower - x)), float(np.max(x - upper)))
-    return worst
-
-
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Maximize the LP, reporting infeasible/unbounded via status, not raise.
+def solve_lp(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray,
+             ub_matrix: np.ndarray, ub_rhs: np.ndarray,
+             bounds: np.ndarray) -> np.ndarray | None:
+    """A point maximizing ``objective @ x`` subject to ``eq_matrix @ x ==
+    eq_rhs``, ``ub_matrix @ x <= ub_rhs`` and the (n, 2) array of ``bounds``
+    (lower, upper) on each variable; None when no point is feasible.
 
     Ill-conditioned instances can trip the simplex at tight tolerances or
     come back from postsolve with out-of-tolerance residuals, so the solve
     walks a ladder of ``linprog`` calls (simplex, interior point, simplex
-    without presolve) and accepts the first solution that passes the
-    feasibility audit.
+    without presolve) and returns the first solution whose largest
+    constraint violation is within ``LP_FEASIBILITY_TOL``.  Raises
+    ``RuntimeError`` when no rung passes this audit.
     """
-    kwargs = dict(
-        c=-lp.objective,
-        A_ub=lp.ub_matrix if lp.ub_matrix.shape[0] else None,
-        b_ub=lp.ub_rhs if lp.ub_rhs.shape[0] else None,
-        A_eq=lp.eq_matrix if lp.eq_matrix.shape[0] else None,
-        b_eq=lp.eq_rhs if lp.eq_rhs.shape[0] else None,
-        bounds=lp.bound_array,
-    )
-    worst: tuple[float, str] | None = None
+    lower, upper = bounds.T
+    failures = []
     for method, options in _RUNGS:
-        result = linprog(method=method, options=dict(_LP_OPTIONS, **options),
-                         **kwargs)
-        if result.status == 0:
-            x = np.asarray(result.x, dtype=float)
-            violation = feasibility_violation(lp, x)
-            if violation <= LP_FEASIBILITY_TOL:
-                return LpSolution("optimal", x, float(lp.objective @ x))
-            if worst is None or violation < worst[0]:
-                worst = (violation, method)
-            continue
+        result = linprog(-objective, A_ub=ub_matrix, b_ub=ub_rhs, A_eq=eq_matrix,
+                         b_eq=eq_rhs, bounds=bounds, method=method,
+                         options=dict(_LP_OPTIONS, **options))
         if result.status == 2:
-            return LpSolution("infeasible", None, None)
-        if result.status == 3:
-            return LpSolution("unbounded", None, None)
-    if worst is not None:
-        raise RuntimeError(
-            f"every LP solve violated constraints; best residual "
-            f"{worst[0]:.3e} from {worst[1]}"
-        )
-    raise RuntimeError(
-        f"LP solver failure (status {result.status}): {result.message}")
+            return None
+        if result.status != 0:
+            failures.append(f"{method}: {result.message}")
+            continue
+        x = result.x
+        violation = np.concatenate([np.abs(eq_matrix @ x - eq_rhs),
+                                    ub_matrix @ x - ub_rhs, lower - x,
+                                    x - upper]).max(initial=0.0)
+        if violation <= LP_FEASIBILITY_TOL:  # NaN fails too
+            return x
+        failures.append(f"{method}: residual {violation:.3e}")
+    raise RuntimeError("no LP solve passed the feasibility audit ("
+                       + "; ".join(failures) + ")")

@@ -68,7 +68,7 @@ from .chain import (
     stationary_distribution,
     transition_components,
 )
-from .numerics import LP_FEASIBILITY_TOL, LinearProgram, LpSolution, solve_lp
+from .numerics import LP_FEASIBILITY_TOL, solve_lp
 from .outage import OutageBundle, bundle
 from .performance import PerformanceReport, action_rewards, evaluate
 from .system_model import (
@@ -205,29 +205,21 @@ class InfeasibleGridError(RuntimeError):
         super().__init__(f"no feasible grid point ({summary})")
 
 
-def _rate_rows(params: SystemParams, quantities: DerivedQuantities,
-               rewards: np.ndarray) -> np.ndarray:
-    """The (2, nvars) rows of (mu_s, mu_p) over the LP's occupation vector
-    (pi, pi*alpha, pi*beta1, pi*beta2), from the (3, 2) action rewards: the
-    idle reward on the masses, each action's change from idling on its
-    products."""
-    ka, kb = len(quantities.alpha_range), len(quantities.beta_range)
-    per_block = np.vstack([rewards[0], rewards[1:] - rewards[0]]).T
-    return np.repeat(per_block, [params.n_states, ka + kb, kb], axis=1)
-
-
 def _build_lp(params: SystemParams, quantities: DerivedQuantities,
-              kernels: np.ndarray, rewards: np.ndarray,
-              scheme: str) -> LinearProgram:
-    """Assemble the policy LP at one grid point from its (3, n, n) kernels
-    and (3, 2) rewards of idling, blind access and sensing.
+              kernels: np.ndarray, rewards: np.ndarray, scheme: str
+              ) -> tuple[np.ndarray, ...]:
+    """The policy LP at one grid point from its (3, n, n) kernels and (3, 2)
+    rewards of idling, blind access and sensing, as the arrays
+    ``(objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)`` of
+    :func:`~ehcr.numerics.solve_lp`.
 
     The variables are the occupation vector (pi, pi*alpha, pi*beta1,
-    pi*beta2), in which the kernel and both rates are affine: each product
-    carries its action's change from idling.  The secondary rate is the
-    objective and the licensed-user floor enters as one inequality; each
-    level's products may not exceed its mass.  The sensing-only scheme pins
-    the blind product variables to zero through their bounds.
+    pi*beta2), in which the kernel and both rates are affine: the masses
+    carry the idle reward, each product its action's change from idling.
+    The secondary rate is the objective and the licensed-user floor enters
+    as the first inequality; each level's products may not exceed its mass.
+    The sensing-only scheme pins the blind product variables to zero
+    through their bounds.
     """
     n = params.n_states
     alpha_range, beta_range = quantities.alpha_range, quantities.beta_range
@@ -243,7 +235,8 @@ def _build_lp(params: SystemParams, quantities: DerivedQuantities,
     normalization = np.concatenate([np.ones(n), np.zeros(ka + 2 * kb)])
     eq_matrix = np.vstack([balance, normalization])
     eq_rhs = np.concatenate([np.zeros(n), [1.0]])
-    mu_s_row, mu_p_row = _rate_rows(params, quantities, rewards)
+    per_block = np.vstack([rewards[0], rewards[1:] - rewards[0]]).T
+    mu_s_row, mu_p_row = np.repeat(per_block, [n, ka + kb, kb], axis=1)
 
     # row 0 is the floor; row 1 + k caps the products of the k-th acting
     # level (the beta levels follow the alpha levels) by that level's mass
@@ -256,19 +249,11 @@ def _build_lp(params: SystemParams, quantities: DerivedQuantities,
     ub_rhs = np.zeros(1 + ka + kb)
     ub_rhs[0] = -params.mu_th
 
-    unit = (0.0, 1.0)
-    pinned = (0.0, 0.0)
-    blind_bound = pinned if scheme == "sensing_only" else unit
-    bounds = ([unit] * n + [blind_bound] * ka + [blind_bound] * kb + [unit] * kb)
-
-    return LinearProgram(
-        objective=mu_s_row,
-        eq_matrix=eq_matrix,
-        eq_rhs=eq_rhs,
-        ub_matrix=ub_matrix,
-        ub_rhs=ub_rhs,
-        bounds=tuple(bounds),
-    )
+    bounds = np.zeros((nvars, 2))
+    bounds[:, 1] = 1.0
+    if scheme == "sensing_only":
+        bounds[n:n + ka + kb, 1] = 0.0
+    return mu_s_row, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds
 
 
 @dataclass(frozen=True)
@@ -428,21 +413,24 @@ def _screen(params: SystemParams, column: _Column, scheme: str
     return None
 
 
-def _solve_point(lp: LinearProgram, tau: float, threshold: float
-                 ) -> tuple[GridPointStatus, LpSolution | None]:
-    """Status record and cold solution (None unless optimal) of a point's LP."""
+def _solve_point(lp: tuple[np.ndarray, ...], tau: float, threshold: float
+                 ) -> tuple[GridPointStatus, float | None]:
+    """Status record of a point's cold LP and, when optimal, the
+    licensed-user rate of its solution (minus the floor row's)."""
     try:
-        solution = solve_lp(lp)
+        x = solve_lp(*lp)
     except RuntimeError:
         return GridPointStatus(tau, threshold, "solver_failure"), None
-    if solution.status != "optimal":
+    if x is None:
         return GridPointStatus(tau, threshold, "infeasible"), None
-    return GridPointStatus(tau, threshold, "optimal", solution.objective_value), solution
+    objective, _, _, ub_matrix = lp[:4]
+    return (GridPointStatus(tau, threshold, "optimal", float(objective @ x)),
+            float(-ub_matrix[0] @ x))
 
 
 def _built_lps(params: SystemParams, scheme: str,
                entries: list[tuple[_Column, int]]
-               ) -> Iterator[tuple[LinearProgram, float, float]]:
+               ) -> Iterator[tuple[tuple[np.ndarray, ...], float, float]]:
     """(LP, tau, threshold) of each (column, threshold index) entry, in
     order; each run of entries on one column shares one batched kernel and
     reward build."""
@@ -460,7 +448,7 @@ def _built_lps(params: SystemParams, scheme: str,
 
 def _cold_solve(params: SystemParams, scheme: str,
                 entries: list[tuple[_Column, int]]
-                ) -> list[tuple[GridPointStatus, LpSolution | None]]:
+                ) -> list[tuple[GridPointStatus, float | None]]:
     """:func:`_solve_point` at each (column, threshold index) entry, in
     input order.
 
@@ -485,8 +473,9 @@ def _cold_solve(params: SystemParams, scheme: str,
 
 
 def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
-                      k: int, solution: LpSolution, low: np.ndarray,
-                      high: np.ndarray, share: float) -> OptimalSolution:
+                      k: int, lp_objective: float, lp_mu_p: float,
+                      low: np.ndarray, high: np.ndarray, share: float
+                      ) -> OptimalSolution:
     """The winner at the k-th threshold of a column: the screen's policy,
     its evaluation and the rates of its cold LP solution.
 
@@ -515,9 +504,8 @@ def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
         policy=policy,
         report=evaluate(params, policy),
         scheme=scheme,
-        lp_objective=float(solution.objective_value),
-        lp_mu_p=float(_rate_rows(params, q, action_rewards(
-            params, column.outages, column.p_d[k], column.p_f[k]))[1] @ solution.x),
+        lp_objective=lp_objective,
+        lp_mu_p=lp_mu_p,
     )
 
 
@@ -594,12 +582,11 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
         screened = [entry for entry in screened if entry[3] < cutoff]
         solved = _cold_solve(params, scheme,
                              [(column, k) for _, column, k, _, _ in near])
-        for (index, column, k, _, policies), (record, solution) in zip(near, solved):
+        for (index, column, k, _, policies), (record, mu_p) in zip(near, solved):
             records[index] = record
-            if solution is not None:
-                candidates.append((solution.objective_value, column.quantities.tau,
-                                   column.thresholds[k],
-                                   (column, k, solution, *policies)))
+            if mu_p is not None:
+                candidates.append((record.objective, record.tau, record.threshold,
+                                   (column, k, record.objective, mu_p, *policies)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

@@ -327,8 +327,11 @@ def compare(params: SystemParams, policy: Policy, sim: SimConfig,
 
     A row is flagged when |z| exceeds 3.  Runs shorter than ``min_samples``
     are reported with a warning and never flagged: their confidence intervals
-    are too wide to witness a disagreement.
+    are too wide to witness a disagreement.  Raises ``ValueError`` when
+    ``min_samples`` is negative.
     """
+    if min_samples < 0:
+        raise ValueError(f"min_samples must be >= 0, got {min_samples}")
     analytic = evaluate(params, policy)
     empirical = run(params, policy, sim)
     sufficient = sim.slots >= min_samples

@@ -24,11 +24,10 @@ from ehcr.chain import (
 from ehcr.harvesting import HarvestPmf, _rf_packet_scale, nature_pmf, rf_pmf
 from ehcr.numerics import (
     MARCUM_MAX_TERMS,
-    LinearProgram,
-    LpSolution,
     MarcumConvergenceError,
     _check_order,
     regularized_upper_gamma_int,
+    solve_lp,
 )
 from ehcr.optimizer import (
     GridPointStatus,
@@ -588,9 +587,9 @@ def reference_column_mdp(params: SystemParams, column: optimizer._Column,
 
 
 def point_lp(params: SystemParams, column: optimizer._Column, k: int,
-             scheme: str) -> LinearProgram:
-    """The policy LP at the k-th threshold of a column, from scalar kernel
-    and reward calls at that threshold alone."""
+             scheme: str) -> tuple[np.ndarray, ...]:
+    """The policy LP arrays at the k-th threshold of a column, from scalar
+    kernel and reward calls at that threshold alone."""
     p_d, p_f = column.p_d[k], column.p_f[k]
     return optimizer._build_lp(
         params, column.quantities,
@@ -613,24 +612,24 @@ class PointGrid:
         return (self.threshold,)
 
 
-def reference_lp_solution(params: SystemParams, scheme: str, lp: LinearProgram,
-                          column: optimizer._Column, k: int,
-                          solution: LpSolution) -> OptimalSolution:
-    """An optimal answer of the LP at the k-th threshold of a column, as the
-    optimizer reports a winner: the policy recovered from the occupation
-    vector level by level, its evaluation, and the LP's secondary and
-    licensed-user rates (the floor row is minus the latter)."""
+def reference_lp_solution(params: SystemParams, scheme: str,
+                          lp: tuple[np.ndarray, ...], column: optimizer._Column,
+                          k: int, x: np.ndarray) -> OptimalSolution:
+    """An optimal answer ``x`` of the LP arrays ``lp`` at the k-th threshold
+    of a column, as the optimizer reports a winner: the policy recovered
+    from the occupation vector level by level, its evaluation, and the LP's
+    secondary and licensed-user rates (the floor row is minus the latter)."""
+    objective, _, _, ub_matrix, _, _ = lp
     q = column.quantities
     n, ka, kb = params.n_states, len(q.alpha_range), len(q.beta_range)
-    pi, alpha, beta1, beta2 = np.split(solution.x, [n, n + ka, n + ka + kb])
+    pi, alpha, beta1, beta2 = np.split(x, [n, n + ka, n + ka + kb])
     policy = Policy(alpha=reference_recover(pi, alpha, q.alpha_range),
                     beta1=reference_recover(pi, beta1, q.beta_range),
                     beta2=reference_recover(pi, beta2, q.beta_range),
                     tau=q.tau, threshold=column.thresholds[k])
     return OptimalSolution(policy=policy, report=evaluate(params, policy),
-                           scheme=scheme,
-                           lp_objective=float(solution.objective_value),
-                           lp_mu_p=float(-lp.ub_matrix[0] @ solution.x))
+                           scheme=scheme, lp_objective=float(objective @ x),
+                           lp_mu_p=float(-ub_matrix[0] @ x))
 
 
 def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
@@ -654,11 +653,17 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
         column = optimizer._column(params, q, harvest, thresholds)
         for k, threshold in enumerate(thresholds):
             lp = point_lp(params, column, k, scheme)
-            record, solution = optimizer._solve_point(lp, tau, threshold)
-            records.append(record)
-            if solution is not None:
-                candidates.append((solution.objective_value, tau, threshold,
-                                   (lp, column, k, solution)))
+            try:
+                x = solve_lp(*lp)
+            except RuntimeError:
+                records.append(GridPointStatus(tau, threshold, "solver_failure"))
+                continue
+            if x is None:
+                records.append(GridPointStatus(tau, threshold, "infeasible"))
+                continue
+            value = float(lp[0] @ x)
+            records.append(GridPointStatus(tau, threshold, "optimal", value))
+            candidates.append((value, tau, threshold, (lp, column, k, x)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

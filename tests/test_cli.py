@@ -208,6 +208,40 @@ class TestBadInputsExitOne:
         assert main(["optimize", "--config", str(fast_config)]) == 1
         assert message in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["optimize", "--config", "testbench", "--scheme", "bogus"],
+         "argument --scheme: invalid choice: 'bogus'"),
+        (["optimize", "--config", "testbench", "--rho", "abc"],
+         "argument --rho: invalid float value: 'abc'"),
+        (["sweep", "--config", "testbench", "--from", "0.1", "--to", "0.9"],
+         "the following arguments are required: --steps"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+        # sweep sets rho itself, so it has no --rho to ignore
+        (["sweep", "--config", "testbench", "--from", "0.1", "--to", "0.9",
+          "--steps", "2", "--rho", "0.3"], "unrecognized arguments: --rho 0.3"),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        # exit 2 is an infeasible optimization; a usage error is exit 1
+        assert main(argv) == 1
+        err = self.one_line_error(capsys)
+        assert err.startswith("error: ehcr") and message in err
+        assert "usage:" not in err
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["sweep", "--help"]):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 0
+            assert "usage:" in capsys.readouterr().out
+
+    def test_negative_min_samples(self, fast_config, policy_file, capsys):
+        assert main(["validate", "--config", str(fast_config),
+                     "--policy", str(policy_file), "--slots", "100",
+                     "--min-samples", "-5"]) == 1
+        assert ("min_samples must be >= 0, got -5"
+                in self.one_line_error(capsys))
+
     def test_grid_with_non_integral_samples(self, fast_config, capsys):
         doc = json.loads(fast_config.read_text())
         doc["grid"]["tau_min"] = 0.00033

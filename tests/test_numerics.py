@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 from ehcr import numerics
 from ehcr.numerics import (
-    LinearProgram,
     MarcumConvergenceError,
-    feasibility_violation,
     marcum_q,
     regularized_lower_gamma_int,
     regularized_upper_gamma_int,
@@ -266,27 +264,26 @@ class TestMarcumQ:
 
 
 def _box_lp(objective, ub_matrix, ub_rhs):
+    """The arrays of ``max objective @ x`` over ``ub_matrix @ x <= ub_rhs``
+    in the unit box, in the argument order of ``solve_lp``."""
     n = len(objective)
     eq_m, eq_r = empty_constraints(n)
-    return LinearProgram(
-        objective=np.asarray(objective, dtype=float),
-        eq_matrix=eq_m, eq_rhs=eq_r,
-        ub_matrix=np.asarray(ub_matrix, dtype=float),
-        ub_rhs=np.asarray(ub_rhs, dtype=float),
-        bounds=tuple((0.0, 1.0) for _ in range(n)),
-    )
+    return (np.asarray(objective, dtype=float), eq_m, eq_r,
+            np.asarray(ub_matrix, dtype=float), np.asarray(ub_rhs, dtype=float),
+            np.tile([0.0, 1.0], (n, 1)))
 
 
-def _enumerate_vertices(lp: LinearProgram) -> np.ndarray:
+def _enumerate_vertices(lp) -> np.ndarray:
     """Brute-force oracle: intersect every n-subset of active constraints."""
-    n = lp.n_variables
-    rows = [row for row in lp.ub_matrix]
-    rhs = list(lp.ub_rhs)
+    objective, _, _, ub_matrix, ub_rhs, bounds = lp
+    n = len(objective)
+    rows = [row for row in ub_matrix]
+    rhs = list(ub_rhs)
     for i in range(n):
         unit = np.zeros(n)
         unit[i] = 1.0
         rows.extend([unit, -unit])
-        rhs.extend([lp.bounds[i][1], -lp.bounds[i][0]])
+        rhs.extend([bounds[i, 1], -bounds[i, 0]])
     rows = np.array(rows)
     rhs = np.array(rhs)
     best = -np.inf
@@ -297,29 +294,29 @@ def _enumerate_vertices(lp: LinearProgram) -> np.ndarray:
             continue
         x = np.linalg.solve(a, b)
         if np.all(rows @ x <= rhs + 1e-9):
-            best = max(best, float(lp.objective @ x))
+            best = max(best, float(objective @ x))
     return best
+
+
+def _infeasible_lp():
+    """x1 + x2 == 5 in the unit square."""
+    return (np.ones(2), np.ones((1, 2)), np.array([5.0]), np.zeros((0, 2)),
+            np.zeros(0), np.tile([0.0, 1.0], (2, 1)))
 
 
 class TestSolveLp:
     def test_single_variable(self):
-        lp = _box_lp([1.0], [[1.0]], [1.0])
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
+        x = solve_lp(*_box_lp([1.0], [[1.0]], [1.0]))
+        assert x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_optimum_has_unique_value(self):
-        lp = _box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
+        x = solve_lp(*_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]))
+        assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_known_construction_ten_variables(self):
         # box [0,1]^10 with a single budget row: optimum is the budget
-        lp = _box_lp(np.ones(10), [np.ones(10)], [3.5])
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(3.5, abs=1e-8)
+        x = solve_lp(*_box_lp(np.ones(10), [np.ones(10)], [3.5]))
+        assert x.sum() == pytest.approx(3.5, abs=1e-8)
 
     def test_random_instances_match_vertex_enumeration(self):
         rng = np.random.default_rng(3)
@@ -329,30 +326,11 @@ class TestSolveLp:
             b = rng.uniform(0.5, 2.0, size=k)  # origin stays feasible
             c = rng.normal(size=n)
             lp = _box_lp(c, a, b)
-            sol = solve_lp(lp)
-            assert sol.status == "optimal"
-            oracle = _enumerate_vertices(lp)
-            assert sol.objective_value == pytest.approx(oracle, abs=1e-7)
+            x = solve_lp(*lp)
+            assert c @ x == pytest.approx(_enumerate_vertices(lp), abs=1e-7)
 
     def test_infeasible_reported_not_raised(self):
-        n = 2
-        eq_m, eq_r = np.ones((1, n)), np.array([5.0])
-        lp = LinearProgram(
-            objective=np.ones(n), eq_matrix=eq_m, eq_rhs=eq_r,
-            ub_matrix=np.zeros((0, n)), ub_rhs=np.zeros(0),
-            bounds=((0.0, 1.0), (0.0, 1.0)),
-        )
-        assert solve_lp(lp).status == "infeasible"
-
-    def test_unbounded_reported_not_raised(self):
-        n = 1
-        eq_m, eq_r = empty_constraints(n)
-        lp = LinearProgram(
-            objective=np.ones(n), eq_matrix=eq_m, eq_rhs=eq_r,
-            ub_matrix=np.zeros((0, n)), ub_rhs=np.zeros(0),
-            bounds=((0.0, None),),
-        )
-        assert solve_lp(lp).status == "unbounded"
+        assert solve_lp(*_infeasible_lp()) is None
 
     def test_residuals_and_dominance_over_random_feasible_points(self):
         rng = np.random.default_rng(17)
@@ -360,35 +338,18 @@ class TestSolveLp:
         a = rng.normal(size=(k, n))
         b = rng.uniform(0.5, 2.0, size=k)
         c = rng.normal(size=n)
-        lp = _box_lp(c, a, b)
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert feasibility_violation(lp, sol.x) <= 1e-8
+        x = solve_lp(*_box_lp(c, a, b))
+        assert np.max(a @ x - b) <= 1e-8
+        assert -1e-8 <= x.min() and x.max() <= 1.0 + 1e-8
         # rejection-sample feasible points; none may beat the optimum
         points = rng.uniform(0.0, 1.0, size=(5000, n))
         feasible = points[np.all(points @ a.T <= b + 1e-12, axis=1)]
         assert feasible.shape[0] > 100
-        assert float((feasible @ c).max()) <= sol.objective_value + 1e-6
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LinearProgram(
-                objective=np.ones(2),
-                eq_matrix=np.ones((1, 2)), eq_rhs=np.ones(2),
-                ub_matrix=np.zeros((0, 2)), ub_rhs=np.zeros(0),
-                bounds=((0, 1), (0, 1)),
-            )
-        with pytest.raises(ValueError):
-            LinearProgram(
-                objective=np.ones(1),
-                eq_matrix=np.zeros((0, 1)), eq_rhs=np.zeros(0),
-                ub_matrix=np.zeros((0, 1)), ub_rhs=np.zeros(0),
-                bounds=((2.0, 1.0),),
-            )
+        assert float((feasible @ c).max()) <= c @ x + 1e-6
 
 
-def _suite_lps() -> list[LinearProgram]:
-    """The programs of TestSolveLp, feasible, infeasible and unbounded."""
+def _suite_lps() -> list[tuple]:
+    """The programs of TestSolveLp, feasible and infeasible."""
     lps = [_box_lp([1.0], [[1.0]], [1.0]),
            _box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]),
            _box_lp(np.ones(10), [np.ones(10)], [3.5])]
@@ -398,39 +359,100 @@ def _suite_lps() -> list[LinearProgram]:
             a = rng.normal(size=(k, n))
             b = rng.uniform(0.5, 2.0, size=k)
             lps.append(_box_lp(rng.normal(size=n), a, b))
-    lps.append(LinearProgram(
-        objective=np.ones(2), eq_matrix=np.ones((1, 2)), eq_rhs=[5.0],
-        ub_matrix=np.zeros((0, 2)), ub_rhs=np.zeros(0),
-        bounds=((0.0, 1.0), (0.0, 1.0))))
-    lps.append(LinearProgram(
-        objective=np.ones(1), eq_matrix=np.zeros((0, 1)), eq_rhs=np.zeros(0),
-        ub_matrix=np.zeros((0, 1)), ub_rhs=np.zeros(0), bounds=((0.0, None),)))
+    lps.append(_infeasible_lp())
     return lps
 
 
-def linprog_reference(lp: LinearProgram):
-    """What linprog(method="highs") returns for ``lp`` under the ladder's options."""
+def linprog_reference(lp):
+    """What linprog(method="highs") returns for ``lp`` under the ladder's
+    options, with the bounds as (lo, hi) pairs and empty blocks as None."""
+    objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds = lp
     return linprog(
-        c=-lp.objective,
-        A_ub=lp.ub_matrix if lp.ub_matrix.shape[0] else None,
-        b_ub=lp.ub_rhs if lp.ub_rhs.shape[0] else None,
-        A_eq=lp.eq_matrix if lp.eq_matrix.shape[0] else None,
-        b_eq=lp.eq_rhs if lp.eq_rhs.shape[0] else None,
-        bounds=list(lp.bounds), method="highs", options=numerics._LP_OPTIONS)
+        c=-objective,
+        A_ub=ub_matrix if ub_matrix.shape[0] else None,
+        b_ub=ub_rhs if ub_rhs.shape[0] else None,
+        A_eq=eq_matrix if eq_matrix.shape[0] else None,
+        b_eq=eq_rhs if eq_rhs.shape[0] else None,
+        bounds=[tuple(pair) for pair in bounds.tolist()], method="highs",
+        options=numerics._LP_OPTIONS)
 
 
 class TestDirectHighs:
     """Rung 1 of the ladder is ``linprog(method="highs")`` itself."""
 
     def test_first_rung_is_bit_identical_to_linprog(self):
-        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
         for lp in _suite_lps():
             reference = linprog_reference(lp)
-            sol = solve_lp(lp)
-            assert sol.status == statuses[reference.status]
-            if sol.status == "optimal":
-                assert np.array_equal(sol.x, reference.x)
+            x = solve_lp(*lp)
+            assert reference.status == (2 if x is None else 0)
+            if x is not None:
+                assert np.array_equal(x, reference.x)
 
-    def test_non_finite_point_fails_the_audit(self):
-        lp = _box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])
-        assert feasibility_violation(lp, np.array([math.nan, 0.0])) == math.inf
+    def test_non_finite_point_fails_the_audit(self, monkeypatch):
+        nan_point = lambda result: OptimizeResult(
+            status=0, message="", x=np.full_like(result.x, math.nan))
+        calls = _ladder(monkeypatch, [nan_point] * 3)
+        with pytest.raises(RuntimeError, match="residual nan"):
+            solve_lp(*_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]))
+        assert len(calls) == 3
+
+
+def _ladder(monkeypatch, outcomes):
+    """Patch the ``linprog`` of ``solve_lp`` so that the result of its i-th
+    call passes through ``outcomes[i]``; returns the (method, presolve) of
+    each call."""
+    calls = []
+
+    def patched(*args, method, options, **kwargs):
+        calls.append((method, options.get("presolve", True)))
+        result = linprog(*args, method=method, options=options, **kwargs)
+        return outcomes[len(calls) - 1](result)
+
+    monkeypatch.setattr(numerics, "linprog", patched)
+    return calls
+
+
+def _solved(result):
+    return result
+
+
+def _numerical_difficulties(result):
+    return OptimizeResult(status=4, message="numerical difficulties", x=None)
+
+
+def _off_the_box(result):
+    return OptimizeResult(status=0, message=result.message, x=result.x + 0.5)
+
+
+class TestLadder:
+    """A rung that fails or returns a point outside the constraints passes
+    the program to the next; the last one's failure raises."""
+
+    LP = _box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
+    RUNGS = [("highs", True), ("highs-ipm", True), ("highs", False)]
+
+    def test_second_rung_solves_after_a_solver_failure(self, monkeypatch):
+        calls = _ladder(monkeypatch, [_numerical_difficulties, _solved])
+        x = solve_lp(*self.LP)
+        assert calls == self.RUNGS[:2]
+        assert x == pytest.approx([0.0, 1.0], abs=1e-8)
+
+    def test_third_rung_solves_after_two_audit_failures(self, monkeypatch):
+        calls = _ladder(monkeypatch, [_off_the_box, _off_the_box, _solved])
+        x = solve_lp(*self.LP)
+        assert calls == self.RUNGS
+        assert x == pytest.approx([0.0, 1.0], abs=1e-8)
+
+    def test_every_rung_failing_raises(self, monkeypatch):
+        calls = _ladder(monkeypatch, [_off_the_box, _numerical_difficulties,
+                                      _off_the_box])
+        with pytest.raises(RuntimeError, match="feasibility audit") as err:
+            solve_lp(*self.LP)
+        assert calls == self.RUNGS
+        assert "highs-ipm: numerical difficulties" in str(err.value)
+        assert str(err.value).count("residual 1.000e+00") == 2  # x1 + x2 = 2
+
+    def test_infeasible_first_rung_ends_the_ladder(self, monkeypatch):
+        calls = _ladder(monkeypatch, [_solved])
+        assert solve_lp(*_infeasible_lp()) is None
+        assert calls == self.RUNGS[:1]

@@ -281,7 +281,7 @@ class TestWarmScreen:
                            components_at(params, tau, idle, active, p_d, p_f),
                            action_rewards(params, outages_at(params, tau), p_d, p_f),
                            scheme)
-            assert np.array_equal(solve_lp(lp).x, linprog_reference(lp).x)
+            assert np.array_equal(solve_lp(*lp), linprog_reference(lp).x)
 
     @pytest.mark.parametrize("grid, rho, ties", [
         (FAST_GRID, 0.1, "all"), (FAST_GRID, 0.5, "all"),
@@ -301,11 +301,11 @@ class TestWarmScreen:
         monkeypatch.setattr(optimizer, "_WORKERS", 1)
         calls = []
 
-        def failing_second_call(lp):
+        def failing_second_call(*lp):
             calls.append(1)
             if len(calls) == 2:
-                raise RuntimeError("every LP solve violated constraints")
-            return solve_lp(lp)
+                raise RuntimeError("no LP solve passed the feasibility audit")
+            return solve_lp(*lp)
 
         monkeypatch.setattr(optimizer, "solve_lp", failing_second_call)
         solution, records = optimize(testbench_params, FAST_GRID, "probabilistic")
@@ -316,6 +316,40 @@ class TestWarmScreen:
         assert (solution.tau, solution.threshold) != (records[1].tau,
                                                       records[1].threshold)
         assert solution.report.mu_p >= testbench_params.mu_th - 1e-6
+
+    @pytest.mark.parametrize("mu_th", [0.65, 0.72])  # slack, binding
+    def test_next_tier_competes_when_the_near_best_all_fail(
+            self, testbench_params, monkeypatch, mu_th):
+        # at rho 0.5 one point of TIE_GRID wins outright; should its cold
+        # solve fail, the points within LP_FEASIBILITY_TOL of the best of
+        # the rest are solved cold and one of them wins
+        params = with_overrides(testbench_params, rho=0.5, mu_th=mu_th)
+        first, first_records = optimize(params, TIE_GRID, "probabilistic")
+        failed = [i for i, r in enumerate(first_records)
+                  if (r.tau, r.threshold) == (first.tau, first.threshold)]
+        rest = [r.objective for i, r in enumerate(first_records)
+                if r.status == "optimal" and i not in failed]
+        second_tier = sum(o >= max(rest) - LP_FEASIBILITY_TOL for o in rest)
+        monkeypatch.setattr(optimizer, "_WORKERS", 1)
+        calls = []
+
+        def failing_first_tier(*lp):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("no LP solve passed the feasibility audit")
+            return solve_lp(*lp)
+
+        monkeypatch.setattr(optimizer, "solve_lp", failing_first_tier)
+        solution, records = optimize(params, TIE_GRID, "probabilistic")
+        assert len(calls) == 1 + second_tier
+        assert [i for i, r in enumerate(records)
+                if r.status == "solver_failure"] == failed
+        assert (solution.tau, solution.threshold) != (first.tau, first.threshold)
+        assert solution.lp_objective < first.lp_objective
+        assert solution.lp_objective == pytest.approx(max(rest),
+                                                      abs=LP_FEASIBILITY_TOL)
+        assert abs(solution.report.mu_s - solution.lp_objective) <= 1e-6
+        assert solution.report.mu_p >= mu_th - 1e-6
 
 
 class TestColdSolves:
@@ -336,9 +370,9 @@ class TestColdSolves:
             for (lp, got_tau, threshold), k in zip(built, ks):
                 assert (got_tau, threshold) == (tau, column.thresholds[k])
                 want = point_lp(params, column, k, scheme)
-                for name in ("objective", "eq_matrix", "eq_rhs", "ub_matrix",
-                             "ub_rhs", "bound_array"):
-                    assert np.array_equal(getattr(lp, name), getattr(want, name))
+                assert len(lp) == len(want) == 6
+                for got_array, want_array in zip(lp, want):
+                    assert np.array_equal(got_array, want_array)
 
     @pytest.mark.parametrize("grid, rho, mu_th", [
         (FAST_GRID, 0.1, 0.65),  # every point ties: all solved cold
@@ -484,12 +518,12 @@ class TestConstrainedRegime:
             assert screen is not None
             objectives = screen[0]
             for k, objective in enumerate(objectives):
-                cold = solve_lp(point_lp(params, column, k, scheme))
-                if cold.status == "optimal":
-                    assert objective == pytest.approx(cold.objective_value,
-                                                      abs=1e-9)
+                lp = point_lp(params, column, k, scheme)
+                x = solve_lp(*lp)
+                if x is None:
+                    assert math.isnan(objective)
                 else:
-                    assert cold.status == "infeasible" and math.isnan(objective)
+                    assert objective == pytest.approx(lp[0] @ x, abs=1e-9)
 
     @pytest.mark.parametrize("scheme", optimizer.SCHEMES)
     @pytest.mark.parametrize("mode", [{}, {"eta": 0.0}, {"lambda_e": 0.0}],
@@ -578,9 +612,9 @@ class TestConstrainedRegime:
         assert _screen(params, column, "probabilistic") is None
         calls = []
 
-        def counted(lp):
+        def counted(*lp):
             calls.append(1)
-            return solve_lp(lp)
+            return solve_lp(*lp)
 
         monkeypatch.setattr(optimizer, "solve_lp", counted)
         with pytest.raises(AmbiguousChainError) as err:

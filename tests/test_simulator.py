@@ -149,6 +149,11 @@ class TestCompare:
         assert not comparison.flagged
         assert any("minimum sample" in w for w in comparison.warnings)
 
+    def test_negative_min_samples_rejected(self, testbench_params):
+        with pytest.raises(ValueError, match="min_samples must be >= 0"):
+            compare(testbench_params, mixed_policy(testbench_params),
+                    SimConfig(slots=100, seed=11), min_samples=-5)
+
 
 def ramp_policy(params, tau=TAU, threshold=THRESHOLD) -> Policy:
     alpha_range, beta_range = action_ranges(params, tau)
