@@ -5,7 +5,6 @@ from .chain import (
     AmbiguousChainError,
     Policy,
     StationaryDistribution,
-    TransitionMatrix,
     action_ranges,
     stationary_distribution,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "SimReport",
     "StationaryDistribution",
     "SystemParams",
-    "TransitionMatrix",
     "action_ranges",
     "bundle",
     "combined_distribution",

@@ -17,8 +17,10 @@ action, so a policy's kernel is their level-wise mixture.  What depends on
 the sensing time is read from the caller's
 :class:`~ehcr.system_model.DerivedQuantities`, and the consume-then-harvest
 blocks of one sensing time, one array from :func:`harvest_blocks`, serve
-every detector setting.  The per-action rewards and the statistics of a
-solved chain live in :mod:`ehcr.performance`.
+every detector setting.  The optimizer's value determination and the
+stationary law of a policy's kernel solve the same bordered unichain
+system, the latter transposed.  The per-action rewards and the statistics
+of a solved chain live in :mod:`ehcr.performance`.
 """
 from __future__ import annotations
 
@@ -83,6 +85,9 @@ class Policy:
                 raise ValueError(f"{name} entries must lie in [0, 1]")
         if self.beta1.size and np.any(self.beta1 + self.beta2 > 1.0 + 1e-12):
             raise ValueError("beta1 + beta2 must not exceed 1 at any level")
+        if not 0 < self.threshold < np.inf:  # also false for NaN
+            raise ValueError(
+                f"threshold must be positive and finite, got {self.threshold!r}")
 
     def validate_against(self, params: SystemParams) -> DerivedQuantities:
         """Check the vector lengths against the level ranges of ``params``;
@@ -141,33 +146,6 @@ class Policy:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic kernel over battery levels 0..N_max."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.matrix, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"kernel must be square, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("kernel entries must be finite")
-        if np.any(p < -1e-12):
-            raise ValueError("kernel entries must be nonnegative")
-        row_sums = p.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > 1e-9:
-            raise ValueError(
-                f"rows must sum to 1, worst deviation "
-                f"{np.max(np.abs(row_sums - 1.0)):.3e}"
-            )
-        object.__setattr__(self, "matrix", p)
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class StationaryDistribution:
     """Probability vector over battery levels with pi @ P == pi."""
 
@@ -176,24 +154,6 @@ class StationaryDistribution:
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", pi)
-
-
-def _shifted_rows(dist: HarvestPmf, consumption: int, n_states: int) -> np.ndarray:
-    """Kernel block for 'consume ``consumption`` packets, then harvest'.
-
-    Entry (i, j) is the probability of arriving ``j - i + consumption``
-    packets, with the last column holding the tail at the battery cap.
-    Negative requirements contribute zero.  Row i is meaningful only where
-    the consumption is affordable (i >= consumption).
-    """
-    levels = np.arange(n_states)
-    need = np.arange(n_states - 1) - levels[:, None] + consumption
-    # index -1 and index masses.size both land on the appended zero
-    padded = np.append(dist.masses, 0.0)
-    block = np.empty((n_states, n_states))
-    block[:, :-1] = padded[np.clip(need, -1, dist.masses.size)]
-    block[:, -1] = dist.tail_at_least(n_states - 1 - levels + consumption)
-    return block
 
 
 def harvest_blocks(params: SystemParams, q: DerivedQuantities,
@@ -205,11 +165,23 @@ def harvest_blocks(params: SystemParams, q: DerivedQuantities,
     the packets consumed: none (hold), a transmission, a sensing operation,
     and sensing then transmission.  Nothing here depends on the detector
     settings, so one array serves a whole detection-threshold grid.
+
+    Entry (i, j) of a block is the probability of arriving ``j - i + c``
+    packets for a consumption of ``c``, zero where that count is negative;
+    the last column holds the tail at the battery cap.  A row is meaningful
+    only where the consumption is affordable (i >= c).  The blocks of each
+    harvest law are one gather from its masses padded with a zero.
     """
-    costs = (0, q.n_t, q.n_s, q.n_s + q.n_t)
-    return np.array([[_shifted_rows(harvest, cost, params.n_states)
-                      for cost in costs]
-                     for harvest in (idle_harvest, active_harvest)])
+    levels = np.arange(params.n_states)[:, None]
+    costs = np.array([0, q.n_t, q.n_s, q.n_s + q.n_t])[:, None, None]
+    need = levels.T - levels + costs  # (4, n, n): arrivals to reach column j
+    blocks = np.empty((2, 4, params.n_states, params.n_states))
+    for block, harvest in zip(blocks, (idle_harvest, active_harvest)):
+        # index -1 and index masses.size both land on the appended zero
+        padded = np.append(harvest.masses, 0.0)
+        block[..., :-1] = padded[np.clip(need[..., :-1], -1, harvest.masses.size)]
+        block[..., -1] = harvest.tail_at_least(need[..., -1])
+    return blocks
 
 
 def transition_components(params: SystemParams, blocks: np.ndarray,
@@ -258,24 +230,47 @@ def _closed_classes(p: np.ndarray) -> list[list[int]]:
                                      for i in np.nonzero(closed)[0]})]
 
 
-def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
-    """Solve pi @ P = pi with unit total mass.
+def _bordered(kernels: np.ndarray) -> np.ndarray:
+    """``I - P`` with column 0 replaced by ones, over any leading batch axes.
 
-    The balance equations are solved jointly with the normalization row by
-    least squares, which absorbs the one redundant balance row.  A chain with
-    more than one closed class has no unique solution and raises
-    :class:`AmbiguousChainError` naming the classes.
+    This is the unichain system of a chain (Kemeny & Snell 1960; Puterman
+    1994, ch. 8), nonsingular when the chain has one closed class: ``A x =
+    r`` gives the bias relative to level 0 with the gain in its place, and
+    ``A.T pi = e_0`` the stationary law.
     """
-    p = tm.matrix
-    n = p.shape[0]
+    system = np.eye(kernels.shape[-1]) - kernels
+    system[..., 0] = 1.0
+    return system
+
+
+def stationary_distribution(kernel: np.ndarray) -> StationaryDistribution:
+    """Solve pi @ P = pi with unit total mass for an (n, n) kernel.
+
+    The kernel must be square and finite, with entries no less than -1e-12
+    and rows summing to 1 within 1e-9, else :class:`ValueError`.  A chain
+    with more than one closed class has a stationary law per class, any of
+    which the solve could return, so it raises :class:`AmbiguousChainError`
+    naming the classes.  Otherwise one LU solve of the transposed
+    :func:`_bordered` system, whose column of ones is the normalization,
+    gives the law; round-off negatives are clipped, the mass renormalized
+    and the balance residual checked.
+    """
+    p = np.asarray(kernel, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError(f"kernel must be square, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("kernel entries must be finite")
+    if np.any(p < -1e-12):
+        raise ValueError("kernel entries must be nonnegative")
+    deviation = np.max(np.abs(p.sum(axis=1) - 1.0))
+    if deviation > 1e-9:
+        raise ValueError(f"rows must sum to 1, worst deviation {deviation:.3e}")
     closed = _closed_classes(p)
     if len(closed) > 1:
         raise AmbiguousChainError(closed)
-    system = np.vstack([p.T - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    pi = np.clip(pi, 0.0, None)
+    unit = np.zeros(p.shape[0])
+    unit[0] = 1.0
+    pi = np.clip(np.linalg.solve(_bordered(p).T, unit), 0.0, None)
     pi /= pi.sum()
     residual = np.max(np.abs(pi @ p - pi))
     if not residual <= STATIONARY_RTOL:  # negated so NaN cannot slip through
@@ -283,4 +278,3 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
             f"stationary solve residual {residual:.3e} exceeds {STATIONARY_RTOL}"
         )
     return StationaryDistribution(pi)
-

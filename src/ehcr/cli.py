@@ -100,6 +100,11 @@ def _checked(params: SystemParams) -> SystemParams:
     return params
 
 
+def _with_rho(params: SystemParams, rho: float | None) -> SystemParams:
+    """``params`` under a ``--rho`` override, checked, when one is given."""
+    return params if rho is None else _checked(with_overrides(params, rho=rho))
+
+
 @dataclass(frozen=True)
 class LoadedConfig:
     params: SystemParams
@@ -194,9 +199,7 @@ def _solution_cells(solution: OptimalSolution) -> tuple:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    params = config.params
-    if args.rho is not None:
-        params = _checked(with_overrides(params, rho=args.rho))
+    params = _with_rho(config.params, args.rho)
     try:
         solution, _ = optimize(params, config.grid, args.scheme)
     except InfeasibleGridError as exc:
@@ -266,9 +269,7 @@ def _sim_config(args: argparse.Namespace, defaults: dict[str, Any],
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    params = config.params
-    if args.rho is not None:
-        params = _checked(with_overrides(params, rho=args.rho))
+    params = _with_rho(config.params, args.rho)
     policy = _load_policy(args.policy, params)
     report = simulator.run(params, policy,
                            _sim_config(args, config.sim_defaults, params))
@@ -289,9 +290,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    params = config.params
-    if args.rho is not None:
-        params = _checked(with_overrides(params, rho=args.rho))
+    params = _with_rho(config.params, args.rho)
     policy = _load_policy(args.policy, params)
     sim = _sim_config(args, config.sim_defaults, params)
     try:

@@ -62,7 +62,7 @@ from . import harvesting, sensing
 from .chain import (
     AmbiguousChainError,
     Policy,
-    TransitionMatrix,
+    _bordered,
     _closed_classes,
     harvest_blocks,
     stationary_distribution,
@@ -318,7 +318,8 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
 
     Average-reward policy iteration from the all-idle policy.  Value
     determination solves ``g + h = r + P h`` with ``h`` pinned to zero at
-    level 0, one ``np.linalg.solve`` for the whole batch; a level changes
+    level 0 and ``g`` in its place, one ``np.linalg.solve`` of the batch's
+    :func:`~ehcr.chain._bordered` systems; a level changes
     action only for a gain above the tolerance.  None when a solve is
     singular or not finite (a policy with several closed classes) or the
     iteration does not settle.
@@ -330,10 +331,9 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
     tol = _PI_TOL * (1.0 + np.abs(weights).sum(axis=1))[:, None]
     policy = np.zeros((count, n), dtype=int)
     for _ in range(_PI_MAX_STEPS):
-        system = np.eye(n) - kernels[batch, policy, levels]
-        system[:, :, 0] = 1.0  # the gain takes the place of h at level 0
         try:
-            solved = np.linalg.solve(system, rewards[batch, policy])
+            solved = np.linalg.solve(_bordered(kernels[batch, policy, levels]),
+                                     rewards[batch, policy])
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(solved)):
@@ -492,7 +492,7 @@ def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
         kernels = transition_components(params, column.blocks, column.p_d[k],
                                         column.p_f[k])
         masses = np.array([weight * stationary_distribution(
-            TransitionMatrix(kernels[chosen, levels])).pi
+            kernels[chosen, levels]).pi
             for weight, chosen in ((1.0 - share, low), (share, high))])
         mass = masses.sum(axis=0)
         mixed = np.divide((masses[:, None] * actions).sum(axis=0), mass,
@@ -510,15 +510,10 @@ def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
 
 
 def _select_winner(candidates: list[tuple[float, float, float, Any]]) -> Any:
-    """Deterministic reduction: max objective, ties to smaller tau then lambda."""
-    best = None
-    best_key = None
-    for objective, tau, threshold, solution in candidates:
-        key = (objective, -tau, -threshold)
-        if best_key is None or key > best_key:
-            best = solution
-            best_key = key
-    return best
+    """Deterministic reduction: max objective, ties to smaller tau then
+    lambda; None when there is no candidate."""
+    best = max(candidates, key=lambda c: (c[0], -c[1], -c[2]), default=None)
+    return None if best is None else best[3]
 
 
 def optimize(params: SystemParams, grid: GridSpec, scheme: str

@@ -20,7 +20,6 @@ from . import harvesting, sensing
 from .chain import (
     Policy,
     StationaryDistribution,
-    TransitionMatrix,
     harvest_blocks,
     stationary_distribution,
     transition_components,
@@ -90,7 +89,7 @@ def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:
     actions = policy.level_actions(quantities)
     kernel = np.einsum("an,anm->nm", actions,
                        transition_components(params, blocks, p_d, p_f))
-    stationary = stationary_distribution(TransitionMatrix(kernel))
+    stationary = stationary_distribution(kernel)
     shares = (stationary.pi * actions).sum(axis=1)  # idle, blind, sense
     rewards = action_rewards(params, bundle(params, quantities), p_d, p_f)
     mu_s, mu_p = (shares @ rewards).tolist()

@@ -15,7 +15,6 @@ from ehcr import harvesting, optimizer, sensing
 from ehcr.chain import (
     Policy,
     StationaryDistribution,
-    TransitionMatrix,
     action_ranges,
     harvest_blocks,
     stationary_distribution,
@@ -127,12 +126,12 @@ def compose(params: SystemParams, kernels: np.ndarray,
 
 def build_transition_matrix(params: SystemParams, policy: Policy,
                             idle_harvest: HarvestPmf, active_harvest: HarvestPmf,
-                            p_d: float, p_f: float) -> TransitionMatrix:
-    """Kernel of the battery chain under ``policy``."""
+                            p_d: float, p_f: float) -> np.ndarray:
+    """(n, n) kernel of the battery chain under ``policy``."""
     policy.validate_against(params)
     kernels = components_at(params, policy.tau, idle_harvest, active_harvest,
                             p_d, p_f)
-    return TransitionMatrix(compose(params, kernels, policy))
+    return compose(params, kernels, policy)
 
 
 def pmf(dist: HarvestPmf, count: int) -> float:
@@ -153,8 +152,7 @@ def fast_policy_value(params, kernels, outages, p_d, p_f, policy):
     The rates come from the loop oracles below, not from the action rewards
     the policy LP shares with ``evaluate``.
     """
-    pi = stationary_distribution(TransitionMatrix(compose(params, kernels,
-                                                          policy)))
+    pi = stationary_distribution(compose(params, kernels, policy))
     mu_p = primary_success_rate(params, pi, policy, outages, p_d)
     mu_s = secondary_success_rate(params, pi, policy, outages, p_d, p_f)
     return mu_p, mu_s
@@ -289,6 +287,18 @@ def reference_recover(masses: np.ndarray, products: np.ndarray,
         if masses[i] > REFERENCE_MASS_FLOOR:
             out[k] = min(max(products[k] / masses[i], 0.0), 1.0)
     return out
+
+
+def reference_stationary(p: np.ndarray) -> np.ndarray:
+    """Stationary law of a unichain kernel by least squares: the balance
+    equations stacked with the normalization row, which absorbs the one
+    redundant balance row."""
+    n = p.shape[0]
+    system = np.vstack([p.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    return pi
 
 
 def reference_shifted_rows(dist: HarvestPmf, consumption: int,

@@ -149,9 +149,9 @@ def test_criterion_3_chain_correctness(make_params):
                 harvesting.combined_distribution(params),
                 p_d=float(rng.uniform(0.3, 1.0)),
                 p_f=float(rng.uniform(0.0, 0.7)))
-            assert np.max(np.abs(tm.matrix.sum(axis=1) - 1.0)) <= 1e-9
+            assert np.max(np.abs(tm.sum(axis=1) - 1.0)) <= 1e-9
             pi = stationary_distribution(tm).pi
-            assert np.max(np.abs(pi @ tm.matrix - pi)) <= 1e-9
+            assert np.max(np.abs(pi @ tm - pi)) <= 1e-9
 
         params, idle, active = toy_setup(make_params)
         policy = Policy(alpha=[0.5], beta1=[0.5], beta2=[0.5],
@@ -159,7 +159,7 @@ def test_criterion_3_chain_correctness(make_params):
         tm = build_transition_matrix(params, policy, idle, active, 0.9, 0.1)
         oracle = enumerate_kernel(2, 1, 1, 0.5, idle.masses, active.masses,
                                   [0.5], [0.5], [0.5], 0.9, 0.1)
-        assert np.allclose(tm.matrix, oracle, atol=1e-14)
+        assert np.allclose(tm, oracle, atol=1e-14)
 
 
 def test_criterion_4_analytics_vs_simulation(testbench_params):

@@ -9,7 +9,8 @@ once more per evaluation or simulation.  The LP solves of ``optimize`` are
 pinned too: its screen needs none, so only the points within
 ``LP_FEASIBILITY_TOL`` of the best are solved.  The simulator draws its
 faithful detections from the noncentral chi-square law, so neither a run nor
-a comparison, in either correlation mode, evaluates Marcum Q.  Cold solves
+a comparison, in either correlation mode, evaluates Marcum Q.  An evaluation
+solves its chain with one LU solve and no least squares.  Cold solves
 run on worker threads, so the counts are kept under a lock; a cell that
 solves one LP starts no thread.
 """
@@ -18,6 +19,7 @@ import contextlib
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from ehcr import chain, harvesting, numerics, optimizer, outage, sensing, system_model
@@ -137,6 +139,35 @@ def test_zero_harvest_grid_solves_no_lp(calls, pools, testbench_params):
         optimize(params, FAST_GRID, "probabilistic")
     assert calls["solve_lp"] == 0
     assert pools == []
+
+
+def test_optimize_builds_blocks_once_per_screened_column(calls,
+                                                        testbench_params):
+    _, records = optimize(testbench_params, FAST_GRID, "sensing_only")
+    # the battery cannot fund sensing at 6 and 8 ms, so only two columns
+    # are screened; the winner's evaluation builds its own blocks
+    screened = {r.tau for r in records if r.status != "sensing_unreachable"}
+    assert len(screened) == 2
+    assert calls["harvest_blocks"] == len(screened) + 1
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch, setting):
+    """Call counts of ``np.linalg.solve`` and ``np.linalg.lstsq``, from
+    after the setting is built."""
+    counts = collections.Counter()
+    for name in ("solve", "lstsq"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name),
+                    **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_evaluate_solves_the_chain_once(linalg_calls, setting):
+    evaluate(*setting)
+    assert linalg_calls == {"solve": 1}
 
 
 def test_evaluate_derives_once(calls, setting):

@@ -9,18 +9,18 @@ from ehcr.chain import (
     STATIONARY_RTOL,
     AmbiguousChainError,
     Policy,
-    TransitionMatrix,
     _closed_classes,
-    _shifted_rows,
     action_ranges,
+    harvest_blocks,
     stationary_distribution,
 )
 from ehcr.harvesting import (
     HarvestPmf,
     combined_distribution,
+    harvest_laws,
     nature_distribution,
-    rf_distribution,
 )
+from ehcr.optimizer import GridSpec
 from ehcr.system_model import derive, with_overrides
 from helpers import (
     build_transition_matrix,
@@ -30,6 +30,7 @@ from helpers import (
     reference_closed_classes,
     reference_compose_transition,
     reference_shifted_rows,
+    reference_stationary,
 )
 
 
@@ -77,6 +78,30 @@ def occupation_stats(params, stationary, policy):
     return p_sense, p_access, p_sense * policy.tau
 
 
+def random_chain(rng, n, class_sizes, cap=False):
+    """Random kernel over n states whose closed classes are disjoint random
+    sets of the given sizes, each irreducible through a cycle over its
+    members; every other state is transient, with an edge onward (to a later
+    transient or into a class) so that it drains.  With ``cap`` the one
+    class is the top state, absorbing, as a battery that fills and never
+    spends.  Returns the kernel and its sorted closed classes."""
+    order = np.append(rng.permutation(n - 1), n - 1) if cap else rng.permutation(n)
+    p = np.zeros((n, n))
+    start = n - sum(class_sizes)
+    classes = []
+    for size in class_sizes:
+        members = order[start:start + size]
+        start += size
+        p[members, np.roll(members, 1)] = rng.uniform(0.05, 1.0, size)
+        extra = rng.random((size, size)) < 0.3
+        p[np.ix_(members, members)] += extra * rng.uniform(0.05, 1.0, (size, size))
+        classes.append(sorted(members.tolist()))
+    for k, i in enumerate(order[:n - sum(class_sizes)]):
+        p[i, order[rng.integers(k + 1, n)]] += rng.uniform(0.05, 1.0)
+        p[i] += (rng.random(n) < 0.3) * rng.uniform(0.05, 1.0, n)
+    return p / p.sum(axis=1, keepdims=True), sorted(classes)
+
+
 def toy_setup(make_params):
     # n_t = 1 (E_t = E_u), n_s = 1 at tau = 0.5 (one 0.9-J sample per 1-J packet)
     params = make_params(
@@ -97,7 +122,7 @@ class TestBuildTransitionMatrix:
         oracle = enumerate_kernel(
             2, 1, 1, 0.5, idle.masses, active.masses,
             alpha=[0.5], beta1=[0.5], beta2=[0.5], p_d=0.9, p_f=0.1)
-        assert np.allclose(tm.matrix, oracle, atol=1e-14)
+        assert np.allclose(tm, oracle, atol=1e-14)
 
     def test_toy_chain_random_policies_match_enumeration(self, make_params):
         params, idle, active = toy_setup(make_params)
@@ -113,7 +138,7 @@ class TestBuildTransitionMatrix:
             tm = build_transition_matrix(params, policy, idle, active, p_d, p_f)
             oracle = enumerate_kernel(2, 1, 1, 0.5, idle.masses, active.masses,
                                       [a], [b1], [b2], p_d, p_f)
-            assert np.allclose(tm.matrix, oracle, atol=1e-14)
+            assert np.allclose(tm, oracle, atol=1e-14)
 
     def test_zero_harvest_idle_policy_is_identity(self, make_params):
         params = make_params(lambda_e=0.0, eta=0.0)
@@ -121,7 +146,7 @@ class TestBuildTransitionMatrix:
         active = combined_distribution(params)
         policy = Policy.idle(params, tau=5e-4, threshold=2.0)
         tm = build_transition_matrix(params, policy, idle, active, 0.9, 0.1)
-        assert np.allclose(tm.matrix, np.eye(params.n_states), atol=1e-15)
+        assert np.allclose(tm, np.eye(params.n_states), atol=1e-15)
 
     def test_rows_sum_to_one_random_draws(self, make_params):
         # 200 random parameter/policy draws
@@ -149,9 +174,9 @@ class TestBuildTransitionMatrix:
                 nature_distribution(params), combined_distribution(params),
                 p_d=float(rng.uniform(0.3, 1.0)),
                 p_f=float(rng.uniform(0.0, 0.7)))
-            sums = tm.matrix.sum(axis=1)
+            sums = tm.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-9
-            assert np.all(tm.matrix >= 0.0)
+            assert np.all(tm >= 0.0)
 
     def test_policy_shape_validation(self, testbench_params):
         with pytest.raises(ValueError):
@@ -186,7 +211,7 @@ class TestBuildTransitionMatrix:
                                              0.95, 0.08)
             composed = reference_compose_transition(kernels, alpha_range,
                                                     beta_range, a, b1, b2)
-            assert np.allclose(direct.matrix, composed, atol=1e-15)
+            assert np.allclose(direct, composed, atol=1e-15)
 
     def test_level_actions_cover_each_range(self, testbench_params):
         params = testbench_params
@@ -201,13 +226,29 @@ class TestBuildTransitionMatrix:
         assert np.array_equal(idle[:acting], np.ones(acting))
         assert np.allclose(idle + blind + sense, 1.0, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, math.inf, math.nan])
+    def test_policy_rejects_bad_threshold(self, threshold):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Policy(alpha=[0.5], beta1=[0.1], beta2=[0.2], tau=5e-4,
+                   threshold=threshold)
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_kernel_rejects_non_finite_entries(self, entry):
         # a NaN row sum passed the sum check and surfaced as a false
         # diagnosis of two closed classes
         for kernel in (np.full((2, 2), entry), np.array([[1.0, 0.0], [entry, 0.0]])):
             with pytest.raises(ValueError, match="finite"):
-                TransitionMatrix(kernel)
+                stationary_distribution(kernel)
+
+    @pytest.mark.parametrize("kernel, message", [
+        (np.array([[1.5, -0.5], [0.5, 0.5]]), "nonnegative"),
+        (np.full((2, 3), 1.0 / 3.0), "square"),
+        (np.full(3, 1.0 / 3.0), "square"),
+        (np.array([[0.5, 0.5], [0.5, 0.6]]), "sum to 1"),
+    ])
+    def test_kernel_rejects_malformed_arrays(self, kernel, message):
+        with pytest.raises(ValueError, match=message):
+            stationary_distribution(kernel)
 
     @given(policy_seed=st.integers(0, 2**32 - 1),
            tau_steps=st.integers(1, 19),
@@ -231,32 +272,33 @@ class TestBuildTransitionMatrix:
             policy.beta2), rtol=0.0, atol=1e-15)
         assert np.all(kernel >= -1e-12)
         assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-9
-        pi = stationary_distribution(TransitionMatrix(kernel)).pi
+        pi = stationary_distribution(kernel).pi
         assert np.max(np.abs(pi @ kernel - pi)) <= STATIONARY_RTOL
 
     @pytest.mark.parametrize("n_max", [20, 60])
     @pytest.mark.parametrize("mode", ["mixed", "nature", "rf"])
     def test_shifted_rows_equal_level_loop(self, make_params, n_max, mode):
+        # the gathered blocks equal the per-level loop bit for bit, at every
+        # sensing time of the preset grid
         overrides = {"nature": {"eta": 0.0}, "rf": {"lambda_e": 0.0}}
         params = make_params(N_max=n_max, **overrides.get(mode, {}))
         n = params.n_states
-        for dist in (nature_distribution(params), rf_distribution(params),
-                     combined_distribution(params)):
-            for consumption in range(n + 3):
-                assert np.array_equal(
-                    _shifted_rows(dist, consumption, n),
-                    reference_shifted_rows(dist, consumption, n))
+        laws = harvest_laws(params)
+        for tau in GridSpec(tau_min=5e-4).tau_values(params):
+            q = derive(params, tau)
+            costs = (0, q.n_t, q.n_s, q.n_s + q.n_t)
+            oracle = [[reference_shifted_rows(law, cost, n) for cost in costs]
+                      for law in laws]
+            assert np.array_equal(harvest_blocks(params, q, *laws), oracle)
 
 
 class TestStationary:
     def test_symmetric_two_state(self):
-        tm = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        pi = stationary_distribution(tm).pi
+        pi = stationary_distribution(np.array([[0.5, 0.5], [0.5, 0.5]])).pi
         assert pi == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_hand_solved_two_state(self):
-        tm = TransitionMatrix(np.array([[0.9, 0.1], [0.5, 0.5]]))
-        pi = stationary_distribution(tm).pi
+        pi = stationary_distribution(np.array([[0.9, 0.1], [0.5, 0.5]])).pi
         assert pi == pytest.approx([5.0 / 6.0, 1.0 / 6.0], abs=1e-12)
 
     def test_residual_on_random_chains(self):
@@ -265,17 +307,37 @@ class TestStationary:
             n = int(rng.integers(2, 30))
             p = rng.random((n, n)) + 1e-3
             p /= p.sum(axis=1, keepdims=True)
-            tm = TransitionMatrix(p)
-            pi = stationary_distribution(tm).pi
+            pi = stationary_distribution(p).pi
             assert np.max(np.abs(pi @ p - pi)) <= 1e-9
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(pi >= 0.0)
 
     def test_two_absorbing_classes_rejected(self):
-        tm = TransitionMatrix(np.eye(2))
         with pytest.raises(AmbiguousChainError) as err:
-            stationary_distribution(tm)
+            stationary_distribution(np.eye(2))
         assert err.value.classes == [[0], [1]]
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25),
+           closed_size=st.integers(1, 25), cap=st.booleans())
+    def test_unichain_matches_least_squares(self, seed, n, closed_size, cap):
+        # transient levels and an absorbing cap included
+        size = 1 if cap else min(closed_size, n)
+        p, classes = random_chain(np.random.default_rng(seed), n, [size], cap)
+        assert _closed_classes(p) == classes
+        pi = stationary_distribution(p).pi
+        assert np.max(np.abs(pi - reference_stationary(p))) <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 25),
+           count=st.integers(2, 4))
+    def test_several_closed_classes_rejected(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        count = min(count, n)
+        sizes = rng.multinomial(int(rng.integers(count, n + 1)) - count,
+                                np.full(count, 1.0 / count)) + 1
+        p, classes = random_chain(rng, n, sizes.tolist())
+        with pytest.raises(AmbiguousChainError) as err:
+            stationary_distribution(p)
+        assert err.value.classes == classes
 
     def test_closed_classes_match_strong_components(self):
         rng = np.random.default_rng(17)
@@ -293,7 +355,7 @@ class TestStationary:
             [0.0, 0.3, 0.7],
             [0.0, 0.0, 1.0],
         ])
-        pi = stationary_distribution(TransitionMatrix(p)).pi
+        pi = stationary_distribution(p).pi
         assert pi == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
     def test_idle_policy_battery_fills(self, testbench_params):
@@ -341,7 +403,7 @@ class TestAccessStats:
         oracle = enumerate_kernel(2, 1, 1, 0.5, idle.masses, active.masses,
                                   [0.3], [0.2], [0.6], 0.9, 0.1)
         pi = stationary_distribution(tm)
-        pi_oracle = stationary_distribution(TransitionMatrix(oracle))
+        pi_oracle = stationary_distribution(oracle)
         assert np.allclose(pi.pi, pi_oracle.pi, atol=1e-12)
         mine = occupation_stats(params, pi, policy)
         theirs = (float(pi_oracle.pi[2] * 0.6),

@@ -242,6 +242,19 @@ class TestBadInputsExitOne:
         assert ("min_samples must be >= 0, got -5"
                 in self.one_line_error(capsys))
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_policy_threshold(self, fast_config, policy_file, capsys,
+                                  command, threshold):
+        doc = json.loads(policy_file.read_text())
+        doc["lambda"] = threshold
+        policy_file.write_text(json.dumps(doc))
+        assert main([command, "--config", str(fast_config),
+                     "--policy", str(policy_file), "--slots", "100"]) == 1
+        err = self.one_line_error(capsys)
+        assert "invalid policy document" in err
+        assert "threshold must be positive and finite" in err
+
     def test_grid_with_non_integral_samples(self, fast_config, capsys):
         doc = json.loads(fast_config.read_text())
         doc["grid"]["tau_min"] = 0.00033
