@@ -151,7 +151,8 @@ def _load_config(source: str) -> LoadedConfig:
         grid = GridSpec(
             tau_min=float(grid_doc.get("tau_min", 1.0 / params.W)),
             lambda_values=tuple(lambdas) if "lambdas" in grid_doc else None,
-            lambda_count=grid_doc.get("lambda_count", 40),
+            # GridSpec's own default count applies when the file sets none
+            **{k: v for k, v in grid_doc.items() if k == "lambda_count"},
         )
         grid.tau_values(params)  # T and W fix the sensing times; no override changes them
     except (TypeError, ValueError, OverflowError) as exc:
@@ -186,9 +187,7 @@ def _harvest_params(params: SystemParams, mode: str) -> SystemParams:
         return with_overrides(params, eta=0.0)
     if mode == "rf":
         return with_overrides(params, lambda_e=0.0)
-    if mode == "mixed":
-        return params
-    raise CliError(f"unknown harvest mode {mode!r}")
+    return params  # mixed: both sources
 
 
 def _solution_cells(solution: OptimalSolution) -> tuple:
@@ -248,7 +247,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _sim_config(args: argparse.Namespace, defaults: dict[str, Any],
                 params: SystemParams) -> simulator.SimConfig:
-    bias = getattr(args, "corrupt_pd", None)
     # SimConfig checks that both are integers; a config file may hold anything
     slots = args.slots if args.slots is not None else defaults.get("slots", 100_000)
     seed = args.seed if args.seed is not None else defaults.get("seed", 0)
@@ -261,7 +259,6 @@ def _sim_config(args: argparse.Namespace, defaults: dict[str, Any],
             seed=seed,
             initial_battery=args.initial_battery,
             correlation_mode=args.mode,
-            detection_bias=1.0 if bias is None else bias,
         )
     except ValueError as exc:
         raise CliError(f"invalid simulation settings: {exc}") from exc
@@ -293,11 +290,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     params = _with_rho(config.params, args.rho)
     policy = _load_policy(args.policy, params)
     sim = _sim_config(args, config.sim_defaults, params)
-    try:
-        comparison = simulator.compare(params, policy, sim,
-                                       min_samples=args.min_samples)
-    except ValueError as exc:  # a negative min_samples
-        raise CliError(f"invalid validation settings: {exc}") from exc
+    if args.min_samples < 0:
+        raise CliError(f"invalid validation settings: min_samples must be "
+                       f">= 0, got {args.min_samples}")
+    comparison = simulator.compare(params, policy, sim,
+                                   min_samples=args.min_samples)
     rows = [(r.metric, r.analytic, r.empirical, r.stderr, r.zscore,
              int(r.flagged), "") for r in comparison.rows]
     for warning in comparison.warnings:
@@ -361,8 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--min-samples", type=int,
                        default=simulator.DEFAULT_MIN_SAMPLES,
                        help="slots required before disagreement is flagged")
-    p_val.add_argument("--corrupt-pd", type=float, default=None,
-                       help=argparse.SUPPRESS)  # fault-injection test hook
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

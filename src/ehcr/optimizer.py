@@ -37,20 +37,17 @@ for bit only because the near-ties are decided on cold solves.  The
 winner's LP rates are reported beside the evaluation of its screened
 policy, which they cross-check.
 
-The cold LPs of a column are built once, from one batched kernel and reward
-call over its thresholds.  When there is more than one to solve, they run on
-a pool with one thread per CPU in the process's affinity mask (HiGHS
-releases the GIL while it solves); each is solved on its own, so records and
-winner do not depend on the thread count.  A single LP, as in every cell
+Each cold LP is built from its point's kernels and rewards alone (the same
+bits as the screen's batch) by the worker that solves it.  More than one run
+on a pool with one thread per CPU in the process's affinity mask (HiGHS
+releases the GIL while it solves), each built and solved alone, so records
+and winner do not depend on the thread count.  A single LP, as in every cell
 with one best point, is solved inline and starts no thread.
 """
 from __future__ import annotations
 
-import collections
-import itertools
 import math
 import os
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
@@ -83,12 +80,11 @@ SCHEMES = ("probabilistic", "sensing_only")
 #: improvement, relative to the reward scale, a policy-iteration step must
 #: make to change an action; also the gap that ends the cutting-plane search
 _PI_TOL = 1e-12
-#: steps of either iteration after which a column is left to the LP
+#: steps of either iteration after which the screen gives up on a column
 _PI_MAX_STEPS = 100
 
 #: false-alarm extremes the default threshold grid spans at each m
 _PFA_SPAN = (0.999, 0.001)
-_DEFAULT_LAMBDA_COUNT = 40
 
 #: threads that solve cold LPs: one per CPU the process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -106,7 +102,7 @@ class GridSpec:
 
     tau_min: float
     lambda_values: tuple[float, ...] | None = None
-    lambda_count: int = _DEFAULT_LAMBDA_COUNT
+    lambda_count: int = 40
 
     def __post_init__(self):
         if not 0 < self.tau_min < math.inf:
@@ -280,20 +276,26 @@ def _column(params: SystemParams, quantities: DerivedQuantities,
                    sensing.false_alarm(cfg))
 
 
-def _unsupported(params: SystemParams, quantities: DerivedQuantities,
-                 scheme: str) -> tuple[str, str] | None:
-    """(grid status, reason) when no threshold at this sensing time can host
-    the scheme: a time-bandwidth product below 2 leaves averaged detection
-    undefined, and the sensing-only scheme needs a battery that can fund
-    sensing.  None when the sensing time is usable."""
+def _point_model(params: SystemParams, column: _Column,
+                 k: int | slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernels and rewards of the column's thresholds ``k``: an index,
+    giving (3, n, n) and (3, 2), or an index array or slice, giving them
+    stacked per threshold.  Every entry is elementwise in the detector
+    terms, so a batch and a single threshold give the same bits."""
+    p_d, p_f = column.p_d[k], column.p_f[k]
+    return (transition_components(params, column.blocks, p_d, p_f),
+            action_rewards(params, column.outages, p_d, p_f))
+
+
+def _unsupported(quantities: DerivedQuantities, scheme: str) -> str | None:
+    """The grid status of every threshold at this sensing time when none can
+    host the scheme: a time-bandwidth product below 2 leaves averaged
+    detection undefined, and the sensing-only scheme needs a battery that
+    can fund sensing.  None when the sensing time is usable."""
     if quantities.m < 2:
-        return "unsupported_m", (
-            f"time-bandwidth product m={quantities.m} is below the minimum "
-            f"of 2 required by the averaged detector")
+        return "unsupported_m"
     if scheme == "sensing_only" and not quantities.beta_range:
-        return "sensing_unreachable", (
-            f"sensing-only scheme impossible: n_t + n_s = "
-            f"{quantities.n_t + quantities.n_s} exceeds N_max = {params.N_max}")
+        return "sensing_unreachable"
     return None
 
 
@@ -365,9 +367,7 @@ def _screen(params: SystemParams, column: _Column, scheme: str
     their mix: 0, with both the unconstrained optimum, where the floor is
     slack.  None when a policy iteration fails.
     """
-    kernels = transition_components(params, column.blocks, column.p_d,
-                                    column.p_f)
-    rewards = action_rewards(params, column.outages, column.p_d, column.p_f)
+    kernels, rewards = _point_model(params, column, slice(None))
     allowed = _admitted(params, column.quantities, scheme)
     mu_th = params.mu_th
 
@@ -413,63 +413,38 @@ def _screen(params: SystemParams, column: _Column, scheme: str
     return None
 
 
-def _solve_point(lp: tuple[np.ndarray, ...], tau: float, threshold: float
-                 ) -> tuple[GridPointStatus, float | None]:
-    """Status record of a point's cold LP and, when optimal, the
-    licensed-user rate of its solution (minus the floor row's)."""
-    try:
-        x = solve_lp(*lp)
-    except RuntimeError:
-        return GridPointStatus(tau, threshold, "solver_failure"), None
-    if x is None:
-        return GridPointStatus(tau, threshold, "infeasible"), None
-    objective, _, _, ub_matrix = lp[:4]
-    return (GridPointStatus(tau, threshold, "optimal", float(objective @ x)),
-            float(-ub_matrix[0] @ x))
-
-
-def _built_lps(params: SystemParams, scheme: str,
-               entries: list[tuple[_Column, int]]
-               ) -> Iterator[tuple[tuple[np.ndarray, ...], float, float]]:
-    """(LP, tau, threshold) of each (column, threshold index) entry, in
-    order; each run of entries on one column shares one batched kernel and
-    reward build."""
-    for _, run in itertools.groupby(entries, key=lambda entry: id(entry[0])):
-        run = list(run)
-        column, ks = run[0][0], [k for _, k in run]
-        p_d, p_f = column.p_d[ks], column.p_f[ks]
-        kernels = transition_components(params, column.blocks, p_d, p_f)
-        rewards = action_rewards(params, column.outages, p_d, p_f)
-        for j, k in enumerate(ks):
-            yield (_build_lp(params, column.quantities, kernels[j], rewards[j],
-                             scheme),
-                   column.quantities.tau, column.thresholds[k])
-
-
 def _cold_solve(params: SystemParams, scheme: str,
                 entries: list[tuple[_Column, int]]
                 ) -> list[tuple[GridPointStatus, float | None]]:
-    """:func:`_solve_point` at each (column, threshold index) entry, in
-    input order.
+    """Status record of the cold LP at each (column, threshold index) entry,
+    in input order, and, when optimal, the licensed-user rate of its
+    solution (minus the floor row's).
 
     A single LP is solved inline.  More are solved on ``_WORKERS`` threads,
-    as HiGHS releases the GIL while it solves; the LPs are built while the
-    threads solve, at most ``4 * _WORKERS`` ahead, so few are held at once.
-    Each LP is solved alone and exactly as in a serial loop, so the results
-    do not depend on the thread count.
+    as HiGHS releases the GIL while it solves; each is built by the worker
+    that takes it up, so at most ``_WORKERS`` are held at once, and solved
+    alone, as in a serial loop, so the results do not depend on the thread
+    count.
     """
-    lps = _built_lps(params, scheme, entries)
+    def solve(entry: tuple[_Column, int]) -> tuple[GridPointStatus, float | None]:
+        column, k = entry
+        tau, threshold = column.quantities.tau, column.thresholds[k]
+        lp = _build_lp(params, column.quantities,
+                       *_point_model(params, column, k), scheme)
+        try:
+            x = solve_lp(*lp)
+        except RuntimeError:
+            return GridPointStatus(tau, threshold, "solver_failure"), None
+        if x is None:
+            return GridPointStatus(tau, threshold, "infeasible"), None
+        objective, _, _, ub_matrix = lp[:4]
+        return (GridPointStatus(tau, threshold, "optimal", float(objective @ x)),
+                float(-ub_matrix[0] @ x))
+
     if len(entries) <= 1 or _WORKERS == 1:
-        return [_solve_point(*lp) for lp in lps]
-    results = []
+        return [solve(entry) for entry in entries]
     with ThreadPoolExecutor(_WORKERS) as pool:
-        pending: collections.deque = collections.deque()
-        for lp in lps:
-            pending.append(pool.submit(_solve_point, *lp))
-            if len(pending) > 4 * _WORKERS:
-                results.append(pending.popleft().result())
-        results.extend(future.result() for future in pending)
-    return results
+        return list(pool.map(solve, entries))
 
 
 def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
@@ -489,8 +464,7 @@ def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
     actions[0, low, levels] = actions[1, high, levels] = 1.0
     mixed = actions[1]
     if share > 0.0:  # the floor binds
-        kernels = transition_components(params, column.blocks, column.p_d[k],
-                                        column.p_f[k])
+        kernels, _ = _point_model(params, column, k)
         masses = np.array([weight * stationary_distribution(
             kernels[chosen, levels]).pi
             for weight, chosen in ((1.0 - share, low), (share, high))])
@@ -538,21 +512,19 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
     screened: list[tuple[int, _Column, int, float, tuple]] = []
     for tau in grid.tau_values(params):
         quantities = derive(params, tau)
-        unsupported = _unsupported(params, quantities, scheme)
-        if unsupported is not None and unsupported[0] == "unsupported_m":
-            records.append(GridPointStatus(tau, math.nan, "unsupported_m"))
+        unsupported = _unsupported(quantities, scheme)
+        if unsupported == "unsupported_m":
+            records.append(GridPointStatus(tau, math.nan, unsupported))
             continue
         thresholds = grid.lambda_grid(quantities.m)
         if unsupported is not None:
-            records.extend(GridPointStatus(tau, threshold, unsupported[0])
+            records.extend(GridPointStatus(tau, threshold, unsupported)
                            for threshold in thresholds)
             continue
         column = _column(params, quantities, harvest, thresholds)
         screen = _screen(params, column, scheme)
         if screen is None:
-            idle = transition_components(params, column.blocks, column.p_d[0],
-                                         column.p_f[0])[0]
-            classes = _closed_classes(idle)
+            classes = _closed_classes(_point_model(params, column, 0)[0][0])
             if len(classes) > 1:
                 raise AmbiguousChainError(classes)
             records.extend(GridPointStatus(tau, threshold, "solver_failure")

@@ -58,18 +58,12 @@ DEFAULT_MIN_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation run settings.
-
-    ``detection_bias`` is a fault-injection hook for validation tests: it
-    scales the simulator's detection probability away from the analytical
-    value, which a sound comparison must flag.  Leave at 1.0 otherwise.
-    """
+    """Simulation run settings."""
 
     slots: int
     seed: int
     initial_battery: int = 0
     correlation_mode: str = "decorrelated"
-    detection_bias: float = 1.0
 
     def __post_init__(self):
         for name in ("slots", "seed", "initial_battery"):
@@ -80,9 +74,6 @@ class SimConfig:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.detection_bias) and self.detection_bias >= 0):
-            raise ValueError(
-                f"detection_bias must be finite and >= 0, got {self.detection_bias!r}")
         if self.initial_battery < 0:
             raise ValueError(
                 f"initial_battery must be >= 0, got {self.initial_battery}")
@@ -229,7 +220,7 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
         else:
             p_pu = _faithful_detection(
                 cfg, params.P_p * gain_pst[pu_active] / params.sigma_n2)
-        p_detect[pu_active] = np.clip(p_pu * sim.detection_bias, 0.0, 1.0)
+        p_detect[pu_active] = p_pu
     declared_busy = streams["sensing"].random(n_slots) < p_detect
     sense_cost = np.where(declared_busy, n_s, n_s + n_t)
 

@@ -3,6 +3,7 @@ import contextlib
 import math
 import os
 import signal
+import types
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 import ehcr
-from ehcr import harvesting, optimizer, sensing
+from ehcr import harvesting, optimizer, sensing, simulator
 from ehcr.chain import (
     Policy,
     StationaryDistribution,
@@ -409,7 +410,6 @@ def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimRe
     decorrelated = sim.correlation_mode == "decorrelated"
     if uses_sensing and decorrelated:
         p_d_avg = sensing.detection_avg(cfg, quantities.gamma_bar)
-        p_d_avg = min(max(p_d_avg * sim.detection_bias, 0.0), 1.0)
     else:
         p_d_avg = math.nan
 
@@ -490,7 +490,6 @@ def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimRe
                 else:
                     snr = params.P_p * gain_pst[t] / params.sigma_n2
                     p_detect = sensing.detection_instant(cfg, snr)
-                    p_detect = min(max(p_detect * sim.detection_bias, 0.0), 1.0)
                 declared_busy = sensing_u[t] < p_detect
             else:
                 declared_busy = sensing_u[t] < p_f
@@ -549,6 +548,23 @@ def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimRe
         pu_active_slots=int(active.size),
         su_tx_slots=su_tx_count,
     )
+
+
+def bias_detection(monkeypatch, bias: float) -> None:
+    """Scale the detection probability the simulator draws its sensing
+    verdicts from by ``bias``, clipped to [0, 1], in both correlation modes.
+    The analytic detector that ``evaluate`` reads is left alone, so a sound
+    comparison must flag the fault."""
+    def biased(detector):
+        return lambda *args: np.clip(bias * detector(*args), 0.0, 1.0)
+
+    # the simulator's own view of the sensing module, with one detector biased
+    detectors = types.ModuleType(sensing.__name__)
+    detectors.__dict__.update(vars(sensing),
+                              detection_avg=biased(sensing.detection_avg))
+    monkeypatch.setattr(simulator, "sensing", detectors)
+    monkeypatch.setattr(simulator, "_faithful_detection",
+                        biased(simulator._faithful_detection))
 
 
 def reference_closed_classes(p: np.ndarray, edge_tol: float = 1e-14) -> list[list[int]]:
@@ -651,13 +667,13 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
     harvest = harvesting.harvest_laws(params)
     for tau in grid.tau_values(params):
         q = derive(params, tau)
-        unsupported = optimizer._unsupported(params, q, scheme)
-        if unsupported is not None and unsupported[0] == "unsupported_m":
-            records.append(GridPointStatus(tau, math.nan, "unsupported_m"))
+        unsupported = optimizer._unsupported(q, scheme)
+        if unsupported == "unsupported_m":
+            records.append(GridPointStatus(tau, math.nan, unsupported))
             continue
         thresholds = grid.lambda_grid(q.m)
         if unsupported is not None:
-            records.extend(GridPointStatus(tau, threshold, unsupported[0])
+            records.extend(GridPointStatus(tau, threshold, unsupported)
                            for threshold in thresholds)
             continue
         column = optimizer._column(params, q, harvest, thresholds)

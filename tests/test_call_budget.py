@@ -12,7 +12,8 @@ faithful detections from the noncentral chi-square law, so neither a run nor
 a comparison, in either correlation mode, evaluates Marcum Q.  An evaluation
 solves its chain with one LU solve and no least squares.  Cold solves
 run on worker threads, so the counts are kept under a lock; a cell that
-solves one LP starts no thread.
+solves one LP starts no thread, and each LP is built once, by the worker
+that solves it.
 """
 import collections
 import contextlib
@@ -128,6 +129,22 @@ def test_tied_cell_solves_each_point_once_on_threads(calls, pools,
     _, records = optimize(params, FAST_GRID, "probabilistic")
     assert len(records) == 24
     assert calls["solve_lp"] == 24
+    assert pools == [(2,)]
+
+
+def test_tied_cell_builds_one_lp_per_solve(calls, pools, monkeypatch,
+                                           testbench_params):
+    built = []  # list.append is atomic, so the workers need no lock
+    build = optimizer._build_lp
+
+    def counted(*args):
+        built.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(optimizer, "_build_lp", counted)
+    optimize(with_overrides(testbench_params, rho=0.1), FAST_GRID,
+             "probabilistic")
+    assert len(built) == calls["solve_lp"] == 24
     assert pools == [(2,)]
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ehcr.cli import main
 from ehcr.presets import load_preset
-from helpers import child_env, deadline
+from helpers import bias_detection, child_env, deadline
 
 
 @pytest.fixture
@@ -147,13 +147,6 @@ class TestBadInputsExitOne:
                          "--policy", str(policy_file), "--seed", "-1"]) == 1
             assert "seed must be >= 0" in self.one_line_error(capsys)
 
-    @pytest.mark.parametrize("bias", ["nan", "-1", "inf"])
-    def test_bad_detection_bias(self, fast_config, policy_file, capsys, bias):
-        assert main(["validate", "--config", str(fast_config),
-                     "--policy", str(policy_file), "--slots", "100",
-                     "--corrupt-pd", bias]) == 1
-        assert "detection_bias must be finite" in self.one_line_error(capsys)
-
     def test_initial_battery_above_capacity(self, policy_file, capsys):
         for command in ("simulate", "validate"):
             assert main([command, "--config", "testbench",
@@ -241,6 +234,26 @@ class TestBadInputsExitOne:
                      "--min-samples", "-5"]) == 1
         assert ("min_samples must be >= 0, got -5"
                 in self.one_line_error(capsys))
+
+    def test_sensing_below_two_samples(self, policy_file, testbench_params,
+                                       capsys):
+        # the averaged detector rejects a sensing policy at m = 1; both
+        # commands report it as the configuration error it is
+        from ehcr.chain import action_ranges
+
+        alpha_range, beta_range = action_ranges(testbench_params, 5e-5)
+        doc = json.loads(policy_file.read_text())
+        doc.update(tau=5e-5, alpha=[0.5] * len(alpha_range),
+                   beta1=[0.3] * len(beta_range), beta2=[0.5] * len(beta_range))
+        policy_file.write_text(json.dumps(doc))
+        errors = []
+        for command in ("simulate", "validate"):
+            assert main([command, "--config", "testbench", "--policy",
+                         str(policy_file), "--slots", "100"]) == 1
+            errors.append(self.one_line_error(capsys))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("configuration error: ")
+        assert "time-bandwidth product of at least 2, got m=1" in errors[0]
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     @pytest.mark.parametrize("threshold", [-1.0, 0.0, math.inf, math.nan])
@@ -451,22 +464,22 @@ class TestValidateCommand:
         assert all(row[5] == "0" for row in rows[1:] if row[0] != "warning")
 
     def test_injected_detection_fault_caught(self, fast_config, policy_file,
-                                             tmp_path):
+                                             tmp_path, monkeypatch):
+        bias_detection(monkeypatch, 0.5)
         out = tmp_path / "val.csv"
         code = main(["validate", "--config", str(fast_config),
                      "--policy", str(policy_file),
-                     "--slots", "50000", "--seed", "21",
-                     "--corrupt-pd", "0.5", "--out", str(out)])
+                     "--slots", "50000", "--seed", "21", "--out", str(out)])
         assert code == 3
         rows = read_rows(out)
         assert any(row[5] == "1" for row in rows[1:] if row[0] != "warning")
 
-    def test_fully_blinded_detector_caught(self, fast_config, policy_file):
-        # bias 0.0 is a valid injection, not an absent flag
+    def test_fully_blinded_detector_caught(self, fast_config, policy_file,
+                                           monkeypatch):
+        bias_detection(monkeypatch, 0.0)
         code = main(["validate", "--config", str(fast_config),
                      "--policy", str(policy_file),
-                     "--slots", "50000", "--seed", "21",
-                     "--corrupt-pd", "0.0"])
+                     "--slots", "50000", "--seed", "21"])
         assert code == 3
 
     def test_short_run_warns_and_passes(self, fast_config, policy_file,

@@ -1,6 +1,8 @@
 import math
 import random
 import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -15,8 +17,9 @@ from ehcr.optimizer import (
     GridSpec,
     InfeasibleGridError,
     _admitted,
-    _built_lps,
     _build_lp,
+    _cold_solve,
+    _point_model,
     _policy_iteration,
     _screen,
     _select_winner,
@@ -353,7 +356,7 @@ class TestWarmScreen:
 
 
 class TestColdSolves:
-    """Cold solves built per column and spread over threads change nothing."""
+    """Cold solves built per point and spread over threads change nothing."""
 
     @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
            scheme=st.sampled_from(optimizer.SCHEMES))
@@ -361,18 +364,53 @@ class TestColdSolves:
     def test_batched_build_equals_point_build(self, testbench_params, rho,
                                               mu_th, scheme):
         params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
+        built = []  # list.append is atomic, so the workers need no lock
+
+        def capture(*lp):
+            built.append(lp)
+            return None
+
         for tau in FAST_GRID.tau_values(params):
             column = column_at(params, tau, FAST_GRID)
-            if optimizer._unsupported(params, column.quantities, scheme):
+            if optimizer._unsupported(column.quantities, scheme):
                 continue
+            batch = _point_model(params, column, slice(None))
+            for k in range(len(column.thresholds)):
+                for got, want in zip(_point_model(params, column, k), batch):
+                    assert np.array_equal(got, want[k])
             ks = [0, 2, 3, 5]
-            built = list(_built_lps(params, scheme, [(column, k) for k in ks]))
-            for (lp, got_tau, threshold), k in zip(built, ks):
-                assert (got_tau, threshold) == (tau, column.thresholds[k])
+            built.clear()
+            with mock.patch.object(optimizer, "_WORKERS", 2), \
+                    mock.patch.object(optimizer, "solve_lp", capture):
+                records = _cold_solve(params, scheme, [(column, k) for k in ks])
+            assert [(r.tau, r.threshold) for r, _ in records] == \
+                [(tau, column.thresholds[k]) for k in ks]
+            assert len(built) == len(ks)
+            for k in ks:  # the workers may take the entries in any order
                 want = point_lp(params, column, k, scheme)
-                assert len(lp) == len(want) == 6
-                for got_array, want_array in zip(lp, want):
-                    assert np.array_equal(got_array, want_array)
+                assert any(len(lp) == len(want) == 6 and all(
+                    np.array_equal(got_array, want_array)
+                    for got_array, want_array in zip(lp, want)) for lp in built)
+
+    def test_threaded_results_keep_entry_order(self, testbench_params,
+                                               monkeypatch):
+        # the earlier an LP is taken up, the longer its solve sleeps, so the
+        # workers finish out of order; the records must not follow them
+        params = with_overrides(testbench_params, rho=0.1)
+        serial = search_with_workers(params, FAST_GRID, 1)
+        lock, started = threading.Lock(), []
+
+        def slow_early(*lp):
+            with lock:
+                started.append(1)
+                delay = max(0.0, 0.005 * (24 - len(started)))
+            time.sleep(delay)
+            return solve_lp(*lp)
+
+        monkeypatch.setattr(optimizer, "solve_lp", slow_early)
+        threaded = search_with_workers(params, FAST_GRID, 2)
+        assert len(started) == 24
+        assert_identical_searches(threaded, serial)
 
     @pytest.mark.parametrize("grid, rho, mu_th", [
         (FAST_GRID, 0.1, 0.65),  # every point ties: all solved cold
@@ -512,7 +550,7 @@ class TestConstrainedRegime:
         params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
         for tau in FAST_GRID.tau_values(params):
             column = column_at(params, tau, FAST_GRID)
-            if optimizer._unsupported(params, column.quantities, scheme):
+            if optimizer._unsupported(column.quantities, scheme):
                 continue
             screen = _screen(params, column, scheme)
             assert screen is not None
@@ -533,7 +571,7 @@ class TestConstrainedRegime:
         params = with_overrides(testbench_params, **mode)
         for tau in FAST_GRID.tau_values(params):
             column = column_at(params, tau, FAST_GRID)
-            if optimizer._unsupported(params, column.quantities, scheme):
+            if optimizer._unsupported(column.quantities, scheme):
                 continue
             batch = (transition_components(params, column.blocks, column.p_d,
                                            column.p_f),
