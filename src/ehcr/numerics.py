@@ -5,15 +5,18 @@ number of threads: integer-order gamma tail probabilities (checked wrappers
 over ``scipy.special.gammaincc``/``gammainc`` that take one argument or a 1-D
 array of them), the generalized Marcum Q function (one array sum of scipy's
 gamma tails against Poisson weights), and ``solve_lp``, which maximizes a
-small dense program given as plain arrays with a ladder of scipy HiGHS
-``linprog`` calls behind a feasibility audit.
+small dense program given as plain arrays with a ladder of cold HiGHS solves
+behind a feasibility audit.  The solves call the HiGHS core bundled with
+scipy (``scipy.optimize._highspy._core``) with the model and options scipy's
+own ``method="highs"`` LP solve builds, so they return its points bit for
+bit without its per-call Python, which holds the GIL.  The core is imported
+by the first solve, so importing this module loads no ``scipy.optimize``.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import gammainc, gammaincc, gammaln
 
 MARCUM_MAX_TERMS = 10_000
@@ -28,8 +31,8 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
     "dual_feasibility_tolerance": 1e-9,
 }
-#: the solve ladder: (linprog method, options beyond the tolerances) per rung
-_RUNGS = (("highs", {}), ("highs-ipm", {}), ("highs", {"presolve": False}))
+#: the solve ladder: (scipy's name of the HiGHS method, presolve) per rung
+_RUNGS = (("highs", True), ("highs-ipm", True), ("highs", False))
 
 
 class MarcumConvergenceError(ArithmeticError):
@@ -114,6 +117,57 @@ def marcum_q(m: int, a: float, b: float) -> float:
 # linear programming
 # ---------------------------------------------------------------------------
 
+def _solve_rung(lp: tuple[np.ndarray, ...], method: str, presolve: bool
+                ) -> tuple[str, np.ndarray | None]:
+    """HiGHS's model status for the arrays ``lp`` of :func:`solve_lp`, solved
+    cold by ``method`` under ``_LP_OPTIONS`` and ``presolve``, and the point
+    when that status is optimal.
+
+    HiGHS gets the model and options scipy's LP solve by ``method`` builds:
+    the inequality rows (unbounded below) above the equality rows, the
+    matrix in compressed columns without its zeros, rows ascending; the dual
+    simplex strategy, no debug level and no logging.  Each call builds its
+    own solver, so any number of threads may call this at once.
+    """
+    from scipy.optimize._highspy import _core
+
+    objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds = lp
+    matrix = np.vstack((ub_matrix, eq_matrix))
+    columns, rows = np.nonzero(matrix.T)  # column by column, rows ascending
+    n_row, n_col = matrix.shape
+    model = _core.HighsLp()
+    model.num_row_ = model.a_matrix_.num_row_ = n_row
+    model.num_col_ = model.a_matrix_.num_col_ = n_col
+    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = np.concatenate(
+        ([0], np.cumsum(np.count_nonzero(matrix, axis=0))))
+    model.a_matrix_.index_, model.a_matrix_.value_ = rows, matrix.T[columns, rows]
+    model.col_cost_ = -objective
+    model.col_lower_, model.col_upper_ = bounds.T
+    model.row_lower_ = np.concatenate((np.full(len(ub_rhs), -_core.kHighsInf), eq_rhs))
+    model.row_upper_ = np.concatenate((ub_rhs, eq_rhs))
+
+    options = _core.HighsOptions()
+    for name, setting in _LP_OPTIONS.items():
+        setattr(options, name, setting)
+    options.presolve = "on" if presolve else "off"
+    if method == "highs-ipm":
+        options.solver = "ipm"
+    options.simplex_strategy = (
+        _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    highs = _core._Highs()
+    highs.passOptions(options)
+    if highs.passModel(model) == _core.HighsStatus.kError:
+        return "Model error", None
+    failed = highs.run() == _core.HighsStatus.kError
+    status = highs.getModelStatus()
+    if failed or status != _core.HighsModelStatus.kOptimal:
+        return highs.modelStatusToString(status), None
+    return "Optimal", np.array(highs.getSolution().col_value)
+
+
 def solve_lp(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray,
              ub_matrix: np.ndarray, ub_rhs: np.ndarray,
              bounds: np.ndarray) -> np.ndarray | None:
@@ -123,23 +177,30 @@ def solve_lp(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray,
 
     Ill-conditioned instances can trip the simplex at tight tolerances or
     come back from postsolve with out-of-tolerance residuals, so the solve
-    walks a ladder of ``linprog`` calls (simplex, interior point, simplex
-    without presolve) and returns the first solution whose largest
+    walks a ladder of cold HiGHS solves (dual simplex, interior point, dual
+    simplex without presolve) and returns the first solution whose largest
     constraint violation is within ``LP_FEASIBILITY_TOL``.  Raises
-    ``RuntimeError`` when no rung passes this audit.
+    ``ValueError``, as scipy's LP front end does, on arrays whose shapes do
+    not fit together and on a non-finite objective, matrix or right-hand
+    side (and on a NaN bound), and ``RuntimeError`` when no rung passes the
+    audit.
     """
+    lp = (objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)
+    shapes = [np.shape(a) for a in lp]
+    n, k_eq, k_ub = objective.size, eq_rhs.size, ub_rhs.size
+    if shapes != [(n,), (k_eq, n), (k_eq,), (k_ub, n), (k_ub,), (n, 2)]:
+        raise ValueError(f"LP arrays of shapes {shapes} do not fit together")
+    if not all(np.isfinite(a).all() for a in lp[:5]) or np.isnan(bounds).any():
+        raise ValueError("LP data must be finite and its bounds not NaN")
     lower, upper = bounds.T
     failures = []
-    for method, options in _RUNGS:
-        result = linprog(-objective, A_ub=ub_matrix, b_ub=ub_rhs, A_eq=eq_matrix,
-                         b_eq=eq_rhs, bounds=bounds, method=method,
-                         options=dict(_LP_OPTIONS, **options))
-        if result.status == 2:
+    for method, presolve in _RUNGS:
+        status, x = _solve_rung(lp, method, presolve)
+        if status in ("Infeasible", "Model error"):  # scipy's status 2
             return None
-        if result.status != 0:
-            failures.append(f"{method}: {result.message}")
+        if x is None:
+            failures.append(f"{method}: {status}")
             continue
-        x = result.x
         violation = np.concatenate([np.abs(eq_matrix @ x - eq_rhs),
                                     ub_matrix @ x - ub_rhs, lower - x,
                                     x - upper]).max(initial=0.0)

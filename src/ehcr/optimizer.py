@@ -39,10 +39,11 @@ policy, which they cross-check.
 
 Each cold LP is built from its point's kernels and rewards alone (the same
 bits as the screen's batch) by the worker that solves it.  More than one run
-on a pool with one thread per CPU in the process's affinity mask (HiGHS
-releases the GIL while it solves), each built and solved alone, so records
-and winner do not depend on the thread count.  A single LP, as in every cell
-with one best point, is solved inline and starts no thread.
+on a pool with one thread per CPU in the process's affinity mask (the solve
+calls HiGHS's core directly, which releases the GIL for nearly all of it),
+each built and solved alone, so records and winner do not depend on the
+thread count.  A single LP, as in every cell with one best point, is solved
+inline and starts no thread.
 """
 from __future__ import annotations
 
@@ -421,10 +422,10 @@ def _cold_solve(params: SystemParams, scheme: str,
     solution (minus the floor row's).
 
     A single LP is solved inline.  More are solved on ``_WORKERS`` threads,
-    as HiGHS releases the GIL while it solves; each is built by the worker
-    that takes it up, so at most ``_WORKERS`` are held at once, and solved
-    alone, as in a serial loop, so the results do not depend on the thread
-    count.
+    as HiGHS, called without scipy's Python wrapper, releases the GIL for
+    nearly all of each solve; each is built by the worker that takes it up,
+    so at most ``_WORKERS`` are held at once, and solved alone, as in a
+    serial loop, so the results do not depend on the thread count.
     """
     def solve(entry: tuple[_Column, int]) -> tuple[GridPointStatus, float | None]:
         column, k = entry

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -12,6 +13,19 @@ from ehcr.system_model import SystemParams, params_from_dict
 settings.register_profile("ehcr", derandomize=True, deadline=None,
                           max_examples=25, database=None)
 settings.load_profile("ehcr")
+
+# When a property test fails, the hypothesis plugin imports its patch writer,
+# whose libcst import triggers a mypy_extensions DeprecationWarning; under the
+# suite's filterwarnings = ["error"] that ends the session with INTERNALERROR
+# and no report.  Importing it here, with only that warning silenced, keeps
+# every other warning an error.  (A module= filter would not match: the
+# warning is attributed to libcst's frame.)
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated")
+    import hypothesis.extra._patching  # noqa: F401
+
+pytest_plugins = ["pytester"]
 
 
 @pytest.fixture(scope="session")

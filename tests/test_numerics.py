@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 from ehcr import numerics
 from ehcr.numerics import (
@@ -363,9 +365,10 @@ def _suite_lps() -> list[tuple]:
     return lps
 
 
-def linprog_reference(lp):
-    """What linprog(method="highs") returns for ``lp`` under the ladder's
-    options, with the bounds as (lo, hi) pairs and empty blocks as None."""
+def linprog_reference(lp, method="highs", presolve=True):
+    """What linprog returns for ``lp`` by ``method`` under the ladder's
+    tolerances and ``presolve``, with the bounds as (lo, hi) pairs and empty
+    blocks as None."""
     objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds = lp
     return linprog(
         c=-objective,
@@ -373,12 +376,24 @@ def linprog_reference(lp):
         b_ub=ub_rhs if ub_rhs.shape[0] else None,
         A_eq=eq_matrix if eq_matrix.shape[0] else None,
         b_eq=eq_rhs if eq_rhs.shape[0] else None,
-        bounds=[tuple(pair) for pair in bounds.tolist()], method="highs",
-        options=numerics._LP_OPTIONS)
+        bounds=[tuple(pair) for pair in bounds.tolist()], method=method,
+        options=dict(numerics._LP_OPTIONS, presolve=presolve))
+
+
+def assert_rungs_match_linprog(lp):
+    """Each rung of the ladder returns linprog's point for ``lp`` bit for
+    bit, or reports infeasible where linprog does."""
+    for method, presolve in numerics._RUNGS:
+        reference = linprog_reference(lp, method, presolve)
+        status, x = numerics._solve_rung(lp, method, presolve)
+        assert reference.status == (2 if status == "Infeasible" else 0)
+        assert (x is None) == (reference.x is None)
+        if x is not None:
+            assert np.array_equal(x, reference.x)
 
 
 class TestDirectHighs:
-    """Rung 1 of the ladder is ``linprog(method="highs")`` itself."""
+    """Each rung of the ladder is a ``linprog`` call without the wrapper."""
 
     def test_first_rung_is_bit_identical_to_linprog(self):
         for lp in _suite_lps():
@@ -388,27 +403,78 @@ class TestDirectHighs:
             if x is not None:
                 assert np.array_equal(x, reference.x)
 
+    def test_every_rung_is_bit_identical_to_linprog(self):
+        for lp in _suite_lps():
+            assert_rungs_match_linprog(lp)
+
     def test_non_finite_point_fails_the_audit(self, monkeypatch):
-        nan_point = lambda result: OptimizeResult(
-            status=0, message="", x=np.full_like(result.x, math.nan))
+        nan_point = lambda result: (result[0], np.full_like(result[1], math.nan))
         calls = _ladder(monkeypatch, [nan_point] * 3)
         with pytest.raises(RuntimeError, match="residual nan"):
             solve_lp(*_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]))
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(5))
+    def test_non_finite_data_raises_as_linprog_does(self, position, value):
+        lp = [np.array(a) for a in _box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])]
+        lp[1], lp[2] = np.ones((1, 2)), np.array([1.0])  # a non-empty eq block
+        lp[position].flat[0] = value
+        with pytest.raises(ValueError, match="must not contain values inf"):
+            linprog_reference(tuple(lp))
+        with pytest.raises(ValueError, match="finite"):
+            solve_lp(*lp)
+
+    @pytest.mark.parametrize("position, array", [
+        (0, np.ones(3)), (1, np.ones((1, 3))), (2, np.ones(2)),
+        (3, np.ones((1, 3))), (4, np.ones(2)), (5, np.tile([0.0, 1.0], (3, 1)))])
+    def test_misshapen_arrays_raise_as_linprog_does(self, position, array):
+        lp = list(_box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0]))
+        lp[1], lp[2] = np.ones((1, 2)), np.array([1.0])  # a non-empty eq block
+        lp[position] = array
+        with pytest.raises(ValueError, match="Invalid input for linprog"):
+            linprog_reference(tuple(lp))
+        with pytest.raises(ValueError, match="do not fit together"):
+            solve_lp(*lp)
+
+    def test_nan_bound_raises(self):
+        lp = _box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
+        lp[5][0, 1] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            solve_lp(*lp)
+
+
+def test_import_evaluate_and_run_load_no_scipy_optimize():
+    """The HiGHS core is imported by the first LP solve, so the package, an
+    evaluation and a simulation leave ``scipy.optimize`` unloaded."""
+    code = (
+        "import sys\n"
+        "from ehcr import Policy, SimConfig, evaluate, params_from_dict, run\n"
+        "from ehcr.presets import load_preset\n"
+        "params = params_from_dict(load_preset('testbench'))\n"
+        "policy = Policy.constant(params, 5e-4, 30.0, 0.5, 0.3, 0.5)\n"
+        "evaluate(params, policy)\n"
+        "run(params, policy, SimConfig(slots=1_000, seed=1))\n"
+        "print('scipy.optimize' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
 
 def _ladder(monkeypatch, outcomes):
-    """Patch the ``linprog`` of ``solve_lp`` so that the result of its i-th
-    call passes through ``outcomes[i]``; returns the (method, presolve) of
-    each call."""
+    """Patch the rung solve of ``solve_lp`` so that the ``(status, x)`` of
+    its i-th call passes through ``outcomes[i]``; returns the (method,
+    presolve) of each call."""
     calls = []
+    solve_rung = numerics._solve_rung
 
-    def patched(*args, method, options, **kwargs):
-        calls.append((method, options.get("presolve", True)))
-        result = linprog(*args, method=method, options=options, **kwargs)
-        return outcomes[len(calls) - 1](result)
+    def patched(lp, method, presolve):
+        calls.append((method, presolve))
+        return outcomes[len(calls) - 1](solve_rung(lp, method, presolve))
 
-    monkeypatch.setattr(numerics, "linprog", patched)
+    monkeypatch.setattr(numerics, "_solve_rung", patched)
     return calls
 
 
@@ -417,11 +483,16 @@ def _solved(result):
 
 
 def _numerical_difficulties(result):
-    return OptimizeResult(status=4, message="numerical difficulties", x=None)
+    return "numerical difficulties", None
+
+
+def _model_error(result):
+    return "Model error", None
 
 
 def _off_the_box(result):
-    return OptimizeResult(status=0, message=result.message, x=result.x + 0.5)
+    status, x = result
+    return status, x + 0.5
 
 
 class TestLadder:
@@ -455,4 +526,9 @@ class TestLadder:
     def test_infeasible_first_rung_ends_the_ladder(self, monkeypatch):
         calls = _ladder(monkeypatch, [_solved])
         assert solve_lp(*_infeasible_lp()) is None
+        assert calls == self.RUNGS[:1]
+
+    def test_model_error_is_infeasible_as_in_linprog(self, monkeypatch):
+        calls = _ladder(monkeypatch, [_model_error])
+        assert solve_lp(*self.LP) is None
         assert calls == self.RUNGS[:1]

@@ -41,7 +41,7 @@ from helpers import (
     reference_search,
     sensing_config,
 )
-from test_numerics import linprog_reference
+from test_numerics import assert_rungs_match_linprog, linprog_reference
 from test_performance import random_policy
 
 FAST_GRID = GridSpec(tau_min=2e-3, lambda_count=6)
@@ -268,8 +268,9 @@ def _near_best(records) -> int:
 class TestWarmScreen:
     """The screen and the cold LP solves that certify its near-best points."""
 
-    def test_first_rung_matches_linprog_on_policy_lps(self, testbench_params):
-        params = testbench_params
+    @staticmethod
+    def _policy_lps(params):
+        """The cold LPs of four grid points, under both schemes."""
         idle = harvesting.nature_distribution(params)
         active = harvesting.combined_distribution(params)
         for tau, threshold, scheme in ((5e-4, 33.0, "probabilistic"),
@@ -280,11 +281,18 @@ class TestWarmScreen:
             quantities = derive(params, tau)
             p_d = detection_avg(cfg, quantities.gamma_bar)
             p_f = false_alarm(cfg)
-            lp = _build_lp(params, quantities,
-                           components_at(params, tau, idle, active, p_d, p_f),
-                           action_rewards(params, outages_at(params, tau), p_d, p_f),
-                           scheme)
+            yield _build_lp(params, quantities,
+                            components_at(params, tau, idle, active, p_d, p_f),
+                            action_rewards(params, outages_at(params, tau), p_d, p_f),
+                            scheme)
+
+    def test_first_rung_matches_linprog_on_policy_lps(self, testbench_params):
+        for lp in self._policy_lps(testbench_params):
             assert np.array_equal(solve_lp(*lp), linprog_reference(lp).x)
+
+    def test_every_rung_matches_linprog_on_policy_lps(self, testbench_params):
+        for lp in self._policy_lps(testbench_params):
+            assert_rungs_match_linprog(lp)
 
     @pytest.mark.parametrize("grid, rho, ties", [
         (FAST_GRID, 0.1, "all"), (FAST_GRID, 0.5, "all"),
