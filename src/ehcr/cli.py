@@ -213,6 +213,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.param != "rho":
         raise CliError(f"sweepable parameters: rho (got {args.param!r})")
+    for flag, bound in (("--from", args.sweep_from), ("--to", args.sweep_to)):
+        if not math.isfinite(bound):
+            raise CliError(f"sweep {flag} must be finite, got {bound}")
     if not args.sweep_from < args.sweep_to:
         raise CliError("sweep requires from < to")
     if args.steps < 2:

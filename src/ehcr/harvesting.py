@@ -79,15 +79,21 @@ class HarvestPmf:
 # scalar laws (exact, no truncation)
 # ---------------------------------------------------------------------------
 
-def nature_pmf(lambda_e: float, T: float, n: int) -> float:
-    """Poisson(lambda_e * T) mass at n; zero for negative counts."""
+def _ambient_mean(lambda_e: float, T: float) -> float:
+    """Mean ambient packets per slot, ``lambda_e * T``, after the domain
+    checks of both factors."""
     if lambda_e < 0:
         raise ValueError(f"lambda_e must be nonnegative, got {lambda_e}")
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
+    return lambda_e * T
+
+
+def nature_pmf(lambda_e: float, T: float, n: int) -> float:
+    """Poisson(lambda_e * T) mass at n; zero for negative counts."""
+    mean = _ambient_mean(lambda_e, T)
     if n < 0:
         return 0.0
-    mean = lambda_e * T
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(n * math.log(mean) - math.lgamma(n + 1) - mean)
@@ -124,17 +130,32 @@ def _truncate_and_fold(masses: np.ndarray, cap: int) -> np.ndarray:
 
 
 def nature_distribution(params: SystemParams) -> HarvestPmf:
-    """Truncated ambient arrival distribution."""
+    """Truncated ambient arrival distribution: the masses of
+    :func:`nature_pmf`, bit for bit, with the log-mean taken once."""
     cap = SUPPORT_CAP_FACTOR * params.N_max
-    masses = [nature_pmf(params.lambda_e, params.T, k) for k in range(cap + 1)]
-    return HarvestPmf(_truncate_and_fold(np.array(masses), cap))
+    mean = _ambient_mean(params.lambda_e, params.T)
+    if mean == 0.0:
+        masses = np.zeros(cap + 1)
+        masses[0] = 1.0
+    else:
+        log_mean = math.log(mean)
+        masses = np.array([math.exp(k * log_mean - math.lgamma(k + 1) - mean)
+                           for k in range(cap + 1)])
+    return HarvestPmf(_truncate_and_fold(masses, cap))
 
 
 def rf_distribution(params: SystemParams) -> HarvestPmf:
-    """Truncated RF arrival distribution (active-slot law)."""
+    """Truncated RF arrival distribution (active-slot law): the masses of
+    :func:`rf_pmf`, bit for bit, as differences of one survival list."""
     cap = SUPPORT_CAP_FACTOR * params.N_max
-    masses = [rf_pmf(params, k) for k in range(cap + 1)]
-    return HarvestPmf(_truncate_and_fold(np.array(masses), cap))
+    scale = _rf_packet_scale(params)
+    if scale == 0.0:
+        masses = np.zeros(cap + 1)
+        masses[0] = 1.0
+    else:
+        survival = np.array([math.exp(-r / scale) for r in range(cap + 2)])
+        masses = survival[:-1] - survival[1:]
+    return HarvestPmf(_truncate_and_fold(masses, cap))
 
 
 def harvest_laws(params: SystemParams) -> tuple[HarvestPmf, HarvestPmf]:

@@ -14,6 +14,7 @@ by the first solve, so importing this module loads no ``scipy.optimize``.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -117,17 +118,37 @@ def marcum_q(m: int, a: float, b: float) -> float:
 # linear programming
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _rung_options(method: str, presolve: bool):
+    """The HiGHS options scipy's LP solve by ``method`` builds under
+    ``_LP_OPTIONS`` and ``presolve``: the dual simplex strategy, no debug
+    level and no logging.  Built on a rung's first solve; a solver copies
+    the options it is passed, so one object serves every thread."""
+    from scipy.optimize._highspy import _core
+
+    options = _core.HighsOptions()
+    for name, setting in _LP_OPTIONS.items():
+        setattr(options, name, setting)
+    options.presolve = "on" if presolve else "off"
+    if method == "highs-ipm":
+        options.solver = "ipm"
+    options.simplex_strategy = (
+        _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    return options
+
+
 def _solve_rung(lp: tuple[np.ndarray, ...], method: str, presolve: bool
                 ) -> tuple[str, np.ndarray | None]:
     """HiGHS's model status for the arrays ``lp`` of :func:`solve_lp`, solved
-    cold by ``method`` under ``_LP_OPTIONS`` and ``presolve``, and the point
-    when that status is optimal.
+    cold under the :func:`_rung_options` of ``method`` and ``presolve``, and
+    the point when that status is optimal.
 
-    HiGHS gets the model and options scipy's LP solve by ``method`` builds:
-    the inequality rows (unbounded below) above the equality rows, the
-    matrix in compressed columns without its zeros, rows ascending; the dual
-    simplex strategy, no debug level and no logging.  Each call builds its
-    own solver, so any number of threads may call this at once.
+    HiGHS gets the model scipy's LP solve by ``method`` builds: the
+    inequality rows (unbounded below) above the equality rows, the matrix in
+    compressed columns without its zeros, rows ascending.  Each call builds
+    its own solver, so any number of threads may call this at once.
     """
     from scipy.optimize._highspy import _core
 
@@ -147,18 +168,8 @@ def _solve_rung(lp: tuple[np.ndarray, ...], method: str, presolve: bool
     model.row_lower_ = np.concatenate((np.full(len(ub_rhs), -_core.kHighsInf), eq_rhs))
     model.row_upper_ = np.concatenate((ub_rhs, eq_rhs))
 
-    options = _core.HighsOptions()
-    for name, setting in _LP_OPTIONS.items():
-        setattr(options, name, setting)
-    options.presolve = "on" if presolve else "off"
-    if method == "highs-ipm":
-        options.solver = "ipm"
-    options.simplex_strategy = (
-        _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
-    options.output_flag = options.log_to_console = False
     highs = _core._Highs()
-    highs.passOptions(options)
+    highs.passOptions(_rung_options(method, presolve))
     if highs.passModel(model) == _core.HighsStatus.kError:
         return "Model error", None
     failed = highs.run() == _core.HighsStatus.kError

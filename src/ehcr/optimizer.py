@@ -21,8 +21,14 @@ floor; the highest licensed-user rate decides infeasibility; any other point
 gets the LP value from a cutting-plane search on the Lagrangian dual of
 ``mu_s + nu * (mu_p - mu_th)``, and as policy the mix of the occupation
 measures of the two deterministic policies bracketing the floor, which
-randomizes at most one reachable level (Beutler & Ross 1985).  A column the
-screen cannot value is an error when the all-idle chain, the same at every
+randomizes at most one reachable level (Beutler & Ross 1985).  Policy
+iteration converges from any start, so each column's unconstrained pass
+starts from the previous column's optimum, and from all-idle should that
+fail; it can end elsewhere only where several policies are optimal to
+within the tolerance.  A policy that never senses has the same kernel rows
+and rewards at every threshold of a column, so each step solves each
+distinct such system once, which changes no bit.  A column the screen
+cannot value is an error when the all-idle chain, the same at every
 sensing time, has several closed classes (no harvest at all), and is logged
 as failed otherwise.  The LP of a point is the same model with the action
 probabilities replaced by their products with the stationary masses: its
@@ -311,7 +317,8 @@ def _admitted(params: SystemParams, quantities: DerivedQuantities,
 
 
 def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
-                      allowed: np.ndarray, weights
+                      allowed: np.ndarray, weights,
+                      policy: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray] | None:
     """Gains (K, 2) of (mu_s, mu_p) and action indices (K, n) of a
     deterministic policy maximizing the average of ``rewards @ weights`` in
@@ -319,24 +326,40 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
     the three actions, which ``allowed`` admits per level.  ``weights`` is
     one (2,) pair or a (K, 2) stack.
 
-    Average-reward policy iteration from the all-idle policy.  Value
+    Average-reward policy iteration from the admitted (K, n) actions
+    ``policy``, all idle when None; it converges from any start.  Value
     determination solves ``g + h = r + P h`` with ``h`` pinned to zero at
     level 0 and ``g`` in its place, one ``np.linalg.solve`` of the batch's
-    :func:`~ehcr.chain._bordered` systems; a level changes
-    action only for a gain above the tolerance.  None when a solve is
-    singular or not finite (a policy with several closed classes) or the
-    iteration does not settle.
+    :func:`~ehcr.chain._bordered` systems; a level changes action only for a
+    gain above the tolerance.  A policy that never senses selects only idle
+    and blind rows and rewards, which ``transition_components`` and
+    ``action_rewards`` broadcast unchanged over one column's thresholds, so
+    within a batch of one column equal such policies give bitwise-equal
+    systems: each distinct one is solved once and its solution shared, and
+    every sensing point is solved as its own.  A batch drawn from several
+    columns breaks this.  None when a solve is singular or not finite (a
+    policy with several closed classes) or the iteration does not settle.
     """
     count, _, n, _ = kernels.shape
     weights = np.broadcast_to(weights, (count, 2))
     batch, levels = np.arange(count)[:, None], np.arange(n)
     weighted = rewards @ weights[:, :, None]  # (K, 3, 1): the same at every level
     tol = _PI_TOL * (1.0 + np.abs(weights).sum(axis=1))[:, None]
-    policy = np.zeros((count, n), dtype=int)
+    if policy is None:
+        policy = np.zeros((count, n), dtype=int)
     for _ in range(_PI_MAX_STEPS):
+        # each point's system is solved at its owner: itself if it senses,
+        # else the first point that never senses with the same policy
+        firsts: dict[bytes, int] = {}
+        senses = (policy == 2).any(axis=1).tolist()
+        owner = np.array([k if senses[k] else firsts.setdefault(row.tobytes(), k)
+                          for k, row in enumerate(policy)], dtype=int)
+        owners = np.flatnonzero(owner == batch[:, 0])
+        chosen = policy[owners]
         try:
-            solved = np.linalg.solve(_bordered(kernels[batch, policy, levels]),
-                                     rewards[batch, policy])
+            solved = np.linalg.solve(
+                _bordered(kernels[owners[:, None], chosen, levels]),
+                rewards[owners[:, None], chosen])[np.searchsorted(owners, owner)]
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(solved)):
@@ -352,35 +375,49 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
     return None
 
 
-def _screen(params: SystemParams, column: _Column, scheme: str
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+def _screen(params: SystemParams, column: _Column, scheme: str,
+            start: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                       np.ndarray] | None:
     """Optimal LP objective at each threshold of a column, NaN where the
     floor is out of reach, found without an LP, and the policies that attain
     it; see the module docstring.
 
-    A point whose unconstrained optimum misses the floor gets the minimum
-    over nu >= 0 of the dual ``max mu_s + nu * (mu_p - mu_th)`` by cutting
-    planes: the lines of a policy below and one on or above the floor meet
-    at the next nu, and the search stops once no policy rises above them
-    there.  The value is then that of the mix of the two policies meeting
-    the floor.  Returns the objectives, the (K, n) actions of the low and
-    high policy at each point and the (K,) share ``s`` of the high one in
-    their mix: 0, with both the unconstrained optimum, where the floor is
-    slack.  None when a policy iteration fails.
+    The unconstrained pass starts from ``start``, the (K, n) unconstrained
+    optima of the previous column, projected onto the actions this column
+    admits (idle where one is not), and is rerun from all-idle when that
+    fails, so a failed warm start never fails a column; None starts it
+    all-idle, as every later pass starts.  A point whose unconstrained
+    optimum misses the floor gets the minimum over nu >= 0 of the dual
+    ``max mu_s + nu * (mu_p - mu_th)`` by cutting planes: the lines of a
+    policy below and one on or above the floor meet at the next nu, and the
+    search stops once no policy rises above them there.  The value is then
+    that of the mix of the two policies meeting the floor.  Returns the
+    objectives, the (K, n) actions of the low and high policy at each point,
+    the (K,) share ``s`` of the high one in their mix (0, with both the
+    unconstrained optimum, where the floor is slack) and the unconstrained
+    optima, the next column's start.  None when a policy iteration fails.
     """
     kernels, rewards = _point_model(params, column, slice(None))
     allowed = _admitted(params, column.quantities, scheme)
     mu_th = params.mu_th
 
-    def solve(points: np.ndarray, weights):
-        return _policy_iteration(kernels[points], rewards[points], allowed, weights)
+    def solve(points: np.ndarray, weights, policy=None):
+        return _policy_iteration(kernels[points], rewards[points], allowed,
+                                 weights, policy)
 
     count = len(column.thresholds)
-    solved = solve(np.arange(count), (1.0, 0.0))
+    solved = None
+    if start is not None:
+        warm = np.where(allowed[start, np.arange(params.n_states)], start, 0)
+        solved = solve(np.arange(count), (1.0, 0.0), warm)
+    if solved is None:
+        solved = solve(np.arange(count), (1.0, 0.0))
     if solved is None:
         return None
-    low, low_policy = solved
-    high, high_policy = low.copy(), low_policy.copy()
+    low, unconstrained = solved
+    low_policy, high_policy = unconstrained.copy(), unconstrained.copy()
+    high = low.copy()
     objective, share = low[:, 0].copy(), np.zeros(count)
     points = np.nonzero(low[:, 1] < mu_th)[0]
     solved = solve(points, (0.0, 1.0))  # the highest licensed-user rate
@@ -392,7 +429,7 @@ def _screen(params: SystemParams, column: _Column, scheme: str
     points = points[reachable]
     for _ in range(_PI_MAX_STEPS):
         if not points.size:
-            return objective, low_policy, high_policy, share
+            return objective, low_policy, high_policy, share, unconstrained
         lo, hi = low[points], high[points]
         # low's line falls and high's rises in nu; they meet at nu
         nu = np.maximum((lo[:, 0] - hi[:, 0]) / (hi[:, 1] - lo[:, 1]), 0.0)
@@ -495,7 +532,8 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
              ) -> tuple[OptimalSolution, tuple[GridPointStatus, ...]]:
     """Exhaustive search over the grid; returns the winner and per-point log.
 
-    Screens every column without an LP, then solves cold the points within
+    Screens every column without an LP, each from the previous screened
+    column's unconstrained optima, then solves cold the points within
     ``LP_FEASIBILITY_TOL`` of the best and picks the winner among those; the
     winner's policy is the screen's.  See the module docstring.  A point
     that the screen cannot value or whose LP ladder fails is logged as
@@ -511,6 +549,7 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
     # (record index, column, threshold index, objective, screened policies)
     # of every point the screen found optimal
     screened: list[tuple[int, _Column, int, float, tuple]] = []
+    start = None  # the last screened column's unconstrained optima
     for tau in grid.tau_values(params):
         quantities = derive(params, tau)
         unsupported = _unsupported(quantities, scheme)
@@ -523,7 +562,7 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
                            for threshold in thresholds)
             continue
         column = _column(params, quantities, harvest, thresholds)
-        screen = _screen(params, column, scheme)
+        screen = _screen(params, column, scheme, start)
         if screen is None:
             classes = _closed_classes(_point_model(params, column, 0)[0][0])
             if len(classes) > 1:
@@ -531,7 +570,7 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             records.extend(GridPointStatus(tau, threshold, "solver_failure")
                            for threshold in thresholds)
             continue
-        objectives, low, high, share = screen
+        objectives, low, high, share, start = screen
         for k, (threshold, objective) in enumerate(zip(thresholds, objectives)):
             if math.isnan(objective):
                 records.append(GridPointStatus(tau, threshold, "infeasible"))

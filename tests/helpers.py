@@ -612,6 +612,47 @@ def reference_column_mdp(params: SystemParams, column: optimizer._Column,
     return np.array(kernels), np.array(rewards), allowed
 
 
+def reference_policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
+                               allowed: np.ndarray, weights,
+                               policy: np.ndarray | None = None
+                               ) -> tuple[np.ndarray, np.ndarray] | None:
+    """``optimizer._policy_iteration`` one point at a time: each MDP of the
+    batch iterated alone from its own start, its own system solved at every
+    step, so no point shares a solve with another.  None when any point
+    fails, as the batch does."""
+    count, _, n, _ = kernels.shape
+    weights = np.broadcast_to(weights, (count, 2))
+    starts = np.zeros((count, n), dtype=int) if policy is None else policy
+    levels = np.arange(n)
+    gains, policies = [], []
+    for kernel, reward, weight, actions in zip(kernels, rewards, weights, starts):
+        weighted = reward @ weight[:, None]  # (3, 1)
+        tol = optimizer._PI_TOL * (1.0 + np.abs(weight).sum())
+        for _ in range(optimizer._PI_MAX_STEPS):
+            system = np.eye(n) - kernel[actions, levels]
+            system[:, 0] = 1.0
+            try:
+                solved = np.linalg.solve(system, reward[actions])
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(solved)):
+                return None
+            bias = solved @ weight[:, None]
+            bias[0] = 0.0
+            values = weighted + (kernel @ bias)[..., 0]
+            values[~allowed] = -np.inf
+            better = values.max(axis=0) > values[actions, levels] + tol
+            if not better.any():
+                break
+            actions = np.where(better, values.argmax(axis=0), actions)
+        else:
+            return None
+        gains.append(solved[0])
+        policies.append(actions)
+    return (np.array(gains).reshape(count, 2),
+            np.array(policies, dtype=int).reshape(count, n))
+
+
 def point_lp(params: SystemParams, column: optimizer._Column, k: int,
              scheme: str) -> tuple[np.ndarray, ...]:
     """The policy LP arrays at the k-th threshold of a column, from scalar

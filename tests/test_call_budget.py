@@ -29,6 +29,7 @@ from ehcr.optimizer import InfeasibleGridError, optimize
 from ehcr.performance import evaluate
 from ehcr.simulator import SimConfig, compare, run
 from ehcr.system_model import with_overrides
+from helpers import column_at
 from test_optimizer import FAST_GRID, TIE_GRID
 
 COUNTED = {
@@ -146,6 +147,35 @@ def test_tied_cell_builds_one_lp_per_solve(calls, pools, monkeypatch,
              "probabilistic")
     assert len(built) == calls["solve_lp"] == 24
     assert pools == [(2,)]
+
+
+def test_tied_cell_solves_one_non_sensing_system_per_step(monkeypatch,
+                                                          testbench_params):
+    # a policy that never senses selects only the threshold-free idle and
+    # blind rows, so each policy-iteration step of a column solves at most
+    # one such system for all its thresholds
+    params = with_overrides(testbench_params, rho=0.1)
+    free_rows = set()  # (level, row) of the columns' idle and blind systems
+    for tau in FAST_GRID.tau_values(params):
+        column = column_at(params, tau, FAST_GRID)
+        kernels, _ = optimizer._point_model(params, column, 0)
+        for system in chain._bordered(kernels[:2]):
+            free_rows.update(enumerate(row.tobytes() for row in system))
+    batches = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        if a.ndim == 3:  # the screen's batches, not the winner's evaluation
+            batches.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    optimize(params, FAST_GRID, "probabilistic")
+    non_sensing = [sum(all((level, row.tobytes()) in free_rows
+                           for level, row in enumerate(system))
+                       for system in batch)
+                   for batch in batches]
+    assert max(non_sensing) == 1
 
 
 def test_zero_harvest_grid_solves_no_lp(calls, pools, testbench_params):

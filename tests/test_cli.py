@@ -136,6 +136,17 @@ class TestBadInputsExitOne:
                          "--policy", str(policy_file), "--rho", "-0.2"]) == 1
             assert "rho out of [0,1]" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("bounds, message", [
+        (["--from", "0.1", "--to", "inf"], "sweep --to must be finite, got inf"),
+        (["--from=-inf", "--to", "0.5"], "sweep --from must be finite, got -inf"),
+    ])
+    def test_non_finite_sweep_bound(self, fast_config, capsys, bounds, message):
+        # an infinite bound used to reach np.linspace, which warned and
+        # handed NaN occupancies to the parameter check
+        assert main(["sweep", "--config", str(fast_config), *bounds,
+                     "--steps", "2"]) == 1
+        assert message in self.one_line_error(capsys)
+
     def test_zero_slots(self, fast_config, policy_file, capsys):
         assert main(["simulate", "--config", str(fast_config),
                      "--policy", str(policy_file), "--slots", "0"]) == 1

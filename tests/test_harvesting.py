@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ehcr.harvesting import (
     HarvestPmf,
+    _truncate_and_fold,
     combined_distribution,
     nature_distribution,
     nature_pmf,
@@ -165,6 +166,37 @@ class TestDistributions:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 HarvestPmf(np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"lambda_e": -1.0}, "lambda_e must be nonnegative, got -1.0"),
+        ({"T": 0.0}, "T must be positive, got 0.0")])
+    def test_ambient_law_checks_its_rate(self, testbench_params, changes,
+                                         message):
+        # the array form checks the rate as the scalar law does, rather
+        # than failing inside the logarithm of the mean
+        params = with_overrides(testbench_params, **changes)
+        with pytest.raises(ValueError, match=message):
+            nature_pmf(params.lambda_e, params.T, 0)
+        with pytest.raises(ValueError, match=message):
+            nature_distribution(params)
+
+    @given(lambda_e=st.one_of(st.just(0.0), st.floats(0.0, 5000.0)),
+           eta=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           n_max=st.integers(1, 60))
+    def test_arrays_equal_the_scalar_laws(self, testbench_params, lambda_e,
+                                          eta, n_max):
+        # the array forms take each exp and log once, with the same float
+        # operations as the scalar laws; a zero rate or eta is a zero source
+        params = with_overrides(testbench_params, lambda_e=lambda_e, eta=eta,
+                                N_max=n_max)
+        cap = 4 * n_max
+        counts = range(cap + 1)
+        nature = [nature_pmf(lambda_e, params.T, k) for k in counts]
+        rf = [rf_pmf(params, k) for k in counts]
+        for dist, scalar in ((nature_distribution(params), nature),
+                             (rf_distribution(params), rf)):
+            assert np.array_equal(dist.masses,
+                                  _truncate_and_fold(np.array(scalar), cap))
 
     @given(mode=st.sampled_from(["mixed", "nature", "rf"]),
            lambda_e=st.floats(0.0, 5000.0), eta=st.floats(0.0, 1.0),

@@ -437,6 +437,40 @@ class TestDirectHighs:
         with pytest.raises(ValueError, match="do not fit together"):
             solve_lp(*lp)
 
+    @pytest.mark.parametrize("method, presolve", numerics._RUNGS)
+    def test_rung_passes_linprogs_options_built_once(self, monkeypatch, method,
+                                                     presolve):
+        # the options are built on a rung's first solve and shared after it;
+        # every field equals that of the options a solve once built for itself
+        from scipy.optimize._highspy import _core
+
+        passed = []
+
+        class Recording(_core._Highs):
+            def passOptions(self, options):
+                passed.append(options)
+                return super().passOptions(options)
+
+        monkeypatch.setattr(_core, "_Highs", Recording)
+        for _ in range(2):
+            numerics._solve_rung(_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]),
+                                 method, presolve)
+        assert len(passed) == 2 and passed[0] is passed[1]
+        fresh = _core.HighsOptions()
+        for name, setting in numerics._LP_OPTIONS.items():
+            setattr(fresh, name, setting)
+        fresh.presolve = "on" if presolve else "off"
+        if method == "highs-ipm":
+            fresh.solver = "ipm"
+        fresh.simplex_strategy = (
+            _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        fresh.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+        fresh.output_flag = fresh.log_to_console = False
+        fields = [name for name in dir(fresh) if not name.startswith("_")]
+        assert len(fields) > 80
+        for name in fields:
+            assert getattr(passed[0], name) == getattr(fresh, name), name
+
     def test_nan_bound_raises(self):
         lp = _box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
         lp[5][0, 1] = math.nan

@@ -38,6 +38,7 @@ from helpers import (
     outages_at,
     point_lp,
     reference_column_mdp,
+    reference_policy_iteration,
     reference_search,
     sensing_config,
 )
@@ -496,6 +497,67 @@ def assert_same_search(solution, records, reference, reference_records):
             assert record.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
+def harvest_mode(params, mode):
+    """The harvest modes of the CLI sweep: one source zeroed, or both on."""
+    return with_overrides(params, **{"mixed": {}, "nature": {"eta": 0.0},
+                                     "rf": {"lambda_e": 0.0}}[mode])
+
+
+class TestScreenSolves:
+    """One solve per distinct non-sensing system of a column, and each
+    column's unconstrained pass started from its neighbour's optimum."""
+
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           mode=st.sampled_from(["mixed", "nature", "rf"]),
+           scheme=st.sampled_from(optimizer.SCHEMES))
+    def test_shared_solves_equal_per_point_solves(self, testbench_params, rho,
+                                                  mu_th, mode, scheme):
+        # every column of a search, warm-started as optimize starts it,
+        # gives the same gains and policies bit for bit when each point's
+        # policy iteration runs alone, sharing no solve
+        params = harvest_mode(with_overrides(testbench_params, rho=rho,
+                                             mu_th=mu_th), mode)
+        start = None
+        for tau in FAST_GRID.tau_values(params):
+            column = column_at(params, tau, FAST_GRID)
+            if optimizer._unsupported(column.quantities, scheme):
+                continue
+            screen = _screen(params, column, scheme, start)
+            with mock.patch.object(optimizer, "_policy_iteration",
+                                   reference_policy_iteration):
+                reference = _screen(params, column, scheme, start)
+            assert (screen is None) == (reference is None)
+            if screen is None:
+                continue
+            for got, want in zip(screen, reference, strict=True):
+                assert np.array_equal(got, want, equal_nan=True)
+            start = screen[-1]
+
+    def test_failed_warm_start_reruns_from_idle(self, testbench_params,
+                                                monkeypatch):
+        # a warm start that fails is rerun all-idle, so the search is the
+        # one every column starts all-idle
+        params = with_overrides(testbench_params, rho=0.5, mu_th=0.72)
+        iterate = optimizer._policy_iteration
+        warm = []
+
+        def idle_start(kernels, rewards, allowed, weights, policy=None):
+            return iterate(kernels, rewards, allowed, weights)
+
+        def failing_warm_start(kernels, rewards, allowed, weights, policy=None):
+            if policy is not None:
+                warm.append(policy)
+                return None
+            return iterate(kernels, rewards, allowed, weights)
+
+        monkeypatch.setattr(optimizer, "_policy_iteration", idle_start)
+        reference = optimize(params, FAST_GRID, "probabilistic")
+        monkeypatch.setattr(optimizer, "_policy_iteration", failing_warm_start)
+        got = optimize(params, FAST_GRID, "probabilistic")
+        assert len(warm) == len(FAST_GRID.tau_values(params)) - 1
+        assert_identical_searches(got, reference)
+
+
 class TestConstrainedRegime:
     """The licensed-user floor slack, binding and out of reach."""
 
@@ -675,10 +737,10 @@ class TestConstrainedRegime:
         screen = optimizer._screen
         taus = FAST_GRID.tau_values(testbench_params)
 
-        def failing_first_column(params, column, scheme):
+        def failing_first_column(params, column, scheme, start):
             if column.quantities.tau == taus[0]:
                 return None
-            return screen(params, column, scheme)
+            return screen(params, column, scheme, start)
 
         monkeypatch.setattr(optimizer, "_screen", failing_first_column)
         solution, records = optimize(testbench_params, FAST_GRID, "probabilistic")
