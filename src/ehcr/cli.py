@@ -87,9 +87,12 @@ def _write_csv(path: str | None, header: Sequence[str],
 
     if path is None or path == "-":
         emit(sys.stdout)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as stream:
             emit(stream)
+    except OSError as exc:
+        raise CliError(f"cannot write output {path!r}: {exc.strerror or exc}") from exc
 
 
 def _checked(params: SystemParams) -> SystemParams:

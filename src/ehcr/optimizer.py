@@ -34,8 +34,10 @@ as failed otherwise.  The LP of a point is the same model with the action
 probabilities replaced by their products with the stationary masses: its
 variables are the occupation vector (pi, pi*alpha, pi*beta1, pi*beta2), in
 which the balance equations, the floor and the objective are linear.  The
-LP only certifies: every point within ``LP_FEASIBILITY_TOL`` of the best is
-solved cold, and only these candidates compete: the maximum objective wins,
+LP only certifies: the points within ``LP_FEASIBILITY_TOL`` of the best are
+solved cold, one solve per distinct LP (at a sensing time that cannot fund
+sensing no LP array depends on the threshold, so all its thresholds share
+one solve), and only these candidates compete: the maximum objective wins,
 ties broken toward the smaller sensing time, then the smaller threshold,
 regardless of evaluation order.  Points equal in value to within solver
 noise are common (whole grids can tie), so the winner is reproducible bit
@@ -48,8 +50,8 @@ bits as the screen's batch) by the worker that solves it.  More than one run
 on a pool with one thread per CPU in the process's affinity mask (the solve
 calls HiGHS's core directly, which releases the GIL for nearly all of it),
 each built and solved alone, so records and winner do not depend on the
-thread count.  A single LP, as in every cell with one best point, is solved
-inline and starts no thread.
+thread count.  A single distinct LP, as in every cell with one best point,
+is solved inline and starts no thread.
 """
 from __future__ import annotations
 
@@ -458,31 +460,50 @@ def _cold_solve(params: SystemParams, scheme: str,
     in input order, and, when optimal, the licensed-user rate of its
     solution (minus the floor row's).
 
-    A single LP is solved inline.  More are solved on ``_WORKERS`` threads,
-    as HiGHS, called without scipy's Python wrapper, releases the GIL for
-    nearly all of each solve; each is built by the worker that takes it up,
-    so at most ``_WORKERS`` are held at once, and solved alone, as in a
-    serial loop, so the results do not depend on the thread count.
+    Each distinct LP is solved once.  At a sensing time whose battery cannot
+    fund sensing (empty ``beta_range``) the LP is the same at every
+    threshold: the detector terms enter only the sense kernel and reward,
+    which :func:`_build_lp` reads only through the ``beta_range`` rows and
+    the ``kb``-long block, both empty, and HiGHS solves equal arrays under
+    equal options to equal bits.  All entries of such a column share one
+    solve; each keeps its own record.  Every other entry is solved on its
+    own.
+
+    A single distinct LP is solved inline.  More are solved on ``_WORKERS``
+    threads, as HiGHS, called without scipy's Python wrapper, releases the
+    GIL for nearly all of each solve; each is built by the worker that takes
+    it up, so at most ``_WORKERS`` are held at once, and solved alone, as in
+    a serial loop, so the results do not depend on the thread count.
     """
-    def solve(entry: tuple[_Column, int]) -> tuple[GridPointStatus, float | None]:
+    def solve(entry: tuple[_Column, int]) -> tuple[str, float | None, float | None]:
         column, k = entry
-        tau, threshold = column.quantities.tau, column.thresholds[k]
         lp = _build_lp(params, column.quantities,
                        *_point_model(params, column, k), scheme)
         try:
             x = solve_lp(*lp)
         except RuntimeError:
-            return GridPointStatus(tau, threshold, "solver_failure"), None
+            return "solver_failure", None, None
         if x is None:
-            return GridPointStatus(tau, threshold, "infeasible"), None
+            return "infeasible", None, None
         objective, _, _, ub_matrix = lp[:4]
-        return (GridPointStatus(tau, threshold, "optimal", float(objective @ x)),
-                float(-ub_matrix[0] @ x))
+        return "optimal", float(objective @ x), float(-ub_matrix[0] @ x)
 
-    if len(entries) <= 1 or _WORKERS == 1:
-        return [solve(entry) for entry in entries]
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        return list(pool.map(solve, entries))
+    # the LP's key: its column alone where that cannot fund sensing
+    keys = [(id(column), k if column.quantities.beta_range else None)
+            for column, k in entries]
+    distinct = dict(zip(keys, entries))
+    if len(distinct) <= 1 or _WORKERS == 1:
+        solved = [solve(entry) for entry in distinct.values()]
+    else:
+        with ThreadPoolExecutor(_WORKERS) as pool:
+            solved = list(pool.map(solve, distinct.values()))
+    results = dict(zip(distinct, solved))
+    records = []
+    for key, (column, k) in zip(keys, entries):
+        status, objective, mu_p = results[key]
+        records.append((GridPointStatus(column.quantities.tau, column.thresholds[k],
+                                        status, objective), mu_p))
+    return records
 
 
 def _optimal_solution(params: SystemParams, scheme: str, column: _Column,

@@ -77,8 +77,8 @@ def detection_avg(cfg: SensingConfig, avg_snr: float) -> float | np.ndarray:
             "averaged detection requires a time-bandwidth product of at "
             f"least 2, got m={cfg.m}"
         )
-    if avg_snr <= 0:
-        raise ValueError(f"avg_snr must be positive, got {avg_snr}")
+    if not 0 < avg_snr < math.inf:
+        raise ValueError(f"avg_snr must be positive and finite, got {avg_snr}")
     threshold = np.asarray(cfg.threshold, dtype=float)
     t = threshold.reshape(-1)  # 1-D even alone: the ufunc loops of a batch
     g = avg_snr

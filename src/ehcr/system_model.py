@@ -53,9 +53,15 @@ class LinkParams:
     distance: float
 
     def __post_init__(self):
-        if not (0 < self.fading_mean < math.inf and 0 < self.distance < math.inf):
+        try:  # the square of a finite distance can underflow or overflow
+            gain = self.mean_gain
+        except (ZeroDivisionError, OverflowError):
+            gain = math.nan
+        if not (0 < self.fading_mean < math.inf and 0 < self.distance < math.inf
+                and 0 < gain < math.inf):
             raise ValueError(
-                f"link parameters must be positive and finite, got fading_mean="
+                f"link parameters and their mean gain fading_mean / distance**2 "
+                f"must be positive and finite, got fading_mean="
                 f"{self.fading_mean}, distance={self.distance}"
             )
 

@@ -7,13 +7,14 @@ evaluation, and one ambient harvest law per search or evaluation.  The
 detector is evaluated once per sensing time, over all its thresholds, and
 once more per evaluation or simulation.  The LP solves of ``optimize`` are
 pinned too: its screen needs none, so only the points within
-``LP_FEASIBILITY_TOL`` of the best are solved.  The simulator draws its
-faithful detections from the noncentral chi-square law, so neither a run nor
-a comparison, in either correlation mode, evaluates Marcum Q.  An evaluation
-solves its chain with one LU solve and no least squares.  Cold solves
-run on worker threads, so the counts are kept under a lock; a cell that
-solves one LP starts no thread, and each LP is built once, by the worker
-that solves it.
+``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP once: the
+thresholds of a sensing time that cannot fund sensing share one LP.  The
+simulator draws its faithful detections from the noncentral chi-square law,
+so neither a run nor a comparison, in either correlation mode, evaluates
+Marcum Q.  An evaluation solves its chain with one LU solve and no least
+squares.  Cold solves run on worker threads, so the counts are kept under a lock; a cell that
+solves one distinct LP starts no thread, and each LP is built once, by the
+worker that solves it.
 """
 import collections
 import contextlib
@@ -77,13 +78,20 @@ def calls(monkeypatch, setting):
 
 def test_optimize_builds_each_column_once(calls, setting):
     params, _ = setting
+    taus = FAST_GRID.tau_values(params)  # 4 sensing times, all usable
+    # at rho 0.5 every FAST_GRID point ties, so each distinct LP is solved
+    # cold: each point of a column that can fund sensing, and one LP for
+    # each column that cannot (6 and 8 ms); the cold solves read the
+    # detector off their column
+    distinct = sum(6 if system_model.derive(params, tau).beta_range else 1
+                   for tau in taus)
+    assert distinct == 14
+    calls.clear()
     optimize(params, FAST_GRID, "probabilistic")
-    n_tau = len(FAST_GRID.tau_values(params))  # 4 sensing times, all usable
-    # at rho 0.5 every FAST_GRID point ties, so each is solved cold; the
-    # cold solves read the detector off their column
+    n_tau = len(taus)
     assert calls == {"derive": n_tau + 1, "bundle": n_tau + 1,
                      "harvest_blocks": n_tau + 1, "nature_distribution": 2,
-                     "solve_lp": n_tau * 6, "detection_avg": n_tau + 1,
+                     "solve_lp": distinct, "detection_avg": n_tau + 1,
                      "false_alarm": n_tau + 1}
 
 
@@ -91,7 +99,7 @@ def test_optimize_builds_each_column_once(calls, setting):
     (TIE_GRID, 0.5, 0.65, 1),   # slack floor, one point wins outright
     (TIE_GRID, 0.5, 0.72, 1),   # the floor binds at the winner
     (TIE_GRID, 0.5, 0.99, 0),   # no point is feasible
-    (FAST_GRID, 0.1, 0.65, 24),  # all points tie: one cold solve each
+    (FAST_GRID, 0.1, 0.65, 14),  # all points tie: one solve per distinct LP
 ])
 def test_optimize_solves_only_near_best_points(calls, testbench_params, grid,
                                                rho, mu_th, solves):
@@ -124,12 +132,14 @@ def test_untied_cell_starts_no_thread(calls, pools, testbench_params):
     assert pools == []
 
 
-def test_tied_cell_solves_each_point_once_on_threads(calls, pools,
-                                                     testbench_params):
+def test_tied_cell_solves_each_distinct_lp_once_on_threads(calls, pools,
+                                                           testbench_params):
+    # 12 points at the two sensing times that can fund sensing, and one LP
+    # for the 6 thresholds of each of the two that cannot
     params = with_overrides(testbench_params, rho=0.1)
     _, records = optimize(params, FAST_GRID, "probabilistic")
     assert len(records) == 24
-    assert calls["solve_lp"] == 24
+    assert calls["solve_lp"] == 14
     assert pools == [(2,)]
 
 
@@ -145,7 +155,7 @@ def test_tied_cell_builds_one_lp_per_solve(calls, pools, monkeypatch,
     monkeypatch.setattr(optimizer, "_build_lp", counted)
     optimize(with_overrides(testbench_params, rho=0.1), FAST_GRID,
              "probabilistic")
-    assert len(built) == calls["solve_lp"] == 24
+    assert len(built) == calls["solve_lp"] == 14
     assert pools == [(2,)]
 
 

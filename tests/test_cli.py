@@ -176,6 +176,31 @@ class TestBadInputsExitOne:
                      "--policy", str(policy_file)]) == 1
         assert f"{key} must be an integer" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("target, message", [
+        ("missing/result.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_output(self, fast_config, policy_file, tmp_path,
+                               capsys, target, message):
+        # used to end in a FileNotFoundError or IsADirectoryError traceback
+        # after the whole run
+        out = tmp_path / target
+        assert main(["simulate", "--config", str(fast_config),
+                     "--policy", str(policy_file), "--slots", "100",
+                     "--out", str(out)]) == 1
+        err = self.one_line_error(capsys)
+        assert f"cannot write output {str(out)!r}: {message}" in err
+
+    @pytest.mark.parametrize("link, distance", [("p", 1e-200), ("pst", 1e200)])
+    def test_link_mean_gain_out_of_range(self, fast_config, capsys, link,
+                                         distance):
+        # the squared distance underflowed or overflowed inside the search
+        doc = json.loads(fast_config.read_text())
+        doc["links"][link]["distance"] = distance
+        fast_config.write_text(json.dumps(doc))
+        assert main(["optimize", "--config", str(fast_config)]) == 1
+        assert "mean gain" in self.one_line_error(capsys)
+
     def test_chain_without_harvest(self, fast_config, policy_file, capsys):
         # no licensed activity and no ambient source: nothing is harvested,
         # so every battery level is absorbing and no stationary law is unique

@@ -394,7 +394,8 @@ class TestColdSolves:
                 records = _cold_solve(params, scheme, [(column, k) for k in ks])
             assert [(r.tau, r.threshold) for r, _ in records] == \
                 [(tau, column.thresholds[k]) for k in ks]
-            assert len(built) == len(ks)
+            # a column that cannot fund sensing has one LP for all thresholds
+            assert len(built) == (len(ks) if column.quantities.beta_range else 1)
             for k in ks:  # the workers may take the entries in any order
                 want = point_lp(params, column, k, scheme)
                 assert any(len(lp) == len(want) == 6 and all(
@@ -404,7 +405,8 @@ class TestColdSolves:
     def test_threaded_results_keep_entry_order(self, testbench_params,
                                                monkeypatch):
         # the earlier an LP is taken up, the longer its solve sleeps, so the
-        # workers finish out of order; the records must not follow them
+        # workers finish out of order; the records must not follow them.
+        # All 24 points tie, in 14 distinct LPs.
         params = with_overrides(testbench_params, rho=0.1)
         serial = search_with_workers(params, FAST_GRID, 1)
         lock, started = threading.Lock(), []
@@ -412,14 +414,102 @@ class TestColdSolves:
         def slow_early(*lp):
             with lock:
                 started.append(1)
-                delay = max(0.0, 0.005 * (24 - len(started)))
+                delay = max(0.0, 0.005 * (14 - len(started)))
             time.sleep(delay)
             return solve_lp(*lp)
 
         monkeypatch.setattr(optimizer, "solve_lp", slow_early)
         threaded = search_with_workers(params, FAST_GRID, 2)
-        assert len(started) == 24
+        assert len(started) == 14
         assert_identical_searches(threaded, serial)
+
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           lambda_e=st.floats(20.0, 400.0),
+           scheme=st.sampled_from(optimizer.SCHEMES))
+    @settings(max_examples=10)
+    def test_non_sensing_column_has_one_lp(self, testbench_params, rho, mu_th,
+                                           lambda_e, scheme):
+        # why a column that cannot fund sensing shares one cold solve: its
+        # thresholds differ in the detector terms, but no LP array does
+        params = with_overrides(testbench_params, rho=rho, mu_th=mu_th,
+                                lambda_e=lambda_e)
+        non_sensing = 0
+        for tau in FAST_GRID.tau_values(params):
+            column = column_at(params, tau, FAST_GRID)
+            if column.quantities.beta_range:
+                continue
+            non_sensing += 1
+            assert len(set(column.p_d.tolist())) == len(column.thresholds)
+            first = point_lp(params, column, 0, scheme)
+            for k in range(1, len(column.thresholds)):
+                for got, want in zip(point_lp(params, column, k, scheme), first,
+                                     strict=True):
+                    assert np.array_equal(got, want)
+        assert non_sensing == 2  # 6 and 8 ms
+
+    def test_mixed_entries_share_only_the_non_sensing_solve(
+            self, testbench_params, monkeypatch):
+        # one call with the thresholds of a sensing and a non-sensing column
+        # in shuffled order: one solve for the latter, one per entry of the
+        # former, and each record the one its entry gets alone
+        params = with_overrides(testbench_params, rho=0.1)
+        sensing, blind = (column_at(params, tau, FAST_GRID)
+                          for tau in (2e-3, 8e-3))
+        assert sensing.quantities.beta_range and not blind.quantities.beta_range
+        entries = [(column, k) for column in (sensing, blind)
+                   for k in range(len(column.thresholds))]
+        random.Random(7).shuffle(entries)
+        alone = [_cold_solve(params, "probabilistic", [entry])[0]
+                 for entry in entries]
+        lock, solves = threading.Lock(), []
+
+        def counted(*lp):
+            with lock:
+                solves.append(1)
+            return solve_lp(*lp)
+
+        monkeypatch.setattr(optimizer, "_WORKERS", 2)
+        monkeypatch.setattr(optimizer, "solve_lp", counted)
+        records = _cold_solve(params, "probabilistic", entries)
+        assert len(solves) == 1 + len(sensing.thresholds)
+        assert [(r.tau, r.threshold) for r, _ in records] == \
+            [(column.quantities.tau, column.thresholds[k])
+             for column, k in entries]
+        assert all(r.status == "optimal" for r, _ in records)
+        assert records == alone
+
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           lambda_e=st.floats(20.0, 400.0))
+    @settings(max_examples=10, deadline=None)
+    def test_search_equals_point_by_point_oracle(self, testbench_params, rho,
+                                                 mu_th, lambda_e):
+        # reference_search solves every point's LP on its own: each record
+        # optimize solved cold is the oracle's, and the winners agree
+        params = with_overrides(testbench_params, rho=rho, mu_th=mu_th,
+                                lambda_e=lambda_e)
+        cold_solve, cold = optimizer._cold_solve, []
+
+        def capture(*args):
+            solved = cold_solve(*args)
+            cold.extend(record for record, _ in solved)
+            return solved
+
+        with mock.patch.object(optimizer, "_cold_solve", capture):
+            solution, records = search_with_workers(params, FAST_GRID, 2)
+        try:
+            reference, reference_records = reference_search(
+                params, FAST_GRID, "probabilistic")
+        except InfeasibleGridError as exc:
+            reference, reference_records = None, exc.records
+        oracle = {(r.tau, r.threshold): r for r in reference_records}
+        assert all(record == oracle[record.tau, record.threshold]
+                   for record in cold)
+        assert (solution is None) == (reference is None)
+        if solution is None:
+            assert records == reference_records
+            return
+        assert solution.lp_mu_p == reference.lp_mu_p
+        assert_same_search(solution, records, reference, reference_records)
 
     @pytest.mark.parametrize("grid, rho, mu_th", [
         (FAST_GRID, 0.1, 0.65),  # every point ties: all solved cold

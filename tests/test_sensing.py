@@ -77,6 +77,13 @@ class TestDetectionAvg:
         with pytest.raises(ConfigurationError):
             detection_avg(cfg(1, 2.0), 5.0)
 
+    @pytest.mark.parametrize("avg_snr", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_snr_rejected(self, avg_snr):
+        # NaN and inf used to pass the sign check and fail in the gamma tail,
+        # with a message about its argument x
+        with pytest.raises(ValueError, match="avg_snr must be positive and finite"):
+            detection_avg(cfg(4, 2.0), avg_snr)
+
     def test_vanishing_threshold_certain(self):
         assert detection_avg(cfg(4, 1e-12), 3.0) == pytest.approx(1.0, abs=1e-9)
 

@@ -130,6 +130,15 @@ class TestConfigIO:
             with pytest.raises(ValueError, match="finite"):
                 LinkParams(fading_mean=0.8, distance=bad)
 
+    @pytest.mark.parametrize("distance", [1e-200, 1e200])
+    def test_link_mean_gain_out_of_range_rejected(self, distance):
+        # the square underflows to 0 (ZeroDivisionError) or overflows
+        # (OverflowError) deep inside the search; the link rejects it
+        with pytest.raises(ValueError, match="mean gain") as err:
+            LinkParams(fading_mean=0.8, distance=distance)
+        assert "fading_mean=0.8" in str(err.value)
+        assert f"distance={distance}" in str(err.value)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
     def test_non_integral_battery_rejected(self, testbench_params, value):
         doc = params_to_dict(testbench_params)
