@@ -111,14 +111,7 @@ class Policy:
     @classmethod
     def idle(cls, params: SystemParams, tau: float, threshold: float) -> "Policy":
         """The never-act policy of the right shape for ``params``."""
-        alpha_range, beta_range = action_ranges(params, tau)
-        return cls(
-            alpha=np.zeros(len(alpha_range)),
-            beta1=np.zeros(len(beta_range)),
-            beta2=np.zeros(len(beta_range)),
-            tau=tau,
-            threshold=threshold,
-        )
+        return cls.constant(params, tau, threshold, 0.0, 0.0, 0.0)
 
     @classmethod
     def constant(cls, params: SystemParams, tau: float, threshold: float,

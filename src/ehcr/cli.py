@@ -8,8 +8,10 @@ UTF-8 CSV with a header row and nine significant digits; identical inputs
 and seeds produce byte-identical output.
 
 Exit codes: 0 success, 1 usage or configuration error (a battery chain
-with no unique stationary law included), 2 infeasible optimization, 3
-validation flags raised.
+with no unique stationary law included) or out of memory, each with one
+``error:`` line on stderr, 2 infeasible optimization, 3 validation flags
+raised.  A reader that closes standard output early also gives 1, with
+nothing on stderr.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -371,7 +374,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit stays quiet too (the recipe of the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except (CliError, AmbiguousChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -63,10 +63,6 @@ class HarvestPmf:
         tail = 1.0 - np.concatenate(([0.0], np.cumsum(self.masses)))
         return np.append(np.clip(tail, 0.0, 1.0), 0.0)
 
-    @property
-    def support_size(self) -> int:
-        return int(self.masses.size)
-
     def tail_at_least(self, count: int | np.ndarray) -> float | np.ndarray:
         """Pr{arrivals >= count}, elementwise over an integer array.
 
@@ -74,10 +70,6 @@ class HarvestPmf:
         """
         return self._ccdf[np.clip(count, 0, self._ccdf.size - 1)]
 
-
-# ---------------------------------------------------------------------------
-# scalar laws (exact, no truncation)
-# ---------------------------------------------------------------------------
 
 def _ambient_mean(lambda_e: float, T: float) -> float:
     """Mean ambient packets per slot, ``lambda_e * T``, after the domain
@@ -89,34 +81,10 @@ def _ambient_mean(lambda_e: float, T: float) -> float:
     return lambda_e * T
 
 
-def nature_pmf(lambda_e: float, T: float, n: int) -> float:
-    """Poisson(lambda_e * T) mass at n; zero for negative counts."""
-    mean = _ambient_mean(lambda_e, T)
-    if n < 0:
-        return 0.0
-    if mean == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(mean) - math.lgamma(n + 1) - mean)
-
-
 def _rf_packet_scale(params: SystemParams) -> float:
     """Mean of the exponential energy variable, in packets."""
     return params.sigma_pst * params.eta * params.P_p * params.T / params.E_u
 
-
-def rf_pmf(params: SystemParams, r: int) -> float:
-    """Mass of the quantized RF harvest at r packets."""
-    if r < 0:
-        return 0.0
-    scale = _rf_packet_scale(params)
-    if scale == 0.0:
-        return 1.0 if r == 0 else 0.0
-    return math.exp(-r / scale) - math.exp(-(r + 1) / scale)
-
-
-# ---------------------------------------------------------------------------
-# truncated array forms
-# ---------------------------------------------------------------------------
 
 def _truncate_and_fold(masses: np.ndarray, cap: int) -> np.ndarray:
     """Cut the support at the truncation rule and fold the remainder on top."""
@@ -130,8 +98,9 @@ def _truncate_and_fold(masses: np.ndarray, cap: int) -> np.ndarray:
 
 
 def nature_distribution(params: SystemParams) -> HarvestPmf:
-    """Truncated ambient arrival distribution: the masses of
-    :func:`nature_pmf`, bit for bit, with the log-mean taken once."""
+    """Truncated ambient arrival distribution: the Poisson masses of the
+    scalar law ``nature_pmf`` of ``tests/helpers.py``, bit for bit, with
+    the log-mean taken once."""
     cap = SUPPORT_CAP_FACTOR * params.N_max
     mean = _ambient_mean(params.lambda_e, params.T)
     if mean == 0.0:
@@ -145,8 +114,9 @@ def nature_distribution(params: SystemParams) -> HarvestPmf:
 
 
 def rf_distribution(params: SystemParams) -> HarvestPmf:
-    """Truncated RF arrival distribution (active-slot law): the masses of
-    :func:`rf_pmf`, bit for bit, as differences of one survival list."""
+    """Truncated RF arrival distribution (active-slot law): the staircase
+    masses of the scalar law ``rf_pmf`` of ``tests/helpers.py``, bit for
+    bit, as differences of one survival list."""
     cap = SUPPORT_CAP_FACTOR * params.N_max
     scale = _rf_packet_scale(params)
     if scale == 0.0:

@@ -126,7 +126,8 @@ class GridSpec:
             raise ValueError(f"lambda_count must be an integer >= 1, got {self.lambda_count!r}")
 
     def tau_values(self, params: SystemParams) -> tuple[float, ...]:
-        """Multiples of tau_min up to T - tau_min, each with integral tau*W."""
+        """Multiples of tau_min up to T - tau_min, each with a positive
+        integral tau*W."""
         if self.tau_min >= params.T:
             raise ValueError(
                 f"tau_min {self.tau_min} leaves no admissible sensing time "
@@ -138,10 +139,11 @@ class GridSpec:
             tau = k * self.tau_min
             if tau > params.T - self.tau_min + 1e-15 * params.T:
                 break
-            if snap_to_int(tau * params.W) is None:
+            m = snap_to_int(tau * params.W)
+            if m is None or m < 1:
                 raise ValueError(
-                    f"grid sensing time {tau} gives non-integral tau*W = "
-                    f"{tau * params.W!r}"
+                    f"grid sensing time {tau} gives tau*W = "
+                    f"{tau * params.W!r}, not a positive integer"
                 )
             values.append(tau)
             k += 1
@@ -171,7 +173,6 @@ class OptimalSolution:
 
     policy: Policy
     report: PerformanceReport
-    scheme: str
     lp_objective: float
     lp_mu_p: float
 
@@ -277,8 +278,7 @@ def _column(params: SystemParams, quantities: DerivedQuantities,
             harvest: tuple, thresholds: tuple[float, ...]) -> _Column:
     """The column of a sensing time: its outages and kernel blocks, and one
     detector evaluation over all its thresholds."""
-    cfg = sensing.SensingConfig(quantities.tau, np.asarray(thresholds, dtype=float),
-                                quantities.m)
+    cfg = sensing.SensingConfig(np.asarray(thresholds, dtype=float), quantities.m)
     return _Column(quantities, bundle(params, quantities),
                    harvest_blocks(params, quantities, *harvest), thresholds,
                    sensing.detection_avg(cfg, quantities.gamma_bar),
@@ -506,8 +506,8 @@ def _cold_solve(params: SystemParams, scheme: str,
     return records
 
 
-def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
-                      k: int, lp_objective: float, lp_mu_p: float,
+def _optimal_solution(params: SystemParams, column: _Column, k: int,
+                      lp_objective: float, lp_mu_p: float,
                       low: np.ndarray, high: np.ndarray, share: float
                       ) -> OptimalSolution:
     """The winner at the k-th threshold of a column: the screen's policy,
@@ -536,7 +536,6 @@ def _optimal_solution(params: SystemParams, scheme: str, column: _Column,
     return OptimalSolution(
         policy=policy,
         report=evaluate(params, policy),
-        scheme=scheme,
         lp_objective=lp_objective,
         lp_mu_p=lp_mu_p,
     )
@@ -618,4 +617,4 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))
-    return _optimal_solution(params, scheme, *winner), tuple(records)
+    return _optimal_solution(params, *winner), tuple(records)

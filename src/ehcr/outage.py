@@ -30,12 +30,22 @@ class OutageBundle:
     su_no_outage_sp: float      # SU post-sensing burst under PU interference
 
 
+def sinr_demand(rate: float) -> float:
+    """SINR ``2^rate - 1`` needed to carry ``rate`` bits/s/Hz; inf where it
+    passes the float range."""
+    try:
+        return 2.0**rate - 1.0
+    except OverflowError:
+        return math.inf
+
+
 def no_outage_direct(rate: float, tx_power: float, link_gain: float,
                      noise_power: float) -> float:
     """Success probability of a solitary Rayleigh-faded link.
 
     ``exp(-(2^rate - 1) * noise / (power * gain))``; decreasing in the rate,
-    increasing in the received power.  Zero noise is the noiseless limit 1.
+    increasing in the received power.  Zero noise is the noiseless limit 1,
+    and a demand ``2^rate - 1`` past the float range the limit 0.
     """
     if rate <= 0 or tx_power <= 0 or link_gain <= 0:
         raise ValueError(
@@ -44,8 +54,9 @@ def no_outage_direct(rate: float, tx_power: float, link_gain: float,
         )
     if noise_power < 0:
         raise ValueError(f"noise_power must be nonnegative, got {noise_power}")
-    snr_demand = (2.0**rate - 1.0) * noise_power
-    return math.exp(-snr_demand / (tx_power * link_gain))
+    if noise_power == 0.0:
+        return 1.0
+    return math.exp(-sinr_demand(rate) * noise_power / (tx_power * link_gain))
 
 
 def no_outage_interfered(rate: float, desired_power: float, desired_gain: float,
@@ -64,7 +75,8 @@ def no_outage_interfered(rate: float, desired_power: float, desired_gain: float,
         )
     clear = no_outage_direct(rate, desired_power, desired_gain, noise_power)
     desired = desired_power * desired_gain
-    interference = interferer_power * interferer_gain * (2.0**rate - 1.0)
+    interference = (interferer_power * interferer_gain * sinr_demand(rate)
+                    if interferer_power > 0 else 0.0)
     return clear * desired / (desired + interference)
 
 

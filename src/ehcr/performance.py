@@ -77,7 +77,7 @@ def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:
     its sensing time once, for everything else to build on.
     """
     quantities = policy.validate_against(params)
-    cfg = sensing.SensingConfig(policy.tau, policy.threshold, quantities.m)
+    cfg = sensing.SensingConfig(policy.threshold, quantities.m)
     if cfg.m >= 2 or np.any(policy.beta2 > 0):
         # the second arm lets the averaged detector raise its own
         # unsupported-configuration error for a sensing policy at m = 1

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp1f1
 
 from .numerics import (
     marcum_q,
@@ -27,9 +28,8 @@ from .system_model import ConfigurationError
 
 @dataclass(frozen=True)
 class SensingConfig:
-    """Sensing time, detection threshold(s), and the integral sample count."""
+    """Detection threshold(s) and the integral sample count ``m = tau * W``."""
 
-    tau: float
     #: one threshold, or a 1-D array of thresholds evaluated together
     threshold: float | np.ndarray
     m: int
@@ -69,8 +69,16 @@ def detection_avg(cfg: SensingConfig, avg_snr: float) -> float | np.ndarray:
     the partial exponential sum of order m-2.  The bracket is regrouped here
     as exp(-t/(2(1+g))) times a regularized lower gamma ratio, which is the
     same quantity without subtractive cancellation, and the prefactor is
-    applied in log space so small g cannot overflow.  One value per
-    threshold of ``cfg``.
+    applied in log space so small g cannot overflow.  Where that log form
+    is not finite (the lower ratio underflows, or (1+g)/g overflows at a
+    subnormal g) the second term is evaluated as the equal product
+
+        exp(-t/2) (t/2)^(m-1) / (m-1)!  *  M(1, m, t*g/(2(1+g)))
+
+    with Kummer's function M, the Poisson mass taken as U(m, t/2) -
+    U(m-1, t/2), so every positive finite g gives a finite value, which
+    tends to the false-alarm probability U(m, t/2) as g -> 0.  One value
+    per threshold of ``cfg``.
     """
     if cfg.m < 2:
         raise ConfigurationError(
@@ -83,9 +91,25 @@ def detection_avg(cfg: SensingConfig, avg_snr: float) -> float | np.ndarray:
     t = threshold.reshape(-1)  # 1-D even alone: the ufunc loops of a batch
     g = avg_snr
     first = regularized_upper_gamma_int(cfg.m - 1, t / 2.0)
-    lower = regularized_lower_gamma_int(cfg.m - 1, t * g / (2.0 * (1.0 + g)))
-    with np.errstate(divide="ignore"):  # lower = 0 leaves just the first term
+    # log(0), inf - inf and t*g past the float range are the failures the
+    # fallbacks below repair
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = t * g / (2.0 * (1.0 + g))
+        y = np.where(np.isfinite(y), y, t / 2.0 * (g / (1.0 + g)))
+        lower = regularized_lower_gamma_int(cfg.m - 1, y)
         log_second = ((cfg.m - 1) * math.log((1.0 + g) / g)
                       - t / (2.0 * (1.0 + g)) + np.log(lower))
-    p_d = np.minimum(first + np.exp(log_second), 1.0)
+        p_d = first + np.exp(log_second)
+        lost = ~np.isfinite(log_second)
+        if lost.any():
+            # the Poisson mass of m - 1 at t/2 is U(m, t/2) - U(m-1, t/2)
+            mass = np.maximum(regularized_upper_gamma_int(cfg.m, t[lost] / 2.0)
+                              - first[lost], 0.0)
+            # scipy's M is NaN at some orders past 1e20, where its
+            # large-order limit 1 / (1 - y/m) stands in
+            m, y = float(cfg.m), y[lost]
+            kummer = hyp1f1(1.0, m, y)
+            kummer = np.where(np.isfinite(kummer), kummer, m / (m - y))
+            p_d[lost] = first[lost] + mass * kummer
+    p_d = np.minimum(p_d, 1.0)
     return p_d if threshold.ndim else float(p_d[0])

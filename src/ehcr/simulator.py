@@ -40,6 +40,7 @@ from scipy.special import chndtr
 
 from . import sensing
 from .chain import Policy
+from .outage import sinr_demand
 from .performance import PerformanceReport, evaluate
 from .system_model import SystemParams
 
@@ -194,7 +195,7 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
     sense_at = blind_at + sense_prob
     uses_sensing = bool(np.any(policy.beta2 > 0))
     decorrelated = sim.correlation_mode == "decorrelated"
-    cfg = sensing.SensingConfig(policy.tau, policy.threshold, quantities.m)
+    cfg = sensing.SensingConfig(policy.threshold, quantities.m)
 
     n_slots = sim.slots
     streams = {
@@ -247,8 +248,8 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
     su_tx = blind | sense_tx
     su_power = np.where(blind, params.E_t / params.T,
                         np.where(sense_tx, params.E_t / (params.T - policy.tau), 0.0))
-    su_demand = np.where(blind, 2.0**quantities.r_s_blind - 1.0,
-                         2.0**quantities.r_s_sense - 1.0)
+    su_demand = np.where(blind, sinr_demand(quantities.r_s_blind),
+                         sinr_demand(quantities.r_s_sense))
     # outcome gains are drawn only now, one at a time, to keep them out of
     # memory during the loop; named substreams make the draw order irrelevant
     su_interference = np.where(pu_active, params.P_p * gains("ps"), 0.0)
@@ -256,7 +257,7 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
         su_power * gains("s") / (params.sigma_n2 + su_interference) > su_demand)
     pu_interference = su_power * gains("sp")  # zero while the secondary is silent
     pu_success = (params.P_p * gains("p") / (params.sigma_n2 + pu_interference)
-                  > 2.0**quantities.r_p - 1.0)[pu_active]
+                  > sinr_demand(quantities.r_p))[pu_active]
 
     histogram = np.bincount(level_series, minlength=params.n_states)
     blind_count = int(np.count_nonzero(blind))

@@ -147,7 +147,7 @@ class DerivedQuantities:
 
     tau: float
     n_t: int         # packets per transmission
-    n_s: int         # packets per sensing operation
+    n_s: int         # packets per sensing operation, n_states if beyond the battery
     m: int           # time-bandwidth product of the energy detector
     r_p: float       # PU spectral efficiency, bits/s/Hz
     r_s_blind: float  # SU spectral efficiency when skipping sensing
@@ -157,6 +157,11 @@ class DerivedQuantities:
     beta_range: range   # levels that may also sense; empty if unaffordable
 
 
+def _mean_sensing_snr(params: SystemParams) -> float:
+    """Average SNR of the licensed signal at the secondary's detector."""
+    return params.P_p * params.sigma_pst / params.sigma_n2
+
+
 def derive(params: SystemParams, tau: float) -> DerivedQuantities:
     """Derive the integer packet costs and rates for sensing time ``tau``.
 
@@ -164,7 +169,8 @@ def derive(params: SystemParams, tau: float) -> DerivedQuantities:
     time-bandwidth product.  The sample count is rounded to the nearest
     integer when ``f_s * tau`` is not integral.  A battery too small to ever
     fund sense-then-transmit is no error: ``beta_range`` is then empty and
-    every acting level is blind-only.
+    every acting level is blind-only.  A sensing cost beyond the battery,
+    however large, is recorded as ``n_states`` packets, which no level holds.
     """
     if not 0 < tau < params.T:
         raise ValueError(f"tau must lie in (0, T={params.T}), got {tau}")
@@ -177,7 +183,8 @@ def derive(params: SystemParams, tau: float) -> DerivedQuantities:
     if n_samples is None:
         n_samples = round(params.f_s * tau)
     sensing_energy = n_samples * params.e_proc
-    n_s = fuzzy_ceil(sensing_energy / params.E_u) if sensing_energy > 0 else 0
+    n_s = (fuzzy_ceil(min(sensing_energy / params.E_u, params.n_states))
+           if sensing_energy > 0 else 0)
     n_t = params.n_t
     transmit_time = params.T - tau
     split = min(n_t + n_s, params.n_states)
@@ -189,7 +196,7 @@ def derive(params: SystemParams, tau: float) -> DerivedQuantities:
         r_p=params.b_p / (params.T * params.W),
         r_s_blind=params.b_s / (params.T * params.W),
         r_s_sense=params.b_s / (transmit_time * params.W),
-        gamma_bar=params.P_p * params.sigma_pst / params.sigma_n2,
+        gamma_bar=_mean_sensing_snr(params),
         alpha_range=range(n_t, split),
         beta_range=range(split, params.n_states),
     )
@@ -216,12 +223,22 @@ def validate(params: SystemParams) -> list[str]:
         violations.append(f"eta out of [0,1]: {params.eta}")
     if params.N_max < 1:
         violations.append(f"N_max must be at least 1, got {params.N_max}")
-    elif (0 < params.E_t < math.inf and 0 < params.E_u < math.inf
-          and params.N_max < params.n_t):
-        violations.append(
-            f"battery smaller than one transmission: N_max={params.N_max} "
-            f"< n_t={params.n_t}"
-        )
+    # each ratio is checked where its factors are admissible
+    if 0 < params.E_t < math.inf and 0 < params.E_u < math.inf:
+        if params.E_t / params.E_u == math.inf:
+            violations.append(f"E_t / E_u must be finite, got E_t={params.E_t}, "
+                              f"E_u={params.E_u}")
+        elif 1 <= params.N_max < params.n_t:
+            violations.append(
+                f"battery smaller than one transmission: N_max={params.N_max} "
+                f"< n_t={params.n_t}"
+            )
+    if 0 < params.P_p < math.inf and 0 < params.sigma_n2 < math.inf:
+        snr = _mean_sensing_snr(params)
+        if not 0 < snr < math.inf:
+            violations.append(
+                f"mean sensing SNR P_p * sigma_pst / sigma_n2 must be positive "
+                f"and finite, got {snr}")
     return violations
 
 

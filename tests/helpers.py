@@ -21,7 +21,7 @@ from ehcr.chain import (
     stationary_distribution,
     transition_components,
 )
-from ehcr.harvesting import HarvestPmf, _rf_packet_scale, nature_pmf, rf_pmf
+from ehcr.harvesting import HarvestPmf, _ambient_mean, _rf_packet_scale
 from ehcr.numerics import (
     MARCUM_MAX_TERMS,
     MarcumConvergenceError,
@@ -99,7 +99,7 @@ def sensing_config(params: SystemParams, tau: float,
     """The :class:`~ehcr.sensing.SensingConfig` of ``tau`` and ``threshold``,
     its time-bandwidth product derived from ``params``."""
     m = derive(params, tau).m
-    return sensing.SensingConfig(tau=tau, threshold=threshold, m=m)
+    return sensing.SensingConfig(threshold=threshold, m=m)
 
 
 def outages_at(params: SystemParams, tau: float) -> OutageBundle:
@@ -324,10 +324,31 @@ def reference_shifted_rows(dist: HarvestPmf, consumption: int,
     return block
 
 
-# Scalar harvest laws only the tests read: the exact (untruncated) combined
-# law and the tails of all three laws.
+# Scalar harvest laws only the tests read: the exact (untruncated) ambient,
+# RF and combined laws, whose masses the truncated arrays of
+# ``ehcr.harvesting`` reproduce, and the tails of all three laws.
 
 _KINDS = ("nature", "rf", "combined")
+
+
+def nature_pmf(lambda_e: float, T: float, n: int) -> float:
+    """Poisson(lambda_e * T) mass at n; zero for negative counts."""
+    mean = _ambient_mean(lambda_e, T)
+    if n < 0:
+        return 0.0
+    if mean == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return math.exp(n * math.log(mean) - math.lgamma(n + 1) - mean)
+
+
+def rf_pmf(params: SystemParams, r: int) -> float:
+    """Mass of the quantized RF harvest at r packets."""
+    if r < 0:
+        return 0.0
+    scale = _rf_packet_scale(params)
+    if scale == 0.0:
+        return 1.0 if r == 0 else 0.0
+    return math.exp(-r / scale) - math.exp(-(r + 1) / scale)
 
 
 def _rf_tail(params: SystemParams, r: int) -> float:
@@ -599,7 +620,7 @@ def reference_column_mdp(params: SystemParams, column: optimizer._Column,
     n = params.n_states
     kernels, rewards = [], []
     for threshold in column.thresholds:
-        cfg = sensing.SensingConfig(q.tau, threshold, q.m)
+        cfg = sensing.SensingConfig(threshold, q.m)
         p_d = sensing.detection_avg(cfg, q.gamma_bar)
         p_f = sensing.false_alarm(cfg)
         kernels.append(transition_components(params, column.blocks, p_d, p_f))
@@ -679,9 +700,9 @@ class PointGrid:
         return (self.threshold,)
 
 
-def reference_lp_solution(params: SystemParams, scheme: str,
-                          lp: tuple[np.ndarray, ...], column: optimizer._Column,
-                          k: int, x: np.ndarray) -> OptimalSolution:
+def reference_lp_solution(params: SystemParams, lp: tuple[np.ndarray, ...],
+                          column: optimizer._Column, k: int,
+                          x: np.ndarray) -> OptimalSolution:
     """An optimal answer ``x`` of the LP arrays ``lp`` at the k-th threshold
     of a column, as the optimizer reports a winner: the policy recovered
     from the occupation vector level by level, its evaluation, and the LP's
@@ -695,7 +716,7 @@ def reference_lp_solution(params: SystemParams, scheme: str,
                     beta2=reference_recover(pi, beta2, q.beta_range),
                     tau=q.tau, threshold=column.thresholds[k])
     return OptimalSolution(policy=policy, report=evaluate(params, policy),
-                           scheme=scheme, lp_objective=float(objective @ x),
+                           lp_objective=float(objective @ x),
                            lp_mu_p=float(-ub_matrix[0] @ x))
 
 
@@ -734,7 +755,7 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))
-    return reference_lp_solution(params, scheme, *winner), tuple(records)
+    return reference_lp_solution(params, *winner), tuple(records)
 
 
 # The hand-written special functions that ``ehcr.numerics`` replaced by

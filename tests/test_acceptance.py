@@ -79,8 +79,7 @@ def test_criterion_1_special_function_oracles():
         gamma_bar_grid = (0.5, 5.0, 4.0 * (0.8 / 9.0) / 0.02)
         for m in (2, 3, 5, 10):
             for threshold in (0.5, 2.0, 8.0, 30.0):
-                cfg = sensing.SensingConfig(tau=m * 5e-5, threshold=threshold,
-                                            m=m)
+                cfg = sensing.SensingConfig(threshold=threshold, m=m)
                 for gamma_bar in gamma_bar_grid:
                     closed = sensing.detection_avg(cfg, gamma_bar)
                     oracle = detection_avg_quadrature(m, threshold, gamma_bar)

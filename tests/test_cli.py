@@ -380,10 +380,16 @@ class TestInvalidConfigValues:
         ("lambda_e", math.inf, "lambda_e must be finite"),
         ("sigma_n2", math.inf, "sigma_n2 must be finite"),
         ("E_u", math.inf, "E_u must be finite"),
+        ("E_u", 1e-320, "E_t / E_u must be finite"),
+        ("P_p", 1e308, "mean sensing SNR"),
+        ("sigma_n2", 1e-320, "mean sensing SNR"),
+        ("W", 1e-320, "invalid grid"),
     ])
     def test_reported_cases(self, fast_config, key, value, message):
         # NaN power used to hang the search, the infinities to end in a
-        # traceback or a result computed from n_t = 0
+        # traceback or a result computed from n_t = 0; the finite extremes
+        # overflowed n_t, the mean sensing SNR or snapped tau*W to 0, each
+        # ending in a traceback
         doc = json.loads(fast_config.read_text())
         doc[key] = value
         fast_config.write_text(json.dumps(doc))
@@ -392,6 +398,87 @@ class TestInvalidConfigValues:
                                               str(fast_config)])
         assert code == 1 and out == ""
         assert message in err and len(err.strip().splitlines()) == 1, err
+
+
+class TestExtremeConfigValues:
+    """Finite but extreme constants the model admits: each command exits
+    with its documented code and at most one stderr line; each case used to
+    end in a traceback."""
+
+    @staticmethod
+    def override(config, overrides):
+        doc = json.loads(config.read_text())
+        doc.update(overrides)
+        config.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("overrides, code", [
+        ({"b_p": 1e8}, 2),  # no licensed-user success: the floor is out of reach
+        ({"P_p": 1e-320}, 2),
+        ({"b_s": 2e5}, 0),
+        ({"e_proc": 1e16}, 0),
+        ({"f_s": 1e24}, 0),
+        ({"e_proc": 1e300, "f_s": 1e300}, 0),
+    ])
+    def test_optimize(self, fast_config, overrides, code):
+        self.override(fast_config, overrides)
+        with deadline(60.0):
+            got, out, err = _run_in_process(["optimize", "--config",
+                                             str(fast_config)])
+        assert got == code, err
+        if code == 0:
+            assert err == "" and out.startswith("rho,scheme")
+        else:
+            assert out == "" and err.startswith("infeasible: ")
+            assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("overrides", [{"P_p": 1e-320}, {"b_s": 2e5},
+                                           {"b_p": 1e8}])
+    def test_validate(self, fast_config, policy_file, overrides):
+        self.override(fast_config, overrides)
+        with deadline(60.0):
+            got, out, err = _run_in_process(
+                ["validate", "--config", str(fast_config),
+                 "--policy", str(policy_file), "--slots", "2000"])
+        assert got in (0, 3) and err == ""
+        assert out.startswith("metric,analytic")
+
+
+class TestOutputFailures:
+    def test_closed_stdout_exits_one_quietly(self, fast_config, policy_file):
+        # the reader closes the pipe before the CSV is written; this used to
+        # end in a BrokenPipeError traceback
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ehcr.cli", "simulate",
+             "--config", str(fast_config), "--policy", str(policy_file),
+             "--slots", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        proc.stdout.close()
+        with deadline(120.0):
+            err = proc.stderr.read()
+            code = proc.wait()
+        proc.stderr.close()
+        assert code == 1
+        assert err == b""
+
+    @pytest.mark.parametrize("command, target, error", [
+        ("simulate", "ehcr.simulator.run",
+         MemoryError("Unable to allocate 745. GiB for an array")),
+        ("optimize", "ehcr.cli.optimize", MemoryError()),
+    ])
+    def test_out_of_memory_exits_one(self, fast_config, policy_file,
+                                     monkeypatch, command, target, error):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(target, exhausted)
+        argv = [command, "--config", str(fast_config)]
+        if command == "simulate":
+            argv += ["--policy", str(policy_file)]
+        code, out, err = _run_in_process(argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: out of memory")
+        assert len(err.splitlines()) == 1
+        assert str(error) in err
 
 
 class TestSweepCommand:

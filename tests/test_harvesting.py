@@ -10,12 +10,10 @@ from ehcr.harvesting import (
     _truncate_and_fold,
     combined_distribution,
     nature_distribution,
-    nature_pmf,
     rf_distribution,
-    rf_pmf,
 )
 from ehcr.system_model import with_overrides
-from helpers import combined_pmf, pmf, tail_at_least
+from helpers import combined_pmf, nature_pmf, pmf, rf_pmf, tail_at_least
 
 
 class TestNaturePmf:
@@ -129,7 +127,7 @@ class TestDistributions:
                      combined_distribution(testbench_params)):
             assert dist.masses.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(dist.masses >= 0)
-            assert dist.support_size <= 4 * testbench_params.N_max + 1
+            assert dist.masses.size <= 4 * testbench_params.N_max + 1
 
     def test_convolution_matches_scalar_sum(self, testbench_params):
         dist = combined_distribution(testbench_params)
@@ -139,7 +137,7 @@ class TestDistributions:
 
     def test_pmf_and_tail_are_complementary(self, testbench_params):
         dist = combined_distribution(testbench_params)
-        for n in range(dist.support_size + 2):
+        for n in range(dist.masses.size + 2):
             below = sum(pmf(dist, k) for k in range(n))
             assert below + dist.tail_at_least(n) == pytest.approx(1.0, abs=1e-12)
 
@@ -155,7 +153,7 @@ class TestDistributions:
     def test_negative_and_outside_support(self, testbench_params):
         dist = nature_distribution(testbench_params)
         assert pmf(dist, -1) == 0.0
-        assert pmf(dist, dist.support_size + 5) == 0.0
+        assert pmf(dist, dist.masses.size + 5) == 0.0
         assert dist.tail_at_least(-2) == 1.0
 
     def test_invalid_masses_rejected(self):
@@ -210,6 +208,6 @@ class TestDistributions:
         params = with_overrides(testbench_params, **changes)
         for dist in (nature_distribution(params), rf_distribution(params),
                      combined_distribution(params)):
-            tail = dist.tail_at_least(np.arange(-2, dist.support_size + 3))
+            tail = dist.tail_at_least(np.arange(-2, dist.masses.size + 3))
             assert tail[0] == 1.0 and tail[-1] == 0.0
             assert np.all(np.diff(tail) <= 0.0)

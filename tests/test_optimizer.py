@@ -68,8 +68,8 @@ class TestGridSpec:
         for m in (2, 10, 60):
             lambdas = grid.lambda_grid(m)
             assert len(lambdas) == 40
-            pf_hi = false_alarm(SensingConfig(1e-4, lambdas[0], m))
-            pf_lo = false_alarm(SensingConfig(1e-4, lambdas[-1], m))
+            pf_hi = false_alarm(SensingConfig(lambdas[0], m))
+            pf_lo = false_alarm(SensingConfig(lambdas[-1], m))
             assert pf_hi == pytest.approx(0.999, abs=1e-6)
             assert pf_lo == pytest.approx(0.001, abs=1e-6)
 

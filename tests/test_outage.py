@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ehcr.outage import no_outage_direct, no_outage_interfered
+from ehcr.outage import no_outage_direct, no_outage_interfered, sinr_demand
 from ehcr.system_model import with_overrides
 from helpers import outages_at
 
@@ -156,3 +156,37 @@ class TestBundle:
     def test_tau_out_of_range(self, table1_params):
         with pytest.raises(ValueError):
             outages_at(table1_params, table1_params.T)
+
+
+class TestDemandPastFloatRange:
+    """A spectral efficiency past 1024 bits/s/Hz overflows ``2**rate``: the
+    closed forms used to raise OverflowError (testbench with b_s 2e5 or
+    b_p 1e8) and now give their limits."""
+
+    def test_demand(self):
+        assert sinr_demand(1.6) == 2.0**1.6 - 1.0
+        assert sinr_demand(1023.5) < math.inf
+        assert sinr_demand(1024.0) == math.inf
+
+    def test_direct_limits(self):
+        assert no_outage_direct(2000.0, 4.0, SIGMA_P, NOISE) == 0.0
+        assert no_outage_direct(2000.0, 4.0, SIGMA_P, 0.0) == 1.0
+
+    def test_interfered_limits(self):
+        assert no_outage_interfered(2000.0, 4.0, SIGMA_P, 500.0, SIGMA_SP,
+                                    NOISE) == 0.0
+        assert no_outage_interfered(2000.0, 4.0, SIGMA_P, 500.0, SIGMA_SP,
+                                    0.0) == 0.0
+        assert no_outage_interfered(2000.0, 4.0, SIGMA_P, 0.0, SIGMA_SP,
+                                    0.0) == 1.0
+
+    @pytest.mark.parametrize("key, value, zeros", [
+        ("b_s", 2e5, ("su_no_outage_s", "su_no_outage_sp")),
+        ("b_p", 1e8, ("pu_no_outage_silent", "pu_no_outage_ws",
+                      "pu_no_outage_md")),
+    ])
+    def test_bundle(self, make_params, key, value, zeros):
+        outages = outages_at(make_params(**{key: value}), 5e-4)
+        for name in zeros:
+            assert getattr(outages, name) == 0.0
+        assert all(0.0 <= v <= 1.0 for v in vars(outages).values())

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammainccinv
 
-from ehcr.numerics import regularized_upper_gamma_int
+from ehcr.numerics import regularized_lower_gamma_int, regularized_upper_gamma_int
 from ehcr.sensing import (
     SensingConfig,
     detection_avg,
@@ -19,7 +21,7 @@ TABLE1_GAMMA_BAR = 4.0 * (0.8 / 9.0) / 0.02  # 17.7778
 
 
 def cfg(m: int, threshold: float) -> SensingConfig:
-    return SensingConfig(tau=m * 5e-5, threshold=threshold, m=m)
+    return SensingConfig(threshold=threshold, m=m)
 
 
 def detection_avg_quadrature(m: int, threshold: float, avg_snr: float) -> float:
@@ -163,6 +165,59 @@ class TestLargeTimeBandwidth:
             exact, rel=1e-10)
 
 
+class TestVanishingMeanSnr:
+    """Mean SNRs so small that the log form fails: the lower ratio underflows
+    to 0, or (1+g)/g overflows at a subnormal g.  The value used to be the
+    first term alone, low by up to the Poisson mass of m - 1 at t/2 (0.053
+    at m = 51, g = 1e-6), or NaN with a RuntimeWarning (testbench with
+    P_p 1e-320)."""
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 51, 200])
+    @pytest.mark.parametrize("avg_snr", [5e-324, 1e-310, 1e-300, 1e-100,
+                                         1e-30, 1e-6, 0.3])
+    def test_matches_high_precision(self, m, avg_snr):
+        mpmath = pytest.importorskip("mpmath")
+        for p_f in (0.9, 0.5, 0.01):
+            threshold = 2.0 * float(gammainccinv(m, p_f))
+            exact = detection_avg_mpmath(mpmath, m, threshold, avg_snr)
+            assert detection_avg(cfg(m, threshold), avg_snr) == pytest.approx(
+                exact, rel=1e-10), p_f
+
+    @pytest.mark.parametrize("m", [2, 10, 190, 10**6, 10**20, 5 * 10**296])
+    def test_tends_to_false_alarm(self, m):
+        thresholds = 2.0 * gammainccinv(float(m), [0.9, 0.5, 0.01])
+        c = cfg(m, thresholds)
+        assert np.allclose(detection_avg(c, 5e-324), false_alarm(c),
+                           rtol=1e-9, atol=0.0)
+
+    @given(m=st.integers(2, 10**6), p_f=st.floats(1e-6, 1.0 - 1e-6),
+           avg_snr=st.floats(5e-324, 1e308, allow_subnormal=True))
+    def test_finite_for_every_positive_snr(self, m, p_f, avg_snr):
+        c = cfg(m, 2.0 * float(gammainccinv(m, p_f)))
+        p_d = detection_avg(c, avg_snr)
+        assert 0.0 <= p_d <= 1.0
+        assert p_d >= false_alarm(c) * (1.0 - 1e-9)
+
+    def test_same_bits_where_the_log_form_is_finite(self):
+        # the log form, as written before the product form was added
+        compared = 0
+        for m in (2, 10, 40, 190):
+            t = 2.0 * gammainccinv(m, np.geomspace(0.999, 0.001, 40))
+            for g in (1e-3, 0.3, 5.0, TABLE1_GAMMA_BAR, 1e6):
+                first = regularized_upper_gamma_int(m - 1, t / 2.0)
+                lower = regularized_lower_gamma_int(
+                    m - 1, t * g / (2.0 * (1.0 + g)))
+                with np.errstate(divide="ignore"):
+                    log_second = ((m - 1) * math.log((1.0 + g) / g)
+                                  - t / (2.0 * (1.0 + g)) + np.log(lower))
+                finite = np.isfinite(log_second)
+                compared += finite.sum()
+                expected = np.minimum(first + np.exp(log_second), 1.0)
+                assert np.array_equal(detection_avg(cfg(m, t), g)[finite],
+                                      expected[finite])
+        assert compared > 600
+
+
 class TestThresholdArrays:
     """A threshold array gives what one call per threshold gives, exactly."""
 
@@ -181,7 +236,7 @@ class TestThresholdArrays:
 
     def test_invalid_entry_rejected(self):
         with pytest.raises(ValueError):
-            SensingConfig(tau=1e-4, threshold=np.array([2.0, 0.0]), m=2)
+            SensingConfig(threshold=np.array([2.0, 0.0]), m=2)
 
 
 class TestSensingConfig:
@@ -195,4 +250,4 @@ class TestSensingConfig:
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            SensingConfig(tau=1e-4, threshold=0.0, m=2)
+            SensingConfig(threshold=0.0, m=2)

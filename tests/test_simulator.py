@@ -108,6 +108,13 @@ class TestRun:
         assert len(comparison.rows) == 4 + testbench_params.n_states
         assert all(math.isfinite(row.zscore) for row in comparison.rows)
 
+    @pytest.mark.parametrize("key, value", [("b_s", 2e5), ("b_p", 1e8)])
+    def test_rates_past_float_range(self, make_params, key, value):
+        # 2**rate used to raise OverflowError in the outcome draw
+        params = make_params(**{key: value})
+        report = run(params, mixed_policy(params), SimConfig(slots=2_000, seed=8))
+        assert (report.mu_s if key == "b_s" else report.mu_p) == 0.0
+
     def test_decorrelated_matches_analytics(self, testbench_params):
         policy = mixed_policy(testbench_params)
         analytic = evaluate(testbench_params, policy)
@@ -298,8 +305,7 @@ class TestVectorizedPieces:
         for m in range(10, 61):
             snr = rng.exponential(params.P_p * params.sigma_pst / params.sigma_n2, 4)
             for threshold in grid.lambda_grid(m):
-                cfg = sensing.SensingConfig(tau=m / params.W,
-                                            threshold=threshold, m=m)
+                cfg = sensing.SensingConfig(threshold=threshold, m=m)
                 exact = [sensing.detection_instant(cfg, x) for x in snr]
                 worst = max(worst, float(np.max(np.abs(
                     _faithful_detection(cfg, snr) - exact))))
@@ -314,7 +320,7 @@ class TestVectorizedPieces:
             return original(*args)
 
         monkeypatch.setattr(sensing, "marcum_q", spy)
-        cfg = sensing.SensingConfig(tau=TAU, threshold=THRESHOLD, m=10)
+        cfg = sensing.SensingConfig(threshold=THRESHOLD, m=10)
         assert sensing.detection_instant(cfg, 2.0) == original(*calls[0])
         assert len(calls) == 1
 

@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ehcr.chain import AmbiguousChainError, Policy, harvest_blocks
+from ehcr.harvesting import harvest_laws
+from ehcr.optimizer import GridSpec
+from ehcr.outage import bundle
+from ehcr.performance import evaluate
 from ehcr.system_model import (
     ConfigurationError,
     LinkParams,
@@ -58,6 +65,19 @@ class TestDerive:
         assert not q.beta_range
         assert q.alpha_range == range(q.n_t, params.n_states)
 
+    @pytest.mark.parametrize("overrides", [
+        {"e_proc": 1e16}, {"f_s": 1e24}, {"e_proc": 1e300, "f_s": 1e300}])
+    def test_sensing_cost_far_beyond_the_battery(self, make_params, overrides):
+        # such a cost used to overflow the kernel blocks' index array
+        # (IndexError) or, as inf Joules, the packet count (OverflowError)
+        params = make_params(**overrides)
+        q = derive(params, 5e-4)
+        assert q.n_s == params.n_states
+        assert not q.beta_range
+        assert q.alpha_range == range(q.n_t, params.n_states)
+        assert np.all(np.isfinite(harvest_blocks(params, q,
+                                                 *harvest_laws(params))))
+
     def test_scale_consistency(self, make_params):
         rng = np.random.default_rng(5)
         base = make_params()
@@ -94,6 +114,64 @@ class TestValidate:
     def test_non_finite_values_rejected(self, testbench_params, name, value):
         bad = with_overrides(testbench_params, **{name: value})
         assert any(v.startswith(f"{name} must be finite") for v in validate(bad))
+
+    def test_transmission_packet_count_past_float_range(self, testbench_params):
+        # E_t / E_u = inf used to raise OverflowError from n_t
+        bad = with_overrides(testbench_params, E_u=1e-320)
+        assert any(v.startswith("E_t / E_u must be finite") for v in validate(bad))
+
+    @pytest.mark.parametrize("name, value", [("P_p", 1e308), ("sigma_n2", 1e-320)])
+    def test_infinite_mean_sensing_snr_rejected(self, testbench_params, name,
+                                                value):
+        bad = with_overrides(testbench_params, **{name: value})
+        assert any(v.startswith("mean sensing SNR") for v in validate(bad))
+
+    def test_subnormal_mean_sensing_snr_admitted(self, testbench_params):
+        # detection_avg returned NaN here, so evaluate raised even for the
+        # idle policy
+        params = with_overrides(testbench_params, P_p=1e-320)
+        assert validate(params) == []
+        assert 0.0 < derive(params, 5e-4).gamma_bar < 1e-300
+        report = evaluate(params, Policy.idle(params, 5e-4, 30.0))
+        assert report.mu_p == 0.0 and report.mu_s == 0.0
+
+
+#: testbench constants the extreme-value property moves, one at a time
+_EXTREME_KEYS = ("P_p", "sigma_n2", "W", "b_p", "b_s", "E_u", "E_t", "e_proc",
+                 "f_s", "lambda_e")
+
+
+class TestExtremeConstants:
+    """One testbench constant anywhere in [1e-300, 1e300]: ``validate``
+    answers, and on an admitted set with an admitted grid the model gives
+    finite values with rates in [0, 1] at the first and last sensing time,
+    or raises one of its documented errors."""
+
+    @settings(max_examples=150)
+    @given(key=st.sampled_from(_EXTREME_KEYS), exponent=st.floats(-300.0, 300.0))
+    def test_finite_or_documented_error(self, testbench_params, key, exponent):
+        params = with_overrides(testbench_params, **{key: 10.0**exponent})
+        if validate(params):
+            return
+        try:
+            taus = GridSpec(tau_min=5e-4).tau_values(params)
+        except ValueError:
+            return
+        try:
+            laws = harvest_laws(params)
+            for tau in (taus[0], taus[-1]):
+                q = derive(params, tau)
+                for name, value in vars(q).items():
+                    if isinstance(value, float):
+                        assert math.isfinite(value), name
+                assert all(0.0 <= v <= 1.0 for v in vars(bundle(params, q)).values())
+                assert np.all(np.isfinite(harvest_blocks(params, q, *laws)))
+                report = evaluate(params, Policy.idle(params, tau, 2.0 * q.m))
+                for rate in (report.mu_s, report.mu_p, report.p_sense,
+                             report.p_access):
+                    assert 0.0 <= rate <= 1.0
+        except (ConfigurationError, AmbiguousChainError):
+            pass
 
 
 class TestConfigIO:
