@@ -17,7 +17,9 @@ action, so a policy's kernel is their level-wise mixture.  What depends on
 the sensing time is read from the caller's
 :class:`~ehcr.system_model.DerivedQuantities`, and the consume-then-harvest
 blocks of one sensing time, one array from :func:`harvest_blocks`, serve
-every detector setting.  The optimizer's value determination and the
+every detector setting.  Only the sensing kernel reads the detector, so
+:func:`action_kernels` builds one idle/blind pair beside the sensing kernels
+of a whole threshold array.  The optimizer's value determination and the
 stationary law of a policy's kernel solve the same bordered unichain
 system, the latter transposed.  The per-action rewards and the statistics
 of a solved chain live in :mod:`ehcr.performance`.
@@ -177,31 +179,29 @@ def harvest_blocks(params: SystemParams, q: DerivedQuantities,
     return blocks
 
 
-def transition_components(params: SystemParams, blocks: np.ndarray,
-                          p_d, p_f) -> np.ndarray:
-    """Kernels of idling, blind access and sensing, stacked to (3, n, n).
-
-    ``blocks`` are the :func:`harvest_blocks` of one sensing time;
-    ``p_d``/``p_f`` are the averaged detection and false-alarm probabilities
-    of the sensing configuration in force: floats, or (K,) arrays for K
-    thresholds, which stack the kernels to (K, 3, n, n).
-    """
-    rho = params.rho
-    rho_bar = 1.0 - rho
-    if np.ndim(p_d):  # one sensing kernel per threshold
-        p_d, p_f = p_d[:, None, None], p_f[:, None, None]
-    idle_hold, idle_tx, idle_sense, idle_sense_tx = blocks[0]
-    active_hold, active_tx, active_sense, active_sense_tx = blocks[1]
-    idle = rho_bar * idle_hold + rho * active_hold
-    blind = rho_bar * idle_tx + rho * active_tx
+def action_kernels(params: SystemParams, blocks: np.ndarray, p_d, p_f
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels of idling and blind access, stacked to (2, n, n), and of
+    sensing, from the :func:`harvest_blocks` of one sensing time and the
+    averaged detection and false-alarm probabilities ``p_d``/``p_f``: (n, n)
+    for floats, (K, n, n) for (K,) arrays of K thresholds, which share the
+    one idle/blind pair."""
+    rho, rho_bar = params.rho, 1.0 - params.rho
+    p_d, p_f = np.asarray(p_d)[..., None, None], np.asarray(p_f)[..., None, None]
+    (_, _, idle_sense, idle_sense_tx), (_, _, active_sense, active_sense_tx) = blocks
     # sensing consumes n_s always, plus n_t whenever the verdict is "idle":
     # false alarms block transmission off an idle channel, mis-detections
     # allow it on a busy one
-    sense = (
-        rho_bar * (p_f * idle_sense + (1.0 - p_f) * idle_sense_tx)
-        + rho * (p_d * active_sense + (1.0 - p_d) * active_sense_tx)
-    )
-    return np.stack(np.broadcast_arrays(idle, blind, sense), axis=-3)
+    sense = (rho_bar * (p_f * idle_sense + (1.0 - p_f) * idle_sense_tx)
+             + rho * (p_d * active_sense + (1.0 - p_d) * active_sense_tx))
+    return rho_bar * blocks[0, :2] + rho * blocks[1, :2], sense
+
+
+def transition_components(params: SystemParams, blocks: np.ndarray,
+                          p_d: float, p_f: float) -> np.ndarray:
+    """The :func:`action_kernels` of one threshold, stacked to (3, n, n)."""
+    idle_blind, sense = action_kernels(params, blocks, p_d, p_f)
+    return np.concatenate([idle_blind, sense[None]])
 
 
 def _closed_classes(p: np.ndarray) -> list[list[int]]:

@@ -239,17 +239,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 try:
                     solution, _ = optimize(params, config.grid, scheme)
                 except InfeasibleGridError:
-                    rows.append((value, scheme, mode, "infeasible")
-                                + ("",) * 7)
+                    rows.append((value, scheme, mode, "infeasible") + ("",) * 7)
                     continue
                 except (ConfigurationError, ValueError, AmbiguousChainError) as exc:
                     print(f"rho={value} {scheme}/{mode}: {exc}", file=sys.stderr)
-                    rows.append((value, scheme, mode, "error")
-                                + ("",) * 7)
+                    rows.append((value, scheme, mode, "error") + ("",) * 7)
                     continue
                 any_ok = True
-                rows.append((value, scheme, mode, "ok")
-                            + _solution_cells(solution))
+                rows.append((value, scheme, mode, "ok") + _solution_cells(solution))
     _write_csv(args.out, SWEEP_COLUMNS, rows)
     return EXIT_OK if any_ok else EXIT_INFEASIBLE
 
@@ -263,12 +260,8 @@ def _sim_config(args: argparse.Namespace, defaults: dict[str, Any],
         raise CliError(f"invalid simulation settings: initial battery "
                        f"{args.initial_battery} exceeds N_max={params.N_max}")
     try:
-        return simulator.SimConfig(
-            slots=slots,
-            seed=seed,
-            initial_battery=args.initial_battery,
-            correlation_mode=args.mode,
-        )
+        return simulator.SimConfig(slots=slots, seed=seed, initial_battery=args.initial_battery,
+                                   correlation_mode=args.mode)
     except ValueError as exc:
         raise CliError(f"invalid simulation settings: {exc}") from exc
 

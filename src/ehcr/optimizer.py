@@ -1,64 +1,56 @@
 """Grid search for the best access policy, screened without an LP.
 
-For a fixed sensing time and detection threshold the secondary chooses, at
-each battery level, among idling, blind access and sensing; the model of
-that choice is the per-action kernels of
-:func:`~ehcr.chain.transition_components` and the per-action (mu_s, mu_p)
-rewards of :func:`~ehcr.performance.action_rewards`.  Everything but the
-detector terms depends on the sensing time alone, so each sensing time is
-derived, checked against the scheme and turned into outage probabilities and
-kernel blocks once, as a column that every threshold there shares; the
-column also holds the detection and false-alarm probabilities of all its
-thresholds, from one detector call each.  An exhaustive search over the
-admissible sensing times and a threshold grid then picks the best point
-whose policy meets the licensed-user floor.
+At each battery level the secondary idles, accesses blindly or senses; the
+model of that choice is the per-action kernels of
+:func:`~ehcr.chain.action_kernels` and the (mu_s, mu_p) rewards of
+:func:`~ehcr.performance.action_rewards`.  Only the sensing kernel and
+reward read the detector, so each sensing time is derived and turned into
+outage probabilities, kernel blocks and the detector terms of all its
+thresholds once, as a column they share.  An exhaustive search over the
+sensing times and a threshold grid picks the best point whose policy meets
+the licensed-user floor.
 
-The search runs in two passes.  The screen values all thresholds of a
-column at once as constrained MDPs over the battery levels (Puterman 1994,
-ch. 8-9; Altman 1999, ch. 3).  Batched average-reward policy iteration finds
-the unconstrained optimum, the point's value and policy when it clears the
-floor; the highest licensed-user rate decides infeasibility; any other point
-gets the LP value from a cutting-plane search on the Lagrangian dual of
-``mu_s + nu * (mu_p - mu_th)``, and as policy the mix of the occupation
-measures of the two deterministic policies bracketing the floor, which
-randomizes at most one reachable level (Beutler & Ross 1985).  Policy
-iteration converges from any start, so each column's unconstrained pass
-starts from the previous column's optimum, and from all-idle should that
-fail; it can end elsewhere only where several policies are optimal to
-within the tolerance.  A policy that never senses has the same kernel rows
-and rewards at every threshold of a column, so each step solves each
-distinct such system once, which changes no bit.  A column the screen
-cannot value is an error when the all-idle chain, the same at every
-sensing time, has several closed classes (no harvest at all), and is logged
-as failed otherwise.  The LP of a point is the same model with the action
-probabilities replaced by their products with the stationary masses: its
-variables are the occupation vector (pi, pi*alpha, pi*beta1, pi*beta2), in
-which the balance equations, the floor and the objective are linear.  The
-LP only certifies: the points within ``LP_FEASIBILITY_TOL`` of the best are
-solved cold, one solve per distinct LP (at a sensing time that cannot fund
-sensing no LP array depends on the threshold, so all its thresholds share
-one solve), and only these candidates compete: the maximum objective wins,
-ties broken toward the smaller sensing time, then the smaller threshold,
-regardless of evaluation order.  Points equal in value to within solver
-noise are common (whole grids can tie), so the winner is reproducible bit
-for bit only because the near-ties are decided on cold solves.  The
-winner's LP rates are reported beside the evaluation of its screened
-policy, which they cross-check.
+The screen values all thresholds of a column at once as constrained MDPs
+(Puterman 1994, ch. 8-9; Altman 1999, ch. 3).  Batched average-reward
+policy iteration finds the unconstrained optimum, the point's value and
+policy when it clears the floor; the highest licensed-user rate decides
+infeasibility; any other point gets the LP value from a cutting-plane
+search on the Lagrangian dual of ``mu_s + nu * (mu_p - mu_th)``, and as
+policy the mix of the occupation measures of the two deterministic policies
+bracketing the floor, which randomizes at most one reachable level (Beutler
+& Ross 1985).  Each column's unconstrained pass starts from the previous
+column's optimum, all-idle should that fail (it can end elsewhere only
+where policies tie), and no pass runs on an empty set of points.  Policies
+that never sense read one idle/blind kernel pair and the same rewards at
+every threshold, so each step solves each distinct such system once.  A
+sensing time that cannot fund sensing admits no sensing, and nothing else
+of its model depends on the sensing time, so the later such columns take
+the first one's screen: their passes would start from its optimum of the
+same model and return it.  None of this changes a bit.  A column the
+screen cannot value is an error when the all-idle chain has several closed
+classes (no harvest at all), and is logged as failed otherwise.
 
-Each cold LP is built from its point's kernels and rewards alone (the same
-bits as the screen's batch) by the worker that solves it.  More than one run
-on a pool with one thread per CPU in the process's affinity mask (the solve
-calls HiGHS's core directly, which releases the GIL for nearly all of it),
-each built and solved alone, so records and winner do not depend on the
-thread count.  A single distinct LP, as in every cell with one best point,
-is solved inline and starts no thread.
+The LP of a point is the same model in the occupation vector (pi,
+pi*alpha, pi*beta1, pi*beta2), in which the balance equations, the floor
+and the objective are linear.  It only certifies: the points within
+``LP_FEASIBILITY_TOL`` of the best are solved cold, once per distinct LP
+(all points of the sensing times that cannot fund sensing share one), and
+the best of them wins, ties broken toward the smaller sensing time, then
+the smaller threshold, in any evaluation order.  Whole grids can tie to
+within solver noise, so the winner is reproducible bit for bit only because
+the near-ties are decided on cold solves; its LP rates cross-check the
+evaluation of its screened policy.  Each cold LP is built from its own
+point by the worker that solves it: more than one on one thread per CPU in
+the process's affinity mask (HiGHS's core releases the GIL), a single one
+inline, each solved alone, so the results do not depend on the thread count.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -70,6 +62,7 @@ from .chain import (
     Policy,
     _bordered,
     _closed_classes,
+    action_kernels,
     harvest_blocks,
     stationary_distribution,
     transition_components,
@@ -94,6 +87,9 @@ _PI_MAX_STEPS = 100
 
 #: false-alarm extremes the default threshold grid spans at each m
 _PFA_SPAN = (0.999, 0.001)
+
+#: most sensing times a grid may hold
+_MAX_SENSING_TIMES = 10_000
 
 #: threads that solve cold LPs: one per CPU the process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -127,29 +123,27 @@ class GridSpec:
 
     def tau_values(self, params: SystemParams) -> tuple[float, ...]:
         """Multiples of tau_min up to T - tau_min, each with a positive
-        integral tau*W."""
+        integral tau*W, and at most ``_MAX_SENSING_TIMES`` of them."""
         if self.tau_min >= params.T:
-            raise ValueError(
-                f"tau_min {self.tau_min} leaves no admissible sensing time "
-                f"in a slot of {params.T}"
-            )
-        values = []
-        k = 1
-        while True:
-            tau = k * self.tau_min
-            if tau > params.T - self.tau_min + 1e-15 * params.T:
-                break
+            raise ValueError(f"tau_min {self.tau_min} leaves no admissible "
+                             f"sensing time in a slot of {params.T}")
+        last = params.T - self.tau_min + 1e-15 * params.T
+        count = last / self.tau_min  # inf past the float range
+        if count >= _MAX_SENSING_TIMES + 1:
+            raise ValueError(f"tau_min {self.tau_min} gives {count:.3g} sensing times "
+                             f"in a slot of {params.T}, more than {_MAX_SENSING_TIMES}")
+        # int(count) multiples, give or take one for rounding
+        values = tuple(tau for tau in (k * self.tau_min
+                                       for k in range(1, int(count) + 2))
+                       if tau <= last)
+        for tau in values:
             m = snap_to_int(tau * params.W)
             if m is None or m < 1:
-                raise ValueError(
-                    f"grid sensing time {tau} gives tau*W = "
-                    f"{tau * params.W!r}, not a positive integer"
-                )
-            values.append(tau)
-            k += 1
+                raise ValueError(f"grid sensing time {tau} gives tau*W = "
+                                 f"{tau * params.W!r}, not a positive integer")
         if not values:
             raise ValueError("empty sensing-time grid")
-        return tuple(values)
+        return values
 
     def lambda_grid(self, m: int) -> tuple[float, ...]:
         """Thresholds searched at time-bandwidth product ``m``."""
@@ -204,10 +198,8 @@ class InfeasibleGridError(RuntimeError):
 
     def __init__(self, records: tuple[GridPointStatus, ...]):
         self.records = records
-        counts: dict[str, int] = {}
-        for rec in records:
-            counts[rec.status] = counts.get(rec.status, 0) + 1
-        summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
+        counts = sorted(Counter(rec.status for rec in records).items())
+        summary = ", ".join(f"{k}: {v}" for k, v in counts)
         super().__init__(f"no feasible grid point ({summary})")
 
 
@@ -255,8 +247,7 @@ def _build_lp(params: SystemParams, quantities: DerivedQuantities,
     ub_rhs = np.zeros(1 + ka + kb)
     ub_rhs[0] = -params.mu_th
 
-    bounds = np.zeros((nvars, 2))
-    bounds[:, 1] = 1.0
+    bounds = np.tile([0.0, 1.0], (nvars, 1))
     if scheme == "sensing_only":
         bounds[n:n + ka + kb, 1] = 0.0
     return mu_s_row, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds
@@ -264,7 +255,9 @@ def _build_lp(params: SystemParams, quantities: DerivedQuantities,
 
 @dataclass(frozen=True)
 class _Column:
-    """What one sensing time fixes for its K threshold LPs, and their detector."""
+    """What one sensing time fixes for its K threshold LPs, and their detector.
+    The later columns of a search that cannot fund sensing carry the first
+    one's, as none reads its detector or sensing blocks (:func:`_model_key`)."""
 
     quantities: DerivedQuantities
     outages: OutageBundle
@@ -286,14 +279,20 @@ def _column(params: SystemParams, quantities: DerivedQuantities,
 
 
 def _point_model(params: SystemParams, column: _Column,
-                 k: int | slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The kernels and rewards of the column's thresholds ``k``: an index,
-    giving (3, n, n) and (3, 2), or an index array or slice, giving them
-    stacked per threshold.  Every entry is elementwise in the detector
-    terms, so a batch and a single threshold give the same bits."""
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, n, n) kernels and (3, 2) rewards of the column's k-th
+    threshold, the bits of the screen's batch there."""
     p_d, p_f = column.p_d[k], column.p_f[k]
     return (transition_components(params, column.blocks, p_d, p_f),
             action_rewards(params, column.outages, p_d, p_f))
+
+
+def _model_key(quantities: DerivedQuantities) -> float | None:
+    """What a column's screen and LPs read beyond the parameters, scheme and
+    threshold count: its sensing time, or None where the battery cannot fund
+    sensing (the longest sensing times of a grid).  No such sensing time
+    admits sensing, and their idle and blind kernels and rewards are equal."""
+    return quantities.tau if quantities.beta_range else None
 
 
 def _unsupported(quantities: DerivedQuantities, scheme: str) -> str | None:
@@ -318,13 +317,14 @@ def _admitted(params: SystemParams, quantities: DerivedQuantities,
     return np.arange(n) >= np.array(firsts)
 
 
-def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
-                      allowed: np.ndarray, weights,
+def _policy_iteration(idle_blind: np.ndarray, sense: np.ndarray,
+                      rewards: np.ndarray, allowed: np.ndarray, weights,
                       policy: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray] | None:
     """Gains (K, 2) of (mu_s, mu_p) and action indices (K, n) of a
     deterministic policy maximizing the average of ``rewards @ weights`` in
-    each MDP of the batch: the (K, 3, n, n) kernels and (K, 3, 2) rewards of
+    each MDP of the batch: the (2, n, n) idle and blind kernels that every
+    point shares, the (K, n, n) sensing kernels and the (K, 3, 2) rewards of
     the three actions, which ``allowed`` admits per level.  ``weights`` is
     one (2,) pair or a (K, 2) stack.
 
@@ -333,16 +333,14 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
     determination solves ``g + h = r + P h`` with ``h`` pinned to zero at
     level 0 and ``g`` in its place, one ``np.linalg.solve`` of the batch's
     :func:`~ehcr.chain._bordered` systems; a level changes action only for a
-    gain above the tolerance.  A policy that never senses selects only idle
-    and blind rows and rewards, which ``transition_components`` and
-    ``action_rewards`` broadcast unchanged over one column's thresholds, so
-    within a batch of one column equal such policies give bitwise-equal
-    systems: each distinct one is solved once and its solution shared, and
-    every sensing point is solved as its own.  A batch drawn from several
-    columns breaks this.  None when a solve is singular or not finite (a
-    policy with several closed classes) or the iteration does not settle.
+    gain above the tolerance.  Within a batch of one column, equal policies
+    that never sense read the same rows and rewards (``action_rewards``
+    broadcasts them over the thresholds), so each distinct one is solved
+    once; a sensing point is solved as its own.  None when a solve is
+    singular or not finite (a policy with several closed classes) or the
+    iteration does not settle.
     """
-    count, _, n, _ = kernels.shape
+    count, n = sense.shape[:2]
     weights = np.broadcast_to(weights, (count, 2))
     batch, levels = np.arange(count)[:, None], np.arange(n)
     weighted = rewards @ weights[:, :, None]  # (K, 3, 1): the same at every level
@@ -358,9 +356,11 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
                           for k, row in enumerate(policy)], dtype=int)
         owners = np.flatnonzero(owner == batch[:, 0])
         chosen = policy[owners]
+        rows = np.where((chosen == 2)[..., None], sense[owners],
+                        idle_blind[np.minimum(chosen, 1), levels])
         try:
             solved = np.linalg.solve(
-                _bordered(kernels[owners[:, None], chosen, levels]),
+                _bordered(rows),
                 rewards[owners[:, None], chosen])[np.searchsorted(owners, owner)]
         except np.linalg.LinAlgError:
             return None
@@ -368,7 +368,8 @@ def _policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
             return None
         bias = solved @ weights[:, :, None]
         bias[:, 0] = 0.0
-        values = weighted + (kernels @ bias[:, None])[..., 0]
+        values = weighted + np.concatenate(
+            [idle_blind @ bias[:, None], (sense @ bias)[:, None]], axis=1)[..., 0]
         values[:, ~allowed] = -np.inf
         better = values.max(axis=1) > values[batch, policy, levels] + tol
         if not better.any():
@@ -400,13 +401,15 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
     unconstrained optimum, where the floor is slack) and the unconstrained
     optima, the next column's start.  None when a policy iteration fails.
     """
-    kernels, rewards = _point_model(params, column, slice(None))
+    idle_blind, sense = action_kernels(params, column.blocks, column.p_d,
+                                       column.p_f)
+    rewards = action_rewards(params, column.outages, column.p_d, column.p_f)
     allowed = _admitted(params, column.quantities, scheme)
     mu_th = params.mu_th
 
     def solve(points: np.ndarray, weights, policy=None):
-        return _policy_iteration(kernels[points], rewards[points], allowed,
-                                 weights, policy)
+        return _policy_iteration(idle_blind, sense[points], rewards[points],
+                                 allowed, weights, policy)
 
     count = len(column.thresholds)
     solved = None
@@ -422,10 +425,11 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
     high = low.copy()
     objective, share = low[:, 0].copy(), np.zeros(count)
     points = np.nonzero(low[:, 1] < mu_th)[0]
-    solved = solve(points, (0.0, 1.0))  # the highest licensed-user rate
-    if solved is None:
-        return None
-    high[points], high_policy[points] = solved
+    if points.size:
+        solved = solve(points, (0.0, 1.0))  # the highest licensed-user rate
+        if solved is None:
+            return None
+        high[points], high_policy[points] = solved
     reachable = high[points, 1] >= mu_th
     objective[points[~reachable]] = np.nan
     points = points[reachable]
@@ -456,24 +460,22 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
 def _cold_solve(params: SystemParams, scheme: str,
                 entries: list[tuple[_Column, int]]
                 ) -> list[tuple[GridPointStatus, float | None]]:
-    """Status record of the cold LP at each (column, threshold index) entry,
-    in input order, and, when optimal, the licensed-user rate of its
-    solution (minus the floor row's).
+    """Status record of the cold LP at each (column, threshold index) entry
+    of one search, in input order, and, when optimal, the licensed-user rate
+    of its solution (minus the floor row's).
 
-    Each distinct LP is solved once.  At a sensing time whose battery cannot
-    fund sensing (empty ``beta_range``) the LP is the same at every
-    threshold: the detector terms enter only the sense kernel and reward,
-    which :func:`_build_lp` reads only through the ``beta_range`` rows and
-    the ``kb``-long block, both empty, and HiGHS solves equal arrays under
-    equal options to equal bits.  All entries of such a column share one
-    solve; each keeps its own record.  Every other entry is solved on its
-    own.
+    Each distinct LP is solved once: all entries at the sensing times that
+    cannot fund sensing (empty ``beta_range``) share one, as the detector
+    and the sensing cost enter only the sense kernel and reward, which
+    :func:`_build_lp` reads only through the empty ``beta_range`` rows and
+    ``kb``-long block, and HiGHS solves equal arrays under equal options to
+    equal bits.  Each entry keeps its own record.
 
-    A single distinct LP is solved inline.  More are solved on ``_WORKERS``
-    threads, as HiGHS, called without scipy's Python wrapper, releases the
-    GIL for nearly all of each solve; each is built by the worker that takes
-    it up, so at most ``_WORKERS`` are held at once, and solved alone, as in
-    a serial loop, so the results do not depend on the thread count.
+    A single distinct LP is solved inline, more on ``_WORKERS`` threads
+    (HiGHS, called without scipy's Python wrapper, releases the GIL for
+    nearly all of each solve), each built by the worker that takes it up,
+    so at most ``_WORKERS`` are held at once, and solved alone, as in a
+    serial loop, so the results do not depend on the thread count.
     """
     def solve(entry: tuple[_Column, int]) -> tuple[str, float | None, float | None]:
         column, k = entry
@@ -488,8 +490,9 @@ def _cold_solve(params: SystemParams, scheme: str,
         objective, _, _, ub_matrix = lp[:4]
         return "optimal", float(objective @ x), float(-ub_matrix[0] @ x)
 
-    # the LP's key: its column alone where that cannot fund sensing
-    keys = [(id(column), k if column.quantities.beta_range else None)
+    # the LP's key: its model alone where that cannot fund sensing
+    keys = [(_model_key(column.quantities),
+             k if column.quantities.beta_range else None)
             for column, k in entries]
     distinct = dict(zip(keys, entries))
     if len(distinct) <= 1 or _WORKERS == 1:
@@ -533,12 +536,7 @@ def _optimal_solution(params: SystemParams, column: _Column, k: int,
     policy = Policy(alpha=mixed[1, q.alpha_range], beta1=mixed[1, q.beta_range],
                     beta2=mixed[2, q.beta_range], tau=q.tau,
                     threshold=column.thresholds[k])
-    return OptimalSolution(
-        policy=policy,
-        report=evaluate(params, policy),
-        lp_objective=lp_objective,
-        lp_mu_p=lp_mu_p,
-    )
+    return OptimalSolution(policy, evaluate(params, policy), lp_objective, lp_mu_p)
 
 
 def _select_winner(candidates: list[tuple[float, float, float, Any]]) -> Any:
@@ -569,6 +567,7 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
     # (record index, column, threshold index, objective, screened policies)
     # of every point the screen found optimal
     screened: list[tuple[int, _Column, int, float, tuple]] = []
+    screens: dict[float | None, tuple] = {}  # (column, screen) per model key
     start = None  # the last screened column's unconstrained optima
     for tau in grid.tau_values(params):
         quantities = derive(params, tau)
@@ -581,8 +580,14 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             records.extend(GridPointStatus(tau, threshold, unsupported)
                            for threshold in thresholds)
             continue
-        column = _column(params, quantities, harvest, thresholds)
-        screen = _screen(params, column, scheme, start)
+        key = _model_key(quantities)
+        if key in screens:  # policy iteration from its optimum returns it
+            first, screen = screens[key]
+            column = replace(first, quantities=quantities, thresholds=thresholds)
+        else:
+            column = _column(params, quantities, harvest, thresholds)
+            screen = _screen(params, column, scheme, start)
+            screens[key] = column, screen
         if screen is None:
             classes = _closed_classes(_point_model(params, column, 0)[0][0])
             if len(classes) > 1:

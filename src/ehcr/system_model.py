@@ -33,8 +33,9 @@ class ConfigurationError(ValueError):
 
 
 def fuzzy_ceil(value: float) -> int:
-    """Ceiling that forgives sub-snap float excess in ratios of exact inputs."""
-    return math.ceil(value - _INT_SNAP)
+    """Ceiling that forgives sub-snap float excess in ratios of exact inputs;
+    at least 1 for a positive value, so a positive energy costs a packet."""
+    return max(math.ceil(value - _INT_SNAP), int(value > 0))
 
 
 def snap_to_int(value: float) -> int | None:

@@ -633,15 +633,17 @@ def reference_column_mdp(params: SystemParams, column: optimizer._Column,
     return np.array(kernels), np.array(rewards), allowed
 
 
-def reference_policy_iteration(kernels: np.ndarray, rewards: np.ndarray,
-                               allowed: np.ndarray, weights,
+def reference_policy_iteration(idle_blind: np.ndarray, sense: np.ndarray,
+                               rewards: np.ndarray, allowed: np.ndarray, weights,
                                policy: np.ndarray | None = None
                                ) -> tuple[np.ndarray, np.ndarray] | None:
     """``optimizer._policy_iteration`` one point at a time: each MDP of the
-    batch iterated alone from its own start, its own system solved at every
-    step, so no point shares a solve with another.  None when any point
-    fails, as the batch does."""
-    count, _, n, _ = kernels.shape
+    batch, its (3, n, n) kernels stacked from the shared idle/blind pair and
+    its own sensing kernel, iterated alone from its own start, its own
+    system solved at every step, so no point shares a solve with another.
+    None when any point fails, as the batch does."""
+    count, n = sense.shape[:2]
+    kernels = [np.concatenate([idle_blind, own[None]]) for own in sense]
     weights = np.broadcast_to(weights, (count, 2))
     starts = np.zeros((count, n), dtype=int) if policy is None else policy
     levels = np.arange(n)

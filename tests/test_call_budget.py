@@ -1,14 +1,17 @@
 """Each sensing time is derived once and its per-tau model built once.
 
 Counts the calls of the per-tau builders made by ``optimize``, ``evaluate``,
-``run`` and ``compare`` and pins them: one ``derive``, one outage bundle and
-one set of kernel blocks per grid sensing time, plus those of the winner's
-evaluation, and one ambient harvest law per search or evaluation.  The
-detector is evaluated once per sensing time, over all its thresholds, and
-once more per evaluation or simulation.  The LP solves of ``optimize`` are
-pinned too: its screen needs none, so only the points within
-``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP once: the
-thresholds of a sensing time that cannot fund sensing share one LP.  The
+``run`` and ``compare`` and pins them: one ``derive`` per grid sensing
+time, one outage bundle and one set of kernel blocks per screened column,
+plus those of the winner's evaluation, and one ambient harvest law per
+search or evaluation.  The sensing times that cannot fund sensing share
+the first one's column and screen.  The detector is evaluated once per
+screened column, over all its thresholds, and once more per evaluation or
+simulation; no policy iteration runs on an empty batch.  The LP solves of
+``optimize`` are pinned too: its screen needs none, so only the points
+within ``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP
+once: all points of the sensing times that cannot fund sensing share one
+LP.  The
 simulator draws its faithful detections from the noncentral chi-square law,
 so neither a run nor a comparison, in either correlation mode, evaluates
 Marcum Q.  An evaluation solves its chain with one LU solve and no least
@@ -81,25 +84,68 @@ def test_optimize_builds_each_column_once(calls, setting):
     taus = FAST_GRID.tau_values(params)  # 4 sensing times, all usable
     # at rho 0.5 every FAST_GRID point ties, so each distinct LP is solved
     # cold: each point of a column that can fund sensing, and one LP for
-    # each column that cannot (6 and 8 ms); the cold solves read the
-    # detector off their column
-    distinct = sum(6 if system_model.derive(params, tau).beta_range else 1
-                   for tau in taus)
-    assert distinct == 14
+    # the two columns that cannot (6 and 8 ms), which share the column of
+    # 6 ms; the cold solves read the detector off their column
+    sensing = sum(bool(system_model.derive(params, tau).beta_range)
+                  for tau in taus)
+    assert sensing == 2
     calls.clear()
     optimize(params, FAST_GRID, "probabilistic")
-    n_tau = len(taus)
-    assert calls == {"derive": n_tau + 1, "bundle": n_tau + 1,
-                     "harvest_blocks": n_tau + 1, "nature_distribution": 2,
-                     "solve_lp": distinct, "detection_avg": n_tau + 1,
-                     "false_alarm": n_tau + 1}
+    built = sensing + 2  # the shared column and the winner's evaluation
+    assert calls == {"derive": len(taus) + 1, "bundle": built,
+                     "harvest_blocks": built, "nature_distribution": 2,
+                     "solve_lp": 6 * sensing + 1, "detection_avg": built,
+                     "false_alarm": built}
+
+
+def test_preset_grid_screens_eleven_columns(calls, monkeypatch, setting):
+    # the preset grid has 19 sensing times, and the battery cannot fund
+    # sensing at the last nine (m 110 to 190): the ten others and the
+    # first of those nine are screened, each with its own detector call,
+    # outage bundle and kernel blocks, beside the winner's evaluation
+    params, _ = setting
+    grid = optimizer.GridSpec(tau_min=5e-4)
+    taus = grid.tau_values(params)
+    assert sum(not system_model.derive(params, tau).beta_range
+               for tau in taus) == 9
+    screen, screened = optimizer._screen, []
+
+    def counted(params, column, scheme, start):
+        screened.append(column.quantities.m)
+        return screen(params, column, scheme, start)
+
+    monkeypatch.setattr(optimizer, "_screen", counted)
+    calls.clear()
+    optimize(params, grid, "probabilistic")
+    assert screened == list(range(10, 120, 10))
+    assert calls["derive"] == len(taus) + 1
+    for name in ("detection_avg", "bundle", "harvest_blocks"):
+        assert calls[name] == len(screened) + 1
+
+
+@pytest.mark.parametrize("rho, mu_th", [(0.5, 0.65), (0.5, 0.72), (0.1, 0.65),
+                                        (0.5, 0.99)])
+def test_no_policy_iteration_gets_an_empty_batch(monkeypatch, testbench_params,
+                                                 rho, mu_th):
+    # slack, binding, tied and unreachable floors
+    params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
+    iterate, batches = optimizer._policy_iteration, []
+
+    def counted(idle_blind, sense, *rest, **kwargs):
+        batches.append(len(sense))
+        return iterate(idle_blind, sense, *rest, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_policy_iteration", counted)
+    with contextlib.suppress(InfeasibleGridError):
+        optimize(params, FAST_GRID, "probabilistic")
+    assert batches and min(batches) >= 1
 
 
 @pytest.mark.parametrize("grid, rho, mu_th, solves", [
     (TIE_GRID, 0.5, 0.65, 1),   # slack floor, one point wins outright
     (TIE_GRID, 0.5, 0.72, 1),   # the floor binds at the winner
     (TIE_GRID, 0.5, 0.99, 0),   # no point is feasible
-    (FAST_GRID, 0.1, 0.65, 14),  # all points tie: one solve per distinct LP
+    (FAST_GRID, 0.1, 0.65, 13),  # all points tie: one solve per distinct LP
 ])
 def test_optimize_solves_only_near_best_points(calls, testbench_params, grid,
                                                rho, mu_th, solves):
@@ -135,11 +181,11 @@ def test_untied_cell_starts_no_thread(calls, pools, testbench_params):
 def test_tied_cell_solves_each_distinct_lp_once_on_threads(calls, pools,
                                                            testbench_params):
     # 12 points at the two sensing times that can fund sensing, and one LP
-    # for the 6 thresholds of each of the two that cannot
+    # for the 12 points of the two that cannot
     params = with_overrides(testbench_params, rho=0.1)
     _, records = optimize(params, FAST_GRID, "probabilistic")
     assert len(records) == 24
-    assert calls["solve_lp"] == 14
+    assert calls["solve_lp"] == 13
     assert pools == [(2,)]
 
 
@@ -155,7 +201,7 @@ def test_tied_cell_builds_one_lp_per_solve(calls, pools, monkeypatch,
     monkeypatch.setattr(optimizer, "_build_lp", counted)
     optimize(with_overrides(testbench_params, rho=0.1), FAST_GRID,
              "probabilistic")
-    assert len(built) == calls["solve_lp"] == 14
+    assert len(built) == calls["solve_lp"] == 13
     assert pools == [(2,)]
 
 

@@ -384,12 +384,14 @@ class TestInvalidConfigValues:
         ("P_p", 1e308, "mean sensing SNR"),
         ("sigma_n2", 1e-320, "mean sensing SNR"),
         ("W", 1e-320, "invalid grid"),
+        ("T", 1e300, "invalid grid"),
     ])
     def test_reported_cases(self, fast_config, key, value, message):
         # NaN power used to hang the search, the infinities to end in a
         # traceback or a result computed from n_t = 0; the finite extremes
         # overflowed n_t, the mean sensing SNR or snapped tau*W to 0, each
-        # ending in a traceback
+        # ending in a traceback, and a slot of 1e300 s listed its sensing
+        # times until memory was gone
         doc = json.loads(fast_config.read_text())
         doc[key] = value
         fast_config.write_text(json.dumps(doc))

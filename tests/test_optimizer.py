@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehcr import harvesting, optimizer
-from ehcr.chain import AmbiguousChainError, action_ranges, transition_components
+from ehcr.chain import (
+    AmbiguousChainError,
+    action_kernels,
+    action_ranges,
+    transition_components,
+)
 from ehcr.numerics import LP_FEASIBILITY_TOL, solve_lp
 from ehcr.optimizer import (
     GridSpec,
@@ -49,6 +54,9 @@ FAST_GRID = GridSpec(tau_min=2e-3, lambda_count=6)
 #: preset-like thresholds at the preset's tau_min: at rho 0.5 one point wins
 #: outright, at rho 0.1 all 57 points tie to within solver noise
 TIE_GRID = GridSpec(tau_min=5e-4, lambda_values=(30.0, 33.0, 36.0))
+#: nine sensing times, of which the battery cannot fund sensing at the last
+#: four (6 to 9 ms)
+BLIND_GRID = GridSpec(tau_min=1e-3, lambda_count=6)
 
 
 class TestGridSpec:
@@ -62,6 +70,21 @@ class TestGridSpec:
     def test_non_integral_grid_rejected(self, testbench_params):
         with pytest.raises(ValueError):
             GridSpec(tau_min=3.3e-5).tau_values(testbench_params)
+
+    def test_oversized_grid_rejected_before_its_loop(self, testbench_params):
+        # about 2e303 sensing times: their loop used to run until memory
+        # was gone
+        params = with_overrides(testbench_params, T=1e300)
+        with deadline(5.0), pytest.raises(ValueError, match="2e\\+303 sensing"):
+            GridSpec(tau_min=5e-4).tau_values(params)
+
+    def test_grid_size_bound_is_exact(self, testbench_params, monkeypatch):
+        grid = GridSpec(tau_min=5e-4)
+        monkeypatch.setattr(optimizer, "_MAX_SENSING_TIMES", 19)
+        assert len(grid.tau_values(testbench_params)) == 19
+        monkeypatch.setattr(optimizer, "_MAX_SENSING_TIMES", 18)
+        with pytest.raises(ValueError, match="gives 19 sensing times"):
+            grid.tau_values(testbench_params)
 
     def test_lambda_grid_spans_false_alarm_extremes(self):
         grid = GridSpec(tau_min=5e-4, lambda_count=40)
@@ -383,10 +406,15 @@ class TestColdSolves:
             column = column_at(params, tau, FAST_GRID)
             if optimizer._unsupported(column.quantities, scheme):
                 continue
-            batch = _point_model(params, column, slice(None))
+            idle_blind, sense = action_kernels(params, column.blocks,
+                                               column.p_d, column.p_f)
+            rewards = action_rewards(params, column.outages, column.p_d,
+                                     column.p_f)
             for k in range(len(column.thresholds)):
-                for got, want in zip(_point_model(params, column, k), batch):
-                    assert np.array_equal(got, want[k])
+                kernels, point_rewards = _point_model(params, column, k)
+                assert np.array_equal(kernels[:2], idle_blind)
+                assert np.array_equal(kernels[2], sense[k])
+                assert np.array_equal(point_rewards, rewards[k])
             ks = [0, 2, 3, 5]
             built.clear()
             with mock.patch.object(optimizer, "_WORKERS", 2), \
@@ -406,7 +434,7 @@ class TestColdSolves:
                                                monkeypatch):
         # the earlier an LP is taken up, the longer its solve sleeps, so the
         # workers finish out of order; the records must not follow them.
-        # All 24 points tie, in 14 distinct LPs.
+        # All 24 points tie, in 13 distinct LPs.
         params = with_overrides(testbench_params, rho=0.1)
         serial = search_with_workers(params, FAST_GRID, 1)
         lock, started = threading.Lock(), []
@@ -414,13 +442,13 @@ class TestColdSolves:
         def slow_early(*lp):
             with lock:
                 started.append(1)
-                delay = max(0.0, 0.005 * (14 - len(started)))
+                delay = max(0.0, 0.005 * (13 - len(started)))
             time.sleep(delay)
             return solve_lp(*lp)
 
         monkeypatch.setattr(optimizer, "solve_lp", slow_early)
         threaded = search_with_workers(params, FAST_GRID, 2)
-        assert len(started) == 14
+        assert len(started) == 13
         assert_identical_searches(threaded, serial)
 
     @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
@@ -429,23 +457,25 @@ class TestColdSolves:
     @settings(max_examples=10)
     def test_non_sensing_column_has_one_lp(self, testbench_params, rho, mu_th,
                                            lambda_e, scheme):
-        # why a column that cannot fund sensing shares one cold solve: its
-        # thresholds differ in the detector terms, but no LP array does
+        # why the columns that cannot fund sensing share one cold solve:
+        # their thresholds and sensing times differ in the detector terms
+        # and the sensing cost, but no LP array does
         params = with_overrides(testbench_params, rho=rho, mu_th=mu_th,
                                 lambda_e=lambda_e)
-        non_sensing = 0
+        first, costs = None, set()
         for tau in FAST_GRID.tau_values(params):
             column = column_at(params, tau, FAST_GRID)
             if column.quantities.beta_range:
                 continue
-            non_sensing += 1
+            costs.add(column.quantities.n_s)
             assert len(set(column.p_d.tolist())) == len(column.thresholds)
-            first = point_lp(params, column, 0, scheme)
-            for k in range(1, len(column.thresholds)):
+            if first is None:
+                first = point_lp(params, column, 0, scheme)
+            for k in range(len(column.thresholds)):
                 for got, want in zip(point_lp(params, column, k, scheme), first,
                                      strict=True):
                     assert np.array_equal(got, want)
-        assert non_sensing == 2  # 6 and 8 ms
+        assert len(costs) == 2  # 6 and 8 ms, at two sensing costs
 
     def test_mixed_entries_share_only_the_non_sensing_solve(
             self, testbench_params, monkeypatch):
@@ -545,14 +575,20 @@ class TestColdSolves:
                                   search_with_workers(params, FAST_GRID, 2))
 
 
+def search(params, grid, scheme):
+    """``optimize``'s winner and records, or the records of an infeasible
+    grid."""
+    try:
+        return optimize(params, grid, scheme)
+    except InfeasibleGridError as exc:
+        return None, exc.records
+
+
 def search_with_workers(params, grid, workers):
-    """``optimize`` with ``workers`` cold-solve threads: the winner and the
-    records, or the records of an infeasible grid."""
+    """:func:`search` of the probabilistic scheme with ``workers`` cold-solve
+    threads."""
     with mock.patch.object(optimizer, "_WORKERS", workers):
-        try:
-            return optimize(params, grid, "probabilistic")
-        except InfeasibleGridError as exc:
-            return None, exc.records
+        return search(params, grid, "probabilistic")
 
 
 def assert_identical_searches(got, want):
@@ -631,21 +667,72 @@ class TestScreenSolves:
         iterate = optimizer._policy_iteration
         warm = []
 
-        def idle_start(kernels, rewards, allowed, weights, policy=None):
-            return iterate(kernels, rewards, allowed, weights)
+        def idle_start(idle_blind, sense, rewards, allowed, weights,
+                       policy=None):
+            return iterate(idle_blind, sense, rewards, allowed, weights)
 
-        def failing_warm_start(kernels, rewards, allowed, weights, policy=None):
+        def failing_warm_start(idle_blind, sense, rewards, allowed, weights,
+                               policy=None):
             if policy is not None:
                 warm.append(policy)
                 return None
-            return iterate(kernels, rewards, allowed, weights)
+            return iterate(idle_blind, sense, rewards, allowed, weights)
 
         monkeypatch.setattr(optimizer, "_policy_iteration", idle_start)
         reference = optimize(params, FAST_GRID, "probabilistic")
         monkeypatch.setattr(optimizer, "_policy_iteration", failing_warm_start)
         got = optimize(params, FAST_GRID, "probabilistic")
-        assert len(warm) == len(FAST_GRID.tau_values(params)) - 1
+        # the columns at 4 and 6 ms start warm; the one at 8 ms, which
+        # cannot fund sensing either, takes the screen of 6 ms
+        assert len(warm) == 2
         assert_identical_searches(got, reference)
+
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           lambda_e=st.floats(20.0, 400.0),
+           mode=st.sampled_from(["mixed", "nature", "rf"]),
+           scheme=st.sampled_from(optimizer.SCHEMES))
+    @settings(max_examples=25, deadline=None)
+    def test_non_sensing_columns_share_one_screen(self, testbench_params, rho,
+                                                  mu_th, lambda_e, mode,
+                                                  scheme):
+        # each column that cannot fund sensing, built and screened on its
+        # own and warm-started as optimize starts it, gives the first such
+        # column's screen bit for bit, so optimize may reuse that screen
+        params = harvest_mode(with_overrides(testbench_params, rho=rho,
+                                             mu_th=mu_th, lambda_e=lambda_e),
+                              mode)
+        start, screens = None, []
+        for tau in BLIND_GRID.tau_values(params):
+            column = column_at(params, tau, BLIND_GRID)
+            screen = _screen(params, column, scheme, start)
+            if screen is None:
+                break  # the all-idle chain has several closed classes
+            if not column.quantities.beta_range:
+                screens.append(screen)
+            start = screen[-1]
+        else:
+            assert len(screens) == 4  # 6 to 9 ms
+        for screen in screens[1:]:
+            for got, want in zip(screen, screens[0], strict=True):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           lambda_e=st.floats(20.0, 400.0),
+           mode=st.sampled_from(["mixed", "nature", "rf"]),
+           scheme=st.sampled_from(optimizer.SCHEMES))
+    @settings(max_examples=10, deadline=None)
+    def test_shared_screen_equals_own_screens(self, testbench_params, rho,
+                                              mu_th, lambda_e, mode, scheme):
+        # a search whose every column is screened and solved cold on its own
+        # (each sensing time its own model key) gives the same records,
+        # winner, LP rates and policy bit for bit
+        params = harvest_mode(with_overrides(testbench_params, rho=rho,
+                                             mu_th=mu_th, lambda_e=lambda_e),
+                              mode)
+        got = search(params, BLIND_GRID, scheme)
+        with mock.patch.object(optimizer, "_model_key", lambda q: q.tau):
+            want = search(params, BLIND_GRID, scheme)
+        assert_identical_searches(got, want)
 
 
 class TestConstrainedRegime:
@@ -733,14 +820,16 @@ class TestConstrainedRegime:
             column = column_at(params, tau, FAST_GRID)
             if optimizer._unsupported(column.quantities, scheme):
                 continue
-            batch = (transition_components(params, column.blocks, column.p_d,
-                                           column.p_f),
-                     action_rewards(params, column.outages, column.p_d,
-                                    column.p_f),
-                     _admitted(params, column.quantities, scheme))
-            for got, want in zip(batch, reference_column_mdp(params, column,
-                                                             scheme)):
-                assert np.array_equal(got, want)
+            idle_blind, sense = action_kernels(params, column.blocks,
+                                               column.p_d, column.p_f)
+            kernels, rewards, allowed = reference_column_mdp(params, column,
+                                                             scheme)
+            assert all(np.array_equal(idle_blind, point[:2]) for point in kernels)
+            assert np.array_equal(sense, kernels[:, 2])
+            assert np.array_equal(action_rewards(params, column.outages,
+                                                 column.p_d, column.p_f), rewards)
+            assert np.array_equal(_admitted(params, column.quantities, scheme),
+                                  allowed)
 
     @given(rho=st.floats(0.05, 0.95), share=st.floats(0.05, 0.95),
            scheme=st.sampled_from(optimizer.SCHEMES))
@@ -780,12 +869,13 @@ class TestConstrainedRegime:
         column = column_at(params, solution.tau, TIE_GRID)
         k = column.thresholds.index(solution.threshold)
         p_d, p_f = column.p_d[k], column.p_f[k]
-        kernels = transition_components(params, column.blocks, p_d, p_f)[None]
+        kernels = transition_components(params, column.blocks, p_d, p_f)
         rewards = action_rewards(params, column.outages, p_d, p_f)[None]
         allowed = _admitted(params, column.quantities, scheme)
 
         def gains(nu):
-            solved, _ = _policy_iteration(kernels, rewards, allowed, (1.0, nu))
+            solved, _ = _policy_iteration(kernels[:2], kernels[2:], rewards,
+                                          allowed, (1.0, nu))
             return solved[0]
 
         low, high = 0.0, 1.0

@@ -78,6 +78,22 @@ class TestDerive:
         assert np.all(np.isfinite(harvest_blocks(params, q,
                                                  *harvest_laws(params))))
 
+    @pytest.mark.parametrize("name, cost", [("E_t", "n_t"), ("e_proc", "n_s")])
+    @pytest.mark.parametrize("value", [1e-300, 5e-324])
+    def test_positive_energy_costs_a_packet(self, testbench_params, name, cost,
+                                            value):
+        # an energy ratio at or below the integer snap used to cost nothing
+        params = with_overrides(testbench_params, **{name: value})
+        assert getattr(derive(params, 5e-4), cost) == 1
+
+    def test_preset_packet_costs(self, testbench_params):
+        # one sensing packet per 10 samples, ten per transmission
+        costs = [(q.n_t, q.n_s, len(q.alpha_range), len(q.beta_range))
+                 for q in (derive(testbench_params, tau) for tau in
+                           GridSpec(tau_min=5e-4).tau_values(testbench_params))]
+        assert costs == [(10, k, min(k, 11), max(11 - k, 0))
+                         for k in range(1, 20)]
+
     def test_scale_consistency(self, make_params):
         rng = np.random.default_rng(5)
         base = make_params()
