@@ -210,7 +210,9 @@ def _closed_classes(p: np.ndarray) -> list[list[int]]:
     The reachability closure comes from squaring the one-step relation (with
     every state reaching itself) until it stops growing; a state is in a
     closed class when every state it reaches reaches it back, and its class
-    is then the set it reaches.
+    is then the set it reaches.  Closed classes are disjoint (Kemeny & Snell
+    1960), so each is listed once, from the row of its first member, and
+    sorting by first member sorts the list.
     """
     reach = (p > _EDGE_TOL) | np.eye(p.shape[0], dtype=bool)
     while True:
@@ -218,9 +220,9 @@ def _closed_classes(p: np.ndarray) -> list[list[int]]:
         if np.array_equal(wider, reach):
             break
         reach = wider
-    closed = np.all(reach <= reach.T, axis=1)
-    return [list(c) for c in sorted({tuple(np.nonzero(reach[i])[0].tolist())
-                                     for i in np.nonzero(closed)[0]})]
+    closed = reach[np.all(reach <= reach.T, axis=1)]
+    return [np.flatnonzero(reach[first]).tolist()
+            for first in np.unique(closed.argmax(axis=1))]
 
 
 def _bordered(kernels: np.ndarray) -> np.ndarray:

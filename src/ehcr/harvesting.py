@@ -10,15 +10,16 @@ so the packet count of an exponentially faded link has the staircase law
 
 The mixed distribution is the discrete convolution of the two, and
 :func:`harvest_laws` builds the chain's (silent, active) pair of laws from
-one ambient law.  Truncated array forms carry their complementary CDF so
-that the battery-cap boundary of the energy chain can fold all overflow mass
-consistently.
+one ambient law, once per distinct ambient mean, RF packet scale and support
+cap, and shares them read-only.  Truncated array forms carry their
+complementary CDF so that the battery-cap boundary of the energy chain can
+fold all overflow mass consistently.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,12 +40,13 @@ class HarvestPmf:
     absorbs the folded tail so the masses always total one.  ``masses`` and
     ``tail_at_least`` are complementary by construction: the chain's row
     sums stay exactly stochastic no matter where the fold landed.
+    ``masses`` is a read-only copy, so one law can serve every caller.
     """
 
     masses: np.ndarray
 
     def __post_init__(self):
-        masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
+        masses = np.array(self.masses, dtype=float, ndmin=1)
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("masses must be a nonempty 1-D array")
         if not np.all(np.isfinite(masses)):
@@ -53,6 +55,7 @@ class HarvestPmf:
             raise ValueError("masses must be nonnegative")
         if abs(masses.sum() - 1.0) > 1e-9:
             raise ValueError(f"masses must sum to 1, got {masses.sum()!r}")
+        masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
 
     @cached_property
@@ -128,14 +131,31 @@ def rf_distribution(params: SystemParams) -> HarvestPmf:
     return HarvestPmf(_truncate_and_fold(masses, cap))
 
 
+@dataclass(frozen=True)
+class _Scenario:
+    """The numbers the harvest laws read, and parameters that give them."""
+
+    ambient_mean: float
+    rf_scale: float
+    cap: int
+    params: SystemParams = field(compare=False)
+
+
 def harvest_laws(params: SystemParams) -> tuple[HarvestPmf, HarvestPmf]:
     """Truncated arrival laws while the licensed user is silent (ambient
-    alone) and while it is active (ambient plus RF), sharing one ambient law."""
-    cap = SUPPORT_CAP_FACTOR * params.N_max
-    nature = nature_distribution(params)
-    rf = rf_distribution(params)
+    alone) and while it is active (ambient plus RF), sharing one ambient law:
+    the same law objects for the same ambient mean, RF scale and cap."""
+    return _laws(_Scenario(_ambient_mean(params.lambda_e, params.T),
+                           _rf_packet_scale(params),
+                           SUPPORT_CAP_FACTOR * params.N_max, params))
+
+
+@lru_cache(maxsize=16)
+def _laws(scenario: _Scenario) -> tuple[HarvestPmf, HarvestPmf]:
+    nature = nature_distribution(scenario.params)
+    rf = rf_distribution(scenario.params)
     convolved = np.convolve(nature.masses, rf.masses)
-    return nature, HarvestPmf(_truncate_and_fold(convolved, cap))
+    return nature, HarvestPmf(_truncate_and_fold(convolved, scenario.cap))
 
 
 def combined_distribution(params: SystemParams) -> HarvestPmf:

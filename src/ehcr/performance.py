@@ -74,7 +74,8 @@ def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:
     the stationary share of each action then weighs its
     :func:`action_rewards`, and the shares of blind access and sensing are
     the access and sensing probabilities.  The policy's validation derives
-    its sensing time once, for everything else to build on.
+    its sensing time once, for everything else to build on; the memoized
+    :func:`~ehcr.harvesting.harvest_laws` give the laws no policy changes.
     """
     quantities = policy.validate_against(params)
     cfg = sensing.SensingConfig(policy.threshold, quantities.m)

@@ -229,6 +229,9 @@ def validate(params: SystemParams) -> list[str]:
         if params.E_t / params.E_u == math.inf:
             violations.append(f"E_t / E_u must be finite, got E_t={params.E_t}, "
                               f"E_u={params.E_u}")
+        elif params.E_t / params.E_u == 0.0:  # n_t would be 0 packets
+            violations.append(f"E_t / E_u must be positive, got E_t={params.E_t}, "
+                              f"E_u={params.E_u}")
         elif 1 <= params.N_max < params.n_t:
             violations.append(
                 f"battery smaller than one transmission: N_max={params.N_max} "

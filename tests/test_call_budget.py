@@ -3,21 +3,23 @@
 Counts the calls of the per-tau builders made by ``optimize``, ``evaluate``,
 ``run`` and ``compare`` and pins them: one ``derive`` per grid sensing
 time, one outage bundle and one set of kernel blocks per screened column,
-plus those of the winner's evaluation, and one ambient harvest law per
-search or evaluation.  The sensing times that cannot fund sensing share
-the first one's column and screen.  The detector is evaluated once per
-screened column, over all its thresholds, and once more per evaluation or
+plus those of the winner's evaluation.  The sensing times that cannot fund
+sensing share the first one's column and screen.  The harvest laws depend
+on neither rho, the sensing time, the detector nor the policy, so a
+scenario builds its ambient law once: a search and its winner's evaluation
+share it, and so do evaluations of any policies at any rho (the law memo is
+cleared before each count).  The detector is evaluated once per screened
+column, over all its thresholds, and once more per evaluation or
 simulation; no policy iteration runs on an empty batch.  The LP solves of
 ``optimize`` are pinned too: its screen needs none, so only the points
 within ``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP
 once: all points of the sensing times that cannot fund sensing share one
-LP.  The
-simulator draws its faithful detections from the noncentral chi-square law,
-so neither a run nor a comparison, in either correlation mode, evaluates
-Marcum Q.  An evaluation solves its chain with one LU solve and no least
-squares.  Cold solves run on worker threads, so the counts are kept under a lock; a cell that
-solves one distinct LP starts no thread, and each LP is built once, by the
-worker that solves it.
+LP.  The simulator draws its faithful detections from the noncentral
+chi-square law, so neither a run nor a comparison, in either correlation
+mode, evaluates Marcum Q.  An evaluation solves its chain with one LU solve
+and no least squares.  Cold solves run on worker threads, so the counts are
+kept under a lock; a cell that solves one distinct LP starts no thread, and
+each LP is built once, by the worker that solves it.
 """
 import collections
 import contextlib
@@ -58,7 +60,8 @@ def setting(testbench_params):
 @pytest.fixture
 def calls(monkeypatch, setting):
     """Call counts of the COUNTED functions, wherever ``ehcr`` binds them,
-    from after the setting is built."""
+    from after the setting is built and with no harvest law memoized."""
+    harvesting._laws.cache_clear()
     counts = collections.Counter()
     lock = threading.Lock()
 
@@ -92,8 +95,9 @@ def test_optimize_builds_each_column_once(calls, setting):
     calls.clear()
     optimize(params, FAST_GRID, "probabilistic")
     built = sensing + 2  # the shared column and the winner's evaluation
+    # the winner's evaluation reads the search's harvest laws from the memo
     assert calls == {"derive": len(taus) + 1, "bundle": built,
-                     "harvest_blocks": built, "nature_distribution": 2,
+                     "harvest_blocks": built, "nature_distribution": 1,
                      "solve_lp": 6 * sensing + 1, "detection_avg": built,
                      "false_alarm": built}
 
@@ -278,6 +282,21 @@ def test_evaluate_derives_once(calls, setting):
     assert calls == {"derive": 1, "bundle": 1, "harvest_blocks": 1,
                      "nature_distribution": 1, "detection_avg": 1,
                      "false_alarm": 1}
+
+
+def test_evaluations_of_one_scenario_build_its_laws_once(calls, setting):
+    # rho, the sensing time, the threshold and the policy leave the harvest
+    # laws as they are
+    params, _ = setting
+    for rho in (0.1, 0.5, 0.9):
+        at_rho = with_overrides(params, rho=rho)
+        for tau in (5e-4, 1e-3, 2e-3):
+            for policy in (Policy.idle(at_rho, tau, 20.0),
+                           Policy.constant(at_rho, tau, 30.0, 0.5, 0.3, 0.5),
+                           Policy.constant(at_rho, tau, 40.0, 1.0, 0.0, 1.0)):
+                evaluate(at_rho, policy)
+    assert calls["nature_distribution"] == 1
+    assert calls["harvest_blocks"] == 27
 
 
 def test_run_derives_once(calls, setting):

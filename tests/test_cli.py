@@ -402,6 +402,20 @@ class TestInvalidConfigValues:
         assert message in err and len(err.strip().splitlines()) == 1, err
 
 
+    def test_transmission_ratio_underflow(self, fast_config):
+        # E_t / E_u underflows to 0: n_t was 0 and a transmission cost
+        # nothing, so the search ran on a battery that transmits for free
+        doc = json.loads(fast_config.read_text())
+        doc.update(E_u=10.0, E_t=5e-324)
+        fast_config.write_text(json.dumps(doc))
+        code, out, err = _run_in_process(["optimize", "--config",
+                                          str(fast_config)])
+        assert (code, out) == (1, "")
+        assert err.strip().splitlines() == [
+            "error: invalid parameters: E_t / E_u must be positive, got "
+            "E_t=5e-324, E_u=10.0"]
+
+
 class TestExtremeConfigValues:
     """Finite but extreme constants the model admits: each command exits
     with its documented code and at most one stderr line; each case used to

@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ehcr.harvesting import (
+    SUPPORT_CAP_FACTOR,
     HarvestPmf,
     _truncate_and_fold,
     combined_distribution,
+    harvest_laws,
     nature_distribution,
     rf_distribution,
 )
@@ -171,12 +173,14 @@ class TestDistributions:
     def test_ambient_law_checks_its_rate(self, testbench_params, changes,
                                          message):
         # the array form checks the rate as the scalar law does, rather
-        # than failing inside the logarithm of the mean
+        # than failing inside the logarithm of the mean, and the memoized
+        # pair checks it before looking the laws up
         params = with_overrides(testbench_params, **changes)
         with pytest.raises(ValueError, match=message):
             nature_pmf(params.lambda_e, params.T, 0)
-        with pytest.raises(ValueError, match=message):
-            nature_distribution(params)
+        for build in (nature_distribution, harvest_laws):
+            with pytest.raises(ValueError, match=message):
+                build(params)
 
     @given(lambda_e=st.one_of(st.just(0.0), st.floats(0.0, 5000.0)),
            eta=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
@@ -211,3 +215,61 @@ class TestDistributions:
             tail = dist.tail_at_least(np.arange(-2, dist.masses.size + 3))
             assert tail[0] == 1.0 and tail[-1] == 0.0
             assert np.all(np.diff(tail) <= 0.0)
+
+
+#: the constants the harvest laws read, and their testbench neighbourhood
+_LAW_INPUTS = dict(lambda_e=st.one_of(st.just(0.0), st.floats(0.0, 5000.0)),
+                   eta=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                   n_max=st.integers(1, 60),
+                   e_u=st.floats(1e-6, 1e-2))
+
+
+class TestLawMemo:
+    """The laws are built once per (ambient mean, RF scale, cap) and shared."""
+
+    @staticmethod
+    def params(base, lambda_e, eta, n_max, e_u, **changes):
+        return with_overrides(base, lambda_e=lambda_e, eta=eta, N_max=n_max,
+                              E_u=e_u, **changes)
+
+    @given(**_LAW_INPUTS)
+    def test_memoized_laws_equal_an_uncached_build(self, testbench_params,
+                                                   lambda_e, eta, n_max, e_u):
+        params = self.params(testbench_params, lambda_e, eta, n_max, e_u)
+        nature, active = harvest_laws(params)
+        # the laws as built before the memo: from the public builders
+        fresh = nature_distribution(params)
+        convolved = np.convolve(fresh.masses, rf_distribution(params).masses)
+        assert np.array_equal(nature.masses, fresh.masses)
+        assert np.array_equal(active.masses, _truncate_and_fold(
+            convolved, SUPPORT_CAP_FACTOR * n_max))
+        assert np.array_equal(combined_distribution(params).masses,
+                              active.masses)
+
+    @given(**_LAW_INPUTS, rho=st.floats(0.0, 1.0), mu_th=st.floats(0.0, 1.0),
+           b_p=st.floats(1.0, 1e4))
+    def test_other_constants_share_the_law_objects(self, testbench_params,
+                                                   lambda_e, eta, n_max, e_u,
+                                                   rho, mu_th, b_p):
+        params = self.params(testbench_params, lambda_e, eta, n_max, e_u)
+        other = self.params(testbench_params, lambda_e, eta, n_max, e_u,
+                            rho=rho, mu_th=mu_th, b_p=b_p)
+        assert all(a is b for a, b in zip(harvest_laws(params),
+                                          harvest_laws(other)))
+
+    @given(**_LAW_INPUTS)
+    def test_shared_masses_are_read_only(self, testbench_params, lambda_e, eta,
+                                         n_max, e_u):
+        params = self.params(testbench_params, lambda_e, eta, n_max, e_u)
+        for law in harvest_laws(params):
+            before = law.masses.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                law.masses[0] = 0.5
+            assert np.array_equal(law.masses, before)
+
+    def test_masses_are_copied_from_the_caller(self):
+        # freezing the law's masses leaves the caller's array writable
+        given_masses = np.array([0.25, 0.75])
+        law = HarvestPmf(given_masses)
+        given_masses[0] = 0.5
+        assert law.masses[0] == 0.25

@@ -136,6 +136,14 @@ class TestValidate:
         bad = with_overrides(testbench_params, E_u=1e-320)
         assert any(v.startswith("E_t / E_u must be finite") for v in validate(bad))
 
+    def test_transmission_packet_count_below_float_range(self,
+                                                         testbench_params):
+        # E_t / E_u underflowed to 0, so n_t was 0 and a transmission free
+        bad = with_overrides(testbench_params, E_u=10.0, E_t=5e-324)
+        assert bad.n_t == 0
+        assert validate(bad) == ["E_t / E_u must be positive, got E_t=5e-324, "
+                                 "E_u=10.0"]
+
     @pytest.mark.parametrize("name, value", [("P_p", 1e308), ("sigma_n2", 1e-320)])
     def test_infinite_mean_sensing_snr_rejected(self, testbench_params, name,
                                                 value):
