@@ -146,10 +146,6 @@ class StationaryDistribution:
 
     pi: np.ndarray
 
-    def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
-        object.__setattr__(self, "pi", pi)
-
 
 def harvest_blocks(params: SystemParams, q: DerivedQuantities,
                    idle_harvest: HarvestPmf,

@@ -7,11 +7,11 @@ the analytical model against a simulation).  All results are written as
 UTF-8 CSV with a header row and nine significant digits; identical inputs
 and seeds produce byte-identical output.
 
-Exit codes: 0 success, 1 usage or configuration error (a battery chain
-with no unique stationary law included) or out of memory, each with one
-``error:`` line on stderr, 2 infeasible optimization, 3 validation flags
-raised.  A reader that closes standard output early also gives 1, with
-nothing on stderr.
+Exit codes: 0 success, 1 usage or configuration error (any input the
+library refuses with a ``ValueError``, and a battery chain with no unique
+stationary law, included) or out of memory, each with one ``error:`` line
+on stderr, 2 infeasible optimization, 3 validation flags raised.  A reader
+that closes standard output early also gives 1, with nothing on stderr.
 """
 from __future__ import annotations
 
@@ -241,7 +241,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 except InfeasibleGridError:
                     rows.append((value, scheme, mode, "infeasible") + ("",) * 7)
                     continue
-                except (ConfigurationError, ValueError, AmbiguousChainError) as exc:
+                except (ValueError, AmbiguousChainError) as exc:
                     print(f"rho={value} {scheme}/{mode}: {exc}", file=sys.stderr)
                     rows.append((value, scheme, mode, "error") + ("",) * 7)
                     continue
@@ -251,14 +251,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if any_ok else EXIT_INFEASIBLE
 
 
-def _sim_config(args: argparse.Namespace, defaults: dict[str, Any],
-                params: SystemParams) -> simulator.SimConfig:
+def _sim_config(args: argparse.Namespace,
+                defaults: dict[str, Any]) -> simulator.SimConfig:
     # SimConfig checks that both are integers; a config file may hold anything
     slots = args.slots if args.slots is not None else defaults.get("slots", 100_000)
     seed = args.seed if args.seed is not None else defaults.get("seed", 0)
-    if args.initial_battery > params.N_max:
-        raise CliError(f"invalid simulation settings: initial battery "
-                       f"{args.initial_battery} exceeds N_max={params.N_max}")
     try:
         return simulator.SimConfig(slots=slots, seed=seed, initial_battery=args.initial_battery,
                                    correlation_mode=args.mode)
@@ -270,8 +267,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     params = _with_rho(config.params, args.rho)
     policy = _load_policy(args.policy, params)
-    report = simulator.run(params, policy,
-                           _sim_config(args, config.sim_defaults, params))
+    report = simulator.run(params, policy, _sim_config(args, config.sim_defaults))
     rows = [
         ("mu_p", report.mu_p, report.mu_p_se),
         ("mu_s", report.mu_s, report.mu_s_se),
@@ -291,10 +287,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     params = _with_rho(config.params, args.rho)
     policy = _load_policy(args.policy, params)
-    sim = _sim_config(args, config.sim_defaults, params)
-    if args.min_samples < 0:
-        raise CliError(f"invalid validation settings: min_samples must be "
-                       f">= 0, got {args.min_samples}")
+    sim = _sim_config(args, config.sim_defaults)
     comparison = simulator.compare(params, policy, sim,
                                    min_samples=args.min_samples)
     rows = [(r.metric, r.analytic, r.empirical, r.stderr, r.zscore,
@@ -384,6 +377,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as exc:  # any other input the library refuses
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -79,12 +79,9 @@ def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:
     """
     quantities = policy.validate_against(params)
     cfg = sensing.SensingConfig(policy.threshold, quantities.m)
-    if cfg.m >= 2 or np.any(policy.beta2 > 0):
-        # the second arm lets the averaged detector raise its own
-        # unsupported-configuration error for a sensing policy at m = 1
-        p_d = sensing.detection_avg(cfg, quantities.gamma_bar)
-    else:
-        p_d = 1.0  # no branch weights it
+    # a policy that never senses weights no detection term
+    p_d = (sensing.detection_avg(cfg, quantities.gamma_bar)
+           if np.any(policy.beta2 > 0) else 1.0)
     p_f = sensing.false_alarm(cfg)
     blocks = harvest_blocks(params, quantities, *harvesting.harvest_laws(params))
     actions = policy.level_actions(quantities)

@@ -56,6 +56,10 @@ _N_BATCHES = 100
 #: default minimum sample count before disagreement may be flagged
 DEFAULT_MIN_SAMPLES = 1000
 
+#: ambient mean at which larger ones are drawn, inside numpy's Poisson domain
+#: (about 9.2e18); a count below any battery size is then 0.0 in floats
+_AMBIENT_MEAN_CAP = 1e18
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -168,11 +172,17 @@ def _faithful_detection(cfg: sensing.SensingConfig, snr: np.ndarray) -> np.ndarr
 def _harvest(params: SystemParams, streams: dict, pu_active: np.ndarray,
              rf_gain: np.ndarray) -> np.ndarray:
     """Energy units harvested in each slot: ambient arrivals always, RF energy
-    from the licensed-link gain ``rf_gain`` while the licensed user is on."""
-    rf_q = np.floor(
-        params.eta * params.P_p * rf_gain * params.T / params.E_u
-    ).astype(np.int64)
-    return (streams["nature"].poisson(params.lambda_e * params.T, rf_gain.size)
+    from the licensed-link gain ``rf_gain`` while the licensed user is on.
+
+    Either source saturates past the battery size, where the battery caps it
+    anyway: the RF count at ``N_max`` before its integer cast, the ambient
+    mean at ``_AMBIENT_MEAN_CAP`` before its draw.
+    """
+    rf_q = np.floor(np.minimum(
+        params.eta * params.P_p * rf_gain * params.T / params.E_u, params.N_max
+    )).astype(np.int64)
+    ambient_mean = min(params.lambda_e * params.T, _AMBIENT_MEAN_CAP)
+    return (streams["nature"].poisson(ambient_mean, rf_gain.size)
             + np.where(pu_active, rf_q, 0))
 
 

@@ -180,12 +180,10 @@ def derive(params: SystemParams, tau: float) -> DerivedQuantities:
         raise ValueError(
             f"tau*W must be a positive integer, got {tau * params.W!r}"
         )
-    n_samples = snap_to_int(params.f_s * tau)
-    if n_samples is None:
-        n_samples = round(params.f_s * tau)
-    sensing_energy = n_samples * params.e_proc
-    n_s = (fuzzy_ceil(min(sensing_energy / params.E_u, params.n_states))
-           if sensing_energy > 0 else 0)
+    sensing_energy = round(params.f_s * tau) * params.e_proc
+    # a positive energy costs a packet even where its ratio to E_u underflows
+    n_s = max(fuzzy_ceil(min(sensing_energy / params.E_u, params.n_states)),
+              int(sensing_energy > 0))
     n_t = params.n_t
     transmit_time = params.T - tau
     split = min(n_t + n_s, params.n_states)
@@ -237,6 +235,12 @@ def validate(params: SystemParams) -> list[str]:
                 f"battery smaller than one transmission: N_max={params.N_max} "
                 f"< n_t={params.n_t}"
             )
+    if 0 < params.T < math.inf and 0 < params.W < math.inf:
+        for name in ("b_p", "b_s"):  # a zero spectral efficiency has no outage law
+            bits = getattr(params, name)
+            if 0 < bits < math.inf and bits / (params.T * params.W) == 0.0:
+                violations.append(f"{name} / (T * W) must be positive, got "
+                                  f"{name}={bits}, T={params.T}, W={params.W}")
     if 0 < params.P_p < math.inf and 0 < params.sigma_n2 < math.inf:
         snr = _mean_sensing_snr(params)
         if not 0 < snr < math.inf:

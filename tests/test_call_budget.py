@@ -9,8 +9,9 @@ on neither rho, the sensing time, the detector nor the policy, so a
 scenario builds its ambient law once: a search and its winner's evaluation
 share it, and so do evaluations of any policies at any rho (the law memo is
 cleared before each count).  The detector is evaluated once per screened
-column, over all its thresholds, and once more per evaluation or
-simulation; no policy iteration runs on an empty batch.  The LP solves of
+column, over all its thresholds, and once more per simulation and per
+evaluation of a policy that senses; no policy iteration runs on an empty
+batch.  The LP solves of
 ``optimize`` are pinned too: its screen needs none, so only the points
 within ``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP
 once: all points of the sensing times that cannot fund sensing share one
@@ -93,12 +94,14 @@ def test_optimize_builds_each_column_once(calls, setting):
                   for tau in taus)
     assert sensing == 2
     calls.clear()
-    optimize(params, FAST_GRID, "probabilistic")
+    solution, _ = optimize(params, FAST_GRID, "probabilistic")
     built = sensing + 2  # the shared column and the winner's evaluation
-    # the winner's evaluation reads the search's harvest laws from the memo
+    # the winner's evaluation reads the search's harvest laws from the memo,
+    # and its policy never senses, so it evaluates no detection probability
+    assert not np.any(solution.policy.beta2 > 0)
     assert calls == {"derive": len(taus) + 1, "bundle": built,
                      "harvest_blocks": built, "nature_distribution": 1,
-                     "solve_lp": 6 * sensing + 1, "detection_avg": built,
+                     "solve_lp": 6 * sensing + 1, "detection_avg": built - 1,
                      "false_alarm": built}
 
 
@@ -282,6 +285,13 @@ def test_evaluate_derives_once(calls, setting):
     assert calls == {"derive": 1, "bundle": 1, "harvest_blocks": 1,
                      "nature_distribution": 1, "detection_avg": 1,
                      "false_alarm": 1}
+
+
+def test_evaluating_a_policy_that_never_senses_skips_the_detector(calls,
+                                                                   setting):
+    params, _ = setting
+    evaluate(params, Policy.constant(params, 5e-4, 30.0, 0.5, 0.3, 0.0))
+    assert calls["detection_avg"] == 0 and calls["false_alarm"] == 1
 
 
 def test_evaluations_of_one_scenario_build_its_laws_once(calls, setting):

@@ -311,6 +311,24 @@ class TestBadInputsExitOne:
         assert main(["optimize", "--config", str(fast_config)]) == 1
         assert "tau*W = 6.6" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("command, target, name", [
+        ("optimize", "ehcr.cli", "optimize"),
+        ("simulate", "ehcr.simulator", "run"),
+        ("validate", "ehcr.simulator", "compare"),
+    ])
+    def test_library_value_error(self, fast_config, policy_file, capsys,
+                                 monkeypatch, command, target, name):
+        # main owns every ValueError the library raises inside a command
+        def refuse(*args, **kwargs):
+            raise ValueError("refused by the library")
+
+        monkeypatch.setattr(f"{target}.{name}", refuse)
+        argv = [command, "--config", str(fast_config)]
+        if command != "optimize":
+            argv += ["--policy", str(policy_file), "--slots", "100"]
+        assert main(argv) == 1
+        assert self.one_line_error(capsys) == "error: refused by the library\n"
+
 
 #: keys of the configuration document that must be positive and finite
 _POSITIVE_KEYS = ("P_p", "sigma_n2", "T", "W", "b_p", "b_s", "E_u", "E_t",
@@ -385,13 +403,16 @@ class TestInvalidConfigValues:
         ("sigma_n2", 1e-320, "mean sensing SNR"),
         ("W", 1e-320, "invalid grid"),
         ("T", 1e300, "invalid grid"),
+        ("b_p", 5e-324, "b_p / (T * W) must be positive"),
+        ("b_s", 5e-324, "b_s / (T * W) must be positive"),
     ])
     def test_reported_cases(self, fast_config, key, value, message):
         # NaN power used to hang the search, the infinities to end in a
         # traceback or a result computed from n_t = 0; the finite extremes
         # overflowed n_t, the mean sensing SNR or snapped tau*W to 0, each
         # ending in a traceback, and a slot of 1e300 s listed its sensing
-        # times until memory was gone
+        # times until memory was gone; a packet size whose spectral
+        # efficiency underflowed to 0 ended in the outage law's traceback
         doc = json.loads(fast_config.read_text())
         doc[key] = value
         fast_config.write_text(json.dumps(doc))
@@ -414,6 +435,11 @@ class TestInvalidConfigValues:
         assert err.strip().splitlines() == [
             "error: invalid parameters: E_t / E_u must be positive, got "
             "E_t=5e-324, E_u=10.0"]
+
+
+#: finite extremes that ``validate`` admits, for the simulation commands
+_ADMITTED_EXTREMES = [{"P_p": 1e-320}, {"b_s": 2e5}, {"b_p": 1e8},
+                      {"P_p": 1e20}, {"P_p": 1e300}, {"lambda_e": 1e300}]
 
 
 class TestExtremeConfigValues:
@@ -447,8 +473,19 @@ class TestExtremeConfigValues:
             assert out == "" and err.startswith("infeasible: ")
             assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("overrides", [{"P_p": 1e-320}, {"b_s": 2e5},
-                                           {"b_p": 1e8}])
+    # a harvest of 1e20 W or 1e300 packets/s overflowed the simulator's RF
+    # count cast or numpy's Poisson domain
+    @pytest.mark.parametrize("overrides", _ADMITTED_EXTREMES)
+    def test_simulate(self, fast_config, policy_file, overrides):
+        self.override(fast_config, overrides)
+        with deadline(60.0):
+            got, out, err = _run_in_process(
+                ["simulate", "--config", str(fast_config),
+                 "--policy", str(policy_file), "--slots", "2000"])
+        assert got == 0 and err == ""
+        assert out.startswith("metric,value")
+
+    @pytest.mark.parametrize("overrides", _ADMITTED_EXTREMES)
     def test_validate(self, fast_config, policy_file, overrides):
         self.override(fast_config, overrides)
         with deadline(60.0):
@@ -457,6 +494,26 @@ class TestExtremeConfigValues:
                  "--policy", str(policy_file), "--slots", "2000"])
         assert got in (0, 3) and err == ""
         assert out.startswith("metric,analytic")
+
+    def test_sensing_energy_below_float_range(self, fast_config, tmp_path):
+        # the sensing cost's ratio to E_u underflows to 0: sensing cost
+        # nothing, so level 10 could sense, and a policy sensing there was
+        # accepted; sensing now costs one packet
+        self.override(fast_config, {"E_u": 1000.0, "E_t": 10000.0,
+                                    "e_proc": 5e-324})
+        policy = tmp_path / "policy.json"
+        outcomes = []
+        for blind_only, full in ((0, 11), (1, 10)):
+            policy.write_text(json.dumps({
+                "alpha": [0.5] * blind_only, "beta1": [0.3] * full,
+                "beta2": [0.5] * full, "tau": 5e-4, "lambda": 30.0}))
+            outcomes.append(_run_in_process(
+                ["simulate", "--config", str(fast_config),
+                 "--policy", str(policy), "--slots", "2000"]))
+        (code, out, err), accepted = outcomes
+        assert (code, out) == (1, "")
+        assert "alpha must cover levels 10..10 (1 entries), got 0" in err
+        assert accepted[0] == 0 and accepted[2] == ""
 
 
 class TestOutputFailures:

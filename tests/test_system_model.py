@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehcr.chain import AmbiguousChainError, Policy, harvest_blocks
@@ -10,6 +10,7 @@ from ehcr.harvesting import harvest_laws
 from ehcr.optimizer import GridSpec
 from ehcr.outage import bundle
 from ehcr.performance import evaluate
+from ehcr.simulator import SimConfig, run
 from ehcr.system_model import (
     ConfigurationError,
     LinkParams,
@@ -144,6 +145,24 @@ class TestValidate:
         assert validate(bad) == ["E_t / E_u must be positive, got E_t=5e-324, "
                                  "E_u=10.0"]
 
+    def test_sensing_packet_count_below_float_range(self, testbench_params):
+        # n_samples * e_proc / E_u underflowed to 0, so n_s was 0 and sensing
+        # free; validate cannot see it, as the ratio depends on tau
+        params = with_overrides(testbench_params, E_u=1000.0, E_t=10000.0,
+                                e_proc=5e-324)
+        assert validate(params) == []
+        q = derive(params, 5e-4)
+        assert (q.n_t, q.n_s) == (10, 1)
+        assert q.alpha_range == range(10, 11) and q.beta_range == range(11, 21)
+
+    @pytest.mark.parametrize("name", ["b_p", "b_s"])
+    def test_spectral_efficiency_below_float_range(self, testbench_params,
+                                                   name):
+        # b / (T * W) underflowed to 0, and the outage laws refused the rate
+        bad = with_overrides(testbench_params, **{name: 5e-324})
+        assert validate(bad) == [f"{name} / (T * W) must be positive, got "
+                                 f"{name}=5e-324, T=0.01, W=20000.0"]
+
     @pytest.mark.parametrize("name, value", [("P_p", 1e308), ("sigma_n2", 1e-320)])
     def test_infinite_mean_sensing_snr_rejected(self, testbench_params, name,
                                                 value):
@@ -167,12 +186,14 @@ _EXTREME_KEYS = ("P_p", "sigma_n2", "W", "b_p", "b_s", "E_u", "E_t", "e_proc",
 
 class TestExtremeConstants:
     """One testbench constant anywhere in [1e-300, 1e300]: ``validate``
-    answers, and on an admitted set with an admitted grid the model gives
-    finite values with rates in [0, 1] at the first and last sensing time,
-    or raises one of its documented errors."""
+    answers, and on an admitted set with an admitted grid the model and a
+    short simulation give finite values with rates in [0, 1] at the first
+    and last sensing time, or raise one of the model's documented errors."""
 
     @settings(max_examples=150)
     @given(key=st.sampled_from(_EXTREME_KEYS), exponent=st.floats(-300.0, 300.0))
+    @example(key="P_p", exponent=20.0)  # the RF count wrapped past int64
+    @example(key="lambda_e", exponent=300.0)  # past numpy's Poisson domain
     def test_finite_or_documented_error(self, testbench_params, key, exponent):
         params = with_overrides(testbench_params, **{key: 10.0**exponent})
         if validate(params):
@@ -190,10 +211,13 @@ class TestExtremeConstants:
                         assert math.isfinite(value), name
                 assert all(0.0 <= v <= 1.0 for v in vars(bundle(params, q)).values())
                 assert np.all(np.isfinite(harvest_blocks(params, q, *laws)))
-                report = evaluate(params, Policy.idle(params, tau, 2.0 * q.m))
+                policy = Policy.idle(params, tau, 2.0 * q.m)
+                report = evaluate(params, policy)
+                sim = run(params, policy, SimConfig(slots=300, seed=1))
                 for rate in (report.mu_s, report.mu_p, report.p_sense,
-                             report.p_access):
+                             report.p_access, sim.mu_s, sim.mu_p):
                     assert 0.0 <= rate <= 1.0
+                assert sim.battery_histogram.sum() == 300
         except (ConfigurationError, AmbiguousChainError):
             pass
 
