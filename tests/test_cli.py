@@ -495,6 +495,30 @@ class TestExtremeConfigValues:
         assert got in (0, 3) and err == ""
         assert out.startswith("metric,analytic")
 
+    @pytest.mark.parametrize("P_p", [1e20, 1e300])
+    def test_faithful_detection_past_chndtr_range(self, fast_config,
+                                                  policy_file, P_p):
+        # the detection tail was NaN at these powers, so every licensed-busy
+        # sensed slot was declared free; detection is certain there, as it
+        # already is at 1e12
+        def faithful(command, P_p):
+            self.override(fast_config, {"P_p": P_p})
+            with deadline(60.0):
+                code, out, err = _run_in_process(
+                    [command, "--config", str(fast_config),
+                     "--policy", str(policy_file), "--slots", "2000",
+                     "--seed", "3", "--mode", "faithful"])
+            assert err == ""
+            return code, {row[0]: row[1:] for row in csv.reader(io.StringIO(out))}
+
+        (code, huge), (_, moderate) = (faithful("simulate", P_p),
+                                       faithful("simulate", 1e12))
+        assert code == 0
+        for metric in ("p_S", "p_A", "pu_active_slots", "su_tx_slots"):
+            assert huge[metric] == moderate[metric], metric
+        code, rows = faithful("validate", P_p)
+        assert code in (0, 3) and "p_sense" in rows
+
     def test_sensing_energy_below_float_range(self, fast_config, tmp_path):
         # the sensing cost's ratio to E_u underflows to 0: sensing cost
         # nothing, so level 10 could sense, and a policy sensing there was

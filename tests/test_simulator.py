@@ -13,10 +13,10 @@ from helpers import (
     reference_batch_se,
     reference_run,
 )
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehcr import sensing
+from ehcr import sensing, simulator
 from ehcr.chain import Policy, action_ranges
 from ehcr.optimizer import GridSpec
 from ehcr.performance import evaluate
@@ -24,6 +24,7 @@ from ehcr.simulator import (
     CORRELATION_MODES,
     SimConfig,
     _faithful_detection,
+    _faithful_verdicts,
     _occupancy_se,
     _series_se,
     compare,
@@ -97,6 +98,21 @@ class TestRun:
                      SimConfig(slots=5_000, seed=6, correlation_mode="faithful"))
         assert 0.0 <= report.mu_s <= 1.0
         assert report.battery_histogram.sum() == 5_000
+
+    @pytest.mark.parametrize("P_p", [1e20, 1e300])
+    def test_faithful_detection_past_chndtr_range(self, testbench_params, P_p):
+        # chndtr is NaN past a noncentrality of about 1e19, which declared
+        # every licensed-busy sensed slot free; detection there is certain,
+        # as it already is at 1e12
+        def faithful(P_p):
+            params = with_overrides(testbench_params, P_p=P_p)
+            policy = Policy.constant(params, TAU, THRESHOLD, 0.0, 0.0, 1.0)
+            return run(params, policy,
+                       SimConfig(slots=2_000, seed=3, correlation_mode="faithful"))
+
+        huge, moderate = faithful(P_p), faithful(1e12)
+        assert huge.action_counts == moderate.action_counts
+        assert huge.su_tx_slots == moderate.su_tx_slots
 
     def test_faithful_mode_quantifies_correlation_gap(self, testbench_params):
         # sharing the licensed-link gain between sensing and harvest breaks
@@ -302,7 +318,9 @@ class TestVectorizedPieces:
         rng = np.random.default_rng(17)
         grid = GridSpec(tau_min=1.0 / params.W)
         worst = 0.0
-        for m in range(10, 61):
+        # up to m = 100, the bench's largest sensing time: the verdict
+        # brackets' margin rests on this bound
+        for m in range(10, 101):
             snr = rng.exponential(params.P_p * params.sigma_pst / params.sigma_n2, 4)
             for threshold in grid.lambda_grid(m):
                 cfg = sensing.SensingConfig(threshold=threshold, m=m)
@@ -310,6 +328,19 @@ class TestVectorizedPieces:
                 worst = max(worst, float(np.max(np.abs(
                     _faithful_detection(cfg, snr) - exact))))
         assert worst <= 1e-11
+
+    def test_faithful_detection_is_never_nan(self):
+        cfg = sensing.SensingConfig(threshold=THRESHOLD, m=10)
+        snr = np.array([0.0, 1.0, 5e18, 1e19, 1e300, np.inf])
+        tail = _faithful_detection(cfg, snr)
+        assert np.all(np.isfinite(tail))
+        assert tail[0] < tail[1] < 1.0 and np.all(tail[2:] == 1.0)
+
+    def test_uncertain_detection_raises(self):
+        # a threshold as far out as the noncentrality leaves the tail open
+        cfg = sensing.SensingConfig(threshold=4e19, m=10)
+        with pytest.raises(ValueError, match="is not finite"):
+            _faithful_detection(cfg, np.array([1.0, 1e19]))
 
     def test_detection_instant_still_evaluates_marcum_q(self, monkeypatch):
         calls = []
@@ -342,3 +373,65 @@ class TestVectorizedPieces:
                               text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def _verdict_thresholds(m: int) -> list[float]:
+    grid = GridSpec(tau_min=5e-5).lambda_grid(m)
+    return [*grid, 1e-3 * grid[0], 1e3 * grid[-1]]
+
+
+@st.composite
+def verdict_cases(draw):
+    """A detector setting, k realized SNRs with some zeros and ties, and
+    the generator of their sensing draws."""
+    m = draw(st.integers(2, 1000))
+    threshold = draw(st.sampled_from(_verdict_thresholds(m)))
+    root = draw(st.integers(1, 40))
+    k = draw(st.sampled_from([0, 1, 2, root * root - 1, root * root,
+                              root * root + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mean = 10.0 ** draw(st.floats(-3.0, 6.0))
+    snr = rng.exponential(mean, k)
+    if k:
+        snr[rng.random(k) < 0.05] = 0.0
+        ties = rng.integers(0, k, k // 4)  # copies of other slots' SNRs
+        snr[rng.integers(0, k, ties.size)] = snr[ties]
+    return threshold, m, snr, rng
+
+
+def _draws_at_the_edges(cfg, snr, rng) -> np.ndarray:
+    """Uniform draws, except that about half sit exactly at a knot's tail or
+    at the slot's own tail, or one ulp to either side of it."""
+    k = snr.size
+    u = rng.random(k)
+    if not k:
+        return u
+    tail = simulator._faithful_detection(cfg, snr)
+    step = math.isqrt(k)
+    ranks = np.argsort(snr)
+    knots = tail[ranks[np.unique(np.r_[np.arange(0, k, step), k - 1])]]
+    pick = rng.integers(0, 4, k)
+    edges = (knots[rng.integers(0, knots.size, k)], tail,
+             np.nextafter(tail, -np.inf), np.nextafter(tail, np.inf))
+    placed = rng.random(k) < 0.5
+    u[placed] = np.choose(pick, edges)[placed]
+    return u
+
+
+class TestFaithfulVerdicts:
+    """The bracketed verdicts equal the per-slot comparison exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=verdict_cases(),
+           bias=st.sampled_from([None, 0.2, 0.5, 1.0, 2.0]))
+    def test_equal_per_slot_tails(self, case, bias):
+        threshold, m, snr, rng = case
+        cfg = sensing.SensingConfig(threshold=threshold, m=m)
+        with pytest.MonkeyPatch.context() as patch:
+            if bias is not None:
+                bias_detection(patch, bias)
+            u = _draws_at_the_edges(cfg, snr, rng)
+            expected = u < simulator._faithful_detection(cfg, snr)
+            verdicts = _faithful_verdicts(cfg, snr, u)
+        assert verdicts.dtype == bool and verdicts.shape == (snr.size,)
+        assert np.array_equal(verdicts, expected)
