@@ -221,6 +221,13 @@ def _closed_classes(p: np.ndarray) -> list[list[int]]:
             for first in np.unique(closed.argmax(axis=1))]
 
 
+def _reached_in_one_step(p: np.ndarray) -> bool:
+    """Whether some state is reached in one step from every state: then
+    every closed class holds that state, so there is exactly one, which
+    certifies a unichain without :func:`_closed_classes`."""
+    return bool(np.any(np.all(p > _EDGE_TOL, axis=0)))
+
+
 def _bordered(kernels: np.ndarray) -> np.ndarray:
     """``I - P`` with column 0 replaced by ones, over any leading batch axes.
 
@@ -241,7 +248,8 @@ def stationary_distribution(kernel: np.ndarray) -> StationaryDistribution:
     and rows summing to 1 within 1e-9, else :class:`ValueError`.  A chain
     with more than one closed class has a stationary law per class, any of
     which the solve could return, so it raises :class:`AmbiguousChainError`
-    naming the classes.  Otherwise one LU solve of the transposed
+    naming the classes; they are sought only when no state is reached in
+    one step from every state.  Otherwise one LU solve of the transposed
     :func:`_bordered` system, whose column of ones is the normalization,
     gives the law; round-off negatives are clipped, the mass renormalized
     and the balance residual checked.
@@ -256,9 +264,10 @@ def stationary_distribution(kernel: np.ndarray) -> StationaryDistribution:
     deviation = np.max(np.abs(p.sum(axis=1) - 1.0))
     if deviation > 1e-9:
         raise ValueError(f"rows must sum to 1, worst deviation {deviation:.3e}")
-    closed = _closed_classes(p)
-    if len(closed) > 1:
-        raise AmbiguousChainError(closed)
+    if not _reached_in_one_step(p):
+        closed = _closed_classes(p)
+        if len(closed) > 1:
+            raise AmbiguousChainError(closed)
     unit = np.zeros(p.shape[0])
     unit[0] = 1.0
     pi = np.clip(np.linalg.solve(_bordered(p).T, unit), 0.0, None)

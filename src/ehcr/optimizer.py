@@ -10,6 +10,16 @@ thresholds once, as a column they share.  An exhaustive search over the
 sensing times and a threshold grid picks the best point whose policy meets
 the licensed-user floor.
 
+Of a column, only the kernels and rewards read rho, and only the screen
+and the LPs the floor, so the rest is scanned once per scenario and grid: a
+memo keyed with both set aside holds each sensing time's quantities and
+thresholds, and, from the first search that screens it on, its outages and
+read-only detector terms, so a rho sweep derives each sensing time once.
+The kernel blocks are rho-free too, but hold 8 n^2 floats per column, too
+many to memoize for several scenarios at a large battery, so each search
+rebuilds them from the memoized harvest laws at the sensing times it
+screens.
+
 The screen values all thresholds of a column at once as constrained MDPs
 (Puterman 1994, ch. 8-9; Altman 1999, ch. 3).  Batched average-reward
 policy iteration finds the unconstrained optimum, the point's value and
@@ -51,6 +61,7 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Any
 
 import numpy as np
@@ -254,6 +265,41 @@ def _build_lp(params: SystemParams, quantities: DerivedQuantities,
 
 
 @dataclass(frozen=True)
+class _Scanned:
+    """What one sensing time of a grid fixes that neither rho nor the floor
+    reads: its quantities, and, from the first search that asks, its
+    thresholds, outages and detector terms."""
+
+    quantities: DerivedQuantities
+    params: SystemParams
+    grid: GridSpec
+
+    @cached_property
+    def thresholds(self) -> tuple[float, ...]:
+        return self.grid.lambda_grid(self.quantities.m)
+
+    @cached_property
+    def terms(self) -> tuple[OutageBundle, np.ndarray, np.ndarray]:
+        """The outages, and one detector evaluation over all thresholds: the
+        (K,) averaged detection and false-alarm probabilities, read-only, as
+        every search of the scenario shares them."""
+        q = self.quantities
+        cfg = sensing.SensingConfig(np.asarray(self.thresholds, dtype=float), q.m)
+        p_d, p_f = sensing.detection_avg(cfg, q.gamma_bar), sensing.false_alarm(cfg)
+        p_d.flags.writeable = p_f.flags.writeable = False
+        return bundle(self.params, q), p_d, p_f
+
+
+@lru_cache(maxsize=16)
+def _scan(params: SystemParams, grid: GridSpec) -> tuple[_Scanned, ...]:
+    """Each sensing time of ``grid``, derived for ``params`` with rho and the
+    floor set aside (:func:`optimize` zeroes them), so every search of a
+    scenario at any rho and floor shares the scan."""
+    return tuple(_Scanned(derive(params, tau), params, grid)
+                 for tau in grid.tau_values(params))
+
+
+@dataclass(frozen=True)
 class _Column:
     """What one sensing time fixes for its K threshold LPs, and their detector.
     The later columns of a search that cannot fund sensing carry the first
@@ -267,15 +313,13 @@ class _Column:
     p_f: np.ndarray  # (K,) false-alarm probabilities
 
 
-def _column(params: SystemParams, quantities: DerivedQuantities,
-            harvest: tuple, thresholds: tuple[float, ...]) -> _Column:
-    """The column of a sensing time: its outages and kernel blocks, and one
-    detector evaluation over all its thresholds."""
-    cfg = sensing.SensingConfig(np.asarray(thresholds, dtype=float), quantities.m)
-    return _Column(quantities, bundle(params, quantities),
-                   harvest_blocks(params, quantities, *harvest), thresholds,
-                   sensing.detection_avg(cfg, quantities.gamma_bar),
-                   sensing.false_alarm(cfg))
+def _column(params: SystemParams, scanned: _Scanned, harvest: tuple) -> _Column:
+    """The column of a scanned sensing time: its scanned outages and detector
+    terms, and the kernel blocks of this search's harvest laws."""
+    outages, p_d, p_f = scanned.terms
+    q = scanned.quantities
+    return _Column(q, outages, harvest_blocks(params, q, *harvest),
+                   scanned.thresholds, p_d, p_f)
 
 
 def _point_model(params: SystemParams, column: _Column,
@@ -569,13 +613,14 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
     screened: list[tuple[int, _Column, int, float, tuple]] = []
     screens: dict[float | None, tuple] = {}  # (column, screen) per model key
     start = None  # the last screened column's unconstrained optima
-    for tau in grid.tau_values(params):
-        quantities = derive(params, tau)
+    for scanned in _scan(replace(params, rho=0.0, mu_th=0.0), grid):
+        quantities = scanned.quantities
+        tau = quantities.tau
         unsupported = _unsupported(quantities, scheme)
         if unsupported == "unsupported_m":
             records.append(GridPointStatus(tau, math.nan, unsupported))
             continue
-        thresholds = grid.lambda_grid(quantities.m)
+        thresholds = scanned.thresholds
         if unsupported is not None:
             records.extend(GridPointStatus(tau, threshold, unsupported)
                            for threshold in thresholds)
@@ -585,7 +630,7 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             first, screen = screens[key]
             column = replace(first, quantities=quantities, thresholds=thresholds)
         else:
-            column = _column(params, quantities, harvest, thresholds)
+            column = _column(params, scanned, harvest)
             screen = _screen(params, column, scheme, start)
             screens[key] = column, screen
         if screen is None:

@@ -284,11 +284,13 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
         return streams["h_" + link].exponential(getattr(params, "sigma_" + link), n_slots)
 
     pu_active = streams["pu"].random(n_slots) < params.rho
-    gain_pst = gains("pst")
     action_u = streams["action"].random(n_slots)
-    harvest = _harvest(params, streams, pu_active,
-                       streams["rf"].exponential(params.sigma_pst, n_slots)
-                       if decorrelated else gain_pst)
+    # faithful mode harvests and senses through one licensed-link gain per
+    # slot; decorrelated mode harvests through a draw of its own and senses
+    # on the average SNR, so it never draws that gain
+    gain_pst = (streams["rf"].exponential(params.sigma_pst, n_slots)
+                if decorrelated else gains("pst"))
+    harvest = _harvest(params, streams, pu_active, gain_pst)
 
     # sensing verdicts, drawn for every slot whether or not it senses
     sensing_u = streams["sensing"].random(n_slots)

@@ -4,6 +4,7 @@ import warnings
 import pytest
 from hypothesis import settings
 
+from ehcr import harvesting, optimizer
 from ehcr.presets import load_preset
 from ehcr.system_model import SystemParams, params_from_dict
 
@@ -26,6 +27,15 @@ with warnings.catch_warnings():
     import hypothesis.extra._patching  # noqa: F401
 
 pytest_plugins = ["pytester"]
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """No harvest law or grid scan memoized by an earlier test, so a test
+    that replaces a builder (``derive``, a detector) sees every column
+    built through it, and a call count starts from a cold memo."""
+    harvesting._laws.cache_clear()
+    optimizer._scan.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -605,10 +605,10 @@ def reference_closed_classes(p: np.ndarray, edge_tol: float = 1e-14) -> list[lis
 def column_at(params: SystemParams, tau: float,
               grid: optimizer.GridSpec) -> optimizer._Column:
     """The optimizer's column at ``tau`` over the thresholds of ``grid``
-    (quantities, outages, kernel blocks and the detector at each)."""
-    q = derive(params, tau)
-    return optimizer._column(params, q, harvesting.harvest_laws(params),
-                             grid.lambda_grid(q.m))
+    (quantities, outages, kernel blocks and the detector at each), scanned
+    afresh rather than read from the scan memo."""
+    scanned = optimizer._Scanned(derive(params, tau), params, grid)
+    return optimizer._column(params, scanned, harvesting.harvest_laws(params))
 
 
 def reference_column_mdp(params: SystemParams, column: optimizer._Column,
@@ -740,7 +740,8 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
             records.extend(GridPointStatus(tau, threshold, unsupported)
                            for threshold in thresholds)
             continue
-        column = optimizer._column(params, q, harvest, thresholds)
+        column = optimizer._column(params, optimizer._Scanned(q, params, grid),
+                                  harvest)
         for k, threshold in enumerate(thresholds):
             lp = point_lp(params, column, k, scheme)
             try:

@@ -7,11 +7,14 @@ plus those of the winner's evaluation.  The sensing times that cannot fund
 sensing share the first one's column and screen.  The harvest laws depend
 on neither rho, the sensing time, the detector nor the policy, so a
 scenario builds its ambient law once: a search and its winner's evaluation
-share it, and so do evaluations of any policies at any rho (the law memo is
-cleared before each count).  The detector is evaluated once per screened
-column, over all its thresholds, and once more per simulation and per
-evaluation of a policy that senses; no policy iteration runs on an empty
-batch.  The LP solves of
+share it, and so do evaluations of any policies at any rho.  Nor do the
+sensing times, or the outages and detector terms of the screened ones, read
+rho or the floor, so the searches of a rho sweep derive each sensing time
+and evaluate each screened column's terms once, while each search builds
+its own kernel blocks (the memos are cleared before each test).  The
+detector is evaluated once per screened column, over all its thresholds,
+and once more per simulation and per evaluation of a policy that senses; no
+policy iteration runs on an empty batch.  The LP solves of
 ``optimize`` are pinned too: its screen needs none, so only the points
 within ``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP
 once: all points of the sensing times that cannot fund sensing share one
@@ -64,8 +67,7 @@ def setting(testbench_params):
 @pytest.fixture
 def calls(monkeypatch, setting):
     """Call counts of the COUNTED functions, wherever ``ehcr`` binds them,
-    from after the setting is built and with no harvest law memoized."""
-    harvesting._laws.cache_clear()
+    from after the setting is built (the memos start cold)."""
     counts = collections.Counter()
     lock = threading.Lock()
 
@@ -131,6 +133,27 @@ def test_preset_grid_screens_eleven_columns(calls, monkeypatch, setting):
     assert calls["derive"] == len(taus) + 1
     for name in ("detection_avg", "bundle", "harvest_blocks"):
         assert calls[name] == len(screened) + 1
+
+
+def test_rho_sweep_scans_each_sensing_time_once(calls, testbench_params):
+    # neither the sensing times, nor their outages and detector terms read
+    # rho or the floor, so a sweep over nine rho values at two floors
+    # derives each sensing time and evaluates each screened column once; the
+    # kernel blocks are built by each search, and each winner's evaluation
+    # adds its own calls
+    taus = FAST_GRID.tau_values(testbench_params)
+    screened = 3  # 2 and 4 ms, and 6 ms, whose column 8 ms takes
+    solutions = [optimize(with_overrides(testbench_params, rho=rho, mu_th=mu_th),
+                          FAST_GRID, "probabilistic")[0]
+                 for rho in np.linspace(0.1, 0.9, 9) for mu_th in (0.65, 0.72)]
+    winners = len(solutions)
+    sensing = sum(bool(np.any(solution.policy.beta2 > 0))
+                  for solution in solutions)
+    assert calls["derive"] == len(taus) + winners
+    assert calls["bundle"] == calls["false_alarm"] == screened + winners
+    assert calls["detection_avg"] == screened + sensing
+    assert calls["harvest_blocks"] == winners * (screened + 1)
+    assert calls["nature_distribution"] == 1
 
 
 @pytest.mark.parametrize("rho, mu_th", [(0.5, 0.65), (0.5, 0.72), (0.1, 0.65),

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ehcr import chain
 from ehcr.chain import (
+    _EDGE_TOL,
     STATIONARY_RTOL,
     AmbiguousChainError,
     Policy,
     _closed_classes,
+    _reached_in_one_step,
     action_ranges,
     harvest_blocks,
     stationary_distribution,
@@ -347,6 +350,46 @@ class TestStationary:
             p[np.arange(n), rng.integers(0, n, n)] += 1.0  # no empty row
             p /= p.sum(axis=1, keepdims=True)
             assert _closed_classes(p) == reference_closed_classes(p)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25),
+           count=st.integers(1, 4), joined=st.booleans(),
+           near_miss=st.sampled_from([None, 0.0, 1e-15, _EDGE_TOL,
+                                      2 * _EDGE_TOL]))
+    def test_one_step_certificate_implies_one_closed_class(self, seed, n,
+                                                           count, joined,
+                                                           near_miss):
+        # chains with one to four closed classes, some joined by a column
+        # made positive in every row, or in all rows but one, where the
+        # entry is zero or near the edge tolerance
+        rng = np.random.default_rng(seed)
+        count = min(count, n)
+        sizes = rng.multinomial(int(rng.integers(count, n + 1)) - count,
+                                np.full(count, 1.0 / count)) + 1
+        p, _ = random_chain(rng, n, sizes.tolist())
+        if joined:
+            column = rng.integers(n)
+            p[:, column] += rng.uniform(1e-3, 1.0, n)
+            if near_miss is not None:
+                p[rng.integers(n), column] = near_miss
+            p /= p.sum(axis=1, keepdims=True)
+        if _reached_in_one_step(p):
+            assert len(reference_closed_classes(p)) == 1
+            assert _closed_classes(p) == reference_closed_classes(p)
+
+    def test_certified_kernel_skips_the_class_search(self, monkeypatch):
+        searched = []
+
+        def counted(p):
+            searched.append(p)
+            return _closed_classes(p)
+
+        monkeypatch.setattr(chain, "_closed_classes", counted)
+        certified = np.array([[0.5, 0.5, 0.0], [0.2, 0.0, 0.8], [0.9, 0.1, 0.0]])
+        cycle = np.roll(np.eye(3), 1, axis=1)
+        for p in (certified, cycle):
+            pi = stationary_distribution(p).pi
+            assert pi == pytest.approx(reference_stationary(p), abs=1e-12)
+        assert len(searched) == 1 and searched[0] is cycle
 
     def test_unique_absorbing_state_is_found(self):
         # upward drift into the cap

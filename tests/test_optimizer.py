@@ -1,8 +1,11 @@
 import math
+import pickle
 import random
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -733,6 +736,76 @@ class TestScreenSolves:
         with mock.patch.object(optimizer, "_model_key", lambda q: q.tau):
             want = search(params, BLIND_GRID, scheme)
         assert_identical_searches(got, want)
+
+
+class TestScan:
+    """Each sensing time of a scenario's grid is derived, and its outages
+    and detector terms evaluated, once for every rho and floor."""
+
+    @given(rho=st.floats(0.05, 0.95), other_rho=st.floats(0.05, 0.95),
+           mu_th=st.floats(0.6, 0.75), other_mu_th=st.floats(0.6, 0.75),
+           lambda_e=st.floats(20.0, 400.0), eta=st.floats(0.1, 1.0),
+           mode=st.sampled_from(["mixed", "nature", "rf"]),
+           scheme=st.sampled_from(optimizer.SCHEMES),
+           grid=st.sampled_from([FAST_GRID, BLIND_GRID]))
+    @settings(max_examples=15, deadline=None)
+    def test_warm_scan_equals_cold(self, testbench_params, rho, other_rho,
+                                   mu_th, other_mu_th, lambda_e, eta, mode,
+                                   scheme, grid):
+        # a search whose scan a search at another rho and floor warmed gives
+        # the cold search's records, winner, LP rates, policy and report
+        params = harvest_mode(with_overrides(testbench_params, rho=rho,
+                                             mu_th=mu_th, lambda_e=lambda_e,
+                                             eta=eta), mode)
+        harvesting._laws.cache_clear()
+        optimizer._scan.cache_clear()
+        cold = search(params, grid, scheme)
+        harvesting._laws.cache_clear()
+        optimizer._scan.cache_clear()
+        search(with_overrides(params, rho=other_rho, mu_th=other_mu_th), grid,
+               scheme)
+        warm = search(params, grid, scheme)
+        info = optimizer._scan.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert_identical_searches(warm, cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+
+    def test_concurrent_searches_fill_one_scan(self, testbench_params):
+        # searches at several rho values, on more threads than cores and
+        # with a thread switch every microsecond, fill one cold scan between
+        # them, and each gives its serial result bit for bit
+        cells = [with_overrides(testbench_params, rho=rho)
+                 for rho in (0.3, 0.5, 0.7, 0.9)]
+        serial = [search(params, FAST_GRID, "probabilistic") for params in cells]
+        optimizer._scan.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(cells)) as pool:
+                futures = [pool.submit(search, params, FAST_GRID, "probabilistic")
+                           for params in cells]
+                threaded = [future.result(timeout=120.0) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert optimizer._scan.cache_info().currsize == 1
+        assert [pickle.dumps(got) for got in threaded] == [
+            pickle.dumps(want) for want in serial]
+
+    def test_scanned_detector_terms_are_read_only(self, testbench_params):
+        # every search of the scenario reads the same detector arrays, and
+        # per sensing time the scan holds only those (K,) arrays
+        optimize(testbench_params, FAST_GRID, "probabilistic")
+        scan = optimizer._scan(replace(testbench_params, rho=0.0, mu_th=0.0),
+                               FAST_GRID)
+        assert optimizer._scan.cache_info().hits == 1
+        screened = [scanned for scanned in scan if "terms" in vars(scanned)]
+        assert len(screened) == 3  # 2 to 6 ms; 8 ms takes the column of 6
+        for scanned in screened:
+            _, *detector = scanned.terms
+            for terms in detector:
+                assert terms.shape == (len(scanned.thresholds),)
+                with pytest.raises(ValueError, match="read-only"):
+                    terms[0] = 0.5
 
 
 class TestConstrainedRegime:
