@@ -34,9 +34,9 @@ where policies tie), and no pass runs on an empty set of points.  Policies
 that never sense read one idle/blind kernel pair and the same rewards at
 every threshold, so each step solves each distinct such system once.  A
 sensing time that cannot fund sensing admits no sensing, and nothing else
-of its model depends on the sensing time, so the later such columns take
-the first one's screen: their passes would start from its optimum of the
-same model and return it.  None of this changes a bit.  A column the
+of its model depends on the sensing time, so the later ones reuse the
+first one's column and screen: their passes would start from its optimum
+of the same model and return it.  None of this changes a bit.  A column the
 screen cannot value is an error when the all-idle chain has several closed
 classes (no harvest at all), and is logged as failed otherwise.
 
@@ -44,15 +44,17 @@ The LP of a point is the same model in the occupation vector (pi,
 pi*alpha, pi*beta1, pi*beta2), in which the balance equations, the floor
 and the objective are linear.  It only certifies: the points within
 ``LP_FEASIBILITY_TOL`` of the best are solved cold, once per distinct LP
-(all points of the sensing times that cannot fund sensing share one), and
-the best of them wins, ties broken toward the smaller sensing time, then
-the smaller threshold, in any evaluation order.  Whole grids can tie to
-within solver noise, so the winner is reproducible bit for bit only because
-the near-ties are decided on cold solves; its LP rates cross-check the
-evaluation of its screened policy.  Each cold LP is built from its own
-point by the worker that solves it: more than one on one thread per CPU in
-the process's affinity mask (HiGHS's core releases the GIL), a single one
-inline, each solved alone, so the results do not depend on the thread count.
+(all points of the sensing times that cannot fund sensing share one), into
+their screened records, and the best of them wins, ties broken toward the
+smaller sensing time, then the smaller threshold, in any evaluation order.
+Whole grids can tie to within solver noise, so the winner is reproducible
+bit for bit only because the near-ties are decided on cold solves.  It is
+reported from the kernels and rewards of the column it was screened on,
+and its LP rates cross-check that report.  Each cold LP is built from its
+own point by the worker that solves it: more than one on one thread per
+CPU in the process's affinity mask (HiGHS's core releases the GIL), a
+single one inline, each solved alone, so the results do not depend on the
+thread count.
 """
 from __future__ import annotations
 
@@ -80,7 +82,7 @@ from .chain import (
 )
 from .numerics import LP_FEASIBILITY_TOL, solve_lp
 from .outage import OutageBundle, bundle
-from .performance import PerformanceReport, action_rewards, evaluate
+from .performance import PerformanceReport, action_rewards, report
 from .system_model import (
     DerivedQuantities,
     SystemParams,
@@ -125,7 +127,9 @@ class GridSpec:
             raise ValueError(f"tau_min must be positive and finite, got {self.tau_min}")
         if self.lambda_values is not None:
             values = tuple(float(v) for v in self.lambda_values)
-            if not values or any(not 0 < v < math.inf for v in values):
+            if not values:
+                raise ValueError("explicit lambda_values is empty")
+            if any(not 0 < v < math.inf for v in values):
                 raise ValueError("explicit lambda_values must be positive and finite")
             object.__setattr__(self, "lambda_values", values)
         elif (isinstance(self.lambda_count, bool)
@@ -302,13 +306,13 @@ def _scan(params: SystemParams, grid: GridSpec) -> tuple[_Scanned, ...]:
 @dataclass(frozen=True)
 class _Column:
     """What one sensing time fixes for its K threshold LPs, and their detector.
-    The later columns of a search that cannot fund sensing carry the first
-    one's, as none reads its detector or sensing blocks (:func:`_model_key`)."""
+    The sensing times of a search that cannot fund sensing share the first
+    one's object, as none reads its detector or sensing blocks (:func:`_model_key`)."""
 
     quantities: DerivedQuantities
-    outages: OutageBundle
     blocks: np.ndarray  # (2, 4, n, n) harvest blocks
     thresholds: tuple[float, ...]
+    outages: OutageBundle
     p_d: np.ndarray  # (K,) averaged detection probabilities
     p_f: np.ndarray  # (K,) false-alarm probabilities
 
@@ -316,10 +320,9 @@ class _Column:
 def _column(params: SystemParams, scanned: _Scanned, harvest: tuple) -> _Column:
     """The column of a scanned sensing time: its scanned outages and detector
     terms, and the kernel blocks of this search's harvest laws."""
-    outages, p_d, p_f = scanned.terms
     q = scanned.quantities
-    return _Column(q, outages, harvest_blocks(params, q, *harvest),
-                   scanned.thresholds, p_d, p_f)
+    return _Column(q, harvest_blocks(params, q, *harvest), scanned.thresholds,
+                   *scanned.terms)
 
 
 def _point_model(params: SystemParams, column: _Column,
@@ -503,17 +506,17 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
 
 def _cold_solve(params: SystemParams, scheme: str,
                 entries: list[tuple[_Column, int]]
-                ) -> list[tuple[GridPointStatus, float | None]]:
-    """Status record of the cold LP at each (column, threshold index) entry
-    of one search, in input order, and, when optimal, the licensed-user rate
-    of its solution (minus the floor row's).
+                ) -> list[tuple[str, float | None, float | None]]:
+    """Status of the cold LP at each (column, threshold index) entry of one
+    search, in input order, with the secondary and licensed-user rates of
+    its solution when optimal (the objective, minus the floor row).
 
     Each distinct LP is solved once: all entries at the sensing times that
     cannot fund sensing (empty ``beta_range``) share one, as the detector
     and the sensing cost enter only the sense kernel and reward, which
     :func:`_build_lp` reads only through the empty ``beta_range`` rows and
     ``kb``-long block, and HiGHS solves equal arrays under equal options to
-    equal bits.  Each entry keeps its own record.
+    equal bits.  Each entry gets its LP's result.
 
     A single distinct LP is solved inline, more on ``_WORKERS`` threads
     (HiGHS, called without scipy's Python wrapper, releases the GIL for
@@ -545,32 +548,27 @@ def _cold_solve(params: SystemParams, scheme: str,
         with ThreadPoolExecutor(_WORKERS) as pool:
             solved = list(pool.map(solve, distinct.values()))
     results = dict(zip(distinct, solved))
-    records = []
-    for key, (column, k) in zip(keys, entries):
-        status, objective, mu_p = results[key]
-        records.append((GridPointStatus(column.quantities.tau, column.thresholds[k],
-                                        status, objective), mu_p))
-    return records
+    return [results[key] for key in keys]
 
 
-def _optimal_solution(params: SystemParams, column: _Column, k: int,
-                      lp_objective: float, lp_mu_p: float,
+def _optimal_solution(params: SystemParams, record: GridPointStatus,
+                      column: _Column, k: int, lp_mu_p: float,
                       low: np.ndarray, high: np.ndarray, share: float
                       ) -> OptimalSolution:
-    """The winner at the k-th threshold of a column: the screen's policy,
-    its evaluation and the rates of its cold LP solution.
+    """The winner at the k-th threshold of a column, as its cold-solved
+    ``record`` logs it: the screen's policy, its report and its LP rates.
 
     The policy is the high one where the floor is slack (``share`` 0), else
     the mix of the occupation measures of the low and high policies,
     normalized per level; a level neither reaches takes the high action.
     """
     q = column.quantities
+    kernels, rewards = _point_model(params, column, k)
     levels = np.arange(params.n_states)
     actions = np.zeros((2, 3, params.n_states))
     actions[0, low, levels] = actions[1, high, levels] = 1.0
     mixed = actions[1]
     if share > 0.0:  # the floor binds
-        kernels, _ = _point_model(params, column, k)
         masses = np.array([weight * stationary_distribution(
             kernels[chosen, levels]).pi
             for weight, chosen in ((1.0 - share, low), (share, high))])
@@ -578,9 +576,10 @@ def _optimal_solution(params: SystemParams, column: _Column, k: int,
         mixed = np.divide((masses[:, None] * actions).sum(axis=0), mass,
                           out=actions[1], where=mass > 0.0)
     policy = Policy(alpha=mixed[1, q.alpha_range], beta1=mixed[1, q.beta_range],
-                    beta2=mixed[2, q.beta_range], tau=q.tau,
-                    threshold=column.thresholds[k])
-    return OptimalSolution(policy, evaluate(params, policy), lp_objective, lp_mu_p)
+                    beta2=mixed[2, q.beta_range], tau=record.tau,
+                    threshold=record.threshold)
+    return OptimalSolution(policy, report(params, policy, q, kernels, rewards),
+                           record.objective, lp_mu_p)
 
 
 def _select_winner(candidates: list[tuple[float, float, float, Any]]) -> Any:
@@ -627,8 +626,7 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             continue
         key = _model_key(quantities)
         if key in screens:  # policy iteration from its optimum returns it
-            first, screen = screens[key]
-            column = replace(first, quantities=quantities, thresholds=thresholds)
+            column, screen = screens[key]
         else:
             column = _column(params, scanned, harvest)
             screen = _screen(params, column, scheme, start)
@@ -659,11 +657,13 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
         screened = [entry for entry in screened if entry[3] < cutoff]
         solved = _cold_solve(params, scheme,
                              [(column, k) for _, column, k, _, _ in near])
-        for (index, column, k, _, policies), (record, mu_p) in zip(near, solved):
-            records[index] = record
+        for entry, (status, objective, mu_p) in zip(near, solved):
+            index, column, k, _, policies = entry
+            record = records[index] = replace(records[index], status=status,
+                                              objective=objective)
             if mu_p is not None:
-                candidates.append((record.objective, record.tau, record.threshold,
-                                   (column, k, record.objective, mu_p, *policies)))
+                candidates.append((objective, record.tau, record.threshold,
+                                   (record, column, k, mu_p, *policies)))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

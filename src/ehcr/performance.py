@@ -6,9 +6,9 @@ the pair (mu_s, mu_p) of success probabilities.  The licensed user keeps its
 silent success value unless the secondary transmits, sensing splitting into
 detected (silent secondary) and mis-detected (interfered) branches; the
 secondary scores only when it transmits and the burst survives, so idling
-yields zero.  :func:`evaluate` weighs these rewards by the stationary share
-of each action, and the optimizer's screen and policy LP read the same
-rewards.
+yields zero.  :func:`report` weighs these rewards by the stationary share
+of each action, for :func:`evaluate` and for the optimizer's winner, and
+the optimizer's screen and policy LP read the same rewards.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .chain import (
     transition_components,
 )
 from .outage import OutageBundle, bundle
-from .system_model import SystemParams
+from .system_model import DerivedQuantities, SystemParams
 
 #: slack applied when comparing the licensed-user rate to its floor
 FEASIBILITY_TOL = 1e-9
@@ -69,35 +69,35 @@ def action_rewards(params: SystemParams, outages: OutageBundle, p_d, p_f
 def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:
     """Full analytical evaluation of a policy: chain, rates, access stats.
 
-    The kernel mixes the :func:`~ehcr.chain.transition_components` of the
-    three actions with the policy's :meth:`~ehcr.chain.Policy.level_actions`;
-    the stationary share of each action then weighs its
-    :func:`action_rewards`, and the shares of blind access and sensing are
-    the access and sensing probabilities.  The policy's validation derives
-    its sensing time once, for everything else to build on; the memoized
-    :func:`~ehcr.harvesting.harvest_laws` give the laws no policy changes.
+    Validating the policy derives its sensing time once; its detector terms
+    (none weighted when it never senses), the memoized harvest laws' kernel
+    blocks and its outages give the kernels and rewards :func:`report` weighs.
     """
     quantities = policy.validate_against(params)
     cfg = sensing.SensingConfig(policy.threshold, quantities.m)
-    # a policy that never senses weights no detection term
     p_d = (sensing.detection_avg(cfg, quantities.gamma_bar)
            if np.any(policy.beta2 > 0) else 1.0)
     p_f = sensing.false_alarm(cfg)
     blocks = harvest_blocks(params, quantities, *harvesting.harvest_laws(params))
+    return report(params, policy, quantities,
+                  transition_components(params, blocks, p_d, p_f),
+                  action_rewards(params, bundle(params, quantities), p_d, p_f))
+
+
+def report(params: SystemParams, policy: Policy, quantities: DerivedQuantities,
+           kernels: np.ndarray, rewards: np.ndarray) -> PerformanceReport:
+    """Rates and access statistics of a policy from the (3, n, n) kernels and
+    (3, 2) rewards of idling, blind access and sensing at its point, mixed by
+    its :meth:`~ehcr.chain.Policy.level_actions` on the level ranges of
+    ``quantities``: the stationary share of each action weighs its rewards,
+    and those of blind access and sensing are the access and sensing
+    probabilities.  :func:`evaluate` and the optimizer's winner end here."""
     actions = policy.level_actions(quantities)
-    kernel = np.einsum("an,anm->nm", actions,
-                       transition_components(params, blocks, p_d, p_f))
-    stationary = stationary_distribution(kernel)
+    stationary = stationary_distribution(np.einsum("an,anm->nm", actions, kernels))
     shares = (stationary.pi * actions).sum(axis=1)  # idle, blind, sense
-    rewards = action_rewards(params, bundle(params, quantities), p_d, p_f)
     mu_s, mu_p = (shares @ rewards).tolist()
     _, p_access, p_sense = shares.tolist()
     return PerformanceReport(
-        mu_p=mu_p,
-        mu_s=mu_s,
-        p_sense=p_sense,
-        p_access=p_access,
-        expected_sensing_time=p_sense * policy.tau,
-        stationary=stationary,
-        feasible=mu_p >= params.mu_th - FEASIBILITY_TOL,
-    )
+        mu_p=mu_p, mu_s=mu_s, p_sense=p_sense, p_access=p_access,
+        expected_sensing_time=p_sense * policy.tau, stationary=stationary,
+        feasible=mu_p >= params.mu_th - FEASIBILITY_TOL)

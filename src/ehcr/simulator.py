@@ -399,7 +399,10 @@ def compare(params: SystemParams, policy: Policy, sim: SimConfig,
 
     A row is flagged when |z| exceeds 3.  Runs shorter than ``min_samples``
     are reported with a warning and never flagged: their confidence intervals
-    are too wide to witness a disagreement.  Raises ``ValueError`` when
+    are too wide to witness a disagreement.  The analytic model takes the
+    sensing SNR and the RF harvest as independent, which a faithful run does
+    not, so a faithful run of a policy that senses carries a warning that its
+    sensing rows may be flagged for that alone.  Raises ``ValueError`` when
     ``min_samples`` is negative.
     """
     if min_samples < 0:
@@ -440,6 +443,11 @@ def compare(params: SystemParams, policy: Policy, sim: SimConfig,
             float(empirical.occupancy_se[level]))
     if empirical.pu_active_slots == 0:
         warnings.append("licensed user never transmitted; mu_p not comparable")
+    if sim.correlation_mode == "faithful" and np.any(policy.beta2 > 0):
+        warnings.append(
+            "faithful mode sets the sensing SNR and the RF harvest from one "
+            "licensed-link gain but the analytic model takes them as "
+            "independent; p_sense and mu_s may be flagged for that alone")
     return ComparisonReport(
         rows=tuple(rows),
         warnings=tuple(warnings),

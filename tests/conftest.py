@@ -1,10 +1,10 @@
 import copy
+import sys
 import warnings
 
 import pytest
 from hypothesis import settings
 
-from ehcr import harvesting, optimizer
 from ehcr.presets import load_preset
 from ehcr.system_model import SystemParams, params_from_dict
 
@@ -29,13 +29,28 @@ with warnings.catch_warnings():
 pytest_plugins = ["pytester"]
 
 
+def loaded_memos() -> list:
+    """Every memoized module-level function (one with ``cache_clear``) of
+    the ``ehcr`` modules loaded so far; a module not loaded holds no memo."""
+    return [value for name, module in list(sys.modules.items())
+            if name == "ehcr" or name.startswith("ehcr.")
+            for value in vars(module).values()
+            if callable(getattr(value, "cache_clear", None))
+            and getattr(value, "__module__", None) == name]
+
+
+def clear_memos():
+    for memo in loaded_memos():
+        memo.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """No harvest law or grid scan memoized by an earlier test, so a test
-    that replaces a builder (``derive``, a detector) sees every column
-    built through it, and a call count starts from a cold memo."""
-    harvesting._laws.cache_clear()
-    optimizer._scan.cache_clear()
+    """No memo filled by an earlier test (harvest laws, grid scans, LP
+    options or any memo added later), so a test that replaces a builder
+    (``derive``, a detector) sees every column built through it, and a call
+    count starts from a cold memo."""
+    clear_memos()
 
 
 @pytest.fixture(scope="session")

@@ -2,19 +2,19 @@
 
 Counts the calls of the per-tau builders made by ``optimize``, ``evaluate``,
 ``run`` and ``compare`` and pins them: one ``derive`` per grid sensing
-time, one outage bundle and one set of kernel blocks per screened column,
-plus those of the winner's evaluation.  The sensing times that cannot fund
-sensing share the first one's column and screen.  The harvest laws depend
-on neither rho, the sensing time, the detector nor the policy, so a
-scenario builds its ambient law once: a search and its winner's evaluation
-share it, and so do evaluations of any policies at any rho.  Nor do the
-sensing times, or the outages and detector terms of the screened ones, read
-rho or the floor, so the searches of a rho sweep derive each sensing time
-and evaluate each screened column's terms once, while each search builds
-its own kernel blocks (the memos are cleared before each test).  The
-detector is evaluated once per screened column, over all its thresholds,
-and once more per simulation and per evaluation of a policy that senses; no
-policy iteration runs on an empty batch.  The LP solves of
+time, one outage bundle and one set of kernel blocks per screened column;
+the winner is reported from the column it was screened on, with no call of
+its own.  The sensing times that cannot fund sensing share the first one's
+column and screen.  The harvest laws depend on neither rho, the sensing
+time, the detector nor the policy, so a scenario builds its ambient law
+once: its searches share it, and so do evaluations of any policies at any
+rho.  Nor do the sensing times, or the outages and detector terms of the
+screened ones, read rho or the floor, so the searches of a rho sweep derive
+each sensing time and evaluate each screened column's terms once, while
+each search builds its own kernel blocks (the memos are cleared before each
+test).  The detector is evaluated once per screened column, over all its
+thresholds, and once per simulation and per evaluation of a policy that
+senses; no policy iteration runs on an empty batch.  The LP solves of
 ``optimize`` are pinned too: its screen needs none, so only the points
 within ``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP
 once: all points of the sensing times that cannot fund sensing share one
@@ -94,19 +94,20 @@ def test_optimize_builds_each_column_once(calls, setting):
     # at rho 0.5 every FAST_GRID point ties, so each distinct LP is solved
     # cold: each point of a column that can fund sensing, and one LP for
     # the two columns that cannot (6 and 8 ms), which share the column of
-    # 6 ms; the cold solves read the detector off their column
+    # 6 ms; the cold solves and the winner's report read their column
     sensing = sum(bool(system_model.derive(params, tau).beta_range)
                   for tau in taus)
     assert sensing == 2
     calls.clear()
     solution, _ = optimize(params, FAST_GRID, "probabilistic")
-    built = sensing + 2  # the shared column and the winner's evaluation
-    # the winner's evaluation reads the search's harvest laws from the memo,
-    # and its policy never senses, so it evaluates no detection probability
+    built = sensing + 1  # and the shared column
+    # the winner's report reads its screened column, so it derives no
+    # sensing time and evaluates no detector term of its own (its policy
+    # never senses here; the rho sweep below has winners that do)
     assert not np.any(solution.policy.beta2 > 0)
-    assert calls == {"derive": len(taus) + 1, "bundle": built,
+    assert calls == {"derive": len(taus), "bundle": built,
                      "harvest_blocks": built, "nature_distribution": 1,
-                     "solve_lp": 6 * sensing + 1, "detection_avg": built - 1,
+                     "solve_lp": 6 * sensing + 1, "detection_avg": built,
                      "false_alarm": built}
 
 
@@ -114,7 +115,7 @@ def test_preset_grid_screens_eleven_columns(calls, monkeypatch, setting):
     # the preset grid has 19 sensing times, and the battery cannot fund
     # sensing at the last nine (m 110 to 190): the ten others and the
     # first of those nine are screened, each with its own detector call,
-    # outage bundle and kernel blocks, beside the winner's evaluation
+    # outage bundle and kernel blocks, and the winner adds none
     params, _ = setting
     grid = optimizer.GridSpec(tau_min=5e-4)
     taus = grid.tau_values(params)
@@ -130,17 +131,17 @@ def test_preset_grid_screens_eleven_columns(calls, monkeypatch, setting):
     calls.clear()
     optimize(params, grid, "probabilistic")
     assert screened == list(range(10, 120, 10))
-    assert calls["derive"] == len(taus) + 1
+    assert calls["derive"] == len(taus)
     for name in ("detection_avg", "bundle", "harvest_blocks"):
-        assert calls[name] == len(screened) + 1
+        assert calls[name] == len(screened)
 
 
 def test_rho_sweep_scans_each_sensing_time_once(calls, testbench_params):
     # neither the sensing times, nor their outages and detector terms read
     # rho or the floor, so a sweep over nine rho values at two floors
     # derives each sensing time and evaluates each screened column once; the
-    # kernel blocks are built by each search, and each winner's evaluation
-    # adds its own calls
+    # kernel blocks are built by each search, and no winner adds a call,
+    # whether its policy senses (half of them do) or not
     taus = FAST_GRID.tau_values(testbench_params)
     screened = 3  # 2 and 4 ms, and 6 ms, whose column 8 ms takes
     solutions = [optimize(with_overrides(testbench_params, rho=rho, mu_th=mu_th),
@@ -149,10 +150,11 @@ def test_rho_sweep_scans_each_sensing_time_once(calls, testbench_params):
     winners = len(solutions)
     sensing = sum(bool(np.any(solution.policy.beta2 > 0))
                   for solution in solutions)
-    assert calls["derive"] == len(taus) + winners
-    assert calls["bundle"] == calls["false_alarm"] == screened + winners
-    assert calls["detection_avg"] == screened + sensing
-    assert calls["harvest_blocks"] == winners * (screened + 1)
+    assert sensing == winners // 2
+    assert calls["derive"] == len(taus)
+    assert calls["bundle"] == calls["false_alarm"] == screened
+    assert calls["detection_avg"] == screened
+    assert calls["harvest_blocks"] == winners * screened
     assert calls["nature_distribution"] == 1
 
 
@@ -254,7 +256,7 @@ def test_tied_cell_solves_one_non_sensing_system_per_step(monkeypatch,
     solve = np.linalg.solve
 
     def recording(a, b):
-        if a.ndim == 3:  # the screen's batches, not the winner's evaluation
+        if a.ndim == 3:  # the screen's batches, not the winner's report
             batches.append(a)
         return solve(a, b)
 
@@ -281,10 +283,10 @@ def test_optimize_builds_blocks_once_per_screened_column(calls,
                                                         testbench_params):
     _, records = optimize(testbench_params, FAST_GRID, "sensing_only")
     # the battery cannot fund sensing at 6 and 8 ms, so only two columns
-    # are screened; the winner's evaluation builds its own blocks
+    # are screened; the winner's report reads its column's blocks
     screened = {r.tau for r in records if r.status != "sensing_unreachable"}
     assert len(screened) == 2
-    assert calls["harvest_blocks"] == len(screened) + 1
+    assert calls["harvest_blocks"] == len(screened)
 
 
 @pytest.fixture

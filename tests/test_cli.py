@@ -221,6 +221,8 @@ class TestBadInputsExitOne:
          "lambda_count must be an integer"),
         ("grid", {"tau_min": 2e-3, "lambdas": 5},
          "invalid grid: 'lambdas' must be a list of numbers, got 5"),
+        ("grid", {"tau_min": 2e-3, "lambdas": []},
+         "invalid grid: explicit lambda_values is empty"),
         (None, 5, "error: configuration must be a JSON object, got int"),
     ])
     def test_malformed_config_section(self, fast_config, capsys, section,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -22,6 +23,7 @@ from ehcr.chain import (
 )
 from ehcr.numerics import LP_FEASIBILITY_TOL, solve_lp
 from ehcr.optimizer import (
+    GridPointStatus,
     GridSpec,
     InfeasibleGridError,
     _admitted,
@@ -33,7 +35,7 @@ from ehcr.optimizer import (
     _select_winner,
     optimize,
 )
-from ehcr.performance import FEASIBILITY_TOL, action_rewards
+from ehcr.performance import FEASIBILITY_TOL, action_rewards, evaluate
 from ehcr.sensing import SensingConfig, detection_avg, false_alarm
 from ehcr.simulator import SimConfig, compare
 from ehcr.system_model import derive, with_overrides
@@ -108,6 +110,8 @@ class TestGridSpec:
             GridSpec(tau_min=0.0)
         with pytest.raises(ValueError):
             GridSpec(tau_min=1e-3, lambda_values=(0.0,))
+        with pytest.raises(ValueError, match="^explicit lambda_values is empty$"):
+            GridSpec(tau_min=1e-3, lambda_values=())
         with pytest.raises(ValueError, match="lambda_count"):
             GridSpec(tau_min=1e-3, lambda_count=True)
 
@@ -422,9 +426,9 @@ class TestColdSolves:
             built.clear()
             with mock.patch.object(optimizer, "_WORKERS", 2), \
                     mock.patch.object(optimizer, "solve_lp", capture):
-                records = _cold_solve(params, scheme, [(column, k) for k in ks])
-            assert [(r.tau, r.threshold) for r, _ in records] == \
-                [(tau, column.thresholds[k]) for k in ks]
+                results = _cold_solve(params, scheme, [(column, k) for k in ks])
+            # the captured solves return None: one infeasible result per entry
+            assert results == [("infeasible", None, None)] * len(ks)
             # a column that cannot fund sensing has one LP for all thresholds
             assert len(built) == (len(ks) if column.quantities.beta_range else 1)
             for k in ks:  # the workers may take the entries in any order
@@ -484,7 +488,7 @@ class TestColdSolves:
             self, testbench_params, monkeypatch):
         # one call with the thresholds of a sensing and a non-sensing column
         # in shuffled order: one solve for the latter, one per entry of the
-        # former, and each record the one its entry gets alone
+        # former, and each result the one its entry gets alone
         params = with_overrides(testbench_params, rho=0.1)
         sensing, blind = (column_at(params, tau, FAST_GRID)
                           for tau in (2e-3, 8e-3))
@@ -503,28 +507,32 @@ class TestColdSolves:
 
         monkeypatch.setattr(optimizer, "_WORKERS", 2)
         monkeypatch.setattr(optimizer, "solve_lp", counted)
-        records = _cold_solve(params, "probabilistic", entries)
+        results = _cold_solve(params, "probabilistic", entries)
         assert len(solves) == 1 + len(sensing.thresholds)
-        assert [(r.tau, r.threshold) for r, _ in records] == \
-            [(column.quantities.tau, column.thresholds[k])
-             for column, k in entries]
-        assert all(r.status == "optimal" for r, _ in records)
-        assert records == alone
+        assert len(results) == len(entries)
+        assert all(status == "optimal" and mu_p is not None
+                   for status, _, mu_p in results)
+        assert results == alone
 
     @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
            lambda_e=st.floats(20.0, 400.0))
     @settings(max_examples=10, deadline=None)
     def test_search_equals_point_by_point_oracle(self, testbench_params, rho,
                                                  mu_th, lambda_e):
-        # reference_search solves every point's LP on its own: each record
-        # optimize solved cold is the oracle's, and the winners agree
+        # reference_search solves every point's LP on its own: each result
+        # optimize solved cold is the oracle's at the entry's column and
+        # threshold index, and the winners agree.  A sensing time that
+        # cannot fund sensing is solved on the first such column, whose LP
+        # at the same index is its own (test_non_sensing_column_has_one_lp)
         params = with_overrides(testbench_params, rho=rho, mu_th=mu_th,
                                 lambda_e=lambda_e)
         cold_solve, cold = optimizer._cold_solve, []
 
-        def capture(*args):
-            solved = cold_solve(*args)
-            cold.extend(record for record, _ in solved)
+        def capture(params, scheme, entries):
+            solved = cold_solve(params, scheme, entries)
+            cold.extend(GridPointStatus(column.quantities.tau,
+                                        column.thresholds[k], status, objective)
+                        for (column, k), (status, objective, _) in zip(entries, solved))
             return solved
 
         with mock.patch.object(optimizer, "_cold_solve", capture):
@@ -806,6 +814,58 @@ class TestScan:
                 assert terms.shape == (len(scanned.thresholds),)
                 with pytest.raises(ValueError, match="read-only"):
                     terms[0] = 0.5
+
+
+def assert_same_report(got, want):
+    """Two reports agree field for field, the stationary law's bytes
+    included."""
+    for field in dataclasses.fields(want):
+        if field.name == "stationary":
+            assert got.stationary.pi.tobytes() == want.stationary.pi.tobytes()
+        else:
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+class TestWinnerReport:
+    """The winner is reported from the column it was screened on, exactly
+    as ``evaluate`` reports its policy from scratch."""
+
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           lambda_e=st.floats(20.0, 400.0),
+           mode=st.sampled_from(["mixed", "nature", "rf"]),
+           scheme=st.sampled_from(optimizer.SCHEMES),
+           grid=st.sampled_from([FAST_GRID, BLIND_GRID]))
+    @settings(max_examples=20, deadline=None)
+    def test_report_equals_evaluate(self, testbench_params, rho, mu_th,
+                                    lambda_e, mode, scheme, grid):
+        # slack and binding floors, winners that sense and that do not
+        params = harvest_mode(with_overrides(testbench_params, rho=rho,
+                                             mu_th=mu_th, lambda_e=lambda_e),
+                              mode)
+        solution, _ = search(params, grid, scheme)
+        if solution is not None:
+            assert_same_report(solution.report, evaluate(params, solution.policy))
+
+    def test_winner_at_a_later_shared_sensing_time(self, testbench_params,
+                                                   monkeypatch):
+        # all 54 points tie at rho 0.1; taking the last candidate makes the
+        # winner the last point, at the fourth sensing time that cannot fund
+        # sensing, whose column is the first such one's (6 ms): its own tau
+        # and threshold must reach the solution, its policy and its report
+        params = with_overrides(testbench_params, rho=0.1)
+        monkeypatch.setattr(optimizer, "_select_winner",
+                            lambda candidates: candidates[-1][3])
+        solution, records = optimize(params, BLIND_GRID, "probabilistic")
+        tau = BLIND_GRID.tau_values(params)[-1]
+        threshold = BLIND_GRID.lambda_grid(derive(params, tau).m)[-1]
+        assert tau == pytest.approx(9e-3)
+        assert threshold == pytest.approx(448.65, abs=0.01)
+        assert not derive(params, tau).beta_range
+        assert (solution.tau, solution.threshold) == (tau, threshold)
+        assert (solution.policy.tau, solution.policy.threshold) == (tau, threshold)
+        assert records[-1] == GridPointStatus(tau, threshold, "optimal",
+                                              solution.lp_objective)
+        assert_same_report(solution.report, evaluate(params, solution.policy))
 
 
 class TestConstrainedRegime:

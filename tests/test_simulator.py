@@ -179,6 +179,20 @@ class TestCompare:
             compare(testbench_params, mixed_policy(testbench_params),
                     SimConfig(slots=100, seed=11), min_samples=-5)
 
+    @pytest.mark.parametrize("mode, shape, warned", [
+        ("faithful", "mixed", True),
+        ("decorrelated", "mixed", False),
+        ("faithful", "blind", False),  # never senses
+    ])
+    def test_faithful_sensing_comparison_warns(self, testbench_params, mode,
+                                               shape, warned):
+        # only a faithful run couples the sensing SNR to the RF harvest, and
+        # only a policy that senses reads the coupled verdicts
+        comparison = compare(testbench_params, POLICIES[shape](testbench_params),
+                             SimConfig(slots=2_000, seed=13, correlation_mode=mode))
+        assert sum("analytic model takes them as independent" in warning
+                   for warning in comparison.warnings) == warned
+
 
 def ramp_policy(params, tau=TAU, threshold=THRESHOLD) -> Policy:
     alpha_range, beta_range = action_ranges(params, tau)

@@ -1,6 +1,13 @@
 """The suite's own configuration: a failing property test is reported as a
-failure under ``filterwarnings = ["error"]``, not as an INTERNALERROR."""
+failure under ``filterwarnings = ["error"]``, not as an INTERNALERROR, and
+no memo of ``ehcr`` carries state from one test to the next."""
 from pathlib import Path
+
+from conftest import clear_memos, loaded_memos
+from test_optimizer import FAST_GRID
+
+from ehcr import harvesting, numerics, optimizer
+from ehcr.system_model import with_overrides
 
 TESTS = Path(__file__).resolve().parent
 
@@ -22,3 +29,17 @@ def test_failing_property_test_is_reported(pytester, monkeypatch):
     result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
     result.assert_outcomes(failed=1, passed=1)
     assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
+
+
+def test_fresh_memos_empties_every_memo(testbench_params):
+    # the autouse fixture ran before this test; a tied search, which solves
+    # LPs, fills the memos again, and the fixture's clearing empties them
+    memos = loaded_memos()
+    known = [harvesting._laws, optimizer._scan, numerics._rung_options]
+    assert set(known) <= set(memos)
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
+    optimizer.optimize(with_overrides(testbench_params, rho=0.1), FAST_GRID,
+                       "probabilistic")
+    assert all(memo.cache_info().currsize > 0 for memo in known)
+    clear_memos()
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
