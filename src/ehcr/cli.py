@@ -40,6 +40,7 @@ from .presets import PRESET_NAMES, load_preset
 from .system_model import (
     ConfigurationError,
     SystemParams,
+    config_number,
     params_from_dict,
     validate,
     with_overrides,
@@ -118,6 +119,13 @@ class LoadedConfig:
     sim_defaults: dict[str, Any]
 
 
+def _numbers(value: Any, name: str) -> list[float]:
+    """``value`` as floats when it is a list of JSON numbers."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return [config_number(v, f"{name} entry") for v in value]
+
+
 def _load_config(source: str) -> LoadedConfig:
     """Load a configuration file path or a named preset."""
     path = Path(source)
@@ -142,21 +150,22 @@ def _load_config(source: str) -> LoadedConfig:
         raise CliError(str(exc)) from exc
     _checked(params)
     grid_doc, sim_doc = doc.get("grid", {}), doc.get("sim", {})
-    for name, section in (("grid", grid_doc), ("sim", sim_doc)):
+    for name, section, keys in (
+            ("grid", grid_doc, ("tau_min", "lambdas", "lambda_count")),
+            ("sim", sim_doc, ("slots", "seed"))):
         if not isinstance(section, dict):
             raise CliError(f"invalid {name}: the section must be an object, "
                            f"got {section!r}")
-    lambdas = grid_doc.get("lambdas")
-    if "lambdas" in grid_doc and not (
-            isinstance(lambdas, list)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in lambdas)):
-        raise CliError(f"invalid grid: 'lambdas' must be a list of numbers, "
-                       f"got {lambdas!r}")
+        unknown = [key for key in section if key not in keys]
+        if unknown:
+            raise CliError(f"invalid {name}: unknown keys {unknown}, "
+                           f"expected some of {list(keys)}")
     try:
         grid = GridSpec(
-            tau_min=float(grid_doc.get("tau_min", 1.0 / params.W)),
-            lambda_values=tuple(lambdas) if "lambdas" in grid_doc else None,
+            tau_min=config_number(grid_doc.get("tau_min", 1.0 / params.W),
+                                  "tau_min"),
+            lambda_values=(tuple(_numbers(grid_doc["lambdas"], "'lambdas'"))
+                           if "lambdas" in grid_doc else None),
             # GridSpec's own default count applies when the file sets none
             **{k: v for k, v in grid_doc.items() if k == "lambda_count"},
         )
@@ -168,19 +177,17 @@ def _load_config(source: str) -> LoadedConfig:
 
 
 def _load_policy(path: str, params: SystemParams) -> Policy:
-    """Read a policy JSON: keys alpha, beta1, beta2, tau, lambda."""
+    """Read a policy JSON: number lists alpha, beta1, beta2; numbers tau, lambda."""
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read policy {path!r}: {exc}") from exc
     try:
-        policy = Policy(
-            alpha=np.asarray(doc["alpha"], dtype=float),
-            beta1=np.asarray(doc["beta1"], dtype=float),
-            beta2=np.asarray(doc["beta2"], dtype=float),
-            tau=float(doc["tau"]),
-            threshold=float(doc["lambda"]),
-        )
+        policy = Policy(alpha=_numbers(doc["alpha"], "alpha"),
+                        beta1=_numbers(doc["beta1"], "beta1"),
+                        beta2=_numbers(doc["beta2"], "beta2"),
+                        tau=config_number(doc["tau"], "tau"),
+                        threshold=config_number(doc["lambda"], "lambda"))
         policy.validate_against(params)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"invalid policy document {path!r}: {exc}") from exc
@@ -226,7 +233,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError("sweep requires from < to")
     if args.steps < 2:
         raise CliError("sweep requires at least 2 steps")
-    schemes = args.scheme or list(SCHEMES)
+    schemes = list(dict.fromkeys(args.scheme or SCHEMES))  # each once, in order
     values = [float(v) for v in np.linspace(args.sweep_from, args.sweep_to, args.steps)]
     swept = [(value, _checked(with_overrides(config.params, rho=value)))
              for value in values]

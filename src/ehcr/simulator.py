@@ -8,28 +8,25 @@ truth the closed forms are validated against.
 The battery is the only sequential quantity, so :func:`run` has three parts,
 all reading the one set of quantities derived by the policy's validation.
 Before the loop, every draw is made and turned into per-slot arrays: the
-harvest, the sensing verdict (a sensed slot is declared busy when its sensing
-draw falls below the detection or false-alarm probability), and hence the
-energy a sensing slot would cost.  The loop then carries only the battery:
-it compares each slot's action draw with cumulative per-level thresholds,
-debits the chosen action, adds the harvest and caps at the battery size,
-recording each start-of-slot level.  After it, the actions are recovered from
-the recorded levels, and transmissions, SINR outcomes, counters and
-batch-means standard errors are computed as array expressions.
+harvest, the sensing verdict (busy when a sensing draw falls below the
+detection or false-alarm probability, or a faithful detector statistic
+exceeds the threshold) and hence the energy a sensing slot would cost.  The
+loop then carries only the battery: it compares each slot's action draw with
+cumulative per-level thresholds, debits the chosen action, adds the harvest
+and caps at the battery size, recording each start-of-slot level.  After it,
+the actions are recovered from the recorded levels, and transmissions, SINR
+outcomes, counters and batch-means standard errors are computed as array
+expressions.
 
 Two correlation modes are provided.  ``faithful`` uses one licensed-link gain
 per slot for both the sensing SNR and the RF harvest, which is physically
 consistent; ``decorrelated`` draws them independently, matching the
 independence assumptions of the analytical model exactly, and is the default
-for cross-validation.  Faithful-mode detection probabilities come from a
-noncentral chi-square tail (``1 - scipy.special.chndtr``), which is accurate
-to about 1e-12 in absolute terms: enough for a verdict, though not for
-:func:`sensing.detection_instant`, which keeps Marcum Q.  A verdict needs
-the tail only near its sensing draw, so the k licensed-busy slots' SNRs are
-sorted and the tail is taken at every ``isqrt(k)``-th one: a slot whose draw
-lies clearly below the tail at the knot under its SNR, or clearly above the
-one over it, is decided by that bracket, and only the few slots in between
-get their own tail (:func:`_faithful_verdicts`).
+for cross-validation.  A faithful licensed-busy slot draws the detector's
+statistic itself, noncentral chi-square with ``2m`` degrees of freedom and
+noncentrality twice its realized SNR (Digham, Alouini & Simon 2007), and is
+declared busy when that exceeds the threshold: the law of
+:func:`sensing.detection_instant`, with no tail evaluated.
 
 Randomness comes from one seed expanded into named substreams (one per slot
 quantity), so instrumenting one quantity never shifts the draws of another.
@@ -41,7 +38,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chndtr
 
 from . import sensing
 from .chain import Policy
@@ -51,7 +47,7 @@ from .system_model import SystemParams
 
 #: substream names, in spawn order; append only, never reorder
 _STREAMS = ("pu", "h_p", "h_pst", "h_ps", "h_s", "h_sp",
-            "action", "sensing", "nature", "rf")
+            "action", "sensing", "nature", "rf", "detector")
 
 CORRELATION_MODES = ("faithful", "decorrelated")
 
@@ -64,18 +60,6 @@ DEFAULT_MIN_SAMPLES = 1000
 #: ambient mean at which larger ones are drawn, inside numpy's Poisson domain
 #: (about 9.2e18); a count below any battery size is then 0.0 in floats
 _AMBIENT_MEAN_CAP = 1e18
-
-#: gap between sqrt(2 snr) and sqrt(threshold) past which detection is
-#: certain in floats: Phi(-10) is 7.6e-24, far below half an ulp of 1.0
-_CERTAIN_DETECTION_GAP = 10.0
-
-#: margin by which a sensing draw must clear a bracket's knot tails before
-#: the bracket decides its verdict.  The true tail increases with the SNR
-#: and the computed one is within 1e-11 of it (Marcum Q checks m 10 to 100
-#: over each sensing time's threshold grid), so a computed tail can fall
-#: below one at a smaller SNR by at most 2e-11, far under the margin; the
-#: property tests compare the verdicts slot by slot for m 2 to 1000
-_VERDICT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,67 +159,6 @@ def _occupancy_se(levels: np.ndarray, histogram: np.ndarray) -> np.ndarray:
     return _batch_se(histogram, n, per_level)
 
 
-def _faithful_detection(cfg: sensing.SensingConfig, snr: np.ndarray) -> np.ndarray:
-    """:func:`sensing.detection_instant` at each realized sensing SNR, as the
-    upper tail of a noncentral chi-square with ``2m`` degrees of freedom.
-
-    Accurate to about 1e-12 in absolute terms only (it returns 0.0 where
-    Marcum Q is 1e-36): ample for a ``u < p`` verdict, which is why only the
-    simulator uses it and the public scalar function keeps Marcum Q.
-
-    Past a noncentrality of about 1e19 ``chndtr`` returns NaN.  The
-    statistic is at least ``(Z + sqrt(2 snr))**2`` for a standard normal
-    ``Z``, so its tail above the threshold is at least
-    ``Phi(sqrt(2 snr) - sqrt(threshold))``, which rounds to 1.0 once that
-    gap reaches ``_CERTAIN_DETECTION_GAP``; such tails are 1.0, and any other
-    that is not finite raises ``ValueError``.
-    """
-    tail = 1.0 - chndtr(cfg.threshold, 2.0 * cfg.m, 2.0 * snr)
-    lost = ~np.isfinite(tail)
-    if lost.any():
-        certain = (np.sqrt(2.0 * snr) - math.sqrt(cfg.threshold)
-                   >= _CERTAIN_DETECTION_GAP)
-        if not np.all(certain[lost]):
-            raise ValueError(
-                f"detection probability at sensing SNR "
-                f"{float(snr[lost & ~certain][0])!r} and threshold "
-                f"{cfg.threshold!r} is not finite")
-        tail[lost] = 1.0
-    return tail
-
-
-def _faithful_verdicts(cfg: sensing.SensingConfig, snr: np.ndarray,
-                       u: np.ndarray) -> np.ndarray:
-    """``u < _faithful_detection(cfg, snr)``, elementwise, from about
-    ``2 sqrt(k)`` tails for ``k`` slots instead of ``k``.
-
-    The tail increases with the SNR, so once the SNRs are sorted it is taken
-    at every ``isqrt(k)``-th one and at the largest (the knots).  A slot
-    whose draw lies below the tail at the knot at or under its SNR by more
-    than ``_VERDICT_MARGIN`` is busy; one at or above the tail at the knot at
-    or over it by that margin is free; only the slots in between are
-    compared with their own tail.
-    """
-    k = snr.size
-    order = np.argsort(snr)
-    ranked_snr, ranked_u = snr[order], u[order]
-    step = max(math.isqrt(k), 1)
-    knots = np.arange(0, k, step)
-    if k and knots[-1] != k - 1:
-        knots = np.append(knots, k - 1)
-    knot_tail = _faithful_detection(cfg, ranked_snr[knots])
-    # the slot of rank j lies between knots j // step and the next one
-    below = np.arange(k) // step
-    above = np.minimum(below + 1, knots.size - 1)
-    busy = ranked_u < knot_tail[below] - _VERDICT_MARGIN
-    undecided = ~busy & (ranked_u < knot_tail[above] + _VERDICT_MARGIN)
-    busy[undecided] = ranked_u[undecided] < _faithful_detection(
-        cfg, ranked_snr[undecided])
-    verdicts = np.empty(k, dtype=bool)
-    verdicts[order] = busy
-    return verdicts
-
-
 def _harvest(params: SystemParams, streams: dict, pu_active: np.ndarray,
              rf_gain: np.ndarray) -> np.ndarray:
     """Energy units harvested in each slot: ambient arrivals always, RF energy
@@ -253,13 +176,15 @@ def _harvest(params: SystemParams, streams: dict, pu_active: np.ndarray,
             + np.where(pu_active, rf_q, 0))
 
 
+@np.errstate(over="ignore")
 def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
     """Simulate ``sim.slots`` slots and tally empirical statistics.
 
     Deterministic for a fixed seed.  The battery starts at
     ``sim.initial_battery``, is never driven negative (actions respect the
     level rules) and is capped at the battery size after each slot's
-    harvest.
+    harvest.  An energy or SNR past the float range is inf, unwarned: it
+    saturates a harvest, is detected and passes an SINR test.
     """
     quantities = policy.validate_against(params)
     if sim.initial_battery > params.N_max:
@@ -295,14 +220,13 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
     # sensing verdicts, drawn for every slot whether or not it senses
     sensing_u = streams["sensing"].random(n_slots)
     declared_busy = sensing_u < sensing.false_alarm(cfg)
-    if uses_sensing:
-        busy_u = sensing_u[pu_active]
-        if decorrelated:
-            declared_busy[pu_active] = busy_u < sensing.detection_avg(
-                cfg, quantities.gamma_bar)
-        else:
-            declared_busy[pu_active] = _faithful_verdicts(
-                cfg, params.P_p * gain_pst[pu_active] / params.sigma_n2, busy_u)
+    if uses_sensing and decorrelated:
+        declared_busy[pu_active] = sensing_u[pu_active] < sensing.detection_avg(
+            cfg, quantities.gamma_bar)
+    elif uses_sensing:
+        snr = params.P_p * gain_pst[pu_active] / params.sigma_n2
+        declared_busy[pu_active] = streams["detector"].noncentral_chisquare(
+            2 * cfg.m, 2.0 * snr) > cfg.threshold
     sense_cost = np.where(declared_busy, n_s, n_s + n_t)
 
     # the battery is the only sequential quantity

@@ -254,11 +254,21 @@ def validate(params: SystemParams) -> list[str]:
 # configuration document I/O
 # ---------------------------------------------------------------------------
 
+def config_number(value: Any, name: str) -> float:
+    """``value`` as a float when it is a JSON number (an int or a float, not
+    a bool or a string); otherwise a :class:`ConfigurationError` naming
+    ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def params_from_dict(doc: dict[str, Any]) -> SystemParams:
     """Build a :class:`SystemParams` from a configuration document.
 
-    Requires each documented key; extra top-level keys (grid, simulation
-    sections) are ignored so one file can configure the whole toolchain.
+    Requires each documented key, each a JSON number (:func:`config_number`);
+    extra top-level keys (grid, simulation sections) are ignored so one file
+    can configure the whole toolchain.
     """
     missing = [k for k in CONFIG_KEYS if k not in doc]
     if missing:
@@ -273,15 +283,14 @@ def params_from_dict(doc: dict[str, Any]) -> SystemParams:
             raise ConfigurationError(
                 f"links.{name} must provide fading_mean and distance"
             )
-        link_kwargs[name] = LinkParams(
-            fading_mean=float(entry["fading_mean"]),
-            distance=float(entry["distance"]),
-        )
-    n_max = float(doc["N_max"])
+        link_kwargs[name] = LinkParams(**{
+            key: config_number(entry[key], f"links.{name}.{key}")
+            for key in ("fading_mean", "distance")})
+    n_max = config_number(doc["N_max"], "N_max")
     n_max = snap_to_int(n_max) if math.isfinite(n_max) else None
     if n_max is None:
         raise ConfigurationError(f"N_max must be an integer, got {doc['N_max']!r}")
-    scalars = {k: float(doc[k]) for k in CONFIG_KEYS if k != "N_max"}
+    scalars = {k: config_number(doc[k], k) for k in CONFIG_KEYS if k != "N_max"}
     return SystemParams(N_max=n_max, links=LinkSet(**link_kwargs), **scalars)
 
 

@@ -1,5 +1,6 @@
 """Shared oracle utilities for the test suite."""
 import contextlib
+import itertools
 import math
 import os
 import signal
@@ -478,6 +479,11 @@ def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimRe
     idle_count = blind_count = sense_count = su_tx_count = 0
     for t in range(n_slots):
         level_series[t] = battery
+        if pu_active[t] and uses_sensing and not decorrelated:
+            # the detector statistic of every licensed-busy slot, sensed or not
+            snr = params.P_p * gain_pst[t] / params.sigma_n2
+            statistic = streams["detector"].noncentral_chisquare(2 * cfg.m,
+                                                                 2.0 * snr)
         u = action_u[t]
         action = "idle"
         if has_beta and battery >= beta_lo:
@@ -506,12 +512,8 @@ def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimRe
             sense_series[t] = 1
             consumed = n_s
             if pu_active[t]:
-                if decorrelated:
-                    p_detect = p_d_avg
-                else:
-                    snr = params.P_p * gain_pst[t] / params.sigma_n2
-                    p_detect = sensing.detection_instant(cfg, snr)
-                declared_busy = sensing_u[t] < p_detect
+                declared_busy = (sensing_u[t] < p_d_avg if decorrelated
+                                 else statistic > cfg.threshold)
             else:
                 declared_busy = sensing_u[t] < p_f
             if not declared_busy:
@@ -572,20 +574,16 @@ def reference_run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimRe
 
 
 def bias_detection(monkeypatch, bias: float) -> None:
-    """Scale the detection probability the simulator draws its sensing
-    verdicts from by ``bias``, clipped to [0, 1], in both correlation modes.
-    The analytic detector that ``evaluate`` reads is left alone, so a sound
-    comparison must flag the fault."""
-    def biased(detector):
-        return lambda *args: np.clip(bias * detector(*args), 0.0, 1.0)
-
+    """Scale the detection probability a decorrelated simulation draws its
+    sensing verdicts from by ``bias``, clipped to [0, 1].  The analytic
+    detector that ``evaluate`` reads is left alone, so a sound comparison
+    must flag the fault."""
     # the simulator's own view of the sensing module, with one detector biased
     detectors = types.ModuleType(sensing.__name__)
-    detectors.__dict__.update(vars(sensing),
-                              detection_avg=biased(sensing.detection_avg))
+    detectors.__dict__.update(
+        vars(sensing), detection_avg=lambda *args: np.clip(
+            bias * sensing.detection_avg(*args), 0.0, 1.0))
     monkeypatch.setattr(simulator, "sensing", detectors)
-    monkeypatch.setattr(simulator, "_faithful_detection",
-                        biased(simulator._faithful_detection))
 
 
 def reference_closed_classes(p: np.ndarray, edge_tol: float = 1e-14) -> list[list[int]]:
@@ -761,6 +759,41 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
     return reference_lp_solution(params, *winner), tuple(records)
 
 
+def deterministic_policies(params: SystemParams, tau: float, threshold: float,
+                           scheme: str):
+    """Every deterministic policy ``scheme`` admits at (tau, threshold): one
+    action per battery level among those the level can afford, with no blind
+    access under the sensing-only scheme."""
+    alpha_range, beta_range = action_ranges(params, tau)
+    blind = (0.0,) if scheme == "sensing_only" else (0.0, 1.0)
+    full = [(0.0, 0.0), (0.0, 1.0)] + [(1.0, 0.0)] * (len(blind) - 1)
+    for alpha in itertools.product(blind, repeat=len(alpha_range)):
+        for actions in itertools.product(full, repeat=len(beta_range)):
+            beta1, beta2 = np.array(actions).reshape(-1, 2).T
+            yield Policy(alpha=np.array(alpha), beta1=beta1, beta2=beta2,
+                         tau=tau, threshold=threshold)
+
+
+def enumerated_optimum(params: SystemParams, tau: float, threshold: float,
+                       scheme: str) -> float | None:
+    """The constrained optimum of a grid point from neither the LP nor the
+    screen: the best mu_s over the convex hull of the (mu_s, mu_p) of every
+    deterministic policy, at mu_p >= mu_th.  Stationary randomized policies
+    reach exactly that hull (its vertices are deterministic), so its best
+    point lies on one policy or on the floor, between one policy above it
+    and one below.  None when the hull misses the floor."""
+    rates = np.array([(r.mu_s, r.mu_p) for r in (
+        evaluate(params, policy)
+        for policy in deterministic_policies(params, tau, threshold, scheme))])
+    above = rates[:, 1] >= params.mu_th
+    if not above.any():
+        return None
+    (hi_s, hi_p), (lo_s, lo_p) = rates[above].T[:, :, None], rates[~above].T
+    share = (params.mu_th - lo_p) / (hi_p - lo_p)  # of the policy above
+    mixes = lo_s + share * (hi_s - lo_s)
+    return float(max(hi_s.max(), mixes.max(initial=-math.inf)))
+
+
 # The hand-written special functions that ``ehcr.numerics`` replaced by
 # array expressions over scipy's gamma tails, kept as their oracles: the
 # integer-order gamma tails (below x = 700; beyond it the lower tail's
@@ -775,6 +808,7 @@ _LOG_TINY = -700.0
 
 # truncation tolerance of the Marcum term recursion
 _MARCUM_TAIL_RTOL = 1e-12
+
 
 def reference_upper_gamma_int(m: int, x: float) -> float:
     """Regularized upper incomplete gamma ratio for integer order m >= 1.

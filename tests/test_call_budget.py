@@ -18,10 +18,9 @@ senses; no policy iteration runs on an empty batch.  The LP solves of
 ``optimize`` are pinned too: its screen needs none, so only the points
 within ``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP
 once: all points of the sensing times that cannot fund sensing share one
-LP.  The simulator draws its faithful detections from the noncentral
-chi-square law, so neither a run nor a comparison, in either correlation
-mode, evaluates Marcum Q; a faithful run takes that tail at about two SNRs
-per square root of its licensed-busy slots, not at each of them.  An
+LP.  A faithful run draws each licensed-busy slot's detector statistic
+from its noncentral chi-square law and evaluates no tail, so neither a run
+nor a comparison, in either correlation mode, evaluates Marcum Q.  An
 evaluation solves its chain with one LU solve and no least squares.  Cold
 solves run on worker threads, so the counts are kept under a lock; a cell
 that solves one distinct LP starts no thread, and each LP is built once, by
@@ -36,7 +35,7 @@ import numpy as np
 import pytest
 
 from ehcr import (chain, harvesting, numerics, optimizer, outage, sensing,
-                  simulator, system_model)
+                  system_model)
 from ehcr.chain import AmbiguousChainError, Policy
 from ehcr.optimizer import InfeasibleGridError, optimize
 from ehcr.performance import evaluate
@@ -356,22 +355,3 @@ def test_simulation_never_evaluates_marcum_q(calls, setting, mode):
     compare(*setting, sim)
     assert calls["marcum_q"] == calls["detection_instant"] == 0
 
-
-def test_faithful_run_takes_few_detection_tails(monkeypatch, setting):
-    # the verdicts of the licensed-busy slots come from the tails at every
-    # isqrt(k)-th of their k sorted SNRs, plus the few slots whose draws
-    # fall between two such knots' tails
-    params, _ = setting
-    policy = Policy.constant(params, 5e-4, 30.0, 0.0, 0.0, 1.0)
-    detect, snrs = simulator._faithful_detection, []
-
-    def counted(cfg, snr):
-        snrs.append(snr.size)
-        return detect(cfg, snr)
-
-    monkeypatch.setattr(simulator, "_faithful_detection", counted)
-    report = run(params, policy,
-                 SimConfig(slots=5_000, seed=3, correlation_mode="faithful"))
-    assert report.pu_active_slots == 2_457
-    assert snrs == [52, 47]  # the knots, then the undecided slots
-    assert sum(snrs) < 0.1 * report.pu_active_slots

@@ -224,12 +224,26 @@ class TestBadInputsExitOne:
         ("grid", {"tau_min": 2e-3, "lambdas": []},
          "invalid grid: explicit lambda_values is empty"),
         (None, 5, "error: configuration must be a JSON object, got int"),
+        ("grid", {"tau_min": 2e-3, "lambda_cnt": 3},
+         "error: invalid grid: unknown keys ['lambda_cnt'], expected some of"),
+        ("sim", {"slots": 100, "sead": 3},
+         "error: invalid sim: unknown keys ['sead'], expected some of"),
+        ("grid", {"tau_min": "0.002"},
+         "error: invalid grid: tau_min must be a number, got '0.002'"),
+        ("P_p", "4.0", "error: P_p must be a number, got '4.0'"),
+        ("rho", True, "error: rho must be a number, got True"),
+        ("N_max", "20", "error: N_max must be a number, got '20'"),
+        ("links", {**load_preset("testbench")["links"],
+                   "pst": {"fading_mean": 0.8, "distance": "3"}},
+         "error: links.pst.distance must be a number, got '3'"),
     ])
     def test_malformed_config_section(self, fast_config, capsys, section,
                                       value, message):
-        # a non-object section used to end in a traceback, and a boolean
-        # lambda_count passed as 1 and searched a single threshold; a section
-        # of None replaces the whole document
+        # a non-object section used to end in a traceback, a boolean
+        # lambda_count passed as 1 and searched a single threshold, a
+        # mistyped grid key fell back to the default grid, and strings and
+        # booleans passed as numbers; a section of None replaces the whole
+        # document
         doc = json.loads(fast_config.read_text())
         if section is None:
             doc = value
@@ -305,6 +319,25 @@ class TestBadInputsExitOne:
         err = self.one_line_error(capsys)
         assert "invalid policy document" in err
         assert "threshold must be positive and finite" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tau", "5e-4", "tau must be a number, got '5e-4'"),
+        ("lambda", True, "lambda must be a number, got True"),
+        ("alpha", ["0.5"], "alpha entry must be a number, got '0.5'"),
+        ("beta1", 0.3, "beta1 must be a list of numbers, got 0.3"),
+        ("beta2", [False] * 10, "beta2 entry must be a number, got False"),
+    ])
+    def test_policy_values_must_be_numbers(self, fast_config, policy_file,
+                                           capsys, key, value, message):
+        # strings and booleans used to pass through float()
+        doc = json.loads(policy_file.read_text())
+        doc[key] = value
+        policy_file.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(fast_config),
+                     "--policy", str(policy_file), "--slots", "100"]) == 1
+        err = self.one_line_error(capsys)
+        assert err.startswith("error: invalid policy document")
+        assert message in err
 
     def test_grid_with_non_integral_samples(self, fast_config, capsys):
         doc = json.loads(fast_config.read_text())
@@ -500,9 +533,9 @@ class TestExtremeConfigValues:
     @pytest.mark.parametrize("P_p", [1e20, 1e300])
     def test_faithful_detection_past_chndtr_range(self, fast_config,
                                                   policy_file, P_p):
-        # the detection tail was NaN at these powers, so every licensed-busy
-        # sensed slot was declared free; detection is certain there, as it
-        # already is at 1e12
+        # the detection tail once computed here was NaN at these powers, so
+        # every licensed-busy sensed slot was declared free; detection is
+        # certain there, as it already is at 1e12
         def faithful(command, P_p):
             self.override(fast_config, {"P_p": P_p})
             with deadline(60.0):
@@ -630,6 +663,18 @@ class TestSweepCommand:
         rows = read_rows(out)
         assert len(rows) == 1 + 6
         assert {row[1] for row in rows[1:]} == {"sensing_only"}
+
+    def test_repeated_scheme_runs_once(self, fast_config, tmp_path):
+        # a repeated --scheme used to run that scheme again, duplicating rows
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(fast_config), "--from", "0.3",
+                     "--to", "0.6", "--steps", "2", "--scheme", "sensing_only",
+                     "--scheme", "probabilistic", "--scheme", "sensing_only",
+                     "--out", str(out)]) == 0
+        cells = [tuple(row[:3]) for row in read_rows(out)[1:]]
+        assert len(cells) == len(set(cells)) == 12
+        assert [row[1] for row in cells[:6:3]] == ["sensing_only",
+                                                   "probabilistic"]
 
     def test_bad_range_rejected(self, fast_config):
         assert main(["sweep", "--config", str(fast_config),

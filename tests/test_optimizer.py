@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehcr import harvesting, optimizer
@@ -45,6 +45,7 @@ from helpers import (
     column_at,
     components_at,
     deadline,
+    enumerated_optimum,
     outages_at,
     point_lp,
     reference_column_mdp,
@@ -1089,3 +1090,37 @@ def test_low_harvest_optimum_grows_with_the_harvest(testbench_params, lambda_e,
                  "probabilistic")[0].report.mu_s
         for rate in (lambda_e, lambda_e + more))
     assert fuller >= less * (1.0 - 1e-9)
+
+
+#: the battery holds 5 packets and a transmission takes 2, so each grid point
+#: admits at most 54 deterministic policies
+ORACLE_GRID = GridSpec(5e-4, lambda_count=3)
+
+
+@given(rho=st.floats(0.0, 1.0), mu_th=st.floats(0.65, 0.76),
+       unharvested=st.sampled_from(["lambda_e", "eta"]),
+       scheme=st.sampled_from(optimizer.SCHEMES),
+       picks=st.lists(st.integers(0, 2**16), min_size=3, max_size=3))
+@settings(max_examples=12, deadline=None)
+def test_screen_matches_enumerated_policies(testbench_params, rho, mu_th,
+                                            unharvested, scheme, picks):
+    # an oracle that rests on neither the screen nor the LP: floors from
+    # 0.695 up bind; the battery must be fed at rho 0 too
+    assume(rho > 0.0 or unharvested == "eta")
+    params = with_overrides(testbench_params, N_max=5, E_u=5e-4, rho=rho,
+                            mu_th=mu_th, **{unharvested: 0.0})
+    try:
+        records = optimize(params, ORACLE_GRID, scheme)[1]
+    except InfeasibleGridError as exc:
+        records = exc.records
+    for pick in picks:
+        record = records[pick % len(records)]
+        if record.status == "sensing_unreachable":
+            continue
+        optimum = enumerated_optimum(params, record.tau, record.threshold,
+                                     scheme)
+        if optimum is None:
+            assert record.status == "infeasible", record
+        else:
+            assert record.status == "optimal", record
+            assert abs(record.objective - optimum) <= 1e-12, record
