@@ -5,12 +5,12 @@ number of threads: integer-order gamma tail probabilities (checked wrappers
 over ``scipy.special.gammaincc``/``gammainc`` that take one argument or a 1-D
 array of them), the generalized Marcum Q function (one array sum of scipy's
 gamma tails against Poisson weights), and ``solve_lp``, which maximizes a
-small dense program given as plain arrays with a ladder of cold HiGHS solves
-behind a feasibility audit.  The solves call the HiGHS core bundled with
-scipy (``scipy.optimize._highspy._core``) with the model and options scipy's
-own ``method="highs"`` LP solve builds, so they return its points bit for
-bit without its per-call Python, which holds the GIL.  The core is imported
-by the first solve, so importing this module loads no ``scipy.optimize``.
+small program in HiGHS's compressed-column form with a ladder of cold HiGHS
+solves behind a feasibility audit.  The solves pass the HiGHS core bundled
+with scipy (``scipy.optimize._highspy._core``) the arrays and options
+scipy's own ``method="highs"`` LP solve builds, so they return its points
+bit for bit without its per-call Python, which holds the GIL.  The core is
+imported by the first solve, so importing this module loads no scipy.optimize.
 """
 from __future__ import annotations
 
@@ -139,38 +139,38 @@ def _rung_options(method: str, presolve: bool):
     return options
 
 
-def _solve_rung(lp: tuple[np.ndarray, ...], method: str, presolve: bool
-                ) -> tuple[str, np.ndarray | None]:
-    """HiGHS's model status for the arrays ``lp`` of :func:`solve_lp`, solved
-    cold under the :func:`_rung_options` of ``method`` and ``presolve``, and
-    the point when that status is optimal.
+@functools.cache
+def _solvers():
+    """Each thread's HiGHS solver, as ``highs``, made by its first solve."""
+    import threading
+    return threading.local()
 
-    HiGHS gets the model scipy's LP solve by ``method`` builds: the
-    inequality rows (unbounded below) above the equality rows, the matrix in
-    compressed columns without its zeros, rows ascending.  Each call builds
-    its own solver, so any number of threads may call this at once.
-    """
+
+def _solve_rung(lp: tuple, method: str, presolve: bool
+                ) -> tuple[str, np.ndarray | None]:
+    """HiGHS's model status for the column-wise program ``lp`` of
+    :func:`solve_lp`, solved cold under the :func:`_rung_options` of
+    ``method`` and ``presolve``, and the point when that status is optimal.
+
+    The arrays go to HiGHS as they come, every column continuous: that is
+    the model scipy's LP solve by ``method`` builds when the inequality rows
+    (unbounded below) come first and each column lists its nonzeros with
+    the rows ascending.  Each thread has one solver, cleared of the last
+    model and solver state before each solve, so every solve is cold and
+    any number of threads may call this at once."""
     from scipy.optimize._highspy import _core
 
-    objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds = lp
-    matrix = np.vstack((ub_matrix, eq_matrix))
-    columns, rows = np.nonzero(matrix.T)  # column by column, rows ascending
-    n_row, n_col = matrix.shape
-    model = _core.HighsLp()
-    model.num_row_ = model.a_matrix_.num_row_ = n_row
-    model.num_col_ = model.a_matrix_.num_col_ = n_col
-    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    model.a_matrix_.start_ = np.concatenate(
-        ([0], np.cumsum(np.count_nonzero(matrix, axis=0))))
-    model.a_matrix_.index_, model.a_matrix_.value_ = rows, matrix.T[columns, rows]
-    model.col_cost_ = -objective
-    model.col_lower_, model.col_upper_ = bounds.T
-    model.row_lower_ = np.concatenate((np.full(len(ub_rhs), -_core.kHighsInf), eq_rhs))
-    model.row_upper_ = np.concatenate((ub_rhs, eq_rhs))
-
-    highs = _core._Highs()
+    objective, start, index, value, rhs, ub_rows, bounds = lp
+    solvers = _solvers()
+    highs = solvers.highs = getattr(solvers, "highs", None) or _core._Highs()
+    highs.clearModel()
     highs.passOptions(_rung_options(method, presolve))
-    if highs.passModel(model) == _core.HighsStatus.kError:
+    if highs.passModel(
+            objective.size, rhs.size, index.size, _core.MatrixFormat.kColwise,
+            _core.ObjSense.kMinimize, 0.0, -objective, *bounds.T,
+            np.concatenate((np.full(ub_rows, -_core.kHighsInf), rhs[ub_rows:])),
+            rhs, start, index, value, np.zeros(objective.size, dtype=np.int32)
+            ) == _core.HighsStatus.kError:
         return "Model error", None
     failed = highs.run() == _core.HighsStatus.kError
     status = highs.getModelStatus()
@@ -179,31 +179,37 @@ def _solve_rung(lp: tuple[np.ndarray, ...], method: str, presolve: bool
     return "Optimal", np.array(highs.getSolution().col_value)
 
 
-def solve_lp(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray,
-             ub_matrix: np.ndarray, ub_rhs: np.ndarray,
+def solve_lp(objective: np.ndarray, start: np.ndarray, index: np.ndarray,
+             value: np.ndarray, rhs: np.ndarray, ub_rows: int,
              bounds: np.ndarray) -> np.ndarray | None:
-    """A point maximizing ``objective @ x`` subject to ``eq_matrix @ x ==
-    eq_rhs``, ``ub_matrix @ x <= ub_rhs`` and the (n, 2) array of ``bounds``
-    (lower, upper) on each variable; None when no point is feasible.
+    """A point maximizing ``objective @ x`` subject to ``A @ x <= rhs`` on
+    the first ``ub_rows`` rows, ``A @ x == rhs`` on the rest, and the (n, 2)
+    array of ``bounds`` (lower, upper) on each variable; None when no point
+    is feasible.  ``A`` has ``rhs.size`` rows and comes in compressed
+    columns: column j holds ``value[start[j]:start[j + 1]]`` at the rows
+    ``index[start[j]:start[j + 1]]``.
 
     Ill-conditioned instances can trip the simplex at tight tolerances or
     come back from postsolve with out-of-tolerance residuals, so the solve
     walks a ladder of cold HiGHS solves (dual simplex, interior point, dual
     simplex without presolve) and returns the first solution whose largest
-    constraint violation is within ``LP_FEASIBILITY_TOL``.  Raises
-    ``ValueError``, as scipy's LP front end does, on arrays whose shapes do
-    not fit together and on a non-finite objective, matrix or right-hand
-    side (and on a NaN bound), and ``RuntimeError`` when no rung passes the
-    audit.
+    constraint violation, with the row activities recomputed from ``A``, is
+    within ``LP_FEASIBILITY_TOL``.  Raises ``ValueError`` on arrays that do
+    not fit together (``start`` must run up from 0 to the entry count, and
+    ``index`` lie in ``[0, rhs.size)``), non-finite data or a NaN bound, and
+    ``RuntimeError`` when no rung passes the audit.
     """
-    lp = (objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)
-    shapes = [np.shape(a) for a in lp]
-    n, k_eq, k_ub = objective.size, eq_rhs.size, ub_rhs.size
-    if shapes != [(n,), (k_eq, n), (k_eq,), (k_ub, n), (k_ub,), (n, 2)]:
-        raise ValueError(f"LP arrays of shapes {shapes} do not fit together")
-    if not all(np.isfinite(a).all() for a in lp[:5]) or np.isnan(bounds).any():
+    lp = (objective, start, index, value, rhs, ub_rows, bounds)
+    n, rows, counts = objective.size, rhs.size, np.diff(start)
+    shapes = [np.shape(a) for a in (objective, start, index, value, rhs, bounds)]
+    if (shapes != [(n,), (n + 1,), (index.size,), (index.size,), (rows,), (n, 2)]
+            or not 0 <= ub_rows <= rows or start[0] != 0 or start[-1] != index.size
+            or counts.min(initial=0) < 0 or not np.all((index >= 0) & (index < rows))):
+        raise ValueError(f"LP arrays of shapes {shapes} ({ub_rows} inequality rows) "
+                         f"do not fit together as compressed columns of {rows} rows")
+    if not all(np.isfinite(a).all() for a in (objective, value, rhs)) \
+            or np.isnan(bounds).any():
         raise ValueError("LP data must be finite and its bounds not NaN")
-    lower, upper = bounds.T
     failures = []
     for method, presolve in _RUNGS:
         status, x = _solve_rung(lp, method, presolve)
@@ -212,9 +218,11 @@ def solve_lp(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray,
         if x is None:
             failures.append(f"{method}: {status}")
             continue
-        violation = np.concatenate([np.abs(eq_matrix @ x - eq_rhs),
-                                    ub_matrix @ x - ub_rhs, lower - x,
-                                    x - upper]).max(initial=0.0)
+        residual = np.bincount(index, value * np.repeat(x, counts),
+                               minlength=rows) - rhs
+        residual[ub_rows:] = np.abs(residual[ub_rows:])
+        violation = np.concatenate([residual, bounds[:, 0] - x,
+                                    x - bounds[:, 1]]).max(initial=0.0)
         if violation <= LP_FEASIBILITY_TOL:  # NaN fails too
             return x
         failures.append(f"{method}: residual {violation:.3e}")

@@ -50,11 +50,12 @@ smaller sensing time, then the smaller threshold, in any evaluation order.
 Whole grids can tie to within solver noise, so the winner is reproducible
 bit for bit only because the near-ties are decided on cold solves.  It is
 reported from the kernels and rewards of the column it was screened on,
-and its LP rates cross-check that report.  Each cold LP is built from its
-own point by the worker that solves it: more than one on one thread per
-CPU in the process's affinity mask (HiGHS's core releases the GIL), a
-single one inline, each solved alone, so the results do not depend on the
-thread count.
+and its LP rates cross-check that report.  Only an LP's sensing columns
+read its threshold, so a certify tier compresses the rest once per column
+and the worker solving an LP appends its sensing columns: more than one LP
+on one thread per CPU in the process's affinity mask (HiGHS's core
+releases the GIL), a single one inline, each solved alone, so the results
+do not depend on the thread count.
 """
 from __future__ import annotations
 
@@ -218,56 +219,6 @@ class InfeasibleGridError(RuntimeError):
         super().__init__(f"no feasible grid point ({summary})")
 
 
-def _build_lp(params: SystemParams, quantities: DerivedQuantities,
-              kernels: np.ndarray, rewards: np.ndarray, scheme: str
-              ) -> tuple[np.ndarray, ...]:
-    """The policy LP at one grid point from its (3, n, n) kernels and (3, 2)
-    rewards of idling, blind access and sensing, as the arrays
-    ``(objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)`` of
-    :func:`~ehcr.numerics.solve_lp`.
-
-    The variables are the occupation vector (pi, pi*alpha, pi*beta1,
-    pi*beta2), in which the kernel and both rates are affine: the masses
-    carry the idle reward, each product its action's change from idling.
-    The secondary rate is the objective and the licensed-user floor enters
-    as the first inequality; each level's products may not exceed its mass.
-    The sensing-only scheme pins the blind product variables to zero
-    through their bounds.
-    """
-    n = params.n_states
-    alpha_range, beta_range = quantities.alpha_range, quantities.beta_range
-    ka, kb = len(alpha_range), len(beta_range)
-    nvars = n + ka + 2 * kb
-    alpha_rows = slice(alpha_range.start, alpha_range.stop)
-    beta_rows = slice(beta_range.start, beta_range.stop)
-
-    idle, blind, sense = kernels
-    blind_delta, sense_delta = blind - idle, sense - idle
-    balance = np.hstack([idle.T - np.eye(n), blind_delta[alpha_rows].T,
-                         blind_delta[beta_rows].T, sense_delta[beta_rows].T])
-    normalization = np.concatenate([np.ones(n), np.zeros(ka + 2 * kb)])
-    eq_matrix = np.vstack([balance, normalization])
-    eq_rhs = np.concatenate([np.zeros(n), [1.0]])
-    per_block = np.vstack([rewards[0], rewards[1:] - rewards[0]]).T
-    mu_s_row, mu_p_row = np.repeat(per_block, [n, ka + kb, kb], axis=1)
-
-    # row 0 is the floor; row 1 + k caps the products of the k-th acting
-    # level (the beta levels follow the alpha levels) by that level's mass
-    ub_matrix = np.zeros((1 + ka + kb, nvars))
-    ub_matrix[0] = -mu_p_row
-    level_rows = np.arange(1, 1 + ka + kb)
-    ub_matrix[level_rows, alpha_range.start + np.arange(ka + kb)] = -1.0
-    ub_matrix[level_rows, n + np.arange(ka + kb)] = 1.0
-    ub_matrix[level_rows[ka:], n + ka + kb + np.arange(kb)] = 1.0
-    ub_rhs = np.zeros(1 + ka + kb)
-    ub_rhs[0] = -params.mu_th
-
-    bounds = np.tile([0.0, 1.0], (nvars, 1))
-    if scheme == "sensing_only":
-        bounds[n:n + ka + kb, 1] = 0.0
-    return mu_s_row, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds
-
-
 @dataclass(frozen=True)
 class _Scanned:
     """What one sensing time of a grid fixes that neither rho nor the floor
@@ -315,14 +266,15 @@ class _Column:
     outages: OutageBundle
     p_d: np.ndarray  # (K,) averaged detection probabilities
     p_f: np.ndarray  # (K,) false-alarm probabilities
+    rewards: np.ndarray  # (K, 3, 2) action rewards at each threshold
 
 
 def _column(params: SystemParams, scanned: _Scanned, harvest: tuple) -> _Column:
     """The column of a scanned sensing time: its scanned outages and detector
-    terms, and the kernel blocks of this search's harvest laws."""
-    q = scanned.quantities
+    terms, the kernel blocks of this search's harvest laws and the rewards."""
+    q, (outages, p_d, p_f) = scanned.quantities, scanned.terms
     return _Column(q, harvest_blocks(params, q, *harvest), scanned.thresholds,
-                   *scanned.terms)
+                   outages, p_d, p_f, action_rewards(params, outages, p_d, p_f))
 
 
 def _point_model(params: SystemParams, column: _Column,
@@ -332,6 +284,67 @@ def _point_model(params: SystemParams, column: _Column,
     p_d, p_f = column.p_d[k], column.p_f[k]
     return (transition_components(params, column.blocks, p_d, p_f),
             action_rewards(params, column.outages, p_d, p_f))
+
+
+def _compressed(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Column ends, row indices and values of the nonzeros of ``matrix``."""
+    columns, rows = np.nonzero(matrix.T)
+    ends = np.bincount(columns, minlength=matrix.shape[1]).cumsum()
+    return ends, rows, matrix.T[columns, rows]
+
+
+def _column_lps(params: SystemParams, column: _Column, scheme: str):
+    """The policy LP of each threshold of a column: a function of the
+    threshold index returning the :func:`~ehcr.numerics.solve_lp` arrays
+    and each variable's licensed-user rate.
+
+    The variables are the occupation vector (pi, pi*alpha, pi*beta1,
+    pi*beta2), in which the kernel and both rates are affine: the masses
+    carry the idle reward, each product its action's change from idling.
+    The objective is the secondary rate; the rows are the licensed-user
+    floor, a cap per acting level (beta levels after alpha levels) on its
+    products by its mass, the balance equations and the normalization.
+    The sensing-only scheme pins the blind products to zero by their
+    bounds.  Only the kb pi*beta2 columns read the detector, so the rest
+    is compressed once, here, and each threshold appends its own.
+    """
+    q = column.quantities
+    n, first = params.n_states, q.alpha_range.start
+    ka, kb = len(q.alpha_range), len(q.beta_range)
+    acting, beta = ka + kb, slice(q.beta_range.start, n)
+    (idle, blind), _ = action_kernels(params, column.blocks, 0.0, 0.0)
+    rewards = column.rewards
+    # (K, 2, 3): (mu_s, mu_p) of idling, then each action's change from it;
+    # only sensing's reads the threshold, so the skeleton takes the first's
+    rates = np.concatenate([rewards[:, :1], rewards[:, 1:] - rewards[:, :1]],
+                           axis=1).transpose(0, 2, 1)
+    mu_s, mu_p = np.repeat(rates[0, :, :2], [n, acting], axis=1)
+    levels, skeleton = np.arange(acting), np.zeros((2 + acting + n, n + acting))
+    skeleton[0] = -mu_p
+    skeleton[1 + levels, first + levels] = -1.0
+    skeleton[1 + levels, n + levels] = 1.0
+    skeleton[1 + acting:-1] = np.hstack([idle.T - np.eye(n), (blind - idle)[first:].T])
+    skeleton[-1, :n] = 1.0
+    ends, index, value = _compressed(skeleton)
+    rhs = np.concatenate([[-params.mu_th], np.zeros(len(skeleton) - 2), [1.0]])
+    bounds = np.tile([0.0, 1.0], (n + acting + kb, 1))
+    bounds[n:n + acting, 1] = scheme != "sensing_only"  # 0 pins blind access off
+
+    def lp(k: int) -> tuple[tuple, np.ndarray]:
+        _, sense = action_kernels(params, column.blocks[:, :, beta],
+                                  column.p_d[k], column.p_f[k])
+        block = np.zeros((len(skeleton), kb))
+        block[0] = -rates[k, 1, 2]
+        block[1 + ka + np.arange(kb), np.arange(kb)] = 1.0
+        block[1 + acting:-1] = (sense - idle[beta]).T
+        sensing = _compressed(block)
+        return ((np.concatenate([mu_s, np.full(kb, rates[k, 0, 2])]),
+                 np.concatenate([[0], ends, ends[-1] + sensing[0]]),
+                 np.concatenate([index, sensing[1]]),
+                 np.concatenate([value, sensing[2]]), rhs, 1 + acting, bounds),
+                np.concatenate([mu_p, np.full(kb, rates[k, 1, 2])]))
+
+    return lp
 
 
 def _model_key(quantities: DerivedQuantities) -> float | None:
@@ -450,12 +463,11 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
     """
     idle_blind, sense = action_kernels(params, column.blocks, column.p_d,
                                        column.p_f)
-    rewards = action_rewards(params, column.outages, column.p_d, column.p_f)
     allowed = _admitted(params, column.quantities, scheme)
     mu_th = params.mu_th
 
     def solve(points: np.ndarray, weights, policy=None):
-        return _policy_iteration(idle_blind, sense[points], rewards[points],
+        return _policy_iteration(idle_blind, sense[points], column.rewards[points],
                                  allowed, weights, policy)
 
     count = len(column.thresholds)
@@ -514,39 +526,39 @@ def _cold_solve(params: SystemParams, scheme: str,
     Each distinct LP is solved once: all entries at the sensing times that
     cannot fund sensing (empty ``beta_range``) share one, as the detector
     and the sensing cost enter only the sense kernel and reward, which
-    :func:`_build_lp` reads only through the empty ``beta_range`` rows and
-    ``kb``-long block, and HiGHS solves equal arrays under equal options to
-    equal bits.  Each entry gets its LP's result.
-
-    A single distinct LP is solved inline, more on ``_WORKERS`` threads
-    (HiGHS, called without scipy's Python wrapper, releases the GIL for
-    nearly all of each solve), each built by the worker that takes it up,
-    so at most ``_WORKERS`` are held at once, and solved alone, as in a
-    serial loop, so the results do not depend on the thread count.
+    :func:`_column_lps` reads only through the ``kb`` sensing columns, none
+    there, and HiGHS solves equal arrays under equal options to equal bits.
+    Each entry gets its LP's result.  Each column among the entries gets
+    one :func:`_column_lps`; a single distinct LP is then solved inline,
+    more on ``_WORKERS`` threads (HiGHS, called without scipy's Python
+    wrapper, releases the GIL for nearly all of each solve), each by the
+    worker that appends its sensing columns and alone, as in a serial loop,
+    so the results do not depend on the thread count.
     """
-    def solve(entry: tuple[_Column, int]) -> tuple[str, float | None, float | None]:
-        column, k = entry
-        lp = _build_lp(params, column.quantities,
-                       *_point_model(params, column, k), scheme)
+    def solve(key: tuple, entry: tuple[_Column, int]
+              ) -> tuple[str, float | None, float | None]:
+        lp, mu_p = column_lps[key[0]](entry[1])
         try:
             x = solve_lp(*lp)
         except RuntimeError:
             return "solver_failure", None, None
         if x is None:
             return "infeasible", None, None
-        objective, _, _, ub_matrix = lp[:4]
-        return "optimal", float(objective @ x), float(-ub_matrix[0] @ x)
+        return "optimal", float(lp[0] @ x), float(mu_p @ x)
 
     # the LP's key: its model alone where that cannot fund sensing
     keys = [(_model_key(column.quantities),
              k if column.quantities.beta_range else None)
             for column, k in entries]
     distinct = dict(zip(keys, entries))
+    columns = {key[0]: column for key, (column, _) in distinct.items()}
+    column_lps = {model: _column_lps(params, column, scheme)
+                  for model, column in columns.items()}
     if len(distinct) <= 1 or _WORKERS == 1:
-        solved = [solve(entry) for entry in distinct.values()]
+        solved = [solve(*item) for item in distinct.items()]
     else:
         with ThreadPoolExecutor(_WORKERS) as pool:
-            solved = list(pool.map(solve, distinct.values()))
+            solved = list(pool.map(solve, distinct, distinct.values()))
     results = dict(zip(distinct, solved))
     return [results[key] for key in keys]
 

@@ -676,13 +676,82 @@ def reference_policy_iteration(idle_blind: np.ndarray, sense: np.ndarray,
 
 def point_lp(params: SystemParams, column: optimizer._Column, k: int,
              scheme: str) -> tuple[np.ndarray, ...]:
-    """The policy LP arrays at the k-th threshold of a column, from scalar
+    """The dense policy LP at the k-th threshold of a column, from scalar
     kernel and reward calls at that threshold alone."""
     p_d, p_f = column.p_d[k], column.p_f[k]
-    return optimizer._build_lp(
-        params, column.quantities,
-        transition_components(params, column.blocks, p_d, p_f),
-        action_rewards(params, column.outages, p_d, p_f), scheme)
+    return policy_lp(params, column.quantities,
+                     transition_components(params, column.blocks, p_d, p_f),
+                     action_rewards(params, column.outages, p_d, p_f), scheme)
+
+
+def policy_lp(params: SystemParams, quantities, kernels: np.ndarray,
+              rewards: np.ndarray, scheme: str) -> tuple[np.ndarray, ...]:
+    """The policy LP of one point from its (3, n, n) kernels and (3, 2)
+    rewards of idling, blind access and sensing, as the dense arrays
+    ``(objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)`` that
+    :func:`columnwise` takes.
+
+    The variables are the occupation vector (pi, pi*alpha, pi*beta1,
+    pi*beta2), in which the kernel and both rates are affine: the masses
+    carry the idle reward, each product its action's change from idling.
+    The secondary rate is the objective and the licensed-user floor enters
+    as the first inequality; each level's products may not exceed its mass.
+    The sensing-only scheme pins the blind product variables to zero
+    through their bounds.
+    """
+    n = params.n_states
+    alpha_range, beta_range = quantities.alpha_range, quantities.beta_range
+    ka, kb = len(alpha_range), len(beta_range)
+    nvars = n + ka + 2 * kb
+    alpha_rows = slice(alpha_range.start, alpha_range.stop)
+    beta_rows = slice(beta_range.start, beta_range.stop)
+
+    idle, blind, sense = kernels
+    blind_delta, sense_delta = blind - idle, sense - idle
+    balance = np.hstack([idle.T - np.eye(n), blind_delta[alpha_rows].T,
+                         blind_delta[beta_rows].T, sense_delta[beta_rows].T])
+    normalization = np.concatenate([np.ones(n), np.zeros(ka + 2 * kb)])
+    eq_matrix = np.vstack([balance, normalization])
+    eq_rhs = np.concatenate([np.zeros(n), [1.0]])
+    per_block = np.vstack([rewards[0], rewards[1:] - rewards[0]]).T
+    mu_s_row, mu_p_row = np.repeat(per_block, [n, ka + kb, kb], axis=1)
+
+    # row 0 is the floor; row 1 + k caps the products of the k-th acting
+    # level (the beta levels follow the alpha levels) by that level's mass
+    ub_matrix = np.zeros((1 + ka + kb, nvars))
+    ub_matrix[0] = -mu_p_row
+    level_rows = np.arange(1, 1 + ka + kb)
+    ub_matrix[level_rows, alpha_range.start + np.arange(ka + kb)] = -1.0
+    ub_matrix[level_rows, n + np.arange(ka + kb)] = 1.0
+    ub_matrix[level_rows[ka:], n + ka + kb + np.arange(kb)] = 1.0
+    ub_rhs = np.zeros(1 + ka + kb)
+    ub_rhs[0] = -params.mu_th
+
+    bounds = np.tile([0.0, 1.0], (nvars, 1))
+    if scheme == "sensing_only":
+        bounds[n:n + ka + kb, 1] = 0.0
+    return mu_s_row, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds
+
+
+def columnwise(lp: tuple[np.ndarray, ...]) -> tuple:
+    """The arrays of :func:`~ehcr.numerics.solve_lp` for the dense program
+    ``(objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)``, which
+    maximizes ``objective @ x`` under ``eq_matrix @ x == eq_rhs``,
+    ``ub_matrix @ x <= ub_rhs`` and the (n, 2) ``bounds``: the inequality
+    rows above the equality rows, as scipy's LP solve stacks them, and the
+    matrix in compressed columns without its zeros, rows ascending.  Raises
+    ``ValueError``, as scipy's LP front end does, on arrays whose shapes do
+    not fit together."""
+    objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds = lp
+    shapes = [np.shape(a) for a in lp]
+    n, k_eq, k_ub = objective.size, eq_rhs.size, ub_rhs.size
+    if shapes != [(n,), (k_eq, n), (k_eq,), (k_ub, n), (k_ub,), (n, 2)]:
+        raise ValueError(f"LP arrays of shapes {shapes} do not fit together")
+    matrix = np.vstack((ub_matrix, eq_matrix))
+    columns, rows = np.nonzero(matrix.T)  # column by column, rows ascending
+    start = np.concatenate(([0], np.cumsum(np.count_nonzero(matrix, axis=0))))
+    return (objective, start, rows, matrix.T[columns, rows],
+            np.concatenate((ub_rhs, eq_rhs)), k_ub, bounds)
 
 
 @dataclass(frozen=True)
@@ -743,7 +812,7 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
         for k, threshold in enumerate(thresholds):
             lp = point_lp(params, column, k, scheme)
             try:
-                x = solve_lp(*lp)
+                x = solve_lp(*columnwise(lp))
             except RuntimeError:
                 records.append(GridPointStatus(tau, threshold, "solver_failure"))
                 continue

@@ -23,8 +23,8 @@ from its noncentral chi-square law and evaluates no tail, so neither a run
 nor a comparison, in either correlation mode, evaluates Marcum Q.  An
 evaluation solves its chain with one LU solve and no least squares.  Cold
 solves run on worker threads, so the counts are kept under a lock; a cell
-that solves one distinct LP starts no thread, and each LP is built once, by
-the worker that solves it.
+that solves one distinct LP starts no thread, and each certify tier builds
+one LP skeleton per column among its points, which its LPs share.
 """
 import collections
 import contextlib
@@ -37,7 +37,7 @@ import pytest
 from ehcr import (chain, harvesting, numerics, optimizer, outage, sensing,
                   system_model)
 from ehcr.chain import AmbiguousChainError, Policy
-from ehcr.optimizer import InfeasibleGridError, optimize
+from ehcr.optimizer import GridSpec, InfeasibleGridError, optimize
 from ehcr.performance import evaluate
 from ehcr.simulator import SimConfig, compare, run
 from ehcr.system_model import with_overrides
@@ -223,20 +223,63 @@ def test_tied_cell_solves_each_distinct_lp_once_on_threads(calls, pools,
     assert pools == [(2,)]
 
 
-def test_tied_cell_builds_one_lp_per_solve(calls, pools, monkeypatch,
-                                           testbench_params):
+@pytest.fixture
+def skeletons(monkeypatch):
+    """The tau of the column of each LP skeleton the optimizer builds."""
     built = []  # list.append is atomic, so the workers need no lock
-    build = optimizer._build_lp
+    build = optimizer._column_lps
 
-    def counted(*args):
-        built.append(1)
-        return build(*args)
+    def counted(params, column, scheme):
+        built.append(column.quantities.tau)
+        return build(params, column, scheme)
 
-    monkeypatch.setattr(optimizer, "_build_lp", counted)
-    optimize(with_overrides(testbench_params, rho=0.1), FAST_GRID,
-             "probabilistic")
-    assert len(built) == calls["solve_lp"] == 13
+    monkeypatch.setattr(optimizer, "_column_lps", counted)
+    return built
+
+
+@pytest.mark.parametrize("grid, solves, columns", [
+    # two columns that fund sensing, and the first of the two that do not
+    # for the LP all their points share
+    (FAST_GRID, 13, [2e-3, 4e-3, 6e-3]),
+    # one sensing time: its six thresholds tie, in one column
+    (GridSpec(tau_min=4e-3, lambda_count=6), 6, [4e-3]),
+])
+def test_tied_cell_builds_one_skeleton_per_column(calls, pools, skeletons,
+                                                  testbench_params, grid,
+                                                  solves, columns):
+    optimize(with_overrides(testbench_params, rho=0.1), grid, "probabilistic")
+    assert calls["solve_lp"] == solves
+    assert sorted(skeletons) == pytest.approx(columns, abs=1e-15)
     assert pools == [(2,)]
+
+
+def test_each_certify_tier_builds_its_own_skeletons(skeletons, monkeypatch,
+                                                    testbench_params):
+    # at rho 0.5 one point of TIE_GRID wins outright; its cold solve fails,
+    # so the near-best of the rest are solved: each tier builds one
+    # skeleton per column among its points
+    params = with_overrides(testbench_params, rho=0.5)
+    solve, cold_solve = optimizer.solve_lp, optimizer._cold_solve
+    failed, tiers = [], []  # per tier: (columns among its points, skeletons)
+
+    def failing_first(*lp):
+        if not failed:
+            failed.append(1)
+            raise RuntimeError("no LP solve passed the feasibility audit")
+        return solve(*lp)
+
+    def recording(params, scheme, entries):
+        before = len(skeletons)
+        solved = cold_solve(params, scheme, entries)
+        tiers.append((len({id(column) for column, _ in entries}),
+                      len(skeletons) - before))
+        return solved
+
+    monkeypatch.setattr(optimizer, "solve_lp", failing_first)
+    monkeypatch.setattr(optimizer, "_cold_solve", recording)
+    optimize(params, TIE_GRID, "probabilistic")
+    assert len(tiers) == 2 and tiers[0] == (1, 1)
+    assert tiers[1][0] == tiers[1][1]
 
 
 def test_tied_cell_solves_one_non_sensing_system_per_step(monkeypatch,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ehcr.numerics import (
 )
 
 from helpers import (
+    columnwise,
     deadline,
     empty_constraints,
     reference_lower_gamma_int,
@@ -308,16 +310,16 @@ def _infeasible_lp():
 
 class TestSolveLp:
     def test_single_variable(self):
-        x = solve_lp(*_box_lp([1.0], [[1.0]], [1.0]))
+        x = solve_lp(*columnwise(_box_lp([1.0], [[1.0]], [1.0])))
         assert x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_optimum_has_unique_value(self):
-        x = solve_lp(*_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]))
+        x = solve_lp(*columnwise(_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])))
         assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_known_construction_ten_variables(self):
         # box [0,1]^10 with a single budget row: optimum is the budget
-        x = solve_lp(*_box_lp(np.ones(10), [np.ones(10)], [3.5]))
+        x = solve_lp(*columnwise(_box_lp(np.ones(10), [np.ones(10)], [3.5])))
         assert x.sum() == pytest.approx(3.5, abs=1e-8)
 
     def test_random_instances_match_vertex_enumeration(self):
@@ -328,11 +330,11 @@ class TestSolveLp:
             b = rng.uniform(0.5, 2.0, size=k)  # origin stays feasible
             c = rng.normal(size=n)
             lp = _box_lp(c, a, b)
-            x = solve_lp(*lp)
+            x = solve_lp(*columnwise(lp))
             assert c @ x == pytest.approx(_enumerate_vertices(lp), abs=1e-7)
 
     def test_infeasible_reported_not_raised(self):
-        assert solve_lp(*_infeasible_lp()) is None
+        assert solve_lp(*columnwise(_infeasible_lp())) is None
 
     def test_residuals_and_dominance_over_random_feasible_points(self):
         rng = np.random.default_rng(17)
@@ -340,7 +342,7 @@ class TestSolveLp:
         a = rng.normal(size=(k, n))
         b = rng.uniform(0.5, 2.0, size=k)
         c = rng.normal(size=n)
-        x = solve_lp(*_box_lp(c, a, b))
+        x = solve_lp(*columnwise(_box_lp(c, a, b)))
         assert np.max(a @ x - b) <= 1e-8
         assert -1e-8 <= x.min() and x.max() <= 1.0 + 1e-8
         # rejection-sample feasible points; none may beat the optimum
@@ -385,7 +387,7 @@ def assert_rungs_match_linprog(lp):
     bit, or reports infeasible where linprog does."""
     for method, presolve in numerics._RUNGS:
         reference = linprog_reference(lp, method, presolve)
-        status, x = numerics._solve_rung(lp, method, presolve)
+        status, x = numerics._solve_rung(columnwise(lp), method, presolve)
         assert reference.status == (2 if status == "Infeasible" else 0)
         assert (x is None) == (reference.x is None)
         if x is not None:
@@ -398,7 +400,7 @@ class TestDirectHighs:
     def test_first_rung_is_bit_identical_to_linprog(self):
         for lp in _suite_lps():
             reference = linprog_reference(lp)
-            x = solve_lp(*lp)
+            x = solve_lp(*columnwise(lp))
             assert reference.status == (2 if x is None else 0)
             if x is not None:
                 assert np.array_equal(x, reference.x)
@@ -407,11 +409,24 @@ class TestDirectHighs:
         for lp in _suite_lps():
             assert_rungs_match_linprog(lp)
 
+    @pytest.mark.parametrize("method, presolve", numerics._RUNGS)
+    def test_thread_solver_keeps_nothing_between_solves(self, method, presolve):
+        # a thread solves every program on one solver: in either order, and
+        # after an infeasible one, each gets the same status and point
+        lps = [columnwise(lp) for lp in _suite_lps()]
+        forward = [numerics._solve_rung(lp, method, presolve) for lp in lps]
+        backward = [numerics._solve_rung(lp, method, presolve)
+                    for lp in reversed(lps)][::-1]
+        assert forward[-1][0] == "Infeasible"
+        for (status, x), (again, y) in zip(forward, backward, strict=True):
+            assert status == again
+            assert (x is None and y is None) or np.array_equal(x, y)
+
     def test_non_finite_point_fails_the_audit(self, monkeypatch):
         nan_point = lambda result: (result[0], np.full_like(result[1], math.nan))
         calls = _ladder(monkeypatch, [nan_point] * 3)
         with pytest.raises(RuntimeError, match="residual nan"):
-            solve_lp(*_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]))
+            solve_lp(*TestLadder.LP)
         assert len(calls) == 3
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -423,38 +438,47 @@ class TestDirectHighs:
         with pytest.raises(ValueError, match="must not contain values inf"):
             linprog_reference(tuple(lp))
         with pytest.raises(ValueError, match="finite"):
-            solve_lp(*lp)
+            solve_lp(*columnwise(lp))
 
     @pytest.mark.parametrize("position, array", [
         (0, np.ones(3)), (1, np.ones((1, 3))), (2, np.ones(2)),
         (3, np.ones((1, 3))), (4, np.ones(2)), (5, np.tile([0.0, 1.0], (3, 1)))])
     def test_misshapen_arrays_raise_as_linprog_does(self, position, array):
+        # dense programs reach solve_lp through the converter, which refuses
+        # them; the column-wise checks are TestColumnwiseChecks'
         lp = list(_box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0]))
         lp[1], lp[2] = np.ones((1, 2)), np.array([1.0])  # a non-empty eq block
         lp[position] = array
         with pytest.raises(ValueError, match="Invalid input for linprog"):
             linprog_reference(tuple(lp))
         with pytest.raises(ValueError, match="do not fit together"):
-            solve_lp(*lp)
+            solve_lp(*columnwise(lp))
 
     @pytest.mark.parametrize("method, presolve", numerics._RUNGS)
     def test_rung_passes_linprogs_options_built_once(self, monkeypatch, method,
                                                      presolve):
         # the options are built on a rung's first solve and shared after it;
-        # every field equals that of the options a solve once built for itself
+        # every field equals that of the options a solve once built for itself.
+        # A fresh thread makes its own solver, once, and solves on it after
         from scipy.optimize._highspy import _core
 
-        passed = []
+        made, passed = [], []
 
         class Recording(_core._Highs):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
             def passOptions(self, options):
                 passed.append(options)
                 return super().passOptions(options)
 
         monkeypatch.setattr(_core, "_Highs", Recording)
-        for _ in range(2):
-            numerics._solve_rung(_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]),
-                                 method, presolve)
+        with ThreadPoolExecutor(1) as pool:
+            for _ in range(2):
+                pool.submit(numerics._solve_rung, TestLadder.LP, method,
+                            presolve).result()
+        assert len(made) == 1
         assert len(passed) == 2 and passed[0] is passed[1]
         fresh = _core.HighsOptions()
         for name, setting in numerics._LP_OPTIONS.items():
@@ -475,7 +499,47 @@ class TestDirectHighs:
         lp = _box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
         lp[5][0, 1] = math.nan
         with pytest.raises(ValueError, match="NaN"):
+            solve_lp(*columnwise(lp))
+
+
+class TestColumnwiseChecks:
+    """``solve_lp`` refuses column-wise arrays that do not describe a finite
+    program before any rung runs."""
+
+    #: x1 + x2 <= 1 above x1 + x2 == 1, maximizing x1 + 2 x2 in the unit box
+    LP = (np.array([1.0, 2.0]), np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+          np.ones(4), np.ones(2), 1, np.tile([0.0, 1.0], (2, 1)))
+
+    def test_well_formed_program_solves(self):
+        assert solve_lp(*self.LP) == pytest.approx([0.0, 1.0], abs=1e-8)
+
+    @pytest.mark.parametrize("position, array, match", [
+        (1, [0, 5, 4], "fit together"),        # a column of -1 entries
+        (1, [1, 2, 4], "fit together"),        # not from 0
+        (1, [0, 2, 3], "fit together"),        # short of the entry count
+        (2, [0, 1, -1, 1], "fit together"),    # a negative row
+        (2, [0, 1, 0, 2], "fit together"),     # past the last row
+        (4, [1.0], "fit together"),            # fewer rows than indexed
+        (3, [1.0, 1.0, 1.0], "fit together"),  # fewer values than indices
+        (0, [1.0, 2.0, 3.0], "fit together"),  # more costs than columns
+        (1, [0, 2], "fit together"),           # fewer starts than columns
+        (5, 3, "fit together"),                # more inequality rows than rows
+        (5, -1, "fit together"),
+        (6, np.tile([0.0, 1.0], (3, 1)), "fit together"),
+        (0, [math.nan, 2.0], "finite"), (0, [1.0, -math.inf], "finite"),
+        (3, [1.0, math.nan, 1.0, 1.0], "finite"),
+        (3, [1.0, 1.0, math.inf, 1.0], "finite"),
+        (4, [math.nan, 1.0], "finite"), (4, [1.0, math.inf], "finite"),
+        (6, [[math.nan, 1.0], [0.0, 1.0]], "NaN"),
+        (6, [[0.0, 1.0], [0.0, math.nan]], "NaN"),
+    ])
+    def test_malformed_arrays_raise(self, monkeypatch, position, array, match):
+        calls = _ladder(monkeypatch, [])
+        lp = list(self.LP)
+        lp[position] = array if position == 5 else np.array(array)
+        with pytest.raises(ValueError, match=match):
             solve_lp(*lp)
+        assert calls == []
 
 
 def test_import_evaluate_and_run_load_no_scipy_optimize():
@@ -533,7 +597,7 @@ class TestLadder:
     """A rung that fails or returns a point outside the constraints passes
     the program to the next; the last one's failure raises."""
 
-    LP = _box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
+    LP = columnwise(_box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0]))
     RUNGS = [("highs", True), ("highs-ipm", True), ("highs", False)]
 
     def test_second_rung_solves_after_a_solver_failure(self, monkeypatch):
@@ -559,7 +623,7 @@ class TestLadder:
 
     def test_infeasible_first_rung_ends_the_ladder(self, monkeypatch):
         calls = _ladder(monkeypatch, [_solved])
-        assert solve_lp(*_infeasible_lp()) is None
+        assert solve_lp(*columnwise(_infeasible_lp())) is None
         assert calls == self.RUNGS[:1]
 
     def test_model_error_is_infeasible_as_in_linprog(self, monkeypatch):

@@ -27,7 +27,6 @@ from ehcr.optimizer import (
     GridSpec,
     InfeasibleGridError,
     _admitted,
-    _build_lp,
     _cold_solve,
     _point_model,
     _policy_iteration,
@@ -43,11 +42,13 @@ from helpers import (
     PointGrid,
     best_random_feasible,
     column_at,
+    columnwise,
     components_at,
     deadline,
     enumerated_optimum,
     outages_at,
     point_lp,
+    policy_lp,
     reference_column_mdp,
     reference_policy_iteration,
     reference_search,
@@ -313,14 +314,15 @@ class TestWarmScreen:
             quantities = derive(params, tau)
             p_d = detection_avg(cfg, quantities.gamma_bar)
             p_f = false_alarm(cfg)
-            yield _build_lp(params, quantities,
+            yield policy_lp(params, quantities,
                             components_at(params, tau, idle, active, p_d, p_f),
                             action_rewards(params, outages_at(params, tau), p_d, p_f),
                             scheme)
 
     def test_first_rung_matches_linprog_on_policy_lps(self, testbench_params):
         for lp in self._policy_lps(testbench_params):
-            assert np.array_equal(solve_lp(*lp), linprog_reference(lp).x)
+            assert np.array_equal(solve_lp(*columnwise(lp)),
+                                  linprog_reference(lp).x)
 
     def test_every_rung_matches_linprog_on_policy_lps(self, testbench_params):
         for lp in self._policy_lps(testbench_params):
@@ -396,7 +398,8 @@ class TestWarmScreen:
 
 
 class TestColdSolves:
-    """Cold solves built per point and spread over threads change nothing."""
+    """Cold solves built from column skeletons and spread over threads
+    change nothing."""
 
     @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
            scheme=st.sampled_from(optimizer.SCHEMES))
@@ -433,10 +436,59 @@ class TestColdSolves:
             # a column that cannot fund sensing has one LP for all thresholds
             assert len(built) == (len(ks) if column.quantities.beta_range else 1)
             for k in ks:  # the workers may take the entries in any order
-                want = point_lp(params, column, k, scheme)
-                assert any(len(lp) == len(want) == 6 and all(
+                want = columnwise(point_lp(params, column, k, scheme))
+                assert any(len(lp) == len(want) == 7 and all(
                     np.array_equal(got_array, want_array)
                     for got_array, want_array in zip(lp, want)) for lp in built)
+
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           mode=st.sampled_from(["mixed", "nature", "rf"]),
+           scheme=st.sampled_from(optimizer.SCHEMES),
+           n_max=st.integers(5, 30))
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_skeleton_arrays_equal_point_lp(self, testbench_params, rho, mu_th,
+                                            mode, scheme, n_max):
+        # each threshold's skeleton-plus-block arrays are those of its own
+        # dense LP, compressed: element for element, of the same dtypes.
+        # Below N_max 15 no sensing time of FAST_GRID can fund sensing, at
+        # 30 every one can, and in between both kinds are screened
+        params = harvest_mode(with_overrides(testbench_params, rho=rho,
+                                             mu_th=mu_th, N_max=n_max), mode)
+        for tau in FAST_GRID.tau_values(params):
+            column = column_at(params, tau, FAST_GRID)
+            if optimizer._unsupported(column.quantities, scheme):
+                continue
+            build = optimizer._column_lps(params, column, scheme)
+            for k in range(len(column.thresholds)):
+                (*lp, ub_rows, bounds), mu_p = build(k)
+                dense = point_lp(params, column, k, scheme)
+                *want, want_ub_rows, want_bounds = columnwise(dense)
+                assert ub_rows == want_ub_rows
+                for got, expected in zip([*lp, bounds, mu_p],
+                                         [*want, want_bounds, -dense[3][0]],
+                                         strict=True):
+                    assert got.dtype == expected.dtype
+                    assert np.array_equal(got, expected)
+                x = solve_lp(*lp, ub_rows, bounds)
+                reference = solve_lp(*want, want_ub_rows, want_bounds)
+                assert (x is None) == (reference is None)
+                assert x is None or np.array_equal(x, reference)
+
+    def test_tied_search_equals_point_oracle_to_the_bit(self, testbench_params):
+        # every point of this cell ties, so every record is a cold solve's:
+        # records, winner and LP rates equal the per-point oracle's exactly.
+        # The rates are dot products on contiguous rows; taken on a strided
+        # row, one moved in the last ulp
+        params = with_overrides(testbench_params, rho=0.1)
+        solution, records = optimize(params, FAST_GRID, "probabilistic")
+        reference, reference_records = reference_search(params, FAST_GRID,
+                                                         "probabilistic")
+        assert all(record.status == "optimal" for record in records)
+        assert records == reference_records
+        assert (solution.tau, solution.threshold) == (reference.tau,
+                                                      reference.threshold)
+        assert solution.lp_objective == reference.lp_objective
+        assert solution.lp_mu_p == reference.lp_mu_p
 
     def test_threaded_results_keep_entry_order(self, testbench_params,
                                                monkeypatch):
@@ -938,7 +990,7 @@ class TestConstrainedRegime:
             objectives = screen[0]
             for k, objective in enumerate(objectives):
                 lp = point_lp(params, column, k, scheme)
-                x = solve_lp(*lp)
+                x = solve_lp(*columnwise(lp))
                 if x is None:
                     assert math.isnan(objective)
                 else:
