@@ -18,11 +18,12 @@ the sensing time is read from the caller's
 :class:`~ehcr.system_model.DerivedQuantities`, and the consume-then-harvest
 blocks of one sensing time, one array from :func:`harvest_blocks`, serve
 every detector setting.  Only the sensing kernel reads the detector, so
-:func:`action_kernels` builds one idle/blind pair beside the sensing kernels
-of a whole threshold array.  The optimizer's value determination and the
-stationary law of a policy's kernel solve the same bordered unichain
-system, the latter transposed.  The per-action rewards and the statistics
-of a solved chain live in :mod:`ehcr.performance`.
+:func:`idle_blind_kernels` builds one idle/blind pair for the sensing
+kernels that :func:`sense_kernels` builds for a whole threshold array.  The
+optimizer's value determination and the stationary law of a policy's kernel
+solve the same bordered unichain system, the latter transposed.  The
+per-action rewards and the statistics of a solved chain live in
+:mod:`ehcr.performance`.
 """
 from __future__ import annotations
 
@@ -175,29 +176,33 @@ def harvest_blocks(params: SystemParams, q: DerivedQuantities,
     return blocks
 
 
-def action_kernels(params: SystemParams, blocks: np.ndarray, p_d, p_f
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Kernels of idling and blind access, stacked to (2, n, n), and of
-    sensing, from the :func:`harvest_blocks` of one sensing time and the
-    averaged detection and false-alarm probabilities ``p_d``/``p_f``: (n, n)
-    for floats, (K, n, n) for (K,) arrays of K thresholds, which share the
-    one idle/blind pair."""
+def idle_blind_kernels(params: SystemParams, blocks: np.ndarray) -> np.ndarray:
+    """Kernels of idling and blind access, stacked to (2, n, n), from the
+    :func:`harvest_blocks` of one sensing time."""
+    return (1.0 - params.rho) * blocks[0, :2] + params.rho * blocks[1, :2]
+
+
+def sense_kernels(params: SystemParams, blocks: np.ndarray, p_d, p_f
+                  ) -> np.ndarray:
+    """Kernel of sensing from the :func:`harvest_blocks` of one sensing time
+    and the averaged detection and false-alarm probabilities ``p_d``/``p_f``:
+    (n, n) for floats, (K, n, n) for (K,) arrays of K thresholds."""
     rho, rho_bar = params.rho, 1.0 - params.rho
     p_d, p_f = np.asarray(p_d)[..., None, None], np.asarray(p_f)[..., None, None]
     (_, _, idle_sense, idle_sense_tx), (_, _, active_sense, active_sense_tx) = blocks
     # sensing consumes n_s always, plus n_t whenever the verdict is "idle":
     # false alarms block transmission off an idle channel, mis-detections
     # allow it on a busy one
-    sense = (rho_bar * (p_f * idle_sense + (1.0 - p_f) * idle_sense_tx)
-             + rho * (p_d * active_sense + (1.0 - p_d) * active_sense_tx))
-    return rho_bar * blocks[0, :2] + rho * blocks[1, :2], sense
+    return (rho_bar * (p_f * idle_sense + (1.0 - p_f) * idle_sense_tx)
+            + rho * (p_d * active_sense + (1.0 - p_d) * active_sense_tx))
 
 
 def transition_components(params: SystemParams, blocks: np.ndarray,
                           p_d: float, p_f: float) -> np.ndarray:
-    """The :func:`action_kernels` of one threshold, stacked to (3, n, n)."""
-    idle_blind, sense = action_kernels(params, blocks, p_d, p_f)
-    return np.concatenate([idle_blind, sense[None]])
+    """The kernels of idling, blind access and sensing at one threshold,
+    stacked to (3, n, n)."""
+    return np.concatenate([idle_blind_kernels(params, blocks),
+                           sense_kernels(params, blocks, p_d, p_f)[None]])
 
 
 def _closed_classes(p: np.ndarray) -> list[list[int]]:

@@ -2,7 +2,8 @@
 
 At each battery level the secondary idles, accesses blindly or senses; the
 model of that choice is the per-action kernels of
-:func:`~ehcr.chain.action_kernels` and the (mu_s, mu_p) rewards of
+:func:`~ehcr.chain.idle_blind_kernels` and
+:func:`~ehcr.chain.sense_kernels` and the (mu_s, mu_p) rewards of
 :func:`~ehcr.performance.action_rewards`.  Only the sensing kernel and
 reward read the detector, so each sensing time is derived and turned into
 outage probabilities, kernel blocks and the detector terms of all its
@@ -76,8 +77,9 @@ from .chain import (
     Policy,
     _bordered,
     _closed_classes,
-    action_kernels,
     harvest_blocks,
+    idle_blind_kernels,
+    sense_kernels,
     stationary_distribution,
     transition_components,
 )
@@ -312,7 +314,7 @@ def _column_lps(params: SystemParams, column: _Column, scheme: str):
     n, first = params.n_states, q.alpha_range.start
     ka, kb = len(q.alpha_range), len(q.beta_range)
     acting, beta = ka + kb, slice(q.beta_range.start, n)
-    (idle, blind), _ = action_kernels(params, column.blocks, 0.0, 0.0)
+    idle, blind = idle_blind_kernels(params, column.blocks)
     rewards = column.rewards
     # (K, 2, 3): (mu_s, mu_p) of idling, then each action's change from it;
     # only sensing's reads the threshold, so the skeleton takes the first's
@@ -331,8 +333,8 @@ def _column_lps(params: SystemParams, column: _Column, scheme: str):
     bounds[n:n + acting, 1] = scheme != "sensing_only"  # 0 pins blind access off
 
     def lp(k: int) -> tuple[tuple, np.ndarray]:
-        _, sense = action_kernels(params, column.blocks[:, :, beta],
-                                  column.p_d[k], column.p_f[k])
+        sense = sense_kernels(params, column.blocks[:, :, beta], column.p_d[k],
+                              column.p_f[k])
         block = np.zeros((len(skeleton), kb))
         block[0] = -rates[k, 1, 2]
         block[1 + ka + np.arange(kb), np.arange(kb)] = 1.0
@@ -461,8 +463,8 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
     unconstrained optimum, where the floor is slack) and the unconstrained
     optima, the next column's start.  None when a policy iteration fails.
     """
-    idle_blind, sense = action_kernels(params, column.blocks, column.p_d,
-                                       column.p_f)
+    idle_blind = idle_blind_kernels(params, column.blocks)
+    sense = sense_kernels(params, column.blocks, column.p_d, column.p_f)
     allowed = _admitted(params, column.quantities, scheme)
     mu_th = params.mu_th
 

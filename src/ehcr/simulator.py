@@ -7,16 +7,18 @@ truth the closed forms are validated against.
 
 The battery is the only sequential quantity, so :func:`run` has three parts,
 all reading the one set of quantities derived by the policy's validation.
-Before the loop, every draw is made and turned into per-slot arrays: the
-harvest, the sensing verdict (busy when a sensing draw falls below the
-detection or false-alarm probability, or a faithful detector statistic
-exceeds the threshold) and hence the energy a sensing slot would cost.  The
-loop then carries only the battery: it compares each slot's action draw with
-cumulative per-level thresholds, debits the chosen action, adds the harvest
-and caps at the battery size, recording each start-of-slot level.  After it,
-the actions are recovered from the recorded levels, and transmissions, SINR
-outcomes, counters and batch-means standard errors are computed as array
-expressions.
+First every draw is made and turned into per-slot arrays: the harvest, the
+sensing verdict (busy when a sensing draw falls below the detection or
+false-alarm probability, or a faithful detector statistic exceeds the
+threshold) and the action draw's rank among the per-level thresholds.  The
+battery then steps in windows of slots side by side, the first from the
+initial level and the others from a full battery, each again from its
+predecessor's new end until they agree.  Trajectories merge within a few
+windows, so a few rounds settle a run as the slot loop would; past a round
+cap, that loop finishes from the first unsettled window, so a run that never
+merges (no harvest) costs it plus the capped rounds.  Last, the actions are
+recovered from the levels, and transmissions, SINR outcomes, counters and
+batch-means standard errors are computed as array expressions.
 
 Two correlation modes are provided.  ``faithful`` uses one licensed-link gain
 per slot for both the sensing SNR and the RF harvest, which is physically
@@ -60,6 +62,12 @@ DEFAULT_MIN_SAMPLES = 1000
 #: ambient mean at which larger ones are drawn, inside numpy's Poisson domain
 #: (about 9.2e18); a count below any battery size is then 0.0 in floats
 _AMBIENT_MEAN_CAP = 1e18
+
+#: slots per window of the battery's stepping
+_WINDOW = 32
+
+#: rounds of window stepping before the slot loop finishes a run
+_ROUNDS = 12
 
 
 @dataclass(frozen=True)
@@ -176,6 +184,73 @@ def _harvest(params: SystemParams, streams: dict, pu_active: np.ndarray,
             + np.where(pu_active, rf_q, 0))
 
 
+def _slot_loop(action_u: np.ndarray, sense_cost: np.ndarray,
+               harvest: np.ndarray, blind_at: np.ndarray, sense_at: np.ndarray,
+               n_t: int, n_max: int, battery: int) -> list[int]:
+    """Each slot's start-of-slot level, from ``battery``, one slot at a time:
+    the action's debit, then the harvest, capped at ``n_max``."""
+    levels: list[int] = []
+    record = levels.append
+    blind_list, sense_list = blind_at.tolist(), sense_at.tolist()
+    for u, cost, gain in zip(action_u.tolist(), sense_cost.tolist(),
+                             harvest.tolist()):
+        record(battery)
+        if u < blind_list[battery]:
+            battery -= n_t
+        elif u < sense_list[battery]:
+            battery -= cost
+        battery += gain
+        if battery > n_max:
+            battery = n_max
+    return levels
+
+
+def _battery_levels(action_u: np.ndarray, declared_busy: np.ndarray,
+                    harvest: np.ndarray, blind_at: np.ndarray,
+                    sense_at: np.ndarray, n_t: int, n_s: int, n_max: int,
+                    initial: int) -> np.ndarray:
+    """The :func:`_slot_loop` levels from ``initial``, by windows of slots,
+    each final once it starts at its final predecessor's end."""
+    n, n_states = action_u.size, blind_at.size
+    # ``u < x`` exactly when u's rank among the thresholds is at most x's;
+    # the table holds the level after the action at (2 rank + busy, level)
+    values = np.unique(np.concatenate([blind_at, sense_at]))
+    ranks = np.arange(values.size + 1)[:, None, None]
+    table = (np.arange(n_states) - np.where(
+        ranks <= np.searchsorted(values, blind_at), n_t,
+        np.where(ranks <= np.searchsorted(values, sense_at),
+                 np.array([[n_s + n_t], [n_s]]), 0))).ravel()
+    # one row per window, the last padded with idle (top-rank) slots
+    windows = -(-n // _WINDOW)
+    offsets = np.full((windows, _WINDOW), 2 * values.size * n_states)
+    gains = np.zeros((windows, _WINDOW), np.int64)
+    offsets.reshape(-1)[:n] = (2 * np.searchsorted(values, action_u, "right")
+                               + declared_busy) * n_states
+    gains.reshape(-1)[:n] = np.minimum(harvest, n_max)
+    path = np.full((windows, _WINDOW + 1), n_max)
+    path[0, 0] = initial
+    stale = np.arange(windows)
+    for _ in range(_ROUNDS):
+        walk, offset, gain = path[stale], offsets[stale], gains[stale]
+        for i in range(_WINDOW):
+            level = walk[:, i + 1]
+            table.take(offset[:, i] + walk[:, i], out=level)
+            level += gain[:, i]
+            np.minimum(level, n_max, out=level)
+        path[stale] = walk
+        stale = np.flatnonzero(path[1:, 0] != path[:-1, -1]) + 1
+        if not stale.size:
+            break
+        path[stale, 0] = path[stale - 1, -1]
+    levels = path[:, :-1].ravel()[:n]
+    if stale.size:
+        start = stale[0] * _WINDOW
+        levels[start:] = _slot_loop(action_u[start:], np.where(
+            declared_busy[start:], n_s, n_s + n_t), harvest[start:], blind_at,
+            sense_at, n_t, n_max, int(path[stale[0], 0]))
+    return levels
+
+
 @np.errstate(over="ignore")
 def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
     """Simulate ``sim.slots`` slots and tally empirical statistics.
@@ -190,7 +265,6 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
     if sim.initial_battery > params.N_max:
         raise ValueError(
             f"initial battery {sim.initial_battery} exceeds N_max={params.N_max}")
-    n_t, n_s = quantities.n_t, quantities.n_s
     # cumulative per-level thresholds on the action draw ``u``: blind access
     # when ``u < blind_at[b]``, else sensing when ``u < sense_at[b]``, else idle
     _, blind_at, sense_prob = policy.level_actions(quantities)
@@ -227,24 +301,10 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
         snr = params.P_p * gain_pst[pu_active] / params.sigma_n2
         declared_busy[pu_active] = streams["detector"].noncentral_chisquare(
             2 * cfg.m, 2.0 * snr) > cfg.threshold
-    sense_cost = np.where(declared_busy, n_s, n_s + n_t)
 
-    # the battery is the only sequential quantity
-    levels: list[int] = []
-    record = levels.append
-    battery, n_max = int(sim.initial_battery), params.N_max
-    blind_list, sense_list = blind_at.tolist(), sense_at.tolist()
-    for u, cost, gain in zip(action_u.tolist(), sense_cost.tolist(),
-                             harvest.tolist()):
-        record(battery)
-        if u < blind_list[battery]:
-            battery -= n_t
-        elif u < sense_list[battery]:
-            battery -= cost
-        battery += gain
-        if battery > n_max:
-            battery = n_max
-    level_series = np.array(levels, dtype=np.int64)
+    level_series = _battery_levels(
+        action_u, declared_busy, harvest, blind_at, sense_at, quantities.n_t,
+        quantities.n_s, params.N_max, sim.initial_battery)
 
     blind = action_u < blind_at[level_series]
     sense = ~blind & (action_u < sense_at[level_series])

@@ -20,11 +20,14 @@ within ``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP
 once: all points of the sensing times that cannot fund sensing share one
 LP.  A faithful run draws each licensed-busy slot's detector statistic
 from its noncentral chi-square law and evaluates no tail, so neither a run
-nor a comparison, in either correlation mode, evaluates Marcum Q.  An
-evaluation solves its chain with one LU solve and no least squares.  Cold
-solves run on worker threads, so the counts are kept under a lock; a cell
-that solves one distinct LP starts no thread, and each certify tier builds
-one LP skeleton per column among its points, which its LPs share.
+nor a comparison, in either correlation mode, evaluates Marcum Q.  The
+battery of a 20k-slot run settles within the simulator's round cap, so the
+slot loop that would finish it never runs; a battery with no harvest never
+settles, and the loop finishes it.  An evaluation solves its chain with
+one LU solve and no least squares.  Cold solves run on worker threads, so
+the counts are kept under a lock; a cell that solves one distinct LP starts
+no thread, and each certify tier builds one LP skeleton per column among
+its points, which its LPs share.
 """
 import collections
 import contextlib
@@ -35,7 +38,7 @@ import numpy as np
 import pytest
 
 from ehcr import (chain, harvesting, numerics, optimizer, outage, sensing,
-                  system_model)
+                  simulator, system_model)
 from ehcr.chain import AmbiguousChainError, Policy
 from ehcr.optimizer import GridSpec, InfeasibleGridError, optimize
 from ehcr.performance import evaluate
@@ -398,3 +401,34 @@ def test_simulation_never_evaluates_marcum_q(calls, setting, mode):
     compare(*setting, sim)
     assert calls["marcum_q"] == calls["detection_instant"] == 0
 
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """The calls of the slot loop that finishes a run whose windows the
+    round cap left unsettled."""
+    calls = []
+    original = simulator._slot_loop
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(simulator, "_slot_loop", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["decorrelated", "faithful"])
+def test_merging_run_settles_within_the_round_cap(completions, setting, mode):
+    run(*setting, SimConfig(slots=20_000, seed=3, correlation_mode=mode))
+    assert completions == []
+
+
+def test_never_merging_run_finishes_in_the_slot_loop(completions, make_params):
+    # with no harvest an empty battery stays empty while a full one drains
+    # to the level below a transmission, so no window settles but the first
+    params = make_params(lambda_e=0.0, eta=0.0)
+    policy = Policy.constant(params, 5e-4, 30.0, 0.5, 0.3, 0.5)
+    report = run(params, policy, SimConfig(slots=50_000, seed=3))
+    assert len(completions) == 1
+    assert report.battery_histogram[0] == 50_000

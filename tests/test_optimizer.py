@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from ehcr import harvesting, optimizer
 from ehcr.chain import (
     AmbiguousChainError,
-    action_kernels,
     action_ranges,
+    idle_blind_kernels,
+    sense_kernels,
     transition_components,
 )
 from ehcr.numerics import LP_FEASIBILITY_TOL, solve_lp
@@ -417,8 +418,8 @@ class TestColdSolves:
             column = column_at(params, tau, FAST_GRID)
             if optimizer._unsupported(column.quantities, scheme):
                 continue
-            idle_blind, sense = action_kernels(params, column.blocks,
-                                               column.p_d, column.p_f)
+            idle_blind = idle_blind_kernels(params, column.blocks)
+            sense = sense_kernels(params, column.blocks, column.p_d, column.p_f)
             rewards = action_rewards(params, column.outages, column.p_d,
                                      column.p_f)
             for k in range(len(column.thresholds)):
@@ -1006,8 +1007,8 @@ class TestConstrainedRegime:
             column = column_at(params, tau, FAST_GRID)
             if optimizer._unsupported(column.quantities, scheme):
                 continue
-            idle_blind, sense = action_kernels(params, column.blocks,
-                                               column.p_d, column.p_f)
+            idle_blind = idle_blind_kernels(params, column.blocks)
+            sense = sense_kernels(params, column.blocks, column.p_d, column.p_f)
             kernels, rewards, allowed = reference_column_mdp(params, column,
                                                              scheme)
             assert all(np.array_equal(idle_blind, point[:2]) for point in kernels)

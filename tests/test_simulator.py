@@ -278,7 +278,9 @@ class TestMatchesSlotBySlotReference:
                              reference_run(testbench_params, policy, sim))
 
     @pytest.mark.parametrize("mode", CORRELATION_MODES)
-    @pytest.mark.parametrize("slots", [1, 199, 200, 20_001])
+    @pytest.mark.parametrize("slots", [
+        1, 199, 200, 20_001, 10 * simulator._WINDOW - 1, 10 * simulator._WINDOW,
+        10 * simulator._WINDOW + 1])
     def test_uneven_batches(self, testbench_params, slots, mode):
         policy = ramp_policy(testbench_params)
         sim = SimConfig(slots=slots, seed=32, correlation_mode=mode)
@@ -325,6 +327,100 @@ class TestMatchesSlotBySlotReference:
                         correlation_mode=mode)
         assert_reports_equal(run(params, policy, sim),
                              reference_run(params, policy, sim))
+
+
+class TestMatchesAtEveryStepping(TestMatchesSlotBySlotReference):
+    """The same cases with the battery's windowed stepping cut short or
+    reshaped: no round, so the slot loop steps every slot; one round, so it
+    finishes from the second window on; one-slot windows; and one window
+    longer than any run here, mostly idle padding."""
+
+    @pytest.fixture(autouse=True, params=[
+        ("_ROUNDS", 0), ("_ROUNDS", 1), ("_WINDOW", 1), ("_WINDOW", 20_002)],
+        ids=["no-round", "one-round", "one-slot-windows", "one-window"])
+    def stepping(self, request, monkeypatch):
+        monkeypatch.setattr(simulator, *request.param)
+
+
+def scalar_levels(action_u, declared_busy, harvest, blind_at, sense_at, n_t,
+                  n_s, n_max, initial) -> list[int]:
+    """The battery recursion, one slot at a time."""
+    levels, battery = [], initial
+    for u, busy, gain in zip(action_u, declared_busy, harvest):
+        levels.append(battery)
+        if u < blind_at[battery]:
+            battery -= n_t
+        elif u < sense_at[battery]:
+            battery -= n_s if busy else n_s + n_t
+        battery = min(battery + int(gain), n_max)
+    return levels
+
+
+class TestBatteryLevels:
+    """The windowed battery against the plain recursion on its own inputs."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           slots=st.integers(1, 700),
+           n_max=st.integers(5, 60),
+           costs=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+           initial=st.integers(0, 60),
+           probabilities=st.sampled_from([(0.0, 0.5, 1.0), (0.3, 0.7), None]),
+           on_threshold=st.sampled_from([0.0, 0.3, 1.0]),
+           harvest_top=st.sampled_from([0, 1, 5, 60, 10**18]))
+    def test_matches_scalar_loop(self, seed, slots, n_max, costs, initial,
+                                 probabilities, on_threshold, harvest_top):
+        # probabilities drawn from a short list tie thresholds across levels
+        # and, as beta2 = 0, sense_at with blind_at; a share of the action
+        # draws sits exactly on a threshold; harvests reach the ambient cap
+        rng = np.random.default_rng(seed)
+        n_t, n_s = min(costs[0], n_max), costs[1]
+        initial = min(initial, n_max)
+
+        def pick(size):
+            return (rng.choice(probabilities, size) if probabilities
+                    else rng.random(size))
+
+        blind_at = np.zeros(n_max + 1)
+        sense_at = np.zeros(n_max + 1)
+        blind_at[n_t:n_s + n_t] = pick(len(blind_at[n_t:n_s + n_t]))
+        if n_s + n_t <= n_max:
+            beta1, beta2 = pick(n_max + 1 - n_s - n_t), pick(n_max + 1 - n_s - n_t)
+            beta2 = np.minimum(beta2, 1.0 - beta1)
+            blind_at[n_s + n_t:] = beta1
+            sense_at[n_s + n_t:] = beta1 + beta2
+        sense_at[:n_s + n_t] = blind_at[:n_s + n_t]
+        action_u = rng.random(slots)
+        on = rng.random(slots) < on_threshold
+        action_u[on] = rng.choice(np.concatenate([blind_at, sense_at]),
+                                  np.count_nonzero(on))
+        action_u = np.minimum(action_u, np.nextafter(1.0, 0.0))
+        declared_busy = rng.random(slots) < 0.5
+        harvest = rng.integers(0, harvest_top, slots, endpoint=True)
+        inputs = (action_u, declared_busy, harvest, blind_at, sense_at, n_t,
+                  n_s, n_max, initial)
+        assert simulator._battery_levels(*inputs).tolist() == \
+            scalar_levels(*inputs)
+
+    def test_start_levels_that_never_merge(self, monkeypatch):
+        # no harvest and always acting: a full battery drains to 2 with
+        # transmissions of 3, an empty one stays at 0, so every window ends
+        # off its true level until the slot loop takes over
+        completions = []
+        original = simulator._slot_loop
+
+        def spy(*args):
+            completions.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulator, "_slot_loop", spy)
+        n_max, n_t, n_s, slots = 20, 3, 1, 5_000
+        blind_at = np.where(np.arange(n_max + 1) >= n_t, 1.0, 0.0)
+        inputs = (np.random.default_rng(1).random(slots),
+                  np.zeros(slots, dtype=bool), np.zeros(slots, dtype=np.int64),
+                  blind_at, blind_at, n_t, n_s, n_max, 0)
+        levels = simulator._battery_levels(*inputs)
+        assert levels.tolist() == scalar_levels(*inputs) == [0] * slots
+        assert len(completions) == 1
 
 
 class TestVectorizedPieces:
