@@ -224,8 +224,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if args.param != "rho":
-        raise CliError(f"sweepable parameters: rho (got {args.param!r})")
     for flag, bound in (("--from", args.sweep_from), ("--to", args.sweep_to)):
         if not math.isfinite(bound):
             raise CliError(f"sweep {flag} must be finite, got {bound}")
@@ -330,8 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="optimize across an occupancy grid")
     common(p_sweep, rho=False)
-    p_sweep.add_argument("--param", default="rho",
-                         help="swept parameter (rho)")
     p_sweep.add_argument("--from", dest="sweep_from", type=float, required=True)
     p_sweep.add_argument("--to", dest="sweep_to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)

@@ -279,15 +279,6 @@ def _column(params: SystemParams, scanned: _Scanned, harvest: tuple) -> _Column:
                    outages, p_d, p_f, action_rewards(params, outages, p_d, p_f))
 
 
-def _point_model(params: SystemParams, column: _Column,
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (3, n, n) kernels and (3, 2) rewards of the column's k-th
-    threshold, the bits of the screen's batch there."""
-    p_d, p_f = column.p_d[k], column.p_f[k]
-    return (transition_components(params, column.blocks, p_d, p_f),
-            action_rewards(params, column.outages, p_d, p_f))
-
-
 def _compressed(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
     """Column ends, row indices and values of the nonzeros of ``matrix``."""
     columns, rows = np.nonzero(matrix.T)
@@ -577,7 +568,8 @@ def _optimal_solution(params: SystemParams, record: GridPointStatus,
     normalized per level; a level neither reaches takes the high action.
     """
     q = column.quantities
-    kernels, rewards = _point_model(params, column, k)
+    kernels = transition_components(params, column.blocks, column.p_d[k],
+                                    column.p_f[k])
     levels = np.arange(params.n_states)
     actions = np.zeros((2, 3, params.n_states))
     actions[0, low, levels] = actions[1, high, levels] = 1.0
@@ -592,8 +584,9 @@ def _optimal_solution(params: SystemParams, record: GridPointStatus,
     policy = Policy(alpha=mixed[1, q.alpha_range], beta1=mixed[1, q.beta_range],
                     beta2=mixed[2, q.beta_range], tau=record.tau,
                     threshold=record.threshold)
-    return OptimalSolution(policy, report(params, policy, q, kernels, rewards),
-                           record.objective, lp_mu_p)
+    return OptimalSolution(
+        policy, report(params, policy, q, kernels, column.rewards[k]),
+        record.objective, lp_mu_p)
 
 
 def _select_winner(candidates: list[tuple[float, float, float, Any]]) -> Any:
@@ -646,7 +639,8 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             screen = _screen(params, column, scheme, start)
             screens[key] = column, screen
         if screen is None:
-            classes = _closed_classes(_point_model(params, column, 0)[0][0])
+            idle = idle_blind_kernels(params, column.blocks)[0]
+            classes = _closed_classes(idle)
             if len(classes) > 1:
                 raise AmbiguousChainError(classes)
             records.extend(GridPointStatus(tau, threshold, "solver_failure")

@@ -8,15 +8,16 @@ truth the closed forms are validated against.
 The battery is the only sequential quantity, so :func:`run` has three parts,
 all reading the one set of quantities derived by the policy's validation.
 First every draw is made and turned into per-slot arrays: the harvest, the
-sensing verdict (busy when a sensing draw falls below the detection or
-false-alarm probability, or a faithful detector statistic exceeds the
-threshold) and the action draw's rank among the per-level thresholds.  The
-battery then steps in windows of slots side by side, the first from the
+action draw and the cost of sensing, whose transmission a busy verdict spares
+(busy when a sensing draw falls below the detection or false-alarm
+probability, or a faithful detector statistic exceeds the threshold).  The
+battery then steps by the slot loop's own rule in windows of slots side by
+side, in memory linear in the slots and in ``N_max``: the first from the
 initial level and the others from a full battery, each again from its
 predecessor's new end until they agree.  Trajectories merge within a few
-windows, so a few rounds settle a run as the slot loop would; past a round
-cap, that loop finishes from the first unsettled window, so a run that never
-merges (no harvest) costs it plus the capped rounds.  Last, the actions are
+windows, so a few rounds settle a run as the loop would; past a round cap,
+the loop finishes from the first unsettled window, so a run that never merges
+(no harvest) costs it plus the capped rounds.  Last, the actions are
 recovered from the levels, and transmissions, SINR outcomes, counters and
 batch-means standard errors are computed as array expressions.
 
@@ -205,49 +206,45 @@ def _slot_loop(action_u: np.ndarray, sense_cost: np.ndarray,
     return levels
 
 
-def _battery_levels(action_u: np.ndarray, declared_busy: np.ndarray,
+def _battery_levels(action_u: np.ndarray, sense_cost: np.ndarray,
                     harvest: np.ndarray, blind_at: np.ndarray,
-                    sense_at: np.ndarray, n_t: int, n_s: int, n_max: int,
-                    initial: int) -> np.ndarray:
-    """The :func:`_slot_loop` levels from ``initial``, by windows of slots,
-    each final once it starts at its final predecessor's end."""
-    n, n_states = action_u.size, blind_at.size
-    # ``u < x`` exactly when u's rank among the thresholds is at most x's;
-    # the table holds the level after the action at (2 rank + busy, level)
-    values = np.unique(np.concatenate([blind_at, sense_at]))
-    ranks = np.arange(values.size + 1)[:, None, None]
-    table = (np.arange(n_states) - np.where(
-        ranks <= np.searchsorted(values, blind_at), n_t,
-        np.where(ranks <= np.searchsorted(values, sense_at),
-                 np.array([[n_s + n_t], [n_s]]), 0))).ravel()
-    # one row per window, the last padded with idle (top-rank) slots
+                    sense_at: np.ndarray, n_t: int, n_max: int,
+                    battery: int) -> np.ndarray:
+    """The :func:`_slot_loop` levels by its rule, stepped in windows of slots
+    side by side, each final once it starts at its final predecessor's end."""
+    n = action_u.size
     windows = -(-n // _WINDOW)
-    offsets = np.full((windows, _WINDOW), 2 * values.size * n_states)
-    gains = np.zeros((windows, _WINDOW), np.int64)
-    offsets.reshape(-1)[:n] = (2 * np.searchsorted(values, action_u, "right")
-                               + declared_busy) * n_states
-    gains.reshape(-1)[:n] = np.minimum(harvest, n_max)
-    path = np.full((windows, _WINDOW + 1), n_max)
-    path[0, 0] = initial
+    # a row per slot of a window, a column per window; draws padded 2.0 idle
+    draws, costs, gains = (
+        np.append(series, np.full(windows * _WINDOW - n, pad))
+        .reshape(windows, _WINDOW).T.copy()
+        for series, pad in ((action_u, 2.0), (sense_cost, 0),
+                            (np.minimum(harvest, n_max), 0)))
+    path = np.full((_WINDOW + 1, windows), n_max)
+    path[0, 0] = battery
     stale = np.arange(windows)
     for _ in range(_ROUNDS):
-        walk, offset, gain = path[stale], offsets[stale], gains[stale]
-        for i in range(_WINDOW):
-            level = walk[:, i + 1]
-            table.take(offset[:, i] + walk[:, i], out=level)
-            level += gain[:, i]
-            np.minimum(level, n_max, out=level)
-        path[stale] = walk
-        stale = np.flatnonzero(path[1:, 0] != path[:-1, -1]) + 1
+        # round one steps all windows in place, later rounds stale copies
+        columns = slice(None) if stale.size == windows else stale
+        walk = path[:, columns]
+        for level, after, u, cost, gain in zip(walk, walk[1:], *(
+                slots[:, columns] for slots in (draws, costs, gains))):
+            debit = (u < sense_at[level]) * cost
+            np.putmask(debit, u < blind_at[level], n_t)
+            np.subtract(level, debit, out=after)
+            after += gain
+            np.minimum(after, n_max, out=after)
+        path[:, columns] = walk
+        stale = np.flatnonzero(path[0, 1:] != path[-1, :-1]) + 1
         if not stale.size:
             break
-        path[stale, 0] = path[stale - 1, -1]
-    levels = path[:, :-1].ravel()[:n]
+        path[0, stale] = path[-1, stale - 1]
+    levels = path[:-1].T.ravel()[:n]
     if stale.size:
         start = stale[0] * _WINDOW
-        levels[start:] = _slot_loop(action_u[start:], np.where(
-            declared_busy[start:], n_s, n_s + n_t), harvest[start:], blind_at,
-            sense_at, n_t, n_max, int(path[stale[0], 0]))
+        levels[start:] = _slot_loop(
+            action_u[start:], sense_cost[start:], harvest[start:], blind_at,
+            sense_at, n_t, n_max, int(path[0, stale[0]]))
     return levels
 
 
@@ -302,9 +299,11 @@ def run(params: SystemParams, policy: Policy, sim: SimConfig) -> SimReport:
         declared_busy[pu_active] = streams["detector"].noncentral_chisquare(
             2 * cfg.m, 2.0 * snr) > cfg.threshold
 
+    # sensing transmits on an idle verdict (costs freed before the outcomes)
     level_series = _battery_levels(
-        action_u, declared_busy, harvest, blind_at, sense_at, quantities.n_t,
-        quantities.n_s, params.N_max, sim.initial_battery)
+        action_u, quantities.n_s + np.where(declared_busy, 0, quantities.n_t),
+        harvest, blind_at, sense_at, quantities.n_t, params.N_max,
+        sim.initial_battery)
 
     blind = action_u < blind_at[level_series]
     sense = ~blind & (action_u < sense_at[level_series])

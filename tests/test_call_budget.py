@@ -23,16 +23,18 @@ from its noncentral chi-square law and evaluates no tail, so neither a run
 nor a comparison, in either correlation mode, evaluates Marcum Q.  The
 battery of a 20k-slot run settles within the simulator's round cap, so the
 slot loop that would finish it never runs; a battery with no harvest never
-settles, and the loop finishes it.  An evaluation solves its chain with
-one LU solve and no least squares.  Cold solves run on worker threads, so
-the counts are kept under a lock; a cell that solves one distinct LP starts
-no thread, and each certify tier builds one LP skeleton per column among
-its points, which its LPs share.
+settles, and the loop finishes it.  The battery's memory grows linearly in
+the battery size: a 5,000-slot run at ``N_max`` 2,000 peaks under 32 MB.
+An evaluation solves its chain with one LU solve and no least squares.
+Cold solves run on worker threads, so the counts are kept under a lock; a
+cell that solves one distinct LP starts no thread, and each certify tier
+builds one LP skeleton per column among its points, which its LPs share.
 """
 import collections
 import contextlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +46,7 @@ from ehcr.optimizer import GridSpec, InfeasibleGridError, optimize
 from ehcr.performance import evaluate
 from ehcr.simulator import SimConfig, compare, run
 from ehcr.system_model import with_overrides
-from helpers import column_at
+from helpers import column_at, random_policy, reference_run
 from test_optimizer import FAST_GRID, TIE_GRID
 
 COUNTED = {
@@ -294,8 +296,8 @@ def test_tied_cell_solves_one_non_sensing_system_per_step(monkeypatch,
     free_rows = set()  # (level, row) of the columns' idle and blind systems
     for tau in FAST_GRID.tau_values(params):
         column = column_at(params, tau, FAST_GRID)
-        kernels, _ = optimizer._point_model(params, column, 0)
-        for system in chain._bordered(kernels[:2]):
+        idle_blind = chain.idle_blind_kernels(params, column.blocks)
+        for system in chain._bordered(idle_blind):
             free_rows.update(enumerate(row.tobytes() for row in system))
     batches = []
     solve = np.linalg.solve
@@ -432,3 +434,20 @@ def test_never_merging_run_finishes_in_the_slot_loop(completions, make_params):
     report = run(params, policy, SimConfig(slots=50_000, seed=3))
     assert len(completions) == 1
     assert report.battery_histogram[0] == 50_000
+
+
+def test_battery_memory_is_linear_in_n_max(make_params):
+    # a random per-level policy at a large battery: the stepping holds a few
+    # arrays per slot and a few per level, none per pair of levels
+    params = make_params(N_max=2_000)
+    policy = random_policy(np.random.default_rng(5), params, 5e-4, 30.0)
+    sim = SimConfig(slots=5_000, seed=3)
+    tracemalloc.start()
+    try:
+        report = run(params, policy, sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert report.battery_histogram.tolist() == \
+        reference_run(params, policy, sim).battery_histogram.tolist()

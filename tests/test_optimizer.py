@@ -29,7 +29,6 @@ from ehcr.optimizer import (
     InfeasibleGridError,
     _admitted,
     _cold_solve,
-    _point_model,
     _policy_iteration,
     _screen,
     _select_winner,
@@ -422,11 +421,12 @@ class TestColdSolves:
             sense = sense_kernels(params, column.blocks, column.p_d, column.p_f)
             rewards = action_rewards(params, column.outages, column.p_d,
                                      column.p_f)
-            for k in range(len(column.thresholds)):
-                kernels, point_rewards = _point_model(params, column, k)
+            for k, (p_d, p_f) in enumerate(zip(column.p_d, column.p_f)):
+                kernels = transition_components(params, column.blocks, p_d, p_f)
                 assert np.array_equal(kernels[:2], idle_blind)
                 assert np.array_equal(kernels[2], sense[k])
-                assert np.array_equal(point_rewards, rewards[k])
+                assert np.array_equal(
+                    action_rewards(params, column.outages, p_d, p_f), rewards[k])
             ks = [0, 2, 3, 5]
             built.clear()
             with mock.patch.object(optimizer, "_WORKERS", 2), \

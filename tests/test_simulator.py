@@ -361,7 +361,7 @@ class TestBatteryLevels:
 
     @given(seed=st.integers(0, 2**32 - 1),
            slots=st.integers(1, 700),
-           n_max=st.integers(5, 60),
+           n_max=st.integers(5, 3_000),
            costs=st.tuples(st.integers(1, 60), st.integers(1, 60)),
            initial=st.integers(0, 60),
            probabilities=st.sampled_from([(0.0, 0.5, 1.0), (0.3, 0.7), None]),
@@ -396,10 +396,12 @@ class TestBatteryLevels:
         action_u = np.minimum(action_u, np.nextafter(1.0, 0.0))
         declared_busy = rng.random(slots) < 0.5
         harvest = rng.integers(0, harvest_top, slots, endpoint=True)
-        inputs = (action_u, declared_busy, harvest, blind_at, sense_at, n_t,
-                  n_s, n_max, initial)
-        assert simulator._battery_levels(*inputs).tolist() == \
-            scalar_levels(*inputs)
+        sense_cost = np.where(declared_busy, n_s, n_s + n_t)
+        assert simulator._battery_levels(
+            action_u, sense_cost, harvest, blind_at, sense_at, n_t, n_max,
+            initial).tolist() == scalar_levels(
+                action_u, declared_busy, harvest, blind_at, sense_at, n_t, n_s,
+                n_max, initial)
 
     def test_start_levels_that_never_merge(self, monkeypatch):
         # no harvest and always acting: a full battery drains to 2 with
@@ -415,11 +417,13 @@ class TestBatteryLevels:
         monkeypatch.setattr(simulator, "_slot_loop", spy)
         n_max, n_t, n_s, slots = 20, 3, 1, 5_000
         blind_at = np.where(np.arange(n_max + 1) >= n_t, 1.0, 0.0)
-        inputs = (np.random.default_rng(1).random(slots),
-                  np.zeros(slots, dtype=bool), np.zeros(slots, dtype=np.int64),
-                  blind_at, blind_at, n_t, n_s, n_max, 0)
-        levels = simulator._battery_levels(*inputs)
-        assert levels.tolist() == scalar_levels(*inputs) == [0] * slots
+        action_u = np.random.default_rng(1).random(slots)
+        busy, harvest = np.zeros(slots, dtype=bool), np.zeros(slots, np.int64)
+        levels = simulator._battery_levels(
+            action_u, np.full(slots, n_s + n_t), harvest, blind_at, blind_at,
+            n_t, n_max, 0)
+        assert levels.tolist() == [0] * slots == scalar_levels(
+            action_u, busy, harvest, blind_at, blind_at, n_t, n_s, n_max, 0)
         assert len(completions) == 1
 
 
