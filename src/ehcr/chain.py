@@ -17,13 +17,15 @@ action, so a policy's kernel is their level-wise mixture.  What depends on
 the sensing time is read from the caller's
 :class:`~ehcr.system_model.DerivedQuantities`, and the consume-then-harvest
 blocks of one sensing time, one array from :func:`harvest_blocks`, serve
-every detector setting.  Only the sensing kernel reads the detector, so
-:func:`idle_blind_kernels` builds one idle/blind pair for the sensing
-kernels that :func:`sense_kernels` builds for a whole threshold array.  The
-optimizer's value determination and the stationary law of a policy's kernel
-solve the same bordered unichain system, the latter transposed.  The
-per-action rewards and the statistics of a solved chain live in
-:mod:`ehcr.performance`.
+every detector setting.  They are row gathers, at the levels left after
+each consumption, of one level matrix per harvest law, memoized on the law
+as it reads nothing else but the battery size.  Only the sensing kernel
+reads the detector, so :func:`idle_blind_kernels` builds one idle/blind
+pair for the sensing kernels that :func:`sense_kernels` builds for a whole
+threshold array.  The optimizer's value determination and the stationary
+law of a policy's kernel solve the same bordered unichain system, the
+latter transposed.  The per-action rewards and the statistics of a solved
+chain live in :mod:`ehcr.performance`.
 """
 from __future__ import annotations
 
@@ -161,18 +163,23 @@ def harvest_blocks(params: SystemParams, q: DerivedQuantities,
     Entry (i, j) of a block is the probability of arriving ``j - i + c``
     packets for a consumption of ``c``, zero where that count is negative;
     the last column holds the tail at the battery cap.  A row is meaningful
-    only where the consumption is affordable (i >= c).  The blocks of each
-    harvest law are one gather from its masses padded with a zero.
+    only where the consumption is affordable (i >= c), but every row is
+    exact.  Row i of a block is level ``i - c`` of its harvest law's
+    memoized level matrix (:meth:`~ehcr.harvesting.HarvestPmf.level_matrix`),
+    deep enough for the largest cost of any sensing time (``derive`` caps
+    ``n_s`` at ``n_states``), so each law's blocks are one row gather.
     """
-    levels = np.arange(params.n_states)[:, None]
-    costs = np.array([0, q.n_t, q.n_s, q.n_s + q.n_t])[:, None, None]
-    need = levels.T - levels + costs  # (4, n, n): arrivals to reach column j
-    blocks = np.empty((2, 4, params.n_states, params.n_states))
+    n = params.n_states
+    costs = np.array([0, q.n_t, q.n_s, q.n_s + q.n_t])
+    deepest = q.n_t + max(n, q.n_s)
+    blocks = np.empty((2, 4, n, n))
     for block, harvest in zip(blocks, (idle_harvest, active_harvest)):
-        # index -1 and index masses.size both land on the appended zero
-        padded = np.append(harvest.masses, 0.0)
-        block[..., :-1] = padded[np.clip(need[..., :-1], -1, harvest.masses.size)]
-        block[..., -1] = harvest.tail_at_least(need[..., -1])
+        levels = harvest.level_matrix(n, deepest)
+        depth = levels.shape[0] - n
+        # clip mode sends every level below -depth, whose row is zero, to
+        # row -depth, and writes into the block with no buffer
+        np.take(levels, np.arange(depth, depth + n) - costs[:, None], axis=0,
+                out=block, mode="clip")
     return blocks
 
 
@@ -262,12 +269,14 @@ def stationary_distribution(kernel: np.ndarray) -> StationaryDistribution:
     p = np.asarray(kernel, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"kernel must be square, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("kernel entries must be finite")
-    if np.any(p < -1e-12):
-        raise ValueError("kernel entries must be nonnegative")
     deviation = np.max(np.abs(p.sum(axis=1) - 1.0))
-    if deviation > 1e-9:
+    # negated so that a NaN or an infinity fails too; only then are the
+    # entries checked one by one, for the message
+    if not (deviation <= 1e-9 and p.min() >= -1e-12):
+        if not np.all(np.isfinite(p)):
+            raise ValueError("kernel entries must be finite")
+        if np.any(p < -1e-12):
+            raise ValueError("kernel entries must be nonnegative")
         raise ValueError(f"rows must sum to 1, worst deviation {deviation:.3e}")
     if not _reached_in_one_step(p):
         closed = _closed_classes(p)

@@ -18,8 +18,8 @@ thresholds, and, from the first search that screens it on, its outages and
 read-only detector terms, so a rho sweep derives each sensing time once.
 The kernel blocks are rho-free too, but hold 8 n^2 floats per column, too
 many to memoize for several scenarios at a large battery, so each search
-rebuilds them from the memoized harvest laws at the sensing times it
-screens.
+gathers them at the sensing times it screens, as rows of the level
+matrices memoized on its harvest laws.
 
 The screen values all thresholds of a column at once as constrained MDPs
 (Puterman 1994, ch. 8-9; Altman 1999, ch. 3).  Batched average-reward
@@ -263,7 +263,7 @@ class _Column:
     one's object, as none reads its detector or sensing blocks (:func:`_model_key`)."""
 
     quantities: DerivedQuantities
-    blocks: np.ndarray  # (2, 4, n, n) harvest blocks
+    blocks: np.ndarray  # (2, 4, n, n) harvest blocks, gathered per search
     thresholds: tuple[float, ...]
     outages: OutageBundle
     p_d: np.ndarray  # (K,) averaged detection probabilities

@@ -8,7 +8,8 @@ its own.  The sensing times that cannot fund sensing share the first one's
 column and screen.  The harvest laws depend on neither rho, the sensing
 time, the detector nor the policy, so a scenario builds its ambient law
 once: its searches share it, and so do evaluations of any policies at any
-rho.  Nor do the sensing times, or the outages and detector terms of the
+rho, and each law builds one level matrix, whose row gathers are the kernel
+blocks, so a warm block build allocates little beyond its output.  Nor do the sensing times, or the outages and detector terms of the
 screened ones, read rho or the floor, so the searches of a rho sweep derive
 each sensing time and evaluate each screened column's terms once, while
 each search builds its own kernel blocks (the memos are cleared before each
@@ -369,7 +370,22 @@ def test_evaluating_a_policy_that_never_senses_skips_the_detector(calls,
     assert calls["detection_avg"] == 0 and calls["false_alarm"] == 1
 
 
-def test_evaluations_of_one_scenario_build_its_laws_once(calls, setting):
+@pytest.fixture
+def level_matrices(monkeypatch):
+    """Every level matrix the harvest laws return, in call order."""
+    returned = []
+    original = harvesting.HarvestPmf.level_matrix
+
+    def spy(law, *args):
+        returned.append(original(law, *args))
+        return returned[-1]
+
+    monkeypatch.setattr(harvesting.HarvestPmf, "level_matrix", spy)
+    return returned
+
+
+def test_evaluations_of_one_scenario_build_its_laws_once(calls, setting,
+                                                         level_matrices):
     # rho, the sensing time, the threshold and the policy leave the harvest
     # laws as they are
     params, _ = setting
@@ -382,6 +398,27 @@ def test_evaluations_of_one_scenario_build_its_laws_once(calls, setting):
                 evaluate(at_rho, policy)
     assert calls["nature_distribution"] == 1
     assert calls["harvest_blocks"] == 27
+    # nor do they change either law's level matrix, of which the blocks
+    # are row gathers: one matrix per law, read by all 27
+    assert len(level_matrices) == 54
+    assert len({id(levels) for levels in level_matrices}) == 2
+
+
+def test_warm_harvest_blocks_allocate_little_beyond_their_output(make_params):
+    # the blocks are gathered from the memoized level matrices straight
+    # into the output: no (4, n, n) index array or gathered temporary
+    params = make_params(N_max=300)
+    q = system_model.derive(params, 5e-4)
+    laws = harvesting.harvest_laws(params)
+    chain.harvest_blocks(params, q, *laws)
+    tracemalloc.start()
+    try:
+        blocks = chain.harvest_blocks(params, q, *laws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks.nbytes == 8 * params.n_states**2 * 8
+    assert peak - blocks.nbytes < 2**18
 
 
 def test_run_derives_once(calls, setting):

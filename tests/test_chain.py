@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ehcr import chain
@@ -293,6 +293,36 @@ class TestBuildTransitionMatrix:
             oracle = [[reference_shifted_rows(law, cost, n) for cost in costs]
                       for law in laws]
             assert np.array_equal(harvest_blocks(params, q, *laws), oracle)
+
+    @given(n_max=st.integers(1, 80), n_t=st.integers(1, 80),
+           n_s=st.integers(1, 100),
+           lambda_e=st.one_of(st.just(0.0), st.floats(0.0, 5e4)),
+           eta=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    @example(n_max=1, n_t=1, n_s=1, lambda_e=0.0, eta=0.0)  # one-count support
+    @example(n_max=80, n_t=80, n_s=10**6, lambda_e=5e4, eta=1.0)  # full, n_s sentinel
+    def test_gathered_rows_equal_level_loop_on_every_row(
+            self, testbench_params, n_max, n_t, n_s, lambda_e, eta):
+        # every row, affordable or not, at supports from one count to the
+        # full 4 N_max + 1 and sensing costs up to the n_states sentinel;
+        # the 10 detector samples at tau 5e-4 cost n_s packets
+        e_u = testbench_params.E_u
+        params = with_overrides(testbench_params, N_max=n_max,
+                                E_t=min(n_t, n_max) * e_u, e_proc=n_s * e_u / 10,
+                                lambda_e=lambda_e, eta=eta)
+        n = params.n_states
+        q = derive(params, 5e-4)
+        assert q.n_s == min(n_s, n)
+        laws = harvest_laws(params)
+        costs = (0, q.n_t, q.n_s, q.n_s + q.n_t)
+        oracle = [[reference_shifted_rows(law, cost, n) for cost in costs]
+                  for law in laws]
+        assert np.array_equal(harvest_blocks(params, q, *laws), oracle)
+        # each law's level matrix is read-only and built once
+        for law, again in zip(laws, harvest_laws(params)):
+            levels = law.level_matrix(n, n + q.n_t)
+            assert not levels.flags.writeable
+            assert again.level_matrix(n, n + q.n_t) is levels
+            assert levels.shape[0] <= n + min(n + q.n_t, law.masses.size + 1)
 
 
 class TestStationary:
