@@ -43,20 +43,22 @@ classes (no harvest at all), and is logged as failed otherwise.
 
 The LP of a point is the same model in the occupation vector (pi,
 pi*alpha, pi*beta1, pi*beta2), in which the balance equations, the floor
-and the objective are linear.  It only certifies: the points within
-``LP_FEASIBILITY_TOL`` of the best are solved cold, once per distinct LP
-(all points of the sensing times that cannot fund sensing share one), into
-their screened records, and the best of them wins, ties broken toward the
-smaller sensing time, then the smaller threshold, in any evaluation order.
-Whole grids can tie to within solver noise, so the winner is reproducible
-bit for bit only because the near-ties are decided on cold solves.  It is
-reported from the kernels and rewards of the column it was screened on,
-and its LP rates cross-check that report.  Only an LP's sensing columns
-read its threshold, so a certify tier compresses the rest once per column
-and the worker solving an LP appends its sensing columns: more than one LP
-on one thread per CPU in the process's affinity mask (HiGHS's core
-releases the GIL), a single one inline, each solved alone, so the results
-do not depend on the thread count.
+and the objective are linear.  It only decides near-ties, and runs only
+when two or more points are near-best: a lone point within
+``LP_FEASIBILITY_TOL`` of the best wins as screened, its claimed rates the
+screen's.  Two or more are solved cold, once per distinct LP (all points of
+the sensing times that cannot fund sensing share one), into their screened
+records, and the best of them wins, ties broken toward the smaller sensing
+time, then the smaller threshold, in any evaluation order.  Whole grids can
+tie to within solver noise, so the winner is reproducible bit for bit only
+because the near-ties are decided on cold solves.  It is reported from the
+kernels and rewards of the column it was screened on, and its claimed
+rates cross-check that report.  Only an LP's sensing columns read its
+threshold, so a certify tier compresses the rest once per column and the
+worker solving an LP appends its sensing columns: more than one LP on one
+thread per CPU in the process's affinity mask (HiGHS's core releases the
+GIL), a single one inline, each solved alone, so the results do not depend
+on the thread count.
 """
 from __future__ import annotations
 
@@ -179,8 +181,9 @@ class OptimalSolution:
 
     ``policy`` is the screen's and ``report`` its evaluation;
     ``lp_objective`` and ``lp_mu_p`` are the secondary and licensed-user
-    rates of the point's cold LP solution, which certified the winner, so
-    they cross-check ``report.mu_s`` and ``report.mu_p``.
+    rates of the point's LP optimum, which cross-check ``report.mu_s`` and
+    ``report.mu_p``: the rates of its cold LP solution when two or more
+    points were near-best, else the screen's, with no LP solved.
     """
 
     policy: Policy
@@ -207,7 +210,8 @@ class GridPointStatus:
     #: | "solver_failure" (the screen could not value the point's column, or
     #: every rung of the LP ladder failed on it)
     status: str
-    #: optimum; the screen's value unless the point was solved by the LP
+    #: optimum; the screen's value unless the point was solved by the LP,
+    #: as the near-best points are when two or more of them tie
     objective: float | None = None
 
 
@@ -434,10 +438,10 @@ def _policy_iteration(idle_blind: np.ndarray, sense: np.ndarray,
 def _screen(params: SystemParams, column: _Column, scheme: str,
             start: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                       np.ndarray] | None:
-    """Optimal LP objective at each threshold of a column, NaN where the
-    floor is out of reach, found without an LP, and the policies that attain
-    it; see the module docstring.
+                       np.ndarray, np.ndarray] | None:
+    """Optimal LP objective and its licensed-user rate at each threshold of a
+    column, NaN where the floor is out of reach, found without an LP, and
+    the policies that attain them; see the module docstring.
 
     The unconstrained pass starts from ``start``, the (K, n) unconstrained
     optima of the previous column, projected onto the actions this column
@@ -449,10 +453,12 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
     policy below and one on or above the floor meet at the next nu, and the
     search stops once no policy rises above them there.  The value is then
     that of the mix of the two policies meeting the floor.  Returns the
-    objectives, the (K, n) actions of the low and high policy at each point,
-    the (K,) share ``s`` of the high one in their mix (0, with both the
-    unconstrained optimum, where the floor is slack) and the unconstrained
-    optima, the next column's start.  None when a policy iteration fails.
+    objectives, their licensed-user rates (the unconstrained optimum's where
+    the floor is slack, the mix's where it binds), the (K, n) actions of the
+    low and high policy at each point, the (K,) share ``s`` of the high one
+    in their mix (0, with both the unconstrained optimum, where the floor is
+    slack) and the unconstrained optima, the next column's start.  None
+    when a policy iteration fails.
     """
     idle_blind = idle_blind_kernels(params, column.blocks)
     sense = sense_kernels(params, column.blocks, column.p_d, column.p_f)
@@ -475,7 +481,7 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
     low, unconstrained = solved
     low_policy, high_policy = unconstrained.copy(), unconstrained.copy()
     high = low.copy()
-    objective, share = low[:, 0].copy(), np.zeros(count)
+    objective, mu_p, share = low[:, 0].copy(), low[:, 1].copy(), np.zeros(count)
     points = np.nonzero(low[:, 1] < mu_th)[0]
     if points.size:
         solved = solve(points, (0.0, 1.0))  # the highest licensed-user rate
@@ -483,11 +489,12 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
             return None
         high[points], high_policy[points] = solved
     reachable = high[points, 1] >= mu_th
-    objective[points[~reachable]] = np.nan
+    unreachable = points[~reachable]
+    objective[unreachable] = mu_p[unreachable] = np.nan
     points = points[reachable]
     for _ in range(_PI_MAX_STEPS):
         if not points.size:
-            return objective, low_policy, high_policy, share, unconstrained
+            return objective, mu_p, low_policy, high_policy, share, unconstrained
         lo, hi = low[points], high[points]
         # low's line falls and high's rises in nu; they meet at nu
         nu = np.maximum((lo[:, 0] - hi[:, 0]) / (hi[:, 1] - lo[:, 1]), 0.0)
@@ -500,6 +507,7 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
         at = points[done]
         share[at] = (mu_th - lo[done, 1]) / (hi[done, 1] - lo[done, 1])
         objective[at] = lo[done, 0] + share[at] * (hi[done, 0] - lo[done, 0])
+        mu_p[at] = lo[done, 1] + share[at] * (hi[done, 1] - lo[done, 1])
         # the cut replaces the end of the bracket on its side of the floor
         below = cut[:, 1] < mu_th
         for gains, policies, moved in ((low, low_policy, ~done & below),
@@ -513,8 +521,9 @@ def _cold_solve(params: SystemParams, scheme: str,
                 entries: list[tuple[_Column, int]]
                 ) -> list[tuple[str, float | None, float | None]]:
     """Status of the cold LP at each (column, threshold index) entry of one
-    search, in input order, with the secondary and licensed-user rates of
-    its solution when optimal (the objective, minus the floor row).
+    certify tier of two or more near-best points, in input order, with the
+    secondary and licensed-user rates of its solution when optimal (the
+    objective, minus the floor row).
 
     Each distinct LP is solved once: all entries at the sensing times that
     cannot fund sensing (empty ``beta_range``) share one, as the detector
@@ -560,8 +569,9 @@ def _optimal_solution(params: SystemParams, record: GridPointStatus,
                       column: _Column, k: int, lp_mu_p: float,
                       low: np.ndarray, high: np.ndarray, share: float
                       ) -> OptimalSolution:
-    """The winner at the k-th threshold of a column, as its cold-solved
-    ``record`` logs it: the screen's policy, its report and its LP rates.
+    """The winner at the k-th threshold of a column, as its certified
+    ``record`` logs it: the screen's policy, its report and its LP rates
+    (the record's objective and ``lp_mu_p``).
 
     The policy is the high one where the floor is slack (``share`` 0), else
     the mix of the occupation measures of the low and high policies,
@@ -601,22 +611,22 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
     """Exhaustive search over the grid; returns the winner and per-point log.
 
     Screens every column without an LP, each from the previous screened
-    column's unconstrained optima, then solves cold the points within
-    ``LP_FEASIBILITY_TOL`` of the best and picks the winner among those; the
-    winner's policy is the screen's.  See the module docstring.  A point
-    that the screen cannot value or whose LP ladder fails is logged as
-    ``solver_failure`` and the search goes on.  Raises
-    :class:`InfeasibleGridError` carrying the per-point statuses when no
-    point is feasible, and :class:`~ehcr.chain.AmbiguousChainError` when
-    the all-idle chain has several closed classes.
+    column's unconstrained optima, then takes a lone point within
+    ``LP_FEASIBILITY_TOL`` of the best as screened, or solves two or more
+    such points cold and picks the winner among those; the winner's policy
+    is the screen's.  See the module docstring.  A point that the screen
+    cannot value or whose LP ladder fails is logged as ``solver_failure``
+    and the search goes on.  Raises :class:`InfeasibleGridError` carrying
+    the per-point statuses when no point is feasible, and
+    :class:`~ehcr.chain.AmbiguousChainError` when the all-idle chain has
+    several closed classes.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     harvest = harvesting.harvest_laws(params)
     records: list[GridPointStatus] = []
-    # (record index, column, threshold index, objective, screened policies)
-    # of every point the screen found optimal
-    screened: list[tuple[int, _Column, int, float, tuple]] = []
+    # (index of the first record, column, screen) of each screened sensing time
+    screened: list[tuple[int, _Column, tuple]] = []
     screens: dict[float | None, tuple] = {}  # (column, screen) per model key
     start = None  # the last screened column's unconstrained optima
     for scanned in _scan(replace(params, rho=0.0, mu_th=0.0), grid):
@@ -646,30 +656,43 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             records.extend(GridPointStatus(tau, threshold, "solver_failure")
                            for threshold in thresholds)
             continue
-        objectives, low, high, share, start = screen
-        for k, (threshold, objective) in enumerate(zip(thresholds, objectives)):
-            if math.isnan(objective):
-                records.append(GridPointStatus(tau, threshold, "infeasible"))
-                continue
-            screened.append((len(records), column, k, float(objective),
-                             (low[k], high[k], share[k])))
-            records.append(GridPointStatus(tau, threshold, "optimal",
-                                           float(objective)))
+        start = screen[-1]
+        screened.append((len(records), column, screen))
+        records.extend(GridPointStatus(tau, threshold, "infeasible")
+                       if math.isnan(objective)
+                       else GridPointStatus(tau, threshold, "optimal", objective)
+                       for threshold, objective in zip(thresholds,
+                                                       screen[0].tolist()))
 
-    # Certify: solve the near-best screened points cold (their records follow
-    # the cold solve).  Should all of them fail cold, the next tier competes.
+    # Certify tier by tier the points within LP_FEASIBILITY_TOL of the best
+    # screened objective left: a lone one as screened, more by cold solves
+    # (their records follow them).  Should all of a tier fail, the next one
+    # competes.
+    objectives = np.full(len(records), np.nan)
+    for first, _, screen in screened:
+        objectives[first:first + len(screen[0])] = screen[0]
     candidates: list[tuple[float, float, float, tuple]] = []
-    while screened and not candidates:
-        cutoff = max(entry[3] for entry in screened) - LP_FEASIBILITY_TOL
-        near = [entry for entry in screened if entry[3] >= cutoff]
-        screened = [entry for entry in screened if entry[3] < cutoff]
-        solved = _cold_solve(params, scheme,
-                             [(column, k) for _, column, k, _, _ in near])
-        for entry, (status, objective, mu_p) in zip(near, solved):
-            index, column, k, _, policies = entry
+    ceiling = math.inf
+    while not candidates and (left := objectives < ceiling).any():
+        ceiling = objectives[left].max() - LP_FEASIBILITY_TOL
+        is_near = left & (objectives >= ceiling)
+        # (record index, column, threshold index, screen) of each near point
+        near = [(first + k, column, k, screen)
+                for first, column, screen in screened
+                for k in np.flatnonzero(
+                    is_near[first:first + len(screen[0])]).tolist()]
+        if len(near) == 1:
+            _, _, k, screen = near[0]
+            solved = [("optimal", float(screen[0][k]), float(screen[1][k]))]
+        else:
+            solved = _cold_solve(params, scheme,
+                                 [(column, k) for _, column, k, _ in near])
+        for (index, column, k, screen), (status, objective, mu_p) in zip(near,
+                                                                         solved):
             record = records[index] = replace(records[index], status=status,
                                               objective=objective)
-            if mu_p is not None:
+            if mu_p is not None:  # the low and high policies and their share
+                policies = (part[k] for part in screen[2:5])
                 candidates.append((objective, record.tau, record.threshold,
                                    (record, column, k, mu_p, *policies)))
     winner = _select_winner(candidates)

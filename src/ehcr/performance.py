@@ -55,15 +55,16 @@ def action_rewards(params: SystemParams, outages: OutageBundle, p_d, p_f
     for K thresholds, which stack the rewards to (K, 3, 2).
     """
     rho = params.rho
-    blind_su = (rho * outages.su_no_outage_wsp
-                + (1.0 - rho) * outages.su_no_outage_ws)
-    sense_su = (rho * (1.0 - p_d) * outages.su_no_outage_sp
-                + (1.0 - rho) * (1.0 - p_f) * outages.su_no_outage_s)
     silent = outages.pu_no_outage_silent
-    sense_pu = p_d * silent + (1.0 - p_d) * outages.pu_no_outage_md
-    su = np.broadcast_arrays(0.0, blind_su, sense_su)
-    pu = np.broadcast_arrays(silent, outages.pu_no_outage_ws, sense_pu)
-    return np.stack([np.stack(su, axis=-1), np.stack(pu, axis=-1)], axis=-1)
+    rewards = np.empty(np.broadcast_shapes(np.shape(p_d), np.shape(p_f)) + (3, 2))
+    rewards[..., 0, :] = 0.0, silent
+    rewards[..., 1, :] = (rho * outages.su_no_outage_wsp
+                          + (1.0 - rho) * outages.su_no_outage_ws,
+                          outages.pu_no_outage_ws)
+    rewards[..., 2, 0] = (rho * (1.0 - p_d) * outages.su_no_outage_sp
+                          + (1.0 - rho) * (1.0 - p_f) * outages.su_no_outage_s)
+    rewards[..., 2, 1] = p_d * silent + (1.0 - p_d) * outages.pu_no_outage_md
+    return rewards
 
 
 def evaluate(params: SystemParams, policy: Policy) -> PerformanceReport:

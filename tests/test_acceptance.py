@@ -19,7 +19,7 @@ from scipy import integrate, stats
 from ehcr import harvesting, sensing
 from ehcr.chain import Policy, action_ranges, stationary_distribution
 from ehcr.cli import main
-from ehcr.numerics import regularized_upper_gamma_int
+from ehcr.numerics import LP_FEASIBILITY_TOL, regularized_upper_gamma_int
 from ehcr.optimizer import GridSpec, InfeasibleGridError, optimize
 from ehcr.performance import evaluate
 from ehcr.presets import load_preset
@@ -297,3 +297,20 @@ def test_sweep_matches_benchmark_reference(sweep):
                             rel_tol=1e-9), cell
         assert abs(solution.report.mu_s - want["mu_s"]) <= 1e-6, cell
         assert abs(solution.report.mu_p - want["mu_p"]) <= 1e-6, cell
+
+
+def test_lone_winners_carry_their_screened_rates(sweep):
+    # a winner that alone came within LP_FEASIBILITY_TOL of the best is taken
+    # as screened, with no LP: its claimed rates are the screen's, and its
+    # report reproduces them far inside criterion 5(c)'s 1e-6 (a cold LP is
+    # itself off by up to 2e-11 in the nature cells)
+    cells, records, _ = sweep
+    lone = 0
+    for cell, solution in cells.items():
+        objectives = [r.objective for r in records[cell] if r.status == "optimal"]
+        if sum(o >= max(objectives) - LP_FEASIBILITY_TOL for o in objectives) > 1:
+            continue
+        lone += 1
+        assert abs(solution.lp_objective - solution.report.mu_s) <= 1e-12, cell
+        assert abs(solution.lp_mu_p - solution.report.mu_p) <= 1e-12, cell
+    assert lone == 25  # the other 11 cells tie and are decided on cold LPs

@@ -16,20 +16,22 @@ each search builds its own kernel blocks (the memos are cleared before each
 test).  The detector is evaluated once per screened column, over all its
 thresholds, and once per simulation and per evaluation of a policy that
 senses; no policy iteration runs on an empty batch.  The LP solves of
-``optimize`` are pinned too: its screen needs none, so only the points
-within ``LP_FEASIBILITY_TOL`` of the best are solved, each distinct LP
-once: all points of the sensing times that cannot fund sensing share one
-LP.  A faithful run draws each licensed-busy slot's detector statistic
-from its noncentral chi-square law and evaluates no tail, so neither a run
-nor a comparison, in either correlation mode, evaluates Marcum Q.  The
-battery of a 20k-slot run settles within the simulator's round cap, so the
-slot loop that would finish it never runs; a battery with no harvest never
+``optimize`` are pinned too: its screen needs none, and a lone point
+within ``LP_FEASIBILITY_TOL`` of the best is taken as screened, so only
+two or more such points are solved, each distinct LP once: all points of
+the sensing times that cannot fund sensing share one LP.  A faithful run
+draws each licensed-busy slot's detector statistic from its noncentral
+chi-square law and evaluates no tail, so neither a run nor a comparison,
+in either correlation mode, evaluates Marcum Q.  The battery of a
+20k-slot run settles within the simulator's round cap, so the slot loop
+that would finish it never runs; a battery with no harvest never
 settles, and the loop finishes it.  The battery's memory grows linearly in
 the battery size: a 5,000-slot run at ``N_max`` 2,000 peaks under 32 MB.
 An evaluation solves its chain with one LU solve and no least squares.
 Cold solves run on worker threads, so the counts are kept under a lock; a
-cell that solves one distinct LP starts no thread, and each certify tier
-builds one LP skeleton per column among its points, which its LPs share.
+cell that solves no LP or one distinct LP starts no thread, and each
+certify tier that solves builds one LP skeleton per column among its
+points, which its LPs share.
 """
 import collections
 import contextlib
@@ -48,7 +50,7 @@ from ehcr.performance import evaluate
 from ehcr.simulator import SimConfig, compare, run
 from ehcr.system_model import with_overrides
 from helpers import column_at, random_policy, reference_run
-from test_optimizer import FAST_GRID, TIE_GRID
+from test_optimizer import FAST_GRID, TIE_GRID, TWIN_GRID
 
 COUNTED = {
     "derive": system_model.derive,
@@ -182,8 +184,8 @@ def test_no_policy_iteration_gets_an_empty_batch(monkeypatch, testbench_params,
 
 
 @pytest.mark.parametrize("grid, rho, mu_th, solves", [
-    (TIE_GRID, 0.5, 0.65, 1),   # slack floor, one point wins outright
-    (TIE_GRID, 0.5, 0.72, 1),   # the floor binds at the winner
+    (TIE_GRID, 0.5, 0.65, 0),   # slack floor, one point wins outright
+    (TIE_GRID, 0.5, 0.72, 0),   # the floor binds at the winner
     (TIE_GRID, 0.5, 0.99, 0),   # no point is feasible
     (FAST_GRID, 0.1, 0.65, 13),  # all points tie: one solve per distinct LP
 ])
@@ -212,9 +214,10 @@ def pools(monkeypatch):
 
 
 def test_untied_cell_starts_no_thread(calls, pools, testbench_params):
+    # one point wins outright: it is taken as screened, with no LP
     params = with_overrides(testbench_params, rho=0.5)
     optimize(params, TIE_GRID, "probabilistic")
-    assert calls["solve_lp"] == 1
+    assert calls["solve_lp"] == 0
     assert pools == []
 
 
@@ -261,15 +264,16 @@ def test_tied_cell_builds_one_skeleton_per_column(calls, pools, skeletons,
 
 def test_each_certify_tier_builds_its_own_skeletons(skeletons, monkeypatch,
                                                     testbench_params):
-    # at rho 0.5 one point of TIE_GRID wins outright; its cold solve fails,
-    # so the near-best of the rest are solved: each tier builds one
-    # skeleton per column among its points
+    # at rho 0.5 the best point of TWIN_GRID ties with its twin threshold;
+    # both cold solves fail, so the near-best of the rest, again a pair of
+    # twins, are solved: each tier builds one skeleton per column among its
+    # points
     params = with_overrides(testbench_params, rho=0.5)
     solve, cold_solve = optimizer.solve_lp, optimizer._cold_solve
-    failed, tiers = [], []  # per tier: (columns among its points, skeletons)
+    failed, tiers = [], []  # per tier: (points, columns among them, skeletons)
 
-    def failing_first(*lp):
-        if not failed:
+    def failing_first_tier(*lp):
+        if len(failed) < 2:
             failed.append(1)
             raise RuntimeError("no LP solve passed the feasibility audit")
         return solve(*lp)
@@ -277,15 +281,15 @@ def test_each_certify_tier_builds_its_own_skeletons(skeletons, monkeypatch,
     def recording(params, scheme, entries):
         before = len(skeletons)
         solved = cold_solve(params, scheme, entries)
-        tiers.append((len({id(column) for column, _ in entries}),
+        tiers.append((len(entries), len({id(column) for column, _ in entries}),
                       len(skeletons) - before))
         return solved
 
-    monkeypatch.setattr(optimizer, "solve_lp", failing_first)
+    monkeypatch.setattr(optimizer, "_WORKERS", 1)
+    monkeypatch.setattr(optimizer, "solve_lp", failing_first_tier)
     monkeypatch.setattr(optimizer, "_cold_solve", recording)
-    optimize(params, TIE_GRID, "probabilistic")
-    assert len(tiers) == 2 and tiers[0] == (1, 1)
-    assert tiers[1][0] == tiers[1][1]
+    optimize(params, TWIN_GRID, "probabilistic")
+    assert tiers == [(2, 1, 1), (2, 1, 1)]
 
 
 def test_tied_cell_solves_one_non_sensing_system_per_step(monkeypatch,

@@ -37,7 +37,7 @@ from ehcr.optimizer import (
 from ehcr.performance import FEASIBILITY_TOL, action_rewards, evaluate
 from ehcr.sensing import SensingConfig, detection_avg, false_alarm
 from ehcr.simulator import SimConfig, compare
-from ehcr.system_model import derive, with_overrides
+from ehcr.system_model import derive, validate, with_overrides
 from helpers import (
     PointGrid,
     best_random_feasible,
@@ -61,6 +61,11 @@ FAST_GRID = GridSpec(tau_min=2e-3, lambda_count=6)
 #: preset-like thresholds at the preset's tau_min: at rho 0.5 one point wins
 #: outright, at rho 0.1 all 57 points tie to within solver noise
 TIE_GRID = GridSpec(tau_min=5e-4, lambda_values=(30.0, 33.0, 36.0))
+#: TIE_GRID's thresholds, each with a twin a billionth above it: the two
+#: points of a pair tie within ``LP_FEASIBILITY_TOL``, so every certify tier
+#: holds two or more points
+TWIN_GRID = GridSpec(tau_min=5e-4, lambda_values=tuple(
+    value * scale for value in (30.0, 33.0, 36.0) for scale in (1.0, 1.0 + 1e-9)))
 #: nine sensing times, of which the battery cannot fund sensing at the last
 #: four (6 to 9 ms)
 BLIND_GRID = GridSpec(tau_min=1e-3, lambda_count=6)
@@ -365,28 +370,33 @@ class TestWarmScreen:
     @pytest.mark.parametrize("mu_th", [0.65, 0.72])  # slack, binding
     def test_next_tier_competes_when_the_near_best_all_fail(
             self, testbench_params, monkeypatch, mu_th):
-        # at rho 0.5 one point of TIE_GRID wins outright; should its cold
-        # solve fail, the points within LP_FEASIBILITY_TOL of the best of
-        # the rest are solved cold and one of them wins
+        # at rho 0.5 the best point of TWIN_GRID ties with its twin
+        # threshold; should both cold solves fail, the points within
+        # LP_FEASIBILITY_TOL of the best of the rest are solved cold and one
+        # of them wins
         params = with_overrides(testbench_params, rho=0.5, mu_th=mu_th)
-        first, first_records = optimize(params, TIE_GRID, "probabilistic")
-        failed = [i for i, r in enumerate(first_records)
-                  if (r.tau, r.threshold) == (first.tau, first.threshold)]
-        rest = [r.objective for i, r in enumerate(first_records)
-                if r.status == "optimal" and i not in failed]
+        first, first_records = optimize(params, TWIN_GRID, "probabilistic")
+        objectives = [r.objective if r.status == "optimal" else -math.inf
+                      for r in first_records]
+        failed = [i for i, o in enumerate(objectives)
+                  if o >= max(objectives) - LP_FEASIBILITY_TOL]
+        assert len(failed) == 2
+        rest = [o for i, o in enumerate(objectives)
+                if o > -math.inf and i not in failed]
         second_tier = sum(o >= max(rest) - LP_FEASIBILITY_TOL for o in rest)
+        assert second_tier >= 2
         monkeypatch.setattr(optimizer, "_WORKERS", 1)
         calls = []
 
         def failing_first_tier(*lp):
             calls.append(1)
-            if len(calls) == 1:
+            if len(calls) <= len(failed):
                 raise RuntimeError("no LP solve passed the feasibility audit")
             return solve_lp(*lp)
 
         monkeypatch.setattr(optimizer, "solve_lp", failing_first_tier)
-        solution, records = optimize(params, TIE_GRID, "probabilistic")
-        assert len(calls) == 1 + second_tier
+        solution, records = optimize(params, TWIN_GRID, "probabilistic")
+        assert len(calls) == len(failed) + second_tier
         assert [i for i, r in enumerate(records)
                 if r.status == "solver_failure"] == failed
         assert (solution.tau, solution.threshold) != (first.tau, first.threshold)
@@ -603,7 +613,6 @@ class TestColdSolves:
         if solution is None:
             assert records == reference_records
             return
-        assert solution.lp_mu_p == reference.lp_mu_p
         assert_same_search(solution, records, reference, reference_records)
 
     @pytest.mark.parametrize("grid, rho, mu_th", [
@@ -672,13 +681,19 @@ def assert_identical_searches(got, want):
 
 
 def assert_same_search(solution, records, reference, reference_records):
-    """``optimize`` reproduces an all-cold search: winner, LP value, every
+    """``optimize`` reproduces an all-cold search: winner, LP rates, every
     status and the evaluated rates of the winner's policy, which the search
     takes from the screen and the reference from the LP (two optimal
     policies may differ where their rates do not); screened objectives agree
-    with the cold ones."""
+    with the cold ones.  A winner that alone came within
+    ``LP_FEASIBILITY_TOL`` of the best carries the screen's rates, with no
+    LP, so they agree with the cold LP's within 1e-10 (the cold LP is itself
+    off by up to 2e-11); a winner decided on cold solves carries their
+    rates to the bit."""
     assert (solution.tau, solution.threshold) == (reference.tau, reference.threshold)
-    assert solution.lp_objective == reference.lp_objective
+    tol = 1e-10 if _near_best(records) == 1 else 0.0
+    for name in ("lp_objective", "lp_mu_p"):
+        assert abs(getattr(solution, name) - getattr(reference, name)) <= tol, name
     for name in ("mu_s", "mu_p"):
         assert abs(getattr(solution.report, name)
                    - getattr(reference.report, name)) <= 1e-12
@@ -1145,35 +1160,82 @@ def test_low_harvest_optimum_grows_with_the_harvest(testbench_params, lambda_e,
     assert fuller >= less * (1.0 - 1e-9)
 
 
-#: the battery holds 5 packets and a transmission takes 2, so each grid point
-#: admits at most 54 deterministic policies
+#: sensing times of 0.5 to 9.5 ms, at three thresholds each; a battery of at
+#: most 5 packets of ``ORACLE_PACKET`` J admits at most 162 deterministic
+#: policies per grid point
 ORACLE_GRID = GridSpec(5e-4, lambda_count=3)
+ORACLE_PACKET = 5e-4
 
 
-@given(rho=st.floats(0.0, 1.0), mu_th=st.floats(0.65, 0.76),
-       unharvested=st.sampled_from(["lambda_e", "eta"]),
+def log_uniform(low: float, high: float):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@given(P_p=log_uniform(0.1, 100.0), sigma_n2=log_uniform(1e-3, 1.0),
+       b_p=log_uniform(20.0, 2000.0), b_s=log_uniform(20.0, 2000.0),
+       e_proc=log_uniform(1e-6, 1e-3),
+       lambda_e=st.one_of(st.just(0.0), log_uniform(10.0, 1000.0)),
+       eta=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+       rho=st.floats(0.0, 1.0), mu_th=st.floats(0.3, 0.95),
+       packets=st.integers(1, 3), n_max=st.integers(2, 5),
        scheme=st.sampled_from(optimizer.SCHEMES),
        picks=st.lists(st.integers(0, 2**16), min_size=3, max_size=3))
-@settings(max_examples=12, deadline=None)
-def test_screen_matches_enumerated_policies(testbench_params, rho, mu_th,
-                                            unharvested, scheme, picks):
-    # an oracle that rests on neither the screen nor the LP: floors from
-    # 0.695 up bind; the battery must be fed at rho 0 too
-    assume(rho > 0.0 or unharvested == "eta")
-    params = with_overrides(testbench_params, N_max=5, E_u=5e-4, rho=rho,
-                            mu_th=mu_th, **{unharvested: 0.0})
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_screen_matches_enumerated_policies(testbench_params, P_p, sigma_n2,
+                                            b_p, b_s, e_proc, lambda_e, eta,
+                                            rho, mu_th, packets, n_max, scheme,
+                                            picks):
+    # an oracle that rests on neither the screen nor the LP, over the domain
+    # validate admits: sampled records and the winner, which, when it alone
+    # came near the best, is taken as screened with no LP to certify it
+    params = with_overrides(testbench_params, P_p=P_p, sigma_n2=sigma_n2,
+                            b_p=b_p, b_s=b_s, e_proc=e_proc, lambda_e=lambda_e,
+                            eta=eta, rho=rho, mu_th=mu_th, E_u=ORACLE_PACKET,
+                            E_t=packets * ORACLE_PACKET, N_max=n_max)
+    assume(not validate(params))
+
+    def oracle(tau, threshold):
+        try:
+            return enumerated_optimum(params, tau, threshold, scheme)
+        except AmbiguousChainError:
+            # an RF-only harvest can be so rare (rho 1e-14) that evaluate
+            # takes some policies' chains for reducible ones; the oracle
+            # then has no value to compare
+            assert lambda_e == 0.0
+            return math.nan
+
+    solution = None
     try:
-        records = optimize(params, ORACLE_GRID, scheme)[1]
+        solution, records = optimize(params, ORACLE_GRID, scheme)
     except InfeasibleGridError as exc:
         records = exc.records
+    except AmbiguousChainError:
+        # an ambient source always feeds the battery; the licensed user's
+        # RF may be absent, idle or too weak to fill a packet
+        assert lambda_e == 0.0
+        return
+    # the screen's values are held to 1e-12; two or more near-best points
+    # carry their cold LPs' values, which are good to the LP's primal
+    # feasibility tolerance (one read 3.9e-10 for 1.4e-10 in an RF-only
+    # cell at rho 1.2e-7), and so does a winner among them
+    optimal = [r.objective for r in records if r.status == "optimal"]
+    cutoff = max(optimal, default=math.inf) - LP_FEASIBILITY_TOL
+    cold = sum(o >= cutoff for o in optimal) > 1
+
+    def tol(objective):
+        return LP_FEASIBILITY_TOL if cold and objective >= cutoff else 1e-12
+
     for pick in picks:
         record = records[pick % len(records)]
         if record.status == "sensing_unreachable":
             continue
-        optimum = enumerated_optimum(params, record.tau, record.threshold,
-                                     scheme)
+        optimum = oracle(record.tau, record.threshold)
         if optimum is None:
             assert record.status == "infeasible", record
-        else:
+        elif not math.isnan(optimum):
             assert record.status == "optimal", record
-            assert abs(record.objective - optimum) <= 1e-12, record
+            assert abs(record.objective - optimum) <= tol(record.objective), record
+    if solution is not None:
+        optimum = oracle(solution.tau, solution.threshold)
+        assert math.isnan(optimum) or (abs(solution.lp_objective - optimum)
+                                       <= tol(solution.lp_objective))

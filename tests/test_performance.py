@@ -221,3 +221,25 @@ class TestRateRows:
             abs=1e-12)
         assert (report.p_sense, report.p_access, report.expected_sensing_time
                 ) == pytest.approx(access_stats(params, pi, policy), abs=1e-12)
+
+    @given(tau_steps=st.integers(1, 19), rho=st.floats(0.0, 1.0),
+           count=st.integers(1, 40))
+    def test_threshold_array_equals_scalar_calls(self, testbench_params,
+                                                 tau_steps, rho, count):
+        # one call over K thresholds gives each threshold's scalar call bit
+        # for bit: at evaluate's shapes (p_d the float 1.0 of a policy that
+        # never senses, or one detection value, and one false-alarm value)
+        # and at the screen's ((K,) p_d and p_f)
+        params = with_overrides(testbench_params, rho=rho)
+        tau = tau_steps * TAU
+        cfg = sensing_config(params, tau, np.geomspace(5.0, 400.0, count))
+        p_d = detection_avg(cfg, derive(params, tau).gamma_bar)
+        p_f = false_alarm(cfg)
+        outages = outages_at(params, tau)
+        for p_d_stack, p_d_points in ((1.0, [1.0] * count), (p_d, p_d.tolist())):
+            rewards = action_rewards(params, outages, p_d_stack, p_f)
+            assert rewards.shape == (count, 3, 2)
+            for k, p_f_point in enumerate(p_f.tolist()):
+                point = action_rewards(params, outages, p_d_points[k], p_f_point)
+                assert point.shape == (3, 2)
+                assert np.array_equal(rewards[k], point)
