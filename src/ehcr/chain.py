@@ -240,6 +240,16 @@ def _reached_in_one_step(p: np.ndarray) -> bool:
     return bool(np.any(np.all(p > _EDGE_TOL, axis=0)))
 
 
+def _require_unichain(p: np.ndarray) -> None:
+    """Raise :class:`AmbiguousChainError` naming the closed classes of the
+    kernel ``p`` when it has more than one; they are sought only when no
+    state is reached in one step from every state."""
+    if not _reached_in_one_step(p):
+        closed = _closed_classes(p)
+        if len(closed) > 1:
+            raise AmbiguousChainError(closed)
+
+
 def _bordered(kernels: np.ndarray) -> np.ndarray:
     """``I - P`` with column 0 replaced by ones, over any leading batch axes.
 
@@ -260,11 +270,10 @@ def stationary_distribution(kernel: np.ndarray) -> StationaryDistribution:
     and rows summing to 1 within 1e-9, else :class:`ValueError`.  A chain
     with more than one closed class has a stationary law per class, any of
     which the solve could return, so it raises :class:`AmbiguousChainError`
-    naming the classes; they are sought only when no state is reached in
-    one step from every state.  Otherwise one LU solve of the transposed
-    :func:`_bordered` system, whose column of ones is the normalization,
-    gives the law; round-off negatives are clipped, the mass renormalized
-    and the balance residual checked.
+    naming the classes (:func:`_require_unichain`).  Otherwise one LU solve
+    of the transposed :func:`_bordered` system, whose column of ones is the
+    normalization, gives the law; round-off negatives are clipped, the mass
+    renormalized and the balance residual checked.
     """
     p = np.asarray(kernel, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -278,10 +287,7 @@ def stationary_distribution(kernel: np.ndarray) -> StationaryDistribution:
         if np.any(p < -1e-12):
             raise ValueError("kernel entries must be nonnegative")
         raise ValueError(f"rows must sum to 1, worst deviation {deviation:.3e}")
-    if not _reached_in_one_step(p):
-        closed = _closed_classes(p)
-        if len(closed) > 1:
-            raise AmbiguousChainError(closed)
+    _require_unichain(p)
     unit = np.zeros(p.shape[0])
     unit[0] = 1.0
     pi = np.clip(np.linalg.solve(_bordered(p).T, unit), 0.0, None)

@@ -37,28 +37,32 @@ every threshold, so each step solves each distinct such system once.  A
 sensing time that cannot fund sensing admits no sensing, and nothing else
 of its model depends on the sensing time, so the later ones reuse the
 first one's column and screen: their passes would start from its optimum
-of the same model and return it.  None of this changes a bit.  A column the
-screen cannot value is an error when the all-idle chain has several closed
-classes (no harvest at all), and is logged as failed otherwise.
+of the same model and return it.  None of this changes a bit.  The all-idle
+chain is the same in every column, and a search raises before its first
+screen when that chain has several closed classes: no harvest, or one too
+rare for :func:`~ehcr.chain.stationary_distribution` to count as an edge.
+A column the screen cannot value is logged as failed.
 
 The LP of a point is the same model in the occupation vector (pi,
 pi*alpha, pi*beta1, pi*beta2), in which the balance equations, the floor
-and the objective are linear.  It only decides near-ties, and runs only
+and the objective are linear.  It only ranks near-ties, and runs only
 when two or more points are near-best: a lone point within
-``LP_FEASIBILITY_TOL`` of the best wins as screened, its claimed rates the
-screen's.  Two or more are solved cold, once per distinct LP (all points of
-the sensing times that cannot fund sensing share one), into their screened
-records, and the best of them wins, ties broken toward the smaller sensing
-time, then the smaller threshold, in any evaluation order.  Whole grids can
-tie to within solver noise, so the winner is reproducible bit for bit only
-because the near-ties are decided on cold solves.  It is reported from the
-kernels and rewards of the column it was screened on, and its claimed
-rates cross-check that report.  Only an LP's sensing columns read its
-threshold, so a certify tier compresses the rest once per column and the
-worker solving an LP appends its sensing columns: more than one LP on one
-thread per CPU in the process's affinity mask (HiGHS's core releases the
-GIL), a single one inline, each solved alone, so the results do not depend
-on the thread count.
+``LP_FEASIBILITY_TOL`` of the best wins as screened.  Two or more are solved
+cold, once per distinct LP (all points of the sensing times that cannot
+fund sensing share one), and the best of them wins, ties broken toward the
+smaller sensing time, then the smaller threshold, in any evaluation order.
+Whole grids can tie to within solver noise, so the winner is reproducible
+bit for bit only because the near-ties are ranked on cold solves.  The cold
+LPs set only the statuses and the ranking: a cold value is good to the LP's
+feasibility tolerance, which can dwarf a tiny rate, so every record keeps
+its screened objective and the winner the screen's claimed rates.  It is
+reported from the kernels and rewards of the column it was screened on, and
+its claimed rates cross-check that report.  Only an LP's sensing columns
+read its threshold, so a certify tier compresses the rest once per column
+and the worker solving an LP appends its sensing columns: more than one LP
+on one thread per CPU in the process's affinity mask (HiGHS's core releases
+the GIL), a single one inline, each solved alone, so the results do not
+depend on the thread count.
 """
 from __future__ import annotations
 
@@ -75,10 +79,9 @@ from scipy.special import gammainccinv
 
 from . import harvesting, sensing
 from .chain import (
-    AmbiguousChainError,
     Policy,
     _bordered,
-    _closed_classes,
+    _require_unichain,
     harvest_blocks,
     idle_blind_kernels,
     sense_kernels,
@@ -181,9 +184,10 @@ class OptimalSolution:
 
     ``policy`` is the screen's and ``report`` its evaluation;
     ``lp_objective`` and ``lp_mu_p`` are the secondary and licensed-user
-    rates of the point's LP optimum, which cross-check ``report.mu_s`` and
-    ``report.mu_p``: the rates of its cold LP solution when two or more
-    points were near-best, else the screen's, with no LP solved.
+    rates of the point's LP optimum as the screen claims them, which
+    cross-check ``report.mu_s`` and ``report.mu_p``.  A cold LP ranked the
+    winner when two or more points were near-best, and none was solved
+    otherwise.
     """
 
     policy: Policy
@@ -210,8 +214,8 @@ class GridPointStatus:
     #: | "solver_failure" (the screen could not value the point's column, or
     #: every rung of the LP ladder failed on it)
     status: str
-    #: optimum; the screen's value unless the point was solved by the LP,
-    #: as the near-best points are when two or more of them tie
+    #: optimum, the screen's value; the near-best points, when two or more of
+    #: them tie, are also solved by the LP, which sets their status and rank
     objective: float | None = None
 
 
@@ -292,8 +296,7 @@ def _compressed(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _column_lps(params: SystemParams, column: _Column, scheme: str):
     """The policy LP of each threshold of a column: a function of the
-    threshold index returning the :func:`~ehcr.numerics.solve_lp` arrays
-    and each variable's licensed-user rate.
+    threshold index returning the :func:`~ehcr.numerics.solve_lp` arrays.
 
     The variables are the occupation vector (pi, pi*alpha, pi*beta1,
     pi*beta2), in which the kernel and both rates are affine: the masses
@@ -327,7 +330,7 @@ def _column_lps(params: SystemParams, column: _Column, scheme: str):
     bounds = np.tile([0.0, 1.0], (n + acting + kb, 1))
     bounds[n:n + acting, 1] = scheme != "sensing_only"  # 0 pins blind access off
 
-    def lp(k: int) -> tuple[tuple, np.ndarray]:
+    def lp(k: int) -> tuple:
         sense = sense_kernels(params, column.blocks[:, :, beta], column.p_d[k],
                               column.p_f[k])
         block = np.zeros((len(skeleton), kb))
@@ -335,11 +338,10 @@ def _column_lps(params: SystemParams, column: _Column, scheme: str):
         block[1 + ka + np.arange(kb), np.arange(kb)] = 1.0
         block[1 + acting:-1] = (sense - idle[beta]).T
         sensing = _compressed(block)
-        return ((np.concatenate([mu_s, np.full(kb, rates[k, 0, 2])]),
-                 np.concatenate([[0], ends, ends[-1] + sensing[0]]),
-                 np.concatenate([index, sensing[1]]),
-                 np.concatenate([value, sensing[2]]), rhs, 1 + acting, bounds),
-                np.concatenate([mu_p, np.full(kb, rates[k, 1, 2])]))
+        return (np.concatenate([mu_s, np.full(kb, rates[k, 0, 2])]),
+                np.concatenate([[0], ends, ends[-1] + sensing[0]]),
+                np.concatenate([index, sensing[1]]),
+                np.concatenate([value, sensing[2]]), rhs, 1 + acting, bounds)
 
     return lp
 
@@ -519,11 +521,10 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
 
 def _cold_solve(params: SystemParams, scheme: str,
                 entries: list[tuple[_Column, int]]
-                ) -> list[tuple[str, float | None, float | None]]:
+                ) -> list[tuple[str, float | None]]:
     """Status of the cold LP at each (column, threshold index) entry of one
-    certify tier of two or more near-best points, in input order, with the
-    secondary and licensed-user rates of its solution when optimal (the
-    objective, minus the floor row).
+    certify tier of two or more near-best points, in input order, with its
+    optimal value, on which the search ranks the points, when optimal.
 
     Each distinct LP is solved once: all entries at the sensing times that
     cannot fund sensing (empty ``beta_range``) share one, as the detector
@@ -538,15 +539,15 @@ def _cold_solve(params: SystemParams, scheme: str,
     so the results do not depend on the thread count.
     """
     def solve(key: tuple, entry: tuple[_Column, int]
-              ) -> tuple[str, float | None, float | None]:
-        lp, mu_p = column_lps[key[0]](entry[1])
+              ) -> tuple[str, float | None]:
+        lp = column_lps[key[0]](entry[1])
         try:
             x = solve_lp(*lp)
         except RuntimeError:
-            return "solver_failure", None, None
+            return "solver_failure", None
         if x is None:
-            return "infeasible", None, None
-        return "optimal", float(lp[0] @ x), float(mu_p @ x)
+            return "infeasible", None
+        return "optimal", float(lp[0] @ x)
 
     # the LP's key: its model alone where that cannot fund sensing
     keys = [(_model_key(column.quantities),
@@ -569,9 +570,9 @@ def _optimal_solution(params: SystemParams, record: GridPointStatus,
                       column: _Column, k: int, lp_mu_p: float,
                       low: np.ndarray, high: np.ndarray, share: float
                       ) -> OptimalSolution:
-    """The winner at the k-th threshold of a column, as its certified
-    ``record`` logs it: the screen's policy, its report and its LP rates
-    (the record's objective and ``lp_mu_p``).
+    """The winner at the k-th threshold of a column, as its ``record`` logs
+    it: the screen's policy, its report and its claimed LP rates (the
+    record's objective and ``lp_mu_p``).
 
     The policy is the high one where the floor is slack (``share`` 0), else
     the mix of the occupation measures of the low and high policies,
@@ -612,14 +613,14 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
 
     Screens every column without an LP, each from the previous screened
     column's unconstrained optima, then takes a lone point within
-    ``LP_FEASIBILITY_TOL`` of the best as screened, or solves two or more
-    such points cold and picks the winner among those; the winner's policy
-    is the screen's.  See the module docstring.  A point that the screen
-    cannot value or whose LP ladder fails is logged as ``solver_failure``
-    and the search goes on.  Raises :class:`InfeasibleGridError` carrying
-    the per-point statuses when no point is feasible, and
-    :class:`~ehcr.chain.AmbiguousChainError` when the all-idle chain has
-    several closed classes.
+    ``LP_FEASIBILITY_TOL`` of the best as screened, or ranks two or more
+    such points by their cold LPs and picks the winner among those; the
+    winner's policy and claimed rates are the screen's.  See the module
+    docstring.  A point that the screen cannot value or whose LP ladder
+    fails is logged as ``solver_failure`` and the search goes on.  Raises
+    :class:`InfeasibleGridError` carrying the per-point statuses when no
+    point is feasible, and :class:`~ehcr.chain.AmbiguousChainError` before
+    any screen when the all-idle chain has several closed classes.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -646,55 +647,55 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             column, screen = screens[key]
         else:
             column = _column(params, scanned, harvest)
+            if not screens:  # the all-idle chain is the same in every column
+                _require_unichain(idle_blind_kernels(params, column.blocks)[0])
             screen = _screen(params, column, scheme, start)
             screens[key] = column, screen
         if screen is None:
-            idle = idle_blind_kernels(params, column.blocks)[0]
-            classes = _closed_classes(idle)
-            if len(classes) > 1:
-                raise AmbiguousChainError(classes)
             records.extend(GridPointStatus(tau, threshold, "solver_failure")
                            for threshold in thresholds)
             continue
-        start = screen[-1]
-        screened.append((len(records), column, screen))
+        objectives, mu_p, low, high, share, start = screen
+        screened.append((len(records), column, objectives, mu_p,
+                         (low, high, share)))
         records.extend(GridPointStatus(tau, threshold, "infeasible")
                        if math.isnan(objective)
                        else GridPointStatus(tau, threshold, "optimal", objective)
                        for threshold, objective in zip(thresholds,
-                                                       screen[0].tolist()))
+                                                       objectives.tolist()))
 
     # Certify tier by tier the points within LP_FEASIBILITY_TOL of the best
-    # screened objective left: a lone one as screened, more by cold solves
-    # (their records follow them).  Should all of a tier fail, the next one
-    # competes.
+    # screened objective left: a lone one wins as screened; two or more are
+    # ranked by their cold LPs, which also set their statuses.  Should all
+    # of a tier fail, the next one competes.
     objectives = np.full(len(records), np.nan)
-    for first, _, screen in screened:
-        objectives[first:first + len(screen[0])] = screen[0]
+    for first, _, claims, _, _ in screened:
+        objectives[first:first + len(claims)] = claims
     candidates: list[tuple[float, float, float, tuple]] = []
     ceiling = math.inf
     while not candidates and (left := objectives < ceiling).any():
         ceiling = objectives[left].max() - LP_FEASIBILITY_TOL
         is_near = left & (objectives >= ceiling)
-        # (record index, column, threshold index, screen) of each near point
-        near = [(first + k, column, k, screen)
-                for first, column, screen in screened
+        # (record index, column, threshold index, claimed mu_p, policies)
+        near = [(first + k, column, k, mu_p[k], policies)
+                for first, column, claims, mu_p, policies in screened
                 for k in np.flatnonzero(
-                    is_near[first:first + len(screen[0])]).tolist()]
+                    is_near[first:first + len(claims)]).tolist()]
         if len(near) == 1:
-            _, _, k, screen = near[0]
-            solved = [("optimal", float(screen[0][k]), float(screen[1][k]))]
+            ranks = [("optimal", objectives[near[0][0]])]
         else:
-            solved = _cold_solve(params, scheme,
-                                 [(column, k) for _, column, k, _ in near])
-        for (index, column, k, screen), (status, objective, mu_p) in zip(near,
-                                                                         solved):
-            record = records[index] = replace(records[index], status=status,
-                                              objective=objective)
-            if mu_p is not None:  # the low and high policies and their share
-                policies = (part[k] for part in screen[2:5])
-                candidates.append((objective, record.tau, record.threshold,
-                                   (record, column, k, mu_p, *policies)))
+            ranks = _cold_solve(params, scheme,
+                                [(column, k) for _, column, k, _, _ in near])
+        for (index, column, k, mu_p, policies), (status, rank) in zip(near,
+                                                                      ranks):
+            if status != "optimal":
+                records[index] = replace(records[index], status=status,
+                                         objective=None)
+                continue
+            record = records[index]  # the low and high policies, their share
+            candidates.append((rank, record.tau, record.threshold,
+                               (record, column, k, float(mu_p),
+                                *(part[k] for part in policies))))
     winner = _select_winner(candidates)
     if winner is None:
         raise InfeasibleGridError(tuple(records))

@@ -15,6 +15,7 @@ from scipy.sparse.csgraph import connected_components
 import ehcr
 from ehcr import harvesting, optimizer, sensing, simulator
 from ehcr.chain import (
+    AmbiguousChainError,
     Policy,
     StationaryDistribution,
     action_ranges,
@@ -843,17 +844,45 @@ def deterministic_policies(params: SystemParams, tau: float, threshold: float,
                          tau=tau, threshold=threshold)
 
 
+def class_rates(params: SystemParams, policy: Policy) -> list[tuple[float, float]]:
+    """The (mu_s, mu_p) of ``policy`` under each stationary law of its
+    chain: :func:`~ehcr.performance.evaluate`'s one when the chain has one
+    closed class, else one per closed class, the chain started in it."""
+    try:
+        rates = evaluate(params, policy)
+    except AmbiguousChainError as exc:
+        classes = exc.classes
+    else:
+        return [(rates.mu_s, rates.mu_p)]
+    q = derive(params, policy.tau)
+    cfg = sensing.SensingConfig(policy.threshold, q.m)
+    p_d, p_f = sensing.detection_avg(cfg, q.gamma_bar), sensing.false_alarm(cfg)
+    kernel = compose(params, components_at(params, policy.tau,
+                                           *harvesting.harvest_laws(params),
+                                           p_d, p_f), policy)
+    actions = policy.level_actions(q)
+    rewards = action_rewards(params, bundle(params, q), p_d, p_f)
+    found = []
+    for states in classes:
+        pi = np.zeros(params.n_states)
+        pi[states] = stationary_distribution(kernel[np.ix_(states, states)]).pi
+        found.append(tuple(((pi * actions).sum(axis=1) @ rewards).tolist()))
+    return found
+
+
 def enumerated_optimum(params: SystemParams, tau: float, threshold: float,
                        scheme: str) -> float | None:
     """The constrained optimum of a grid point from neither the LP nor the
     screen: the best mu_s over the convex hull of the (mu_s, mu_p) of every
-    deterministic policy, at mu_p >= mu_th.  Stationary randomized policies
-    reach exactly that hull (its vertices are deterministic), so its best
-    point lies on one policy or on the floor, between one policy above it
-    and one below.  None when the hull misses the floor."""
-    rates = np.array([(r.mu_s, r.mu_p) for r in (
-        evaluate(params, policy)
-        for policy in deterministic_policies(params, tau, threshold, scheme))])
+    deterministic policy, under each stationary law of its chain
+    (:func:`class_rates`), at mu_p >= mu_th.  The occupation measures of
+    stationary randomized policies span exactly that hull (its vertices are
+    those of deterministic policies on one closed class; Puterman 1994,
+    ch. 8), so its best point lies on one such vertex or on the floor,
+    between one above it and one below.  None when the hull misses the
+    floor."""
+    rates = np.array([rate for policy in deterministic_policies(
+        params, tau, threshold, scheme) for rate in class_rates(params, policy)])
     above = rates[:, 1] >= params.mu_th
     if not above.any():
         return None

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ehcr import harvesting, optimizer
@@ -49,6 +49,7 @@ from helpers import (
     outages_at,
     point_lp,
     policy_lp,
+    reference_closed_classes,
     reference_column_mdp,
     reference_policy_iteration,
     reference_search,
@@ -443,7 +444,7 @@ class TestColdSolves:
                     mock.patch.object(optimizer, "solve_lp", capture):
                 results = _cold_solve(params, scheme, [(column, k) for k in ks])
             # the captured solves return None: one infeasible result per entry
-            assert results == [("infeasible", None, None)] * len(ks)
+            assert results == [("infeasible", None)] * len(ks)
             # a column that cannot fund sensing has one LP for all thresholds
             assert len(built) == (len(ks) if column.quantities.beta_range else 1)
             for k in ks:  # the workers may take the entries in any order
@@ -471,12 +472,11 @@ class TestColdSolves:
                 continue
             build = optimizer._column_lps(params, column, scheme)
             for k in range(len(column.thresholds)):
-                (*lp, ub_rows, bounds), mu_p = build(k)
+                *lp, ub_rows, bounds = build(k)
                 dense = point_lp(params, column, k, scheme)
                 *want, want_ub_rows, want_bounds = columnwise(dense)
                 assert ub_rows == want_ub_rows
-                for got, expected in zip([*lp, bounds, mu_p],
-                                         [*want, want_bounds, -dense[3][0]],
+                for got, expected in zip([*lp, bounds], [*want, want_bounds],
                                          strict=True):
                     assert got.dtype == expected.dtype
                     assert np.array_equal(got, expected)
@@ -486,20 +486,28 @@ class TestColdSolves:
                 assert x is None or np.array_equal(x, reference)
 
     def test_tied_search_equals_point_oracle_to_the_bit(self, testbench_params):
-        # every point of this cell ties, so every record is a cold solve's:
-        # records, winner and LP rates equal the per-point oracle's exactly.
-        # The rates are dot products on contiguous rows; taken on a strided
-        # row, one moved in the last ulp
+        # every point of this cell ties, so every point is solved cold, in
+        # one tier and in grid order: each cold status and value, and so the
+        # winner they rank, equal the per-point oracle's exactly.  The values
+        # are dot products on contiguous rows; taken on a strided row, one
+        # moved in the last ulp
         params = with_overrides(testbench_params, rho=0.1)
-        solution, records = optimize(params, FAST_GRID, "probabilistic")
+        cold_solve, cold = optimizer._cold_solve, []
+
+        def capture(params, scheme, entries):
+            solved = cold_solve(params, scheme, entries)
+            cold.extend(solved)
+            return solved
+
+        with mock.patch.object(optimizer, "_cold_solve", capture):
+            solution, records = optimize(params, FAST_GRID, "probabilistic")
         reference, reference_records = reference_search(params, FAST_GRID,
                                                          "probabilistic")
         assert all(record.status == "optimal" for record in records)
-        assert records == reference_records
+        assert len(cold) == len(records) == len(reference_records)
+        assert cold == [(r.status, r.objective) for r in reference_records]
         assert (solution.tau, solution.threshold) == (reference.tau,
                                                       reference.threshold)
-        assert solution.lp_objective == reference.lp_objective
-        assert solution.lp_mu_p == reference.lp_mu_p
 
     def test_threaded_results_keep_entry_order(self, testbench_params,
                                                monkeypatch):
@@ -574,8 +582,8 @@ class TestColdSolves:
         results = _cold_solve(params, "probabilistic", entries)
         assert len(solves) == 1 + len(sensing.thresholds)
         assert len(results) == len(entries)
-        assert all(status == "optimal" and mu_p is not None
-                   for status, _, mu_p in results)
+        assert all(status == "optimal" and objective is not None
+                   for status, objective in results)
         assert results == alone
 
     @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
@@ -596,7 +604,7 @@ class TestColdSolves:
             solved = cold_solve(params, scheme, entries)
             cold.extend(GridPointStatus(column.quantities.tau,
                                         column.thresholds[k], status, objective)
-                        for (column, k), (status, objective, _) in zip(entries, solved))
+                        for (column, k), (status, objective) in zip(entries, solved))
             return solved
 
         with mock.patch.object(optimizer, "_cold_solve", capture):
@@ -685,15 +693,12 @@ def assert_same_search(solution, records, reference, reference_records):
     status and the evaluated rates of the winner's policy, which the search
     takes from the screen and the reference from the LP (two optimal
     policies may differ where their rates do not); screened objectives agree
-    with the cold ones.  A winner that alone came within
-    ``LP_FEASIBILITY_TOL`` of the best carries the screen's rates, with no
-    LP, so they agree with the cold LP's within 1e-10 (the cold LP is itself
-    off by up to 2e-11); a winner decided on cold solves carries their
-    rates to the bit."""
+    with the cold ones.  The winner carries the screen's claimed rates, so
+    they agree with the cold LP's within 1e-10 (the cold LP is itself off by
+    up to 2e-11)."""
     assert (solution.tau, solution.threshold) == (reference.tau, reference.threshold)
-    tol = 1e-10 if _near_best(records) == 1 else 0.0
     for name in ("lp_objective", "lp_mu_p"):
-        assert abs(getattr(solution, name) - getattr(reference, name)) <= tol, name
+        assert abs(getattr(solution, name) - getattr(reference, name)) <= 1e-10, name
     for name in ("mu_s", "mu_p"):
         assert abs(getattr(solution.report, name)
                    - getattr(reference.report, name)) <= 1e-12
@@ -1112,6 +1117,22 @@ class TestConstrainedRegime:
         assert len(err.value.classes) == params.n_states == 21
         assert calls == []
 
+    def test_too_rare_a_harvest_raises_before_any_screen(
+            self, testbench_params, monkeypatch):
+        # an RF harvest at rho 1e-14 moves the battery up with a probability
+        # below the chain's edge tolerance: the all-idle chain splits into a
+        # class per level, which the search finds before it screens, where
+        # it used to screen a policy whose report then raised
+        params = with_overrides(testbench_params, rho=1e-14, lambda_e=0.0,
+                                mu_th=0.3)
+        screens = []
+        monkeypatch.setattr(optimizer, "_screen",
+                            lambda *args: screens.append(1))
+        with pytest.raises(AmbiguousChainError) as err:
+            optimize(params, TIE_GRID, "probabilistic")
+        assert len(err.value.classes) == params.n_states == 21
+        assert screens == []
+
     def test_unscreenable_column_is_logged_and_search_continues(
             self, testbench_params, monkeypatch):
         # a column whose policy iteration fails on a chain with one closed
@@ -1180,62 +1201,59 @@ def log_uniform(low: float, high: float):
        packets=st.integers(1, 3), n_max=st.integers(2, 5),
        scheme=st.sampled_from(optimizer.SCHEMES),
        picks=st.lists(st.integers(0, 2**16), min_size=3, max_size=3))
+# a near tie in an RF-only cell whose cold LP read 3.9e-10 for 1.4e-10
+@example(P_p=math.exp(0.5), sigma_n2=math.exp(-1.0), b_p=math.exp(3.0),
+         b_s=math.exp(3.0), e_proc=math.exp(-10.0), lambda_e=0.0, eta=0.125,
+         rho=1.19e-7, mu_th=0.5, packets=2, n_max=3, scheme="sensing_only",
+         picks=[0, 1, 2])
+# an RF harvest too rare to count as an edge: the all-idle chain splits
+@example(P_p=4.0, sigma_n2=0.02, b_p=320.0, b_s=160.0, e_proc=1e-5,
+         lambda_e=0.0, eta=0.5, rho=1e-14, mu_th=0.3, packets=2, n_max=5,
+         scheme="probabilistic", picks=[0, 1, 2])
+# deterministic policies whose chains have two closed classes
+@example(P_p=math.exp(-2.25), sigma_n2=1.0, b_p=math.exp(3.0),
+         b_s=math.exp(3.0), e_proc=math.exp(-7.0), lambda_e=0.0, eta=0.5,
+         rho=1.0, mu_th=0.5, packets=2, n_max=4, scheme="probabilistic",
+         picks=[0, 1, 2])
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_screen_matches_enumerated_policies(testbench_params, P_p, sigma_n2,
                                             b_p, b_s, e_proc, lambda_e, eta,
                                             rho, mu_th, packets, n_max, scheme,
                                             picks):
     # an oracle that rests on neither the screen nor the LP, over the domain
-    # validate admits: sampled records and the winner, which, when it alone
-    # came near the best, is taken as screened with no LP to certify it
+    # validate admits: sampled records and the winner, whose rates are the
+    # screen's whether or not cold LPs ranked it
     params = with_overrides(testbench_params, P_p=P_p, sigma_n2=sigma_n2,
                             b_p=b_p, b_s=b_s, e_proc=e_proc, lambda_e=lambda_e,
                             eta=eta, rho=rho, mu_th=mu_th, E_u=ORACLE_PACKET,
                             E_t=packets * ORACLE_PACKET, N_max=n_max)
     assume(not validate(params))
-
-    def oracle(tau, threshold):
-        try:
-            return enumerated_optimum(params, tau, threshold, scheme)
-        except AmbiguousChainError:
-            # an RF-only harvest can be so rare (rho 1e-14) that evaluate
-            # takes some policies' chains for reducible ones; the oracle
-            # then has no value to compare
-            assert lambda_e == 0.0
-            return math.nan
-
     solution = None
     try:
         solution, records = optimize(params, ORACLE_GRID, scheme)
     except InfeasibleGridError as exc:
         records = exc.records
-    except AmbiguousChainError:
-        # an ambient source always feeds the battery; the licensed user's
-        # RF may be absent, idle or too weak to fill a packet
-        assert lambda_e == 0.0
+    except AmbiguousChainError as exc:
+        # only an all-idle chain with several closed classes: the licensed
+        # user's RF is the only source and absent, idle, too weak to fill a
+        # packet or too rare to count as an edge
+        column = column_at(params, ORACLE_GRID.tau_values(params)[0], ORACLE_GRID)
+        idle = idle_blind_kernels(params, column.blocks)[0]
+        assert exc.classes == reference_closed_classes(idle)
+        assert lambda_e == 0.0 and len(exc.classes) > 1
         return
-    # the screen's values are held to 1e-12; two or more near-best points
-    # carry their cold LPs' values, which are good to the LP's primal
-    # feasibility tolerance (one read 3.9e-10 for 1.4e-10 in an RF-only
-    # cell at rho 1.2e-7), and so does a winner among them
-    optimal = [r.objective for r in records if r.status == "optimal"]
-    cutoff = max(optimal, default=math.inf) - LP_FEASIBILITY_TOL
-    cold = sum(o >= cutoff for o in optimal) > 1
-
-    def tol(objective):
-        return LP_FEASIBILITY_TOL if cold and objective >= cutoff else 1e-12
-
     for pick in picks:
         record = records[pick % len(records)]
         if record.status == "sensing_unreachable":
             continue
-        optimum = oracle(record.tau, record.threshold)
+        optimum = enumerated_optimum(params, record.tau, record.threshold,
+                                     scheme)
         if optimum is None:
             assert record.status == "infeasible", record
-        elif not math.isnan(optimum):
+        else:
             assert record.status == "optimal", record
-            assert abs(record.objective - optimum) <= tol(record.objective), record
+            assert abs(record.objective - optimum) <= 1e-12, record
     if solution is not None:
-        optimum = oracle(solution.tau, solution.threshold)
-        assert math.isnan(optimum) or (abs(solution.lp_objective - optimum)
-                                       <= tol(solution.lp_objective))
+        optimum = enumerated_optimum(params, solution.tau, solution.threshold,
+                                     scheme)
+        assert abs(solution.lp_objective - optimum) <= 1e-12
