@@ -5,12 +5,13 @@ number of threads: integer-order gamma tail probabilities (checked wrappers
 over ``scipy.special.gammaincc``/``gammainc`` that take one argument or a 1-D
 array of them), the generalized Marcum Q function (one array sum of scipy's
 gamma tails against Poisson weights), and ``solve_lp``, which maximizes a
-small program in HiGHS's compressed-column form with a ladder of cold HiGHS
-solves behind a feasibility audit.  The solves pass the HiGHS core bundled
-with scipy (``scipy.optimize._highspy._core``) the arrays and options
-scipy's own ``method="highs"`` LP solve builds, so they return its points
-bit for bit without its per-call Python, which holds the GIL.  The core is
-imported by the first solve, so importing this module loads no scipy.optimize.
+small program, given in ``linprog``'s dense arrays, with a ladder of cold
+HiGHS solves behind a feasibility audit.  Only this module sees the program
+in compressed columns: the solves pass the HiGHS core bundled with scipy
+(``scipy.optimize._highspy._core``) the arrays and options scipy's own
+``method="highs"`` LP solve builds, so they return its points bit for bit
+without its per-call Python, which holds the GIL.  The core is imported by
+the first solve, so importing this module loads no scipy.optimize.
 """
 from __future__ import annotations
 
@@ -148,16 +149,14 @@ def _solvers():
 
 def _solve_rung(lp: tuple, method: str, presolve: bool
                 ) -> tuple[str, np.ndarray | None]:
-    """HiGHS's model status for the column-wise program ``lp`` of
-    :func:`solve_lp`, solved cold under the :func:`_rung_options` of
-    ``method`` and ``presolve``, and the point when that status is optimal.
+    """HiGHS's model status for the :func:`_columnwise` program ``lp``,
+    solved cold under the :func:`_rung_options` of ``method`` and
+    ``presolve``, and the point when that status is optimal.
 
-    The arrays go to HiGHS as they come, every column continuous: that is
-    the model scipy's LP solve by ``method`` builds when the inequality rows
-    (unbounded below) come first and each column lists its nonzeros with
-    the rows ascending.  Each thread has one solver, cleared of the last
-    model and solver state before each solve, so every solve is cold and
-    any number of threads may call this at once."""
+    The arrays go to HiGHS as they come, every column continuous: the model
+    scipy's LP solve by ``method`` builds.  Each thread has one solver,
+    cleared of the last model and solver state before each solve, so every
+    solve is cold and any number of threads may call this at once."""
     from scipy.optimize._highspy import _core
 
     objective, start, index, value, rhs, ub_rows, bounds = lp
@@ -179,37 +178,46 @@ def _solve_rung(lp: tuple, method: str, presolve: bool
     return "Optimal", np.array(highs.getSolution().col_value)
 
 
-def solve_lp(objective: np.ndarray, start: np.ndarray, index: np.ndarray,
-             value: np.ndarray, rhs: np.ndarray, ub_rows: int,
+def _columnwise(objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds) -> tuple:
+    """The program of :func:`solve_lp` as HiGHS takes it, ``(objective,
+    start, index, value, rhs, ub_rows, bounds)``: the ``ub_rows`` inequality
+    rows above the equality rows, as scipy's LP solve stacks them, and
+    column j's nonzeros ``value[start[j]:start[j + 1]]`` at the ascending
+    rows ``index[start[j]:start[j + 1]]``.  Raises ``ValueError``, as scipy
+    does, on arrays that do not fit together, non-finite data or a NaN bound."""
+    lp = (objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)
+    shapes = [np.shape(a) for a in lp]
+    n, k_eq, k_ub = np.size(objective), np.size(eq_rhs), np.size(ub_rhs)
+    if shapes != [(n,), (k_eq, n), (k_eq,), (k_ub, n), (k_ub,), (n, 2)]:
+        raise ValueError(f"LP arrays of shapes {shapes} do not fit together")
+    if not all(np.isfinite(a).all() for a in lp[:5]) or np.isnan(bounds).any():
+        raise ValueError("LP data must be finite and its bounds not NaN")
+    matrix = np.vstack((ub_matrix, eq_matrix))
+    columns, rows = np.nonzero(matrix.T)  # column by column, rows ascending
+    start = np.concatenate(([0], np.bincount(columns, minlength=n).cumsum()))
+    return (objective, start, rows, matrix.T[columns, rows],
+            np.concatenate((ub_rhs, eq_rhs)), k_ub, bounds)
+
+
+def solve_lp(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray,
+             ub_matrix: np.ndarray, ub_rhs: np.ndarray,
              bounds: np.ndarray) -> np.ndarray | None:
-    """A point maximizing ``objective @ x`` subject to ``A @ x <= rhs`` on
-    the first ``ub_rows`` rows, ``A @ x == rhs`` on the rest, and the (n, 2)
-    array of ``bounds`` (lower, upper) on each variable; None when no point
-    is feasible.  ``A`` has ``rhs.size`` rows and comes in compressed
-    columns: column j holds ``value[start[j]:start[j + 1]]`` at the rows
-    ``index[start[j]:start[j + 1]]``.
+    """A point maximizing ``objective @ x`` subject to ``eq_matrix @ x ==
+    eq_rhs``, ``ub_matrix @ x <= ub_rhs`` and the (n, 2) array of ``bounds``
+    (lower, upper) on each variable, as ``linprog`` takes them; None when no
+    point is feasible.
 
     Ill-conditioned instances can trip the simplex at tight tolerances or
     come back from postsolve with out-of-tolerance residuals, so the solve
     walks a ladder of cold HiGHS solves (dual simplex, interior point, dual
     simplex without presolve) and returns the first solution whose largest
-    constraint violation, with the row activities recomputed from ``A``, is
-    within ``LP_FEASIBILITY_TOL``.  Raises ``ValueError`` on arrays that do
-    not fit together (``start`` must run up from 0 to the entry count, and
-    ``index`` lie in ``[0, rhs.size)``), non-finite data or a NaN bound, and
+    constraint violation, with the row activities recomputed from the
+    :func:`_columnwise` matrix, is within ``LP_FEASIBILITY_TOL``.  Raises
+    ``ValueError`` before any solve where :func:`_columnwise` does, and
     ``RuntimeError`` when no rung passes the audit.
     """
-    lp = (objective, start, index, value, rhs, ub_rows, bounds)
-    n, rows, counts = objective.size, rhs.size, np.diff(start)
-    shapes = [np.shape(a) for a in (objective, start, index, value, rhs, bounds)]
-    if (shapes != [(n,), (n + 1,), (index.size,), (index.size,), (rows,), (n, 2)]
-            or not 0 <= ub_rows <= rows or start[0] != 0 or start[-1] != index.size
-            or counts.min(initial=0) < 0 or not np.all((index >= 0) & (index < rows))):
-        raise ValueError(f"LP arrays of shapes {shapes} ({ub_rows} inequality rows) "
-                         f"do not fit together as compressed columns of {rows} rows")
-    if not all(np.isfinite(a).all() for a in (objective, value, rhs)) \
-            or np.isnan(bounds).any():
-        raise ValueError("LP data must be finite and its bounds not NaN")
+    lp = _columnwise(objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)
+    _, start, index, value, rhs, ub_rows, _ = lp
     failures = []
     for method, presolve in _RUNGS:
         status, x = _solve_rung(lp, method, presolve)
@@ -218,8 +226,8 @@ def solve_lp(objective: np.ndarray, start: np.ndarray, index: np.ndarray,
         if x is None:
             failures.append(f"{method}: {status}")
             continue
-        residual = np.bincount(index, value * np.repeat(x, counts),
-                               minlength=rows) - rhs
+        residual = np.bincount(index, value * np.repeat(x, np.diff(start)),
+                               minlength=rhs.size) - rhs
         residual[ub_rows:] = np.abs(residual[ub_rows:])
         violation = np.concatenate([residual, bounds[:, 0] - x,
                                     x - bounds[:, 1]]).max(initial=0.0)

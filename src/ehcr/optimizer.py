@@ -58,11 +58,11 @@ feasibility tolerance, which can dwarf a tiny rate, so every record keeps
 its screened objective and the winner the screen's claimed rates.  It is
 reported from the kernels and rewards of the column it was screened on, and
 its claimed rates cross-check that report.  Only an LP's sensing columns
-read its threshold, so a certify tier compresses the rest once per column
-and the worker solving an LP appends its sensing columns: more than one LP
-on one thread per CPU in the process's affinity mask (HiGHS's core releases
-the GIL), a single one inline, each solved alone, so the results do not
-depend on the thread count.
+read its threshold, so a certify tier fills the rest of each column's dense
+program once, and the worker solving an LP copies it and writes its sensing
+columns: more than one LP on one thread per CPU in the process's affinity
+mask (HiGHS's core releases the GIL), a single one inline, each solved
+alone, so the results do not depend on the thread count.
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 from scipy.special import gammainccinv
@@ -204,8 +204,7 @@ class OptimalSolution:
         return self.policy.threshold
 
 
-@dataclass(frozen=True)
-class GridPointStatus:
+class GridPointStatus(NamedTuple):
     """Outcome of one (tau, lambda) grid point."""
 
     tau: float
@@ -264,11 +263,11 @@ def _scan(params: SystemParams, grid: GridSpec) -> tuple[_Scanned, ...]:
                  for tau in grid.tau_values(params))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Column:
     """What one sensing time fixes for its K threshold LPs, and their detector.
-    The sensing times of a search that cannot fund sensing share the first
-    one's object, as none reads its detector or sensing blocks (:func:`_model_key`)."""
+    The sensing times of a search that cannot fund sensing share the first one's
+    object, equal only to itself, as none reads its detector or sensing blocks."""
 
     quantities: DerivedQuantities
     blocks: np.ndarray  # (2, 4, n, n) harvest blocks, gathered per search
@@ -287,26 +286,20 @@ def _column(params: SystemParams, scanned: _Scanned, harvest: tuple) -> _Column:
                    outages, p_d, p_f, action_rewards(params, outages, p_d, p_f))
 
 
-def _compressed(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Column ends, row indices and values of the nonzeros of ``matrix``."""
-    columns, rows = np.nonzero(matrix.T)
-    ends = np.bincount(columns, minlength=matrix.shape[1]).cumsum()
-    return ends, rows, matrix.T[columns, rows]
-
-
 def _column_lps(params: SystemParams, column: _Column, scheme: str):
     """The policy LP of each threshold of a column: a function of the
-    threshold index returning the :func:`~ehcr.numerics.solve_lp` arrays.
+    threshold index returning the dense :func:`~ehcr.numerics.solve_lp` arrays.
 
     The variables are the occupation vector (pi, pi*alpha, pi*beta1,
     pi*beta2), in which the kernel and both rates are affine: the masses
     carry the idle reward, each product its action's change from idling.
-    The objective is the secondary rate; the rows are the licensed-user
-    floor, a cap per acting level (beta levels after alpha levels) on its
-    products by its mass, the balance equations and the normalization.
-    The sensing-only scheme pins the blind products to zero by their
-    bounds.  Only the kb pi*beta2 columns read the detector, so the rest
-    is compressed once, here, and each threshold appends its own.
+    The objective is the secondary rate; the inequality rows are the
+    licensed-user floor and a cap per acting level (beta levels after alpha
+    levels) on its products by its mass, the equality rows the balance
+    equations and the normalization.  The sensing-only scheme pins the
+    blind products to zero by their bounds.  Only the floor row and the kb
+    pi*beta2 columns read the detector, so the rest of the program is filled
+    once, here, and each threshold copies it and writes its own.
     """
     q = column.quantities
     n, first = params.n_states, q.alpha_range.start
@@ -319,29 +312,27 @@ def _column_lps(params: SystemParams, column: _Column, scheme: str):
     rates = np.concatenate([rewards[:, :1], rewards[:, 1:] - rewards[:, :1]],
                            axis=1).transpose(0, 2, 1)
     mu_s, mu_p = np.repeat(rates[0, :, :2], [n, acting], axis=1)
-    levels, skeleton = np.arange(acting), np.zeros((2 + acting + n, n + acting))
-    skeleton[0] = -mu_p
+    levels, skeleton = np.arange(acting), np.zeros((2 + acting + n, n + acting + kb))
+    ineq, sensing = 1 + acting, slice(n + acting, None)
+    skeleton[0, :n + acting] = -mu_p
     skeleton[1 + levels, first + levels] = -1.0
     skeleton[1 + levels, n + levels] = 1.0
-    skeleton[1 + acting:-1] = np.hstack([idle.T - np.eye(n), (blind - idle)[first:].T])
+    skeleton[1 + levels[ka:], sensing] = np.eye(kb)
+    skeleton[ineq:-1, :n + acting] = np.hstack([idle.T - np.eye(n),
+                                                (blind - idle)[first:].T])
     skeleton[-1, :n] = 1.0
-    ends, index, value = _compressed(skeleton)
-    rhs = np.concatenate([[-params.mu_th], np.zeros(len(skeleton) - 2), [1.0]])
+    rhs = np.concatenate([[-params.mu_th], np.zeros(acting + n), [1.0]])
     bounds = np.tile([0.0, 1.0], (n + acting + kb, 1))
     bounds[n:n + acting, 1] = scheme != "sensing_only"  # 0 pins blind access off
 
     def lp(k: int) -> tuple:
         sense = sense_kernels(params, column.blocks[:, :, beta], column.p_d[k],
                               column.p_f[k])
-        block = np.zeros((len(skeleton), kb))
-        block[0] = -rates[k, 1, 2]
-        block[1 + ka + np.arange(kb), np.arange(kb)] = 1.0
-        block[1 + acting:-1] = (sense - idle[beta]).T
-        sensing = _compressed(block)
+        matrix = skeleton.copy()
+        matrix[0, sensing] = -rates[k, 1, 2]
+        matrix[ineq:-1, sensing] = (sense - idle[beta]).T
         return (np.concatenate([mu_s, np.full(kb, rates[k, 0, 2])]),
-                np.concatenate([[0], ends, ends[-1] + sensing[0]]),
-                np.concatenate([index, sensing[1]]),
-                np.concatenate([value, sensing[2]]), rhs, 1 + acting, bounds)
+                matrix[ineq:], rhs[ineq:], matrix[:ineq], rhs[:ineq], bounds)
 
     return lp
 
@@ -526,21 +517,20 @@ def _cold_solve(params: SystemParams, scheme: str,
     certify tier of two or more near-best points, in input order, with its
     optimal value, on which the search ranks the points, when optimal.
 
-    Each distinct LP is solved once: all entries at the sensing times that
-    cannot fund sensing (empty ``beta_range``) share one, as the detector
-    and the sensing cost enter only the sense kernel and reward, which
-    :func:`_column_lps` reads only through the ``kb`` sensing columns, none
-    there, and HiGHS solves equal arrays under equal options to equal bits.
-    Each entry gets its LP's result.  Each column among the entries gets
-    one :func:`_column_lps`; a single distinct LP is then solved inline,
-    more on ``_WORKERS`` threads (HiGHS, called without scipy's Python
-    wrapper, releases the GIL for nearly all of each solve), each by the
-    worker that appends its sensing columns and alone, as in a serial loop,
-    so the results do not depend on the thread count.
+    Each distinct LP, keyed by its column object and threshold, is solved
+    once: the sensing times that cannot fund sensing share one column object
+    and all their thresholds one LP, as the detector and the sensing cost
+    enter only the sense kernel and reward, which :func:`_column_lps` reads
+    only through the ``kb`` sensing columns, none there, and HiGHS solves
+    equal arrays under equal options to equal bits.  Each entry gets its
+    LP's result.  Each column among the entries gets one
+    :func:`_column_lps`; a single distinct LP is then solved inline, more on
+    ``_WORKERS`` threads (HiGHS's core releases the GIL for nearly all of
+    each solve), each by the worker that writes its sensing columns and
+    alone, so the results do not depend on the thread count.
     """
-    def solve(key: tuple, entry: tuple[_Column, int]
-              ) -> tuple[str, float | None]:
-        lp = column_lps[key[0]](entry[1])
+    def solve(column: _Column, k: int) -> tuple[str, float | None]:
+        lp = column_lps[column](k)
         try:
             x = solve_lp(*lp)
         except RuntimeError:
@@ -549,19 +539,16 @@ def _cold_solve(params: SystemParams, scheme: str,
             return "infeasible", None
         return "optimal", float(lp[0] @ x)
 
-    # the LP's key: its model alone where that cannot fund sensing
-    keys = [(_model_key(column.quantities),
-             k if column.quantities.beta_range else None)
+    keys = [(column, k if column.quantities.beta_range else None)
             for column, k in entries]
     distinct = dict(zip(keys, entries))
-    columns = {key[0]: column for key, (column, _) in distinct.items()}
-    column_lps = {model: _column_lps(params, column, scheme)
-                  for model, column in columns.items()}
+    column_lps = {column: _column_lps(params, column, scheme)
+                  for column in dict.fromkeys(column for column, _ in entries)}
     if len(distinct) <= 1 or _WORKERS == 1:
-        solved = [solve(*item) for item in distinct.items()]
+        solved = [solve(*entry) for entry in distinct.values()]
     else:
         with ThreadPoolExecutor(_WORKERS) as pool:
-            solved = list(pool.map(solve, distinct, distinct.values()))
+            solved = list(pool.map(solve, *zip(*distinct.values())))
     results = dict(zip(distinct, solved))
     return [results[key] for key in keys]
 
@@ -689,8 +676,8 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
         for (index, column, k, mu_p, policies), (status, rank) in zip(near,
                                                                       ranks):
             if status != "optimal":
-                records[index] = replace(records[index], status=status,
-                                         objective=None)
+                records[index] = records[index]._replace(status=status,
+                                                         objective=None)
                 continue
             record = records[index]  # the low and high policies, their share
             candidates.append((rank, record.tau, record.threshold,

@@ -690,7 +690,7 @@ def policy_lp(params: SystemParams, quantities, kernels: np.ndarray,
     """The policy LP of one point from its (3, n, n) kernels and (3, 2)
     rewards of idling, blind access and sensing, as the dense arrays
     ``(objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)`` that
-    :func:`columnwise` takes.
+    :func:`~ehcr.numerics.solve_lp` takes.
 
     The variables are the occupation vector (pi, pi*alpha, pi*beta1,
     pi*beta2), in which the kernel and both rates are affine: the masses
@@ -732,27 +732,6 @@ def policy_lp(params: SystemParams, quantities, kernels: np.ndarray,
     if scheme == "sensing_only":
         bounds[n:n + ka + kb, 1] = 0.0
     return mu_s_row, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds
-
-
-def columnwise(lp: tuple[np.ndarray, ...]) -> tuple:
-    """The arrays of :func:`~ehcr.numerics.solve_lp` for the dense program
-    ``(objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds)``, which
-    maximizes ``objective @ x`` under ``eq_matrix @ x == eq_rhs``,
-    ``ub_matrix @ x <= ub_rhs`` and the (n, 2) ``bounds``: the inequality
-    rows above the equality rows, as scipy's LP solve stacks them, and the
-    matrix in compressed columns without its zeros, rows ascending.  Raises
-    ``ValueError``, as scipy's LP front end does, on arrays whose shapes do
-    not fit together."""
-    objective, eq_matrix, eq_rhs, ub_matrix, ub_rhs, bounds = lp
-    shapes = [np.shape(a) for a in lp]
-    n, k_eq, k_ub = objective.size, eq_rhs.size, ub_rhs.size
-    if shapes != [(n,), (k_eq, n), (k_eq,), (k_ub, n), (k_ub,), (n, 2)]:
-        raise ValueError(f"LP arrays of shapes {shapes} do not fit together")
-    matrix = np.vstack((ub_matrix, eq_matrix))
-    columns, rows = np.nonzero(matrix.T)  # column by column, rows ascending
-    start = np.concatenate(([0], np.cumsum(np.count_nonzero(matrix, axis=0))))
-    return (objective, start, rows, matrix.T[columns, rows],
-            np.concatenate((ub_rhs, eq_rhs)), k_ub, bounds)
 
 
 @dataclass(frozen=True)
@@ -813,7 +792,7 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
         for k, threshold in enumerate(thresholds):
             lp = point_lp(params, column, k, scheme)
             try:
-                x = solve_lp(*columnwise(lp))
+                x = solve_lp(*lp)
             except RuntimeError:
                 records.append(GridPointStatus(tau, threshold, "solver_failure"))
                 continue

@@ -22,7 +22,6 @@ from ehcr.numerics import (
 )
 
 from helpers import (
-    columnwise,
     deadline,
     empty_constraints,
     reference_lower_gamma_int,
@@ -310,16 +309,16 @@ def _infeasible_lp():
 
 class TestSolveLp:
     def test_single_variable(self):
-        x = solve_lp(*columnwise(_box_lp([1.0], [[1.0]], [1.0])))
+        x = solve_lp(*_box_lp([1.0], [[1.0]], [1.0]))
         assert x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_optimum_has_unique_value(self):
-        x = solve_lp(*columnwise(_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0])))
+        x = solve_lp(*_box_lp([1.0, 1.0], [[1.0, 1.0]], [1.0]))
         assert x.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_known_construction_ten_variables(self):
         # box [0,1]^10 with a single budget row: optimum is the budget
-        x = solve_lp(*columnwise(_box_lp(np.ones(10), [np.ones(10)], [3.5])))
+        x = solve_lp(*_box_lp(np.ones(10), [np.ones(10)], [3.5]))
         assert x.sum() == pytest.approx(3.5, abs=1e-8)
 
     def test_random_instances_match_vertex_enumeration(self):
@@ -330,11 +329,11 @@ class TestSolveLp:
             b = rng.uniform(0.5, 2.0, size=k)  # origin stays feasible
             c = rng.normal(size=n)
             lp = _box_lp(c, a, b)
-            x = solve_lp(*columnwise(lp))
+            x = solve_lp(*lp)
             assert c @ x == pytest.approx(_enumerate_vertices(lp), abs=1e-7)
 
     def test_infeasible_reported_not_raised(self):
-        assert solve_lp(*columnwise(_infeasible_lp())) is None
+        assert solve_lp(*_infeasible_lp()) is None
 
     def test_residuals_and_dominance_over_random_feasible_points(self):
         rng = np.random.default_rng(17)
@@ -342,7 +341,7 @@ class TestSolveLp:
         a = rng.normal(size=(k, n))
         b = rng.uniform(0.5, 2.0, size=k)
         c = rng.normal(size=n)
-        x = solve_lp(*columnwise(_box_lp(c, a, b)))
+        x = solve_lp(*_box_lp(c, a, b))
         assert np.max(a @ x - b) <= 1e-8
         assert -1e-8 <= x.min() and x.max() <= 1.0 + 1e-8
         # rejection-sample feasible points; none may beat the optimum
@@ -387,7 +386,8 @@ def assert_rungs_match_linprog(lp):
     bit, or reports infeasible where linprog does."""
     for method, presolve in numerics._RUNGS:
         reference = linprog_reference(lp, method, presolve)
-        status, x = numerics._solve_rung(columnwise(lp), method, presolve)
+        status, x = numerics._solve_rung(numerics._columnwise(*lp), method,
+                                         presolve)
         assert reference.status == (2 if status == "Infeasible" else 0)
         assert (x is None) == (reference.x is None)
         if x is not None:
@@ -400,7 +400,7 @@ class TestDirectHighs:
     def test_first_rung_is_bit_identical_to_linprog(self):
         for lp in _suite_lps():
             reference = linprog_reference(lp)
-            x = solve_lp(*columnwise(lp))
+            x = solve_lp(*lp)
             assert reference.status == (2 if x is None else 0)
             if x is not None:
                 assert np.array_equal(x, reference.x)
@@ -413,7 +413,7 @@ class TestDirectHighs:
     def test_thread_solver_keeps_nothing_between_solves(self, method, presolve):
         # a thread solves every program on one solver: in either order, and
         # after an infeasible one, each gets the same status and point
-        lps = [columnwise(lp) for lp in _suite_lps()]
+        lps = [numerics._columnwise(*lp) for lp in _suite_lps()]
         forward = [numerics._solve_rung(lp, method, presolve) for lp in lps]
         backward = [numerics._solve_rung(lp, method, presolve)
                     for lp in reversed(lps)][::-1]
@@ -431,28 +431,32 @@ class TestDirectHighs:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("position", range(5))
-    def test_non_finite_data_raises_as_linprog_does(self, position, value):
+    def test_non_finite_data_raises_as_linprog_does(self, monkeypatch,
+                                                    position, value):
+        calls = _ladder(monkeypatch, [])
         lp = [np.array(a) for a in _box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])]
         lp[1], lp[2] = np.ones((1, 2)), np.array([1.0])  # a non-empty eq block
         lp[position].flat[0] = value
         with pytest.raises(ValueError, match="must not contain values inf"):
             linprog_reference(tuple(lp))
         with pytest.raises(ValueError, match="finite"):
-            solve_lp(*columnwise(lp))
+            solve_lp(*lp)
+        assert calls == []
 
     @pytest.mark.parametrize("position, array", [
         (0, np.ones(3)), (1, np.ones((1, 3))), (2, np.ones(2)),
         (3, np.ones((1, 3))), (4, np.ones(2)), (5, np.tile([0.0, 1.0], (3, 1)))])
-    def test_misshapen_arrays_raise_as_linprog_does(self, position, array):
-        # dense programs reach solve_lp through the converter, which refuses
-        # them; the column-wise checks are TestColumnwiseChecks'
+    def test_misshapen_arrays_raise_as_linprog_does(self, monkeypatch,
+                                                    position, array):
+        calls = _ladder(monkeypatch, [])
         lp = list(_box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0]))
         lp[1], lp[2] = np.ones((1, 2)), np.array([1.0])  # a non-empty eq block
         lp[position] = array
         with pytest.raises(ValueError, match="Invalid input for linprog"):
             linprog_reference(tuple(lp))
         with pytest.raises(ValueError, match="do not fit together"):
-            solve_lp(*columnwise(lp))
+            solve_lp(*lp)
+        assert calls == []
 
     @pytest.mark.parametrize("method, presolve", numerics._RUNGS)
     def test_rung_passes_linprogs_options_built_once(self, monkeypatch, method,
@@ -476,7 +480,8 @@ class TestDirectHighs:
         monkeypatch.setattr(_core, "_Highs", Recording)
         with ThreadPoolExecutor(1) as pool:
             for _ in range(2):
-                pool.submit(numerics._solve_rung, TestLadder.LP, method,
+                pool.submit(numerics._solve_rung,
+                            numerics._columnwise(*TestLadder.LP), method,
                             presolve).result()
         assert len(made) == 1
         assert len(passed) == 2 and passed[0] is passed[1]
@@ -495,51 +500,32 @@ class TestDirectHighs:
         for name in fields:
             assert getattr(passed[0], name) == getattr(fresh, name), name
 
-    def test_nan_bound_raises(self):
+    def test_nan_bound_raises(self, monkeypatch):
+        calls = _ladder(monkeypatch, [])
         lp = _box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
         lp[5][0, 1] = math.nan
         with pytest.raises(ValueError, match="NaN"):
-            solve_lp(*columnwise(lp))
+            solve_lp(*lp)
+        assert calls == []
 
 
 class TestColumnwiseChecks:
-    """``solve_lp`` refuses column-wise arrays that do not describe a finite
-    program before any rung runs."""
+    """``solve_lp`` hands HiGHS the dense program in compressed columns: the
+    inequality rows above the equality rows, each column's nonzeros with
+    the rows ascending."""
 
-    #: x1 + x2 <= 1 above x1 + x2 == 1, maximizing x1 + 2 x2 in the unit box
-    LP = (np.array([1.0, 2.0]), np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
-          np.ones(4), np.ones(2), 1, np.tile([0.0, 1.0], (2, 1)))
+    #: 3 x2 <= 1.5 above x1 + 2 x2 == 1, maximizing x1 + 3 x2 in the unit box
+    LP = (np.array([1.0, 3.0]), np.array([[1.0, 2.0]]), np.ones(1),
+          np.array([[0.0, 3.0]]), np.array([1.5]), np.tile([0.0, 1.0], (2, 1)))
 
     def test_well_formed_program_solves(self):
-        assert solve_lp(*self.LP) == pytest.approx([0.0, 1.0], abs=1e-8)
-
-    @pytest.mark.parametrize("position, array, match", [
-        (1, [0, 5, 4], "fit together"),        # a column of -1 entries
-        (1, [1, 2, 4], "fit together"),        # not from 0
-        (1, [0, 2, 3], "fit together"),        # short of the entry count
-        (2, [0, 1, -1, 1], "fit together"),    # a negative row
-        (2, [0, 1, 0, 2], "fit together"),     # past the last row
-        (4, [1.0], "fit together"),            # fewer rows than indexed
-        (3, [1.0, 1.0, 1.0], "fit together"),  # fewer values than indices
-        (0, [1.0, 2.0, 3.0], "fit together"),  # more costs than columns
-        (1, [0, 2], "fit together"),           # fewer starts than columns
-        (5, 3, "fit together"),                # more inequality rows than rows
-        (5, -1, "fit together"),
-        (6, np.tile([0.0, 1.0], (3, 1)), "fit together"),
-        (0, [math.nan, 2.0], "finite"), (0, [1.0, -math.inf], "finite"),
-        (3, [1.0, math.nan, 1.0, 1.0], "finite"),
-        (3, [1.0, 1.0, math.inf, 1.0], "finite"),
-        (4, [math.nan, 1.0], "finite"), (4, [1.0, math.inf], "finite"),
-        (6, [[math.nan, 1.0], [0.0, 1.0]], "NaN"),
-        (6, [[0.0, 1.0], [0.0, math.nan]], "NaN"),
-    ])
-    def test_malformed_arrays_raise(self, monkeypatch, position, array, match):
-        calls = _ladder(monkeypatch, [])
-        lp = list(self.LP)
-        lp[position] = array if position == 5 else np.array(array)
-        with pytest.raises(ValueError, match=match):
-            solve_lp(*lp)
-        assert calls == []
+        objective, start, index, value, rhs, ub_rows, bounds = (
+            numerics._columnwise(*self.LP))
+        assert objective is self.LP[0] and bounds is self.LP[5]
+        assert start.tolist() == [0, 1, 3] and index.tolist() == [1, 0, 1]
+        assert value.tolist() == [1.0, 3.0, 2.0]
+        assert rhs.tolist() == [1.5, 1.0] and ub_rows == 1
+        assert solve_lp(*self.LP) == pytest.approx([0.0, 0.5], abs=1e-8)
 
 
 def test_import_evaluate_and_run_load_no_scipy_optimize():
@@ -597,7 +583,7 @@ class TestLadder:
     """A rung that fails or returns a point outside the constraints passes
     the program to the next; the last one's failure raises."""
 
-    LP = columnwise(_box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0]))
+    LP = _box_lp([1.0, 2.0], [[1.0, 1.0]], [1.0])
     RUNGS = [("highs", True), ("highs-ipm", True), ("highs", False)]
 
     def test_second_rung_solves_after_a_solver_failure(self, monkeypatch):
@@ -623,7 +609,7 @@ class TestLadder:
 
     def test_infeasible_first_rung_ends_the_ladder(self, monkeypatch):
         calls = _ladder(monkeypatch, [_solved])
-        assert solve_lp(*columnwise(_infeasible_lp())) is None
+        assert solve_lp(*_infeasible_lp()) is None
         assert calls == self.RUNGS[:1]
 
     def test_model_error_is_infeasible_as_in_linprog(self, monkeypatch):

@@ -42,7 +42,6 @@ from helpers import (
     PointGrid,
     best_random_feasible,
     column_at,
-    columnwise,
     components_at,
     deadline,
     enumerated_optimum,
@@ -327,8 +326,7 @@ class TestWarmScreen:
 
     def test_first_rung_matches_linprog_on_policy_lps(self, testbench_params):
         for lp in self._policy_lps(testbench_params):
-            assert np.array_equal(solve_lp(*columnwise(lp)),
-                                  linprog_reference(lp).x)
+            assert np.array_equal(solve_lp(*lp), linprog_reference(lp).x)
 
     def test_every_rung_matches_linprog_on_policy_lps(self, testbench_params):
         for lp in self._policy_lps(testbench_params):
@@ -448,10 +446,10 @@ class TestColdSolves:
             # a column that cannot fund sensing has one LP for all thresholds
             assert len(built) == (len(ks) if column.quantities.beta_range else 1)
             for k in ks:  # the workers may take the entries in any order
-                want = columnwise(point_lp(params, column, k, scheme))
-                assert any(len(lp) == len(want) == 7 and all(
-                    np.array_equal(got_array, want_array)
-                    for got_array, want_array in zip(lp, want)) for lp in built)
+                want = point_lp(params, column, k, scheme)
+                assert any(len(lp) == len(want) == 6 and all(
+                    got.dtype == expected.dtype and np.array_equal(got, expected)
+                    for got, expected in zip(lp, want)) for lp in built)
 
     @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
            mode=st.sampled_from(["mixed", "nature", "rf"]),
@@ -460,10 +458,11 @@ class TestColdSolves:
     @settings(max_examples=20, derandomize=True, deadline=None)
     def test_skeleton_arrays_equal_point_lp(self, testbench_params, rho, mu_th,
                                             mode, scheme, n_max):
-        # each threshold's skeleton-plus-block arrays are those of its own
-        # dense LP, compressed: element for element, of the same dtypes.
-        # Below N_max 15 no sensing time of FAST_GRID can fund sensing, at
-        # 30 every one can, and in between both kinds are screened
+        # each threshold's copy of the column's skeleton is its own dense
+        # LP: array for array, element for element, of the same dtypes, and
+        # solved to the same bits.  Below N_max 15 no sensing time of
+        # FAST_GRID can fund sensing, at 30 every one can, and in between
+        # both kinds are screened
         params = harvest_mode(with_overrides(testbench_params, rho=rho,
                                              mu_th=mu_th, N_max=n_max), mode)
         for tau in FAST_GRID.tau_values(params):
@@ -472,16 +471,11 @@ class TestColdSolves:
                 continue
             build = optimizer._column_lps(params, column, scheme)
             for k in range(len(column.thresholds)):
-                *lp, ub_rows, bounds = build(k)
-                dense = point_lp(params, column, k, scheme)
-                *want, want_ub_rows, want_bounds = columnwise(dense)
-                assert ub_rows == want_ub_rows
-                for got, expected in zip([*lp, bounds], [*want, want_bounds],
-                                         strict=True):
+                lp, want = build(k), point_lp(params, column, k, scheme)
+                for got, expected in zip(lp, want, strict=True):
                     assert got.dtype == expected.dtype
                     assert np.array_equal(got, expected)
-                x = solve_lp(*lp, ub_rows, bounds)
-                reference = solve_lp(*want, want_ub_rows, want_bounds)
+                x, reference = solve_lp(*lp), solve_lp(*want)
                 assert (x is None) == (reference is None)
                 assert x is None or np.array_equal(x, reference)
 
@@ -1011,7 +1005,7 @@ class TestConstrainedRegime:
             objectives = screen[0]
             for k, objective in enumerate(objectives):
                 lp = point_lp(params, column, k, scheme)
-                x = solve_lp(*columnwise(lp))
+                x = solve_lp(*lp)
                 if x is None:
                     assert math.isnan(objective)
                 else:
