@@ -21,11 +21,12 @@ every detector setting.  They are row gathers, at the levels left after
 each consumption, of one level matrix per harvest law, memoized on the law
 as it reads nothing else but the battery size.  Only the sensing kernel
 reads the detector, so :func:`idle_blind_kernels` builds one idle/blind
-pair for the sensing kernels that :func:`sense_kernels` builds for a whole
-threshold array.  The optimizer's value determination and the stationary
-law of a policy's kernel solve the same bordered unichain system, the
-latter transposed.  The per-action rewards and the statistics of a solved
-chain live in :mod:`ehcr.performance`.
+pair for all thresholds, and :func:`sense_kernels`, linear in the blocks,
+maps gathered block rows or block products as it maps the blocks, so a
+search needs no sensing kernel per threshold.  The optimizer's value
+determination and the stationary law of a policy's kernel solve the same
+bordered unichain system, the latter transposed.  The per-action rewards
+and the statistics of a solved chain live in :mod:`ehcr.performance`.
 """
 from __future__ import annotations
 
@@ -192,11 +193,20 @@ def idle_blind_kernels(params: SystemParams, blocks: np.ndarray) -> np.ndarray:
 def sense_kernels(params: SystemParams, blocks: np.ndarray, p_d, p_f
                   ) -> np.ndarray:
     """Kernel of sensing from the :func:`harvest_blocks` of one sensing time
-    and the averaged detection and false-alarm probabilities ``p_d``/``p_f``:
-    (n, n) for floats, (K, n, n) for (K,) arrays of K thresholds."""
+    and the averaged detection and false-alarm probabilities ``p_d``/``p_f``,
+    which broadcast against one block: floats give the (n, n) kernel, (K, 1,
+    1) arrays the kernels of K thresholds.
+
+    Only the last two consumption blocks (sensing, then sensing and
+    transmission) are read, so they may be passed alone.  The kernel is
+    linear in the blocks, so it maps any linear image of them as it maps
+    the blocks: the blocks' rows at K levels, (2, 2, K, n), with (K, 1)
+    detector arrays give K thresholds' sensing rows at those levels, and
+    the blocks' products with K biases as columns, (2, 2, n, K), with (K,)
+    arrays give each threshold's ``sense_k @ h_k`` as a column.
+    """
     rho, rho_bar = params.rho, 1.0 - params.rho
-    p_d, p_f = np.asarray(p_d)[..., None, None], np.asarray(p_f)[..., None, None]
-    (_, _, idle_sense, idle_sense_tx), (_, _, active_sense, active_sense_tx) = blocks
+    (idle_sense, idle_sense_tx), (active_sense, active_sense_tx) = blocks[:, -2:]
     # sensing consumes n_s always, plus n_t whenever the verdict is "idle":
     # false alarms block transmission off an idle channel, mis-detections
     # allow it on a busy one

@@ -29,19 +29,24 @@ infeasibility; any other point gets the LP value from a cutting-plane
 search on the Lagrangian dual of ``mu_s + nu * (mu_p - mu_th)``, and as
 policy the mix of the occupation measures of the two deterministic policies
 bracketing the floor, which randomizes at most one reachable level (Beutler
-& Ross 1985).  Each column's unconstrained pass starts from the previous
-column's optimum, all-idle should that fail (it can end elsewhere only
-where policies tie), and no pass runs on an empty set of points.  Policies
-that never sense read one idle/blind kernel pair and the same rewards at
-every threshold, so each step solves each distinct such system once.  A
-sensing time that cannot fund sensing admits no sensing, and nothing else
-of its model depends on the sensing time, so the later ones reuse the
-first one's column and screen: their passes would start from its optimum
-of the same model and return it.  None of this changes a bit.  The all-idle
-chain is the same in every column, and a search raises before its first
-screen when that chain has several closed classes: no harvest, or one too
-rare for :func:`~ehcr.chain.stationary_distribution` to count as an edge.
-A column the screen cannot value is logged as failed.
+& Ross 1985).  No pass builds a sensing kernel per threshold: value
+determination fills each chosen sensing row from the column's kernel
+blocks by the kernel's own expression, and improvement applies that
+expression to the blocks' products with the biases, so a screen holds a
+step's (K, n, n) systems and no sensing stack.  Each column's
+unconstrained pass starts from the previous column's optimum, all-idle
+should that fail (it can end elsewhere only where policies tie), and no
+pass runs on an empty set of points.  Policies that never sense read one
+idle/blind kernel pair and the same rewards at every threshold, so each
+step solves each distinct such system once.  A sensing time that cannot
+fund sensing admits no sensing, and nothing else of its model depends on
+the sensing time, so the later ones reuse the first one's column and
+screen: their passes would start from its optimum of the same model and
+return it.  None of this sharing changes a bit.  The all-idle chain is the
+same in every column, and a search raises before its first screen when
+that chain has several closed classes: no harvest, or one too rare for
+:func:`~ehcr.chain.stationary_distribution` to count as an edge.  A column
+the screen cannot value is logged as failed.
 
 The LP of a point is the same model in the occupation vector (pi,
 pi*alpha, pi*beta1, pi*beta2), in which the balance equations, the floor
@@ -105,6 +110,9 @@ SCHEMES = ("probabilistic", "sensing_only")
 _PI_TOL = 1e-12
 #: steps of either iteration after which the screen gives up on a column
 _PI_MAX_STEPS = 100
+#: most floats of one sensing block that value determination gathers at a
+#: time, 1 MB, so its sensing rows take a few MB beside the systems
+_GATHER_FLOATS = 1 << 17
 
 #: false-alarm extremes the default threshold grid spans at each m
 _PFA_SPAN = (0.999, 0.001)
@@ -367,34 +375,44 @@ def _admitted(params: SystemParams, quantities: DerivedQuantities,
     return np.arange(n) >= np.array(firsts)
 
 
-def _policy_iteration(idle_blind: np.ndarray, sense: np.ndarray,
+def _policy_iteration(idle_blind: np.ndarray, sense_args: tuple,
                       rewards: np.ndarray, allowed: np.ndarray, weights,
                       policy: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray] | None:
     """Gains (K, 2) of (mu_s, mu_p) and action indices (K, n) of a
     deterministic policy maximizing the average of ``rewards @ weights`` in
     each MDP of the batch: the (2, n, n) idle and blind kernels that every
-    point shares, the (K, n, n) sensing kernels and the (K, 3, 2) rewards of
-    the three actions, which ``allowed`` admits per level.  ``weights`` is
-    one (2,) pair or a (K, 2) stack.
+    point shares, the sensing kernels that
+    :func:`~ehcr.chain.sense_kernels` builds from ``sense_args``, its
+    arguments ``(params, blocks, p_d, p_f)`` at the K points, and the
+    (K, 3, 2) rewards of the three actions, which ``allowed`` admits per
+    level.  ``weights`` is one (2,) pair or a (K, 2) stack.
 
     Average-reward policy iteration from the admitted (K, n) actions
     ``policy``, all idle when None; it converges from any start.  Value
     determination solves ``g + h = r + P h`` with ``h`` pinned to zero at
     level 0 and ``g`` in its place, one ``np.linalg.solve`` of the batch's
     :func:`~ehcr.chain._bordered` systems; a level changes action only for a
-    gain above the tolerance.  Within a batch of one column, equal policies
-    that never sense read the same rows and rewards (``action_rewards``
-    broadcasts them over the thresholds), so each distinct one is solved
-    once; a sensing point is solved as its own.  None when a solve is
-    singular or not finite (a policy with several closed classes) or the
-    iteration does not settle.
+    gain above the tolerance.  No (K, n, n) sensing stack is built: a
+    system's sensing rows are the kernel's expression on the blocks' rows,
+    gathered at most ``_GATHER_FLOATS`` floats per block at a time, so they
+    equal the stack's bit for bit, and the improvement applies the kernel
+    to the blocks' products with the biases, which round within an ulp or
+    so of the stack's products.  Within a batch of one column, equal
+    policies that never sense read the same rows and rewards
+    (``action_rewards`` broadcasts them over the thresholds), so each
+    distinct one is solved once; a sensing point is solved as its own.  None
+    when a solve is singular or not finite (a policy with several closed
+    classes) or the iteration does not settle.
     """
-    count, n = sense.shape[:2]
+    params, blocks, p_d, p_f = sense_args
+    count, n = len(p_d), idle_blind.shape[-1]
+    blocks = blocks[:, -2:]  # all that sense_kernels reads
     weights = np.broadcast_to(weights, (count, 2))
     batch, levels = np.arange(count)[:, None], np.arange(n)
     weighted = rewards @ weights[:, :, None]  # (K, 3, 1): the same at every level
     tol = _PI_TOL * (1.0 + np.abs(weights).sum(axis=1))[:, None]
+    chunk = max(1, _GATHER_FLOATS // n)  # sensing rows gathered at a time
     if policy is None:
         policy = np.zeros((count, n), dtype=int)
     for _ in range(_PI_MAX_STEPS):
@@ -406,8 +424,14 @@ def _policy_iteration(idle_blind: np.ndarray, sense: np.ndarray,
                           for k, row in enumerate(policy)], dtype=int)
         owners = np.flatnonzero(owner == batch[:, 0])
         chosen = policy[owners]
-        rows = np.where((chosen == 2)[..., None], sense[owners],
-                        idle_blind[np.minimum(chosen, 1), levels])
+        rows = idle_blind[np.minimum(chosen, 1), levels]
+        at, level = np.nonzero(chosen == 2)
+        for part in range(0, at.size, chunk):
+            system, row = at[part:part + chunk], level[part:part + chunk]
+            point = owners[system]
+            rows[system, row] = sense_kernels(
+                params, np.take(blocks, row, axis=2), p_d[point, None],
+                p_f[point, None])
         try:
             solved = np.linalg.solve(
                 _bordered(rows),
@@ -418,8 +442,10 @@ def _policy_iteration(idle_blind: np.ndarray, sense: np.ndarray,
             return None
         bias = solved @ weights[:, :, None]
         bias[:, 0] = 0.0
+        # (n, K): each point's sensing kernel times its bias, as a column
+        sensed = sense_kernels(params, blocks @ bias[:, :, 0].T, p_d, p_f)
         values = weighted + np.concatenate(
-            [idle_blind @ bias[:, None], (sense @ bias)[:, None]], axis=1)[..., 0]
+            [(idle_blind @ bias[:, None])[..., 0], sensed.T[:, None]], axis=1)
         values[:, ~allowed] = -np.inf
         better = values.max(axis=1) > values[batch, policy, levels] + tol
         if not better.any():
@@ -451,15 +477,17 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
     low and high policy at each point, the (K,) share ``s`` of the high one
     in their mix (0, with both the unconstrained optimum, where the floor is
     slack) and the unconstrained optima, the next column's start.  None
-    when a policy iteration fails.
+    when a policy iteration fails.  Every pass reads the sensing kernels
+    as the column's sensing blocks and detector terms, from which
+    :func:`_policy_iteration` builds only the rows and products it needs.
     """
     idle_blind = idle_blind_kernels(params, column.blocks)
-    sense = sense_kernels(params, column.blocks, column.p_d, column.p_f)
     allowed = _admitted(params, column.quantities, scheme)
     mu_th = params.mu_th
 
     def solve(points: np.ndarray, weights, policy=None):
-        return _policy_iteration(idle_blind, sense[points], column.rewards[points],
+        sense_args = params, column.blocks, column.p_d[points], column.p_f[points]
+        return _policy_iteration(idle_blind, sense_args, column.rewards[points],
                                  allowed, weights, policy)
 
     count = len(column.thresholds)

@@ -20,6 +20,7 @@ from ehcr.chain import (
     StationaryDistribution,
     action_ranges,
     harvest_blocks,
+    sense_kernels,
     stationary_distribution,
     transition_components,
 )
@@ -632,7 +633,7 @@ def reference_column_mdp(params: SystemParams, column: optimizer._Column,
     return np.array(kernels), np.array(rewards), allowed
 
 
-def reference_policy_iteration(idle_blind: np.ndarray, sense: np.ndarray,
+def reference_policy_iteration(idle_blind: np.ndarray, sense_args: tuple,
                                rewards: np.ndarray, allowed: np.ndarray, weights,
                                policy: np.ndarray | None = None
                                ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -640,7 +641,13 @@ def reference_policy_iteration(idle_blind: np.ndarray, sense: np.ndarray,
     batch, its (3, n, n) kernels stacked from the shared idle/blind pair and
     its own sensing kernel, iterated alone from its own start, its own
     system solved at every step, so no point shares a solve with another.
-    None when any point fails, as the batch does."""
+    The sensing kernels are the (K, n, n) stack that ``sense_kernels``
+    builds from ``sense_args``, its arguments ``(params, blocks, p_d, p_f)``
+    at the K points, and every action is valued by its full kernel.  None
+    when any point fails, as the batch does."""
+    params, blocks, p_d, p_f = sense_args
+    sense = sense_kernels(params, blocks, np.asarray(p_d)[:, None, None],
+                          np.asarray(p_f)[:, None, None])
     count, n = sense.shape[:2]
     kernels = [np.concatenate([idle_blind, own[None]]) for own in sense]
     weights = np.broadcast_to(weights, (count, 2))

@@ -15,9 +15,10 @@ each sensing time and evaluate each screened column's terms once, while
 each search builds its own kernel blocks (the memos are cleared before each
 test).  The detector is evaluated once per screened column, over all its
 thresholds, and once per simulation and per evaluation of a policy that
-senses; no policy iteration runs on an empty batch.  The LP solves of
-``optimize`` are pinned too: its screen needs none, and a lone point
-within ``LP_FEASIBILITY_TOL`` of the best is taken as screened, so only
+senses; no policy iteration runs on an empty batch, and a screen builds no
+(K, n, n) sensing stack, so at ``N_max`` 200 it peaks under 40 MB.  The
+LP solves of ``optimize`` are pinned too: its screen needs none, and a lone
+point within ``LP_FEASIBILITY_TOL`` of the best is taken as screened, so only
 two or more such points are solved, each distinct LP once: all points of
 the sensing times that cannot fund sensing share one LP.  A faithful run
 draws each licensed-busy slot's detector statistic from its noncentral
@@ -173,14 +174,39 @@ def test_no_policy_iteration_gets_an_empty_batch(monkeypatch, testbench_params,
     params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
     iterate, batches = optimizer._policy_iteration, []
 
-    def counted(idle_blind, sense, *rest, **kwargs):
-        batches.append(len(sense))
-        return iterate(idle_blind, sense, *rest, **kwargs)
+    def counted(idle_blind, sense_args, *rest, **kwargs):
+        batches.append(len(sense_args[2]))  # the points' p_d
+        return iterate(idle_blind, sense_args, *rest, **kwargs)
 
     monkeypatch.setattr(optimizer, "_policy_iteration", counted)
     with contextlib.suppress(InfeasibleGridError):
         optimize(params, FAST_GRID, "probabilistic")
     assert batches and min(batches) >= 1
+
+
+def test_screen_builds_no_sensing_stack(make_params, monkeypatch):
+    # a sensing-only screen at N_max 200 over 40 thresholds, every one of
+    # which senses, holds a step's (K, n, n) systems and their bordered
+    # copy, 12.9 MB each, and a few MB of gathered sensing rows: its traced
+    # peak measured 28.8 MB, where a (K, n, n) sensing stack and its copies
+    # in every step took 66.2 MB.  Its rows, gathered in 12 chunks, give
+    # the screen of one gather bit for bit.
+    params = make_params(N_max=200)
+    grid = GridSpec(tau_min=5e-4, lambda_count=40)
+    column = column_at(params, grid.tau_values(params)[0], grid)
+    tracemalloc.start()
+    try:
+        screen = optimizer._screen(params, column, "sensing_only")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert screen is not None
+    assert peak < 40e6
+    monkeypatch.setattr(optimizer, "_GATHER_FLOATS", 40 * params.n_states**2)
+    for chunked, whole in zip(screen, optimizer._screen(params, column,
+                                                        "sensing_only"),
+                              strict=True):
+        assert np.array_equal(chunked, whole)
 
 
 @pytest.mark.parametrize("grid, rho, mu_th, solves", [

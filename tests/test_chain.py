@@ -325,6 +325,35 @@ class TestBuildTransitionMatrix:
             assert levels.shape[0] <= n + min(n + q.n_t, law.masses.size + 1)
 
 
+    @given(n_max=st.integers(2, 60), rho=st.floats(0.05, 0.95),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sense_kernels_map_rows_and_products_as_the_stack(
+            self, testbench_params, n_max, rho, seed):
+        # linear in the blocks: the blocks' rows at some levels give the
+        # stack's rows there bit for bit, and the blocks' products with
+        # biases the stack's products to within rounding
+        params = with_overrides(testbench_params, N_max=n_max, rho=rho)
+        blocks = harvest_blocks(params, derive(params, 5e-4),
+                                *harvest_laws(params))
+        rng = np.random.default_rng(seed)
+        count, n = 7, params.n_states
+        p_d, p_f = rng.random(count), rng.random(count)
+        stack = chain.sense_kernels(params, blocks, p_d[:, None, None],
+                                    p_f[:, None, None])
+        for k in range(count):
+            assert np.array_equal(
+                stack[k], chain.sense_kernels(params, blocks, p_d[k], p_f[k]))
+        levels = rng.integers(n, size=count)
+        rows = chain.sense_kernels(params, blocks[:, 2:, levels], p_d[:, None],
+                                   p_f[:, None])
+        assert np.array_equal(rows, stack[np.arange(count), levels])
+        biases = rng.standard_normal((n, count))
+        products = chain.sense_kernels(params, blocks @ biases, p_d, p_f)
+        expected = np.einsum("kij,jk->ik", stack, biases)
+        assert np.max(np.abs(products - expected)) <= 1e-14 * n * np.abs(
+            biases).max()
+
+
 class TestStationary:
     def test_symmetric_two_state(self):
         pi = stationary_distribution(np.array([[0.5, 0.5], [0.5, 0.5]])).pi

@@ -427,7 +427,8 @@ class TestColdSolves:
             if optimizer._unsupported(column.quantities, scheme):
                 continue
             idle_blind = idle_blind_kernels(params, column.blocks)
-            sense = sense_kernels(params, column.blocks, column.p_d, column.p_f)
+            sense = sense_kernels(params, column.blocks, column.p_d[:, None, None],
+                                  column.p_f[:, None, None])
             rewards = action_rewards(params, column.outages, column.p_d,
                                      column.p_f)
             for k, (p_d, p_f) in enumerate(zip(column.p_d, column.p_f)):
@@ -714,14 +715,16 @@ class TestScreenSolves:
 
     @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
            mode=st.sampled_from(["mixed", "nature", "rf"]),
-           scheme=st.sampled_from(optimizer.SCHEMES))
+           scheme=st.sampled_from(optimizer.SCHEMES),
+           n_max=st.integers(2, 60))
     def test_shared_solves_equal_per_point_solves(self, testbench_params, rho,
-                                                  mu_th, mode, scheme):
+                                                  mu_th, mode, scheme, n_max):
         # every column of a search, warm-started as optimize starts it,
         # gives the same gains and policies bit for bit when each point's
-        # policy iteration runs alone, sharing no solve
+        # policy iteration runs alone on its (3, n, n) kernels, sharing no
+        # solve and valuing sensing by its stacked kernel
         params = harvest_mode(with_overrides(testbench_params, rho=rho,
-                                             mu_th=mu_th), mode)
+                                             mu_th=mu_th, N_max=n_max), mode)
         start = None
         for tau in FAST_GRID.tau_values(params):
             column = column_at(params, tau, FAST_GRID)
@@ -1022,7 +1025,8 @@ class TestConstrainedRegime:
             if optimizer._unsupported(column.quantities, scheme):
                 continue
             idle_blind = idle_blind_kernels(params, column.blocks)
-            sense = sense_kernels(params, column.blocks, column.p_d, column.p_f)
+            sense = sense_kernels(params, column.blocks, column.p_d[:, None, None],
+                                  column.p_f[:, None, None])
             kernels, rewards, allowed = reference_column_mdp(params, column,
                                                              scheme)
             assert all(np.array_equal(idle_blind, point[:2]) for point in kernels)
@@ -1075,8 +1079,9 @@ class TestConstrainedRegime:
         allowed = _admitted(params, column.quantities, scheme)
 
         def gains(nu):
-            solved, _ = _policy_iteration(kernels[:2], kernels[2:], rewards,
-                                          allowed, (1.0, nu))
+            solved, _ = _policy_iteration(
+                kernels[:2], (params, column.blocks, column.p_d[k:k + 1],
+                              column.p_f[k:k + 1]), rewards, allowed, (1.0, nu))
             return solved[0]
 
         low, high = 0.0, 1.0
