@@ -17,9 +17,12 @@ memo keyed with both set aside holds each sensing time's quantities and
 thresholds, and, from the first search that screens it on, its outages and
 read-only detector terms, so a rho sweep derives each sensing time once.
 The kernel blocks are rho-free too, but hold 8 n^2 floats per column, too
-many to memoize for several scenarios at a large battery, so each search
-gathers them at the sensing times it screens, as rows of the level
-matrices memoized on its harvest laws.
+many to keep for a whole search at a large battery, so no column holds
+them: the screen, the LP skeleton and the winner's report each gather the
+blocks they read, as rows of the level matrices memoized on the harvest
+laws, and drop them.  The idle and blind kernels read the blocks at the
+consumptions 0 and ``n_t`` alone, the same rows at every sensing time, so
+a search builds them once, from its first screened column.
 
 The screen values all thresholds of a column at once as constrained MDPs
 (Puterman 1994, ch. 8-9; Altman 1999, ch. 3).  Batched average-reward
@@ -34,19 +37,22 @@ determination fills each chosen sensing row from the column's kernel
 blocks by the kernel's own expression, and improvement applies that
 expression to the blocks' products with the biases, so a screen holds a
 step's (K, n, n) systems and no sensing stack.  Each column's
-unconstrained pass starts from the previous column's optimum, all-idle
-should that fail (it can end elsewhere only where policies tie), and no
-pass runs on an empty set of points.  Policies that never sense read one
-idle/blind kernel pair and the same rewards at every threshold, so each
-step solves each distinct such system once.  A sensing time that cannot
-fund sensing admits no sensing, and nothing else of its model depends on
-the sensing time, so the later ones reuse the first one's column and
-screen: their passes would start from its optimum of the same model and
-return it.  None of this sharing changes a bit.  The all-idle chain is the
-same in every column, and a search raises before its first screen when
-that chain has several closed classes: no harvest, or one too rare for
-:func:`~ehcr.chain.stationary_distribution` to count as an edge.  A column
-the screen cannot value is logged as failed.
+unconstrained pass starts from the previous column's optimum (it can end
+elsewhere only where policies tie); every other pass, and one whose warm
+start fails, starts from all-idle's first improvement, the greedy choice
+of the weighted rewards, as all-idle's bias is zero; no pass runs on an
+empty set of points.  Policies that never sense read the idle/blind kernel
+pair and the idle and blind rewards alone, which are the same at every
+threshold and sensing time, so a search solves each distinct such system
+once, whatever the column, pass or step that meets it.  A sensing time
+that cannot fund sensing admits no sensing, and nothing else of its model
+depends on the sensing time, so the later ones reuse the first one's
+column and screen: their passes would start from its optimum of the same
+model and return it.  None of this sharing changes a bit.  The all-idle
+chain is the same in every column, and a search raises before its first
+screen when that chain has several closed classes: no harvest, or one too
+rare for :func:`~ehcr.chain.stationary_distribution` to count as an edge.
+A column the screen cannot value is logged as failed.
 
 The LP of a point is the same model in the occupation vector (pi,
 pi*alpha, pi*beta1, pi*beta2), in which the balance equations, the floor
@@ -77,6 +83,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -275,10 +282,10 @@ def _scan(params: SystemParams, grid: GridSpec) -> tuple[_Scanned, ...]:
 class _Column:
     """What one sensing time fixes for its K threshold LPs, and their detector.
     The sensing times of a search that cannot fund sensing share the first one's
-    object, equal only to itself, as none reads its detector or sensing blocks."""
+    object, equal only to itself, as none reads its detector or sensing blocks.
+    Its kernel blocks are not held: :func:`_blocks` gathers them where read."""
 
     quantities: DerivedQuantities
-    blocks: np.ndarray  # (2, 4, n, n) harvest blocks, gathered per search
     thresholds: tuple[float, ...]
     outages: OutageBundle
     p_d: np.ndarray  # (K,) averaged detection probabilities
@@ -286,12 +293,26 @@ class _Column:
     rewards: np.ndarray  # (K, 3, 2) action rewards at each threshold
 
 
-def _column(params: SystemParams, scanned: _Scanned, harvest: tuple) -> _Column:
+def _column(params: SystemParams, scanned: _Scanned) -> _Column:
     """The column of a scanned sensing time: its scanned outages and detector
-    terms, the kernel blocks of this search's harvest laws and the rewards."""
+    terms, and the rewards."""
     q, (outages, p_d, p_f) = scanned.quantities, scanned.terms
-    return _Column(q, harvest_blocks(params, q, *harvest), scanned.thresholds,
-                   outages, p_d, p_f, action_rewards(params, outages, p_d, p_f))
+    return _Column(q, scanned.thresholds, outages, p_d, p_f,
+                   action_rewards(params, outages, p_d, p_f))
+
+
+def _blocks(params: SystemParams, column: _Column) -> np.ndarray:
+    """The (2, 4, n, n) kernel blocks of a column, gathered afresh from the
+    level matrices memoized on the harvest laws of ``params``."""
+    return harvest_blocks(params, column.quantities,
+                          *harvesting.harvest_laws(params))
+
+
+def _stacked(idle_blind: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The (6, n, n) kernels a screen reads: the idle and blind kernels, then
+    the four kernel blocks that :func:`~ehcr.chain.sense_kernels` reads
+    (silent, then active; sensing, then sensing and transmission)."""
+    return np.concatenate([idle_blind, blocks[0, 2:], blocks[1, 2:]])
 
 
 def _column_lps(params: SystemParams, column: _Column, scheme: str):
@@ -307,13 +328,16 @@ def _column_lps(params: SystemParams, column: _Column, scheme: str):
     equations and the normalization.  The sensing-only scheme pins the
     blind products to zero by their bounds.  Only the floor row and the kb
     pi*beta2 columns read the detector, so the rest of the program is filled
-    once, here, and each threshold copies it and writes its own.
+    once, here, from the column's blocks gathered here, and each threshold
+    copies it and writes its own.
     """
     q = column.quantities
     n, first = params.n_states, q.alpha_range.start
     ka, kb = len(q.alpha_range), len(q.beta_range)
     acting, beta = ka + kb, slice(q.beta_range.start, n)
-    idle, blind = idle_blind_kernels(params, column.blocks)
+    blocks = _blocks(params, column)
+    idle, blind = idle_blind_kernels(params, blocks)
+    sensing_blocks = blocks[:, 2:, beta]
     rewards = column.rewards
     # (K, 2, 3): (mu_s, mu_p) of idling, then each action's change from it;
     # only sensing's reads the threshold, so the skeleton takes the first's
@@ -334,7 +358,7 @@ def _column_lps(params: SystemParams, column: _Column, scheme: str):
     bounds[n:n + acting, 1] = scheme != "sensing_only"  # 0 pins blind access off
 
     def lp(k: int) -> tuple:
-        sense = sense_kernels(params, column.blocks[:, :, beta], column.p_d[k],
+        sense = sense_kernels(params, sensing_blocks, column.p_d[k],
                               column.p_f[k])
         matrix = skeleton.copy()
         matrix[0, sensing] = -rates[k, 1, 2]
@@ -375,87 +399,151 @@ def _admitted(params: SystemParams, quantities: DerivedQuantities,
     return np.arange(n) >= np.array(firsts)
 
 
-def _policy_iteration(idle_blind: np.ndarray, sense_args: tuple,
-                      rewards: np.ndarray, allowed: np.ndarray, weights,
-                      policy: np.ndarray | None = None
+def _sense_in_place(params: SystemParams, blocks: np.ndarray, p_d, p_f
+                    ) -> np.ndarray:
+    """:func:`~ehcr.chain.sense_kernels` of the (2, 2, ...) ``blocks`` it
+    reads, evaluated in its order in place, so to the same bits: the result
+    overwrites ``blocks[0, 0]`` and is returned, and the other three blocks
+    are spent."""
+    (silent, silent_tx), (active, active_tx) = blocks
+    silent *= p_f
+    silent_tx *= 1.0 - p_f
+    silent += silent_tx
+    silent *= 1.0 - params.rho
+    active *= p_d
+    active_tx *= 1.0 - p_d
+    active += active_tx
+    active *= params.rho
+    silent += active
+    return silent
+
+
+def _policy_iteration(params: SystemParams, kernels: np.ndarray,
+                      p_d: np.ndarray, p_f: np.ndarray, rewards: np.ndarray,
+                      allowed: np.ndarray, weights,
+                      policy: np.ndarray | None = None,
+                      never_sensing: dict[bytes, np.ndarray] | None = None
                       ) -> tuple[np.ndarray, np.ndarray] | None:
     """Gains (K, 2) of (mu_s, mu_p) and action indices (K, n) of a
     deterministic policy maximizing the average of ``rewards @ weights`` in
     each MDP of the batch: the (2, n, n) idle and blind kernels that every
-    point shares, the sensing kernels that
-    :func:`~ehcr.chain.sense_kernels` builds from ``sense_args``, its
-    arguments ``(params, blocks, p_d, p_f)`` at the K points, and the
-    (K, 3, 2) rewards of the three actions, which ``allowed`` admits per
-    level.  ``weights`` is one (2,) pair or a (K, 2) stack.
+    point shares, stacked in ``kernels`` above the four (n, n) blocks that
+    :func:`~ehcr.chain.sense_kernels` reads (silent, then active; sensing,
+    then sensing and transmission), from which it builds the sensing kernel
+    of the averaged detection and false-alarm probabilities ``p_d`` and
+    ``p_f`` at each of the K points, and the (K, 3, 2) rewards of the three
+    actions, which ``allowed`` admits per level.  ``weights`` is one (2,)
+    pair or a (K, 2) stack.
 
     Average-reward policy iteration from the admitted (K, n) actions
-    ``policy``, all idle when None; it converges from any start.  Value
-    determination solves ``g + h = r + P h`` with ``h`` pinned to zero at
-    level 0 and ``g`` in its place, one ``np.linalg.solve`` of the batch's
-    :func:`~ehcr.chain._bordered` systems; a level changes action only for a
-    gain above the tolerance.  No (K, n, n) sensing stack is built: a
-    system's sensing rows are the kernel's expression on the blocks' rows,
-    gathered at most ``_GATHER_FLOATS`` floats per block at a time, so they
-    equal the stack's bit for bit, and the improvement applies the kernel
-    to the blocks' products with the biases, which round within an ulp or
-    so of the stack's products.  Within a batch of one column, equal
-    policies that never sense read the same rows and rewards
-    (``action_rewards`` broadcasts them over the thresholds), so each
-    distinct one is solved once; a sensing point is solved as its own.  None
+    ``policy``, or, when None, from all-idle's first improvement: all-idle's
+    weighted reward is the same at every level, so its bias is zero and
+    that improvement is the greedy choice; it converges from any start.
+    Value determination solves ``g + h = r + P h`` with ``h`` pinned to zero
+    at level 0 and ``g`` in its place, one ``np.linalg.solve`` of the
+    batch's :func:`~ehcr.chain._bordered` systems; a level changes action
+    only for a gain above the tolerance.  No (K, n, n) sensing stack is
+    built: a system's sensing rows are the kernel's expression, evaluated in
+    its order in place on the blocks' rows, gathered at most
+    ``_GATHER_FLOATS`` floats per block at a time, so they equal the
+    stack's bit for bit, and the improvement applies the kernel to the
+    blocks' products with the biases, taken with the idle and blind ones
+    as one product, which round within an ulp or so of the stack's.  A
+    point that senses is solved as its own.  A policy that never senses
+    reads only the idle and blind rows and rewards, the same at every point
+    and sensing time of a search (``action_rewards`` broadcasts them over
+    the thresholds, and reads no sensing time for them), so each distinct
+    one is solved once and its (n, 2) solution kept in ``never_sensing``
+    under the bytes of its actions; the screens of a search share it.  None
     when a solve is singular or not finite (a policy with several closed
     classes) or the iteration does not settle.
     """
-    params, blocks, p_d, p_f = sense_args
-    count, n = len(p_d), idle_blind.shape[-1]
-    blocks = blocks[:, -2:]  # all that sense_kernels reads
-    weights = np.broadcast_to(weights, (count, 2))
-    batch, levels = np.arange(count)[:, None], np.arange(n)
-    weighted = rewards @ weights[:, :, None]  # (K, 3, 1): the same at every level
-    tol = _PI_TOL * (1.0 + np.abs(weights).sum(axis=1))[:, None]
+    count, n = len(p_d), kernels.shape[-1]
+    blocks = kernels[2:].reshape(2, 2, n, n)
+    weights = np.asarray(weights, dtype=float)
+    batch, levels = np.arange(count), np.arange(n)
+    # (3, 1, K): each action's weighted reward, the same at every level
+    weighted = (rewards @ weights[..., None])[..., 0].T[:, None]
+    tol = _PI_TOL * (1.0 + np.abs(weights).sum(axis=-1))
     chunk = max(1, _GATHER_FLOATS // n)  # sensing rows gathered at a time
+    known = {} if never_sensing is None else never_sensing
+    barred = ~allowed
+
+    def improve(values: np.ndarray, policy: np.ndarray) -> np.ndarray | None:
+        """The improved policy of the (3, n, K) action values, or None when
+        no level gains above the tolerance."""
+        values[barred] = -np.inf
+        better = values.max(axis=0) > values[policy.T, levels[:, None], batch] + tol
+        if not better.any():
+            return None
+        improved = policy.copy()
+        improved.T[better] = values[:, better].argmax(axis=0)
+        return improved
+
+    steps = _PI_MAX_STEPS
     if policy is None:
         policy = np.zeros((count, n), dtype=int)
-    for _ in range(_PI_MAX_STEPS):
-        # each point's system is solved at its owner: itself if it senses,
-        # else the first point that never senses with the same policy
-        firsts: dict[bytes, int] = {}
-        senses = (policy == 2).any(axis=1).tolist()
-        owner = np.array([k if senses[k] else firsts.setdefault(row.tobytes(), k)
-                          for k, row in enumerate(policy)], dtype=int)
-        owners = np.flatnonzero(owner == batch[:, 0])
-        chosen = policy[owners]
-        rows = idle_blind[np.minimum(chosen, 1), levels]
-        at, level = np.nonzero(chosen == 2)
-        for part in range(0, at.size, chunk):
-            system, row = at[part:part + chunk], level[part:part + chunk]
-            point = owners[system]
-            rows[system, row] = sense_kernels(
-                params, np.take(blocks, row, axis=2), p_d[point, None],
-                p_f[point, None])
-        try:
-            solved = np.linalg.solve(
-                _bordered(rows),
-                rewards[owners[:, None], chosen])[np.searchsorted(owners, owner)]
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(solved)):
-            return None
-        bias = solved @ weights[:, :, None]
+        greedy = improve(np.repeat(weighted, n, axis=1), policy)
+        if greedy is not None:  # the step that would have solved all-idle
+            policy, steps = greedy, steps - 1
+    row_bytes = np.dtype((np.void, n * policy.itemsize))  # a policy's key
+    for _ in range(steps):
+        senses = (policy == 2).any(axis=1)
+        own, free = batch, None
+        if not senses.all():
+            # the never-sensing points: the first of each policy not solved
+            # before is solved, the rest read its solution
+            free = np.flatnonzero(~senses)
+            keys = policy[free].view(row_bytes).ravel().tolist()
+            distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+            fresh = {key: free[keys.index(key)] for key in distinct
+                     if key not in known}
+            own = np.concatenate([np.flatnonzero(senses),
+                                  np.fromiter(fresh.values(), int, len(fresh))])
+        solved = None if free is None else np.empty((count, n, 2))
+        if own.size:
+            chosen = policy[own]
+            rows = kernels[np.minimum(chosen, 1), levels]
+            at, level = np.nonzero(chosen == 2)
+            for part in range(0, at.size, chunk):
+                system, row = at[part:part + chunk], level[part:part + chunk]
+                point = own[system]
+                rows[system, row] = _sense_in_place(
+                    params, np.take(blocks, row, axis=2), p_d[point, None],
+                    p_f[point, None])
+            try:
+                ours = np.linalg.solve(_bordered(rows),
+                                       rewards[own[:, None], chosen])
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(ours)):
+                return None
+            if solved is None:
+                solved = ours
+            else:
+                solved[own] = ours
+        if free is not None:
+            known.update((key, solved[k].copy()) for key, k in fresh.items())
+            solved[free] = np.array([known[key] for key in distinct])[
+                [distinct[key] for key in keys]]
+        bias = solved @ weights[..., None]
         bias[:, 0] = 0.0
-        # (n, K): each point's sensing kernel times its bias, as a column
-        sensed = sense_kernels(params, blocks @ bias[:, :, 0].T, p_d, p_f)
-        values = weighted + np.concatenate(
-            [(idle_blind @ bias[:, None])[..., 0], sensed.T[:, None]], axis=1)
-        values[:, ~allowed] = -np.inf
-        better = values.max(axis=1) > values[batch, policy, levels] + tol
-        if not better.any():
+        # (6, n, K): each kernel and sensing block times each point's bias,
+        # as a column; the sensing kernel's column takes the third's place
+        products = kernels @ bias[:, :, 0].T
+        _sense_in_place(params, products[2:].reshape(2, 2, n, count), p_d, p_f)
+        values = products[:3]
+        values += weighted
+        improved = improve(values, policy)
+        if improved is None:
             return solved[:, 0], policy
-        policy = np.where(better, values.argmax(axis=1), policy)
+        policy = improved
     return None
 
 
 def _screen(params: SystemParams, column: _Column, scheme: str,
-            start: np.ndarray | None = None
+            start: np.ndarray | None = None, kernels: np.ndarray | None = None,
+            never_sensing: dict[bytes, np.ndarray] | None = None
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                        np.ndarray, np.ndarray] | None:
     """Optimal LP objective and its licensed-user rate at each threshold of a
@@ -464,31 +552,41 @@ def _screen(params: SystemParams, column: _Column, scheme: str,
 
     The unconstrained pass starts from ``start``, the (K, n) unconstrained
     optima of the previous column, projected onto the actions this column
-    admits (idle where one is not), and is rerun from all-idle when that
-    fails, so a failed warm start never fails a column; None starts it
-    all-idle, as every later pass starts.  A point whose unconstrained
-    optimum misses the floor gets the minimum over nu >= 0 of the dual
-    ``max mu_s + nu * (mu_p - mu_th)`` by cutting planes: the lines of a
-    policy below and one on or above the floor meet at the next nu, and the
-    search stops once no policy rises above them there.  The value is then
-    that of the mix of the two policies meeting the floor.  Returns the
+    admits (idle where one is not), and is rerun from all-idle's first
+    improvement when that fails, so a failed warm start never fails a
+    column; None starts it there, as every later pass starts.  A point whose
+    unconstrained optimum misses the floor gets the minimum over nu >= 0 of
+    the dual ``max mu_s + nu * (mu_p - mu_th)`` by cutting planes: the lines
+    of a policy below and one on or above the floor meet at the next nu, and
+    the search stops once no policy rises above them there.  The value is
+    then that of the mix of the two policies meeting the floor.  Returns the
     objectives, their licensed-user rates (the unconstrained optimum's where
     the floor is slack, the mix's where it binds), the (K, n) actions of the
     low and high policy at each point, the (K,) share ``s`` of the high one
     in their mix (0, with both the unconstrained optimum, where the floor is
     slack) and the unconstrained optima, the next column's start.  None
-    when a policy iteration fails.  Every pass reads the sensing kernels
-    as the column's sensing blocks and detector terms, from which
-    :func:`_policy_iteration` builds only the rows and products it needs.
+    when a policy iteration fails.
+
+    Every pass reads the column's :func:`_stacked` ``kernels``, built here
+    from the column's own blocks when None, from which
+    :func:`_policy_iteration` builds only the rows and products it needs,
+    and shares ``never_sensing``, a search's never-sensing solutions, or
+    the screen's own when None.
     """
-    idle_blind = idle_blind_kernels(params, column.blocks)
+    if kernels is None:
+        blocks = _blocks(params, column)
+        kernels = _stacked(idle_blind_kernels(params, blocks), blocks)
+        del blocks
+    if never_sensing is None:
+        never_sensing = {}
     allowed = _admitted(params, column.quantities, scheme)
     mu_th = params.mu_th
 
     def solve(points: np.ndarray, weights, policy=None):
-        sense_args = params, column.blocks, column.p_d[points], column.p_f[points]
-        return _policy_iteration(idle_blind, sense_args, column.rewards[points],
-                                 allowed, weights, policy)
+        return _policy_iteration(params, kernels, column.p_d[points],
+                                 column.p_f[points], column.rewards[points],
+                                 allowed, weights, policy=policy,
+                                 never_sensing=never_sensing)
 
     count = len(column.thresholds)
     solved = None
@@ -594,8 +692,8 @@ def _optimal_solution(params: SystemParams, record: GridPointStatus,
     normalized per level; a level neither reaches takes the high action.
     """
     q = column.quantities
-    kernels = transition_components(params, column.blocks, column.p_d[k],
-                                    column.p_f[k])
+    kernels = transition_components(params, _blocks(params, column),
+                                    column.p_d[k], column.p_f[k])
     levels = np.arange(params.n_states)
     actions = np.zeros((2, 3, params.n_states))
     actions[0, low, levels] = actions[1, high, levels] = 1.0
@@ -639,12 +737,22 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    harvest = harvesting.harvest_laws(params)
     records: list[GridPointStatus] = []
     # (index of the first record, column, screen) of each screened sensing time
     screened: list[tuple[int, _Column, tuple]] = []
     screens: dict[float | None, tuple] = {}  # (column, screen) per model key
     start = None  # the last screened column's unconstrained optima
+    idle_blind = None  # the search's, from its first screened column
+    never_sensing: dict[bytes, np.ndarray] = {}  # what every screen shares
+
+    def logged(tau: float, thresholds, statuses, objectives=None):
+        """The records of one sensing time, each made by the tuple
+        constructor that ``GridPointStatus._make`` calls, with no Python
+        frame per point."""
+        return map(tuple.__new__, repeat(GridPointStatus), zip(
+            repeat(tau), thresholds, statuses,
+            repeat(None) if objectives is None else objectives))
+
     for scanned in _scan(replace(params, rho=0.0, mu_th=0.0), grid):
         quantities = scanned.quantities
         tau = quantities.tau
@@ -654,30 +762,33 @@ def optimize(params: SystemParams, grid: GridSpec, scheme: str
             continue
         thresholds = scanned.thresholds
         if unsupported is not None:
-            records.extend(GridPointStatus(tau, threshold, unsupported)
-                           for threshold in thresholds)
+            records.extend(logged(tau, thresholds, repeat(unsupported)))
             continue
         key = _model_key(quantities)
         if key in screens:  # policy iteration from its optimum returns it
             column, screen = screens[key]
         else:
-            column = _column(params, scanned, harvest)
-            if not screens:  # the all-idle chain is the same in every column
-                _require_unichain(idle_blind_kernels(params, column.blocks)[0])
-            screen = _screen(params, column, scheme, start)
+            column = _column(params, scanned)
+            blocks = _blocks(params, column)
+            if idle_blind is None:  # the all-idle chain is the same in every column
+                idle_blind = idle_blind_kernels(params, blocks)
+                _require_unichain(idle_blind[0])
+            kernels = _stacked(idle_blind, blocks)
+            del blocks  # the screen reads only the stack
+            screen = _screen(params, column, scheme, start, kernels,
+                             never_sensing)
             screens[key] = column, screen
         if screen is None:
-            records.extend(GridPointStatus(tau, threshold, "solver_failure")
-                           for threshold in thresholds)
+            records.extend(logged(tau, thresholds, repeat("solver_failure")))
             continue
         objectives, mu_p, low, high, share, start = screen
         screened.append((len(records), column, objectives, mu_p,
                          (low, high, share)))
-        records.extend(GridPointStatus(tau, threshold, "infeasible")
-                       if math.isnan(objective)
-                       else GridPointStatus(tau, threshold, "optimal", objective)
-                       for threshold, objective in zip(thresholds,
-                                                       objectives.tolist()))
+        claims = objectives.tolist()
+        records.extend(logged(
+            tau, thresholds,
+            ["infeasible" if math.isnan(claim) else "optimal" for claim in claims],
+            [None if math.isnan(claim) else claim for claim in claims]))
 
     # Certify tier by tier the points within LP_FEASIBILITY_TOL of the best
     # screened objective left: a lone one wins as screened; two or more are

@@ -605,10 +605,11 @@ def reference_closed_classes(p: np.ndarray, edge_tol: float = 1e-14) -> list[lis
 def column_at(params: SystemParams, tau: float,
               grid: optimizer.GridSpec) -> optimizer._Column:
     """The optimizer's column at ``tau`` over the thresholds of ``grid``
-    (quantities, outages, kernel blocks and the detector at each), scanned
-    afresh rather than read from the scan memo."""
+    (quantities, outages and the detector at each), scanned afresh rather
+    than read from the scan memo; ``optimizer._blocks`` gathers its kernel
+    blocks."""
     scanned = optimizer._Scanned(derive(params, tau), params, grid)
-    return optimizer._column(params, scanned, harvesting.harvest_laws(params))
+    return optimizer._column(params, scanned)
 
 
 def reference_column_mdp(params: SystemParams, column: optimizer._Column,
@@ -618,12 +619,13 @@ def reference_column_mdp(params: SystemParams, column: optimizer._Column,
     scalar detector, kernel and reward calls."""
     q = column.quantities
     n = params.n_states
+    blocks = optimizer._blocks(params, column)
     kernels, rewards = [], []
     for threshold in column.thresholds:
         cfg = sensing.SensingConfig(threshold, q.m)
         p_d = sensing.detection_avg(cfg, q.gamma_bar)
         p_f = sensing.false_alarm(cfg)
-        kernels.append(transition_components(params, column.blocks, p_d, p_f))
+        kernels.append(transition_components(params, blocks, p_d, p_f))
         rewards.append(action_rewards(params, column.outages, p_d, p_f))
     allowed = np.zeros((3, n), dtype=bool)
     allowed[0] = True
@@ -633,28 +635,33 @@ def reference_column_mdp(params: SystemParams, column: optimizer._Column,
     return np.array(kernels), np.array(rewards), allowed
 
 
-def reference_policy_iteration(idle_blind: np.ndarray, sense_args: tuple,
+def reference_policy_iteration(params: SystemParams, kernels: np.ndarray,
+                               p_d: np.ndarray, p_f: np.ndarray,
                                rewards: np.ndarray, allowed: np.ndarray, weights,
-                               policy: np.ndarray | None = None
+                               policy: np.ndarray | None = None,
+                               never_sensing: dict | None = None
                                ) -> tuple[np.ndarray, np.ndarray] | None:
     """``optimizer._policy_iteration`` one point at a time: each MDP of the
     batch, its (3, n, n) kernels stacked from the shared idle/blind pair and
-    its own sensing kernel, iterated alone from its own start, its own
-    system solved at every step, so no point shares a solve with another.
-    The sensing kernels are the (K, n, n) stack that ``sense_kernels``
-    builds from ``sense_args``, its arguments ``(params, blocks, p_d, p_f)``
-    at the K points, and every action is valued by its full kernel.  None
-    when any point fails, as the batch does."""
-    params, blocks, p_d, p_f = sense_args
+    its own sensing kernel, iterated alone from its own start (all-idle when
+    None), its own system solved at every step, so no point shares a solve
+    with another and ``never_sensing`` is not read.  The idle/blind pair is
+    the first two of ``kernels``; the sensing kernels are the (K, n, n) stack
+    that ``sense_kernels`` builds from the four blocks after them and the
+    detector terms ``p_d``/``p_f`` at the K points, and every action is
+    valued by its full kernel.  None when any point fails, as the batch
+    does."""
+    n = kernels.shape[-1]
+    idle_blind, blocks = kernels[:2], kernels[2:].reshape(2, 2, n, n)
     sense = sense_kernels(params, blocks, np.asarray(p_d)[:, None, None],
                           np.asarray(p_f)[:, None, None])
-    count, n = sense.shape[:2]
-    kernels = [np.concatenate([idle_blind, own[None]]) for own in sense]
+    count = len(sense)
+    stacks = [np.concatenate([idle_blind, own[None]]) for own in sense]
     weights = np.broadcast_to(weights, (count, 2))
     starts = np.zeros((count, n), dtype=int) if policy is None else policy
     levels = np.arange(n)
     gains, policies = [], []
-    for kernel, reward, weight, actions in zip(kernels, rewards, weights, starts):
+    for kernel, reward, weight, actions in zip(stacks, rewards, weights, starts):
         weighted = reward @ weight[:, None]  # (3, 1)
         tol = optimizer._PI_TOL * (1.0 + np.abs(weight).sum())
         for _ in range(optimizer._PI_MAX_STEPS):
@@ -687,8 +694,9 @@ def point_lp(params: SystemParams, column: optimizer._Column, k: int,
     """The dense policy LP at the k-th threshold of a column, from scalar
     kernel and reward calls at that threshold alone."""
     p_d, p_f = column.p_d[k], column.p_f[k]
+    blocks = optimizer._blocks(params, column)
     return policy_lp(params, column.quantities,
-                     transition_components(params, column.blocks, p_d, p_f),
+                     transition_components(params, blocks, p_d, p_f),
                      action_rewards(params, column.outages, p_d, p_f), scheme)
 
 
@@ -782,7 +790,6 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
     of them all by the optimizer's own tie-break, and its policy recovered
     from the LP alone."""
     records, candidates = [], []
-    harvest = harvesting.harvest_laws(params)
     for tau in grid.tau_values(params):
         q = derive(params, tau)
         unsupported = optimizer._unsupported(q, scheme)
@@ -794,8 +801,7 @@ def reference_search(params: SystemParams, grid: optimizer.GridSpec, scheme: str
             records.extend(GridPointStatus(tau, threshold, unsupported)
                            for threshold in thresholds)
             continue
-        column = optimizer._column(params, optimizer._Scanned(q, params, grid),
-                                  harvest)
+        column = optimizer._column(params, optimizer._Scanned(q, params, grid))
         for k, threshold in enumerate(thresholds):
             lp = point_lp(params, column, k, scheme)
             try:

@@ -2,9 +2,12 @@
 
 Counts the calls of the per-tau builders made by ``optimize``, ``evaluate``,
 ``run`` and ``compare`` and pins them: one ``derive`` per grid sensing
-time, one outage bundle and one set of kernel blocks per screened column;
-the winner is reported from the column it was screened on, with no call of
-its own.  The sensing times that cannot fund sensing share the first one's
+time, one outage bundle per screened column; the winner is reported from
+the column it was screened on, with no derive, bundle or detector call of
+its own.  No column holds its kernel blocks, so they are gathered where
+read: once per screened column for its screen, once per LP skeleton and
+once for the winner's report, and a search at ``N_max`` 200 peaks under
+32 MB.  The sensing times that cannot fund sensing share the first one's
 column and screen.  The harvest laws depend on neither rho, the sensing
 time, the detector nor the policy, so a scenario builds its ambient law
 once: its searches share it, and so do evaluations of any policies at any
@@ -15,8 +18,9 @@ each sensing time and evaluate each screened column's terms once, while
 each search builds its own kernel blocks (the memos are cleared before each
 test).  The detector is evaluated once per screened column, over all its
 thresholds, and once per simulation and per evaluation of a policy that
-senses; no policy iteration runs on an empty batch, and a screen builds no
-(K, n, n) sensing stack, so at ``N_max`` 200 it peaks under 40 MB.  The
+senses; no policy iteration runs on an empty batch, a search solves each
+distinct never-sensing system once, and a screen builds no (K, n, n)
+sensing stack, so at ``N_max`` 200 it peaks under 40 MB.  The
 LP solves of ``optimize`` are pinned too: its screen needs none, and a lone
 point within ``LP_FEASIBILITY_TOL`` of the best is taken as screened, so only
 two or more such points are solved, each distinct LP once: all points of
@@ -102,7 +106,9 @@ def test_optimize_builds_each_column_once(calls, setting):
     # at rho 0.5 every FAST_GRID point ties, so each distinct LP is solved
     # cold: each point of a column that can fund sensing, and one LP for
     # the two columns that cannot (6 and 8 ms), which share the column of
-    # 6 ms; the cold solves and the winner's report read their column
+    # 6 ms; the cold solves and the winner's report read their column.  No
+    # column holds its kernel blocks: the screen, the LP skeleton and the
+    # winner's report each gather those of the column they read
     sensing = sum(bool(system_model.derive(params, tau).beta_range)
                   for tau in taus)
     assert sensing == 2
@@ -114,7 +120,7 @@ def test_optimize_builds_each_column_once(calls, setting):
     # never senses here; the rho sweep below has winners that do)
     assert not np.any(solution.policy.beta2 > 0)
     assert calls == {"derive": len(taus), "bundle": built,
-                     "harvest_blocks": built, "nature_distribution": 1,
+                     "harvest_blocks": 2 * built + 1, "nature_distribution": 1,
                      "solve_lp": 6 * sensing + 1, "detection_avg": built,
                      "false_alarm": built}
 
@@ -123,7 +129,8 @@ def test_preset_grid_screens_eleven_columns(calls, monkeypatch, setting):
     # the preset grid has 19 sensing times, and the battery cannot fund
     # sensing at the last nine (m 110 to 190): the ten others and the
     # first of those nine are screened, each with its own detector call,
-    # outage bundle and kernel blocks, and the winner adds none
+    # outage bundle and kernel blocks; the winner, taken as screened, adds
+    # only the gather of its column's blocks for its report
     params, _ = setting
     grid = optimizer.GridSpec(tau_min=5e-4)
     taus = grid.tau_values(params)
@@ -131,25 +138,29 @@ def test_preset_grid_screens_eleven_columns(calls, monkeypatch, setting):
                for tau in taus) == 9
     screen, screened = optimizer._screen, []
 
-    def counted(params, column, scheme, start):
+    def counted(params, column, scheme, *rest):
         screened.append(column.quantities.m)
-        return screen(params, column, scheme, start)
+        return screen(params, column, scheme, *rest)
 
     monkeypatch.setattr(optimizer, "_screen", counted)
     calls.clear()
     optimize(params, grid, "probabilistic")
     assert screened == list(range(10, 120, 10))
     assert calls["derive"] == len(taus)
-    for name in ("detection_avg", "bundle", "harvest_blocks"):
+    assert calls["solve_lp"] == 0
+    for name in ("detection_avg", "bundle"):
         assert calls[name] == len(screened)
+    assert calls["harvest_blocks"] == len(screened) + 1
 
 
-def test_rho_sweep_scans_each_sensing_time_once(calls, testbench_params):
+def test_rho_sweep_scans_each_sensing_time_once(calls, skeletons,
+                                                testbench_params):
     # neither the sensing times, nor their outages and detector terms read
     # rho or the floor, so a sweep over nine rho values at two floors
-    # derives each sensing time and evaluates each screened column once; the
-    # kernel blocks are built by each search, and no winner adds a call,
-    # whether its policy senses (half of them do) or not
+    # derives each sensing time and evaluates each screened column once, and
+    # no winner adds a call, whether its policy senses (half of them do) or
+    # not.  The kernel blocks are gathered where read: once per screened
+    # column, once for the winner's report and once per LP skeleton
     taus = FAST_GRID.tau_values(testbench_params)
     screened = 3  # 2 and 4 ms, and 6 ms, whose column 8 ms takes
     solutions = [optimize(with_overrides(testbench_params, rho=rho, mu_th=mu_th),
@@ -162,7 +173,7 @@ def test_rho_sweep_scans_each_sensing_time_once(calls, testbench_params):
     assert calls["derive"] == len(taus)
     assert calls["bundle"] == calls["false_alarm"] == screened
     assert calls["detection_avg"] == screened
-    assert calls["harvest_blocks"] == winners * screened
+    assert calls["harvest_blocks"] == winners * (screened + 1) + len(skeletons)
     assert calls["nature_distribution"] == 1
 
 
@@ -174,9 +185,9 @@ def test_no_policy_iteration_gets_an_empty_batch(monkeypatch, testbench_params,
     params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
     iterate, batches = optimizer._policy_iteration, []
 
-    def counted(idle_blind, sense_args, *rest, **kwargs):
-        batches.append(len(sense_args[2]))  # the points' p_d
-        return iterate(idle_blind, sense_args, *rest, **kwargs)
+    def counted(params, kernels, p_d, *rest, **kwargs):
+        batches.append(len(p_d))  # one detection probability per point
+        return iterate(params, kernels, p_d, *rest, **kwargs)
 
     monkeypatch.setattr(optimizer, "_policy_iteration", counted)
     with contextlib.suppress(InfeasibleGridError):
@@ -188,7 +199,7 @@ def test_screen_builds_no_sensing_stack(make_params, monkeypatch):
     # a sensing-only screen at N_max 200 over 40 thresholds, every one of
     # which senses, holds a step's (K, n, n) systems and their bordered
     # copy, 12.9 MB each, and a few MB of gathered sensing rows: its traced
-    # peak measured 28.8 MB, where a (K, n, n) sensing stack and its copies
+    # peak measured 29.4 MB, where a (K, n, n) sensing stack and its copies
     # in every step took 66.2 MB.  Its rows, gathered in 12 chunks, give
     # the screen of one gather bit for bit.
     params = make_params(N_max=200)
@@ -207,6 +218,22 @@ def test_screen_builds_no_sensing_stack(make_params, monkeypatch):
                                                         "sensing_only"),
                               strict=True):
         assert np.array_equal(chunked, whole)
+
+
+def test_search_holds_no_column_blocks(testbench_params):
+    # a search at N_max 200 over the preset grid screens 19 columns and
+    # holds none of their (2, 4, n, n) kernel blocks, 2.6 MB each, past its
+    # screen: its traced peak measured 16.5 MB, where holding every screened
+    # column's blocks until the certify step ended took 56.0 MB
+    params = with_overrides(testbench_params, rho=0.5, N_max=200)
+    tracemalloc.start()
+    try:
+        solution, _ = optimize(params, GridSpec(tau_min=5e-4), "probabilistic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution.tau == 5e-4
+    assert peak < 32e6
 
 
 @pytest.mark.parametrize("grid, rho, mu_th, solves", [
@@ -320,14 +347,16 @@ def test_each_certify_tier_builds_its_own_skeletons(skeletons, monkeypatch,
 
 def test_tied_cell_solves_one_non_sensing_system_per_step(monkeypatch,
                                                           testbench_params):
-    # a policy that never senses selects only the threshold-free idle and
-    # blind rows, so each policy-iteration step of a column solves at most
-    # one such system for all its thresholds
+    # a policy that never senses selects only the idle and blind rows, the
+    # same at every threshold and sensing time, so a search solves each
+    # distinct such system once, whatever the column, pass or step that
+    # meets it, and so at most one per step
     params = with_overrides(testbench_params, rho=0.1)
     free_rows = set()  # (level, row) of the columns' idle and blind systems
     for tau in FAST_GRID.tau_values(params):
         column = column_at(params, tau, FAST_GRID)
-        idle_blind = chain.idle_blind_kernels(params, column.blocks)
+        idle_blind = chain.idle_blind_kernels(params,
+                                              optimizer._blocks(params, column))
         for system in chain._bordered(idle_blind):
             free_rows.update(enumerate(row.tobytes() for row in system))
     batches = []
@@ -340,11 +369,11 @@ def test_tied_cell_solves_one_non_sensing_system_per_step(monkeypatch,
 
     monkeypatch.setattr(np.linalg, "solve", recording)
     optimize(params, FAST_GRID, "probabilistic")
-    non_sensing = [sum(all((level, row.tobytes()) in free_rows
-                           for level, row in enumerate(system))
-                       for system in batch)
-                   for batch in batches]
-    assert max(non_sensing) == 1
+    non_sensing = [system.tobytes() for batch in batches for system in batch
+                   if all((level, row.tobytes()) in free_rows
+                          for level, row in enumerate(system))]
+    assert non_sensing
+    assert len(non_sensing) == len(set(non_sensing))
 
 
 def test_zero_harvest_grid_solves_no_lp(calls, pools, testbench_params):
@@ -357,14 +386,15 @@ def test_zero_harvest_grid_solves_no_lp(calls, pools, testbench_params):
     assert pools == []
 
 
-def test_optimize_builds_blocks_once_per_screened_column(calls,
+def test_optimize_builds_blocks_once_per_screened_column(calls, skeletons,
                                                         testbench_params):
     _, records = optimize(testbench_params, FAST_GRID, "sensing_only")
     # the battery cannot fund sensing at 6 and 8 ms, so only two columns
-    # are screened; the winner's report reads its column's blocks
+    # are screened, each on blocks gathered for its screen alone; the
+    # winner's report and each LP skeleton gather their column's again
     screened = {r.tau for r in records if r.status != "sensing_unreachable"}
     assert len(screened) == 2
-    assert calls["harvest_blocks"] == len(screened)
+    assert calls["harvest_blocks"] == len(screened) + 1 + len(skeletons)
 
 
 @pytest.fixture

@@ -426,13 +426,14 @@ class TestColdSolves:
             column = column_at(params, tau, FAST_GRID)
             if optimizer._unsupported(column.quantities, scheme):
                 continue
-            idle_blind = idle_blind_kernels(params, column.blocks)
-            sense = sense_kernels(params, column.blocks, column.p_d[:, None, None],
+            blocks = optimizer._blocks(params, column)
+            idle_blind = idle_blind_kernels(params, blocks)
+            sense = sense_kernels(params, blocks, column.p_d[:, None, None],
                                   column.p_f[:, None, None])
             rewards = action_rewards(params, column.outages, column.p_d,
                                      column.p_f)
             for k, (p_d, p_f) in enumerate(zip(column.p_d, column.p_f)):
-                kernels = transition_components(params, column.blocks, p_d, p_f)
+                kernels = transition_components(params, blocks, p_d, p_f)
                 assert np.array_equal(kernels[:2], idle_blind)
                 assert np.array_equal(kernels[2], sense[k])
                 assert np.array_equal(
@@ -710,7 +711,7 @@ def harvest_mode(params, mode):
 
 
 class TestScreenSolves:
-    """One solve per distinct non-sensing system of a column, and each
+    """One solve per distinct non-sensing system of a search, and each
     column's unconstrained pass started from its neighbour's optimum."""
 
     @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
@@ -741,24 +742,77 @@ class TestScreenSolves:
                 assert np.array_equal(got, want, equal_nan=True)
             start = screen[-1]
 
+    @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
+           mode=st.sampled_from(["mixed", "nature", "rf"]),
+           scheme=st.sampled_from(optimizer.SCHEMES),
+           n_max=st.integers(2, 60))
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_never_sensing_solves_are_shared_across_columns(
+            self, testbench_params, rho, mu_th, mode, scheme, n_max):
+        # what lets a search solve each never-sensing system once: every
+        # column has byte-identical idle and blind kernels and idle and
+        # blind reward rows, at every threshold; and so the search equals,
+        # bit for bit, the one whose every column is screened on its own
+        # idle/blind kernels with no solution shared across columns
+        params = harvest_mode(with_overrides(testbench_params, rho=rho,
+                                             mu_th=mu_th, N_max=n_max), mode)
+        kernels, rewards = set(), set()
+        for tau in FAST_GRID.tau_values(params):
+            column = column_at(params, tau, FAST_GRID)
+            idle_blind = idle_blind_kernels(params,
+                                            optimizer._blocks(params, column))
+            kernels.add(idle_blind.tobytes())
+            rewards.update(rows.tobytes() for rows in column.rewards[:, :2])
+        assert len(kernels) == len(rewards) == 1
+        got = search(params, FAST_GRID, scheme)
+        screen = optimizer._screen
+
+        def alone(params, column, scheme, start, kernels, never_sensing):
+            return screen(params, column, scheme, start)
+
+        with mock.patch.object(optimizer, "_screen", alone):
+            want = search(params, FAST_GRID, scheme)
+        assert_identical_searches(got, want)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    def test_sense_in_place_equals_sense_kernels(self, testbench_params, rho):
+        # the in-place sensing expression gives sense_kernels' bits on both
+        # forms the screen feeds it: block rows with (m, 1) detector terms,
+        # and block products with K biases as columns and (K,) terms
+        params = with_overrides(testbench_params, rho=rho)
+        column = column_at(params, 2e-3, FAST_GRID)
+        blocks = optimizer._blocks(params, column)[:, 2:]
+        count = len(column.thresholds)
+        levels = np.arange(count) * 3 % params.n_states
+        rows = np.take(blocks, levels, axis=2)
+        detector = column.p_d[:, None], column.p_f[:, None]
+        want = sense_kernels(params, rows, *detector)
+        got = optimizer._sense_in_place(params, rows.copy(), *detector)
+        assert got.tobytes() == want.tobytes()
+        products = blocks @ np.random.default_rng(3).standard_normal(
+            (params.n_states, count))
+        want = sense_kernels(params, products, column.p_d, column.p_f)
+        got = optimizer._sense_in_place(params, products.copy(), column.p_d,
+                                        column.p_f)
+        assert got.tobytes() == want.tobytes()
+
     def test_failed_warm_start_reruns_from_idle(self, testbench_params,
                                                 monkeypatch):
-        # a warm start that fails is rerun all-idle, so the search is the
-        # one every column starts all-idle
+        # a warm start that fails is rerun from all-idle's first
+        # improvement, so the search is the one whose every column starts
+        # there
         params = with_overrides(testbench_params, rho=0.5, mu_th=0.72)
         iterate = optimizer._policy_iteration
         warm = []
 
-        def idle_start(idle_blind, sense, rewards, allowed, weights,
-                       policy=None):
-            return iterate(idle_blind, sense, rewards, allowed, weights)
+        def idle_start(*args, policy=None, **kwargs):
+            return iterate(*args, **kwargs)
 
-        def failing_warm_start(idle_blind, sense, rewards, allowed, weights,
-                               policy=None):
+        def failing_warm_start(*args, policy=None, **kwargs):
             if policy is not None:
                 warm.append(policy)
                 return None
-            return iterate(idle_blind, sense, rewards, allowed, weights)
+            return iterate(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "_policy_iteration", idle_start)
         reference = optimize(params, FAST_GRID, "probabilistic")
@@ -1024,8 +1078,9 @@ class TestConstrainedRegime:
             column = column_at(params, tau, FAST_GRID)
             if optimizer._unsupported(column.quantities, scheme):
                 continue
-            idle_blind = idle_blind_kernels(params, column.blocks)
-            sense = sense_kernels(params, column.blocks, column.p_d[:, None, None],
+            blocks = optimizer._blocks(params, column)
+            idle_blind = idle_blind_kernels(params, blocks)
+            sense = sense_kernels(params, blocks, column.p_d[:, None, None],
                                   column.p_f[:, None, None])
             kernels, rewards, allowed = reference_column_mdp(params, column,
                                                              scheme)
@@ -1074,14 +1129,15 @@ class TestConstrainedRegime:
         column = column_at(params, solution.tau, TIE_GRID)
         k = column.thresholds.index(solution.threshold)
         p_d, p_f = column.p_d[k], column.p_f[k]
-        kernels = transition_components(params, column.blocks, p_d, p_f)
+        blocks = optimizer._blocks(params, column)
+        kernels = optimizer._stacked(idle_blind_kernels(params, blocks), blocks)
         rewards = action_rewards(params, column.outages, p_d, p_f)[None]
         allowed = _admitted(params, column.quantities, scheme)
 
         def gains(nu):
             solved, _ = _policy_iteration(
-                kernels[:2], (params, column.blocks, column.p_d[k:k + 1],
-                              column.p_f[k:k + 1]), rewards, allowed, (1.0, nu))
+                params, kernels, column.p_d[k:k + 1], column.p_f[k:k + 1],
+                rewards, allowed, (1.0, nu))
             return solved[0]
 
         low, high = 0.0, 1.0
@@ -1139,10 +1195,10 @@ class TestConstrainedRegime:
         screen = optimizer._screen
         taus = FAST_GRID.tau_values(testbench_params)
 
-        def failing_first_column(params, column, scheme, start):
+        def failing_first_column(params, column, scheme, *rest):
             if column.quantities.tau == taus[0]:
                 return None
-            return screen(params, column, scheme, start)
+            return screen(params, column, scheme, *rest)
 
         monkeypatch.setattr(optimizer, "_screen", failing_first_column)
         solution, records = optimize(testbench_params, FAST_GRID, "probabilistic")
@@ -1237,7 +1293,7 @@ def test_screen_matches_enumerated_policies(testbench_params, P_p, sigma_n2,
         # user's RF is the only source and absent, idle, too weak to fill a
         # packet or too rare to count as an edge
         column = column_at(params, ORACLE_GRID.tau_values(params)[0], ORACLE_GRID)
-        idle = idle_blind_kernels(params, column.blocks)[0]
+        idle = idle_blind_kernels(params, optimizer._blocks(params, column))[0]
         assert exc.classes == reference_closed_classes(idle)
         assert lambda_e == 0.0 and len(exc.classes) > 1
         return
