@@ -69,18 +69,17 @@ feasibility tolerance, which can dwarf a tiny rate, so every record keeps
 its screened objective and the winner the screen's claimed rates.  It is
 reported from the kernels and rewards of the column it was screened on, and
 its claimed rates cross-check that report.  Only an LP's sensing columns
-read its threshold, so a certify tier fills the rest of each column's dense
-program once, and the worker solving an LP copies it and writes its sensing
-columns: more than one LP on one thread per CPU in the process's affinity
-mask (HiGHS's core releases the GIL), a single one inline, each solved
-alone, so the results do not depend on the thread count.
+read its threshold, so a certify tier builds the LPs of each column it
+touches as one stack of dense programs, the rest of the program filled once
+and every threshold's sensing columns by one sensing-kernel expression, and
+hands the stacks to :func:`~ehcr.numerics._solve_stacks`, which takes each
+while the last one's solves run on the LP threads; each LP is solved alone,
+so the results do not depend on the thread count.
 """
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -100,7 +99,7 @@ from .chain import (
     stationary_distribution,
     transition_components,
 )
-from .numerics import LP_FEASIBILITY_TOL, solve_lp
+from .numerics import LP_FEASIBILITY_TOL, _solve_stacks
 from .outage import OutageBundle, bundle
 from .performance import PerformanceReport, action_rewards, report
 from .system_model import (
@@ -117,8 +116,9 @@ SCHEMES = ("probabilistic", "sensing_only")
 _PI_TOL = 1e-12
 #: steps of either iteration after which the screen gives up on a column
 _PI_MAX_STEPS = 100
-#: most floats of one sensing block that value determination gathers at a
-#: time, 1 MB, so its sensing rows take a few MB beside the systems
+#: most floats of the systems that value determination gathers, borders
+#: and solves at a time, 1 MB: all of a step's at the preset battery, one
+#: at a time from N_max 256; their sensing rows gather as many per block
 _GATHER_FLOATS = 1 << 17
 
 #: false-alarm extremes the default threshold grid spans at each m
@@ -127,9 +127,9 @@ _PFA_SPAN = (0.999, 0.001)
 #: most sensing times a grid may hold
 _MAX_SENSING_TIMES = 10_000
 
-#: threads that solve cold LPs: one per CPU the process may run on
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+#: most dense floats of one stack of cold LPs, 256 kB: some 23 LPs at the
+#: preset battery, one LP at a time at a large one
+_STACK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -315,9 +315,19 @@ def _stacked(idle_blind: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.concatenate([idle_blind, blocks[0, 2:], blocks[1, 2:]])
 
 
-def _column_lps(params: SystemParams, column: _Column, scheme: str):
-    """The policy LP of each threshold of a column: a function of the
-    threshold index returning the dense :func:`~ehcr.numerics.solve_lp` arrays.
+def _lp_shape(params: SystemParams, column: _Column) -> tuple[int, int]:
+    """The rows (the floor, a cap per acting level, the balance equations
+    and the normalization) and the variables of a column's policy LPs."""
+    q, n = column.quantities, params.n_states
+    acting = len(q.alpha_range) + len(q.beta_range)
+    return 2 + acting + n, n + acting + len(q.beta_range)
+
+
+def _column_lps(params: SystemParams, column: _Column, scheme: str,
+                ks) -> tuple[np.ndarray, ...]:
+    """The policy LPs of the thresholds ``ks`` of a column, as one stack of
+    the dense :func:`~ehcr.numerics.solve_lp` arrays: each with a leading
+    axis over ``ks``.
 
     The variables are the occupation vector (pi, pi*alpha, pi*beta1,
     pi*beta2), in which the kernel and both rates are affine: the masses
@@ -328,8 +338,11 @@ def _column_lps(params: SystemParams, column: _Column, scheme: str):
     equations and the normalization.  The sensing-only scheme pins the
     blind products to zero by their bounds.  Only the floor row and the kb
     pi*beta2 columns read the detector, so the rest of the program is filled
-    once, here, from the column's blocks gathered here, and each threshold
-    copies it and writes its own.
+    once, from the column's blocks gathered here, and the sensing kernels
+    of all of ``ks`` are one :func:`~ehcr.chain.sense_kernels` on (K, 1, 1)
+    detector arrays, the expression of each threshold's own, so its bits.
+    The right-hand sides and bounds, the same in every program, are
+    read-only broadcasts.
     """
     q = column.quantities
     n, first = params.n_states, q.alpha_range.start
@@ -337,36 +350,36 @@ def _column_lps(params: SystemParams, column: _Column, scheme: str):
     acting, beta = ka + kb, slice(q.beta_range.start, n)
     blocks = _blocks(params, column)
     idle, blind = idle_blind_kernels(params, blocks)
-    sensing_blocks = blocks[:, 2:, beta]
     rewards = column.rewards
     # (K, 2, 3): (mu_s, mu_p) of idling, then each action's change from it;
     # only sensing's reads the threshold, so the skeleton takes the first's
     rates = np.concatenate([rewards[:, :1], rewards[:, 1:] - rewards[:, :1]],
                            axis=1).transpose(0, 2, 1)
     mu_s, mu_p = np.repeat(rates[0, :, :2], [n, acting], axis=1)
-    levels, skeleton = np.arange(acting), np.zeros((2 + acting + n, n + acting + kb))
-    ineq, sensing = 1 + acting, slice(n + acting, None)
-    skeleton[0, :n + acting] = -mu_p
-    skeleton[1 + levels, first + levels] = -1.0
-    skeleton[1 + levels, n + levels] = 1.0
-    skeleton[1 + levels[ka:], sensing] = np.eye(kb)
-    skeleton[ineq:-1, :n + acting] = np.hstack([idle.T - np.eye(n),
-                                                (blind - idle)[first:].T])
-    skeleton[-1, :n] = 1.0
+    ks = np.asarray(ks)
+    levels, ineq, sensing = np.arange(acting), 1 + acting, slice(n + acting, None)
+    matrix = np.zeros((len(ks), *_lp_shape(params, column)))
+    matrix[:, 0, :n + acting] = -mu_p
+    matrix[:, 0, sensing] = -rates[ks, 1, 2, None]
+    matrix[:, 1 + levels, first + levels] = -1.0
+    matrix[:, 1 + levels, n + levels] = 1.0
+    matrix[:, 1 + levels[ka:], sensing] = np.eye(kb)
+    matrix[:, ineq:-1, :n + acting] = np.hstack([idle.T - np.eye(n),
+                                                 (blind - idle)[first:].T])
+    sense = sense_kernels(params, blocks[:, 2:, beta],
+                          column.p_d[ks, None, None], column.p_f[ks, None, None])
+    matrix[:, ineq:-1, sensing] = (sense - idle[beta]).transpose(0, 2, 1)
+    matrix[:, -1, :n] = 1.0
+    objective = np.empty(matrix.shape[::2])
+    objective[:, :n + acting] = mu_s
+    objective[:, sensing] = rates[ks, 0, 2, None]
     rhs = np.concatenate([[-params.mu_th], np.zeros(acting + n), [1.0]])
     bounds = np.tile([0.0, 1.0], (n + acting + kb, 1))
     bounds[n:n + acting, 1] = scheme != "sensing_only"  # 0 pins blind access off
-
-    def lp(k: int) -> tuple:
-        sense = sense_kernels(params, sensing_blocks, column.p_d[k],
-                              column.p_f[k])
-        matrix = skeleton.copy()
-        matrix[0, sensing] = -rates[k, 1, 2]
-        matrix[ineq:-1, sensing] = (sense - idle[beta]).T
-        return (np.concatenate([mu_s, np.full(kb, rates[k, 0, 2])]),
-                matrix[ineq:], rhs[ineq:], matrix[:ineq], rhs[:ineq], bounds)
-
-    return lp
+    rhs, bounds = (np.broadcast_to(a, (len(ks), *a.shape))
+                   for a in (rhs, bounds))
+    return (objective, matrix[:, ineq:], rhs[:, ineq:], matrix[:, :ineq],
+            rhs[:, :ineq], bounds)
 
 
 def _model_key(quantities: DerivedQuantities) -> float | None:
@@ -440,23 +453,24 @@ def _policy_iteration(params: SystemParams, kernels: np.ndarray,
     weighted reward is the same at every level, so its bias is zero and
     that improvement is the greedy choice; it converges from any start.
     Value determination solves ``g + h = r + P h`` with ``h`` pinned to zero
-    at level 0 and ``g`` in its place, one ``np.linalg.solve`` of the
-    batch's :func:`~ehcr.chain._bordered` systems; a level changes action
-    only for a gain above the tolerance.  No (K, n, n) sensing stack is
-    built: a system's sensing rows are the kernel's expression, evaluated in
-    its order in place on the blocks' rows, gathered at most
-    ``_GATHER_FLOATS`` floats per block at a time, so they equal the
-    stack's bit for bit, and the improvement applies the kernel to the
-    blocks' products with the biases, taken with the idle and blind ones
-    as one product, which round within an ulp or so of the stack's.  A
-    point that senses is solved as its own.  A policy that never senses
-    reads only the idle and blind rows and rewards, the same at every point
-    and sensing time of a search (``action_rewards`` broadcasts them over
-    the thresholds, and reads no sensing time for them), so each distinct
-    one is solved once and its (n, 2) solution kept in ``never_sensing``
-    under the bytes of its actions; the screens of a search share it.  None
-    when a solve is singular or not finite (a policy with several closed
-    classes) or the iteration does not settle.
+    at level 0 and ``g`` in its place, by ``np.linalg.solve`` of the
+    batch's :func:`~ehcr.chain._bordered` systems, gathered, bordered and
+    solved at most ``_GATHER_FLOATS`` floats at a time (a stack's matrices
+    are factored one by one, so the chunks change no bit); a level changes
+    action only for a gain above the tolerance.  No (K, n, n) sensing stack
+    is built: a system's sensing rows are the kernel's expression, evaluated
+    in its order in place on the blocks' rows, gathered with their chunk's
+    systems, so they equal the stack's bit for bit, and the improvement
+    applies the kernel to the blocks' products with the biases, taken with
+    the idle and blind ones as one product, which round within an ulp or so
+    of the stack's.  A point that senses is solved as its own.  A policy
+    that never senses reads only the idle and blind rows and rewards, the
+    same at every point and sensing time of a search (``action_rewards``
+    broadcasts them over the thresholds, and reads no sensing time for
+    them), so each distinct one is solved once and its (n, 2) solution kept
+    in ``never_sensing`` under the bytes of its actions; the screens of a
+    search share it.  None when a solve is singular or not finite (a policy
+    with several closed classes) or the iteration does not settle.
     """
     count, n = len(p_d), kernels.shape[-1]
     blocks = kernels[2:].reshape(2, 2, n, n)
@@ -465,7 +479,7 @@ def _policy_iteration(params: SystemParams, kernels: np.ndarray,
     # (3, 1, K): each action's weighted reward, the same at every level
     weighted = (rewards @ weights[..., None])[..., 0].T[:, None]
     tol = _PI_TOL * (1.0 + np.abs(weights).sum(axis=-1))
-    chunk = max(1, _GATHER_FLOATS // n)  # sensing rows gathered at a time
+    chunk = max(1, _GATHER_FLOATS // n**2)  # systems solved at a time
     known = {} if never_sensing is None else never_sensing
     barred = ~allowed
 
@@ -500,28 +514,23 @@ def _policy_iteration(params: SystemParams, kernels: np.ndarray,
                      if key not in known}
             own = np.concatenate([np.flatnonzero(senses),
                                   np.fromiter(fresh.values(), int, len(fresh))])
-        solved = None if free is None else np.empty((count, n, 2))
-        if own.size:
-            chosen = policy[own]
+        solved = np.empty((count, n, 2))
+        for part in range(0, own.size, chunk):
+            points = own[part:part + chunk]
+            chosen = policy[points]
             rows = kernels[np.minimum(chosen, 1), levels]
-            at, level = np.nonzero(chosen == 2)
-            for part in range(0, at.size, chunk):
-                system, row = at[part:part + chunk], level[part:part + chunk]
-                point = own[system]
-                rows[system, row] = _sense_in_place(
-                    params, np.take(blocks, row, axis=2), p_d[point, None],
-                    p_f[point, None])
+            system, level = np.nonzero(chosen == 2)
+            rows[system, level] = _sense_in_place(
+                params, np.take(blocks, level, axis=2),
+                p_d[points[system], None], p_f[points[system], None])
             try:
                 ours = np.linalg.solve(_bordered(rows),
-                                       rewards[own[:, None], chosen])
+                                       rewards[points[:, None], chosen])
             except np.linalg.LinAlgError:
                 return None
             if not np.all(np.isfinite(ours)):
                 return None
-            if solved is None:
-                solved = ours
-            else:
-                solved[own] = ours
+            solved[points] = ours
         if free is not None:
             known.update((key, solved[k].copy()) for key, k in fresh.items())
             solved[free] = np.array([known[key] for key in distinct])[
@@ -649,34 +658,33 @@ def _cold_solve(params: SystemParams, scheme: str,
     enter only the sense kernel and reward, which :func:`_column_lps` reads
     only through the ``kb`` sensing columns, none there, and HiGHS solves
     equal arrays under equal options to equal bits.  Each entry gets its
-    LP's result.  Each column among the entries gets one
-    :func:`_column_lps`; a single distinct LP is then solved inline, more on
-    ``_WORKERS`` threads (HiGHS's core releases the GIL for nearly all of
-    each solve), each by the worker that writes its sensing columns and
-    alone, so the results do not depend on the thread count.
+    LP's result.  The distinct LPs of a column are built as stacks of at
+    most ``_STACK_FLOATS`` dense floats (or one LP), column after column,
+    each while the last one's solves run
+    (:func:`~ehcr.numerics._solve_stacks`).
     """
-    def solve(column: _Column, k: int) -> tuple[str, float | None]:
-        lp = column_lps[column](k)
-        try:
-            x = solve_lp(*lp)
-        except RuntimeError:
-            return "solver_failure", None
-        if x is None:
-            return "infeasible", None
-        return "optimal", float(lp[0] @ x)
-
     keys = [(column, k if column.quantities.beta_range else None)
             for column, k in entries]
     distinct = dict(zip(keys, entries))
-    column_lps = {column: _column_lps(params, column, scheme)
-                  for column in dict.fromkeys(column for column, _ in entries)}
-    if len(distinct) <= 1 or _WORKERS == 1:
-        solved = [solve(*entry) for entry in distinct.values()]
-    else:
-        with ThreadPoolExecutor(_WORKERS) as pool:
-            solved = list(pool.map(solve, *zip(*distinct.values())))
-    results = dict(zip(distinct, solved))
-    return [results[key] for key in keys]
+    thresholds: dict[_Column, list[int]] = {}
+    for column, k in distinct.values():
+        thresholds.setdefault(column, []).append(k)
+    stacks = []
+    for column, ks in thresholds.items():
+        size = max(1, _STACK_FLOATS // math.prod(_lp_shape(params, column)))
+        stacks.extend((column, ks[i:i + size]) for i in range(0, len(ks), size))
+    solved = _solve_stacks((_column_lps(params, column, scheme, ks)
+                            for column, ks in stacks), len(distinct))
+    results = {}
+    for (column, ks), (objectives, points) in zip(stacks, solved):
+        for k, objective, x in zip(ks, objectives, points):
+            if x is None:
+                results[column, k] = "infeasible", None
+            elif isinstance(x, RuntimeError):
+                results[column, k] = "solver_failure", None
+            else:
+                results[column, k] = "optimal", float(objective @ x)
+    return [results[distinct[key]] for key in keys]
 
 
 def _optimal_solution(params: SystemParams, record: GridPointStatus,

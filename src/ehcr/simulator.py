@@ -16,8 +16,9 @@ side, in memory linear in the slots and in ``N_max``: the first from the
 initial level and the others from a full battery, each again from its
 predecessor's new end until they agree.  Trajectories merge within a few
 windows, so a few rounds settle a run as the loop would; past a round cap,
-the loop finishes from the first unsettled window, so a run that never merges
-(no harvest) costs it plus the capped rounds.  Last, the actions are
+the loop finishes from the first unsettled window.  A run with no harvest at
+all, whose windows never merge, goes to the loop from its first slot, with
+no round.  Last, the actions are
 recovered from the levels, and transmissions, SINR outcomes, counters and
 batch-means standard errors are computed as array expressions.
 
@@ -206,12 +207,31 @@ def _slot_loop(action_u: np.ndarray, sense_cost: np.ndarray,
     return levels
 
 
+def _step_windows(walk: np.ndarray, draws: np.ndarray, costs: np.ndarray,
+                  gains: np.ndarray, blind_at: np.ndarray, sense_at: np.ndarray,
+                  n_t: int, n_max: int) -> None:
+    """One round: each window, a column of ``walk``, stepped in place from
+    its first row through its slots, the rows of the other arrays, by the
+    rule of :func:`_slot_loop`."""
+    for level, after, u, cost, gain in zip(walk, walk[1:], draws, costs, gains):
+        debit = (u < sense_at[level]) * cost
+        np.putmask(debit, u < blind_at[level], n_t)
+        np.subtract(level, debit, out=after)
+        after += gain
+        np.minimum(after, n_max, out=after)
+
+
 def _battery_levels(action_u: np.ndarray, sense_cost: np.ndarray,
                     harvest: np.ndarray, blind_at: np.ndarray,
                     sense_at: np.ndarray, n_t: int, n_max: int,
                     battery: int) -> np.ndarray:
     """The :func:`_slot_loop` levels by its rule, stepped in windows of slots
-    side by side, each final once it starts at its final predecessor's end."""
+    side by side, each final once it starts at its final predecessor's end.
+    With no harvest at all a battery only drains, so no window would settle
+    but the first, and the slot loop steps the run from its first slot."""
+    if not harvest.any():
+        return np.array(_slot_loop(action_u, sense_cost, harvest, blind_at,
+                                   sense_at, n_t, n_max, battery))
     n = action_u.size
     windows = -(-n // _WINDOW)
     # a row per slot of a window, a column per window; draws padded 2.0 idle
@@ -227,13 +247,9 @@ def _battery_levels(action_u: np.ndarray, sense_cost: np.ndarray,
         # round one steps all windows in place, later rounds stale copies
         columns = slice(None) if stale.size == windows else stale
         walk = path[:, columns]
-        for level, after, u, cost, gain in zip(walk, walk[1:], *(
-                slots[:, columns] for slots in (draws, costs, gains))):
-            debit = (u < sense_at[level]) * cost
-            np.putmask(debit, u < blind_at[level], n_t)
-            np.subtract(level, debit, out=after)
-            after += gain
-            np.minimum(after, n_max, out=after)
+        _step_windows(walk, *(slots[:, columns]
+                              for slots in (draws, costs, gains)),
+                      blind_at, sense_at, n_t, n_max)
         path[:, columns] = walk
         stale = np.flatnonzero(path[0, 1:] != path[-1, :-1]) + 1
         if not stale.size:

@@ -12,37 +12,45 @@ column and screen.  The harvest laws depend on neither rho, the sensing
 time, the detector nor the policy, so a scenario builds its ambient law
 once: its searches share it, and so do evaluations of any policies at any
 rho, and each law builds one level matrix, whose row gathers are the kernel
-blocks, so a warm block build allocates little beyond its output.  Nor do the sensing times, or the outages and detector terms of the
-screened ones, read rho or the floor, so the searches of a rho sweep derive
+blocks, so a warm block build allocates little beyond its output.  Nor
+do the sensing times, or the outages and detector terms of the screened
+ones, read rho or the floor, so the searches of a rho sweep derive
 each sensing time and evaluate each screened column's terms once, while
 each search builds its own kernel blocks (the memos are cleared before each
 test).  The detector is evaluated once per screened column, over all its
 thresholds, and once per simulation and per evaluation of a policy that
 senses; no policy iteration runs on an empty batch, a search solves each
 distinct never-sensing system once, and a screen builds no (K, n, n)
-sensing stack, so at ``N_max`` 200 it peaks under 40 MB.  The
-LP solves of ``optimize`` are pinned too: its screen needs none, and a lone
-point within ``LP_FEASIBILITY_TOL`` of the best is taken as screened, so only
-two or more such points are solved, each distinct LP once: all points of
-the sensing times that cannot fund sensing share one LP.  A faithful run
+sensing stack, so at ``N_max`` 200 it peaks under 40 MB, and solves a
+step's systems in bounded chunks, under 12 MB.  The LP solves of
+``optimize``, counted as the calls of ``numerics._solve_rung``, once per LP
+per rung, are pinned too: its screen needs none, and a lone point within
+``LP_FEASIBILITY_TOL`` of the best is taken as screened, so only two or
+more such points are solved, each distinct LP once: all points of the
+sensing times that cannot fund sensing share one LP.  A faithful run
 draws each licensed-busy slot's detector statistic from its noncentral
 chi-square law and evaluates no tail, so neither a run nor a comparison,
 in either correlation mode, evaluates Marcum Q.  The battery of a
 20k-slot run settles within the simulator's round cap, so the slot loop
-that would finish it never runs; a battery with no harvest never
-settles, and the loop finishes it.  The battery's memory grows linearly in
+that would finish it never runs; a battery with no harvest would never
+settle, so the loop steps it from the first slot, with no window round.  The battery's memory grows linearly in
 the battery size: a 5,000-slot run at ``N_max`` 2,000 peaks under 32 MB.
 An evaluation solves its chain with one LU solve and no least squares.
-Cold solves run on worker threads, so the counts are kept under a lock; a
-cell that solves no LP or one distinct LP starts no thread, and each
-certify tier that solves builds one LP skeleton per column among its
-points, which its LPs share.
+Cold solves run on worker threads, so the counts are kept under a lock;
+those threads run the rung solve alone, while the sensing kernels, the
+compression and the audit of the LPs run in the caller's thread.  A cell
+that solves no LP or one distinct LP starts no thread, and each certify
+tier that solves builds one LP skeleton per column among its points,
+which its LPs share, or one per stack of them where a column's dense LPs
+pass the stacks' float budget, as every LP does at ``N_max`` 200.
 """
 import collections
 import contextlib
+import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,14 +63,14 @@ from ehcr.performance import evaluate
 from ehcr.simulator import SimConfig, compare, run
 from ehcr.system_model import with_overrides
 from helpers import column_at, random_policy, reference_run
-from test_optimizer import FAST_GRID, TIE_GRID, TWIN_GRID
+from test_optimizer import FAST_GRID, TIE_GRID, TWIN_GRID, fail_lps
 
 COUNTED = {
     "derive": system_model.derive,
     "bundle": outage.bundle,
     "harvest_blocks": chain.harvest_blocks,
     "nature_distribution": harvesting.nature_distribution,
-    "solve_lp": numerics.solve_lp,
+    "_solve_rung": numerics._solve_rung,
     "detection_avg": sensing.detection_avg,
     "false_alarm": sensing.false_alarm,
     "marcum_q": numerics.marcum_q,
@@ -121,7 +129,7 @@ def test_optimize_builds_each_column_once(calls, setting):
     assert not np.any(solution.policy.beta2 > 0)
     assert calls == {"derive": len(taus), "bundle": built,
                      "harvest_blocks": 2 * built + 1, "nature_distribution": 1,
-                     "solve_lp": 6 * sensing + 1, "detection_avg": built,
+                     "_solve_rung": 6 * sensing + 1, "detection_avg": built,
                      "false_alarm": built}
 
 
@@ -147,7 +155,7 @@ def test_preset_grid_screens_eleven_columns(calls, monkeypatch, setting):
     optimize(params, grid, "probabilistic")
     assert screened == list(range(10, 120, 10))
     assert calls["derive"] == len(taus)
-    assert calls["solve_lp"] == 0
+    assert calls["_solve_rung"] == 0
     for name in ("detection_avg", "bundle"):
         assert calls[name] == len(screened)
     assert calls["harvest_blocks"] == len(screened) + 1
@@ -247,7 +255,7 @@ def test_optimize_solves_only_near_best_points(calls, testbench_params, grid,
     params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
     with contextlib.suppress(InfeasibleGridError):
         optimize(params, grid, "probabilistic")
-    assert calls["solve_lp"] == solves
+    assert calls["_solve_rung"] == solves
 
 
 @pytest.fixture
@@ -256,13 +264,13 @@ def pools(monkeypatch):
     whatever the CPU count."""
     made = []
 
-    class CountedPool(optimizer.ThreadPoolExecutor):
+    class CountedPool(numerics.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             made.append(args)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "_WORKERS", 2)
-    monkeypatch.setattr(optimizer, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    monkeypatch.setattr(numerics, "ThreadPoolExecutor", CountedPool)
     return made
 
 
@@ -270,7 +278,7 @@ def test_untied_cell_starts_no_thread(calls, pools, testbench_params):
     # one point wins outright: it is taken as screened, with no LP
     params = with_overrides(testbench_params, rho=0.5)
     optimize(params, TIE_GRID, "probabilistic")
-    assert calls["solve_lp"] == 0
+    assert calls["_solve_rung"] == 0
     assert pools == []
 
 
@@ -281,19 +289,35 @@ def test_tied_cell_solves_each_distinct_lp_once_on_threads(calls, pools,
     params = with_overrides(testbench_params, rho=0.1)
     _, records = optimize(params, FAST_GRID, "probabilistic")
     assert len(records) == 24
-    assert calls["solve_lp"] == 13
+    assert calls["_solve_rung"] == 13
     assert pools == [(2,)]
+
+
+def test_one_distinct_lp_is_solved_inline(calls, pools, testbench_params):
+    # the thresholds of a sensing time that cannot fund sensing share one
+    # LP: a tier of them solves it once, in the calling thread, and starts
+    # no thread
+    params = with_overrides(testbench_params, rho=0.1)
+    column = column_at(params, 8e-3, FAST_GRID)
+    assert not column.quantities.beta_range
+    entries = [(column, k) for k in range(len(column.thresholds))]
+    results = optimizer._cold_solve(params, "probabilistic", entries)
+    assert len(results) == 6 and len(set(results)) == 1
+    assert results[0][0] == "optimal"
+    assert calls["_solve_rung"] == 1
+    assert pools == []
 
 
 @pytest.fixture
 def skeletons(monkeypatch):
-    """The tau of the column of each LP skeleton the optimizer builds."""
-    built = []  # list.append is atomic, so the workers need no lock
+    """The tau of the column of each LP skeleton the optimizer builds, one
+    per stack of LPs."""
+    built = []
     build = optimizer._column_lps
 
-    def counted(params, column, scheme):
+    def counted(params, column, scheme, ks):
         built.append(column.quantities.tau)
-        return build(params, column, scheme)
+        return build(params, column, scheme, ks)
 
     monkeypatch.setattr(optimizer, "_column_lps", counted)
     return built
@@ -310,7 +334,7 @@ def test_tied_cell_builds_one_skeleton_per_column(calls, pools, skeletons,
                                                   testbench_params, grid,
                                                   solves, columns):
     optimize(with_overrides(testbench_params, rho=0.1), grid, "probabilistic")
-    assert calls["solve_lp"] == solves
+    assert calls["_solve_rung"] == solves
     assert sorted(skeletons) == pytest.approx(columns, abs=1e-15)
     assert pools == [(2,)]
 
@@ -322,14 +346,8 @@ def test_each_certify_tier_builds_its_own_skeletons(skeletons, monkeypatch,
     # twins, are solved: each tier builds one skeleton per column among its
     # points
     params = with_overrides(testbench_params, rho=0.5)
-    solve, cold_solve = optimizer.solve_lp, optimizer._cold_solve
-    failed, tiers = [], []  # per tier: (points, columns among them, skeletons)
-
-    def failing_first_tier(*lp):
-        if len(failed) < 2:
-            failed.append(1)
-            raise RuntimeError("no LP solve passed the feasibility audit")
-        return solve(*lp)
+    cold_solve = optimizer._cold_solve
+    tiers = []  # per tier: (points, columns among them, skeletons)
 
     def recording(params, scheme, entries):
         before = len(skeletons)
@@ -338,11 +356,98 @@ def test_each_certify_tier_builds_its_own_skeletons(skeletons, monkeypatch,
                       len(skeletons) - before))
         return solved
 
-    monkeypatch.setattr(optimizer, "_WORKERS", 1)
-    monkeypatch.setattr(optimizer, "solve_lp", failing_first_tier)
+    monkeypatch.setattr(numerics, "_WORKERS", 1)
+    fail_lps(monkeypatch, lambda i: i < 2)
     monkeypatch.setattr(optimizer, "_cold_solve", recording)
     optimize(params, TWIN_GRID, "probabilistic")
     assert tiers == [(2, 1, 1), (2, 1, 1)]
+
+
+def test_lp_threads_run_only_the_rung_solve(monkeypatch, testbench_params):
+    # the LP threads of a tied cell enter the package only through
+    # numerics._solve_rung; the sensing kernels, the compression and the
+    # audit of every stack run in the calling thread
+    params = with_overrides(testbench_params, rho=0.1)
+    caller, threads = threading.get_ident(), collections.defaultdict(set)
+    for module, name in ((optimizer, "sense_kernels"),
+                         (numerics, "_columnwise"), (numerics, "_audit")):
+        def spy(*args, _name=name, _original=getattr(module, name)):
+            threads[_name].add(threading.get_ident())
+            return _original(*args)
+        monkeypatch.setattr(module, name, spy)
+    package = str(Path(optimizer.__file__).parent)
+    entered = collections.defaultdict(set)  # on the other threads
+
+    def profile(frame, event, arg):
+        caller_file = frame.f_back.f_code.co_filename if frame.f_back else ""
+        if (event == "call" and frame.f_code.co_filename.startswith(package)
+                and not caller_file.startswith(package)):
+            entered[threading.get_ident()].add(frame.f_code.co_name)
+
+    monkeypatch.setattr(numerics, "_WORKERS", 2)
+    threading.setprofile(profile)
+    try:
+        optimize(params, FAST_GRID, "probabilistic")
+    finally:
+        threading.setprofile(None)
+    assert dict(threads) == {name: {caller} for name in
+                             ("sense_kernels", "_columnwise", "_audit")}
+    assert 0 < len(entered) <= 2 and caller not in entered
+    assert all(names == {"_solve_rung"} for names in entered.values())
+
+
+def test_lp_stacks_stay_within_their_float_budget(monkeypatch,
+                                                  testbench_params):
+    # a column's LPs are built in stacks of at most _STACK_FLOATS dense
+    # floats, or one LP where one is more: a budget of two and a half LPs
+    # splits the six thresholds of a column into three stacks and changes
+    # no result, and at N_max 200 every LP is a stack of its own
+    sizes, build = [], optimizer._column_lps
+
+    def counted(params, column, scheme, ks):
+        lp = build(params, column, scheme, ks)
+        sizes.append((len(ks), lp[1][0].size + lp[3][0].size))
+        return lp
+
+    monkeypatch.setattr(optimizer, "_column_lps", counted)
+    params = with_overrides(testbench_params, rho=0.1)
+    column = column_at(params, 2e-3, FAST_GRID)
+    entries = [(column, k) for k in range(len(column.thresholds))]
+    whole = optimizer._cold_solve(params, "probabilistic", entries)
+    floats = math.prod(optimizer._lp_shape(params, column))
+    assert sizes == [(6, floats)]
+    sizes.clear()
+    monkeypatch.setattr(optimizer, "_STACK_FLOATS", 5 * floats // 2)
+    assert optimizer._cold_solve(params, "probabilistic", entries) == whole
+    assert sizes == [(2, floats)] * 3
+    monkeypatch.undo()
+    monkeypatch.setattr(optimizer, "_column_lps", counted)
+    params = with_overrides(params, N_max=200)
+    column = column_at(params, 2e-3, FAST_GRID)
+    sizes.clear()
+    optimizer._cold_solve(params, "probabilistic", [(column, 0), (column, 1)])
+    floats = math.prod(optimizer._lp_shape(params, column))
+    assert floats > optimizer._STACK_FLOATS
+    assert sizes == [(1, floats)] * 2
+
+
+def test_value_determination_solves_in_bounded_chunks(make_params):
+    # a sensing-only screen at N_max 200 over 40 thresholds, every one of
+    # which senses: a step's systems are gathered, bordered and solved
+    # _GATHER_FLOATS at a time, three of 40 at once, so its traced peak
+    # measured 7.9 MB, where the step's whole (K, n, n) systems, their
+    # bordered copy and the solve's copy took 29.4 MB
+    params = make_params(N_max=200)
+    grid = GridSpec(tau_min=5e-4, lambda_count=40)
+    column = column_at(params, grid.tau_values(params)[0], grid)
+    tracemalloc.start()
+    try:
+        screen = optimizer._screen(params, column, "sensing_only")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert screen is not None
+    assert peak < 12e6
 
 
 def test_tied_cell_solves_one_non_sensing_system_per_step(monkeypatch,
@@ -382,7 +487,7 @@ def test_zero_harvest_grid_solves_no_lp(calls, pools, testbench_params):
     params = with_overrides(testbench_params, rho=0.0, lambda_e=0.0)
     with pytest.raises(AmbiguousChainError, match="21 closed classes"):
         optimize(params, FAST_GRID, "probabilistic")
-    assert calls["solve_lp"] == 0
+    assert calls["_solve_rung"] == 0
     assert pools == []
 
 
@@ -523,14 +628,33 @@ def test_merging_run_settles_within_the_round_cap(completions, setting, mode):
     assert completions == []
 
 
-def test_never_merging_run_finishes_in_the_slot_loop(completions, make_params):
+def test_never_merging_run_finishes_in_the_slot_loop(completions, monkeypatch,
+                                                     make_params):
     # with no harvest an empty battery stays empty while a full one drains
-    # to the level below a transmission, so no window settles but the first
+    # to the level below a transmission, so no window would settle but the
+    # first: the slot loop steps the run from its first slot, and no window
+    # round runs
+    rounds = []
+    step = simulator._step_windows
+    monkeypatch.setattr(simulator, "_step_windows",
+                        lambda *args: rounds.append(1) or step(*args))
     params = make_params(lambda_e=0.0, eta=0.0)
     policy = Policy.constant(params, 5e-4, 30.0, 0.5, 0.3, 0.5)
     report = run(params, policy, SimConfig(slots=50_000, seed=3))
-    assert len(completions) == 1
+    assert [(args[0].size, args[-1]) for args in completions] == [(50_000, 0)]
     assert report.battery_histogram[0] == 50_000
+    # from a full battery the levels drain, as the slot loop steps them:
+    # blind access costs 2 from level 2, sensing 1 or 3 from level 3
+    rng = np.random.default_rng(5)
+    blind_at = np.where(np.arange(params.n_states) >= 2, 0.3, 0.0)
+    sense_at = np.where(np.arange(params.n_states) >= 3, 0.8, blind_at)
+    steps = (rng.random(20_000), rng.choice([1, 3], 20_000),
+             np.zeros(20_000, dtype=np.int64), blind_at, sense_at, 2,
+             params.N_max, params.N_max)
+    levels = simulator._battery_levels(*steps)
+    assert levels.tolist() == simulator._slot_loop(*steps)
+    assert levels[0] == params.N_max > levels[-1]
+    assert rounds == []
 
 
 def test_battery_memory_is_linear_in_n_max(make_params):

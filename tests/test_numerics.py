@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.optimize import linprog
@@ -366,6 +367,12 @@ def _suite_lps() -> list[tuple]:
     return lps
 
 
+def columnwise_program(lp) -> tuple:
+    """The one program of ``lp`` as :func:`numerics._solve_rung` takes it."""
+    [program] = numerics._columnwise(*lp).programs
+    return program
+
+
 def linprog_reference(lp, method="highs", presolve=True):
     """What linprog returns for ``lp`` by ``method`` under the ladder's
     tolerances and ``presolve``, with the bounds as (lo, hi) pairs and empty
@@ -386,8 +393,7 @@ def assert_rungs_match_linprog(lp):
     bit, or reports infeasible where linprog does."""
     for method, presolve in numerics._RUNGS:
         reference = linprog_reference(lp, method, presolve)
-        status, x = numerics._solve_rung(numerics._columnwise(*lp), method,
-                                         presolve)
+        status, x = numerics._solve_rung(columnwise_program(lp), method, presolve)
         assert reference.status == (2 if status == "Infeasible" else 0)
         assert (x is None) == (reference.x is None)
         if x is not None:
@@ -413,7 +419,7 @@ class TestDirectHighs:
     def test_thread_solver_keeps_nothing_between_solves(self, method, presolve):
         # a thread solves every program on one solver: in either order, and
         # after an infeasible one, each gets the same status and point
-        lps = [numerics._columnwise(*lp) for lp in _suite_lps()]
+        lps = [columnwise_program(lp) for lp in _suite_lps()]
         forward = [numerics._solve_rung(lp, method, presolve) for lp in lps]
         backward = [numerics._solve_rung(lp, method, presolve)
                     for lp in reversed(lps)][::-1]
@@ -480,9 +486,8 @@ class TestDirectHighs:
         monkeypatch.setattr(_core, "_Highs", Recording)
         with ThreadPoolExecutor(1) as pool:
             for _ in range(2):
-                pool.submit(numerics._solve_rung,
-                            numerics._columnwise(*TestLadder.LP), method,
-                            presolve).result()
+                pool.submit(numerics._solve_rung, columnwise_program(TestLadder.LP),
+                            method, presolve).result()
         assert len(made) == 1
         assert len(passed) == 2 and passed[0] is passed[1]
         fresh = _core.HighsOptions()
@@ -519,13 +524,84 @@ class TestColumnwiseChecks:
           np.array([[0.0, 3.0]]), np.array([1.5]), np.tile([0.0, 1.0], (2, 1)))
 
     def test_well_formed_program_solves(self):
-        objective, start, index, value, rhs, ub_rows, bounds = (
-            numerics._columnwise(*self.LP))
-        assert objective is self.LP[0] and bounds is self.LP[5]
+        objective, start, index, value, rhs, ub_rows, bounds = columnwise_program(self.LP)
+        for got, given in ((objective, self.LP[0]), (bounds, self.LP[5])):
+            assert np.shares_memory(got, given) and np.array_equal(got, given)
         assert start.tolist() == [0, 1, 3] and index.tolist() == [1, 0, 1]
         assert value.tolist() == [1.0, 3.0, 2.0]
         assert rhs.tolist() == [1.5, 1.0] and ub_rows == 1
         assert solve_lp(*self.LP) == pytest.approx([0.0, 0.5], abs=1e-8)
+
+
+def _random_stack(seed: int, count: int, infeasible=(), equality=True):
+    """``count`` random programs of one shape in the unit box, a fifth of
+    their inequality entries zero, as one stack of ``solve_lp`` arrays.
+    With ``equality`` each also demands x1 + x2 == 1, or == 5, which no
+    point of the box meets, at the indices in ``infeasible``; without, the
+    origin meets every row."""
+    rng = np.random.default_rng(seed)
+    n, k_ub, k_eq = 4, 3, int(equality)
+    ub_matrix = rng.normal(size=(count, k_ub, n))
+    ub_matrix[rng.random(ub_matrix.shape) < 0.2] = 0.0
+    eq_matrix = np.zeros((count, k_eq, n))
+    eq_matrix[..., :2] = 1.0
+    eq_rhs = np.ones((count, k_eq))
+    eq_rhs[list(infeasible)] = 5.0
+    return (rng.normal(size=(count, n)), eq_matrix, eq_rhs, ub_matrix,
+            rng.uniform(0.5, 2.0, size=(count, k_ub)),
+            np.tile([0.0, 1.0], (count, n, 1)))
+
+
+class TestStacks:
+    """A stack of programs is solved as each program is alone."""
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12),
+           workers=st.sampled_from([1, 2]), data=st.data())
+    @settings(max_examples=30, derandomize=True)
+    def test_batched_solve_equals_solves_one_by_one(self, seed, count,
+                                                    workers, data):
+        infeasible = data.draw(st.sets(st.integers(0, count - 1)))
+        stack = _random_stack(seed, count, infeasible)
+        with mock.patch.object(numerics, "_WORKERS", workers):
+            batched = solve_lp(*stack)
+        alone = [solve_lp(*(a[i] for a in stack)) for i in range(count)]
+        assert len(batched) == count
+        for got, want in zip(batched, alone):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+        assert all(batched[i] is None for i in infeasible)
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 8),
+           workers=st.sampled_from([1, 2]), data=st.data())
+    @settings(max_examples=20, derandomize=True)
+    def test_rung_one_audit_failure_walks_the_ladder_alone(self, seed, count,
+                                                           workers, data):
+        # one program's first point is moved off the box, so it alone
+        # fails the stack's audit and is solved again by the second rung;
+        # every other program keeps its first rung's point
+        stack = _random_stack(seed, count, equality=False)
+        target = data.draw(st.integers(0, count - 1))
+        solve_rung, calls = numerics._solve_rung, []
+
+        def moved(lp, method, presolve):
+            status, x = solve_rung(lp, method, presolve)
+            hit = np.array_equal(lp[0], stack[0][target])
+            calls.append((hit, method, presolve))
+            if hit and (method, presolve) == numerics._RUNGS[0]:
+                x = x + 2.0
+            return status, x
+
+        with mock.patch.object(numerics, "_WORKERS", workers), \
+                mock.patch.object(numerics, "_solve_rung", moved):
+            batched = solve_lp(*stack)
+        first, second = numerics._RUNGS[:2]
+        assert sorted(calls) == sorted([(i == target, *first)
+                                        for i in range(count)]
+                                       + [(True, *second)])
+        for i, x in enumerate(batched):
+            program = columnwise_program(tuple(a[i] for a in stack))
+            want = solve_rung(program, *(second if i == target else first))
+            assert np.array_equal(x, want[1])
 
 
 def test_import_evaluate_and_run_load_no_scipy_optimize():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ehcr import harvesting, optimizer
+from ehcr import harvesting, numerics, optimizer
 from ehcr.chain import (
     AmbiguousChainError,
     action_ranges,
@@ -54,7 +54,11 @@ from helpers import (
     reference_search,
     sensing_config,
 )
-from test_numerics import assert_rungs_match_linprog, linprog_reference
+from test_numerics import (
+    assert_rungs_match_linprog,
+    columnwise_program,
+    linprog_reference,
+)
 from test_performance import random_policy
 
 FAST_GRID = GridSpec(tau_min=2e-3, lambda_count=6)
@@ -346,17 +350,9 @@ class TestWarmScreen:
 
     def test_solver_failure_is_logged_and_search_continues(
             self, testbench_params, monkeypatch):
-        # one worker, so that the second solve is that of the second point
-        monkeypatch.setattr(optimizer, "_WORKERS", 1)
-        calls = []
-
-        def failing_second_call(*lp):
-            calls.append(1)
-            if len(calls) == 2:
-                raise RuntimeError("no LP solve passed the feasibility audit")
-            return solve_lp(*lp)
-
-        monkeypatch.setattr(optimizer, "solve_lp", failing_second_call)
+        # one worker, so that the second LP is that of the second point
+        monkeypatch.setattr(numerics, "_WORKERS", 1)
+        fail_lps(monkeypatch, lambda i: i == 1)
         solution, records = optimize(testbench_params, FAST_GRID, "probabilistic")
         statuses = [r.status for r in records]
         assert statuses[1] == "solver_failure"
@@ -384,18 +380,10 @@ class TestWarmScreen:
                 if o > -math.inf and i not in failed]
         second_tier = sum(o >= max(rest) - LP_FEASIBILITY_TOL for o in rest)
         assert second_tier >= 2
-        monkeypatch.setattr(optimizer, "_WORKERS", 1)
-        calls = []
-
-        def failing_first_tier(*lp):
-            calls.append(1)
-            if len(calls) <= len(failed):
-                raise RuntimeError("no LP solve passed the feasibility audit")
-            return solve_lp(*lp)
-
-        monkeypatch.setattr(optimizer, "solve_lp", failing_first_tier)
+        monkeypatch.setattr(numerics, "_WORKERS", 1)
+        met = fail_lps(monkeypatch, lambda i: i < len(failed))
         solution, records = optimize(params, TWIN_GRID, "probabilistic")
-        assert len(calls) == len(failed) + second_tier
+        assert len(met) == len(failed) + second_tier
         assert [i for i, r in enumerate(records)
                 if r.status == "solver_failure"] == failed
         assert (solution.tau, solution.threshold) != (first.tau, first.threshold)
@@ -418,9 +406,9 @@ class TestColdSolves:
         params = with_overrides(testbench_params, rho=rho, mu_th=mu_th)
         built = []  # list.append is atomic, so the workers need no lock
 
-        def capture(*lp):
+        def capture(lp, method, presolve):
             built.append(lp)
-            return None
+            return "Infeasible", None
 
         for tau in FAST_GRID.tau_values(params):
             column = column_at(params, tau, FAST_GRID)
@@ -440,44 +428,48 @@ class TestColdSolves:
                     action_rewards(params, column.outages, p_d, p_f), rewards[k])
             ks = [0, 2, 3, 5]
             built.clear()
-            with mock.patch.object(optimizer, "_WORKERS", 2), \
-                    mock.patch.object(optimizer, "solve_lp", capture):
+            with mock.patch.object(numerics, "_WORKERS", 2), \
+                    mock.patch.object(numerics, "_solve_rung", capture):
                 results = _cold_solve(params, scheme, [(column, k) for k in ks])
-            # the captured solves return None: one infeasible result per entry
+            # the captured solves are infeasible: one such result per entry
             assert results == [("infeasible", None)] * len(ks)
             # a column that cannot fund sensing has one LP for all thresholds
             assert len(built) == (len(ks) if column.quantities.beta_range else 1)
             for k in ks:  # the workers may take the entries in any order
-                want = point_lp(params, column, k, scheme)
-                assert any(len(lp) == len(want) == 6 and all(
-                    got.dtype == expected.dtype and np.array_equal(got, expected)
+                want = columnwise_program(point_lp(params, column, k, scheme))
+                assert any(len(lp) == len(want) == 7 and all(
+                    np.asarray(got).dtype == np.asarray(expected).dtype
+                    and np.array_equal(got, expected)
                     for got, expected in zip(lp, want)) for lp in built)
 
     @given(rho=st.floats(0.05, 0.95), mu_th=st.floats(0.6, 0.75),
            mode=st.sampled_from(["mixed", "nature", "rf"]),
            scheme=st.sampled_from(optimizer.SCHEMES),
-           n_max=st.integers(5, 30))
+           n_max=st.integers(5, 30), reverse=st.booleans())
     @settings(max_examples=20, derandomize=True, deadline=None)
     def test_skeleton_arrays_equal_point_lp(self, testbench_params, rho, mu_th,
-                                            mode, scheme, n_max):
-        # each threshold's copy of the column's skeleton is its own dense
-        # LP: array for array, element for element, of the same dtypes, and
-        # solved to the same bits.  Below N_max 15 no sensing time of
-        # FAST_GRID can fund sensing, at 30 every one can, and in between
-        # both kinds are screened
+                                            mode, scheme, n_max, reverse):
+        # each program of a column's stack is its threshold's own dense LP:
+        # array for array, element for element, of the same dtypes, in
+        # either order of the thresholds, and the stack's batched solve
+        # gives each its own solve's bits.  Below N_max 15 no sensing time
+        # of FAST_GRID can fund sensing, at 30 every one can, and in
+        # between both kinds are screened
         params = harvest_mode(with_overrides(testbench_params, rho=rho,
                                              mu_th=mu_th, N_max=n_max), mode)
         for tau in FAST_GRID.tau_values(params):
             column = column_at(params, tau, FAST_GRID)
             if optimizer._unsupported(column.quantities, scheme):
                 continue
-            build = optimizer._column_lps(params, column, scheme)
-            for k in range(len(column.thresholds)):
-                lp, want = build(k), point_lp(params, column, k, scheme)
-                for got, expected in zip(lp, want, strict=True):
-                    assert got.dtype == expected.dtype
-                    assert np.array_equal(got, expected)
-                x, reference = solve_lp(*lp), solve_lp(*want)
+            ks = list(range(len(column.thresholds)))[::-1 if reverse else 1]
+            stack = optimizer._column_lps(params, column, scheme, ks)
+            solved = solve_lp(*stack)
+            for i, k in enumerate(ks):
+                want = point_lp(params, column, k, scheme)
+                for got, expected in zip(stack, want, strict=True):
+                    assert got[i].dtype == expected.dtype
+                    assert np.array_equal(got[i], expected)
+                x, reference = solved[i], solve_lp(*want)
                 assert (x is None) == (reference is None)
                 assert x is None or np.array_equal(x, reference)
 
@@ -513,15 +505,16 @@ class TestColdSolves:
         params = with_overrides(testbench_params, rho=0.1)
         serial = search_with_workers(params, FAST_GRID, 1)
         lock, started = threading.Lock(), []
+        solve_rung = numerics._solve_rung
 
-        def slow_early(*lp):
+        def slow_early(lp, method, presolve):
             with lock:
                 started.append(1)
                 delay = max(0.0, 0.005 * (13 - len(started)))
             time.sleep(delay)
-            return solve_lp(*lp)
+            return solve_rung(lp, method, presolve)
 
-        monkeypatch.setattr(optimizer, "solve_lp", slow_early)
+        monkeypatch.setattr(numerics, "_solve_rung", slow_early)
         threaded = search_with_workers(params, FAST_GRID, 2)
         assert len(started) == 13
         assert_identical_searches(threaded, serial)
@@ -567,14 +560,15 @@ class TestColdSolves:
         alone = [_cold_solve(params, "probabilistic", [entry])[0]
                  for entry in entries]
         lock, solves = threading.Lock(), []
+        solve_rung = numerics._solve_rung
 
-        def counted(*lp):
+        def counted(lp, method, presolve):
             with lock:
                 solves.append(1)
-            return solve_lp(*lp)
+            return solve_rung(lp, method, presolve)
 
-        monkeypatch.setattr(optimizer, "_WORKERS", 2)
-        monkeypatch.setattr(optimizer, "solve_lp", counted)
+        monkeypatch.setattr(numerics, "_WORKERS", 2)
+        monkeypatch.setattr(numerics, "_solve_rung", counted)
         results = _cold_solve(params, "probabilistic", entries)
         assert len(solves) == 1 + len(sensing.thresholds)
         assert len(results) == len(entries)
@@ -665,8 +659,27 @@ def search(params, grid, scheme):
 def search_with_workers(params, grid, workers):
     """:func:`search` of the probabilistic scheme with ``workers`` cold-solve
     threads."""
-    with mock.patch.object(optimizer, "_WORKERS", workers):
+    with mock.patch.object(numerics, "_WORKERS", workers):
         return search(params, grid, "probabilistic")
+
+
+def fail_lps(monkeypatch, failing) -> list:
+    """Make every rung fail on the i-th LP that a first rung meets, for each
+    i that ``failing`` holds true; returns the programs the first rungs
+    met, in call order."""
+    solve_rung, lock, met, failed = numerics._solve_rung, threading.Lock(), [], []
+
+    def patched(lp, method, presolve):
+        with lock:
+            if (method, presolve) == numerics._RUNGS[0]:
+                met.append(lp)
+                if failing(len(met) - 1):
+                    failed.append(lp)
+            fails = any(lp is program for program in failed)
+        return ("Unknown", None) if fails else solve_rung(lp, method, presolve)
+
+    monkeypatch.setattr(numerics, "_solve_rung", patched)
+    return met
 
 
 def assert_identical_searches(got, want):
@@ -1161,12 +1174,13 @@ class TestConstrainedRegime:
         column = column_at(params, 2e-3, FAST_GRID)
         assert _screen(params, column, "probabilistic") is None
         calls = []
+        solve_rung = numerics._solve_rung
 
-        def counted(*lp):
+        def counted(*args):
             calls.append(1)
-            return solve_lp(*lp)
+            return solve_rung(*args)
 
-        monkeypatch.setattr(optimizer, "solve_lp", counted)
+        monkeypatch.setattr(numerics, "_solve_rung", counted)
         with pytest.raises(AmbiguousChainError) as err:
             optimize(params, FAST_GRID, "probabilistic")
         assert len(err.value.classes) == params.n_states == 21

@@ -32,10 +32,13 @@ def test_failing_property_test_is_reported(pytester, monkeypatch):
 
 
 def test_fresh_memos_empties_every_memo(testbench_params):
-    # the autouse fixture ran before this test; a tied search, which solves
-    # LPs, fills the memos again, and the fixture's clearing empties them
+    # the autouse fixture ran before this test; a tied search, whose LPs
+    # numerics._solve_rung solves, fills the memos again (the rung options
+    # and the threads' solvers among them), and the fixture's clearing
+    # empties them
     memos = loaded_memos()
-    known = [harvesting._laws, optimizer._scan, numerics._rung_options]
+    known = [harvesting._laws, optimizer._scan, numerics._rung_options,
+             numerics._solvers]
     assert set(known) <= set(memos)
     assert all(memo.cache_info().currsize == 0 for memo in memos)
     optimizer.optimize(with_overrides(testbench_params, rho=0.1), FAST_GRID,
